@@ -12,9 +12,7 @@ Verbs:
 A spec argument is either a path to a JSON file or an inline JSON object
 (anything starting with '{').  Every failure prints one line starting
 with ``error:<category>:`` on stderr; exit status is 1 for validation
-problems and 2 for numerical certification failures.  The environment
-variable ANOMALY_WALK_THREADS caps parallelism across sweep sizes
-(0 or unset: one worker per CPU).
+problems and 2 for numerical certification failures.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .collapse import invariant_basis, reduce_operator
@@ -127,23 +123,6 @@ def _parse_sizes(text: str | None) -> tuple[int, ...]:
     if not sizes:
         raise ConfigurationError("--n-list is empty")
     return sizes
-
-
-def _worker_cap(n_tasks: int) -> int:
-    raw = os.environ.get("ANOMALY_WALK_THREADS")
-    if raw is None or not raw.strip():
-        cap = 0
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"ANOMALY_WALK_THREADS must be an integer, got {raw!r}") from None
-        if cap < 0:
-            raise ConfigurationError("ANOMALY_WALK_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
 
 
 def _default_steps(graph: StarGraph) -> int:
@@ -253,8 +232,7 @@ def _cmd_perturb(args) -> int:
         fits_out = _require_out(args.fits_out)
     else:
         fits_out = out.with_name(out.stem + "-fits" + out.suffix)
-    sweep = perturbation_sweep(anomaly, sizes,
-                               max_workers=_worker_cap(len(sizes)))
+    sweep = perturbation_sweep(anomaly, sizes)
     write_shifts_csv(sweep.samples, out)
     write_fits_csv(sweep.fits, fits_out)
     for fit in sweep.fits:
@@ -273,17 +251,11 @@ def _cmd_sweep(args) -> int:
     sizes = _parse_sizes(args.n_list)
     out = _require_out(args.out)
 
-    def one(n: int):
+    rows = []
+    for n in sizes:
         sized = build_star(n, graph.anomaly)
         steps = args.max_steps if args.max_steps else _default_steps(sized)
-        return n, run_search(sized, kind, steps, method=args.method)
-
-    workers = _worker_cap(len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, sizes))
-    else:
-        rows = [one(n) for n in sizes]
+        rows.append((n, run_search(sized, kind, steps, method=args.method)))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("N,predicted_step,peak_step,peak_detectable,peak_undetected\n")
         for n, res in rows:

@@ -112,7 +112,13 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
         absorb(apply_adjoint_into(op, src, work).copy())
         head += 1
 
-    basis = cols[:, :count].copy()
+    # Gram-Schmidt leaves the columns orthonormal only to ~1e-11 at large
+    # N, too loose for the eigenframe check downstream; one QR pass
+    # restores it, and rotating each column by the phase of its R diagonal
+    # keeps it aligned with the direction Gram-Schmidt accepted
+    basis, r = np.linalg.qr(cols[:, :count])
+    diag = np.diag(r)
+    basis *= diag / np.abs(diag)
     basis.setflags(write=False)
     return ReducedBasis(matrix=basis)
 

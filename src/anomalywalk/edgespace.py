@@ -9,12 +9,13 @@ loop states ascending vertex, extension pair).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
 from .numerics import DEFAULT_POLICY, NumericPolicy
-from .stargraph import StarGraph
+from .stargraph import Anomaly, StarGraph
 
 
 @dataclass(frozen=True, order=True)
@@ -49,19 +50,58 @@ class BasisLabel:
 
 @dataclass(frozen=True)
 class EdgeBasis:
-    labels: tuple[BasisLabel, ...]
-    index: dict
+    """The frozen enumeration as arithmetic over three or four blocks.
+
+    Position j-1 holds (0,j), position N+j-1 holds (j,0), and the anomaly
+    states follow from 2N on; no per-state table is kept.
+    """
+
     n_spokes: int
+    anomaly: Anomaly
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return StarGraph(self.n_spokes, self.anomaly).hilbert_dim
+
+    def _fixed_block(self) -> tuple[BasisLabel, ...]:
+        """Anomaly states of the variants whose block size does not grow with N."""
+        a = self.anomaly
+        if a.variant == "extra_edge":
+            return (BasisLabel.edge(a.u, a.v), BasisLabel.edge(a.v, a.u))
+        if a.variant == "loop":
+            return (BasisLabel.loop(a.at),)
+        if a.variant == "extended_edge":
+            # the extension endpoint gets the next free vertex id
+            tip = self.n_spokes + 1
+            return (BasisLabel.edge(a.at, tip), BasisLabel.edge(tip, a.at))
+        return ()
 
     def position(self, label: BasisLabel) -> int:
-        try:
-            return self.index[label]
-        except KeyError:
-            raise ConfigurationError(f"label {label} not in basis") from None
+        n = self.n_spokes
+        if label.kind == "edge":
+            if label.u == 0 and 1 <= label.v <= n:
+                return label.v - 1
+            if label.v == 0 and 1 <= label.u <= n:
+                return n + label.u - 1
+        elif self.anomaly.variant == "missing_loop" and 1 <= label.u <= n:
+            return 2 * n + label.u - 1
+        block = self._fixed_block()
+        if label in block:
+            return 2 * n + block.index(label)
+        raise ConfigurationError(f"label {label} not in basis")
+
+    def label(self, pos: int) -> BasisLabel:
+        """Inverse of position."""
+        n = self.n_spokes
+        if not 0 <= pos < self.dim:
+            raise ConfigurationError(f"position {pos} outside 0..{self.dim - 1}")
+        if pos < n:
+            return BasisLabel.edge(0, pos + 1)
+        if pos < 2 * n:
+            return BasisLabel.edge(pos - n + 1, 0)
+        if self.anomaly.variant == "missing_loop":
+            return BasisLabel.loop(pos - 2 * n + 1)
+        return self._fixed_block()[pos - 2 * n]
 
     def out_position(self, j: int) -> int:
         return self.position(BasisLabel.edge(0, j))
@@ -77,22 +117,7 @@ class WalkState:
 
 
 def make_basis(graph: StarGraph) -> EdgeBasis:
-    n = graph.n_spokes
-    labels = [BasisLabel.edge(0, j) for j in range(1, n + 1)]
-    labels += [BasisLabel.edge(j, 0) for j in range(1, n + 1)]
-    a = graph.anomaly
-    if a.variant == "extra_edge":
-        labels += [BasisLabel.edge(a.u, a.v), BasisLabel.edge(a.v, a.u)]
-    elif a.variant == "loop":
-        labels += [BasisLabel.loop(a.at)]
-    elif a.variant == "extended_edge":
-        # the extension endpoint gets the next free vertex id
-        tip = n + 1
-        labels += [BasisLabel.edge(a.at, tip), BasisLabel.edge(tip, a.at)]
-    elif a.variant == "missing_loop":
-        labels += [BasisLabel.loop(j) for j in range(1, n + 1)]
-    index = {label: k for k, label in enumerate(labels)}
-    return EdgeBasis(labels=tuple(labels), index=index, n_spokes=n)
+    return EdgeBasis(n_spokes=graph.n_spokes, anomaly=graph.anomaly)
 
 
 def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
@@ -134,31 +159,31 @@ def hub_in_state(basis: EdgeBasis) -> WalkState:
 def all_loops_state(basis: EdgeBasis) -> WalkState:
     """Uniform superposition over all loop states (needs one loop per vertex)."""
     n = basis.n_spokes
-    positions = [basis.index.get(BasisLabel.loop(j)) for j in range(1, n + 1)]
-    if any(p is None for p in positions):
+    if basis.anomaly.variant != "missing_loop":
         raise ConfigurationError("graph does not carry a loop on every vertex")
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[positions] = 1.0 / np.sqrt(n)
+    amps[2 * n:3 * n] = 1.0 / np.sqrt(n)
+    return make_state(amps)
+
+
+def _spoke_block_state(basis: EdgeBasis, vertices, block_start: int) -> WalkState:
+    spokes = np.asarray(list(vertices), dtype=np.intp)
+    if not spokes.size:
+        raise ConfigurationError("vertex set must be non-empty")
+    if spokes.min() < 1 or spokes.max() > basis.n_spokes:
+        raise ConfigurationError(f"vertex outside 1..{basis.n_spokes}")
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[block_start + spokes - 1] = 1.0 / np.sqrt(spokes.size)
     return make_state(amps)
 
 
 def symmetric_out_state(basis: EdgeBasis, vertices) -> WalkState:
     """Uniform superposition of (0,j) over the given outer vertices."""
-    vertices = list(vertices)
-    if not vertices:
-        raise ConfigurationError("vertex set must be non-empty")
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[[basis.out_position(j) for j in vertices]] = 1.0 / np.sqrt(len(vertices))
-    return make_state(amps)
+    return _spoke_block_state(basis, vertices, 0)
 
 
 def symmetric_in_state(basis: EdgeBasis, vertices) -> WalkState:
-    vertices = list(vertices)
-    if not vertices:
-        raise ConfigurationError("vertex set must be non-empty")
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[[basis.in_position(j) for j in vertices]] = 1.0 / np.sqrt(len(vertices))
-    return make_state(amps)
+    return _spoke_block_state(basis, vertices, basis.n_spokes)
 
 
 def edge_probabilities(state: WalkState, basis: EdgeBasis,
@@ -173,18 +198,18 @@ def edge_probabilities(state: WalkState, basis: EdgeBasis,
     if state.basis_dim != basis.dim:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != basis dimension {basis.dim}")
-    probs: dict = {}
+    n = basis.n_spokes
     weights = np.abs(state.amplitudes) ** 2
-    for label, w in zip(basis.labels, weights):
-        if label.kind == "loop":
-            key = ("loop", label.u)
-        else:
-            u, v = label.u, label.v
-            if 0 in (u, v):
-                key = ("spoke", max(u, v))
-            else:
-                key = ("edge", min(u, v), max(u, v))
-        probs[key] = probs.get(key, 0.0) + float(w)
+    probs = dict(zip(zip(repeat("spoke"), range(1, n + 1)),
+                     (weights[0:n] + weights[n:2 * n]).tolist()))
+    if basis.anomaly.variant == "missing_loop":
+        probs.update(zip(zip(repeat("loop"), range(1, n + 1)),
+                         weights[2 * n:3 * n].tolist()))
+    block = basis._fixed_block()
+    if block:  # one loop, or both directions of one non-spoke edge
+        u, v = block[0].u, block[0].v
+        key = ("loop", u) if block[0].kind == "loop" else ("edge", min(u, v), max(u, v))
+        probs[key] = float(weights[2 * n:].sum())
     total = sum(probs.values())
     if abs(total - 1.0) > policy.probability_tol:
         raise NumericalFailureError(f"probabilities sum to {total}, expected 1")

@@ -11,7 +11,6 @@ one over N).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +101,16 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
             f"(leakage {leakage:.3e})")
 
     n = graph.n_spokes
-    bulk = [j for j in range(1, n + 1) if j not in graph.anomaly_vertices]
-    if not bulk:
+    bulk = np.ones(n, dtype=bool)
+    bulk[np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1] = False
+    n_bulk = int(bulk.sum())
+    if not n_bulk:
         raise ConfigurationError("no bulk spokes left to carry the hub term")
-    rows = np.array(bulk) - 1
-    amp = 1.0 / math.sqrt(len(bulk))
+    amp = 1.0 / math.sqrt(n_bulk)
     ob = np.zeros(u0.dimension, dtype=complex)
-    ob[rows] = amp
+    ob[0:n][bulk] = amp
     ib = np.zeros(u0.dimension, dtype=complex)
-    ib[rows + n] = amp
+    ib[n:2 * n][bulk] = amp
     cob = v.conj().T @ ob
     cib = v.conj().T @ ib
     outside = max(float(np.linalg.norm(ob - v @ cob)),
@@ -287,23 +287,12 @@ def _sweep_point(anomaly: Anomaly, n: int, policy: NumericPolicy):
 
 
 def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES,
-                       policy: NumericPolicy = DEFAULT_POLICY,
-                       max_workers: int = 1) -> SweepResult:
-    """Shift-vs-size sweep for one anomaly across a list of graph sizes.
-
-    Sizes are independent, so they may run on a small thread pool; the
-    sample order is by size regardless of worker count.
-    """
+                       policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
+    """Shift-vs-size sweep for one anomaly across a list of graph sizes."""
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ConfigurationError("size list must be non-empty")
-    if max_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(
-                lambda n: _sweep_point(anomaly, n, policy), sizes))
-    else:
-        chunks = [_sweep_point(anomaly, n, policy) for n in sizes]
-    samples = tuple(pair for chunk in chunks for pair in chunk)
+    samples = tuple(pair for n in sizes for pair in _sweep_point(anomaly, n, policy))
     return SweepResult(samples=samples,
                        fits=tuple(fit_scaling(samples, policy)))
 

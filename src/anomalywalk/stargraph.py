@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,6 +26,10 @@ from .errors import (
 VARIANTS = ("none", "extra_edge", "loop", "extended_edge", "missing_loop")
 
 _TWO_PI = 2.0 * math.pi
+
+# a walk holds at least four complex128 vectors of the full dimension at
+# once (start state, current state, step buffer and a per-step temporary)
+_WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,8 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
 
     The extra-edge endpoint pair is canonicalized to u < v; u == v is
     rejected.  N >= 3 keeps the hub reflection amplitude (N-2)/N positive.
+    A size whose state vectors cannot fit in physical memory is rejected
+    here, before anything of that size is allocated.
     """
 
     if not isinstance(n, int) or isinstance(n, bool):
@@ -183,7 +190,15 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     elif anomaly.variant != "none":
         if not 1 <= anomaly.at <= n:
             raise IndexRangeError(f"vertex {anomaly.at} outside 1..{n}")
-    return StarGraph(n_spokes=n, anomaly=anomaly)
+    graph = StarGraph(n_spokes=n, anomaly=anomaly)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        memory = math.inf
+    if graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE > memory:
+        raise SizeError(f"n_spokes {n} needs more than the "
+                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
+    return graph
 
 
 _TOP_KEYS = {"n_spokes", "anomaly"}
@@ -234,6 +249,10 @@ def parse_spec(text: str) -> StarGraph:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise SpecSyntaxError("spec nests too deeply") from None
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise SpecSyntaxError(str(exc)) from None
     if not isinstance(raw, dict):
         raise SpecSemanticError("spec must be a JSON object")
     unknown = set(raw) - _TOP_KEYS

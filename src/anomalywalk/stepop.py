@@ -3,17 +3,17 @@
 The operator never materializes as a matrix on the hot path.  Hub columns
 all share one structure (reflection -r on the matching outgoing state plus
 transmission t to every other one), so a full application costs O(N): one
-running sum over hub-incoming amplitudes plus a vectorized scatter for the
-outer-vertex columns, each of which has exactly one nonzero.
+running sum over hub-incoming amplitudes, then the outer-vertex columns,
+each of which has exactly one nonzero.  Those follow the block layout:
+one or two length-N block copies, then a few patches that overwrite the
+rows the anomaly reroutes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .edgespace import BasisLabel, EdgeBasis, WalkState, make_basis, make_state
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
@@ -23,9 +23,17 @@ from .stargraph import StarGraph
 
 @dataclass(frozen=True)
 class StepOperator:
+    """Hub amplitudes, block copies and patches of one walk step.
+
+    Each copy (dst, src) moves the length-N block starting at src to the
+    one starting at dst with amplitude 1; the patches (perm_src, perm_dst,
+    perm_amp) are applied after the copies and overwrite their rows.
+    """
+
     basis: EdgeBasis
     hub_r: float
     hub_t: float
+    copies: tuple[tuple[int, int], ...]
     perm_src: np.ndarray
     perm_dst: np.ndarray
     perm_amp: np.ndarray
@@ -41,21 +49,6 @@ class StepOperator:
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.perm_amp.imag == 0.0))
-
-    def column(self, label: BasisLabel) -> list[tuple[BasisLabel, complex]]:
-        """Nonzero entries of one column, as (output label, amplitude) pairs."""
-        n = self.n_spokes
-        pos = self.basis.position(label)
-        if n <= pos < 2 * n:
-            j = pos - n + 1
-            out = []
-            for k in range(1, n + 1):
-                amp = -self.hub_r if k == j else self.hub_t
-                out.append((BasisLabel.edge(0, k), complex(amp)))
-            return out
-        hits = np.nonzero(self.perm_src == pos)[0]
-        return [(self.basis.labels[int(self.perm_dst[h])], complex(self.perm_amp[h]))
-                for h in hits]
 
 
 @dataclass(frozen=True)
@@ -84,58 +77,57 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
     dst: list[int] = []
     amp: list[complex] = []
 
-    def rule(src_label: BasisLabel, dst_label: BasisLabel, amplitude: complex = 1.0) -> None:
+    def patch(src_label: BasisLabel, dst_label: BasisLabel, amplitude: complex = 1.0) -> None:
         src.append(basis.position(src_label))
         dst.append(basis.position(dst_label))
         amp.append(amplitude)
 
-    out_edge = BasisLabel.edge
+    edge = BasisLabel.edge
     phase = complex(np.exp(1j * a.mark_phase.value)) if a.variant != "none" else 1.0 + 0j
-    for j in range(1, n + 1):
-        if a.variant == "extra_edge" and j in (a.u, a.v):
-            other = a.v if j == a.u else a.u
-            rule(out_edge(0, j), out_edge(j, other))
-        elif a.variant == "loop" and j == a.at:
-            rule(out_edge(0, j), BasisLabel.loop(j))
-        elif a.variant == "extended_edge" and j == a.at:
-            rule(out_edge(0, j), out_edge(j, n + 1))
-        elif a.variant == "missing_loop":
-            if j == a.at:
-                # marked vertex: direct bounce carrying the marking phase
-                rule(out_edge(0, j), out_edge(j, 0), phase)
-            else:
-                rule(out_edge(0, j), BasisLabel.loop(j))
-        else:
-            rule(out_edge(0, j), out_edge(j, 0))
+    # every plain spoke bounces (0,j) straight back to (j,0)
+    copies: tuple[tuple[int, int], ...] = ((n, 0),)
     if a.variant == "extra_edge":
-        rule(out_edge(a.u, a.v), out_edge(a.v, 0))
-        rule(out_edge(a.v, a.u), out_edge(a.u, 0))
+        patch(edge(0, a.u), edge(a.u, a.v))
+        patch(edge(0, a.v), edge(a.v, a.u))
+        patch(edge(a.u, a.v), edge(a.v, 0))
+        patch(edge(a.v, a.u), edge(a.u, 0))
     elif a.variant == "loop":
-        rule(BasisLabel.loop(a.at), out_edge(a.at, 0))
+        patch(edge(0, a.at), BasisLabel.loop(a.at))
+        patch(BasisLabel.loop(a.at), edge(a.at, 0))
     elif a.variant == "extended_edge":
-        rule(out_edge(a.at, n + 1), out_edge(n + 1, a.at), phase)
-        rule(out_edge(n + 1, a.at), out_edge(a.at, 0))
+        tip = n + 1
+        patch(edge(0, a.at), edge(a.at, tip))
+        patch(edge(a.at, tip), edge(tip, a.at), phase)
+        patch(edge(tip, a.at), edge(a.at, 0))
     elif a.variant == "missing_loop":
-        # dummy loop at the marked vertex is a fixed point
-        rule(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
-        for j in range(1, n + 1):
-            if j != a.at:
-                rule(BasisLabel.loop(j), out_edge(j, 0))
+        # unmarked spokes route (0,j) through their loop, loops exit to (j,0)
+        copies = ((2 * n, 0), (n, 2 * n))
+        # marked vertex: direct bounce carrying the marking phase, and its
+        # dummy loop is a fixed point
+        patch(edge(0, a.at), edge(a.at, 0), phase)
+        patch(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
 
     perm_src = np.asarray(src, dtype=np.intp)
     perm_dst = np.asarray(dst, dtype=np.intp)
     perm_amp = np.asarray(amp, dtype=complex)
-    # the apply paths skip zero-filling: singleton outputs must cover every
-    # position outside the hub-outgoing block exactly once, and singleton
-    # inputs every position outside the hub-incoming block
+    # the apply paths skip zero-filling: after the copies and patches every
+    # position outside the hub-outgoing block must be written from exactly
+    # one source, and every position outside the hub-incoming block must be
+    # read exactly once
     d = basis.dim
-    if not np.array_equal(np.sort(perm_dst), np.arange(n, d)):
+    source = np.full(d, -1, dtype=np.intp)
+    for to, frm in copies:
+        source[to:to + n] = np.arange(frm, frm + n)
+    source[perm_dst] = perm_src
+    if np.any(source[0:n] != -1) or np.any(source[n:] == -1):
         raise NumericalFailureError("singleton outputs do not tile the non-hub block")
-    expected_src = np.concatenate([np.arange(0, n), np.arange(2 * n, d)])
-    if not np.array_equal(np.sort(perm_src), expected_src):
+    reads = np.bincount(source[n:], minlength=d)
+    reads[n:2 * n] += 1  # the hub reads these
+    if np.any(reads != 1):
         raise NumericalFailureError("singleton inputs do not tile the non-hub columns")
     return StepOperator(basis=basis, hub_r=float(hub_r), hub_t=float(hub_t),
-                        perm_src=perm_src, perm_dst=perm_dst, perm_amp=perm_amp)
+                        copies=copies, perm_src=perm_src, perm_dst=perm_dst,
+                        perm_amp=perm_amp)
 
 
 def build_step_operator(graph: StarGraph) -> StepOperator:
@@ -147,12 +139,14 @@ def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One step on a raw amplitude array, writing into a preallocated buffer.
 
     No zero fill is needed: the hub rule writes the whole outgoing block and
-    the singleton scatter tiles everything else (checked at build time).
+    the copies and patches tile everything else (checked at build time).
     """
     n = op.n_spokes
     s = x[n:2 * n].sum()
     np.multiply(x[n:2 * n], -(op.hub_r + op.hub_t), out=out[0:n])
     out[0:n] += op.hub_t * s
+    for to, frm in op.copies:
+        out[to:to + n] = x[frm:frm + n]
     out[op.perm_dst] = op.perm_amp * x[op.perm_src]
     return out
 
@@ -162,53 +156,50 @@ def apply_adjoint_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.n
     s = x[0:n].sum()
     np.multiply(x[0:n], -(op.hub_r + op.hub_t), out=out[n:2 * n])
     out[n:2 * n] += op.hub_t * s
+    for to, frm in op.copies:
+        out[frm:frm + n] = x[to:to + n]
     out[op.perm_src] = np.conj(op.perm_amp) * x[op.perm_dst]
     return out
 
 
-def apply_step(op: StepOperator, state: WalkState) -> WalkState:
+def _apply_state(op: StepOperator, state: WalkState, kernel) -> WalkState:
     if state.basis_dim != op.dimension:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != operator dimension {op.dimension}")
-    out = np.empty(op.dimension, dtype=complex)
-    apply_into(op, state.amplitudes, out)
+    out = kernel(op, state.amplitudes, np.empty(op.dimension, dtype=complex))
     out.setflags(write=False)
     return WalkState(amplitudes=out, basis_dim=op.dimension)
+
+
+def apply_step(op: StepOperator, state: WalkState) -> WalkState:
+    return _apply_state(op, state, apply_into)
 
 
 def apply_adjoint(op: StepOperator, state: WalkState) -> WalkState:
-    if state.basis_dim != op.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {state.basis_dim} != operator dimension {op.dimension}")
-    out = np.empty(op.dimension, dtype=complex)
-    apply_adjoint_into(op, state.amplitudes, out)
-    out.setflags(write=False)
-    return WalkState(amplitudes=out, basis_dim=op.dimension)
+    return _apply_state(op, state, apply_adjoint_into)
 
 
-def sparse_matrix(op: StepOperator) -> sp.csc_matrix:
+def _dense_columns(op: StepOperator, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi-1 of the materialized matrix."""
     n = op.n_spokes
-    d = op.dimension
-    rows = []
-    cols = []
-    vals = []
-    for j in range(n):
-        rows.extend(range(n))
-        cols.extend([n + j] * n)
-        col = np.full(n, op.hub_t)
-        col[j] = -op.hub_r
-        vals.extend(col.tolist())
-    rows.extend(op.perm_dst.tolist())
-    cols.extend(op.perm_src.tolist())
-    vals.extend(op.perm_amp.tolist())
-    return sp.csc_matrix((vals, (rows, cols)), shape=(d, d), dtype=complex)
+    u = np.zeros((op.dimension, hi - lo), dtype=complex)
+    hub = np.arange(max(lo, n), min(hi, 2 * n))
+    u[0:n, hub - lo] = op.hub_t
+    u[hub - n, hub - lo] = -op.hub_r
+    for to, frm in op.copies:
+        cols = np.arange(max(lo, frm), min(hi, frm + n))
+        u[to + cols - frm, cols - lo] = 1.0
+    u[op.perm_dst] = 0.0
+    inside = (lo <= op.perm_src) & (op.perm_src < hi)
+    u[op.perm_dst[inside], op.perm_src[inside] - lo] = op.perm_amp[inside]
+    return u
 
 
 def dense_matrix(op: StepOperator, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Materialized matrix, for tests and diagnostics only."""
     if op.dimension > policy.dense_cap:
         raise SizeError(f"dimension {op.dimension} over dense cap {policy.dense_cap}")
-    return sparse_matrix(op).toarray()
+    return _dense_columns(op, 0, op.dimension)
 
 
 def check_unitarity(op: StepOperator, tolerance: float | None = None,
@@ -216,9 +207,10 @@ def check_unitarity(op: StepOperator, tolerance: float | None = None,
     """Max elementwise deviation of U†U from identity.
 
     Hub-column inner products take exactly two values (diagonal and
-    off-diagonal), so the structural check is O(1) plus an O(columns) scan
-    of the singleton amplitudes; for small dimensions the result is
-    cross-checked against an explicit sparse product.
+    off-diagonal), so the structural check is O(1) plus a scan of the
+    patch amplitudes (block copies carry amplitude 1); for small
+    dimensions the result is cross-checked against an explicit dense
+    product, formed one block of column slabs at a time.
     """
 
     if tolerance is None:
@@ -230,24 +222,20 @@ def check_unitarity(op: StepOperator, tolerance: float | None = None,
     dev = max(abs(diag - 1.0), abs(offdiag))
     if op.perm_amp.size:
         dev = max(dev, float(np.abs(np.abs(op.perm_amp) ** 2 - 1.0).max()))
-    if op.dimension <= policy.dense_cap:
-        u = sparse_matrix(op)
-        gram = (u.conj().T @ u - sp.identity(op.dimension, dtype=complex, format="csc"))
-        if gram.nnz:
-            dev = max(dev, float(np.abs(gram.data).max()))
+    d = op.dimension
+    if d <= policy.dense_cap:
+        # column slabs of 2^20 entries (16 MiB) keep the memory far below
+        # that of U itself; U†U is Hermitian, so the blocks on and above
+        # the diagonal cover every entry
+        width = max(1, (1 << 20) // d)
+        for lo in range(0, d, width):
+            left = _dense_columns(op, lo, min(d, lo + width)).conj().T
+            for lo2 in range(lo, d, width):
+                gram = left @ _dense_columns(op, lo2, min(d, lo2 + width))
+                if lo2 == lo:
+                    gram -= np.eye(len(gram))
+                dev = max(dev, float(np.abs(gram).max()))
     return UnitarityReport(max_deviation=dev, tolerance=tolerance)
-
-
-def dump_operator_csv(op: StepOperator, path, policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    if op.dimension > policy.dense_cap:
-        raise SizeError(f"dimension {op.dimension} over dense cap {policy.dense_cap}")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "re", "im"])
-        for col_label in op.basis.labels:
-            for row_label, amplitude in op.column(col_label):
-                writer.writerow([str(row_label), str(col_label),
-                                 f"{amplitude.real:.12g}", f"{amplitude.imag:.12g}"])
 
 
 def random_unit_state(dim: int, seed: int) -> WalkState:

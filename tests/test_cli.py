@@ -1,9 +1,15 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import anomalywalk
 from anomalywalk.cli import main
 
 EXTRA100 = '{"n_spokes": 100, "anomaly": {"type": "extra_edge", "u": 2, "v": 7}}'
@@ -50,11 +56,47 @@ class TestCheck:
         assert code == 1
         assert err.startswith("error:config:")
 
+    def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "check", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:syntax:")
+        assert len(err.splitlines()) == 1
+
     def test_out_of_range_vertex(self, capsys):
         code, _, err = run(capsys, "check", "--spec",
                            '{"n_spokes": 5, "anomaly": {"type": "loop", "at": 9}}')
         assert code == 1
         assert err.startswith("error:index:")
+
+
+HUGE = ('{"n_spokes": 100000000000000000000, '
+        '"anomaly": {"type": "loop", "at": 1}}')
+
+
+@pytest.mark.parametrize("verb", ["check", "evolve", "spectrum"])
+def test_size_beyond_memory_fails_fast(capsys, tmp_path, verb):
+    argv = [verb, "--spec", HUGE]
+    if verb != "check":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:size:")
+    assert len(err.splitlines()) == 1
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
+    probe = "import sys, anomalywalk.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestUsage:
@@ -184,6 +226,13 @@ class TestSpectrum:
         assert lines[0] == "theta,multiplicity"
         assert len(lines) == 6
 
+    def test_million_spoke_loop_near_first_vertex(self, capsys, tmp_path):
+        spec = '{"n_spokes": 1000000, "anomaly": {"type": "loop", "at": 1}}'
+        code, stdout, err = run(capsys, "spectrum", "--spec", spec,
+                                "--out", str(tmp_path / "spec.csv"))
+        assert (code, err) == (0, "")
+        assert stdout.strip() == "dim=5 branches=5"
+
     def test_plain_star_two_branches(self, capsys, tmp_path):
         out = tmp_path / "spec.csv"
         code, stdout, _ = run(capsys, "spectrum", "--spec", PLAIN,
@@ -256,22 +305,6 @@ class TestSweep:
         assert code == 0
         row = out.read_text().splitlines()[1]
         assert row.startswith("64,,")
-
-    def test_thread_cap_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANOMALY_WALK_THREADS", "2")
-        out = tmp_path / "peaks.csv"
-        code, _, _ = run(capsys, "sweep", "--spec", LOOP100,
-                         "--n-list", "64,100", "--method", "reduced",
-                         "--out", str(out))
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 3
-
-    def test_thread_cap_invalid(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANOMALY_WALK_THREADS", "many")
-        code, _, err = run(capsys, "sweep", "--spec", LOOP100,
-                           "--n-list", "64", "--out", str(tmp_path / "x.csv"))
-        assert code == 1
-        assert err.startswith("error:config:")
 
 
 class TestBaseline:

@@ -176,6 +176,13 @@ def test_basis_columns_orthonormal():
         assert vec.basis_dim == basis.full_dim
 
 
+def test_million_spoke_closure_is_orthonormal():
+    # Gram-Schmidt alone leaves ~1e-11 here, which the eigenframe check rejects
+    _, basis = family_basis(build_star(10 ** 6, Anomaly.loop(1)))
+    gram = basis.matrix.conj().T @ basis.matrix
+    assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
+
+
 def test_project_lift_roundtrip():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)

@@ -39,7 +39,7 @@ def test_label_self_edge_rejected():
 
 def test_plain_star_enumeration():
     basis = make_basis(build_star(3, Anomaly.none()))
-    assert [str(x) for x in basis.labels] == [
+    assert [str(basis.label(k)) for k in range(basis.dim)] == [
         "0->1", "0->2", "0->3", "1->0", "2->0", "3->0"]
     assert basis.out_position(2) == 1
     assert basis.in_position(2) == 4
@@ -47,23 +47,23 @@ def test_plain_star_enumeration():
 
 def test_extra_edge_pair_comes_last():
     basis = make_basis(build_star(4, Anomaly.extra_edge(2, 4)))
-    assert [str(x) for x in basis.labels[-2:]] == ["2->4", "4->2"]
+    assert [str(basis.label(k)) for k in (8, 9)] == ["2->4", "4->2"]
     assert basis.dim == 10
 
 
 def test_loop_state_last():
     basis = make_basis(build_star(4, Anomaly.loop(3)))
-    assert str(basis.labels[-1]) == "l3"
+    assert str(basis.label(basis.dim - 1)) == "l3"
 
 
 def test_extension_uses_next_vertex_id():
     basis = make_basis(build_star(4, Anomaly.extended_edge(2)))
-    assert [str(x) for x in basis.labels[-2:]] == ["2->5", "5->2"]
+    assert [str(basis.label(k)) for k in (8, 9)] == ["2->5", "5->2"]
 
 
 def test_missing_loop_enumerates_all_loops_ascending():
     basis = make_basis(build_star(4, Anomaly.missing_loop(2)))
-    assert [str(x) for x in basis.labels[-4:]] == ["l1", "l2", "l3", "l4"]
+    assert [str(basis.label(k)) for k in range(8, 12)] == ["l1", "l2", "l3", "l4"]
 
 
 @pytest.mark.parametrize("n", [3, 7, 16, 40])
@@ -83,6 +83,38 @@ def test_position_unknown_label():
     basis = make_basis(build_star(3, Anomaly.none()))
     with pytest.raises(ConfigurationError):
         basis.position(BasisLabel.loop(1))
+
+
+def _layout_variants(n):
+    mid = (n + 1) // 2
+    return [Anomaly.none(), Anomaly.extra_edge(1, n), Anomaly.extra_edge(mid, mid + 1),
+            Anomaly.loop(1), Anomaly.loop(n), Anomaly.extended_edge(mid),
+            Anomaly.extended_edge(n), Anomaly.missing_loop(1), Anomaly.missing_loop(n)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_label_position_roundtrip(n):
+    for anomaly in _layout_variants(n):
+        basis = make_basis(build_star(n, anomaly))
+        labels = [basis.label(k) for k in range(basis.dim)]
+        assert len(set(labels)) == basis.dim
+        for k, label in enumerate(labels):
+            assert basis.position(label) == k
+            assert basis.label(basis.position(label)) == label
+        for pos in (-1, basis.dim):
+            with pytest.raises(ConfigurationError):
+                basis.label(pos)
+        unknown = [BasisLabel.edge(0, n + 1), BasisLabel.edge(n + 1, 0),
+                   BasisLabel.edge(n + 2, 1), BasisLabel.loop(n + 1),
+                   BasisLabel.loop(0)]
+        if anomaly.variant != "missing_loop":
+            unknown += [BasisLabel.loop(j) for j in range(1, n + 1)
+                        if anomaly.variant != "loop" or j != anomaly.at]
+        if anomaly.variant != "extra_edge":
+            unknown.append(BasisLabel.edge(1, 2))
+        for label in unknown:
+            with pytest.raises(ConfigurationError):
+                basis.position(label)
 
 
 def test_make_state_checks():

@@ -1,6 +1,6 @@
-"""Step-operator tests: hub rule, anomaly rewiring, unitarity, dumps."""
+"""Step-operator tests: hub rule, anomaly rewiring, unitarity, apply paths."""
 
-import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +16,9 @@ from anomalywalk.stepop import (
     apply_step,
     build_step_operator,
     check_unitarity,
+    build_scattering_operator,
     dense_matrix,
-    dump_operator_csv,
     random_unit_state,
-    sparse_matrix,
 )
 
 ALL_VARIANTS = [
@@ -53,7 +52,6 @@ def test_hub_scattering_column():
 
 def test_hub_is_rank_one_away_from_reflection():
     # U = U0 + 2|out><in| with U0 the r=1 reflection walk
-    from anomalywalk.stepop import build_scattering_operator
     graph = build_star(7, Anomaly.extra_edge(1, 4))
     u = dense_matrix(build_step_operator(graph))
     u0 = dense_matrix(build_scattering_operator(graph, 1.0, 0.0))
@@ -138,10 +136,101 @@ def test_missing_loop_rational_phase():
     assert col[basis.in_position(2)] == pytest.approx(np.exp(1j * math.pi / 3))
 
 
+def rule_triplets(graph, hub_r, hub_t):
+    """Sparse (row, col, amplitude) entries of the walk, rule by rule.
+
+    One rule per vertex and label, with no block arithmetic: an
+    independent reference for the operator's copies and patches.
+    """
+    basis = make_basis(graph)
+    n = graph.n_spokes
+    a = graph.anomaly
+    edge = BasisLabel.edge
+    entries = []
+
+    def rule(src, dst, amp=1.0):
+        entries.append((basis.position(dst), basis.position(src), amp))
+
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            rule(edge(j, 0), edge(0, k), -hub_r if k == j else hub_t)
+    phase = complex(np.exp(1j * a.mark_phase.value))
+    for j in range(1, n + 1):
+        if a.variant == "extra_edge" and j in (a.u, a.v):
+            rule(edge(0, j), edge(j, a.v if j == a.u else a.u))
+        elif a.variant == "loop" and j == a.at:
+            rule(edge(0, j), BasisLabel.loop(j))
+        elif a.variant == "extended_edge" and j == a.at:
+            rule(edge(0, j), edge(j, n + 1))
+        elif a.variant == "missing_loop":
+            if j == a.at:
+                rule(edge(0, j), edge(j, 0), phase)
+                rule(BasisLabel.loop(j), BasisLabel.loop(j))
+            else:
+                rule(edge(0, j), BasisLabel.loop(j))
+                rule(BasisLabel.loop(j), edge(j, 0))
+        else:
+            rule(edge(0, j), edge(j, 0))
+    if a.variant == "extra_edge":
+        rule(edge(a.u, a.v), edge(a.v, 0))
+        rule(edge(a.v, a.u), edge(a.u, 0))
+    elif a.variant == "loop":
+        rule(BasisLabel.loop(a.at), edge(a.at, 0))
+    elif a.variant == "extended_edge":
+        rule(edge(a.at, n + 1), edge(n + 1, a.at), phase)
+        rule(edge(n + 1, a.at), edge(a.at, 0))
+    return entries
+
+
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_dense_and_sparse_agree(anomaly):
-    op = build_step_operator(build_star(6, anomaly))
-    np.testing.assert_array_equal(sparse_matrix(op).toarray(), dense_matrix(op))
+    # the dense matrix equals the sparse rule-by-rule triplets, entry for entry
+    graph = build_star(6, anomaly)
+    for r, t in ((4 / 6, 2 / 6), (1.0, 0.0)):
+        expected = np.zeros((graph.hilbert_dim, graph.hilbert_dim), dtype=complex)
+        for row, col, amp in rule_triplets(graph, r, t):
+            assert expected[row, col] == 0
+            expected[row, col] = amp
+        op = build_scattering_operator(graph, r, t)
+        np.testing.assert_array_equal(dense_matrix(op), expected)
+
+
+def _oracle_variants(n):
+    third = PhaseAngle.from_pi_fraction(1, 3)
+    rad = PhaseAngle.from_radians(0.7)
+    return [Anomaly.none(), Anomaly.extra_edge(1, n), Anomaly.extra_edge(2, 3),
+            Anomaly.loop(1), Anomaly.loop(n), Anomaly.extended_edge(1),
+            Anomaly.extended_edge(n, third), Anomaly.extended_edge(2, rad),
+            Anomaly.missing_loop(1), Anomaly.missing_loop(n, third),
+            Anomaly.missing_loop(2, rad)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 16])
+def test_apply_paths_match_dense(n):
+    for anomaly in _oracle_variants(n):
+        graph = build_star(n, anomaly)
+        for op in (build_step_operator(graph),
+                   build_scattering_operator(graph, 1.0, 0.0)):
+            u = dense_matrix(op)
+            x = random_unit_state(op.dimension, seed=n).amplitudes
+            # NaN in the buffer shows any position the apply path skips
+            out = np.full(op.dimension, np.nan, dtype=complex)
+            np.testing.assert_allclose(apply_into(op, x, out), u @ x,
+                                       rtol=0, atol=1e-14)
+            out = np.full(op.dimension, np.nan, dtype=complex)
+            np.testing.assert_allclose(apply_adjoint_into(op, x, out),
+                                       u.conj().T @ x, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["none", "extra_edge", "loop",
+                                     "extended_edge", "missing_loop"])
+def test_patches_are_few(variant):
+    anomaly = {"none": Anomaly.none(), "extra_edge": Anomaly.extra_edge(1, 9),
+               "loop": Anomaly.loop(5), "extended_edge": Anomaly.extended_edge(5),
+               "missing_loop": Anomaly.missing_loop(5)}[variant]
+    op = build_step_operator(build_star(10 ** 5, anomaly))
+    assert op.perm_src.size == op.perm_dst.size == op.perm_amp.size <= 4
+    assert len(op.copies) == (2 if variant == "missing_loop" else 1)
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -149,6 +238,17 @@ def test_unitary(anomaly):
     report = check_unitarity(build_step_operator(build_star(6, anomaly)))
     assert report.passed
     assert report.max_deviation < 1e-12
+
+
+def test_dense_cross_check_spans_slabs():
+    # two patches feeding one row: every amplitude has modulus one, so only
+    # the explicit product sees it, and the two columns sit in different
+    # column slabs of the cross-check
+    graph = build_star(1100, Anomaly.extra_edge(1, 1100))
+    op = build_step_operator(graph)
+    assert check_unitarity(op).passed
+    broken = dataclasses.replace(op, perm_dst=np.full_like(op.perm_dst, op.perm_dst[0]))
+    assert check_unitarity(broken).max_deviation >= 1.0
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -191,32 +291,6 @@ def test_dense_cap_enforced():
     op = build_step_operator(build_star(5000, Anomaly.none()))
     with pytest.raises(SizeError):
         dense_matrix(op)
-
-
-def test_column_listing_matches_dense():
-    graph = build_star(6, Anomaly.extended_edge(2))
-    op = build_step_operator(graph)
-    u = dense_matrix(op)
-    for label in op.basis.labels:
-        rebuilt = np.zeros(op.dimension, dtype=complex)
-        for row_label, amp in op.column(label):
-            rebuilt[op.basis.position(row_label)] = amp
-        np.testing.assert_allclose(rebuilt, u[:, op.basis.position(label)])
-
-
-def test_dump_operator_csv(tmp_path):
-    graph = build_star(4, Anomaly.loop(2))
-    op = build_step_operator(graph)
-    path = tmp_path / "op.csv"
-    dump_operator_csv(op, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["row_label", "col_label", "re", "im"]
-    # one entry per nonzero; the four hub columns contribute N entries each
-    assert len(rows) - 1 == 4 * 4 + (graph.hilbert_dim - 4)
-    entries = {(r[0], r[1]): (float(r[2]), float(r[3])) for r in rows[1:]}
-    assert entries[("l2", "0->2")] == (1.0, 0.0)
-    assert entries[("0->2", "2->0")][0] == pytest.approx(-0.5)
 
 
 def test_random_unit_state_deterministic():
