@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import ReducedBasis, ReducedOperator, invariant_basis, reduce_operator
+from .collapse import (
+    ReducedBasis,
+    ReducedOperator,
+    _decompose,
+    _streamed_reduction,
+    invariant_basis,
+    reduce_operator,
+)
 from .edgespace import (
     all_loops_state,
     hub_in_state,
@@ -36,7 +43,6 @@ from .spectral import Spectrum, eigendecompose
 from .stargraph import Anomaly, StarGraph, build_star
 from .stepop import (
     StepOperator,
-    apply_into,
     build_scattering_operator,
     build_step_operator,
 )
@@ -89,12 +95,7 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
             f"operator in {u0.dimension}")
     v = basis.matrix
     m = basis.dim
-    images = np.empty((u0.dimension, m), dtype=complex)
-    work = np.empty(u0.dimension, dtype=complex)
-    for k in range(m):
-        images[:, k] = apply_into(u0, v[:, k].copy(), work)
-    core = v.conj().T @ images
-    leakage = float(np.linalg.norm(images - v @ core, axis=0).max()) if m else 0.0
+    core, leakage = _streamed_reduction(u0, v)
     if leakage > policy.invariance_tol:
         raise InvarianceError(
             f"reduced basis is not closed under the reflection walk "
@@ -107,14 +108,13 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
     if not n_bulk:
         raise ConfigurationError("no bulk spokes left to carry the hub term")
     amp = 1.0 / math.sqrt(n_bulk)
-    ob = np.zeros(u0.dimension, dtype=complex)
+    ob = np.zeros(u0.dimension)
     ob[0:n][bulk] = amp
-    ib = np.zeros(u0.dimension, dtype=complex)
+    ib = np.zeros(u0.dimension)
     ib[n:2 * n][bulk] = amp
-    cob = v.conj().T @ ob
-    cib = v.conj().T @ ib
-    outside = max(float(np.linalg.norm(ob - v @ cob)),
-                  float(np.linalg.norm(ib - v @ cib)))
+    cob, out_leak = _decompose(v, ob)
+    cib, in_leak = _decompose(v, ib)
+    outside = max(out_leak, in_leak)
     if outside > policy.invariance_tol:
         raise NumericalFailureError(
             f"bulk uniform states fall {outside:.3e} outside the reduced "

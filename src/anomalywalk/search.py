@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import invariant_basis, reduce_operator
+from .collapse import _decompose, invariant_basis, reduce_operator
 from .edgespace import (
     WalkState,
     all_loops_state,
@@ -218,8 +218,7 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
     seeds = family_seeds(graph, kind)
     rb = invariant_basis(op, seeds, policy)
     v = rb.matrix
-    c = v.conj().T @ x0
-    leakage = float(np.linalg.norm(x0 - v @ c))
+    c, leakage = _decompose(v, x0)
     if leakage > policy.invariance_tol:
         raise NumericalFailureError(
             f"start state leaks {leakage:.3e} outside its reduced family")
@@ -235,13 +234,13 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
                                   p_rest=max(total - pt - pa, 0.0)))
         if n < max_steps:
             c = m @ c
-    _spot_check(op, x0, records, target_rows, anomaly_rows)
+    _spot_check(op, x0, records, target_rows, anomaly_rows, policy)
     return records
 
 
-def _spot_check(op, x0, records, target_rows, anomaly_rows):
+def _spot_check(op, x0, records, target_rows, anomaly_rows, policy):
     """Cross-check a prefix of the reduced run against the full walk."""
-    k = min(len(records) - 1, 25)
+    k = min(len(records) - 1, policy.spot_check_steps)
     x = x0.astype(complex, copy=True)
     buf = np.empty_like(x)
     for _ in range(k):
@@ -251,7 +250,7 @@ def _spot_check(op, x0, records, target_rows, anomaly_rows):
     got = records[k]
     dev = max(abs(ref.p_target_spokes - got.p_target_spokes),
               abs(ref.p_anomaly - got.p_anomaly))
-    if dev > 1e-9:
+    if dev > policy.spot_check_tol:
         raise NumericalFailureError(
             f"reduced evolution drifts {dev:.3e} from the full walk at step {k}")
 

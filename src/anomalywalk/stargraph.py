@@ -162,6 +162,14 @@ class StarGraph:
         return (a.at,)
 
 
+def physical_memory_bytes() -> float:
+    """Physical memory of the machine, or infinity where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return math.inf
+
+
 def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     """Validate and assemble a star graph.
 
@@ -191,10 +199,7 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
         if not 1 <= anomaly.at <= n:
             raise IndexRangeError(f"vertex {anomaly.at} outside 1..{n}")
     graph = StarGraph(n_spokes=n, anomaly=anomaly)
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        memory = math.inf
+    memory = physical_memory_bytes()
     if graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE > memory:
         raise SizeError(f"n_spokes {n} needs more than the "
                         f"{memory / 2 ** 30:.3g} GiB of physical memory")

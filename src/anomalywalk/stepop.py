@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgespace import BasisLabel, EdgeBasis, WalkState, make_basis, make_state
-from .errors import DimensionMismatchError, NumericalFailureError, SizeError
+from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .stargraph import StarGraph
 
@@ -135,11 +135,26 @@ def build_step_operator(graph: StarGraph) -> StepOperator:
     return build_scattering_operator(graph, (n - 2) / n, 2 / n)
 
 
+def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
+    """The patch amplitudes in the arithmetic of the output buffer.
+
+    A float64 buffer takes the real parts, which is exact only for a real
+    operator; any other operator needs complex buffers.
+    """
+    if np.iscomplexobj(out):
+        return op.perm_amp
+    if not op.is_real:
+        raise ConfigurationError(
+            "a walk with complex phases cannot write into a real buffer")
+    return op.perm_amp.real
+
+
 def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One step on a raw amplitude array, writing into a preallocated buffer.
 
     No zero fill is needed: the hub rule writes the whole outgoing block and
     the copies and patches tile everything else (checked at build time).
+    Buffers are complex128, or float64 when the operator is real.
     """
     n = op.n_spokes
     s = x[n:2 * n].sum()
@@ -147,7 +162,7 @@ def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[0:n] += op.hub_t * s
     for to, frm in op.copies:
         out[to:to + n] = x[frm:frm + n]
-    out[op.perm_dst] = op.perm_amp * x[op.perm_src]
+    out[op.perm_dst] = _patch_amplitudes(op, out) * x[op.perm_src]
     return out
 
 
@@ -158,7 +173,7 @@ def apply_adjoint_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.n
     out[n:2 * n] += op.hub_t * s
     for to, frm in op.copies:
         out[frm:frm + n] = x[to:to + n]
-    out[op.perm_src] = np.conj(op.perm_amp) * x[op.perm_dst]
+    out[op.perm_src] = np.conj(_patch_amplitudes(op, out)) * x[op.perm_dst]
     return out
 
 

@@ -89,6 +89,21 @@ def test_size_beyond_memory_fails_fast(capsys, tmp_path, verb):
     assert len(err.splitlines()) == 1
 
 
+def test_closure_beyond_memory_is_a_size_error(capsys, tmp_path, monkeypatch):
+    # the graph fits, but the closure's row block does not: it must be
+    # refused before allocation, under the CLI error contract
+    import anomalywalk.collapse
+    monkeypatch.setattr(anomalywalk.collapse, "physical_memory_bytes",
+                        lambda: 4096.0)
+    code, out, err = run(capsys, "spectrum", "--spec", LOOP100,
+                         "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:size:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_import_does_not_load_scipy():
     env = dict(os.environ,
                PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))

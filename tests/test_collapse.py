@@ -5,7 +5,6 @@ import pytest
 
 from anomalywalk.collapse import (
     ReducedBasis,
-    dump_reduced_csv,
     invariant_basis,
     lift,
     project,
@@ -28,15 +27,109 @@ from anomalywalk.errors import (
     SubspaceTooLargeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.perturb import sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import build_step_operator, dense_matrix
+from anomalywalk.stepop import (
+    apply_adjoint_into,
+    apply_into,
+    build_step_operator,
+    dense_matrix,
+)
 
 
 def family_basis(graph, kind=None):
     op = build_step_operator(graph)
     kind = kind or InitialStateKind.minus()
     return op, invariant_basis(op, family_seeds(graph, kind))
+
+
+def reference_closure(op, seeds, policy=DEFAULT_POLICY):
+    """The closure as first written: complex columns of a (dim x capacity)
+    array, projected out one strided column at a time by modified
+    Gram-Schmidt with one reorthogonalization pass, then one QR whose R
+    diagonal phases are rotated back onto the columns."""
+    d = op.dimension
+    cols = np.zeros((d, policy.closure_cap), dtype=complex)
+    count = 0
+
+    def absorb(vec):
+        nonlocal count
+        for _ in range(2):
+            for k in range(count):
+                q = cols[:, k]
+                vec -= (q.conj() @ vec) * q
+        res = np.linalg.norm(vec)
+        if res > policy.closure_residual:
+            cols[:, count] = vec / res
+            count += 1
+
+    for seed in seeds:
+        absorb(seed.amplitudes.astype(complex))
+    work = np.empty(d, dtype=complex)
+    head = 0
+    while head < count:
+        src = cols[:, head].copy()
+        absorb(apply_into(op, src, work).copy())
+        absorb(apply_adjoint_into(op, src, work).copy())
+        head += 1
+    q, r = np.linalg.qr(cols[:, :count])
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def projector_gap(a, b):
+    """||P_a - P_b|| in the 2-norm for orthonormal columns of equal count,
+    computed as ||(1 - P_b) a|| so that no d x d matrix is formed."""
+    return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
+
+
+ORACLE_CASES = [
+    (Anomaly.none(), InitialStateKind.minus()),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus()),
+    (Anomaly.loop(3), InitialStateKind.minus()),
+    (Anomaly.loop(3, PhaseAngle.from_radians(0.7)), InitialStateKind.minus()),
+    (Anomaly.extended_edge(3), InitialStateKind.minus()),
+    (Anomaly.missing_loop(3), InitialStateKind.loop_pi()),
+    (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
+     InitialStateKind.loop_third()),
+]
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("seeding", ["family", "sweep"])
+def test_closure_matches_strided_reference(n, case, seeding):
+    anomaly, kind = case
+    graph = build_star(n, anomaly)
+    op = build_step_operator(graph)
+    seeds = family_seeds(graph, kind) if seeding == "family" else sweep_seeds(graph)
+    basis = invariant_basis(op, seeds)
+    ref = reference_closure(op, seeds)
+    assert basis.dim == ref.shape[1]
+    assert basis.matrix.dtype == (np.float64 if op.is_real else np.complex128)
+    assert projector_gap(basis.matrix, ref) <= 1e-12
+    gram = basis.matrix.conj().T @ basis.matrix
+    assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),
+                                     Anomaly.loop(3)])
+def test_complex_seed_takes_complex_path(anomaly):
+    # a seed with an imaginary part forces complex arithmetic; it spans the
+    # same complex subspace as the real seeds, so the projectors agree
+    graph = build_star(256, anomaly)
+    op = build_step_operator(graph)
+    seeds = sweep_seeds(graph)
+    real = invariant_basis(op, seeds)
+    turned = [make_state(1j * seeds[0].amplitudes)] + seeds[1:]
+    cplx = invariant_basis(op, turned)
+    assert real.matrix.dtype == np.float64
+    assert cplx.matrix.dtype == np.complex128
+    assert cplx.dim == real.dim
+    assert projector_gap(cplx.matrix, real.matrix) <= 1e-12
+    spec_real = np.sort(np.angle(np.linalg.eigvals(reduce_operator(op, real).matrix)))
+    spec_cplx = np.sort(np.angle(np.linalg.eigvals(reduce_operator(op, cplx).matrix)))
+    np.testing.assert_allclose(spec_cplx, spec_real, atol=1e-12)
 
 
 def test_plain_star_family_closes_at_two():
@@ -170,10 +263,11 @@ def test_reduction_agrees_with_dense_conjugation():
 
 def test_basis_columns_orthonormal():
     _, basis = family_basis(build_star(30, Anomaly.extra_edge(1, 30)))
+    assert basis.matrix.shape == (basis.full_dim, basis.dim)
     gram = basis.matrix.conj().T @ basis.matrix
     np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-12)
-    for vec in basis.vectors:
-        assert vec.basis_dim == basis.full_dim
+    for k in range(basis.dim):
+        assert basis.matrix[:, k].flags.c_contiguous
 
 
 def test_million_spoke_closure_is_orthonormal():
@@ -245,17 +339,3 @@ def test_lift_length_check():
     with pytest.raises(DimensionMismatchError):
         lift(np.zeros(basis.dim + 1), basis)
 
-
-def test_dump_reduced_csv(tmp_path):
-    graph = build_star(8, Anomaly.extra_edge(1, 2))
-    op, basis = family_basis(graph)
-    reduced = reduce_operator(op, basis)
-    path = tmp_path / "reduced.csv"
-    dump_reduced_csv(reduced, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + basis.dim * basis.dim
-    row, col, re, im = lines[1].split(",")
-    assert (int(row), int(col)) == (0, 0)
-    assert float(re) == pytest.approx(reduced.matrix[0, 0].real, abs=1e-12)
-    assert float(im) == pytest.approx(reduced.matrix[0, 0].imag, abs=1e-12)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
-from anomalywalk.errors import DimensionMismatchError, SizeError
+from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     apply_adjoint,
@@ -268,6 +269,40 @@ def test_is_real_flag():
     marked = build_step_operator(
         build_star(5, Anomaly.missing_loop(1, PhaseAngle.from_pi_fraction(1, 3))))
     assert not marked.is_real
+
+
+@pytest.mark.parametrize("n", [3, 7, 16])
+def test_real_buffers_match_complex_path(n):
+    # a real operator steps float64 buffers as it steps the complex ones:
+    # the real part of the complex result, up to the order in which the
+    # hub sum adds its terms
+    rng = np.random.default_rng(n)
+    for anomaly in _oracle_variants(n):
+        graph = build_star(n, anomaly)
+        for op in (build_step_operator(graph),
+                   build_scattering_operator(graph, 1.0, 0.0)):
+            if not op.is_real:
+                continue
+            x = rng.standard_normal(op.dimension)
+            for kernel in (apply_into, apply_adjoint_into):
+                want = kernel(op, x.astype(complex), np.empty(op.dimension, complex))
+                out = np.full(op.dimension, np.nan)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = kernel(op, x, out)
+                assert got is out and got.dtype == np.float64
+                np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14)
+                assert not np.any(want.imag)
+
+
+@pytest.mark.parametrize("anomaly", [a for a in ALL_VARIANTS
+                                     if not build_step_operator(build_star(6, a)).is_real])
+def test_real_buffer_rejected_for_complex_operator(anomaly):
+    op = build_step_operator(build_star(6, anomaly))
+    x = np.ones(op.dimension)
+    for kernel in (apply_into, apply_adjoint_into):
+        with pytest.raises(ConfigurationError):
+            kernel(op, x, np.empty(op.dimension))
 
 
 def test_raw_buffers_roundtrip_without_allocation():
