@@ -66,15 +66,22 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _decompose(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients c = V*x on orthonormal columns v, and the norm of x - Vc.
+def coefficients(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficients c = V*x of x on orthonormal columns v.
 
     A real basis splits a complex x into its real and imaginary parts, so
-    that V is never cast to complex.
+    that V is never cast to complex; decompose does the same.
     """
     if not np.iscomplexobj(v) and np.iscomplexobj(x):
-        c_re, leak_re = _decompose(v, x.real)
-        c_im, leak_im = _decompose(v, x.imag)
+        return _inner(v.T, x.real) + 1j * _inner(v.T, x.imag)
+    return _inner(v.T, x)
+
+
+def decompose(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients c = V*x on orthonormal columns v, and the norm of x - Vc."""
+    if not np.iscomplexobj(v) and np.iscomplexobj(x):
+        c_re, leak_re = decompose(v, x.real)
+        c_im, leak_im = decompose(v, x.imag)
         return c_re + 1j * c_im, math.hypot(leak_re, leak_im)
     c = _inner(v.T, x)
     rest = v @ c
@@ -175,7 +182,7 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
     return ReducedBasis(matrix=basis.T)
 
 
-def _streamed_reduction(op: StepOperator, v: np.ndarray) -> tuple[np.ndarray, float]:
+def streamed_reduction(op: StepOperator, v: np.ndarray) -> tuple[np.ndarray, float]:
     """V*UV for orthonormal columns v, and the largest leakage of an image.
 
     The images are streamed: each column's image goes into one reused work
@@ -187,7 +194,7 @@ def _streamed_reduction(op: StepOperator, v: np.ndarray) -> tuple[np.ndarray, fl
     reduced = np.empty((m, m), dtype=dtype)
     leakage = 0.0
     for k in range(m):
-        reduced[:, k], leak = _decompose(v, apply_into(op, v[:, k], work))
+        reduced[:, k], leak = decompose(v, apply_into(op, v[:, k], work))
         leakage = max(leakage, leak)
     return reduced, leakage
 
@@ -206,7 +213,7 @@ def reduce_operator(op: StepOperator, basis: ReducedBasis,
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
     m = basis.dim
-    reduced, residual = _streamed_reduction(op, basis.matrix)
+    reduced, residual = streamed_reduction(op, basis.matrix)
     if residual > policy.invariance_tol:
         raise InvarianceError(
             f"basis is not invariant: leakage {residual:.3e} "
@@ -224,7 +231,7 @@ def project(state: WalkState, basis: ReducedBasis) -> np.ndarray:
     if state.basis_dim != basis.full_dim:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != basis dimension {basis.full_dim}")
-    return _decompose(basis.matrix, state.amplitudes)[0]
+    return coefficients(basis.matrix, state.amplitudes)
 
 
 def lift(coefficients: np.ndarray, basis: ReducedBasis) -> WalkState:

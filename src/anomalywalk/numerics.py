@@ -27,9 +27,6 @@ class NumericPolicy:
     unit_circle_tol: float = 1e-9
     cluster_tol: float = 1e-6
     projector_tol: float = 1e-9
-    # reduced evolution: drift allowed against the full walk over a prefix
-    spot_check_tol: float = 1e-9
-    spot_check_steps: int = 25
     # perturbation matching and fits
     match_tol: float = 0.1
     shift_floor: float = 1e-13

@@ -18,10 +18,10 @@ import numpy as np
 from .collapse import (
     ReducedBasis,
     ReducedOperator,
-    _decompose,
-    _streamed_reduction,
+    decompose,
     invariant_basis,
     reduce_operator,
+    streamed_reduction,
 )
 from .edgespace import (
     all_loops_state,
@@ -95,7 +95,7 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
             f"operator in {u0.dimension}")
     v = basis.matrix
     m = basis.dim
-    core, leakage = _streamed_reduction(u0, v)
+    core, leakage = streamed_reduction(u0, v)
     if leakage > policy.invariance_tol:
         raise InvarianceError(
             f"reduced basis is not closed under the reflection walk "
@@ -112,8 +112,8 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
     ob[0:n][bulk] = amp
     ib = np.zeros(u0.dimension)
     ib[n:2 * n][bulk] = amp
-    cob, out_leak = _decompose(v, ob)
-    cib, in_leak = _decompose(v, ib)
+    cob, out_leak = decompose(v, ob)
+    cib, in_leak = decompose(v, ib)
     outside = max(out_leak, in_leak)
     if outside > policy.invariance_tol:
         raise NumericalFailureError(

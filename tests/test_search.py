@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from anomalywalk.edgespace import make_basis
-from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     NoPredictionError,
     NothingToFindError,
-    NumericalFailureError,
 )
 from anomalywalk.search import (
     InitialStateKind,
@@ -158,20 +156,6 @@ class TestRunSearch:
         for a, b in zip(full.per_step, fast.per_step):
             assert a.p_target_spokes == pytest.approx(b.p_target_spokes, abs=1e-9)
             assert a.p_anomaly == pytest.approx(b.p_anomaly, abs=1e-9)
-
-    @pytest.mark.parametrize("steps, checked", [(40, 25), (10, 10)])
-    def test_spot_check_reads_its_policy(self, steps, checked):
-        # a negative tolerance fails any drift, so the error names the step
-        # the spot check reached: the policy's prefix, or the whole run
-        graph = build_star(120, Anomaly.extra_edge(3, 9))
-        strict = DEFAULT_POLICY.with_overrides(spot_check_tol=-1.0)
-        with pytest.raises(NumericalFailureError, match=f"at step {checked}$"):
-            run_search(graph, InitialStateKind.minus(), steps, method="reduced",
-                       policy=strict)
-        short = strict.with_overrides(spot_check_steps=3)
-        with pytest.raises(NumericalFailureError, match="at step 3$"):
-            run_search(graph, InitialStateKind.minus(), steps, method="reduced",
-                       policy=short)
 
     def test_reduced_supports_loop_start_states(self):
         graph = build_star(90, Anomaly.missing_loop(4))
