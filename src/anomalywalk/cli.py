@@ -47,11 +47,15 @@ from .search import (
     write_per_step_csv,
 )
 from .spectral import dump_spectrum_csv, eigendecompose
-from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star, parse_spec
+from .stargraph import VARIANTS, Anomaly, PhaseAngle, StarGraph, build_star, parse_spec
 from .stepop import build_step_operator, check_unitarity
 
 _KIND_NAMES = ("minus", "plus", "inout", "loop_pi", "loop_third")
-_ANOMALY_NAMES = ("none", "extra_edge", "loop", "extended_edge", "missing_loop")
+
+
+def _report(category: str, message) -> None:
+    # messages can echo user text, which must not break the one-line contract
+    sys.stderr.write(f"error:{category}:" + " ".join(str(message).splitlines()) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
     # and keep the machine-parsable prefix
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error:usage:{message}\n")
+        _report("usage", message)
         raise SystemExit(1)
 
 
@@ -71,6 +75,9 @@ def _load_graph(spec_arg: str) -> StarGraph:
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read spec file {spec_arg}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL in the path, or text that is not UTF-8
+        raise ConfigurationError(
+            f"cannot read spec file {spec_arg}: {exc}") from None
     try:
         return parse_spec(text)
     except SpecSyntaxError as exc:
@@ -350,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="eigenphase shifts against the infinite-size limit")
     p.add_argument("--spec", default=None,
                    help="take the anomaly from this spec (its size is ignored)")
-    p.add_argument("--anomaly", choices=list(_ANOMALY_NAMES), default=None,
+    p.add_argument("--anomaly", choices=list(VARIANTS), default=None,
                    help="anomaly variant, placed at the default location")
     p.add_argument("--at", type=int, default=1, help="anomaly vertex (default 1)")
     p.add_argument("--u", type=int, default=1, help="extra-edge endpoint (default 1)")
@@ -404,10 +411,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except AnomalyWalkError as exc:
-        print(f"error:{exc.category}:{exc}", file=sys.stderr)
+        _report(exc.category, exc)
         return exc.exit_code
     except OSError as exc:
-        print(f"error:io:{exc}", file=sys.stderr)
+        _report("io", exc)
         return 1
 
 

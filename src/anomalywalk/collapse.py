@@ -177,7 +177,8 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
     # direction keeps the phase Gram-Schmidt gave it
     q = rows[:count]
     chol = np.linalg.cholesky(q.conj() @ q.T)
-    basis = np.linalg.inv(chol).conj() @ q
+    basis = _allocate_rows(count, d, dtype, rows.nbytes)
+    np.matmul(np.linalg.inv(chol).conj(), q, out=basis)
     basis.setflags(write=False)
     return ReducedBasis(matrix=basis.T)
 

@@ -103,12 +103,6 @@ class EdgeBasis:
             return BasisLabel.loop(pos - 2 * n + 1)
         return self._fixed_block()[pos - 2 * n]
 
-    def out_position(self, j: int) -> int:
-        return self.position(BasisLabel.edge(0, j))
-
-    def in_position(self, j: int) -> int:
-        return self.position(BasisLabel.edge(j, 0))
-
 
 @dataclass(frozen=True)
 class WalkState:
@@ -129,16 +123,6 @@ def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
         raise ConfigurationError("state is not unit-norm")
     amps.setflags(write=False)
     return WalkState(amplitudes=amps, basis_dim=amps.size)
-
-
-def norm(state: WalkState) -> float:
-    return float(np.linalg.norm(state.amplitudes))
-
-
-def basis_vector(basis: EdgeBasis, label: BasisLabel) -> WalkState:
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.position(label)] = 1.0
-    return make_state(amps)
 
 
 def hub_out_state(basis: EdgeBasis) -> WalkState:

@@ -162,7 +162,6 @@ def _wrap(angle: float) -> float:
 
 
 def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
-                      match_tol: float | None = None,
                       policy: NumericPolicy = DEFAULT_POLICY) -> list[EigenShift]:
     """Match perturbed clusters to limit branches and read off the shifts.
 
@@ -174,8 +173,7 @@ def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
     if perturbed.dim != unperturbed.dim:
         raise DimensionMismatchError(
             f"spectra have dimensions {perturbed.dim} and {unperturbed.dim}")
-    if match_tol is None:
-        match_tol = policy.match_tol
+    match_tol = policy.match_tol
     k0 = len(unperturbed.eigenphases)
     kc = len(perturbed.eigenphases)
     overlap = np.empty((k0, kc))

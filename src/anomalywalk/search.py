@@ -28,12 +28,11 @@ from .errors import (
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
+    SizeError,
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
-from .stargraph import StarGraph, serialize_spec
+from .stargraph import StarGraph, physical_memory_bytes, serialize_spec
 from .stepop import apply_into, build_step_operator
-
-_LOOP_KINDS = ("loop_pi", "loop_third")
 
 
 @dataclass(frozen=True)
@@ -79,51 +78,44 @@ class InitialStateKind:
         return InitialStateKind("custom", amplitudes=amps)
 
 
-def _combined_state(parts, coefficients, policy: NumericPolicy) -> WalkState:
-    amps = sum(c * p.amplitudes for c, p in zip(coefficients, parts))
-    nrm = np.linalg.norm(amps)
-    return make_state(amps / nrm, policy=policy)
-
-
-def initial_state(graph: StarGraph, kind: InitialStateKind,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
-    """Unit-norm start state of the requested kind on this graph."""
-
+def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], tuple]:
+    """Generators of the kind's state family, and the kind's coefficients on them."""
     basis = make_basis(graph)
-    if kind.variant in _LOOP_KINDS and graph.anomaly.variant != "missing_loop":
-        raise ConfigurationError(
-            f"{kind.variant} state requires the missing_loop variant")
+    hubs = [hub_out_state(basis), hub_in_state(basis)]
     if kind.variant == "minus":
-        return _combined_state(
-            [hub_out_state(basis), hub_in_state(basis)], [1.0, -1.0], policy)
+        return hubs, (1.0, -1.0)
     if kind.variant == "plus":
-        return _combined_state(
-            [hub_out_state(basis), hub_in_state(basis)], [1.0, 1.0], policy)
+        return hubs, (1.0, 1.0)
     if kind.variant == "inout":
-        return _combined_state(
-            [hub_out_state(basis), hub_in_state(basis)],
-            [kind.amp_out, kind.amp_in], policy)
-    if kind.variant == "loop_pi":
-        return _combined_state(
-            [hub_out_state(basis), hub_in_state(basis), all_loops_state(basis)],
-            [1.0, 1.0, 1.0], policy)
-    if kind.variant == "loop_third":
+        return hubs, (kind.amp_out, kind.amp_in)
+    if kind.variant in ("loop_pi", "loop_third"):
+        if graph.anomaly.variant != "missing_loop":
+            raise ConfigurationError(
+                f"{kind.variant} state requires the missing_loop variant")
+        seeds = hubs + [all_loops_state(basis)]
+        if kind.variant == "loop_pi":
+            return seeds, (1.0, 1.0, 1.0)
         w = np.exp(2j * np.pi / 3)
-        amps = (w.conjugate() * hub_out_state(basis).amplitudes
-                + hub_in_state(basis).amplitudes
-                + w * all_loops_state(basis).amplitudes) / (1.0 - w)
         # for a negative marking phase the walk is the complex conjugate
         # of the positive-phase walk, so the start state conjugates too
         if graph.anomaly.mark_phase.value < 0:
-            amps = np.conj(amps)
-        return make_state(amps, policy=policy)
+            w = w.conjugate()
+        return seeds, (w.conjugate(), 1.0, w)
     if kind.variant == "custom":
         amps = np.asarray(kind.amplitudes, dtype=complex)
         if amps.size != basis.dim:
             raise DimensionMismatchError(
                 f"custom state has {amps.size} amplitudes, basis needs {basis.dim}")
-        return make_state(amps / np.linalg.norm(amps), policy=policy)
+        return [make_state(amps / np.linalg.norm(amps))], (1.0,)
     raise ConfigurationError(f"unknown initial-state kind {kind.variant!r}")
+
+
+def initial_state(graph: StarGraph, kind: InitialStateKind,
+                  policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
+    """Unit-norm start state of the requested kind on this graph."""
+    seeds, coefficients = _family(graph, kind)
+    amps = sum(c * s.amplitudes for c, s in zip(coefficients, seeds))
+    return make_state(amps / np.linalg.norm(amps), policy=policy)
 
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> list[WalkState]:
@@ -132,19 +124,7 @@ def family_seeds(graph: StarGraph, kind: InitialStateKind) -> list[WalkState]:
     Closing these under the walk gives one invariant subspace that serves
     every start state of the family, not just a single seed's orbit.
     """
-
-    basis = make_basis(graph)
-    if kind.variant in ("minus", "plus", "inout"):
-        return [hub_out_state(basis), hub_in_state(basis)]
-    if kind.variant in _LOOP_KINDS:
-        if graph.anomaly.variant != "missing_loop":
-            raise ConfigurationError(
-                f"{kind.variant} state requires the missing_loop variant")
-        return [hub_out_state(basis), hub_in_state(basis),
-                all_loops_state(basis)]
-    if kind.variant == "custom":
-        return [initial_state(graph, kind)]
-    raise ConfigurationError(f"unknown initial-state kind {kind.variant!r}")
+    return _family(graph, kind)[0]
 
 
 def predicted_hitting_step(graph: StarGraph) -> int:
@@ -176,28 +156,35 @@ class SearchResult:
     warnings: tuple[str, ...] = ()
 
 
-def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of target-spoke states and anomaly-only states."""
+def _anomaly_rows(graph: StarGraph) -> np.ndarray:
+    """Row indices of the states only the anomaly provides."""
     n = graph.n_spokes
     a = graph.anomaly
-    if a.variant == "none":
+    if a.variant in ("extra_edge", "extended_edge"):
+        return np.array([2 * n, 2 * n + 1])
+    if a.variant == "loop":
+        return np.array([2 * n])
+    if a.variant == "missing_loop":  # only the dummy loop is anomaly-only
+        return np.array([2 * n + a.at - 1])
+    return np.array([], dtype=np.intp)
+
+
+def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of target-spoke states and anomaly-only states."""
+    if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to search for")
+    n = graph.n_spokes
     targets = graph.anomaly_vertices
     target_rows = sorted([j - 1 for j in targets] + [n + j - 1 for j in targets])
-    if a.variant in ("extra_edge", "extended_edge"):
-        anomaly_rows = [2 * n, 2 * n + 1]
-    elif a.variant == "loop":
-        anomaly_rows = [2 * n]
-    else:  # missing_loop: only the dummy loop is anomaly-only
-        anomaly_rows = [2 * n + a.at - 1]
-    return np.array(target_rows), np.array(anomaly_rows)
+    return np.array(target_rows), _anomaly_rows(graph)
 
 
-def _record(n: int, x: np.ndarray, target_rows: np.ndarray,
-            anomaly_rows: np.ndarray) -> StepRecord:
-    pt = float((np.abs(x[target_rows]) ** 2).sum())
-    pa = float((np.abs(x[anomaly_rows]) ** 2).sum())
-    total = float((np.abs(x) ** 2).sum())
+def _record(n: int, target: np.ndarray, anomaly: np.ndarray,
+            whole: np.ndarray) -> StepRecord:
+    """Probability split of one step, from the amplitudes on each part."""
+    pt = float((np.abs(target) ** 2).sum())
+    pa = float((np.abs(anomaly) ** 2).sum())
+    total = float((np.abs(whole) ** 2).sum())
     return StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
                       p_rest=max(total - pt - pa, 0.0))
 
@@ -205,18 +192,17 @@ def _record(n: int, x: np.ndarray, target_rows: np.ndarray,
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     x = x0.astype(complex, copy=True)
     buf = np.empty_like(x)
-    records = [_record(0, x, target_rows, anomaly_rows)]
+    records = [_record(0, x[target_rows], x[anomaly_rows], x)]
     for n in range(1, max_steps + 1):
         apply_into(op, x, buf)
         x, buf = buf, x
-        records.append(_record(n, x, target_rows, anomaly_rows))
+        records.append(_record(n, x[target_rows], x[anomaly_rows], x))
     return records
 
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
                     policy):
-    seeds = family_seeds(graph, kind)
-    rb = invariant_basis(op, seeds, policy)
+    rb = invariant_basis(op, family_seeds(graph, kind), policy)
     v = rb.matrix
     c, leakage = decompose(v, x0)
     if leakage > policy.invariance_tol:
@@ -225,15 +211,10 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
     m = reduce_operator(op, rb, policy).matrix
     tmat = v[target_rows, :]
     amat = v[anomaly_rows, :]
-    records = []
-    for n in range(max_steps + 1):
-        pt = float(np.linalg.norm(tmat @ c) ** 2)
-        pa = float(np.linalg.norm(amat @ c) ** 2)
-        total = float(np.linalg.norm(c) ** 2)
-        records.append(StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
-                                  p_rest=max(total - pt - pa, 0.0)))
-        if n < max_steps:
-            c = m @ c
+    records = [_record(0, tmat @ c, amat @ c, c)]
+    for n in range(1, max_steps + 1):
+        c = m @ c
+        records.append(_record(n, tmat @ c, amat @ c, c))
     _spot_check(op, x0, records, target_rows, anomaly_rows)
     return records
 
@@ -241,12 +222,7 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
 def _spot_check(op, x0, records, target_rows, anomaly_rows):
     """Cross-check a prefix of the reduced run against the full walk."""
     k = min(len(records) - 1, 25)
-    x = x0.astype(complex, copy=True)
-    buf = np.empty_like(x)
-    for _ in range(k):
-        apply_into(op, x, buf)
-        x, buf = buf, x
-    ref = _record(k, x, target_rows, anomaly_rows)
+    ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)[k]
     got = records[k]
     dev = max(abs(ref.p_target_spokes - got.p_target_spokes),
               abs(ref.p_anomaly - got.p_anomaly))
@@ -348,14 +324,9 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
     w = np.abs(state.amplitudes) ** 2
     spoke = w[0:n] + w[n:2 * n]
     a = graph.anomaly
-    undetected = 0.0
-    if a.variant in ("extra_edge", "extended_edge"):
-        undetected = float(w[2 * n] + w[2 * n + 1])
-    elif a.variant == "loop":
-        undetected = float(w[2 * n])
-    elif a.variant == "missing_loop":
+    undetected = float(w[_anomaly_rows(graph)].sum())
+    if a.variant == "missing_loop":
         loops = w[2 * n:3 * n].copy()
-        undetected = float(loops[a.at - 1])
         loops[a.at - 1] = 0.0
         spoke = spoke + loops
     distribution = {j + 1: float(spoke[j]) for j in range(n)}
@@ -386,11 +357,31 @@ class BaselineStatistics:
     expected_mean: float
 
 
-def _detectable_vertices(graph: StarGraph) -> tuple[int, ...]:
-    """Outer vertices whose adjacency list reveals the anomaly."""
+# bytes per trial while sampling: the Beta keys, the counts and one temporary
+_BASELINE_BYTES_PER_TRIAL = 24
+
+
+def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
+    """Query counts of independent scans of shuffled adjacency lists.
+
+    A shuffle orders the vertices by iid uniform keys.  The smallest key
+    of the k anomaly-adjacent vertices is Beta(1, k), and each of the other
+    N - k vertices comes before it with that probability, so the count is
+    exactly 1 + Binomial(N - k, Beta(1, k)): O(trials) work, not O(trials N).
+    """
     if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to find")
-    return graph.anomaly_vertices
+    if trials < 1:
+        raise ConfigurationError("trials must be at least 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    memory = physical_memory_bytes()
+    if trials * _BASELINE_BYTES_PER_TRIAL > memory:
+        raise SizeError(f"{trials} trials need more than the "
+                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
+    k = len(graph.anomaly_vertices)
+    rng = np.random.default_rng(seed)
+    return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))
 
 
 def classical_baseline(graph: StarGraph, seed: int) -> BaselineResult:
@@ -399,33 +390,13 @@ def classical_baseline(graph: StarGraph, seed: int) -> BaselineResult:
     One query inspects one vertex's neighbor list, which exposes an
     anomalous degree or loop immediately.
     """
-    detectable = _detectable_vertices(graph)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(graph.n_spokes) + 1
-    hits = np.isin(order, detectable)
-    return BaselineResult(queries=int(np.argmax(hits)) + 1)
+    return BaselineResult(queries=int(_sample_queries(graph, 1, seed)[0]))
 
 
 def baseline_statistics(graph: StarGraph, trials: int,
                         seed: int) -> BaselineStatistics:
-    """Monte Carlo query-count statistics over independent shuffles."""
-    detectable = _detectable_vertices(graph)
-    if trials < 1:
-        raise ConfigurationError("trials must be at least 1")
-    n = graph.n_spokes
-    cols = np.array([j - 1 for j in detectable])
-    rng = np.random.default_rng(seed)
-    out = np.empty(trials, dtype=np.int64)
-    pos = 0
-    chunk = max(1, 8_000_000 // n)
-    while pos < trials:
-        m = min(chunk, trials - pos)
-        # each row is a shuffle: query order is ascending random key,
-        # so the first hit's rank counts the keys below the best target
-        u = rng.random((m, n))
-        best = u[:, cols].min(axis=1)
-        out[pos:pos + m] = (u < best[:, None]).sum(axis=1) + 1
-        pos += m
-    expected = (n + 1) / (len(detectable) + 1)
+    """Query-count statistics over independent shuffles."""
+    out = _sample_queries(graph, trials, seed)
+    expected = (graph.n_spokes + 1) / (len(graph.anomaly_vertices) + 1)
     return BaselineStatistics(trials=trials, mean=float(out.mean()),
                               std=float(out.std()), expected_mean=expected)

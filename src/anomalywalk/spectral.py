@@ -167,14 +167,6 @@ def power_apply(spec: Spectrum, n: int, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruct(spec: Spectrum) -> np.ndarray:
-    """Rebuild the matrix from phases and projectors."""
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for theta, block in zip(spec.eigenphases, spec.blocks):
-        out += np.exp(1j * theta) * (block @ block.conj().T)
-    return out
-
-
 def dump_spectrum_csv(spec: Spectrum, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta,multiplicity\n")

@@ -58,11 +58,21 @@ class PhaseAngle:
         k = num % (2 * den)
         if k > den:
             k -= 2 * den
-        return PhaseAngle(num=k, den=den)
+        angle = PhaseAngle(num=k, den=den)
+        try:
+            finite = math.isfinite(angle.value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise SpecSemanticError("phase fraction has terms too large for a float")
+        return angle
 
     @staticmethod
     def from_radians(value: float) -> "PhaseAngle":
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise SpecSemanticError("phase must be a finite real")
         wrapped = math.remainder(value, _TWO_PI)
@@ -239,7 +249,7 @@ def _parse_phase(obj: dict) -> PhaseAngle | None:
         value = obj["phase_rad"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecSemanticError("phase_rad must be a finite real")
-        return PhaseAngle.from_radians(float(value))
+        return PhaseAngle.from_radians(value)
     return None
 
 

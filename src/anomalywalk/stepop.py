@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edgespace import BasisLabel, EdgeBasis, WalkState, make_basis, make_state
+from .edgespace import BasisLabel, EdgeBasis, WalkState, make_basis
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .stargraph import StarGraph
@@ -217,7 +217,7 @@ def dense_matrix(op: StepOperator, policy: NumericPolicy = DEFAULT_POLICY) -> np
     return _dense_columns(op, 0, op.dimension)
 
 
-def check_unitarity(op: StepOperator, tolerance: float | None = None,
+def check_unitarity(op: StepOperator,
                     policy: NumericPolicy = DEFAULT_POLICY) -> UnitarityReport:
     """Max elementwise deviation of U†U from identity.
 
@@ -228,8 +228,6 @@ def check_unitarity(op: StepOperator, tolerance: float | None = None,
     product, formed one block of column slabs at a time.
     """
 
-    if tolerance is None:
-        tolerance = policy.unitarity_tol
     n = op.n_spokes
     r, t = op.hub_r, op.hub_t
     diag = r * r + (n - 1) * t * t
@@ -250,12 +248,4 @@ def check_unitarity(op: StepOperator, tolerance: float | None = None,
                 if lo2 == lo:
                     gram -= np.eye(len(gram))
                 dev = max(dev, float(np.abs(gram).max()))
-    return UnitarityReport(max_deviation=dev, tolerance=tolerance)
-
-
-def random_unit_state(dim: int, seed: int) -> WalkState:
-    """Seeded complex Gaussian state, normalized; used by tests and diagnostics."""
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    amps /= np.linalg.norm(amps)
-    return make_state(amps)
+    return UnitarityReport(max_deviation=dev, tolerance=policy.unitarity_tol)

@@ -51,6 +51,21 @@ class TestCheck:
         assert code == 1
         assert err.startswith("error:semantic:")
 
+    @pytest.mark.parametrize("name", ["bad\x00name.json", "two\nlines.json"])
+    def test_unreadable_spec_path(self, capsys, tmp_path, name):
+        code, _, err = run(capsys, "check", "--spec", str(tmp_path / name))
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
+
+    def test_undecodable_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n_spokes": 10, "anomaly": {"type": "\xe9"}}')
+        code, _, err = run(capsys, "check", "--spec", str(path))
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--spec", str(tmp_path / "nope.json"))
         assert code == 1
@@ -102,6 +117,56 @@ def test_closure_beyond_memory_is_a_size_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error:size:")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_closure_result_beyond_memory_is_a_size_error(capsys, tmp_path,
+                                                     monkeypatch):
+    # the row block fits, but not together with the re-orthonormalised
+    # result the closure returns
+    import anomalywalk.collapse
+    from anomalywalk.search import InitialStateKind, family_seeds
+    from anomalywalk.stargraph import parse_spec
+    from anomalywalk.stepop import build_step_operator
+    graph = parse_spec(LOOP100)
+    op = build_step_operator(graph)
+    dim = anomalywalk.collapse.invariant_basis(
+        op, family_seeds(graph, InitialStateKind.minus())).dim
+    rows = 8 * op.dimension * 8  # the initial block of 8 float64 rows
+    result = dim * op.dimension * 8
+    for memory, code_wanted in ((rows + result // 2, 1), (rows + result, 0)):
+        monkeypatch.setattr(anomalywalk.collapse, "physical_memory_bytes",
+                            lambda: float(memory))
+        code, out, err = run(capsys, "spectrum", "--spec", LOOP100,
+                             "--out", str(tmp_path / "out.csv"))
+        assert code == code_wanted
+        if code_wanted:
+            assert out == ""
+            assert err.startswith("error:size:")
+            assert len(err.splitlines()) == 1
+            assert not (tmp_path / "out.csv").exists()
+
+
+HUGE_DEN = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--spec", '{"n_spokes": 10, "anomaly": {"type": "missing_loop", '
+                        '"at": 1, "phase_num": 1, "phase_den": ' + HUGE_DEN + '}}'),
+    ("check", "--spec", '{"n_spokes": 10, "anomaly": {"type": "loop", '
+                        '"at": 1, "phase_rad": ' + HUGE_DEN + '}}'),
+    ("perturb", "--anomaly", "missing_loop", "--phase-num", "1",
+     "--phase-den", HUGE_DEN),
+])
+def test_phase_beyond_float_range_is_a_semantic_error(capsys, tmp_path, argv):
+    argv = list(argv)
+    if argv[0] == "perturb":
+        argv += ["--out", str(tmp_path / "shifts.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:semantic:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "shifts.csv").exists()
 
 
 def test_import_does_not_load_scipy():
@@ -352,6 +417,27 @@ class TestBaseline:
                          "--trials", "100", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["trials"] == 100
+
+    def test_trials_beyond_memory_are_refused(self, capsys, monkeypatch):
+        import anomalywalk.search
+        monkeypatch.setattr(anomalywalk.search, "physical_memory_bytes",
+                            lambda: float(2 ** 30))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "baseline", "--spec", LOOP100,
+                             "--trials", "10000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:size:")
+        assert len(err.splitlines()) == 1
+        code, out, _ = run(capsys, "baseline", "--spec", LOOP100, "--trials", "1000")
+        assert code == 0
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, "baseline", "--spec", LOOP100, "--seed", "-1")
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
 
     def test_plain_star_rejected(self, capsys):
         code, _, err = run(capsys, "baseline", "--spec", PLAIN)

@@ -12,7 +12,6 @@ from anomalywalk.collapse import (
 )
 from anomalywalk.edgespace import (
     BasisLabel,
-    basis_vector,
     hub_in_state,
     hub_out_state,
     make_basis,
@@ -36,6 +35,12 @@ from anomalywalk.stepop import (
     build_step_operator,
     dense_matrix,
 )
+
+
+def basis_vector(basis, label):
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.position(label)] = 1.0
+    return make_state(amps)
 
 
 def family_basis(graph, kind=None):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import anomalywalk.search
 from anomalywalk.edgespace import make_basis
 from anomalywalk.errors import (
     ConfigurationError,
@@ -286,9 +287,48 @@ class TestClassicalBaseline:
         b = baseline_statistics(graph, trials=500, seed=9)
         assert a == b
 
+    # 0.999 quantiles of the chi-square law, by degrees of freedom
+    CHI2_999 = {8: 26.124, 9: 27.877}
+
+    @pytest.mark.parametrize("anomaly", [Anomaly.loop(4), Anomaly.extra_edge(2, 9)])
+    def test_sampler_matches_exact_law(self, anomaly):
+        # P(Q = q) = C(N - q, k - 1) / C(N, k): the first of k marked
+        # vertices in a uniform shuffle of N sits at rank q
+        n, trials = 10, 100_000
+        graph = build_star(n, anomaly)
+        k = len(graph.anomaly_vertices)
+        draws = anomalywalk.search._sample_queries(graph, trials, seed=5)
+        ranks = np.arange(1, n - k + 2)
+        exact = np.array([math.comb(n - q, k - 1) for q in ranks]) / math.comb(n, k)
+        assert exact.sum() == pytest.approx(1.0)
+        counts = np.bincount(draws, minlength=n + 2)[1:n - k + 2]
+        assert counts.sum() == trials  # no draw outside 1..N-k+1
+        expected = trials * exact
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < self.CHI2_999[len(ranks) - 1]
+
+    @pytest.mark.parametrize("n,anomaly", [(1000, Anomaly.loop(7)),
+                                           (1000, Anomaly.extra_edge(3, 700)),
+                                           (10 ** 6, Anomaly.loop(1))])
+    def test_sampler_mean(self, n, anomaly):
+        graph = build_star(n, anomaly)
+        k = len(graph.anomaly_vertices)
+        stats = baseline_statistics(graph, trials=200_000, seed=2)
+        assert stats.expected_mean == (n + 1) / (k + 1)
+        # five standard errors of the mean
+        assert abs(stats.mean - stats.expected_mean) < 5 * stats.std / math.sqrt(200_000)
+
+    def test_single_scan_is_the_first_draw(self):
+        graph = build_star(300, Anomaly.extra_edge(5, 6))
+        for seed in range(20):
+            one = baseline_statistics(graph, trials=1, seed=seed)
+            assert classical_baseline(graph, seed).queries == one.mean
+
     def test_argument_validation(self):
         plain = build_star(10, Anomaly.none())
         with pytest.raises(NothingToFindError):
             classical_baseline(plain, seed=0)
         with pytest.raises(ConfigurationError):
             baseline_statistics(build_star(10, Anomaly.loop(1)), trials=0, seed=0)
+        with pytest.raises(ConfigurationError):
+            classical_baseline(build_star(10, Anomaly.loop(1)), seed=-1)
