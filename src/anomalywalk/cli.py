@@ -47,7 +47,7 @@ from .search import (
     write_per_step_csv,
 )
 from .spectral import dump_spectrum_csv, eigendecompose
-from .stargraph import VARIANTS, Anomaly, PhaseAngle, StarGraph, build_star, parse_spec
+from .stargraph import VARIANT_SCHEMA, Anomaly, PhaseAngle, StarGraph, build_star, parse_spec
 from .stepop import build_step_operator, check_unitarity
 
 _KIND_NAMES = ("minus", "plus", "inout", "loop_pi", "loop_third")
@@ -105,14 +105,8 @@ def _parse_complex(text: str, flag: str) -> complex:
 
 
 def _parse_kind(args) -> InitialStateKind:
-    if args.kind == "minus":
-        return InitialStateKind.minus()
-    if args.kind == "plus":
-        return InitialStateKind.plus()
-    if args.kind == "loop_pi":
-        return InitialStateKind.loop_pi()
-    if args.kind == "loop_third":
-        return InitialStateKind.loop_third()
+    if args.kind != "inout":  # argparse has checked the name against _KIND_NAMES
+        return getattr(InitialStateKind, args.kind)()
     if args.amp_out is None or args.amp_in is None:
         raise ConfigurationError("kind inout requires --amp-out and --amp-in")
     return InitialStateKind.inout(_parse_complex(args.amp_out, "--amp-out"),
@@ -132,13 +126,15 @@ def _parse_sizes(text: str | None) -> tuple[int, ...]:
     return sizes
 
 
-def _default_steps(graph: StarGraph) -> int:
-    """Horizon bracketing the first probability peak.
+def _horizon(steps: int | None, graph: StarGraph) -> int:
+    """The given horizon, or when none is given one bracketing the first peak.
 
     The evolution is nearly periodic, so a window much longer than the
     first peak lets a later revival win the argmax; with a closed-form
     prediction the window stops well before the next revival.
     """
+    if steps is not None:
+        return steps
     try:
         return 2 * predicted_hitting_step(graph) + 6
     except NoPredictionError:
@@ -166,8 +162,7 @@ def _cmd_check(args) -> int:
 def _cmd_evolve(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    steps = args.steps if args.steps else _default_steps(graph)
-    result = run_search(graph, kind, steps, method=args.method)
+    result = run_search(graph, kind, _horizon(args.steps, graph), method=args.method)
     write_per_step_csv(result, _require_out(args.out))
     return 0
 
@@ -175,8 +170,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_search(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    steps = args.max_steps if args.max_steps else _default_steps(graph)
-    result = run_search(graph, kind, steps, method=args.method)
+    result = run_search(graph, kind, _horizon(args.max_steps, graph), method=args.method)
     for line in result.warnings:
         print(f"warning: {line}", file=sys.stderr)
     out = _require_out(args.out) if args.out else None
@@ -214,16 +208,8 @@ def _anomaly_from_args(args) -> Anomaly:
         phase = PhaseAngle.from_pi_fraction(args.phase_num, args.phase_den)
     elif args.phase_rad is not None:
         phase = PhaseAngle.from_radians(args.phase_rad)
-    name = args.anomaly
-    if name == "none":
-        return Anomaly.none()
-    if name == "extra_edge":
-        return Anomaly.extra_edge(args.u, args.v, phase)
-    if name == "loop":
-        return Anomaly.loop(args.at, phase)
-    if name == "extended_edge":
-        return Anomaly.extended_edge(args.at, phase)
-    return Anomaly.missing_loop(args.at, phase)
+    fields = VARIANT_SCHEMA[args.anomaly].fields
+    return Anomaly.of(args.anomaly, phase, **{f: getattr(args, f) for f in fields})
 
 
 def _cmd_perturb(args) -> int:
@@ -261,7 +247,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for n in sizes:
         sized = build_star(n, graph.anomaly)
-        steps = args.max_steps if args.max_steps else _default_steps(sized)
+        steps = _horizon(args.max_steps, sized)
         rows.append((n, run_search(sized, kind, steps, method=args.method)))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("N,predicted_step,peak_step,peak_detectable,peak_undetected\n")
@@ -357,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="eigenphase shifts against the infinite-size limit")
     p.add_argument("--spec", default=None,
                    help="take the anomaly from this spec (its size is ignored)")
-    p.add_argument("--anomaly", choices=list(VARIANTS), default=None,
+    p.add_argument("--anomaly", choices=list(VARIANT_SCHEMA), default=None,
                    help="anomaly variant, placed at the default location")
     p.add_argument("--at", type=int, default=1, help="anomaly vertex (default 1)")
     p.add_argument("--u", type=int, default=1, help="extra-edge endpoint (default 1)")

@@ -53,7 +53,8 @@ class EdgeBasis:
     """The frozen enumeration as arithmetic over three or four blocks.
 
     Position j-1 holds (0,j), position N+j-1 holds (j,0), and the anomaly
-    states follow from 2N on; no per-state table is kept.
+    states follow from 2N on; no per-state table is kept.  Outside the step
+    kernel, code reads rows through the block slices and row accessors.
     """
 
     n_spokes: int
@@ -76,6 +77,41 @@ class EdgeBasis:
             return (BasisLabel.edge(a.at, tip), BasisLabel.edge(tip, a.at))
         return ()
 
+    @property
+    def out_block(self) -> slice:
+        """Rows of the hub-outgoing states (0,j)."""
+        return slice(0, self.n_spokes)
+
+    @property
+    def in_block(self) -> slice:
+        """Rows of the hub-incoming states (j,0)."""
+        return slice(self.n_spokes, 2 * self.n_spokes)
+
+    @property
+    def anomaly_block(self) -> slice:
+        """Rows of the anomaly's states: N loops for missing_loop, else at most two."""
+        return slice(2 * self.n_spokes, self.dim)
+
+    @property
+    def anomaly_only_rows(self) -> np.ndarray:
+        """Rows of the states only the anomaly provides; of missing_loop's, the dummy loop."""
+        if self.anomaly.schema.loops:
+            return np.array([self.position(BasisLabel.loop(self.anomaly.at))])
+        return np.arange(self.anomaly_block.start, self.dim)
+
+    def out_rows(self, vertices) -> np.ndarray:
+        """Rows of (0,j) for the outer vertices j, in the given order."""
+        if not isinstance(vertices, np.ndarray):  # any iterable; arrays stay vectorized
+            vertices = list(vertices)
+        rows = np.asarray(vertices, dtype=np.intp) - 1
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_spokes):
+            raise ConfigurationError(f"vertex outside 1..{self.n_spokes}")
+        return rows
+
+    def in_rows(self, vertices) -> np.ndarray:
+        """Rows of (j,0) for the outer vertices j, in the given order."""
+        return self.out_rows(vertices) + self.n_spokes
+
     def position(self, label: BasisLabel) -> int:
         n = self.n_spokes
         if label.kind == "edge":
@@ -83,7 +119,7 @@ class EdgeBasis:
                 return label.v - 1
             if label.v == 0 and 1 <= label.u <= n:
                 return n + label.u - 1
-        elif self.anomaly.variant == "missing_loop" and 1 <= label.u <= n:
+        elif self.anomaly.schema.loops and 1 <= label.u <= n:
             return 2 * n + label.u - 1
         block = self._fixed_block()
         if label in block:
@@ -99,7 +135,7 @@ class EdgeBasis:
             return BasisLabel.edge(0, pos + 1)
         if pos < 2 * n:
             return BasisLabel.edge(pos - n + 1, 0)
-        if self.anomaly.variant == "missing_loop":
+        if self.anomaly.schema.loops:
             return BasisLabel.loop(pos - 2 * n + 1)
         return self._fixed_block()[pos - 2 * n]
 
@@ -125,49 +161,39 @@ def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
     return WalkState(amplitudes=amps, basis_dim=amps.size)
 
 
+def _uniform_state(basis: EdgeBasis, rows) -> WalkState:
+    """Equal amplitudes on the rows (a slice or an index array), zero elsewhere."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    count = amps[rows].size
+    if not count:
+        raise ConfigurationError("vertex set must be non-empty")
+    amps[rows] = 1.0 / np.sqrt(count)
+    return make_state(amps)
+
+
 def hub_out_state(basis: EdgeBasis) -> WalkState:
     """Uniform superposition over all hub-outgoing spoke states."""
-    n = basis.n_spokes
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[0:n] = 1.0 / np.sqrt(n)
-    return make_state(amps)
+    return _uniform_state(basis, basis.out_block)
 
 
 def hub_in_state(basis: EdgeBasis) -> WalkState:
-    n = basis.n_spokes
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[n:2 * n] = 1.0 / np.sqrt(n)
-    return make_state(amps)
+    return _uniform_state(basis, basis.in_block)
 
 
 def all_loops_state(basis: EdgeBasis) -> WalkState:
     """Uniform superposition over all loop states (needs one loop per vertex)."""
-    n = basis.n_spokes
-    if basis.anomaly.variant != "missing_loop":
+    if not basis.anomaly.schema.loops:
         raise ConfigurationError("graph does not carry a loop on every vertex")
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[2 * n:3 * n] = 1.0 / np.sqrt(n)
-    return make_state(amps)
-
-
-def _spoke_block_state(basis: EdgeBasis, vertices, block_start: int) -> WalkState:
-    spokes = np.asarray(list(vertices), dtype=np.intp)
-    if not spokes.size:
-        raise ConfigurationError("vertex set must be non-empty")
-    if spokes.min() < 1 or spokes.max() > basis.n_spokes:
-        raise ConfigurationError(f"vertex outside 1..{basis.n_spokes}")
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[block_start + spokes - 1] = 1.0 / np.sqrt(spokes.size)
-    return make_state(amps)
+    return _uniform_state(basis, basis.anomaly_block)
 
 
 def symmetric_out_state(basis: EdgeBasis, vertices) -> WalkState:
     """Uniform superposition of (0,j) over the given outer vertices."""
-    return _spoke_block_state(basis, vertices, 0)
+    return _uniform_state(basis, basis.out_rows(vertices))
 
 
 def symmetric_in_state(basis: EdgeBasis, vertices) -> WalkState:
-    return _spoke_block_state(basis, vertices, basis.n_spokes)
+    return _uniform_state(basis, basis.in_rows(vertices))
 
 
 def edge_probabilities(state: WalkState, basis: EdgeBasis,
@@ -182,18 +208,18 @@ def edge_probabilities(state: WalkState, basis: EdgeBasis,
     if state.basis_dim != basis.dim:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != basis dimension {basis.dim}")
-    n = basis.n_spokes
+    vertices = range(1, basis.n_spokes + 1)
     weights = np.abs(state.amplitudes) ** 2
-    probs = dict(zip(zip(repeat("spoke"), range(1, n + 1)),
-                     (weights[0:n] + weights[n:2 * n]).tolist()))
-    if basis.anomaly.variant == "missing_loop":
-        probs.update(zip(zip(repeat("loop"), range(1, n + 1)),
-                         weights[2 * n:3 * n].tolist()))
+    probs = dict(zip(zip(repeat("spoke"), vertices),
+                     (weights[basis.out_block] + weights[basis.in_block]).tolist()))
+    if basis.anomaly.schema.loops:
+        probs.update(zip(zip(repeat("loop"), vertices),
+                         weights[basis.anomaly_block].tolist()))
     block = basis._fixed_block()
     if block:  # one loop, or both directions of one non-spoke edge
         u, v = block[0].u, block[0].v
         key = ("loop", u) if block[0].kind == "loop" else ("edge", min(u, v), max(u, v))
-        probs[key] = float(weights[2 * n:].sum())
+        probs[key] = float(weights[basis.anomaly_block].sum())
     total = sum(probs.values())
     if abs(total - 1.0) > policy.probability_tol:
         raise NumericalFailureError(f"probabilities sum to {total}, expected 1")

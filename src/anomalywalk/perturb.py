@@ -28,6 +28,7 @@ from .edgespace import (
     hub_in_state,
     hub_out_state,
     make_basis,
+    symmetric_in_state,
     symmetric_out_state,
 )
 from .errors import (
@@ -68,7 +69,7 @@ def sweep_seeds(graph: StarGraph) -> list:
     """
     basis = make_basis(graph)
     seeds = [hub_out_state(basis), hub_in_state(basis)]
-    if graph.anomaly.variant == "missing_loop":
+    if graph.anomaly.schema.loops:
         seeds.append(all_loops_state(basis))
     if graph.anomaly_vertices:
         seeds.append(symmetric_out_state(basis, graph.anomaly_vertices))
@@ -101,19 +102,11 @@ def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
             f"reduced basis is not closed under the reflection walk "
             f"(leakage {leakage:.3e})")
 
-    n = graph.n_spokes
-    bulk = np.ones(n, dtype=bool)
-    bulk[np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1] = False
-    n_bulk = int(bulk.sum())
-    if not n_bulk:
-        raise ConfigurationError("no bulk spokes left to carry the hub term")
-    amp = 1.0 / math.sqrt(n_bulk)
-    ob = np.zeros(u0.dimension)
-    ob[0:n][bulk] = amp
-    ib = np.zeros(u0.dimension)
-    ib[n:2 * n][bulk] = amp
-    cob, out_leak = decompose(v, ob)
-    cib, in_leak = decompose(v, ib)
+    anomalous = np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1
+    bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
+    # the real parts keep the coefficients real on a real basis
+    cob, out_leak = decompose(v, symmetric_out_state(u0.basis, bulk).amplitudes.real)
+    cib, in_leak = decompose(v, symmetric_in_state(u0.basis, bulk).amplitudes.real)
     outside = max(out_leak, in_leak)
     if outside > policy.invariance_tol:
         raise NumericalFailureError(

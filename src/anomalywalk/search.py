@@ -57,10 +57,8 @@ class InitialStateKind:
     @staticmethod
     def inout(amp_out, amp_in) -> "InitialStateKind":
         """Arbitrary combination of the outgoing and incoming uniforms."""
-        if amp_out == 0 and amp_in == 0:
-            raise ConfigurationError("inout state needs a nonzero coefficient")
-        return InitialStateKind("inout", amp_out=complex(amp_out),
-                                amp_in=complex(amp_in))
+        amp_out, amp_in = _coefficients((amp_out, amp_in), "inout state")
+        return InitialStateKind("inout", amp_out=amp_out, amp_in=amp_in)
 
     @staticmethod
     def loop_pi() -> "InitialStateKind":
@@ -72,10 +70,18 @@ class InitialStateKind:
 
     @staticmethod
     def custom(amplitudes) -> "InitialStateKind":
-        amps = tuple(complex(a) for a in amplitudes)
-        if not any(a != 0 for a in amps):
-            raise ConfigurationError("custom state must be nonzero")
-        return InitialStateKind("custom", amplitudes=amps)
+        return InitialStateKind("custom", amplitudes=_coefficients(amplitudes, "custom state"))
+
+
+def _coefficients(values, what: str) -> tuple[complex, ...]:
+    """The values as complex numbers, refused unless their squared norm is a
+    finite normal float, so that their state normalises without overflow."""
+    coeffs = tuple(complex(v) for v in values)
+    square = sum(c.real * c.real + c.imag * c.imag for c in coeffs)  # nan or inf if any is
+    if not np.finfo(float).tiny <= square < np.inf:
+        raise ConfigurationError(f"{what} needs finite coefficients whose squared norm "
+                                 f"is a normal float, got {square:.3g}")
+    return coeffs
 
 
 def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], tuple]:
@@ -89,10 +95,7 @@ def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], 
     if kind.variant == "inout":
         return hubs, (kind.amp_out, kind.amp_in)
     if kind.variant in ("loop_pi", "loop_third"):
-        if graph.anomaly.variant != "missing_loop":
-            raise ConfigurationError(
-                f"{kind.variant} state requires the missing_loop variant")
-        seeds = hubs + [all_loops_state(basis)]
+        seeds = hubs + [all_loops_state(basis)]  # refused unless every vertex has a loop
         if kind.variant == "loop_pi":
             return seeds, (1.0, 1.0, 1.0)
         w = np.exp(2j * np.pi / 3)
@@ -156,27 +159,26 @@ class SearchResult:
     warnings: tuple[str, ...] = ()
 
 
-def _anomaly_rows(graph: StarGraph) -> np.ndarray:
-    """Row indices of the states only the anomaly provides."""
-    n = graph.n_spokes
-    a = graph.anomaly
-    if a.variant in ("extra_edge", "extended_edge"):
-        return np.array([2 * n, 2 * n + 1])
-    if a.variant == "loop":
-        return np.array([2 * n])
-    if a.variant == "missing_loop":  # only the dummy loop is anomaly-only
-        return np.array([2 * n + a.at - 1])
-    return np.array([], dtype=np.intp)
-
-
 def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of target-spoke states and anomaly-only states."""
-    if graph.anomaly.variant == "none":
-        raise NothingToFindError("plain star has no anomaly to search for")
-    n = graph.n_spokes
     targets = graph.anomaly_vertices
-    target_rows = sorted([j - 1 for j in targets] + [n + j - 1 for j in targets])
-    return np.array(target_rows), _anomaly_rows(graph)
+    if not targets:
+        raise NothingToFindError("plain star has no anomaly to search for")
+    basis = make_basis(graph)
+    rows = np.concatenate((basis.out_rows(targets), basis.in_rows(targets)))
+    return np.sort(rows), basis.anomaly_only_rows
+
+
+# peak bytes per step of a run's records, its list and its tuple (tracemalloc)
+_RECORD_BYTES = 256
+
+
+def _require_memory(count: int, bytes_each: int, what: str) -> None:
+    """Refuse, before anything is allocated, a count that cannot fit in memory."""
+    memory = physical_memory_bytes()
+    if count * bytes_each > memory:
+        raise SizeError(f"{count} {what} need more than the "
+                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _record(n: int, target: np.ndarray, anomaly: np.ndarray,
@@ -245,6 +247,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
 
     if max_steps < 1:
         raise ConfigurationError("max_steps must be at least 1")
+    _require_memory(max_steps, _RECORD_BYTES, "steps")
     if method not in ("full", "reduced"):
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
@@ -322,12 +325,11 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
             f"state dimension {state.basis_dim} != basis dimension {basis.dim}")
     n = graph.n_spokes
     w = np.abs(state.amplitudes) ** 2
-    spoke = w[0:n] + w[n:2 * n]
-    a = graph.anomaly
-    undetected = float(w[_anomaly_rows(graph)].sum())
-    if a.variant == "missing_loop":
-        loops = w[2 * n:3 * n].copy()
-        loops[a.at - 1] = 0.0
+    spoke = w[basis.out_block] + w[basis.in_block]
+    undetected = float(w[basis.anomaly_only_rows].sum())
+    if graph.anomaly.schema.loops:
+        loops = w[basis.anomaly_block].copy()
+        loops[graph.anomaly.at - 1] = 0.0
         spoke = spoke + loops
     distribution = {j + 1: float(spoke[j]) for j in range(n)}
     detected = None
@@ -375,10 +377,7 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
         raise ConfigurationError("trials must be at least 1")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    memory = physical_memory_bytes()
-    if trials * _BASELINE_BYTES_PER_TRIAL > memory:
-        raise SizeError(f"{trials} trials need more than the "
-                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
+    _require_memory(trials, _BASELINE_BYTES_PER_TRIAL, "trials")
     k = len(graph.anomaly_vertices)
     rng = np.random.default_rng(seed)
     return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))

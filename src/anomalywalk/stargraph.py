@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     IndexRangeError,
@@ -23,7 +23,25 @@ from .errors import (
     SpecSyntaxError,
 )
 
-VARIANTS = ("none", "extra_edge", "loop", "extended_edge", "missing_loop")
+
+@dataclass(frozen=True)
+class VariantSchema:
+    """What one anomaly variant names and what it adds to the plain star."""
+
+    fields: tuple[str, ...]  # vertex fields, in the spec and on Anomaly
+    fixed: int  # anomaly states whose number does not grow with N
+    loops: bool = False  # a loop on every outer vertex: a third block of N states
+    marked: bool = False  # the phase marks a hop, so it defaults to pi
+
+
+VARIANT_SCHEMA = {
+    "none": VariantSchema((), 0),
+    "extra_edge": VariantSchema(("u", "v"), 2),
+    "loop": VariantSchema(("at",), 1),
+    "extended_edge": VariantSchema(("at",), 2, marked=True),
+    "missing_loop": VariantSchema(("at",), 0, loops=True, marked=True),
+}
+VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -116,28 +134,37 @@ class Anomaly:
     mark_phase: PhaseAngle = PhaseAngle.zero()
 
     @staticmethod
+    def of(variant: str, phase: PhaseAngle | None = None, **vertices: int) -> "Anomaly":
+        """The variant at its vertex fields; without a phase, pi if it marks a hop, else 0."""
+        if phase is None:
+            phase = PhaseAngle.pi() if Anomaly(variant).schema.marked else PhaseAngle.zero()
+        return Anomaly(variant=variant, mark_phase=phase, **vertices)
+
+    @staticmethod
     def none() -> "Anomaly":
-        return Anomaly(variant="none")
+        return Anomaly.of("none")
 
     @staticmethod
     def extra_edge(u: int, v: int, phase: PhaseAngle | None = None) -> "Anomaly":
-        return Anomaly(variant="extra_edge", u=u, v=v,
-                       mark_phase=phase if phase is not None else PhaseAngle.zero())
+        return Anomaly.of("extra_edge", phase, u=u, v=v)
 
     @staticmethod
     def loop(at: int, phase: PhaseAngle | None = None) -> "Anomaly":
-        return Anomaly(variant="loop", at=at,
-                       mark_phase=phase if phase is not None else PhaseAngle.zero())
+        return Anomaly.of("loop", phase, at=at)
 
     @staticmethod
     def extended_edge(at: int, phase: PhaseAngle | None = None) -> "Anomaly":
-        return Anomaly(variant="extended_edge", at=at,
-                       mark_phase=phase if phase is not None else PhaseAngle.pi())
+        return Anomaly.of("extended_edge", phase, at=at)
 
     @staticmethod
     def missing_loop(at: int, phase: PhaseAngle | None = None) -> "Anomaly":
-        return Anomaly(variant="missing_loop", at=at,
-                       mark_phase=phase if phase is not None else PhaseAngle.pi())
+        return Anomaly.of("missing_loop", phase, at=at)
+
+    @property
+    def schema(self) -> VariantSchema:
+        if self.variant not in VARIANTS:
+            raise SpecSemanticError(f"unknown anomaly variant {self.variant!r}")
+        return VARIANT_SCHEMA[self.variant]
 
 
 @dataclass(frozen=True)
@@ -147,29 +174,13 @@ class StarGraph:
 
     @property
     def hilbert_dim(self) -> int:
-        n = self.n_spokes
-        variant = self.anomaly.variant
-        if variant == "none":
-            return 2 * n
-        if variant == "extra_edge":
-            return 2 * n + 2
-        if variant == "loop":
-            return 2 * n + 1
-        if variant == "extended_edge":
-            return 2 * n + 2
-        if variant == "missing_loop":
-            return 3 * n
-        raise SpecSemanticError(f"unknown anomaly variant {variant!r}")
+        schema = self.anomaly.schema
+        return (3 if schema.loops else 2) * self.n_spokes + schema.fixed
 
     @property
     def anomaly_vertices(self) -> tuple[int, ...]:
-        """Outer vertices adjacent to the anomaly (empty for a plain star)."""
-        a = self.anomaly
-        if a.variant == "none":
-            return ()
-        if a.variant == "extra_edge":
-            return (a.u, a.v)
-        return (a.at,)
+        """Outer vertices adjacent to the anomaly, in its schema's field order."""
+        return tuple(getattr(self.anomaly, field) for field in self.anomaly.schema.fields)
 
 
 def physical_memory_bytes() -> float:
@@ -193,22 +204,16 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
         raise SpecSemanticError("n_spokes must be an integer")
     if n < 3:
         raise SizeError(f"n_spokes must be >= 3, got {n}")
-    if anomaly.variant not in VARIANTS:
-        raise SpecSemanticError(f"unknown anomaly variant {anomaly.variant!r}")
     if anomaly.variant == "extra_edge":
         u, v = anomaly.u, anomaly.v
         if u == v:
             raise SelfEdgeError(f"extra edge endpoints must differ, got ({u},{v})")
         if u > v:
-            u, v = v, u
-            anomaly = Anomaly(variant="extra_edge", u=u, v=v, mark_phase=anomaly.mark_phase)
-        for vertex in (u, v):
-            if not 1 <= vertex <= n:
-                raise IndexRangeError(f"vertex {vertex} outside 1..{n}")
-    elif anomaly.variant != "none":
-        if not 1 <= anomaly.at <= n:
-            raise IndexRangeError(f"vertex {anomaly.at} outside 1..{n}")
+            anomaly = replace(anomaly, u=v, v=u)
     graph = StarGraph(n_spokes=n, anomaly=anomaly)
+    for vertex in graph.anomaly_vertices:  # an unknown variant has no schema
+        if not 1 <= vertex <= n:
+            raise IndexRangeError(f"vertex {vertex} outside 1..{n}")
     memory = physical_memory_bytes()
     if graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE > memory:
         raise SizeError(f"n_spokes {n} needs more than the "
@@ -218,13 +223,6 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
 
 _TOP_KEYS = {"n_spokes", "anomaly"}
 _PHASE_KEYS = {"phase_num", "phase_den", "phase_rad"}
-_FIELD_KEYS = {
-    "none": set(),
-    "extra_edge": {"u", "v"} | _PHASE_KEYS,
-    "loop": {"at"} | _PHASE_KEYS,
-    "extended_edge": {"at"} | _PHASE_KEYS,
-    "missing_loop": {"at"} | _PHASE_KEYS,
-}
 
 
 def _require_int(obj: dict, key: str) -> int:
@@ -282,22 +280,14 @@ def parse_spec(text: str) -> StarGraph:
     variant = araw.get("type")
     if variant not in VARIANTS:
         raise SpecSemanticError(f"unknown anomaly name {variant!r}")
-    allowed = _FIELD_KEYS[variant] | {"type"}
-    unknown = set(araw) - allowed
+    fields = VARIANT_SCHEMA[variant].fields
+    # a plain star has no vertex to carry a phase
+    unknown = set(araw) - {"type", *fields, *(_PHASE_KEYS if fields else ())}
     if unknown:
         raise SpecSemanticError(f"unknown key {sorted(unknown)[0]!r} for anomaly {variant!r}")
     phase = _parse_phase(araw)
-    if variant == "none":
-        anomaly = Anomaly.none()
-    elif variant == "extra_edge":
-        anomaly = Anomaly.extra_edge(_require_int(araw, "u"), _require_int(araw, "v"), phase)
-    elif variant == "loop":
-        anomaly = Anomaly.loop(_require_int(araw, "at"), phase)
-    elif variant == "extended_edge":
-        anomaly = Anomaly.extended_edge(_require_int(araw, "at"), phase)
-    else:
-        anomaly = Anomaly.missing_loop(_require_int(araw, "at"), phase)
-    return build_star(n, anomaly)
+    vertices = {field: _require_int(araw, field) for field in fields}
+    return build_star(n, Anomaly.of(variant, phase, **vertices))
 
 
 def serialize_spec(graph: StarGraph) -> str:
@@ -309,15 +299,9 @@ def serialize_spec(graph: StarGraph) -> str:
     """
 
     a = graph.anomaly
-    araw: dict = {"type": a.variant}
-    if a.variant == "extra_edge":
-        araw["u"], araw["v"] = a.u, a.v
-    elif a.variant != "none":
-        araw["at"] = a.at
-    emit_phase = a.variant in ("extended_edge", "missing_loop") or (
-        a.variant in ("extra_edge", "loop") and a.mark_phase.value != 0.0
-    )
-    if emit_phase:
+    schema = a.schema
+    araw: dict = {"type": a.variant, **dict(zip(schema.fields, graph.anomaly_vertices))}
+    if schema.marked or (schema.fields and a.mark_phase.value != 0.0):
         if a.mark_phase.is_rational:
             araw["phase_num"] = a.mark_phase.num
             araw["phase_den"] = a.mark_phase.den

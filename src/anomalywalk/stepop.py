@@ -70,6 +70,8 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
     designated hop.
     """
 
+    if hub_r + hub_t != 1.0:
+        raise ConfigurationError(f"hub amplitudes need r + t = 1, got {hub_r} + {hub_t}")
     basis = make_basis(graph)
     n = graph.n_spokes
     a = graph.anomaly
@@ -154,12 +156,12 @@ def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     No zero fill is needed: the hub rule writes the whole outgoing block and
     the copies and patches tile everything else (checked at build time).
-    Buffers are complex128, or float64 when the operator is real.
+    The hub rule t*sum(in) - in equals -r*in + t*(sum(in) - in) as r + t = 1
+    (checked at build time).  Buffers are complex128, or float64 when the
+    operator is real.
     """
     n = op.n_spokes
-    s = x[n:2 * n].sum()
-    np.multiply(x[n:2 * n], -(op.hub_r + op.hub_t), out=out[0:n])
-    out[0:n] += op.hub_t * s
+    np.subtract(op.hub_t * x[n:2 * n].sum(), x[n:2 * n], out=out[0:n])
     for to, frm in op.copies:
         out[to:to + n] = x[frm:frm + n]
     out[op.perm_dst] = _patch_amplitudes(op, out) * x[op.perm_src]
@@ -168,9 +170,7 @@ def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def apply_adjoint_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     n = op.n_spokes
-    s = x[0:n].sum()
-    np.multiply(x[0:n], -(op.hub_r + op.hub_t), out=out[n:2 * n])
-    out[n:2 * n] += op.hub_t * s
+    np.subtract(op.hub_t * x[0:n].sum(), x[0:n], out=out[n:2 * n])
     for to, frm in op.copies:
         out[frm:frm + n] = x[to:to + n]
     out[op.perm_src] = np.conj(_patch_amplitudes(op, out)) * x[op.perm_dst]

@@ -1,10 +1,12 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -293,6 +295,72 @@ class TestSearch:
                            "--kind", "loop_pi")
         assert code == 1
         assert err.startswith("error:config:")
+
+
+HORIZON_ARGV = {
+    "evolve": ("evolve", "--spec", LOOP100, "--steps"),
+    "search": ("search", "--spec", LOOP100, "--max-steps"),
+    "sweep": ("sweep", "--spec", LOOP100, "--n-list", "64,100", "--max-steps"),
+}
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("verb", sorted(HORIZON_ARGV))
+    def test_zero_horizon_refused(self, capsys, tmp_path, verb):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *HORIZON_ARGV[verb], "0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", sorted(HORIZON_ARGV))
+    def test_horizon_beyond_memory_refused_at_once(self, capsys, tmp_path, monkeypatch,
+                                                   verb):
+        import anomalywalk.search
+        monkeypatch.setattr(anomalywalk.search, "physical_memory_bytes",
+                            lambda: float(2 ** 30))
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, _, err = run(capsys, *HORIZON_ARGV[verb], str(10 ** 15), "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error:size:")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        code, _, _ = run(capsys, *HORIZON_ARGV[verb], "30", "--out", str(out))
+        assert code == 0
+
+
+class TestStartCoefficients:
+    @pytest.mark.parametrize("amp_out, amp_in", [
+        ("nan", "1"), ("inf", "1"), ("1", "-inf"), ("nanj", "0"), ("1+infj", "1"),
+        ("1e308", "1e308"), ("1e154", "1e154"), ("1e200", "0"), ("1e-200", "0"),
+    ])
+    def test_unusable_coefficients_refused(self, capsys, tmp_path, amp_out, amp_in):
+        out = tmp_path / "steps.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
+                               f"--amp-out={amp_out}", f"--amp-in={amp_in}",
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amp_out, amp_in", [("1e150", "-1e150"), ("1e-150", "2e-150j")])
+    def test_extreme_finite_coefficients_run(self, capsys, tmp_path, amp_out, amp_in):
+        out = tmp_path / "steps.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
+                               f"--amp-out={amp_out}", f"--amp-in={amp_in}",
+                               "--steps", "20", "--out", str(out))
+        assert (code, err) == (0, "")
+        values = [float(x) for line in out.read_text().splitlines()[1:]
+                  for x in line.split(",")]
+        assert all(math.isfinite(x) for x in values)
 
 
 class TestSpectrum:

@@ -115,6 +115,40 @@ def test_label_position_roundtrip(n):
                 basis.position(label)
 
 
+def _accessor_variants(n):
+    # every at of missing_loop, and each other variant at the first and last vertex
+    return ([Anomaly.none(), Anomaly.extra_edge(1, n), Anomaly.extra_edge(2, 3),
+             Anomaly.loop(1), Anomaly.loop(n), Anomaly.extended_edge(1),
+             Anomaly.extended_edge(n)]
+            + [Anomaly.missing_loop(at) for at in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_layout_accessors_match_position(n):
+    edge = BasisLabel.edge
+    for anomaly in _accessor_variants(n):
+        graph = build_star(n, anomaly)
+        basis = make_basis(graph)
+        spokes = range(1, n + 1)
+        rows = np.arange(basis.dim)
+        assert list(rows[basis.out_block]) == [basis.position(edge(0, j)) for j in spokes]
+        assert list(rows[basis.in_block]) == [basis.position(edge(j, 0)) for j in spokes]
+        assert list(rows[basis.anomaly_block]) == list(range(2 * n, basis.dim))
+        if anomaly.variant == "missing_loop":
+            only = [basis.position(BasisLabel.loop(anomaly.at))]
+        else:  # every state past the spokes is the anomaly's own
+            only = [basis.position(basis.label(k)) for k in range(2 * n, basis.dim)]
+        assert list(basis.anomaly_only_rows) == only
+        vertices = graph.anomaly_vertices
+        assert list(basis.out_rows(vertices)) == [basis.position(edge(0, j)) for j in vertices]
+        assert list(basis.in_rows(vertices)) == [basis.position(edge(j, 0)) for j in vertices]
+        for outside in ([0], [n + 1], [1, n + 1]):
+            with pytest.raises(ConfigurationError):
+                basis.out_rows(outside)
+            with pytest.raises(ConfigurationError):
+                basis.in_rows(outside)
+
+
 def test_make_state_checks():
     with pytest.raises(ConfigurationError):
         make_state(np.array([1.0, 1.0]))

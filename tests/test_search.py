@@ -56,6 +56,16 @@ class TestInitialStates:
         with pytest.raises(ConfigurationError):
             InitialStateKind.inout(0, 0)
 
+    @pytest.mark.parametrize("amp_out, amp_in", [
+        (math.nan, 1), (math.inf, 1), (1, -math.inf), (complex(1, math.nan), 0),
+        (1e308, 1e308), (1e154, 1e154), (1e200, 0), (1e-200, 0),
+    ])
+    def test_unusable_coefficients_rejected_at_construction(self, amp_out, amp_in):
+        with pytest.raises(ConfigurationError):
+            InitialStateKind.inout(amp_out, amp_in)
+        with pytest.raises(ConfigurationError):
+            InitialStateKind.custom([amp_out, amp_in, 0, 0, 0, 0, 0, 0])
+
     def test_loop_pi_uniform_over_three_families(self):
         graph = build_star(12, Anomaly.missing_loop(5))
         s = initial_state(graph, InitialStateKind.loop_pi())

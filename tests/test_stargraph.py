@@ -13,6 +13,8 @@ from anomalywalk.errors import (
     SpecSyntaxError,
 )
 from anomalywalk.stargraph import (
+    VARIANT_SCHEMA,
+    VARIANTS,
     Anomaly,
     PhaseAngle,
     StarGraph,
@@ -203,6 +205,17 @@ class TestSerializeSpec:
     ])
     def test_round_trip(self, graph):
         assert parse_spec(serialize_spec(graph)) == graph
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_schema_entry_round_trips(self, variant):
+        schema = VARIANT_SCHEMA[variant]
+        vertices = dict(zip(schema.fields, (2, 5)))
+        graph = build_star(7, Anomaly.of(variant, **vertices))
+        raw = json.loads(serialize_spec(graph))["anomaly"]
+        phase = {"phase_num", "phase_den"} if schema.marked else set()
+        assert set(raw) == {"type", *schema.fields} | phase
+        assert parse_spec(serialize_spec(graph)) == graph
+        assert graph.anomaly_vertices == tuple(vertices.values())
 
     def test_round_trip_is_fixed_point(self):
         g = build_star(12, Anomaly.missing_loop(4, PhaseAngle.from_pi_fraction(5, 3)))

@@ -57,6 +57,28 @@ def test_hub_scattering_column():
     np.testing.assert_allclose(col, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("r, t", [(0.5, 0.25), (0.9, 0.2), (1.0, math.nan), (math.inf, 0.0)])
+def test_hub_amplitudes_must_sum_to_one(r, t):
+    with pytest.raises(ConfigurationError):
+        build_scattering_operator(build_star(4, Anomaly.loop(1)), r, t)
+
+
+@pytest.mark.parametrize("n", [3, 7, 1000, 12345])
+def test_hub_subtraction_matches_two_term_rule(n):
+    # t*sum(in) - in against the rule it replaced, -(r+t)*in + t*sum(in),
+    # equal up to the sign of zero since (N-2)/N + 2/N is exactly 1
+    op = build_step_operator(build_star(n, Anomaly.loop(1)))
+    x = random_unit_state(op.dimension, seed=n).amplitudes
+    for kernel, src, dst in ((apply_into, op.basis.in_block, op.basis.out_block),
+                             (apply_adjoint_into, op.basis.out_block, op.basis.in_block)):
+        expected = x[src] * -(op.hub_r + op.hub_t) + op.hub_t * x[src].sum()
+        got = kernel(op, x, np.empty(op.dimension, dtype=complex))[dst]
+        assert np.array_equal(got, expected)
+        got = kernel(op, x.real.copy(), np.empty(op.dimension))[dst]
+        assert np.array_equal(got, x.real[src] * -(op.hub_r + op.hub_t)
+                              + op.hub_t * x.real[src].sum())
+
+
 def test_hub_is_rank_one_away_from_reflection():
     # U = U0 + 2|out><in| with U0 the r=1 reflection walk
     graph = build_star(7, Anomaly.extra_edge(1, 4))
