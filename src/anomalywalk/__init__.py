@@ -6,6 +6,8 @@ anomalies, reduces them to their invariant subspaces, analyzes spectra
 and eigenphase shifts, and runs the searches the anomalies enable.
 """
 
+from types import ModuleType as _ModuleType
+
 from .collapse import (
     ReducedBasis,
     ReducedOperator,
@@ -37,7 +39,6 @@ from .errors import (
     SizeError,
     SpecSemanticError,
     SpecSyntaxError,
-    SubspaceTooLargeError,
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .perturb import (
@@ -85,70 +86,6 @@ from .stepop import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Anomaly",
-    "AnomalyWalkError",
-    "BaselineResult",
-    "BaselineStatistics",
-    "BasisLabel",
-    "ConfigurationError",
-    "DEFAULT_POLICY",
-    "DimensionMismatchError",
-    "EdgeBasis",
-    "EigenShift",
-    "IndexRangeError",
-    "InitialStateKind",
-    "InsufficientDataError",
-    "InvarianceError",
-    "MatchingError",
-    "MeasurementResult",
-    "NoPredictionError",
-    "NothingToFindError",
-    "NumericPolicy",
-    "NumericalFailureError",
-    "PhaseAngle",
-    "ReducedBasis",
-    "ReducedOperator",
-    "ScalingFit",
-    "SearchResult",
-    "SelfEdgeError",
-    "SizeError",
-    "SpecSemanticError",
-    "SpecSyntaxError",
-    "Spectrum",
-    "StarGraph",
-    "StepOperator",
-    "StepRecord",
-    "SubspaceTooLargeError",
-    "SweepResult",
-    "UnitarityReport",
-    "WalkState",
-    "apply_adjoint",
-    "apply_step",
-    "baseline_statistics",
-    "build_star",
-    "build_step_operator",
-    "build_unperturbed",
-    "check_unitarity",
-    "classical_baseline",
-    "edge_probabilities",
-    "eigendecompose",
-    "eigenphase_shifts",
-    "family_seeds",
-    "fit_scaling",
-    "initial_state",
-    "invariant_basis",
-    "lift",
-    "limit_reduced_operator",
-    "make_basis",
-    "make_state",
-    "measure_accessible",
-    "parse_spec",
-    "perturbation_sweep",
-    "power_apply",
-    "predicted_hitting_step",
-    "project",
-    "reduce_operator",
-    "run_search",
-    "serialize_spec",
-]
+# the public names are the ones imported above; the submodules are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -65,6 +66,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         _report("usage", message)
         raise SystemExit(1)
+
+
+# tokens that argparse takes for option names but that read as negative numbers
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each negative number to the long option before it, as in --amp-in=-1e-3.
+
+    argparse reads -1e-3, -inf or -0.5j as an option name, but reads the
+    joined form as a value; every long option here but --help takes one.
+    """
+    joined: list[str] = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and _NEGATIVE.match(token)):
+            joined[-1] = f"{prev}={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def _load_graph(spec_arg: str) -> StarGraph:
@@ -388,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     if not hasattr(args, "handler"):

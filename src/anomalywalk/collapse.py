@@ -1,14 +1,14 @@
 """Invariant-subspace discovery and operator reduction.
 
-The walk operators carry a large permutation part and a single dense hub
-rule, so the orbit of a symmetric seed state closes after a handful of
-directions.  This module finds that closure numerically, expresses the step
-operator inside it, and maps states back and forth.
+The walk treats every bulk (non-anomaly) spoke alike, so the rows of the
+star split into a few cells whose span is invariant whatever N is: the
+equitable-partition quotient of the star.  This module builds those cells,
+closes the seeds under the walk in their coordinates, expresses the step
+operator inside the closure, and maps states back and forth.
 
-The closure holds its directions as the rows of one C-ordered block, so
-every projection is a BLAS product over contiguous memory, and the basis
-it returns is the transpose of that block: a d x m matrix whose columns
-are contiguous.
+The basis it returns is the transpose of one C-ordered block of rows: a
+d x m matrix whose columns are contiguous, so every projection is a BLAS
+product over contiguous memory.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edgespace import WalkState, make_state
+from .edgespace import EdgeBasis, WalkState, make_state
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
     NumericalFailureError,
     SizeError,
-    SubspaceTooLargeError,
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
-from .stargraph import physical_memory_bytes
-from .stepop import StepOperator, apply_adjoint_into, apply_into
+from .stargraph import StarGraph, physical_memory_bytes
+from .stepop import StepOperator, apply_into
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,12 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def coefficients(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients c = V*x of x on orthonormal columns v.
+def decompose(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients c = V*x on orthonormal columns v, and the norm of x - Vc.
 
     A real basis splits a complex x into its real and imaginary parts, so
-    that V is never cast to complex; decompose does the same.
+    that V is never cast to complex.
     """
-    if not np.iscomplexobj(v) and np.iscomplexobj(x):
-        return _inner(v.T, x.real) + 1j * _inner(v.T, x.imag)
-    return _inner(v.T, x)
-
-
-def decompose(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients c = V*x on orthonormal columns v, and the norm of x - Vc."""
     if not np.iscomplexobj(v) and np.iscomplexobj(x):
         c_re, leak_re = decompose(v, x.real)
         c_im, leak_im = decompose(v, x.imag)
@@ -117,16 +109,57 @@ def _allocate_rows(count: int, d: int, dtype, held: int = 0) -> np.ndarray:
     return np.zeros((count, d), dtype=dtype)
 
 
+def _accept(vec: np.ndarray, rows: np.ndarray, count: int, tol: float) -> int:
+    """Orthogonalize vec against rows[:count] and store it, normalised, as
+    rows[count] unless its residual is at most tol; returns the new count."""
+    res = _orthogonalize(vec, rows[:count], tol)
+    if res <= tol or count == len(rows):
+        return count
+    np.divide(vec, res, out=rows[count])
+    return count + 1
+
+
+def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> np.ndarray:
+    """Orthonormal rows whose span is invariant under the walk and holds the seeds.
+
+    Each bulk block (out, in, and missing_loop's loops) carries the bulk
+    profiles: the uniform vector and each seed's part in each bulk block,
+    orthonormalised, zero on the anomaly vertices.  Every other row is a
+    unit cell of its own.  The supports are disjoint, so the rows are
+    orthonormal as built.
+    """
+    n = basis.n_spokes
+    vertices = StarGraph(n, basis.anomaly).anomaly_vertices
+    anomalous = basis.out_rows(vertices)
+    blocks = [basis.out_block, basis.in_block]
+    if basis.anomaly.schema.loops:
+        blocks.append(basis.anomaly_block)
+    candidates = [np.ones(n, dtype)] + [seed[block] for seed in seeds for block in blocks]
+    profiles = np.empty((len(candidates), n), dtype)
+    count = 0
+    for vec in candidates:
+        vec = vec.astype(dtype)
+        vec[anomalous] = 0.0
+        count = _accept(vec, profiles, count, tol)
+    units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
+    cells = _allocate_rows(len(blocks) * count + len(units), basis.dim, dtype)
+    for k, block in enumerate(blocks):
+        cells[k * count:(k + 1) * count, block] = profiles[:count]
+    cells[np.arange(len(blocks) * count, len(cells)), units] = 1.0
+    return cells
+
+
 def invariant_basis(op: StepOperator, seeds: list[WalkState],
                     policy: NumericPolicy = DEFAULT_POLICY) -> ReducedBasis:
     """Close the span of the seeds under the operator and its adjoint.
 
-    Vectors are accepted in a deterministic order: seeds first, then for
-    each accepted vector its image under U followed by its image under U
-    adjoint.  Residuals below policy.closure_residual are treated as
-    already contained.  Accepted directions are the contiguous rows of one
-    block, held in float64 when the operator and every seed are real and
-    in complex128 otherwise.
+    The closure runs in the coordinates of the cells C, whose reduction
+    M = C*UC and the seeds' leakage certify that they hold it.  Vectors
+    are accepted in a deterministic order: seeds first, then for each
+    accepted vector its image under M followed by its image under M
+    adjoint; residuals of at most policy.closure_residual count as
+    contained.  The basis is QC for the accepted rows Q, in float64 when
+    the operator and every seed are real and in complex128 otherwise.
     """
 
     if not seeds:
@@ -138,47 +171,26 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
                 f"seed dimension {seed.basis_dim} != operator dimension {d}")
     real = op.is_real and not any(np.any(seed.amplitudes.imag) for seed in seeds)
     dtype = np.float64 if real else np.complex128
-    cap = policy.closure_cap
-    rows = _allocate_rows(min(cap, max(8, 2 * len(seeds))), d, dtype)
+    tol = policy.closure_residual
+    amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
+    cells = _cells(op.basis, amps, dtype, tol)
+    reduced, leakage = streamed_reduction(op, cells.T)
+    starts = [decompose(cells.T, x) for x in amps]
+    leakage = max([leakage] + [leak for _, leak in starts])
+    if leakage > policy.invariance_tol:
+        raise InvarianceError(f"the cells are not invariant: leakage {leakage:.3e} "
+                              f"exceeds {policy.invariance_tol:.1e}")
+    q = np.zeros((len(cells), len(cells)), dtype=dtype)
     count = 0
-
-    def absorb(vec: np.ndarray) -> None:
-        nonlocal rows, count
-        res = _orthogonalize(vec, rows[:count], policy.closure_residual)
-        if res <= policy.closure_residual:
-            return
-        if count >= cap:
-            raise SubspaceTooLargeError(
-                f"invariant closure exceeded {cap} directions")
-        if count == len(rows):
-            grown = _allocate_rows(min(cap, 2 * count), d, dtype, rows.nbytes)
-            grown[:count] = rows
-            rows = grown
-        np.divide(vec, res, out=rows[count])
-        count += 1
-
-    for seed in seeds:
-        amps = seed.amplitudes.real if real else seed.amplitudes
-        absorb(amps.astype(dtype))
-
-    work = np.empty(d, dtype=dtype)
+    for c, _ in starts:
+        count = _accept(c, q, count, tol)
     head = 0
     while head < count:
-        src = rows[head]
-        absorb(apply_into(op, src, work))
-        absorb(apply_adjoint_into(op, src, work))
+        count = _accept(reduced @ q[head], q, count, tol)
+        count = _accept(reduced.conj().T @ q[head], q, count, tol)
         head += 1
-
-    # Gram-Schmidt leaves the rows orthonormal only to a few 1e-12 at
-    # N=1e6, too loose for the eigenframe check downstream; one Cholesky
-    # QR pass restores them to the precision of their Gram matrix G = LL*.
-    # The rows become conj(L^-1) Q: the unique triangular
-    # re-orthonormalisation whose R = L* has a positive diagonal, so each
-    # direction keeps the phase Gram-Schmidt gave it
-    q = rows[:count]
-    chol = np.linalg.cholesky(q.conj() @ q.T)
-    basis = _allocate_rows(count, d, dtype, rows.nbytes)
-    np.matmul(np.linalg.inv(chol).conj(), q, out=basis)
+    basis = _allocate_rows(count, d, dtype, cells.nbytes)
+    np.matmul(q[:count], cells, out=basis)
     basis.setflags(write=False)
     return ReducedBasis(matrix=basis.T)
 
@@ -232,7 +244,7 @@ def project(state: WalkState, basis: ReducedBasis) -> np.ndarray:
     if state.basis_dim != basis.full_dim:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != basis dimension {basis.full_dim}")
-    return coefficients(basis.matrix, state.amplitudes)
+    return decompose(basis.matrix, state.amplitudes)[0]
 
 
 def lift(coefficients: np.ndarray, basis: ReducedBasis) -> WalkState:

@@ -85,13 +85,6 @@ class NothingToFindError(AnomalyWalkError):
     exit_code = 1
 
 
-class SubspaceTooLargeError(AnomalyWalkError):
-    """Invariant closure exceeded the configured vector cap."""
-
-    category = "subspace"
-    exit_code = 2
-
-
 class InvarianceError(AnomalyWalkError):
     """A basis claimed to be invariant fails the residual check."""
 

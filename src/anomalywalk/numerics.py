@@ -19,7 +19,6 @@ class NumericPolicy:
     dense_cap: int = 5000
     # invariant-subspace closure
     closure_residual: float = 1e-8
-    closure_cap: int = 200
     invariance_tol: float = 1e-9
     reduced_unitarity_tol: float = 1e-10
     # eigendecomposition

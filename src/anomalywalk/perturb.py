@@ -10,7 +10,6 @@ one over N).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .spectral import Spectrum, eigendecompose
-from .stargraph import Anomaly, StarGraph, build_star
+from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
 from .stepop import (
     StepOperator,
     build_scattering_operator,
@@ -148,10 +147,7 @@ class ScalingFit:
 
 
 def _wrap(angle: float) -> float:
-    wrapped = math.remainder(angle, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+    return PhaseAngle.from_radians(angle).value
 
 
 def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
@@ -220,13 +216,18 @@ def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[Scaling
     since an exactly preserved eigenphase is a result, not bad data.
     """
 
-    groups: dict[float, list] = {}
+    # branches are told apart at 1e-9 in circular distance, so the two
+    # ends of (-pi, pi] are one branch
+    groups: list[list] = []
     for n, shift in samples:
-        key = round(_wrap(shift.theta0), 9)
-        groups.setdefault(key, []).append((n, shift))
+        for entries in groups:
+            if round(_wrap(shift.theta0 - entries[0][1].theta0), 9) == 0:
+                entries.append((n, shift))
+                break
+        else:
+            groups.append([(n, shift)])
     fits = []
-    for key in sorted(groups):
-        entries = groups[key]
+    for entries in sorted(groups, key=lambda entries: _wrap(entries[0][1].theta0)):
         theta0 = entries[0][1].theta0
         points = [(n, abs(delta)) for n, shift in entries
                   for delta in shift.shifts]

@@ -123,8 +123,7 @@ def test_closure_beyond_memory_is_a_size_error(capsys, tmp_path, monkeypatch):
 
 def test_closure_result_beyond_memory_is_a_size_error(capsys, tmp_path,
                                                      monkeypatch):
-    # the row block fits, but not together with the re-orthonormalised
-    # result the closure returns
+    # the cells fit, but not together with the basis the closure returns
     import anomalywalk.collapse
     from anomalywalk.search import InitialStateKind, family_seeds
     from anomalywalk.stargraph import parse_spec
@@ -133,7 +132,9 @@ def test_closure_result_beyond_memory_is_a_size_error(capsys, tmp_path,
     op = build_step_operator(graph)
     dim = anomalywalk.collapse.invariant_basis(
         op, family_seeds(graph, InitialStateKind.minus())).dim
-    rows = 8 * op.dimension * 8  # the initial block of 8 float64 rows
+    # float64 cells: the bulk uniform in the out and in blocks, and unit
+    # cells on the loop vertex's out and in rows and on the loop
+    rows = 5 * op.dimension * 8
     result = dim * op.dimension * 8
     for memory, code_wanted in ((rows + result // 2, 1), (rows + result, 0)):
         monkeypatch.setattr(anomalywalk.collapse, "physical_memory_bytes",
@@ -362,6 +363,23 @@ class TestStartCoefficients:
                   for x in line.split(",")]
         assert all(math.isfinite(x) for x in values)
 
+    @pytest.mark.parametrize("amp_in", ["-1e-3", "-0.5j", "-1e150"])
+    def test_negative_coefficient_as_its_own_token(self, capsys, tmp_path, amp_in):
+        out = tmp_path / "steps.csv"
+        code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
+                           "--amp-out", "1", "--amp-in", amp_in,
+                           "--steps", "20", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.exists()
+
+    def test_negative_infinity_reaches_the_coefficient_check(self, capsys, tmp_path):
+        code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
+                           "--amp-out", "-inf", "--amp-in", "1",
+                           "--out", str(tmp_path / "steps.csv"))
+        assert code == 1
+        assert err.startswith("error:config:")
+        assert len(err.splitlines()) == 1
+
 
 class TestSpectrum:
     def test_reduced_spectrum_csv(self, capsys, tmp_path):
@@ -403,6 +421,24 @@ class TestPerturb:
         assert fits.exists()
         assert "slope" in fits.read_text().splitlines()[0]
         assert "below-floor" in stdout  # the stationary branch.
+
+    def test_negative_phase_as_its_own_token(self, capsys, tmp_path):
+        code, stdout, err = run(capsys, "perturb", "--anomaly", "extended_edge",
+                                "--phase-rad", "-1e-3", "--n-list", "64,128,256,512",
+                                "--out", str(tmp_path / "shifts.csv"))
+        assert (code, err) == (0, "")
+        assert "branch=0.785148 " in stdout  # pi/4 + phase/4
+
+    def test_branch_at_pi_is_one_branch(self, capsys, tmp_path):
+        # the limit spectra give the pi branch as pi at some sizes and as
+        # one ulp above -pi at others; its shifts are fitted together
+        code, stdout, err = run(capsys, "perturb", "--anomaly", "extended_edge",
+                                "--phase-rad", "0.7", "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (0, "")
+        fits = dict(line.split(" ", 1) for line in stdout.splitlines())
+        assert len(fits) == 6
+        slope = float(fits["branch=3.141593"].split()[0].removeprefix("slope="))
+        assert -1.05 < slope < -0.95
 
     def test_spec_and_anomaly_flags_conflict(self, capsys, tmp_path):
         code, _, err = run(capsys, "perturb", "--spec", EXTRA100,

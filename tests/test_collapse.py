@@ -23,12 +23,11 @@ from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
-    SubspaceTooLargeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
-from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
+from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     apply_adjoint_into,
     apply_into,
@@ -49,13 +48,13 @@ def family_basis(graph, kind=None):
     return op, invariant_basis(op, family_seeds(graph, kind))
 
 
-def reference_closure(op, seeds, policy=DEFAULT_POLICY):
-    """The closure as first written: complex columns of a (dim x capacity)
-    array, projected out one strided column at a time by modified
-    Gram-Schmidt with one reorthogonalization pass, then one QR whose R
-    diagonal phases are rotated back onto the columns."""
+def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
+    """The closure as first written, in the full dimension: complex columns
+    of a (dim x cap) array, projected out one strided column at a time by
+    modified Gram-Schmidt with one reorthogonalization pass, then one QR
+    whose R diagonal phases are rotated back onto the columns."""
     d = op.dimension
-    cols = np.zeros((d, policy.closure_cap), dtype=complex)
+    cols = np.zeros((d, cap), dtype=complex)
     count = 0
 
     def absorb(vec):
@@ -80,6 +79,20 @@ def reference_closure(op, seeds, policy=DEFAULT_POLICY):
         head += 1
     q, r = np.linalg.qr(cols[:, :count])
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_closure(op, seeds):
+    """Orthonormal columns spanning the closure of the seeds under the dense
+    U and U adjoint: the column space is grown by SVD rank until it stops."""
+    u = dense_matrix(op)
+    cols = np.stack([seed.amplitudes for seed in seeds], axis=1)
+    while True:
+        left, sv, _ = np.linalg.svd(np.hstack((cols, u @ cols, u.conj().T @ cols)),
+                                    full_matrices=False)
+        grown = left[:, :int((sv > 1e-9).sum())]
+        if grown.shape[1] == cols.shape[1]:
+            return grown
+        cols = grown
 
 
 def projector_gap(a, b):
@@ -115,6 +128,32 @@ def test_closure_matches_strided_reference(n, case, seeding):
     assert projector_gap(basis.matrix, ref) <= 1e-12
     gram = basis.matrix.conj().T @ basis.matrix
     assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
+
+
+DENSE_ANOMALIES = [Anomaly.none()] + [
+    Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, (2, 3))))
+    for variant in VARIANTS[1:]
+    for phase in (None, PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7))]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
+def test_cells_close_like_the_dense_walk(n, anomaly):
+    # the cell closure against the SVD closure of the dense matrix, for the
+    # family seeds, the sweep seeds and a random complex start state
+    graph = build_star(n, anomaly)
+    op = build_step_operator(graph)
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
+    kinds = [InitialStateKind.minus(), InitialStateKind.custom(amps)]
+    if anomaly.schema.loops:
+        kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
+    seedings = [family_seeds(graph, kind) for kind in kinds] + [sweep_seeds(graph)]
+    for seeds in seedings:
+        basis = invariant_basis(op, seeds)
+        ref = dense_closure(op, seeds)
+        assert basis.dim == ref.shape[1]
+        assert projector_gap(basis.matrix, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),
@@ -276,7 +315,7 @@ def test_basis_columns_orthonormal():
 
 
 def test_million_spoke_closure_is_orthonormal():
-    # Gram-Schmidt alone leaves ~1e-11 here, which the eigenframe check rejects
+    # the eigenframe check downstream rejects a basis orthonormal only to ~1e-11
     _, basis = family_basis(build_star(10 ** 6, Anomaly.loop(1)))
     gram = basis.matrix.conj().T @ basis.matrix
     assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
@@ -311,15 +350,6 @@ def test_seed_dimension_mismatch():
     wrong = make_state(np.array([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         invariant_basis(op, [wrong])
-
-
-def test_closure_cap():
-    graph = build_star(6, Anomaly.none())
-    op = build_step_operator(graph)
-    seed = basis_vector(op.basis, BasisLabel.edge(0, 1))
-    tight = DEFAULT_POLICY.with_overrides(closure_cap=2)
-    with pytest.raises(SubspaceTooLargeError):
-        invariant_basis(op, [seed], tight)
 
 
 def test_reduce_rejects_non_invariant_basis():

@@ -84,6 +84,17 @@ class TestFitScaling:
         assert len(fits) == 1
         assert fits[0].slope == pytest.approx(-0.5, abs=1e-9)
 
+    def test_one_ulp_inside_minus_pi_is_the_pi_branch(self):
+        # a limit spectrum can give the pi branch as -pi plus one ulp, which
+        # the fold into (-pi, pi] leaves where it is
+        near = math.nextafter(-math.pi, 0.0)
+        samples = [(n, shift_of(math.pi if n < 400 else near, [n ** -1.0]))
+                   for n in (50, 100, 200, 400, 800)]
+        fit, = fit_scaling(samples)
+        assert fit.branch_theta0 == math.pi
+        assert fit.points_used == 5
+        assert fit.slope == pytest.approx(-1.0, abs=1e-9)
+
     def test_multiplicity_two_shifts_both_enter(self):
         samples = [(n, shift_of(0.5, [2.0 * n ** -0.5, 1.0 * n ** -0.5]))
                    for n in (50, 100, 200, 400)]

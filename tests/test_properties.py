@@ -135,12 +135,13 @@ STEPS = mostly(st.integers(1, 200),
                st.sampled_from(HUGE + (0, -1, -3, -(10 ** 400))) | st.integers(-3, 0)).map(str)
 VALUES = mostly(STEPS, WORDS)
 AMPS = mostly(
-    st.sampled_from(("0", "1", "-1", "0.6", "0.8j", "(1-2j)", "1e154", "1e-154")),
+    st.sampled_from(("0", "1", "-1", "0.6", "0.8j", "(1-2j)", "1e154", "1e-154",
+                     "-1e-3", "-0.5j")),
     st.one_of(st.sampled_from(("nan", "inf", "-inf", "nanj", "1+infj", "1e308", "-1e308",
                                "1e400", "1e200", "1e-200", "1e-320", "0j")),
               st.floats().map(repr), st.complex_numbers().map(str), WORDS))
 PHASE_INTS = mostly(st.integers(-12, 12), st.sampled_from(HUGE + (-(10 ** 400),)))
-PHASE_RADS = mostly(st.floats(-10, 10).map(repr),
+PHASE_RADS = mostly(st.floats(-10, 10).map(repr) | st.just("-1e-3"),
                     st.sampled_from(("nan", "inf", "1e400", "-1e400")) | WORDS)
 N_LISTS = mostly(
     st.lists(mostly(st.integers(3, 256), st.integers(-3, 2) | st.sampled_from(HUGE)),
@@ -199,7 +200,8 @@ def walk_argvs(draw, verb):
     for flag, values in WALK_OPTIONS[verb].items():
         if draw(st.booleans()):
             value = draw(values)
-            # a value led by '-' reads as an option unless joined by '='
+            # a value may be joined by '=' or follow as a token of its own,
+            # negative numbers such as -1e-3 and -inf included
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     out = "out.json" if verb == "search" else "out.csv"
     argv += ["--out", out]

@@ -168,6 +168,22 @@ class TestRunSearch:
             assert a.p_target_spokes == pytest.approx(b.p_target_spokes, abs=1e-9)
             assert a.p_anomaly == pytest.approx(b.p_anomaly, abs=1e-9)
 
+    @pytest.mark.parametrize("anomaly", [
+        Anomaly.extra_edge(3, 9), Anomaly.loop(4), Anomaly.extended_edge(5),
+        Anomaly.missing_loop(6, PhaseAngle.from_radians(0.7))])
+    def test_reduced_matches_full_from_random_complex_state(self, anomaly):
+        # a generic start state fills every bulk profile of the cells
+        graph = build_star(2048, anomaly)
+        rng = np.random.default_rng(7)
+        dim = graph.hilbert_dim
+        kind = InitialStateKind.custom(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        full = run_search(graph, kind, 60, method="full")
+        fast = run_search(graph, kind, 60, method="reduced")
+        for a, b in zip(full.per_step, fast.per_step, strict=True):
+            assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
+            assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
+            assert abs(a.p_rest - b.p_rest) <= 1e-12
+
     def test_reduced_supports_loop_start_states(self):
         graph = build_star(90, Anomaly.missing_loop(4))
         full = run_search(graph, InitialStateKind.loop_pi(), 20, method="full")
