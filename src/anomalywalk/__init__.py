@@ -15,6 +15,7 @@ from .collapse import (
     lift,
     project,
     reduce_operator,
+    reduce_seeds,
 )
 from .edgespace import (
     BasisLabel,

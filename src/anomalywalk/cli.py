@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from .collapse import invariant_basis, reduce_operator
+from .collapse import reduce_seeds
 from .errors import (
     AnomalyWalkError,
     ConfigurationError,
@@ -210,11 +210,10 @@ def _cmd_search(args) -> int:
 def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    op = build_step_operator(graph)
-    basis = invariant_basis(op, family_seeds(graph, kind))
-    spectrum = eigendecompose(reduce_operator(op, basis))
+    reduced = reduce_seeds(build_step_operator(graph), family_seeds(graph, kind))
+    spectrum = eigendecompose(reduced)
     dump_spectrum_csv(spectrum, _require_out(args.out))
-    print(f"dim={basis.dim} branches={len(spectrum.eigenphases)}")
+    print(f"dim={reduced.dim} branches={len(spectrum.eigenphases)}")
     return 0
 
 

@@ -149,17 +149,19 @@ def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> np.n
     return cells
 
 
-def invariant_basis(op: StepOperator, seeds: list[WalkState],
-                    policy: NumericPolicy = DEFAULT_POLICY) -> ReducedBasis:
-    """Close the span of the seeds under the operator and its adjoint.
+def reduce_seeds(op: StepOperator, seeds: list[WalkState],
+                 policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
+    """Close the span of the seeds under the operator and its adjoint, and
+    express the operator inside the closure.
 
     The closure runs in the coordinates of the cells C, whose reduction
-    M = C*UC and the seeds' leakage certify that they hold it.  Vectors
-    are accepted in a deterministic order: seeds first, then for each
-    accepted vector its image under M followed by its image under M
-    adjoint; residuals of at most policy.closure_residual count as
-    contained.  The basis is QC for the accepted rows Q, in float64 when
-    the operator and every seed are real and in complex128 otherwise.
+    M = C*UC (the only pass over the full dimension) and the seeds' leakage
+    certify that they hold it.  Vectors are accepted in a deterministic
+    order: seeds first, then for each accepted vector its image under M
+    followed by its image under M adjoint; residuals of at most
+    policy.closure_residual count as contained.  For the accepted rows Q
+    the basis is QC, in float64 when the operator and every seed are real
+    and in complex128 otherwise, and the operator on it is conj(Q) M Q^T.
     """
 
     if not seeds:
@@ -174,12 +176,8 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
     tol = policy.closure_residual
     amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
     cells = _cells(op.basis, amps, dtype, tol)
-    reduced, leakage = streamed_reduction(op, cells.T)
+    reduced = reduce_operator(op, ReducedBasis(cells.T), policy).matrix
     starts = [decompose(cells.T, x) for x in amps]
-    leakage = max([leakage] + [leak for _, leak in starts])
-    if leakage > policy.invariance_tol:
-        raise InvarianceError(f"the cells are not invariant: leakage {leakage:.3e} "
-                              f"exceeds {policy.invariance_tol:.1e}")
     q = np.zeros((len(cells), len(cells)), dtype=dtype)
     count = 0
     for c, _ in starts:
@@ -189,53 +187,60 @@ def invariant_basis(op: StepOperator, seeds: list[WalkState],
         count = _accept(reduced @ q[head], q, count, tol)
         count = _accept(reduced.conj().T @ q[head], q, count, tol)
         head += 1
+    q = q[:count]
+    images = reduced @ q.T
+    matrix = q.conj() @ images
+    leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
+    certify(matrix, max([leakage] + [leak for _, leak in starts]), policy)
     basis = _allocate_rows(count, d, dtype, cells.nbytes)
-    np.matmul(q[:count], cells, out=basis)
+    np.matmul(q, cells, out=basis)
     basis.setflags(write=False)
-    return ReducedBasis(matrix=basis.T)
+    return ReducedOperator(matrix=matrix, basis=ReducedBasis(matrix=basis.T))
 
 
-def streamed_reduction(op: StepOperator, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """V*UV for orthonormal columns v, and the largest leakage of an image.
+def invariant_basis(op: StepOperator, seeds: list[WalkState],
+                    policy: NumericPolicy = DEFAULT_POLICY) -> ReducedBasis:
+    """The basis of reduce_seeds: the closure of the seeds' span."""
+    return reduce_seeds(op, seeds, policy).basis
 
-    The images are streamed: each column's image goes into one reused work
-    vector, is expanded on the basis and measured for the part outside it.
-    """
-    m = v.shape[1]
-    dtype = v.dtype if op.is_real else np.complex128
-    work = np.empty(v.shape[0], dtype=dtype)
-    reduced = np.empty((m, m), dtype=dtype)
-    leakage = 0.0
-    for k in range(m):
-        reduced[:, k], leak = decompose(v, apply_into(op, v[:, k], work))
-        leakage = max(leakage, leak)
-    return reduced, leakage
+
+def certify(matrix: np.ndarray, leakage: float, policy: NumericPolicy) -> None:
+    """Freeze a reduced operator once its basis leakage (the largest part of
+    an image, or of a state the basis must hold, outside it) and its
+    deviation from unitarity are within policy; refuse it otherwise."""
+    if leakage > policy.invariance_tol:
+        raise InvarianceError(f"basis is not invariant: leakage {leakage:.3e} "
+                              f"exceeds {policy.invariance_tol:.1e}")
+    gram_dev = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0)
+    if gram_dev > policy.reduced_unitarity_tol:
+        raise NumericalFailureError(
+            f"reduced matrix deviates from unitarity by {gram_dev:.3e}")
+    matrix.setflags(write=False)
 
 
 def reduce_operator(op: StepOperator, basis: ReducedBasis,
                     policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
     """Express the step operator in the reduced basis as V* U V.
 
-    The basis must actually be invariant: the part of each image outside
-    the span is the invariance residual and must stay below
-    policy.invariance_tol.
+    The images are streamed: each column's image goes into one reused work
+    vector and is expanded on the basis.  The basis must actually be
+    invariant: the part of each image outside the span is the invariance
+    residual, certified against policy.invariance_tol.
     """
 
     if basis.full_dim != op.dimension:
         raise DimensionMismatchError(
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
-    m = basis.dim
-    reduced, residual = streamed_reduction(op, basis.matrix)
-    if residual > policy.invariance_tol:
-        raise InvarianceError(
-            f"basis is not invariant: leakage {residual:.3e} "
-            f"exceeds {policy.invariance_tol:.1e}")
-    gram_dev = np.abs(reduced.conj().T @ reduced - np.eye(m)).max() if m else 0.0
-    if gram_dev > policy.reduced_unitarity_tol:
-        raise NumericalFailureError(
-            f"reduced matrix deviates from unitarity by {gram_dev:.3e}")
-    reduced.setflags(write=False)
+    v = basis.matrix
+    dtype = v.dtype if op.is_real else np.complex128
+    work = np.empty(basis.full_dim, dtype=dtype)
+    reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
+    leakage = 0.0
+    for k in range(basis.dim):
+        reduced[:, k], leak = decompose(v, apply_into(op, v[:, k], work))
+        leakage = max(leakage, leak)
+    certify(reduced, leakage, policy)
     return ReducedOperator(matrix=reduced, basis=basis)
 
 

@@ -17,13 +17,12 @@ import numpy as np
 from .collapse import (
     ReducedBasis,
     ReducedOperator,
+    certify,
     decompose,
-    invariant_basis,
     reduce_operator,
-    streamed_reduction,
+    reduce_seeds,
 )
 from .edgespace import (
-    all_loops_state,
     hub_in_state,
     hub_out_state,
     make_basis,
@@ -34,11 +33,10 @@ from .errors import (
     ConfigurationError,
     DimensionMismatchError,
     InsufficientDataError,
-    InvarianceError,
     MatchingError,
-    NumericalFailureError,
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
+from .search import InitialStateKind, family_seeds
 from .spectral import Spectrum, eigendecompose
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
 from .stepop import (
@@ -54,7 +52,8 @@ def build_unperturbed(graph: StarGraph) -> StepOperator:
     """Walk operator with the hub replaced by pure reflection.
 
     Anomaly-vertex rules are unchanged; only the hub loses its
-    transmission.  This is the size-infinity limit of the step operator.
+    transmission.  This is the size-infinity limit of the step operator;
+    the reduced limit is built without it, so it serves as a reference.
     """
     return build_scattering_operator(graph, 1.0, 0.0)
 
@@ -66,58 +65,44 @@ def sweep_seeds(graph: StarGraph) -> list:
     live on the anomaly spokes, so the symmetric anomaly-local outgoing
     state is always added; it is absorbed for free when already covered.
     """
-    basis = make_basis(graph)
-    seeds = [hub_out_state(basis), hub_in_state(basis)]
-    if graph.anomaly.schema.loops:
-        seeds.append(all_loops_state(basis))
+    kind = InitialStateKind.loop_pi() if graph.anomaly.schema.loops else InitialStateKind.minus()
+    seeds = family_seeds(graph, kind)
     if graph.anomaly_vertices:
-        seeds.append(symmetric_out_state(basis, graph.anomaly_vertices))
+        seeds.append(symmetric_out_state(make_basis(graph), graph.anomaly_vertices))
     return seeds
+
+
+def _limit(finite: ReducedOperator, graph: StarGraph,
+           policy: NumericPolicy) -> ReducedOperator:
+    """The limit operator on the basis of a finite one.
+
+    The finite hub is pure reflection plus 2|o><i| over the uniform spoke
+    states; in the limit the uniforms concentrate on the bulk (non-anomaly)
+    spokes, bo and bi, so the limit adds 2(|bo><bi| - |o><i|) to the finite
+    operator.  The basis must hold all four uniforms, which with its closure
+    under the walk closes it under the reflection walk; both are certified.
+    """
+    basis = make_basis(graph)
+    anomalous = np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1
+    bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
+    uniforms = (hub_out_state(basis), hub_in_state(basis),
+                symmetric_out_state(basis, bulk), symmetric_in_state(basis, bulk))
+    # the real parts keep the coefficients real on a real basis
+    parts = [decompose(finite.basis.matrix, s.amplitudes.real) for s in uniforms]
+    (co, _), (ci, _), (cbo, _), (cbi, _) = parts
+    matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
+    certify(matrix, max(leak for _, leak in parts), policy)
+    return ReducedOperator(matrix=matrix, basis=finite.basis)
 
 
 def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
                            policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
     """Limit operator expressed in a reduced basis computed for finite size.
 
-    The finite hub differs from pure reflection by the rank-one term
-    2|out><in| over the uniform spoke states; in the limit the uniforms
-    concentrate on the bulk (non-anomaly) spokes.  The result is the
-    reflection part projected into the basis plus that bulk rank-one
-    completion, and it must come out unitary, which requires the basis to
-    contain the bulk uniforms and be closed under the reflection walk;
-    both are checked.
+    The basis must be closed under the walk and hold the uniform spoke
+    states, both over all spokes and over the bulk ones.
     """
-
-    u0 = build_unperturbed(graph)
-    if basis.full_dim != u0.dimension:
-        raise DimensionMismatchError(
-            f"basis lives in dimension {basis.full_dim}, "
-            f"operator in {u0.dimension}")
-    v = basis.matrix
-    m = basis.dim
-    core, leakage = streamed_reduction(u0, v)
-    if leakage > policy.invariance_tol:
-        raise InvarianceError(
-            f"reduced basis is not closed under the reflection walk "
-            f"(leakage {leakage:.3e})")
-
-    anomalous = np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1
-    bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
-    # the real parts keep the coefficients real on a real basis
-    cob, out_leak = decompose(v, symmetric_out_state(u0.basis, bulk).amplitudes.real)
-    cib, in_leak = decompose(v, symmetric_in_state(u0.basis, bulk).amplitudes.real)
-    outside = max(out_leak, in_leak)
-    if outside > policy.invariance_tol:
-        raise NumericalFailureError(
-            f"bulk uniform states fall {outside:.3e} outside the reduced "
-            f"basis; enlarge the seed family")
-    matrix = core + 2.0 * np.outer(cob, cib.conj())
-    gram_dev = float(np.abs(matrix.conj().T @ matrix - np.eye(m)).max())
-    if gram_dev > policy.reduced_unitarity_tol:
-        raise NumericalFailureError(
-            f"limit operator deviates from unitarity by {gram_dev:.3e}")
-    matrix.setflags(write=False)
-    return ReducedOperator(matrix=matrix, basis=basis)
+    return _limit(reduce_operator(build_step_operator(graph), basis, policy), graph, policy)
 
 
 @dataclass(frozen=True)
@@ -227,7 +212,7 @@ def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[Scaling
         else:
             groups.append([(n, shift)])
     fits = []
-    for entries in sorted(groups, key=lambda entries: _wrap(entries[0][1].theta0)):
+    for entries in sorted(groups, key=lambda entries: entries[0][1].theta0):
         theta0 = entries[0][1].theta0
         points = [(n, abs(delta)) for n, shift in entries
                   for delta in shift.shifts]
@@ -265,10 +250,8 @@ class SweepResult:
 
 def _sweep_point(anomaly: Anomaly, n: int, policy: NumericPolicy):
     graph = build_star(n, anomaly)
-    op = build_step_operator(graph)
-    rb = invariant_basis(op, sweep_seeds(graph), policy)
-    reduced = reduce_operator(op, rb, policy)
-    limit = limit_reduced_operator(graph, rb, policy)
+    reduced = reduce_seeds(build_step_operator(graph), sweep_seeds(graph), policy)
+    limit = _limit(reduced, graph, policy)
     # keep the cluster threshold well under the smallest expected
     # splitting, which shrinks like 1/N on simple branches
     tol = min(policy.cluster_tol, 0.01 / n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import decompose, invariant_basis, reduce_operator
+from .collapse import decompose, reduce_seeds
 from .edgespace import (
     WalkState,
     all_loops_state,
@@ -204,13 +204,13 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
                     policy):
-    rb = invariant_basis(op, family_seeds(graph, kind), policy)
-    v = rb.matrix
+    reduced = reduce_seeds(op, family_seeds(graph, kind), policy)
+    v = reduced.basis.matrix
     c, leakage = decompose(v, x0)
     if leakage > policy.invariance_tol:
         raise NumericalFailureError(
             f"start state leaks {leakage:.3e} outside its reduced family")
-    m = reduce_operator(op, rb, policy).matrix
+    m = reduced.matrix
     tmat = v[target_rows, :]
     amat = v[anomaly_rows, :]
     records = [_record(0, tmat @ c, amat @ c, c)]

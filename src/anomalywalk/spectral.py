@@ -22,7 +22,8 @@ from .stepop import StepOperator, dense_matrix
 class Spectrum:
     """Clustered eigensystem of a unitary matrix.
 
-    eigenphases are cluster representatives in (-pi, pi], ascending.  Each
+    eigenphases are cluster representatives in (-pi + tol, pi + tol] for
+    the cluster threshold tol, ascending (a branch at pi has one label).  Each
     block holds orthonormal eigenvector columns for its cluster, so the
     projector is block @ block.conj().T and multiplicities sum to dim.
     """
@@ -81,11 +82,12 @@ def _cluster_phases(thetas: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _representative(thetas: np.ndarray) -> float:
-    """Circular mean, stable for clusters straddling the branch cut."""
+def _representative(thetas: np.ndarray, tol: float) -> float:
+    """Circular mean, stable for clusters straddling the branch cut; a mean
+    within tol of -pi is the branch at pi, reported there as theta + 2 pi."""
     theta = float(np.angle(np.exp(1j * thetas).sum()))
-    if theta <= -np.pi:
-        theta = np.pi
+    if theta <= -np.pi + tol:
+        theta += 2.0 * np.pi
     return theta
 
 
@@ -134,7 +136,7 @@ def eigendecompose(op, cluster_tol: float | None = None,
         if rdiag.min() < 1e-8:
             raise NumericalFailureError(
                 "eigenvector cluster is rank deficient; matrix is not normal")
-        phases.append(_representative(thetas[group]))
+        phases.append(_representative(thetas[group], cluster_tol))
         blocks.append(_fix_column_phases(q))
         mults.append(len(group))
     order = np.argsort(phases)

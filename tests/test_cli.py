@@ -381,6 +381,41 @@ class TestStartCoefficients:
         assert len(err.splitlines()) == 1
 
 
+def count_calls(monkeypatch, fn):
+    """Route every anomalywalk module's reference to fn through a counter."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("anomalywalk") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestSinglePass:
+    """The reduced paths apply U once per cell and never to the lifted basis."""
+
+    @pytest.mark.parametrize("spec,cells", [(LOOP100, 5), (EXTRA100, 8)],
+                             ids=["loop", "extra_edge"])
+    def test_spectrum_applies_once_per_cell(self, capsys, tmp_path, monkeypatch,
+                                            spec, cells):
+        applies = count_calls(monkeypatch, anomalywalk.stepop.apply_into)
+        code, _, _ = run(capsys, "spectrum", "--spec", spec,
+                         "--out", str(tmp_path / "spec.csv"))
+        assert code == 0
+        assert len(applies) == cells
+
+    def test_sweep_builds_one_operator_per_size(self, monkeypatch):
+        builds = count_calls(monkeypatch, anomalywalk.stepop.build_scattering_operator)
+        applies = count_calls(monkeypatch, anomalywalk.stepop.apply_into)
+        anomalywalk.perturbation_sweep(anomalywalk.Anomaly.extra_edge(1, 2),
+                                       sizes=(64, 128, 256, 512))
+        assert (len(builds), len(applies)) == (4, 32)
+
+
 class TestSpectrum:
     def test_reduced_spectrum_csv(self, capsys, tmp_path):
         out = tmp_path / "spec.csv"
@@ -407,6 +442,14 @@ class TestSpectrum:
         assert stdout.strip() == "dim=2 branches=2"
 
 
+def labels_at_pi(tmp_path):
+    """The labels of the branch at +-pi in p.csv and in p-fits.csv."""
+    def labels(name, column):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+        return {row[column] for row in rows if abs(abs(float(row[column])) - math.pi) < 1e-6}
+    return labels("p.csv", 1), labels("p-fits.csv", 0)
+
+
 class TestPerturb:
     def test_anomaly_flags(self, capsys, tmp_path):
         out = tmp_path / "shifts.csv"
@@ -430,8 +473,8 @@ class TestPerturb:
         assert "branch=0.785148 " in stdout  # pi/4 + phase/4
 
     def test_branch_at_pi_is_one_branch(self, capsys, tmp_path):
-        # the limit spectra give the pi branch as pi at some sizes and as
-        # one ulp above -pi at others; its shifts are fitted together
+        # the branch at pi is one branch with one label at every size,
+        # in the shifts and in the fits
         code, stdout, err = run(capsys, "perturb", "--anomaly", "extended_edge",
                                 "--phase-rad", "0.7", "--out", str(tmp_path / "p.csv"))
         assert (code, err) == (0, "")
@@ -439,6 +482,14 @@ class TestPerturb:
         assert len(fits) == 6
         slope = float(fits["branch=3.141593"].split()[0].removeprefix("slope="))
         assert -1.05 < slope < -0.95
+        assert labels_at_pi(tmp_path) == ({"3.14159265359"}, {"3.14159265359"})
+
+    def test_pi_branch_has_one_label_at_a_third_of_pi(self, capsys, tmp_path):
+        code, _, err = run(capsys, "perturb", "--anomaly", "extended_edge",
+                           "--phase-num", "1", "--phase-den", "3",
+                           "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (0, "")
+        assert labels_at_pi(tmp_path) == ({"3.14159265359"}, {"3.14159265359"})
 
     def test_spec_and_anomaly_flags_conflict(self, capsys, tmp_path):
         code, _, err = run(capsys, "perturb", "--spec", EXTRA100,

@@ -9,9 +9,11 @@ from anomalywalk.collapse import (
     lift,
     project,
     reduce_operator,
+    reduce_seeds,
 )
 from anomalywalk.edgespace import (
     BasisLabel,
+    all_loops_state,
     hub_in_state,
     hub_out_state,
     make_basis,
@@ -25,7 +27,7 @@ from anomalywalk.errors import (
     InvarianceError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import sweep_seeds
+from anomalywalk.perturb import _limit, build_unperturbed, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
@@ -136,24 +138,103 @@ DENSE_ANOMALIES = [Anomaly.none()] + [
     for phase in (None, PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7))]
 
 
+def seedings(graph, op):
+    """The family seeds of every kind the graph admits, those of a random
+    complex custom state, and the sweep seeds."""
+    rng = np.random.default_rng(graph.n_spokes)
+    amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
+    kinds = [InitialStateKind.minus(), InitialStateKind.plus(),
+             InitialStateKind.inout(1.0, 0.5j), InitialStateKind.custom(amps)]
+    if graph.anomaly.schema.loops:
+        kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
+    return [family_seeds(graph, kind) for kind in kinds] + [sweep_seeds(graph)]
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_cells_close_like_the_dense_walk(n, anomaly):
-    # the cell closure against the SVD closure of the dense matrix, for the
-    # family seeds, the sweep seeds and a random complex start state
+    # the cell closure against the SVD closure of the dense matrix
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
-    rng = np.random.default_rng(n)
-    amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
-    kinds = [InitialStateKind.minus(), InitialStateKind.custom(amps)]
-    if anomaly.schema.loops:
-        kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
-    seedings = [family_seeds(graph, kind) for kind in kinds] + [sweep_seeds(graph)]
-    for seeds in seedings:
+    for seeds in seedings(graph, op):
         basis = invariant_basis(op, seeds)
         ref = dense_closure(op, seeds)
         assert basis.dim == ref.shape[1]
         assert projector_gap(basis.matrix, ref) <= 1e-12
+
+
+def reference_limit(graph, basis):
+    """V*U0V + 2(V*bo)(V*bi)* with U0 the reflection walk applied column by
+    column and bo, bi the bulk uniforms; None when the basis is not closed
+    under U0 or misses a bulk uniform."""
+    u0 = build_unperturbed(graph)
+    v = basis.matrix
+    work = np.empty(basis.full_dim, dtype=complex)
+    images = np.stack([apply_into(u0, v[:, k].astype(complex), work).copy()
+                       for k in range(basis.dim)], axis=1)
+    core = v.conj().T @ images
+    bulk = [j for j in range(1, graph.n_spokes + 1) if j not in graph.anomaly_vertices]
+    bo = symmetric_out_state(u0.basis, bulk).amplitudes
+    bi = symmetric_in_state(u0.basis, bulk).amplitudes
+    cbo, cbi = v.conj().T @ bo, v.conj().T @ bi
+    leakage = max(np.linalg.norm(images - v @ core, axis=0).max(),
+                  np.linalg.norm(bo - v @ cbo), np.linalg.norm(bi - v @ cbi))
+    if leakage > DEFAULT_POLICY.invariance_tol:
+        return None
+    return core + 2.0 * np.outer(cbo, cbi.conj())
+
+
+ORACLE_SIZES = [*range(3, 13), 16, 256, 4096]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
+def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
+    # the operator from the cells' single pass against U applied again to
+    # the lifted basis, and the limit built on it against the reflection
+    # walk reduced column by column
+    graph = build_star(n, anomaly)
+    op = build_step_operator(graph)
+    cases = seedings(graph, op)
+    for k, seeds in enumerate(cases):
+        finite = reduce_seeds(op, seeds)
+        again = reduce_operator(op, finite.basis).matrix
+        assert np.abs(finite.matrix - again).max() <= 1e-12
+        ref = reference_limit(graph, finite.basis)
+        if ref is None:
+            # only the perturbation runs' own seeds must carry the limit
+            assert k < len(cases) - 1
+            with pytest.raises(InvarianceError):
+                _limit(finite, graph, DEFAULT_POLICY)
+        else:
+            assert np.abs(_limit(finite, graph, DEFAULT_POLICY).matrix - ref).max() <= 1e-12
+
+
+def test_truncated_closure_fails_its_certificate():
+    # a coarse closure residual drops a direction the walk reaches; the
+    # cells still pass their own pass, and the leakage of the images in
+    # cell coordinates is what refuses the result
+    graph = build_star(64, Anomaly.missing_loop(3))
+    op = build_step_operator(graph)
+    coarse = DEFAULT_POLICY.with_overrides(closure_residual=0.5)
+    with pytest.raises(InvarianceError, match="leakage 1.26"):
+        reduce_seeds(op, sweep_seeds(graph), coarse)
+
+
+@pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
+def test_sweep_seeds_are_the_family_generators_and_anomaly_spoke(anomaly):
+    # the seeds as they were listed by hand
+    graph = build_star(10, anomaly)
+    basis = make_basis(graph)
+    hand = [hub_out_state(basis), hub_in_state(basis)]
+    if anomaly.schema.loops:
+        hand.append(all_loops_state(basis))
+    if graph.anomaly_vertices:
+        hand.append(symmetric_out_state(basis, graph.anomaly_vertices))
+    seeds = sweep_seeds(graph)
+    assert len(seeds) == len(hand)
+    for seed, ref in zip(seeds, hand):
+        np.testing.assert_array_equal(seed.amplitudes, ref.amplitudes)
 
 
 @pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),

@@ -71,6 +71,16 @@ def test_cluster_tol_merges_near_degenerate():
     assert split.multiplicities == (1, 1, 1)
 
 
+def test_phase_one_ulp_above_minus_pi_is_labelled_pi():
+    # the two ends of the cut are one branch, reported on the pi side
+    theta = np.nextafter(-np.pi, 0.0)
+    spec = eigendecompose(np.diag(np.exp(1j * np.array([0.5, theta]))))
+    assert spec.multiplicities == (1, 1)
+    assert spec.eigenphases[0] == pytest.approx(0.5, abs=1e-12)
+    assert spec.eigenphases[1] > 3.14
+    assert spec.eigenphases[1] == pytest.approx(np.pi, abs=1e-12)
+
+
 def test_branch_cut_cluster_merges_across_pi():
     eps = 1e-9
     mat = np.diag(np.exp(1j * np.array([np.pi - eps, -np.pi + eps])))
