@@ -28,7 +28,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .stargraph import StarGraph, physical_memory_bytes
-from .stepop import StepOperator, apply_into
+from .stepop import StepOperator, apply_into, walk_dtype
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def reduce_operator(op: StepOperator, basis: ReducedBasis,
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
     v = basis.matrix
-    dtype = v.dtype if op.is_real else np.complex128
+    dtype = walk_dtype(op, v)
     work = np.empty(basis.full_dim, dtype=dtype)
     reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
     leakage = 0.0

@@ -152,7 +152,9 @@ def make_basis(graph: StarGraph) -> EdgeBasis:
 
 def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
                policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
-    amps = np.asarray(amplitudes, dtype=complex).copy()
+    """A frozen copy of the amplitudes: float64 when they are real, else complex128."""
+    amps = np.asarray(amplitudes)
+    amps = np.array(amps, dtype=float if amps.dtype.kind in "biuf" else complex)
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
     if require_unit and abs(np.linalg.norm(amps) - 1.0) > policy.unit_norm_tol:
@@ -163,7 +165,7 @@ def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
 
 def _uniform_state(basis: EdgeBasis, rows) -> WalkState:
     """Equal amplitudes on the rows (a slice or an index array), zero elsewhere."""
-    amps = np.zeros(basis.dim, dtype=complex)
+    amps = np.zeros(basis.dim)
     count = amps[rows].size
     if not count:
         raise ConfigurationError("vertex set must be non-empty")

@@ -10,7 +10,7 @@ one over N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def _limit(finite: ReducedOperator, graph: StarGraph,
     bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
     uniforms = (hub_out_state(basis), hub_in_state(basis),
                 symmetric_out_state(basis, bulk), symmetric_in_state(basis, bulk))
-    # the real parts keep the coefficients real on a real basis
-    parts = [decompose(finite.basis.matrix, s.amplitudes.real) for s in uniforms]
+    parts = [decompose(finite.basis.matrix, s.amplitudes) for s in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
     certify(matrix, max(leak for _, leak in parts), policy)
@@ -192,6 +191,19 @@ def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
     return shifts_out
 
 
+def _branch_labels(samples) -> list[float]:
+    """The label of each sample's branch: the limit phase of its first sample.
+
+    Branches are told apart at 1e-9 in circular distance, so the two ends
+    of (-pi, pi] are one branch, and so are round-off variants of one phase.
+    """
+    labels: list[float] = []
+    for _, shift in samples:
+        near = (label for label in labels if round(_wrap(shift.theta0 - label), 9) == 0)
+        labels.append(next(near, shift.theta0))
+    return labels
+
+
 def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[ScalingFit]:
     """Power-law fits of shift magnitude against size, one per branch.
 
@@ -201,19 +213,12 @@ def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[Scaling
     since an exactly preserved eigenphase is a result, not bad data.
     """
 
-    # branches are told apart at 1e-9 in circular distance, so the two
-    # ends of (-pi, pi] are one branch
-    groups: list[list] = []
-    for n, shift in samples:
-        for entries in groups:
-            if round(_wrap(shift.theta0 - entries[0][1].theta0), 9) == 0:
-                entries.append((n, shift))
-                break
-        else:
-            groups.append([(n, shift)])
+    samples = list(samples)
+    groups: dict[float, list] = {}
+    for label, sample in zip(_branch_labels(samples), samples):
+        groups.setdefault(label, []).append(sample)
     fits = []
-    for entries in sorted(groups, key=lambda entries: entries[0][1].theta0):
-        theta0 = entries[0][1].theta0
+    for theta0, entries in sorted(groups.items()):
         points = [(n, abs(delta)) for n, shift in entries
                   for delta in shift.shifts]
         usable = [(n, delta) for n, delta in points
@@ -244,7 +249,7 @@ def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[Scaling
 
 @dataclass(frozen=True)
 class SweepResult:
-    samples: tuple  # (n_spokes, EigenShift) pairs
+    samples: tuple  # (n_spokes, EigenShift) pairs, each under its fit's branch label
     fits: tuple[ScalingFit, ...]
 
 
@@ -267,7 +272,10 @@ def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES,
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ConfigurationError("size list must be non-empty")
-    samples = tuple(pair for n in sizes for pair in _sweep_point(anomaly, n, policy))
+    samples = [pair for n in sizes for pair in _sweep_point(anomaly, n, policy)]
+    # one label per branch at every size, so shift and fit rows join on it
+    samples = tuple((n, replace(shift, theta0=label))
+                    for label, (n, shift) in zip(_branch_labels(samples), samples))
     return SweepResult(samples=samples,
                        fits=tuple(fit_scaling(samples, policy)))
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY, NumericPolicy
 from .stargraph import StarGraph, physical_memory_bytes, serialize_spec
-from .stepop import apply_into, build_step_operator
+from .stepop import apply_into, build_step_operator, walk_dtype
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,12 @@ def _coefficients(values, what: str) -> tuple[complex, ...]:
     return coeffs
 
 
+def _real_if_exact(coeffs: tuple) -> tuple:
+    """The coefficients as floats when none has an imaginary part, so that
+    a real family's state stays real."""
+    return coeffs if any(c.imag for c in coeffs) else tuple(c.real for c in coeffs)
+
+
 def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], tuple]:
     """Generators of the kind's state family, and the kind's coefficients on them."""
     basis = make_basis(graph)
@@ -93,7 +99,7 @@ def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], 
     if kind.variant == "plus":
         return hubs, (1.0, 1.0)
     if kind.variant == "inout":
-        return hubs, (kind.amp_out, kind.amp_in)
+        return hubs, _real_if_exact((kind.amp_out, kind.amp_in))
     if kind.variant in ("loop_pi", "loop_third"):
         seeds = hubs + [all_loops_state(basis)]  # refused unless every vertex has a loop
         if kind.variant == "loop_pi":
@@ -105,7 +111,7 @@ def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], 
             w = w.conjugate()
         return seeds, (w.conjugate(), 1.0, w)
     if kind.variant == "custom":
-        amps = np.asarray(kind.amplitudes, dtype=complex)
+        amps = np.asarray(_real_if_exact(kind.amplitudes))
         if amps.size != basis.dim:
             raise DimensionMismatchError(
                 f"custom state has {amps.size} amplitudes, basis needs {basis.dim}")
@@ -115,7 +121,8 @@ def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], 
 
 def initial_state(graph: StarGraph, kind: InitialStateKind,
                   policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
-    """Unit-norm start state of the requested kind on this graph."""
+    """Unit-norm start state of the requested kind on this graph: float64
+    when its coefficients are real, complex128 otherwise."""
     seeds, coefficients = _family(graph, kind)
     amps = sum(c * s.amplitudes for c, s in zip(coefficients, seeds))
     return make_state(amps / np.linalg.norm(amps), policy=policy)
@@ -186,13 +193,14 @@ def _record(n: int, target: np.ndarray, anomaly: np.ndarray,
     """Probability split of one step, from the amplitudes on each part."""
     pt = float((np.abs(target) ** 2).sum())
     pa = float((np.abs(anomaly) ** 2).sum())
-    total = float((np.abs(whole) ** 2).sum())
+    # a real vector's total is one pass with no temporaries
+    total = float((np.abs(whole) ** 2).sum()) if np.iscomplexobj(whole) else float(whole @ whole)
     return StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
                       p_rest=max(total - pt - pa, 0.0))
 
 
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
-    x = x0.astype(complex, copy=True)
+    x = x0.astype(walk_dtype(op, x0))
     buf = np.empty_like(x)
     records = [_record(0, x[target_rows], x[anomaly_rows], x)]
     for n in range(1, max_steps + 1):

@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     IndexRangeError,
     SelfEdgeError,
@@ -45,9 +47,14 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a walk holds at least four complex128 vectors of the full dimension at
-# once (start state, current state, step buffer and a per-step temporary)
+# a walk holds at least four vectors of the full dimension at once (start
+# state, current state, step buffer and a per-step temporary); the guard
+# bounds the complex128 case, which a real walk in float64 stays under
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
+
+# e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly
+_QUARTER_TURNS = {(0, 1): 1.0 + 0j, (1, 1): -1.0 + 0j,
+                  (1, 2): complex(0.0, 1.0), (-1, 2): complex(0.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,13 @@ class PhaseAngle:
         if self.num is not None:
             return self.num * math.pi / self.den
         return self.rad
+
+    @property
+    def phasor(self) -> complex:
+        """e^{i theta}: exactly 1, -1 or +-1j on a multiple of pi/2 given as
+        a fraction of pi, so that a walk marked by pi stays real."""
+        exact = _QUARTER_TURNS.get((self.num, self.den))
+        return exact if exact is not None else complex(np.exp(1j * self.value))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
         amp.append(amplitude)
 
     edge = BasisLabel.edge
-    phase = complex(np.exp(1j * a.mark_phase.value)) if a.variant != "none" else 1.0 + 0j
+    phase = a.mark_phase.phasor if a.variant != "none" else 1.0 + 0j
     # every plain spoke bounces (0,j) straight back to (j,0)
     copies: tuple[tuple[int, int], ...] = ((n, 0),)
     if a.variant == "extra_edge":
@@ -137,6 +137,12 @@ def build_step_operator(graph: StarGraph) -> StepOperator:
     return build_scattering_operator(graph, (n - 2) / n, 2 / n)
 
 
+def walk_dtype(op: StepOperator, x: np.ndarray):
+    """The arithmetic of a walk from x: float64 for a real x on a real operator,
+    complex128 otherwise."""
+    return np.float64 if op.is_real and not np.iscomplexobj(x) else np.complex128
+
+
 def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
     """The patch amplitudes in the arithmetic of the output buffer.
 
@@ -181,7 +187,7 @@ def _apply_state(op: StepOperator, state: WalkState, kernel) -> WalkState:
     if state.basis_dim != op.dimension:
         raise DimensionMismatchError(
             f"state dimension {state.basis_dim} != operator dimension {op.dimension}")
-    out = kernel(op, state.amplitudes, np.empty(op.dimension, dtype=complex))
+    out = kernel(op, state.amplitudes, np.empty(op.dimension, walk_dtype(op, state.amplitudes)))
     out.setflags(write=False)
     return WalkState(amplitudes=out, basis_dim=op.dimension)
 
@@ -194,10 +200,10 @@ def apply_adjoint(op: StepOperator, state: WalkState) -> WalkState:
     return _apply_state(op, state, apply_adjoint_into)
 
 
-def _dense_columns(op: StepOperator, lo: int, hi: int) -> np.ndarray:
-    """Columns lo..hi-1 of the materialized matrix."""
+def _dense_columns(op: StepOperator, lo: int, hi: int, dtype=complex) -> np.ndarray:
+    """Columns lo..hi-1 of the materialized matrix, float64 ones only for a real operator."""
     n = op.n_spokes
-    u = np.zeros((op.dimension, hi - lo), dtype=complex)
+    u = np.zeros((op.dimension, hi - lo), dtype=dtype)
     hub = np.arange(max(lo, n), min(hi, 2 * n))
     u[0:n, hub - lo] = op.hub_t
     u[hub - n, hub - lo] = -op.hub_r
@@ -206,7 +212,7 @@ def _dense_columns(op: StepOperator, lo: int, hi: int) -> np.ndarray:
         u[to + cols - frm, cols - lo] = 1.0
     u[op.perm_dst] = 0.0
     inside = (lo <= op.perm_src) & (op.perm_src < hi)
-    u[op.perm_dst[inside], op.perm_src[inside] - lo] = op.perm_amp[inside]
+    u[op.perm_dst[inside], op.perm_src[inside] - lo] = _patch_amplitudes(op, u)[inside]
     return u
 
 
@@ -225,7 +231,8 @@ def check_unitarity(op: StepOperator,
     off-diagonal), so the structural check is O(1) plus a scan of the
     patch amplitudes (block copies carry amplitude 1); for small
     dimensions the result is cross-checked against an explicit dense
-    product, formed one block of column slabs at a time.
+    product, formed one block of column slabs at a time, in float64 for
+    a real operator.
     """
 
     n = op.n_spokes
@@ -237,14 +244,15 @@ def check_unitarity(op: StepOperator,
         dev = max(dev, float(np.abs(np.abs(op.perm_amp) ** 2 - 1.0).max()))
     d = op.dimension
     if d <= policy.dense_cap:
-        # column slabs of 2^20 entries (16 MiB) keep the memory far below
+        # column slabs of 2^20 entries (16 MiB complex) keep the memory far below
         # that of U itself; U†U is Hermitian, so the blocks on and above
         # the diagonal cover every entry
         width = max(1, (1 << 20) // d)
+        dtype = float if op.is_real else complex
         for lo in range(0, d, width):
-            left = _dense_columns(op, lo, min(d, lo + width)).conj().T
+            left = _dense_columns(op, lo, min(d, lo + width), dtype).conj().T
             for lo2 in range(lo, d, width):
-                gram = left @ _dense_columns(op, lo2, min(d, lo2 + width))
+                gram = left @ _dense_columns(op, lo2, min(d, lo2 + width), dtype)
                 if lo2 == lo:
                     gram -= np.eye(len(gram))
                 dev = max(dev, float(np.abs(gram).max()))

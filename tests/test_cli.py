@@ -491,6 +491,23 @@ class TestPerturb:
         assert (code, err) == (0, "")
         assert labels_at_pi(tmp_path) == ({"3.14159265359"}, {"3.14159265359"})
 
+    @pytest.mark.parametrize("flags", [
+        ("--anomaly", "extended_edge", "--at", "3", "--phase-num", "1", "--phase-den", "3"),
+        ("--anomaly", "loop", "--at", "3")])
+    def test_one_label_per_branch(self, capsys, tmp_path, flags):
+        # every size's sample of a branch carries its fit's label, the zero
+        # branch too, whose limit phase is round-off that varies with N
+        code, _, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (0, "")
+
+        def column(name, k):
+            return [line.split(",")[k]
+                    for line in (tmp_path / name).read_text().splitlines()[1:]]
+        fits = column("p-fits.csv", 0)
+        assert len(set(fits)) == len(fits)
+        assert set(column("p.csv", 1)) == set(fits)
+        assert set(column("p.csv", 0)) == {str(2 ** k) for k in range(6, 13)}
+
     def test_spec_and_anomaly_flags_conflict(self, capsys, tmp_path):
         code, _, err = run(capsys, "perturb", "--spec", EXTRA100,
                            "--anomaly", "loop",

@@ -19,6 +19,7 @@ from anomalywalk.errors import (
     DimensionMismatchError,
     NumericalFailureError,
 )
+from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.stargraph import Anomaly, build_star
 
 
@@ -159,6 +160,22 @@ def test_make_state_checks():
     # stored amplitudes are frozen
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("amps, dtype", [
+    (np.array([0.6, 0.8]), np.float64), (np.array([0.6, 0.8], dtype=np.float32), np.float64),
+    ([0, 1], np.float64), ([0.6, 0.8j], np.complex128),
+    (np.array([0.6, 0.8], dtype=complex), np.complex128)])
+def test_make_state_keeps_real_amplitudes_real(amps, dtype):
+    s = make_state(amps, policy=DEFAULT_POLICY.with_overrides(unit_norm_tol=1e-7))
+    assert s.amplitudes.dtype == dtype
+
+
+def test_uniform_states_are_float64():
+    basis = make_basis(build_star(5, Anomaly.missing_loop(2)))
+    for state in (hub_out_state(basis), hub_in_state(basis), all_loops_state(basis),
+                  symmetric_out_state(basis, (1, 3))):
+        assert state.amplitudes.dtype == np.float64
 
 
 def test_make_state_unnormalized_allowed_when_asked():

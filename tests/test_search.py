@@ -119,6 +119,77 @@ class TestInitialStates:
         assert len(family_seeds(missing, InitialStateKind.loop_pi())) == 3
 
 
+class TestRealArithmetic:
+    """Real walks step in float64; complex128 copies of their start states are the oracle."""
+
+    @pytest.mark.parametrize("kind", [
+        InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.loop_pi(),
+        InitialStateKind.inout(1, -1), InitialStateKind.custom([1.0] + [0.0] * 35)])
+    def test_real_kinds_are_float64(self, kind):
+        graph = build_star(12, Anomaly.missing_loop(5))
+        assert initial_state(graph, kind).amplitudes.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", [
+        InitialStateKind.loop_third(), InitialStateKind.inout(1, 1j),
+        InitialStateKind.custom([1j] + [0.0] * 35)])
+    def test_complex_kinds_are_complex128(self, kind):
+        graph = build_star(12, Anomaly.missing_loop(5))
+        assert initial_state(graph, kind).amplitudes.dtype == np.complex128
+
+    def test_criterion_10b_start_state_is_float64(self):
+        # the acceptance suite's norm-drift walk: 10,000 float64 steps at N=1e6
+        graph = build_star(1_000_000, Anomaly.loop(1))
+        assert build_step_operator(graph).is_real
+        assert initial_state(graph, InitialStateKind.minus()).amplitudes.dtype == np.float64
+
+    @staticmethod
+    def walks(n, phase):
+        """Every variant marked by the phase, each with its real start states."""
+        loops = Anomaly.missing_loop(2, phase)
+        anomalies = [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
+                     Anomaly.extended_edge(n, phase), loops]
+        rng = np.random.default_rng(n)
+        for anomaly in anomalies:
+            graph = build_star(n, anomaly)
+            kinds = [InitialStateKind.minus(), InitialStateKind.plus(),
+                     InitialStateKind.custom(rng.standard_normal(graph.hilbert_dim))]
+            if anomaly is loops:
+                kinds.append(InitialStateKind.loop_pi())
+            for kind in kinds:
+                yield graph, kind
+
+    @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi()])
+    @pytest.mark.parametrize("n", [*range(3, 13), 256, 4096])
+    def test_float64_walk_matches_complex128(self, n, phase, monkeypatch):
+        dtypes = []
+        apply_into = anomalywalk.search.apply_into
+
+        def spy(op, x, out):
+            dtypes.append(x.dtype)
+            return apply_into(op, x, out)
+        monkeypatch.setattr(anomalywalk.search, "apply_into", spy)
+        for graph, kind in self.walks(n, phase):
+            op = build_step_operator(graph)
+            assert op.is_real
+            if graph.anomaly.variant == "none":
+                rows = (np.array([0, n]), np.array([], dtype=np.intp))
+            else:
+                rows = anomalywalk.search._partition_rows(graph)
+            x0 = initial_state(graph, kind).amplitudes
+            assert x0.dtype == np.float64
+            dtypes.clear()
+            real = anomalywalk.search._evolve_full(op, x0, 40, *rows)
+            assert set(dtypes) == {np.dtype(np.float64)}
+            dtypes.clear()
+            cplx = anomalywalk.search._evolve_full(op, x0.astype(complex), 40, *rows)
+            assert set(dtypes) == {np.dtype(np.complex128)}
+            for a, b in zip(real, cplx, strict=True):
+                assert a.n == b.n
+                assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
+                assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
+                assert abs(a.p_rest - b.p_rest) <= 1e-12
+
+
 class TestPrediction:
     @pytest.mark.parametrize("n,expected", [(100, 14), (400, 27), (1000, 43)])
     def test_extra_edge_step(self, n, expected):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
@@ -165,6 +166,13 @@ def test_missing_loop_rational_phase():
     assert col[basis.position(BasisLabel.edge(2, 0))] == pytest.approx(np.exp(1j * math.pi / 3))
 
 
+def exact_phase(angle):
+    """e^{i theta}, exact on the quarter turns 0, pi/2, pi and -pi/2."""
+    if angle.is_rational and angle.den in (1, 2):
+        return 1j ** (2 * angle.num // angle.den % 4)
+    return complex(np.exp(1j * angle.value))
+
+
 def rule_triplets(graph, hub_r, hub_t):
     """Sparse (row, col, amplitude) entries of the walk, rule by rule.
 
@@ -183,7 +191,7 @@ def rule_triplets(graph, hub_r, hub_t):
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             rule(edge(j, 0), edge(0, k), -hub_r if k == j else hub_t)
-    phase = complex(np.exp(1j * a.mark_phase.value))
+    phase = exact_phase(a.mark_phase)
     for j in range(1, n + 1):
         if a.variant == "extra_edge" and j in (a.u, a.v):
             rule(edge(0, j), edge(j, a.v if j == a.u else a.u))
@@ -294,9 +302,75 @@ def test_apply_matches_dense(anomaly):
 
 def test_is_real_flag():
     assert build_step_operator(build_star(5, Anomaly.extra_edge(1, 2))).is_real
+    # the default marking phase is pi, exactly -1
+    assert build_step_operator(build_star(5, Anomaly.missing_loop(1))).is_real
+    assert build_step_operator(build_star(5, Anomaly.extended_edge(1))).is_real
     marked = build_step_operator(
         build_star(5, Anomaly.missing_loop(1, PhaseAngle.from_pi_fraction(1, 3))))
     assert not marked.is_real
+
+
+@pytest.mark.parametrize("make", [Anomaly.extended_edge, Anomaly.missing_loop])
+@pytest.mark.parametrize("num, amplitude", [(0, 1.0), (2, 1.0), (1, -1.0), (-3, -1.0)])
+def test_phases_zero_and_pi_are_exact(make, num, amplitude):
+    angle = PhaseAngle.from_pi_fraction(num, 1)
+    assert angle.phasor == amplitude and angle.phasor.imag == 0.0
+    op = build_step_operator(build_star(8, make(3, angle)))
+    assert op.is_real
+    assert not np.any(op.perm_amp.imag)
+    assert set(op.perm_amp.real.tolist()) == {1.0, amplitude}
+
+
+@pytest.mark.parametrize("num, den, amplitude", [(1, 2, 1j), (-1, 2, -1j), (3, 2, -1j),
+                                                  (5, -2, -1j)])
+def test_quarter_turns_are_exact(num, den, amplitude):
+    angle = PhaseAngle.from_pi_fraction(num, den)
+    assert angle.phasor == amplitude and angle.phasor.real == 0.0
+    op = build_step_operator(build_star(8, Anomaly.missing_loop(3, angle)))
+    assert amplitude in op.perm_amp.tolist()
+    assert not op.is_real
+
+
+@pytest.mark.parametrize("angle", [PhaseAngle.from_pi_fraction(1, 3),
+                                   PhaseAngle.from_pi_fraction(-2, 3),
+                                   PhaseAngle.from_radians(0.7)])
+def test_other_phases_follow_exp(angle):
+    want = np.exp(1j * angle.value)
+    got = angle.phasor
+    np.testing.assert_array_max_ulp(np.array([got.real, got.imag]),
+                                    np.array([want.real, want.imag]), maxulp=1)
+    for make in (Anomaly.extended_edge, Anomaly.missing_loop):
+        assert not build_step_operator(build_star(8, make(3, angle))).is_real
+
+
+@pytest.mark.parametrize("anomaly", ALL_VARIANTS)
+def test_apply_step_keeps_real_states_real(anomaly):
+    op = build_step_operator(build_star(6, anomaly))
+    rng = np.random.default_rng(5)
+    real = make_state(rng.standard_normal(op.dimension), require_unit=False)
+    cplx = make_state(real.amplitudes.astype(complex), require_unit=False)
+    assert real.amplitudes.dtype == np.float64 and cplx.amplitudes.dtype == np.complex128
+    for step in (apply_step, apply_adjoint):
+        assert step(op, real).amplitudes.dtype == (np.float64 if op.is_real else np.complex128)
+        assert step(op, cplx).amplitudes.dtype == np.complex128
+        np.testing.assert_allclose(step(op, real).amplitudes, step(op, cplx).amplitudes,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("anomaly", ALL_VARIANTS)
+def test_dense_cross_check_is_real_for_a_real_operator(anomaly, monkeypatch):
+    op = build_step_operator(build_star(20, anomaly))
+    seen = set()
+    columns = anomalywalk.stepop._dense_columns
+
+    def spy(*args):
+        u = columns(*args)
+        seen.add(u.dtype)
+        return u
+    monkeypatch.setattr(anomalywalk.stepop, "_dense_columns", spy)
+    assert check_unitarity(op).passed
+    assert seen == {np.dtype(np.float64) if op.is_real else np.dtype(np.complex128)}
+    assert dense_matrix(op).dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [3, 7, 16])
