@@ -397,8 +397,16 @@ def test_real_buffers_match_complex_path(n):
                 assert not np.any(want.imag)
 
 
-@pytest.mark.parametrize("anomaly", [a for a in ALL_VARIANTS
-                                     if not build_step_operator(build_star(6, a)).is_real])
+# marking phases off the real axis, the quarter turns +-pi/2 among them
+COMPLEX_VARIANTS = [
+    Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
+    Anomaly.extended_edge(3, PhaseAngle.from_radians(0.4)),
+    Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 2)),
+    Anomaly.extended_edge(3, PhaseAngle.from_pi_fraction(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("anomaly", COMPLEX_VARIANTS)
 def test_real_buffer_rejected_for_complex_operator(anomaly):
     op = build_step_operator(build_star(6, anomaly))
     x = np.ones(op.dimension)
