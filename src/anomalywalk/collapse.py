@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailureError,
     SizeError,
 )
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph, physical_memory_bytes
 from .stepop import StepOperator, apply_into, walk_dtype
 
@@ -149,8 +149,7 @@ def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> np.n
     return cells
 
 
-def reduce_seeds(op: StepOperator, seeds: list[WalkState],
-                 policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
+def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
     """Close the span of the seeds under the operator and its adjoint, and
     express the operator inside the closure.
 
@@ -159,7 +158,7 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState],
     certify that they hold it.  Vectors are accepted in a deterministic
     order: seeds first, then for each accepted vector its image under M
     followed by its image under M adjoint; residuals of at most
-    policy.closure_residual count as contained.  For the accepted rows Q
+    DEFAULT_POLICY.closure_residual count as contained.  For the accepted rows Q
     the basis is QC, in float64 when the operator and every seed are real
     and in complex128 otherwise, and the operator on it is conj(Q) M Q^T.
     """
@@ -173,10 +172,10 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState],
                 f"seed dimension {seed.basis_dim} != operator dimension {d}")
     real = op.is_real and not any(np.any(seed.amplitudes.imag) for seed in seeds)
     dtype = np.float64 if real else np.complex128
-    tol = policy.closure_residual
+    tol = DEFAULT_POLICY.closure_residual
     amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
     cells = _cells(op.basis, amps, dtype, tol)
-    reduced = reduce_operator(op, ReducedBasis(cells.T), policy).matrix
+    reduced = reduce_operator(op, ReducedBasis(cells.T)).matrix
     starts = [decompose(cells.T, x) for x in amps]
     q = np.zeros((len(cells), len(cells)), dtype=dtype)
     count = 0
@@ -191,23 +190,23 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState],
     images = reduced @ q.T
     matrix = q.conj() @ images
     leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
-    certify(matrix, max([leakage] + [leak for _, leak in starts]), policy)
+    certify(matrix, max([leakage] + [leak for _, leak in starts]))
     basis = _allocate_rows(count, d, dtype, cells.nbytes)
     np.matmul(q, cells, out=basis)
     basis.setflags(write=False)
     return ReducedOperator(matrix=matrix, basis=ReducedBasis(matrix=basis.T))
 
 
-def invariant_basis(op: StepOperator, seeds: list[WalkState],
-                    policy: NumericPolicy = DEFAULT_POLICY) -> ReducedBasis:
+def invariant_basis(op: StepOperator, seeds: list[WalkState]) -> ReducedBasis:
     """The basis of reduce_seeds: the closure of the seeds' span."""
-    return reduce_seeds(op, seeds, policy).basis
+    return reduce_seeds(op, seeds).basis
 
 
-def certify(matrix: np.ndarray, leakage: float, policy: NumericPolicy) -> None:
+def certify(matrix: np.ndarray, leakage: float) -> None:
     """Freeze a reduced operator once its basis leakage (the largest part of
     an image, or of a state the basis must hold, outside it) and its
     deviation from unitarity are within policy; refuse it otherwise."""
+    policy = DEFAULT_POLICY
     if leakage > policy.invariance_tol:
         raise InvarianceError(f"basis is not invariant: leakage {leakage:.3e} "
                               f"exceeds {policy.invariance_tol:.1e}")
@@ -218,14 +217,13 @@ def certify(matrix: np.ndarray, leakage: float, policy: NumericPolicy) -> None:
     matrix.setflags(write=False)
 
 
-def reduce_operator(op: StepOperator, basis: ReducedBasis,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
+def reduce_operator(op: StepOperator, basis: ReducedBasis) -> ReducedOperator:
     """Express the step operator in the reduced basis as V* U V.
 
     The images are streamed: each column's image goes into one reused work
     vector and is expanded on the basis.  The basis must actually be
     invariant: the part of each image outside the span is the invariance
-    residual, certified against policy.invariance_tol.
+    residual, certified against DEFAULT_POLICY.invariance_tol.
     """
 
     if basis.full_dim != op.dimension:
@@ -240,7 +238,7 @@ def reduce_operator(op: StepOperator, basis: ReducedBasis,
     for k in range(basis.dim):
         reduced[:, k], leak = decompose(v, apply_into(op, v[:, k], work))
         leakage = max(leakage, leak)
-    certify(reduced, leakage, policy)
+    certify(reduced, leakage)
     return ReducedOperator(matrix=reduced, basis=basis)
 
 

@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .stargraph import Anomaly, StarGraph
 
 
@@ -150,14 +150,13 @@ def make_basis(graph: StarGraph) -> EdgeBasis:
     return EdgeBasis(n_spokes=graph.n_spokes, anomaly=graph.anomaly)
 
 
-def make_state(amplitudes: np.ndarray, *, require_unit: bool = True,
-               policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
+def make_state(amplitudes: np.ndarray, *, require_unit: bool = True) -> WalkState:
     """A frozen copy of the amplitudes: float64 when they are real, else complex128."""
     amps = np.asarray(amplitudes)
     amps = np.array(amps, dtype=float if amps.dtype.kind in "biuf" else complex)
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
-    if require_unit and abs(np.linalg.norm(amps) - 1.0) > policy.unit_norm_tol:
+    if require_unit and abs(np.linalg.norm(amps) - 1.0) > DEFAULT_POLICY.unit_norm_tol:
         raise ConfigurationError("state is not unit-norm")
     amps.setflags(write=False)
     return WalkState(amplitudes=amps, basis_dim=amps.size)
@@ -198,8 +197,7 @@ def symmetric_in_state(basis: EdgeBasis, vertices) -> WalkState:
     return _uniform_state(basis, basis.in_rows(vertices))
 
 
-def edge_probabilities(state: WalkState, basis: EdgeBasis,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> dict:
+def edge_probabilities(state: WalkState, basis: EdgeBasis) -> dict:
     """Probability per undirected edge or loop.
 
     Keys are ('spoke', j) for hub spokes, ('edge', u, v) with u < v for
@@ -223,6 +221,6 @@ def edge_probabilities(state: WalkState, basis: EdgeBasis,
         key = ("loop", u) if block[0].kind == "loop" else ("edge", min(u, v), max(u, v))
         probs[key] = float(weights[basis.anomaly_block].sum())
     total = sum(probs.values())
-    if abs(total - 1.0) > policy.probability_tol:
+    if abs(total - 1.0) > DEFAULT_POLICY.probability_tol:
         raise NumericalFailureError(f"probabilities sum to {total}, expected 1")
     return probs

@@ -1,12 +1,14 @@
 """Central numeric policy.
 
-All tolerance constants live in one frozen record so tests and callers can
-tighten or relax them coherently instead of scattering magic numbers.
+All tolerance constants live in one frozen record instead of scattered
+magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
+call runs, never at import, so a test that needs another threshold swaps
+the record in the module that reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,6 @@ class NumericPolicy:
     # perturbation matching and fits
     match_tol: float = 0.1
     shift_floor: float = 1e-13
-
-    def with_overrides(self, **kwargs) -> "NumericPolicy":
-        return replace(self, **kwargs)
 
 
 DEFAULT_POLICY = NumericPolicy()

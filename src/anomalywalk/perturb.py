@@ -35,7 +35,7 @@ from .errors import (
     InsufficientDataError,
     MatchingError,
 )
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .search import InitialStateKind, family_seeds
 from .spectral import Spectrum, eigendecompose
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
@@ -72,8 +72,7 @@ def sweep_seeds(graph: StarGraph) -> list:
     return seeds
 
 
-def _limit(finite: ReducedOperator, graph: StarGraph,
-           policy: NumericPolicy) -> ReducedOperator:
+def _limit(finite: ReducedOperator, graph: StarGraph) -> ReducedOperator:
     """The limit operator on the basis of a finite one.
 
     The finite hub is pure reflection plus 2|o><i| over the uniform spoke
@@ -90,18 +89,17 @@ def _limit(finite: ReducedOperator, graph: StarGraph,
     parts = [decompose(finite.basis.matrix, s.amplitudes) for s in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
-    certify(matrix, max(leak for _, leak in parts), policy)
+    certify(matrix, max(leak for _, leak in parts))
     return ReducedOperator(matrix=matrix, basis=finite.basis)
 
 
-def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis,
-                           policy: NumericPolicy = DEFAULT_POLICY) -> ReducedOperator:
+def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis) -> ReducedOperator:
     """Limit operator expressed in a reduced basis computed for finite size.
 
     The basis must be closed under the walk and hold the uniform spoke
     states, both over all spokes and over the bulk ones.
     """
-    return _limit(reduce_operator(build_step_operator(graph), basis, policy), graph, policy)
+    return _limit(reduce_operator(build_step_operator(graph), basis), graph)
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,7 @@ def _wrap(angle: float) -> float:
     return PhaseAngle.from_radians(angle).value
 
 
-def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
-                      policy: NumericPolicy = DEFAULT_POLICY) -> list[EigenShift]:
+def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum) -> list[EigenShift]:
     """Match perturbed clusters to limit branches and read off the shifts.
 
     Matching goes by eigenvector subspace overlap, not nearest phase, so
@@ -146,7 +143,7 @@ def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum,
     if perturbed.dim != unperturbed.dim:
         raise DimensionMismatchError(
             f"spectra have dimensions {perturbed.dim} and {unperturbed.dim}")
-    match_tol = policy.match_tol
+    match_tol = DEFAULT_POLICY.match_tol
     k0 = len(unperturbed.eigenphases)
     kc = len(perturbed.eigenphases)
     overlap = np.empty((k0, kc))
@@ -204,7 +201,7 @@ def _branch_labels(samples) -> list[float]:
     return labels
 
 
-def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[ScalingFit]:
+def fit_scaling(samples) -> list[ScalingFit]:
     """Power-law fits of shift magnitude against size, one per branch.
 
     samples: iterable of (n_spokes, EigenShift) pairs.  Shifts at or
@@ -217,12 +214,12 @@ def fit_scaling(samples, policy: NumericPolicy = DEFAULT_POLICY) -> list[Scaling
     groups: dict[float, list] = {}
     for label, sample in zip(_branch_labels(samples), samples):
         groups.setdefault(label, []).append(sample)
+    floor = DEFAULT_POLICY.shift_floor
     fits = []
     for theta0, entries in sorted(groups.items()):
         points = [(n, abs(delta)) for n, shift in entries
                   for delta in shift.shifts]
-        usable = [(n, delta) for n, delta in points
-                  if delta > policy.shift_floor]
+        usable = [(n, delta) for n, delta in points if delta > floor]
         excluded = len(points) - len(usable)
         if not usable:
             nan = float("nan")
@@ -253,31 +250,29 @@ class SweepResult:
     fits: tuple[ScalingFit, ...]
 
 
-def _sweep_point(anomaly: Anomaly, n: int, policy: NumericPolicy):
+def _sweep_point(anomaly: Anomaly, n: int):
     graph = build_star(n, anomaly)
-    reduced = reduce_seeds(build_step_operator(graph), sweep_seeds(graph), policy)
-    limit = _limit(reduced, graph, policy)
+    reduced = reduce_seeds(build_step_operator(graph), sweep_seeds(graph))
+    limit = _limit(reduced, graph)
     # keep the cluster threshold well under the smallest expected
     # splitting, which shrinks like 1/N on simple branches
-    tol = min(policy.cluster_tol, 0.01 / n)
-    spec_fin = eigendecompose(reduced, tol, policy)
-    spec_lim = eigendecompose(limit, tol, policy)
-    shifts = eigenphase_shifts(spec_fin, spec_lim, policy=policy)
+    tol = min(DEFAULT_POLICY.cluster_tol, 0.01 / n)
+    spec_fin = eigendecompose(reduced, tol)
+    spec_lim = eigendecompose(limit, tol)
+    shifts = eigenphase_shifts(spec_fin, spec_lim)
     return [(n, shift) for shift in shifts]
 
 
-def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> SweepResult:
+def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES) -> SweepResult:
     """Shift-vs-size sweep for one anomaly across a list of graph sizes."""
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ConfigurationError("size list must be non-empty")
-    samples = [pair for n in sizes for pair in _sweep_point(anomaly, n, policy)]
+    samples = [pair for n in sizes for pair in _sweep_point(anomaly, n)]
     # one label per branch at every size, so shift and fit rows join on it
     samples = tuple((n, replace(shift, theta0=label))
                     for label, (n, shift) in zip(_branch_labels(samples), samples))
-    return SweepResult(samples=samples,
-                       fits=tuple(fit_scaling(samples, policy)))
+    return SweepResult(samples=samples, fits=tuple(fit_scaling(samples)))
 
 
 def write_shifts_csv(samples, path) -> None:

@@ -30,7 +30,7 @@ from .errors import (
     NumericalFailureError,
     SizeError,
 )
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph, physical_memory_bytes, serialize_spec
 from .stepop import apply_into, build_step_operator, walk_dtype
 
@@ -119,13 +119,12 @@ def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], 
     raise ConfigurationError(f"unknown initial-state kind {kind.variant!r}")
 
 
-def initial_state(graph: StarGraph, kind: InitialStateKind,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> WalkState:
+def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
     """Unit-norm start state of the requested kind on this graph: float64
     when its coefficients are real, complex128 otherwise."""
     seeds, coefficients = _family(graph, kind)
     amps = sum(c * s.amplitudes for c, s in zip(coefficients, seeds))
-    return make_state(amps / np.linalg.norm(amps), policy=policy)
+    return make_state(amps / np.linalg.norm(amps))
 
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> list[WalkState]:
@@ -210,12 +209,11 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     return records
 
 
-def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows,
-                    policy):
-    reduced = reduce_seeds(op, family_seeds(graph, kind), policy)
+def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
+    reduced = reduce_seeds(op, family_seeds(graph, kind))
     v = reduced.basis.matrix
     c, leakage = decompose(v, x0)
-    if leakage > policy.invariance_tol:
+    if leakage > DEFAULT_POLICY.invariance_tol:
         raise NumericalFailureError(
             f"start state leaks {leakage:.3e} outside its reduced family")
     m = reduced.matrix
@@ -242,8 +240,7 @@ def _spot_check(op, x0, records, target_rows, anomaly_rows):
 
 
 def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
-               method: str = "full",
-               policy: NumericPolicy = DEFAULT_POLICY) -> SearchResult:
+               method: str = "full") -> SearchResult:
     """Evolve the start state and record the probability split per step.
 
     p_target_spokes covers the spoke edges adjacent to the anomaly,
@@ -260,12 +257,12 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
     op = build_step_operator(graph)
-    x0 = initial_state(graph, kind, policy).amplitudes
+    x0 = initial_state(graph, kind).amplitudes
     if method == "full":
         records = _evolve_full(op, x0, max_steps, target_rows, anomaly_rows)
     else:
         records = _evolve_reduced(graph, op, kind, x0, max_steps, target_rows,
-                                  anomaly_rows, policy)
+                                  anomaly_rows)
     scores = [r.p_target_spokes + r.p_anomaly for r in records]
     peak = int(np.argmax(scores))
     try:
@@ -315,8 +312,7 @@ class MeasurementResult:
 
 
 def measure_accessible(state: WalkState, graph: StarGraph, *,
-                       seed: int | None = None,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementResult:
+                       seed: int | None = None) -> MeasurementResult:
     """Outcome distribution of measuring the edges present in the graph.
 
     Amplitude on states the anomaly alone provides (extra edge, loop on
@@ -343,7 +339,7 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
     detected = None
     sampled = False
     if seed is not None:
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         probs = np.clip(np.append(spoke, undetected), 0.0, None)
         probs /= probs.sum()
         outcome = int(rng.choice(n + 1, p=probs))
@@ -371,6 +367,13 @@ class BaselineStatistics:
 _BASELINE_BYTES_PER_TRIAL = 24
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a non-negative integer seed."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     """Query counts of independent scans of shuffled adjacency lists.
 
@@ -383,11 +386,9 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
         raise NothingToFindError("plain star has no anomaly to find")
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    rng = _rng(seed)
     _require_memory(trials, _BASELINE_BYTES_PER_TRIAL, "trials")
     k = len(graph.anomaly_vertices)
-    rng = np.random.default_rng(seed)
     return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .collapse import ReducedOperator
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .stepop import StepOperator, dense_matrix
 
 
@@ -41,24 +41,12 @@ class Spectrum:
         return b @ b.conj().T
 
 
-def _as_matrix(op, policy: NumericPolicy) -> np.ndarray:
+def _as_matrix(op) -> np.ndarray:
     if isinstance(op, ReducedOperator):
         return np.asarray(op.matrix, dtype=complex)
     if isinstance(op, StepOperator):
-        return dense_matrix(op, policy)
+        return dense_matrix(op)
     return np.asarray(op, dtype=complex)
-
-
-def _fix_column_phases(block: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero entry is real positive."""
-    out = block.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size:
-            z = col[nz[0]]
-            out[:, k] = col * (z.conjugate() / abs(z))
-    return out
 
 
 def _cluster_phases(thetas: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -91,8 +79,7 @@ def _representative(thetas: np.ndarray, tol: float) -> float:
     return theta
 
 
-def eigendecompose(op, cluster_tol: float | None = None,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> Spectrum:
+def eigendecompose(op, cluster_tol: float | None = None) -> Spectrum:
     """Full certified eigensystem of a unitary matrix.
 
     Accepts a ReducedOperator, a StepOperator small enough to materialize,
@@ -101,7 +88,8 @@ def eigendecompose(op, cluster_tol: float | None = None,
     taken; failures raise rather than degrade.
     """
 
-    mat = _as_matrix(op, policy)
+    policy = DEFAULT_POLICY
+    mat = _as_matrix(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     d = mat.shape[0]
@@ -137,7 +125,7 @@ def eigendecompose(op, cluster_tol: float | None = None,
             raise NumericalFailureError(
                 "eigenvector cluster is rank deficient; matrix is not normal")
         phases.append(_representative(thetas[group], cluster_tol))
-        blocks.append(_fix_column_phases(q))
+        blocks.append(q)
         mults.append(len(group))
     order = np.argsort(phases)
     phases = [phases[k] for k in order]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .edgespace import BasisLabel, EdgeBasis, WalkState, make_basis
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError, SizeError
-from .numerics import DEFAULT_POLICY, NumericPolicy
+from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph
 
 
@@ -216,15 +216,15 @@ def _dense_columns(op: StepOperator, lo: int, hi: int, dtype=complex) -> np.ndar
     return u
 
 
-def dense_matrix(op: StepOperator, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def dense_matrix(op: StepOperator) -> np.ndarray:
     """Materialized matrix, for tests and diagnostics only."""
-    if op.dimension > policy.dense_cap:
-        raise SizeError(f"dimension {op.dimension} over dense cap {policy.dense_cap}")
+    cap = DEFAULT_POLICY.dense_cap
+    if op.dimension > cap:
+        raise SizeError(f"dimension {op.dimension} over dense cap {cap}")
     return _dense_columns(op, 0, op.dimension)
 
 
-def check_unitarity(op: StepOperator,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> UnitarityReport:
+def check_unitarity(op: StepOperator) -> UnitarityReport:
     """Max elementwise deviation of U†U from identity.
 
     Hub-column inner products take exactly two values (diagonal and
@@ -243,7 +243,7 @@ def check_unitarity(op: StepOperator,
     if op.perm_amp.size:
         dev = max(dev, float(np.abs(np.abs(op.perm_amp) ** 2 - 1.0).max()))
     d = op.dimension
-    if d <= policy.dense_cap:
+    if d <= DEFAULT_POLICY.dense_cap:
         # column slabs of 2^20 entries (16 MiB complex) keep the memory far below
         # that of U itself; U†U is Hermitian, so the blocks on and above
         # the diagonal cover every entry
@@ -256,4 +256,4 @@ def check_unitarity(op: StepOperator,
                 if lo2 == lo:
                     gram -= np.eye(len(gram))
                 dev = max(dev, float(np.abs(gram).max()))
-    return UnitarityReport(max_deviation=dev, tolerance=policy.unitarity_tol)
+    return UnitarityReport(max_deviation=dev, tolerance=DEFAULT_POLICY.unitarity_tol)

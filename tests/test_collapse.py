@@ -1,8 +1,11 @@
 """Invariant-subspace closure and reduction tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import anomalywalk.collapse
 from anomalywalk.collapse import (
     ReducedBasis,
     invariant_basis,
@@ -205,20 +208,21 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
             # only the perturbation runs' own seeds must carry the limit
             assert k < len(cases) - 1
             with pytest.raises(InvarianceError):
-                _limit(finite, graph, DEFAULT_POLICY)
+                _limit(finite, graph)
         else:
-            assert np.abs(_limit(finite, graph, DEFAULT_POLICY).matrix - ref).max() <= 1e-12
+            assert np.abs(_limit(finite, graph).matrix - ref).max() <= 1e-12
 
 
-def test_truncated_closure_fails_its_certificate():
+def test_truncated_closure_fails_its_certificate(monkeypatch):
     # a coarse closure residual drops a direction the walk reaches; the
     # cells still pass their own pass, and the leakage of the images in
     # cell coordinates is what refuses the result
     graph = build_star(64, Anomaly.missing_loop(3))
     op = build_step_operator(graph)
-    coarse = DEFAULT_POLICY.with_overrides(closure_residual=0.5)
+    coarse = dataclasses.replace(DEFAULT_POLICY, closure_residual=0.5)
+    monkeypatch.setattr(anomalywalk.collapse, "DEFAULT_POLICY", coarse)
     with pytest.raises(InvarianceError, match="leakage 1.26"):
-        reduce_seeds(op, sweep_seeds(graph), coarse)
+        reduce_seeds(op, sweep_seeds(graph))
 
 
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)

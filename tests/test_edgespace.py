@@ -19,7 +19,6 @@ from anomalywalk.errors import (
     DimensionMismatchError,
     NumericalFailureError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.stargraph import Anomaly, build_star
 
 
@@ -167,7 +166,7 @@ def test_make_state_checks():
     ([0, 1], np.float64), ([0.6, 0.8j], np.complex128),
     (np.array([0.6, 0.8], dtype=complex), np.complex128)])
 def test_make_state_keeps_real_amplitudes_real(amps, dtype):
-    s = make_state(amps, policy=DEFAULT_POLICY.with_overrides(unit_norm_tol=1e-7))
+    s = make_state(amps, require_unit=False)
     assert s.amplitudes.dtype == dtype
 
 

@@ -347,6 +347,12 @@ class TestMeasurement:
         b = measure_accessible(state, graph, seed=7)
         assert a.sampled and a.detected_edge == b.detected_edge
 
+    def test_negative_seed_refused(self):
+        graph = build_star(30, Anomaly.loop(3))
+        state = initial_state(graph, InitialStateKind.minus())
+        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+            measure_accessible(state, graph, seed=-1)
+
     def test_dimension_check(self):
         graph = build_star(5, Anomaly.none())
         from anomalywalk.edgespace import make_state

@@ -1,8 +1,11 @@
 """Eigenphase decomposition tests, including the reduced-walk spectrum."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import anomalywalk.spectral
 from anomalywalk.collapse import ReducedBasis, project, reduce_operator
 from anomalywalk.edgespace import (
     BasisLabel,
@@ -207,10 +210,11 @@ def test_rejects_non_square():
         eigendecompose(np.ones((2, 3)))
 
 
-def test_dense_cap():
-    policy = DEFAULT_POLICY.with_overrides(dense_cap=3)
+def test_dense_cap(monkeypatch):
+    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
+                        dataclasses.replace(DEFAULT_POLICY, dense_cap=3))
     with pytest.raises(SizeError):
-        eigendecompose(np.eye(4), policy=policy)
+        eigendecompose(np.eye(4))
 
 
 def test_accepts_step_operator_directly():

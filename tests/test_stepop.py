@@ -10,6 +10,7 @@ import pytest
 import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
+from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     apply_adjoint,
@@ -436,3 +437,25 @@ def test_dense_cap_enforced():
     op = build_step_operator(build_star(5000, Anomaly.none()))
     with pytest.raises(SizeError):
         dense_matrix(op)
+
+
+def test_swapped_dense_cap_is_obeyed(monkeypatch):
+    # the cap is read when a call runs: at the dimension both dense paths
+    # run, one below it dense_matrix refuses and check_unitarity skips its
+    # dense cross-check
+    op = build_step_operator(build_star(10, Anomaly.loop(3)))
+    slabs = []
+    columns = anomalywalk.stepop._dense_columns
+    monkeypatch.setattr(anomalywalk.stepop, "_dense_columns",
+                        lambda *args: slabs.append(args) or columns(*args))
+    for cap, dense in ((op.dimension, True), (op.dimension - 1, False)):
+        monkeypatch.setattr(anomalywalk.stepop, "DEFAULT_POLICY",
+                            dataclasses.replace(DEFAULT_POLICY, dense_cap=cap))
+        slabs.clear()
+        assert check_unitarity(op).passed
+        assert bool(slabs) == dense
+        if dense:
+            assert dense_matrix(op).shape == (op.dimension, op.dimension)
+        else:
+            with pytest.raises(SizeError, match=f"over dense cap {cap}"):
+                dense_matrix(op)
