@@ -11,9 +11,6 @@ from types import ModuleType as _ModuleType
 from .collapse import (
     ReducedBasis,
     ReducedOperator,
-    invariant_basis,
-    lift,
-    project,
     reduce_operator,
     reduce_seeds,
 )
@@ -49,7 +46,6 @@ from .perturb import (
     build_unperturbed,
     eigenphase_shifts,
     fit_scaling,
-    limit_reduced_operator,
     perturbation_sweep,
 )
 from .search import (

@@ -3,57 +3,31 @@
 The walk treats every bulk (non-anomaly) spoke alike, so the rows of the
 star split into a few cells whose span is invariant whatever N is: the
 equitable-partition quotient of the star.  This module builds those cells,
-closes the seeds under the walk in their coordinates, expresses the step
-operator inside the closure, and maps states back and forth.
+closes the seeds under the walk in their coordinates, and expresses the
+step operator inside the closure.
 
-The basis it returns is the transpose of one C-ordered block of rows: a
-d x m matrix whose columns are contiguous, so every projection is a BLAS
-product over contiguous memory.
+A basis is held on the cells, never as full-length vectors: a few bulk
+profiles of length N, the unit rows, and the coordinates of each basis
+vector on the cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edgespace import EdgeBasis, WalkState, make_state
+from .edgespace import EdgeBasis, WalkState
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
     NumericalFailureError,
-    SizeError,
 )
 from .numerics import DEFAULT_POLICY
-from .stargraph import StarGraph, physical_memory_bytes
+from .stargraph import StarGraph
 from .stepop import StepOperator, apply_into, walk_dtype
-
-
-@dataclass(frozen=True)
-class ReducedBasis:
-    """Orthonormal columns spanning a subspace closed under the walk step."""
-
-    matrix: np.ndarray  # full_dim x dim, orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def full_dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class ReducedOperator:
-    matrix: np.ndarray  # dim x dim, unitary
-    basis: ReducedBasis
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -65,20 +39,72 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def decompose(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients c = V*x on orthonormal columns v, and the norm of x - Vc.
+@dataclass(frozen=True)
+class ReducedBasis:
+    """Orthonormal vectors spanning a subspace closed under the walk step,
+    held on the star's cells.
 
-    A real basis splits a complex x into its real and imaginary parts, so
-    that V is never cast to complex.
+    The cells are each bulk profile placed in each bulk block, block by
+    block, then one unit cell per entry of units.  The profiles are
+    orthonormal rows of length N, zero on the anomaly vertices, so the
+    cells are orthonormal; basis vector k is sum_j coords[k, j] cell_j.
     """
-    if not np.iscomplexobj(v) and np.iscomplexobj(x):
-        c_re, leak_re = decompose(v, x.real)
-        c_im, leak_im = decompose(v, x.imag)
-        return c_re + 1j * c_im, math.hypot(leak_re, leak_im)
-    c = _inner(v.T, x)
-    rest = v @ c
-    np.subtract(x, rest, out=rest)
-    return c, _norm(rest)
+
+    profiles: np.ndarray  # p x N, orthonormal rows
+    blocks: tuple[slice, ...]  # the bulk blocks, each of length N
+    units: np.ndarray  # the position of each unit cell
+    coords: np.ndarray  # dim x (len(blocks) p + len(units)), orthonormal rows
+    full_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.coords.shape[0]
+
+    def vector(self, c: np.ndarray) -> np.ndarray:
+        """The full-dimension vector with coefficients c on the basis."""
+        if np.shape(c) != (self.dim,):
+            raise DimensionMismatchError(
+                f"expected {self.dim} coefficients, got shape {np.shape(c)}")
+        cells = c @ self.coords
+        p = len(self.profiles)
+        x = np.zeros(self.full_dim, np.result_type(self.profiles, cells))
+        for k, block in enumerate(self.blocks):
+            np.matmul(cells[k * p:(k + 1) * p], self.profiles, out=x[block])
+        x[self.units] = cells[len(self.blocks) * p:]
+        return x
+
+    def decompose(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Coefficients c = V*x on the basis V, and the norm of x - Vc."""
+        if x.shape != (self.full_dim,):
+            raise DimensionMismatchError(
+                f"vector of shape {x.shape} against a basis in dimension {self.full_dim}")
+        cells = np.concatenate([_inner(self.profiles, x[block]) for block in self.blocks]
+                               + [x[self.units]])
+        c = _inner(self.coords, cells)
+        rest = self.vector(c)
+        rest -= x
+        return c, _norm(rest)
+
+    def rows(self, index) -> np.ndarray:
+        """The rows of the full-dimension basis V at the given positions."""
+        index = np.asarray(index, dtype=np.intp)
+        p = len(self.profiles)
+        cells = np.zeros((index.size, self.coords.shape[1]), self.profiles.dtype)
+        for k, block in enumerate(self.blocks):
+            inside = (index >= block.start) & (index < block.stop)
+            cells[inside, k * p:(k + 1) * p] = self.profiles[:, index[inside] - block.start].T
+        cells[:, len(self.blocks) * p:] = index[:, None] == self.units
+        return cells @ self.coords.T
+
+
+@dataclass(frozen=True)
+class ReducedOperator:
+    matrix: np.ndarray  # dim x dim, unitary
+    basis: ReducedBasis
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def _orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
@@ -99,54 +125,40 @@ def _orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
     return _norm(vec)
 
 
-def _allocate_rows(count: int, d: int, dtype, held: int = 0) -> np.ndarray:
-    """A zeroed count x d block, refused when it and `held` bytes cannot fit."""
-    need = count * d * np.dtype(dtype).itemsize + held
-    memory = physical_memory_bytes()
-    if need > memory:
-        raise SizeError(f"invariant closure needs {need / 2 ** 30:.3g} GiB, more "
-                        f"than the {memory / 2 ** 30:.3g} GiB of physical memory")
-    return np.zeros((count, d), dtype=dtype)
+def _accept(vec: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Orthogonalize vec against the rows and append it, normalised, unless
+    its residual is at most tol or the rows already span the space; returns
+    the rows."""
+    res = _orthogonalize(vec, rows, tol)
+    if res <= tol or len(rows) == vec.size:
+        return rows
+    return np.vstack((rows, vec / res))
 
 
-def _accept(vec: np.ndarray, rows: np.ndarray, count: int, tol: float) -> int:
-    """Orthogonalize vec against rows[:count] and store it, normalised, as
-    rows[count] unless its residual is at most tol; returns the new count."""
-    res = _orthogonalize(vec, rows[:count], tol)
-    if res <= tol or count == len(rows):
-        return count
-    np.divide(vec, res, out=rows[count])
-    return count + 1
-
-
-def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> np.ndarray:
-    """Orthonormal rows whose span is invariant under the walk and holds the seeds.
+def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> ReducedBasis:
+    """The cells as a basis: its span is invariant under the walk and holds the seeds.
 
     Each bulk block (out, in, and missing_loop's loops) carries the bulk
     profiles: the uniform vector and each seed's part in each bulk block,
     orthonormalised, zero on the anomaly vertices.  Every other row is a
-    unit cell of its own.  The supports are disjoint, so the rows are
-    orthonormal as built.
+    unit cell of its own.
     """
     n = basis.n_spokes
     vertices = StarGraph(n, basis.anomaly).anomaly_vertices
     anomalous = basis.out_rows(vertices)
-    blocks = [basis.out_block, basis.in_block]
+    blocks = (basis.out_block, basis.in_block)
     if basis.anomaly.schema.loops:
-        blocks.append(basis.anomaly_block)
-    candidates = [np.ones(n, dtype)] + [seed[block] for seed in seeds for block in blocks]
-    profiles = np.empty((len(candidates), n), dtype)
-    count = 0
-    for vec in candidates:
+        blocks += (basis.anomaly_block,)
+    profiles = np.empty((0, n), dtype)
+    for vec in [np.ones(n)] + [seed[block] for seed in seeds for block in blocks]:
         vec = vec.astype(dtype)
         vec[anomalous] = 0.0
-        count = _accept(vec, profiles, count, tol)
+        profiles = _accept(vec, profiles, tol)
     units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
-    cells = _allocate_rows(len(blocks) * count + len(units), basis.dim, dtype)
-    for k, block in enumerate(blocks):
-        cells[k * count:(k + 1) * count, block] = profiles[:count]
-    cells[np.arange(len(blocks) * count, len(cells)), units] = 1.0
-    return cells
+    m = len(blocks) * len(profiles) + len(units)
+    profiles.setflags(write=False)
+    return ReducedBasis(profiles=profiles, blocks=blocks, units=units,
+                        coords=np.eye(m, dtype=dtype), full_dim=basis.dim)
 
 
 def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
@@ -158,9 +170,10 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
     certify that they hold it.  Vectors are accepted in a deterministic
     order: seeds first, then for each accepted vector its image under M
     followed by its image under M adjoint; residuals of at most
-    DEFAULT_POLICY.closure_residual count as contained.  For the accepted rows Q
-    the basis is QC, in float64 when the operator and every seed are real
-    and in complex128 otherwise, and the operator on it is conj(Q) M Q^T.
+    DEFAULT_POLICY.closure_residual count as contained.  The accepted rows
+    Q are the coordinates of the basis on the cells, in float64 when the
+    operator and every seed are real and in complex128 otherwise, and the
+    operator on it is conj(Q) M Q^T.
     """
 
     if not seeds:
@@ -175,31 +188,22 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
     tol = DEFAULT_POLICY.closure_residual
     amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
     cells = _cells(op.basis, amps, dtype, tol)
-    reduced = reduce_operator(op, ReducedBasis(cells.T)).matrix
-    starts = [decompose(cells.T, x) for x in amps]
-    q = np.zeros((len(cells), len(cells)), dtype=dtype)
-    count = 0
+    reduced = reduce_operator(op, cells).matrix
+    starts = [cells.decompose(x) for x in amps]
+    q = np.empty((0, cells.dim), dtype)
     for c, _ in starts:
-        count = _accept(c, q, count, tol)
+        q = _accept(c, q, tol)
     head = 0
-    while head < count:
-        count = _accept(reduced @ q[head], q, count, tol)
-        count = _accept(reduced.conj().T @ q[head], q, count, tol)
+    while head < len(q):
+        q = _accept(reduced @ q[head], q, tol)
+        q = _accept(reduced.conj().T @ q[head], q, tol)
         head += 1
-    q = q[:count]
     images = reduced @ q.T
     matrix = q.conj() @ images
     leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
     certify(matrix, max([leakage] + [leak for _, leak in starts]))
-    basis = _allocate_rows(count, d, dtype, cells.nbytes)
-    np.matmul(q, cells, out=basis)
-    basis.setflags(write=False)
-    return ReducedOperator(matrix=matrix, basis=ReducedBasis(matrix=basis.T))
-
-
-def invariant_basis(op: StepOperator, seeds: list[WalkState]) -> ReducedBasis:
-    """The basis of reduce_seeds: the closure of the seeds' span."""
-    return reduce_seeds(op, seeds).basis
+    q.setflags(write=False)
+    return ReducedOperator(matrix=matrix, basis=replace(cells, coords=q))
 
 
 def certify(matrix: np.ndarray, leakage: float) -> None:
@@ -220,8 +224,8 @@ def certify(matrix: np.ndarray, leakage: float) -> None:
 def reduce_operator(op: StepOperator, basis: ReducedBasis) -> ReducedOperator:
     """Express the step operator in the reduced basis as V* U V.
 
-    The images are streamed: each column's image goes into one reused work
-    vector and is expanded on the basis.  The basis must actually be
+    One basis vector at a time is built, stepped into one reused work
+    vector and decomposed on the basis.  The basis must actually be
     invariant: the part of each image outside the span is the invariance
     residual, certified against DEFAULT_POLICY.invariance_tol.
     """
@@ -230,30 +234,12 @@ def reduce_operator(op: StepOperator, basis: ReducedBasis) -> ReducedOperator:
         raise DimensionMismatchError(
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
-    v = basis.matrix
-    dtype = walk_dtype(op, v)
+    dtype = walk_dtype(op, basis.coords)
     work = np.empty(basis.full_dim, dtype=dtype)
     reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
     leakage = 0.0
-    for k in range(basis.dim):
-        reduced[:, k], leak = decompose(v, apply_into(op, v[:, k], work))
+    for k, e in enumerate(np.eye(basis.dim)):
+        reduced[:, k], leak = basis.decompose(apply_into(op, basis.vector(e), work))
         leakage = max(leakage, leak)
     certify(reduced, leakage)
     return ReducedOperator(matrix=reduced, basis=basis)
-
-
-def project(state: WalkState, basis: ReducedBasis) -> np.ndarray:
-    """Coefficients of the state on the reduced basis columns."""
-    if state.basis_dim != basis.full_dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.basis_dim} != basis dimension {basis.full_dim}")
-    return decompose(basis.matrix, state.amplitudes)[0]
-
-
-def lift(coefficients: np.ndarray, basis: ReducedBasis) -> WalkState:
-    """Full-space state with the given reduced coefficients."""
-    coeffs = np.asarray(coefficients, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size != basis.dim:
-        raise DimensionMismatchError(
-            f"expected {basis.dim} coefficients, got shape {coeffs.shape}")
-    return make_state(basis.matrix @ coeffs, require_unit=False)

@@ -14,14 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import (
-    ReducedBasis,
-    ReducedOperator,
-    certify,
-    decompose,
-    reduce_operator,
-    reduce_seeds,
-)
+from .collapse import ReducedOperator, certify, reduce_seeds
 from .edgespace import (
     hub_in_state,
     hub_out_state,
@@ -86,20 +79,11 @@ def _limit(finite: ReducedOperator, graph: StarGraph) -> ReducedOperator:
     bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
     uniforms = (hub_out_state(basis), hub_in_state(basis),
                 symmetric_out_state(basis, bulk), symmetric_in_state(basis, bulk))
-    parts = [decompose(finite.basis.matrix, s.amplitudes) for s in uniforms]
+    parts = [finite.basis.decompose(s.amplitudes) for s in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
     certify(matrix, max(leak for _, leak in parts))
     return ReducedOperator(matrix=matrix, basis=finite.basis)
-
-
-def limit_reduced_operator(graph: StarGraph, basis: ReducedBasis) -> ReducedOperator:
-    """Limit operator expressed in a reduced basis computed for finite size.
-
-    The basis must be closed under the walk and hold the uniform spoke
-    states, both over all spokes and over the bulk ones.
-    """
-    return _limit(reduce_operator(build_step_operator(graph), basis), graph)
 
 
 @dataclass(frozen=True)
@@ -192,12 +176,13 @@ def _branch_labels(samples) -> list[float]:
     """The label of each sample's branch: the limit phase of its first sample.
 
     Branches are told apart at 1e-9 in circular distance, so the two ends
-    of (-pi, pi] are one branch, and so are round-off variants of one phase.
+    of (-pi, pi] are one branch, and so are round-off variants of one phase;
+    the branch at 0 is labelled exactly 0.
     """
     labels: list[float] = []
     for _, shift in samples:
         near = (label for label in labels if round(_wrap(shift.theta0 - label), 9) == 0)
-        labels.append(next(near, shift.theta0))
+        labels.append(next(near, 0.0 if round(shift.theta0, 9) == 0 else shift.theta0))
     return labels
 
 

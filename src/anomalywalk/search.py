@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import decompose, reduce_seeds
+from .collapse import reduce_seeds
 from .edgespace import (
     WalkState,
     all_loops_state,
@@ -211,14 +211,14 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
     reduced = reduce_seeds(op, family_seeds(graph, kind))
-    v = reduced.basis.matrix
-    c, leakage = decompose(v, x0)
+    basis = reduced.basis
+    c, leakage = basis.decompose(x0)
     if leakage > DEFAULT_POLICY.invariance_tol:
         raise NumericalFailureError(
             f"start state leaks {leakage:.3e} outside its reduced family")
     m = reduced.matrix
-    tmat = v[target_rows, :]
-    amat = v[anomaly_rows, :]
+    tmat = basis.rows(target_rows)
+    amat = basis.rows(anomaly_rows)
     records = [_record(0, tmat @ c, amat @ c, c)]
     for n in range(1, max_steps + 1):
         c = m @ c

@@ -15,7 +15,6 @@ import numpy as np
 from .collapse import ReducedOperator
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY
-from .stepop import StepOperator, dense_matrix
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,6 @@ class Spectrum:
     def projector(self, k: int) -> np.ndarray:
         b = self.blocks[k]
         return b @ b.conj().T
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, ReducedOperator):
-        return np.asarray(op.matrix, dtype=complex)
-    if isinstance(op, StepOperator):
-        return dense_matrix(op)
-    return np.asarray(op, dtype=complex)
 
 
 def _cluster_phases(thetas: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -82,14 +73,13 @@ def _representative(thetas: np.ndarray, tol: float) -> float:
 def eigendecompose(op, cluster_tol: float | None = None) -> Spectrum:
     """Full certified eigensystem of a unitary matrix.
 
-    Accepts a ReducedOperator, a StepOperator small enough to materialize,
-    or a plain square matrix.  Every eigenpair is certified by its residual
-    and every eigenvalue must sit on the unit circle before its phase is
-    taken; failures raise rather than degrade.
+    Accepts a ReducedOperator or a plain square matrix.  Every eigenpair is
+    certified by its residual and every eigenvalue must sit on the unit
+    circle before its phase is taken; failures raise rather than degrade.
     """
 
     policy = DEFAULT_POLICY
-    mat = _as_matrix(op)
+    mat = np.asarray(op.matrix if isinstance(op, ReducedOperator) else op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     d = mat.shape[0]

@@ -106,49 +106,6 @@ def test_size_beyond_memory_fails_fast(capsys, tmp_path, verb):
     assert len(err.splitlines()) == 1
 
 
-def test_closure_beyond_memory_is_a_size_error(capsys, tmp_path, monkeypatch):
-    # the graph fits, but the closure's row block does not: it must be
-    # refused before allocation, under the CLI error contract
-    import anomalywalk.collapse
-    monkeypatch.setattr(anomalywalk.collapse, "physical_memory_bytes",
-                        lambda: 4096.0)
-    code, out, err = run(capsys, "spectrum", "--spec", LOOP100,
-                         "--out", str(tmp_path / "out.csv"))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:size:")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out.csv").exists()
-
-
-def test_closure_result_beyond_memory_is_a_size_error(capsys, tmp_path,
-                                                     monkeypatch):
-    # the cells fit, but not together with the basis the closure returns
-    import anomalywalk.collapse
-    from anomalywalk.search import InitialStateKind, family_seeds
-    from anomalywalk.stargraph import parse_spec
-    from anomalywalk.stepop import build_step_operator
-    graph = parse_spec(LOOP100)
-    op = build_step_operator(graph)
-    dim = anomalywalk.collapse.invariant_basis(
-        op, family_seeds(graph, InitialStateKind.minus())).dim
-    # float64 cells: the bulk uniform in the out and in blocks, and unit
-    # cells on the loop vertex's out and in rows and on the loop
-    rows = 5 * op.dimension * 8
-    result = dim * op.dimension * 8
-    for memory, code_wanted in ((rows + result // 2, 1), (rows + result, 0)):
-        monkeypatch.setattr(anomalywalk.collapse, "physical_memory_bytes",
-                            lambda: float(memory))
-        code, out, err = run(capsys, "spectrum", "--spec", LOOP100,
-                             "--out", str(tmp_path / "out.csv"))
-        assert code == code_wanted
-        if code_wanted:
-            assert out == ""
-            assert err.startswith("error:size:")
-            assert len(err.splitlines()) == 1
-            assert not (tmp_path / "out.csv").exists()
-
-
 HUGE_DEN = str(10 ** 400)
 
 
@@ -507,6 +464,22 @@ class TestPerturb:
         assert len(set(fits)) == len(fits)
         assert set(column("p.csv", 1)) == set(fits)
         assert set(column("p.csv", 0)) == {str(2 ** k) for k in range(6, 13)}
+
+    @pytest.mark.parametrize("flags", [
+        ("--anomaly", "extended_edge", "--at", "3", "--phase-num", "1", "--phase-den", "3"),
+        ("--anomaly", "missing_loop", "--at", "3", "--phase-rad", "0.7")])
+    def test_zero_branch_is_labelled_zero(self, capsys, tmp_path, flags):
+        # the limit's zero branch comes out of the eigensolver as round-off
+        # of either sign; it is printed and written as exactly 0
+        code, stdout, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (0, "")
+        assert "branch=0.000000 " in stdout
+        assert "-0.000000" not in stdout
+        for name, k in (("p.csv", 1), ("p-fits.csv", 0)):
+            labels = [line.split(",")[k]
+                      for line in (tmp_path / name).read_text().splitlines()[1:]]
+            assert "0" in labels
+            assert not [label for label in labels if abs(float(label)) < 1e-9 and label != "0"]
 
     def test_spec_and_anomaly_flags_conflict(self, capsys, tmp_path):
         code, _, err = run(capsys, "perturb", "--spec", EXTRA100,

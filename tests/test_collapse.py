@@ -1,19 +1,14 @@
 """Invariant-subspace closure and reduction tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import dense_closure, lifted, projector_gap, reduce_columns, reference_closure
 
 import anomalywalk.collapse
-from anomalywalk.collapse import (
-    ReducedBasis,
-    invariant_basis,
-    lift,
-    project,
-    reduce_operator,
-    reduce_seeds,
-)
+from anomalywalk.collapse import ReducedBasis, reduce_operator, reduce_seeds
 from anomalywalk.edgespace import (
     BasisLabel,
     all_loops_state,
@@ -33,12 +28,7 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import _limit, build_unperturbed, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import (
-    apply_adjoint_into,
-    apply_into,
-    build_step_operator,
-    dense_matrix,
-)
+from anomalywalk.stepop import apply_into, build_step_operator, dense_matrix
 
 
 def basis_vector(basis, label):
@@ -50,60 +40,7 @@ def basis_vector(basis, label):
 def family_basis(graph, kind=None):
     op = build_step_operator(graph)
     kind = kind or InitialStateKind.minus()
-    return op, invariant_basis(op, family_seeds(graph, kind))
-
-
-def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
-    """The closure as first written, in the full dimension: complex columns
-    of a (dim x cap) array, projected out one strided column at a time by
-    modified Gram-Schmidt with one reorthogonalization pass, then one QR
-    whose R diagonal phases are rotated back onto the columns."""
-    d = op.dimension
-    cols = np.zeros((d, cap), dtype=complex)
-    count = 0
-
-    def absorb(vec):
-        nonlocal count
-        for _ in range(2):
-            for k in range(count):
-                q = cols[:, k]
-                vec -= (q.conj() @ vec) * q
-        res = np.linalg.norm(vec)
-        if res > policy.closure_residual:
-            cols[:, count] = vec / res
-            count += 1
-
-    for seed in seeds:
-        absorb(seed.amplitudes.astype(complex))
-    work = np.empty(d, dtype=complex)
-    head = 0
-    while head < count:
-        src = cols[:, head].copy()
-        absorb(apply_into(op, src, work).copy())
-        absorb(apply_adjoint_into(op, src, work).copy())
-        head += 1
-    q, r = np.linalg.qr(cols[:, :count])
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def dense_closure(op, seeds):
-    """Orthonormal columns spanning the closure of the seeds under the dense
-    U and U adjoint: the column space is grown by SVD rank until it stops."""
-    u = dense_matrix(op)
-    cols = np.stack([seed.amplitudes for seed in seeds], axis=1)
-    while True:
-        left, sv, _ = np.linalg.svd(np.hstack((cols, u @ cols, u.conj().T @ cols)),
-                                    full_matrices=False)
-        grown = left[:, :int((sv > 1e-9).sum())]
-        if grown.shape[1] == cols.shape[1]:
-            return grown
-        cols = grown
-
-
-def projector_gap(a, b):
-    """||P_a - P_b|| in the 2-norm for orthonormal columns of equal count,
-    computed as ||(1 - P_b) a|| so that no d x d matrix is formed."""
-    return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
+    return op, reduce_seeds(op, family_seeds(graph, kind)).basis
 
 
 ORACLE_CASES = [
@@ -126,12 +63,13 @@ def test_closure_matches_strided_reference(n, case, seeding):
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
     seeds = family_seeds(graph, kind) if seeding == "family" else sweep_seeds(graph)
-    basis = invariant_basis(op, seeds)
+    basis = reduce_seeds(op, seeds).basis
     ref = reference_closure(op, seeds)
     assert basis.dim == ref.shape[1]
-    assert basis.matrix.dtype == (np.float64 if op.is_real else np.complex128)
-    assert projector_gap(basis.matrix, ref) <= 1e-12
-    gram = basis.matrix.conj().T @ basis.matrix
+    assert basis.coords.dtype == (np.float64 if op.is_real else np.complex128)
+    v = lifted(basis)
+    assert projector_gap(v, ref) <= 1e-12
+    gram = v.conj().T @ v
     assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
 
 
@@ -160,10 +98,10 @@ def test_cells_close_like_the_dense_walk(n, anomaly):
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
     for seeds in seedings(graph, op):
-        basis = invariant_basis(op, seeds)
+        basis = reduce_seeds(op, seeds).basis
         ref = dense_closure(op, seeds)
         assert basis.dim == ref.shape[1]
-        assert projector_gap(basis.matrix, ref) <= 1e-12
+        assert projector_gap(lifted(basis), ref) <= 1e-12
 
 
 def reference_limit(graph, basis):
@@ -171,7 +109,7 @@ def reference_limit(graph, basis):
     column and bo, bi the bulk uniforms; None when the basis is not closed
     under U0 or misses a bulk uniform."""
     u0 = build_unperturbed(graph)
-    v = basis.matrix
+    v = lifted(basis)
     work = np.empty(basis.full_dim, dtype=complex)
     images = np.stack([apply_into(u0, v[:, k].astype(complex), work).copy()
                        for k in range(basis.dim)], axis=1)
@@ -194,13 +132,17 @@ ORACLE_SIZES = [*range(3, 13), 16, 256, 4096]
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     # the operator from the cells' single pass against U applied again to
-    # the lifted basis, and the limit built on it against the reflection
-    # walk reduced column by column
+    # the lifted basis column by column and to the basis on its cells, and
+    # the limit built on it against the reflection walk reduced column by
+    # column
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
     cases = seedings(graph, op)
     for k, seeds in enumerate(cases):
         finite = reduce_seeds(op, seeds)
+        again, leakage = reduce_columns(op, lifted(finite.basis))
+        assert leakage <= DEFAULT_POLICY.invariance_tol
+        assert np.abs(finite.matrix - again).max() <= 1e-12
         again = reduce_operator(op, finite.basis).matrix
         assert np.abs(finite.matrix - again).max() <= 1e-12
         ref = reference_limit(graph, finite.basis)
@@ -223,6 +165,28 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
     monkeypatch.setattr(anomalywalk.collapse, "DEFAULT_POLICY", coarse)
     with pytest.raises(InvarianceError, match="leakage 1.26"):
         reduce_seeds(op, sweep_seeds(graph))
+
+
+@pytest.mark.parametrize("anomaly,kind,vectors", [
+    (Anomaly.loop(3), InitialStateKind.minus(), 8),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 8),
+    (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
+     InitialStateKind.loop_third(), 16),
+])
+def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
+    # the closure is held on the cells: no block of full-length rows is
+    # allocated, only a few work vectors (counted as float64 vectors of the
+    # full dimension; the pi/3 walk is complex)
+    graph = build_star(200_000, anomaly)
+    op = build_step_operator(graph)
+    seeds = family_seeds(graph, kind)
+    tracemalloc.start()
+    try:
+        reduce_seeds(op, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * 8 * op.dimension
 
 
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
@@ -249,13 +213,13 @@ def test_complex_seed_takes_complex_path(anomaly):
     graph = build_star(256, anomaly)
     op = build_step_operator(graph)
     seeds = sweep_seeds(graph)
-    real = invariant_basis(op, seeds)
+    real = reduce_seeds(op, seeds).basis
     turned = [make_state(1j * seeds[0].amplitudes)] + seeds[1:]
-    cplx = invariant_basis(op, turned)
-    assert real.matrix.dtype == np.float64
-    assert cplx.matrix.dtype == np.complex128
+    cplx = reduce_seeds(op, turned).basis
+    assert real.coords.dtype == np.float64
+    assert cplx.coords.dtype == np.complex128
     assert cplx.dim == real.dim
-    assert projector_gap(cplx.matrix, real.matrix) <= 1e-12
+    assert projector_gap(lifted(cplx), lifted(real)) <= 1e-12
     spec_real = np.sort(np.angle(np.linalg.eigvals(reduce_operator(op, real).matrix)))
     spec_cplx = np.sort(np.angle(np.linalg.eigvals(reduce_operator(op, cplx).matrix)))
     np.testing.assert_allclose(spec_cplx, spec_real, atol=1e-12)
@@ -289,14 +253,14 @@ def test_single_seed_orbit_is_smaller_than_family():
     # the family generators is what yields the full five dimensions
     graph = build_star(100, Anomaly.extra_edge(2, 5))
     op = build_step_operator(graph)
-    alone = invariant_basis(op, [initial_state(graph, InitialStateKind.minus())])
-    assert alone.dim == 4
-    family = invariant_basis(op, family_seeds(graph, InitialStateKind.minus()))
-    assert family.dim == 5
+    alone = lifted(reduce_seeds(op, [initial_state(graph, InitialStateKind.minus())]).basis)
+    assert alone.shape[1] == 4
+    family = lifted(reduce_seeds(op, family_seeds(graph, InitialStateKind.minus())).basis)
+    assert family.shape[1] == 5
     # the missing direction is a fixed vector of the step
     u = dense_matrix(op)
-    p_alone = alone.matrix @ alone.matrix.conj().T
-    p_family = family.matrix @ family.matrix.conj().T
+    p_alone = alone @ alone.conj().T
+    p_family = family @ family.conj().T
     extra = p_family - p_alone
     vals, vecs = np.linalg.eigh(extra)
     fixed = vecs[:, np.argmax(vals)]
@@ -321,12 +285,14 @@ def test_orbit_matches_dense_rank_brute_force():
         q = np.linalg.svd(m, full_matrices=False)[0][:, :new_rank]
         stack = [q[:, i] for i in range(new_rank)]
         rank = new_rank
-    basis = invariant_basis(op, [basis_vector(op.basis, BasisLabel.edge(0, 3))])
+    basis = reduce_seeds(op, [basis_vector(op.basis, BasisLabel.edge(0, 3))]).basis
     assert basis.dim == rank == 4
 
 
 def test_reduced_matrix_golden_extra_edge():
-    # hand-built invariant basis: anomaly spokes out/in, bulk out/in, chord
+    # hand-built invariant basis: anomaly spokes out/in, bulk out/in, chord;
+    # the walk reduced on it column by column, and the closure's operator
+    # conjugated into it
     n = 10
     graph = build_star(n, Anomaly.extra_edge(2, 5))
     basis = make_basis(graph)
@@ -342,7 +308,10 @@ def test_reduced_matrix_golden_extra_edge():
         chord,
     ], axis=1)
     op = build_step_operator(graph)
-    reduced = reduce_operator(op, ReducedBasis(cols)).matrix
+    reduced, leakage = reduce_columns(op, cols)
+    assert leakage <= 1e-12
+    closure = reduce_seeds(op, family_seeds(graph, InitialStateKind.minus()))
+    change = np.stack([closure.basis.decompose(col)[0] for col in cols.T], axis=1)
     r, t = (n - 2) / n, 2 / n
     a = r - t
     b = 2 * (r * t) ** 0.5
@@ -355,6 +324,8 @@ def test_reduced_matrix_golden_extra_edge():
     expected[2, 3] = a
     expected[1, 4] = 1.0
     np.testing.assert_allclose(reduced, expected, atol=1e-12)
+    np.testing.assert_allclose(change.conj().T @ closure.matrix @ change, expected,
+                               atol=1e-12)
 
 
 def test_family_closure_spans_hand_basis():
@@ -375,7 +346,8 @@ def test_family_closure_spans_hand_basis():
     ], axis=1)
     op, auto = family_basis(graph)
     p_hand = hand @ hand.conj().T
-    p_auto = auto.matrix @ auto.matrix.conj().T
+    v = lifted(auto)
+    p_auto = v @ v.conj().T
     np.testing.assert_allclose(p_auto, p_hand, atol=1e-10)
 
 
@@ -384,7 +356,7 @@ def test_reduction_agrees_with_dense_conjugation():
     op, basis = family_basis(graph)
     reduced = reduce_operator(op, basis)
     u = dense_matrix(op)
-    v = basis.matrix
+    v = lifted(basis)
     np.testing.assert_allclose(reduced.matrix, v.conj().T @ u @ v, atol=1e-13)
     gram = reduced.matrix.conj().T @ reduced.matrix
     np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-12)
@@ -392,17 +364,20 @@ def test_reduction_agrees_with_dense_conjugation():
 
 def test_basis_columns_orthonormal():
     _, basis = family_basis(build_star(30, Anomaly.extra_edge(1, 30)))
-    assert basis.matrix.shape == (basis.full_dim, basis.dim)
-    gram = basis.matrix.conj().T @ basis.matrix
-    np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-12)
-    for k in range(basis.dim):
-        assert basis.matrix[:, k].flags.c_contiguous
+    v = lifted(basis)
+    assert v.shape == (basis.full_dim, basis.dim)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(basis.dim), atol=1e-12)
+    # the rows at any positions are those of the lifted basis
+    index = np.array([59, 0, 29, 30, 60, 61])
+    np.testing.assert_array_equal(basis.rows(index), v[index])
 
 
 def test_million_spoke_closure_is_orthonormal():
-    # the eigenframe check downstream rejects a basis orthonormal only to ~1e-11
+    # the eigenframe check downstream rejects a basis orthonormal only to
+    # ~1e-11; column k of V*V is the decomposition of basis vector k
     _, basis = family_basis(build_star(10 ** 6, Anomaly.loop(1)))
-    gram = basis.matrix.conj().T @ basis.matrix
+    gram = np.stack([basis.decompose(basis.vector(e))[0] for e in np.eye(basis.dim)],
+                    axis=1)
     assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
 
 
@@ -410,38 +385,42 @@ def test_project_lift_roundtrip():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
     x = initial_state(graph, InitialStateKind.minus())
-    coeffs = project(x, basis)
+    coeffs, leakage = basis.decompose(x.amplitudes)
     assert coeffs.shape == (basis.dim,)
-    back = lift(coeffs, basis)
-    np.testing.assert_allclose(back.amplitudes, x.amplitudes, atol=1e-12)
+    assert leakage <= 1e-12
+    np.testing.assert_allclose(basis.vector(coeffs), x.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(lifted(basis) @ coeffs, x.amplitudes, atol=1e-12)
 
 
 def test_project_drops_component_outside_span():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
     outside = basis_vector(op.basis, BasisLabel.edge(0, 1))
-    coeffs = project(outside, basis)
+    coeffs, leakage = basis.decompose(outside.amplitudes)
     assert np.linalg.norm(coeffs) < 1.0  # strictly shrinks
+    assert leakage == pytest.approx(np.sqrt(1.0 - np.linalg.norm(coeffs) ** 2), abs=1e-12)
 
 
 def test_empty_seed_list_rejected():
     op = build_step_operator(build_star(5, Anomaly.none()))
     with pytest.raises(ConfigurationError):
-        invariant_basis(op, [])
+        reduce_seeds(op, [])
 
 
 def test_seed_dimension_mismatch():
     op = build_step_operator(build_star(5, Anomaly.none()))
     wrong = make_state(np.array([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
-        invariant_basis(op, [wrong])
+        reduce_seeds(op, [wrong])
 
 
 def test_reduce_rejects_non_invariant_basis():
+    # one unit cell: the state (0,1), which the step moves away
     graph = build_star(6, Anomaly.none())
     op = build_step_operator(graph)
-    single = basis_vector(op.basis, BasisLabel.edge(0, 1))
-    lonely = ReducedBasis(single.amplitudes.reshape(-1, 1))
+    lonely = ReducedBasis(profiles=np.empty((0, 6)), blocks=(),
+                          units=np.array([op.basis.position(BasisLabel.edge(0, 1))]),
+                          coords=np.eye(1), full_dim=op.dimension)
     with pytest.raises(InvarianceError):
         reduce_operator(op, lonely)
 
@@ -449,13 +428,15 @@ def test_reduce_rejects_non_invariant_basis():
 def test_reduce_dimension_mismatch():
     op5 = build_step_operator(build_star(5, Anomaly.none()))
     op6 = build_step_operator(build_star(6, Anomaly.none()))
-    basis = invariant_basis(op6, [hub_out_state(op6.basis), hub_in_state(op6.basis)])
+    basis = reduce_seeds(op6, [hub_out_state(op6.basis), hub_in_state(op6.basis)]).basis
     with pytest.raises(DimensionMismatchError):
         reduce_operator(op5, basis)
+    with pytest.raises(DimensionMismatchError):
+        basis.decompose(np.zeros(op5.dimension))
 
 
 def test_lift_length_check():
     _, basis = family_basis(build_star(8, Anomaly.loop(2)))
     with pytest.raises(DimensionMismatchError):
-        lift(np.zeros(basis.dim + 1), basis)
+        basis.vector(np.zeros(basis.dim + 1))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anomalywalk.collapse import invariant_basis, reduce_operator
+from anomalywalk.collapse import reduce_seeds
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -16,10 +16,10 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
+    _limit,
     build_unperturbed,
     eigenphase_shifts,
     fit_scaling,
-    limit_reduced_operator,
     perturbation_sweep,
     sweep_seeds,
     write_fits_csv,
@@ -175,8 +175,7 @@ class TestLimitOperator:
     def test_limit_branch_structure(self, anomaly, phases, mults):
         graph = build_star(200, anomaly)
         op = build_step_operator(graph)
-        rb = invariant_basis(op, sweep_seeds(graph))
-        limit = limit_reduced_operator(graph, rb)
+        limit = _limit(reduce_seeds(op, sweep_seeds(graph)), graph)
         gram = limit.matrix.conj().T @ limit.matrix
         np.testing.assert_allclose(gram, np.eye(limit.dim), atol=1e-12)
         spec = eigendecompose(limit)
@@ -189,8 +188,7 @@ class TestLimitOperator:
         for n in (64, 256):
             graph = build_star(n, Anomaly.extra_edge(1, 2))
             op = build_step_operator(graph)
-            rb = invariant_basis(op, sweep_seeds(graph))
-            spec = eigendecompose(limit_reduced_operator(graph, rb))
+            spec = eigendecompose(_limit(reduce_seeds(op, sweep_seeds(graph)), graph))
             if a64 is None:
                 a64 = spec.eigenphases
             else:
