@@ -43,7 +43,6 @@ from .perturb import (
     EigenShift,
     ScalingFit,
     SweepResult,
-    build_unperturbed,
     eigenphase_shifts,
     fit_scaling,
     perturbation_sweep,
@@ -73,10 +72,9 @@ from .stargraph import (
     serialize_spec,
 )
 from .stepop import (
+    BlockWalk,
     StepOperator,
     UnitarityReport,
-    apply_adjoint,
-    apply_step,
     build_step_operator,
     check_unitarity,
 )

@@ -126,19 +126,6 @@ class EdgeBasis:
             return 2 * n + block.index(label)
         raise ConfigurationError(f"label {label} not in basis")
 
-    def label(self, pos: int) -> BasisLabel:
-        """Inverse of position."""
-        n = self.n_spokes
-        if not 0 <= pos < self.dim:
-            raise ConfigurationError(f"position {pos} outside 0..{self.dim - 1}")
-        if pos < n:
-            return BasisLabel.edge(0, pos + 1)
-        if pos < 2 * n:
-            return BasisLabel.edge(pos - n + 1, 0)
-        if self.anomaly.schema.loops:
-            return BasisLabel.loop(pos - 2 * n + 1)
-        return self._fixed_block()[pos - 2 * n]
-
 
 @dataclass(frozen=True)
 class WalkState:

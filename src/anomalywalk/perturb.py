@@ -32,23 +32,9 @@ from .numerics import DEFAULT_POLICY
 from .search import InitialStateKind, family_seeds
 from .spectral import Spectrum, eigendecompose
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
-from .stepop import (
-    StepOperator,
-    build_scattering_operator,
-    build_step_operator,
-)
+from .stepop import build_step_operator
 
 DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
-
-
-def build_unperturbed(graph: StarGraph) -> StepOperator:
-    """Walk operator with the hub replaced by pure reflection.
-
-    Anomaly-vertex rules are unchanged; only the hub loses its
-    transmission.  This is the size-infinity limit of the step operator;
-    the reduced limit is built without it, so it serves as a reference.
-    """
-    return build_scattering_operator(graph, 1.0, 0.0)
 
 
 def sweep_seeds(graph: StarGraph) -> list:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph, physical_memory_bytes, serialize_spec
-from .stepop import apply_into, build_step_operator, walk_dtype
+from .stepop import BlockWalk, build_step_operator
 
 
 @dataclass(frozen=True)
@@ -187,25 +187,35 @@ def _require_memory(count: int, bytes_each: int, what: str) -> None:
                         f"{memory / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _record(n: int, target: np.ndarray, anomaly: np.ndarray,
-            whole: np.ndarray) -> StepRecord:
-    """Probability split of one step, from the amplitudes on each part."""
+def _norm2(x: np.ndarray) -> float:
+    """Squared norm; a real vector's is one pass with no temporaries."""
+    return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
+
+
+def _record(n: int, target: np.ndarray, anomaly: np.ndarray, total: float) -> StepRecord:
+    """Probability split of one step, from the amplitudes on the target and
+    anomaly parts and the total squared norm."""
     pt = float((np.abs(target) ** 2).sum())
     pa = float((np.abs(anomaly) ** 2).sum())
-    # a real vector's total is one pass with no temporaries
-    total = float((np.abs(whole) ** 2).sum()) if np.iscomplexobj(whole) else float(whole @ whole)
     return StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
                       p_rest=max(total - pt - pa, 0.0))
 
 
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
-    x = x0.astype(walk_dtype(op, x0))
-    buf = np.empty_like(x)
-    records = [_record(0, x[target_rows], x[anomaly_rows], x)]
+    """The full walk, one record per step: the state is stepped as block
+    buffers, its rows read at their (block, offset) and its total summed
+    block by block."""
+    walk = BlockWalk(op, x0)
+    target, anomaly = op.routing.locate(target_rows), op.routing.locate(anomaly_rows)
+
+    def record(n):
+        return _record(n, walk.gather(target), walk.gather(anomaly),
+                       sum(map(_norm2, walk.blocks)))
+
+    records = [record(0)]
     for n in range(1, max_steps + 1):
-        apply_into(op, x, buf)
-        x, buf = buf, x
-        records.append(_record(n, x[target_rows], x[anomaly_rows], x))
+        walk.step()
+        records.append(record(n))
     return records
 
 
@@ -219,10 +229,10 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
     m = reduced.matrix
     tmat = basis.rows(target_rows)
     amat = basis.rows(anomaly_rows)
-    records = [_record(0, tmat @ c, amat @ c, c)]
+    records = [_record(0, tmat @ c, amat @ c, _norm2(c))]
     for n in range(1, max_steps + 1):
         c = m @ c
-        records.append(_record(n, tmat @ c, amat @ c, c))
+        records.append(_record(n, tmat @ c, amat @ c, _norm2(c)))
     _spot_check(op, x0, records, target_rows, anomaly_rows)
     return records
 

@@ -1,15 +1,77 @@
-"""Dense references that the reduced path is checked against.
+"""References that the fast paths are checked against.
 
 None of them reduces through `ReducedBasis`: operators are reduced on
 dense columns, one column at a time with `apply_into`, and closures are
 grown in the full dimension.  A basis held on cells is compared with
-them after its full lift through `rows`.
+them after its full lift through `rows`.  The full walk's block buffers
+are checked against the walk stepped as one flat vector, and the step
+against its adjoint, which only the tests need.
 """
 
 import numpy as np
 
+from anomalywalk.edgespace import BasisLabel
+from anomalywalk.errors import ConfigurationError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.stepop import apply_adjoint_into, apply_into, dense_matrix
+from anomalywalk.search import StepRecord
+from anomalywalk.stepop import (
+    _patch_amplitudes,
+    apply_into,
+    build_scattering_operator,
+    dense_matrix,
+    walk_dtype,
+)
+
+
+def label_at(basis, pos):
+    """The label at a position of the basis: the inverse of `position`."""
+    n = basis.n_spokes
+    if not 0 <= pos < basis.dim:
+        raise ConfigurationError(f"position {pos} outside 0..{basis.dim - 1}")
+    if pos < n:
+        return BasisLabel.edge(0, pos + 1)
+    if pos < 2 * n:
+        return BasisLabel.edge(pos - n + 1, 0)
+    if basis.anomaly.schema.loops:
+        return BasisLabel.loop(pos - 2 * n + 1)
+    return basis._fixed_block()[pos - 2 * n]
+
+
+def build_unperturbed(graph):
+    """The walk with the hub replaced by pure reflection (r=1, t=0): the
+    size-infinity limit of the step operator, which `perturb` reaches
+    without building it."""
+    return build_scattering_operator(graph, 1.0, 0.0)
+
+
+def apply_adjoint_into(op, x, out):
+    """U adjoint on a flat vector: the hub rule transposed, then each copy
+    and patch run backwards with the conjugate amplitude."""
+    n = op.n_spokes
+    np.subtract(op.hub_t * x[0:n].sum(), x[0:n], out=out[n:2 * n])
+    for to, frm in op.copies:
+        out[frm:frm + n] = x[to:to + n]
+    out[op.perm_src] = np.conj(_patch_amplitudes(op, out)) * x[op.perm_dst]
+    return out
+
+
+def flat_walk_records(op, x0, steps, target_rows, anomaly_rows):
+    """The full walk's records as first written: one flat vector stepped by
+    `apply_into` into a second buffer, its rows read by index and its
+    total taken over the whole vector."""
+    x = x0.astype(walk_dtype(op, x0))
+    buf = np.empty_like(x)
+    records = []
+    for n in range(steps + 1):
+        if n:
+            apply_into(op, x, buf)
+            x, buf = buf, x
+        pt = float((np.abs(x[target_rows]) ** 2).sum())
+        pa = float((np.abs(x[anomaly_rows]) ** 2).sum())
+        total = float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
+        records.append(StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
+                                  p_rest=max(total - pt - pa, 0.0)))
+    return records
 
 
 def lifted(basis):

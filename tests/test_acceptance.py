@@ -37,6 +37,7 @@ from anomalywalk.stargraph import (
     serialize_spec,
 )
 from anomalywalk.stepop import (
+    BlockWalk,
     apply_into,
     build_step_operator,
     check_unitarity,
@@ -289,12 +290,10 @@ def test_criterion_10_infrastructure():
     # (b) norm drift on the million-spoke walk through the O(N) path
     graph = build_star(1_000_000, Anomaly.loop(1))
     op = build_step_operator(graph)
-    x = initial_state(graph, InitialStateKind.minus()).amplitudes.copy()
-    buf = np.empty_like(x)
-    for _ in range(5_000):
-        apply_into(op, x, buf)
-        apply_into(op, buf, x)
-    drift = abs(float(np.linalg.norm(x)) - 1.0)
+    walk = BlockWalk(op, initial_state(graph, InitialStateKind.minus()).amplitudes)
+    for _ in range(10_000):
+        walk.step()
+    drift = abs(float(np.linalg.norm(np.concatenate(walk.blocks))) - 1.0)
     drift_ok = drift < 1e-10
 
     # (c) spec round-trip identity on a generated corpus

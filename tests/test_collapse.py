@@ -5,7 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import dense_closure, lifted, projector_gap, reduce_columns, reference_closure
+from oracle import (
+    build_unperturbed,
+    dense_closure,
+    lifted,
+    projector_gap,
+    reduce_columns,
+    reference_closure,
+)
 
 import anomalywalk.collapse
 from anomalywalk.collapse import ReducedBasis, reduce_operator, reduce_seeds
@@ -25,7 +32,7 @@ from anomalywalk.errors import (
     InvarianceError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _limit, build_unperturbed, sweep_seeds
+from anomalywalk.perturb import _limit, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import apply_into, build_step_operator, dense_matrix

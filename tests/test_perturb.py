@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import build_unperturbed
 
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.errors import (
@@ -17,7 +18,6 @@ from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
     _limit,
-    build_unperturbed,
     eigenphase_shifts,
     fit_scaling,
     perturbation_sweep,

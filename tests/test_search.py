@@ -2,12 +2,15 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import flat_walk_records
 
 import anomalywalk.search
-from anomalywalk.edgespace import make_basis
+import anomalywalk.stepop
+from anomalywalk.edgespace import make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -27,7 +30,7 @@ from anomalywalk.search import (
     write_per_step_csv,
 )
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import apply_step, build_step_operator
+from anomalywalk.stepop import BlockWalk, build_step_operator, walk_dtype
 
 
 class TestInitialStates:
@@ -162,12 +165,12 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("n", [*range(3, 13), 256, 4096])
     def test_float64_walk_matches_complex128(self, n, phase, monkeypatch):
         dtypes = []
-        apply_into = anomalywalk.search.apply_into
+        step = anomalywalk.stepop.BlockWalk.step
 
-        def spy(op, x, out):
-            dtypes.append(x.dtype)
-            return apply_into(op, x, out)
-        monkeypatch.setattr(anomalywalk.search, "apply_into", spy)
+        def spy(walk):
+            dtypes.extend(b.dtype for b in walk.blocks)
+            return step(walk)
+        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step", spy)
         for graph, kind in self.walks(n, phase):
             op = build_step_operator(graph)
             assert op.is_real
@@ -188,6 +191,63 @@ class TestRealArithmetic:
                 assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
                 assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
                 assert abs(a.p_rest - b.p_rest) <= 1e-12
+
+
+class TestBlockWalk:
+    """The full walk on block buffers against the walk stepped as one flat vector."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_records_match_flat_apply(self, n):
+        # a real walk reads the same amplitudes, so its target and anomaly
+        # probabilities are bit-equal; only the total is summed block by block
+        third, rad = PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7)
+        minus = InitialStateKind.minus()
+        rng = np.random.default_rng(n)
+        cases = [(Anomaly.extra_edge(1, n), minus), (Anomaly.extra_edge(2, 3), minus),
+                 (Anomaly.loop(n), minus), (Anomaly.loop(1), InitialStateKind.plus()),
+                 (Anomaly.extended_edge(1), minus), (Anomaly.extended_edge(n, rad), minus),
+                 (Anomaly.missing_loop(1), InitialStateKind.loop_pi()),
+                 (Anomaly.missing_loop(n, third), InitialStateKind.loop_third()),
+                 (Anomaly.missing_loop(2, rad), minus),
+                 (Anomaly.missing_loop(n),
+                  InitialStateKind.custom(rng.standard_normal(3 * n)))]
+        for anomaly, kind in cases:
+            graph = build_star(n, anomaly)
+            op = build_step_operator(graph)
+            rows = anomalywalk.search._partition_rows(graph)
+            x0 = initial_state(graph, kind).amplitudes
+            got = anomalywalk.search._evolve_full(op, x0, 200, *rows)
+            want = flat_walk_records(op, x0, 200, *rows)
+            exact = walk_dtype(op, x0) == np.float64
+            for a, b in zip(got, want, strict=True):
+                assert a.n == b.n
+                if exact:
+                    assert (a.p_target_spokes, a.p_anomaly) == (b.p_target_spokes, b.p_anomaly)
+                else:
+                    assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
+                    assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
+                assert abs(a.p_rest - b.p_rest) <= 1e-12
+
+    def test_buffers_are_allocated_once(self):
+        # net of the records it returns, the walk holds one state's worth of
+        # block buffers, whatever the number of steps
+        graph = build_star(200_000, Anomaly.loop(7))
+        op = build_step_operator(graph)
+        rows = anomalywalk.search._partition_rows(graph)
+        x0 = initial_state(graph, InitialStateKind.minus()).amplitudes
+        net = {}
+        for steps in (10, 1000):
+            tracemalloc.start()
+            try:
+                records = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == steps + 1
+            net[steps] = peak - current
+        slack = 1 << 16
+        assert net[1000] <= net[10] + slack
+        assert net[10] <= x0.nbytes + slack
 
 
 class TestPrediction:
@@ -318,11 +378,11 @@ class TestMeasurement:
     def test_distribution_and_undetected(self):
         graph = build_star(100, Anomaly.extra_edge(2, 7))
         result = run_search(graph, InitialStateKind.minus(), 14)
-        op = build_step_operator(graph)
-        state = initial_state(graph, InitialStateKind.minus())
+        walk = BlockWalk(build_step_operator(graph),
+                         initial_state(graph, InitialStateKind.minus()).amplitudes)
         for _ in range(14):
-            state = apply_step(op, state)
-        m = measure_accessible(state, graph)
+            walk.step()
+        m = measure_accessible(make_state(np.concatenate(walk.blocks)), graph)
         assert m.p_undetected == pytest.approx(result.peak_undetected, abs=1e-12)
         assert m.distribution[2] + m.distribution[7] == pytest.approx(
             result.peak_detectable, abs=1e-12)

@@ -6,21 +6,26 @@ import warnings
 
 import numpy as np
 import pytest
+from oracle import apply_adjoint_into
 
 import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
-from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
+from anomalywalk.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    NumericalFailureError,
+    SizeError,
+)
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
-    apply_adjoint,
-    apply_adjoint_into,
+    BlockWalk,
     apply_into,
-    apply_step,
     build_step_operator,
     check_unitarity,
     build_scattering_operator,
     dense_matrix,
+    walk_dtype,
 )
 
 ALL_VARIANTS = [
@@ -260,6 +265,51 @@ def test_apply_paths_match_dense(n):
                                        u.conj().T @ x, rtol=0, atol=1e-14)
 
 
+WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3),
+               PhaseAngle.from_radians(0.7)]
+
+
+@pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_block_walk_matches_dense(n, phase):
+    # every step of the relabelled walk against powers of the dense U, from
+    # a real and a complex start, over 3*dim steps
+    anomalies = [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
+                 Anomaly.loop(1, phase), Anomaly.loop(n, phase), Anomaly.extended_edge(1, phase),
+                 Anomaly.extended_edge(n, phase), Anomaly.missing_loop(1, phase),
+                 Anomaly.missing_loop(n, phase)]
+    rng = np.random.default_rng(n)
+    for anomaly in anomalies:
+        op = build_step_operator(build_star(n, anomaly))
+        u = dense_matrix(op)
+        real = rng.standard_normal(op.dimension)
+        for x0 in (real / np.linalg.norm(real), random_unit_state(op.dimension, n).amplitudes):
+            walk = BlockWalk(op, x0)
+            want = x0.astype(complex)
+            worst = 0.0
+            for _ in range(3 * op.dimension):
+                walk.step()
+                want = u @ want
+                worst = max(worst, float(np.abs(np.concatenate(walk.blocks) - want).max()))
+            assert worst <= 1e-12, (anomaly, x0.dtype, worst)
+
+
+@pytest.mark.parametrize("anomaly, roles", [
+    (Anomaly.none(), (1, 0, 2)), (Anomaly.extra_edge(2, 5), (1, 0, 2)),
+    (Anomaly.loop(3), (1, 0, 2)), (Anomaly.extended_edge(3), (1, 0, 2)),
+    (Anomaly.missing_loop(3), (1, 2, 0, 3))])
+def test_routing_relabels_blocks(anomaly, roles):
+    # out <- in through the hub, in <- out (or in <- loops <- out), and the
+    # tail keeps its buffer; a copy that is not a relabelling is refused
+    op = build_step_operator(build_star(6, anomaly))
+    assert op.routing.roles == roles
+    assert op.routing.bounds[-1] == op.dimension
+    assert op.routing.locate(op.perm_dst) == op.routing.dst
+    for copies in (((12, 0),), ((7, 1),)):
+        with pytest.raises(NumericalFailureError):
+            dataclasses.replace(op, copies=copies).routing
+
+
 @pytest.mark.parametrize("variant", ["none", "extra_edge", "loop",
                                      "extended_edge", "missing_loop"])
 def test_patches_are_few(variant):
@@ -293,12 +343,11 @@ def test_dense_cross_check_spans_slabs():
 def test_apply_matches_dense(anomaly):
     graph = build_star(6, anomaly)
     op = build_step_operator(graph)
-    x = random_unit_state(op.dimension, seed=11)
-    stepped = apply_step(op, x)
-    np.testing.assert_allclose(stepped.amplitudes,
-                               dense_matrix(op) @ x.amplitudes, atol=1e-14)
-    back = apply_adjoint(op, stepped)
-    np.testing.assert_allclose(back.amplitudes, x.amplitudes, atol=1e-13)
+    x = random_unit_state(op.dimension, seed=11).amplitudes
+    stepped = apply_into(op, x, np.empty(op.dimension, dtype=complex))
+    np.testing.assert_allclose(stepped, dense_matrix(op) @ x, atol=1e-14)
+    back = apply_adjoint_into(op, stepped, np.empty(op.dimension, dtype=complex))
+    np.testing.assert_allclose(back, x, atol=1e-13)
 
 
 def test_is_real_flag():
@@ -344,18 +393,28 @@ def test_other_phases_follow_exp(angle):
         assert not build_step_operator(build_star(8, make(3, angle))).is_real
 
 
+def walk_once(op, x):
+    walk = BlockWalk(op, x)
+    walk.step()
+    return walk.blocks
+
+
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_apply_step_keeps_real_states_real(anomaly):
+    # the block walk and the adjoint, in the arithmetic `walk_dtype` picks
     op = build_step_operator(build_star(6, anomaly))
     rng = np.random.default_rng(5)
-    real = make_state(rng.standard_normal(op.dimension), require_unit=False)
-    cplx = make_state(real.amplitudes.astype(complex), require_unit=False)
-    assert real.amplitudes.dtype == np.float64 and cplx.amplitudes.dtype == np.complex128
-    for step in (apply_step, apply_adjoint):
-        assert step(op, real).amplitudes.dtype == (np.float64 if op.is_real else np.complex128)
-        assert step(op, cplx).amplitudes.dtype == np.complex128
-        np.testing.assert_allclose(step(op, real).amplitudes, step(op, cplx).amplitudes,
-                                   rtol=0, atol=1e-14)
+    real = rng.standard_normal(op.dimension)
+    cplx = real.astype(complex)
+    real_blocks, cplx_blocks = walk_once(op, real), walk_once(op, cplx)
+    assert {b.dtype for b in real_blocks} == {np.dtype(np.float64 if op.is_real else complex)}
+    assert {b.dtype for b in cplx_blocks} == {np.dtype(complex)}
+    np.testing.assert_allclose(np.concatenate(real_blocks), np.concatenate(cplx_blocks),
+                               rtol=0, atol=1e-14)
+    back = apply_adjoint_into(op, real, np.empty(op.dimension, walk_dtype(op, real)))
+    assert back.dtype == (np.float64 if op.is_real else np.complex128)
+    np.testing.assert_allclose(back, apply_adjoint_into(op, cplx, np.empty_like(cplx)),
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -430,7 +489,7 @@ def test_raw_buffers_roundtrip_without_allocation():
 def test_apply_step_dimension_check():
     op = build_step_operator(build_star(5, Anomaly.none()))
     with pytest.raises(DimensionMismatchError):
-        apply_step(op, make_state(np.array([1.0])))
+        BlockWalk(op, np.array([1.0]))
 
 
 def test_dense_cap_enforced():
