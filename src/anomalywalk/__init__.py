@@ -8,12 +8,7 @@ and eigenphase shifts, and runs the searches the anomalies enable.
 
 from types import ModuleType as _ModuleType
 
-from .collapse import (
-    ReducedBasis,
-    ReducedOperator,
-    reduce_operator,
-    reduce_seeds,
-)
+from .collapse import ReducedBasis, ReducedOperator, reduce_seeds
 from .edgespace import (
     BasisLabel,
     EdgeBasis,

@@ -3,8 +3,8 @@
 The walk treats every bulk (non-anomaly) spoke alike, so the rows of the
 star split into a few cells whose span is invariant whatever N is: the
 equitable-partition quotient of the star.  This module builds those cells,
-closes the seeds under the walk in their coordinates, and expresses the
-step operator inside the closure.
+reads the step on them from its routing, closes the seeds under it in
+their coordinates, and expresses the step inside the closure.
 
 A basis is held on the cells, never as full-length vectors: a few bulk
 profiles of length N, the unit rows, and the coordinates of each basis
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph
-from .stepop import StepOperator, apply_into, walk_dtype
+from .stepop import StepOperator, walk_dtype
 
 
 def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -96,6 +96,23 @@ class ReducedBasis:
         cells[:, len(self.blocks) * p:] = index[:, None] == self.units
         return cells @ self.coords.T
 
+    def block_ones(self, k: int) -> np.ndarray:
+        """The all-ones vector on bulk block k in cell coordinates: each
+        profile's cell weighs its conjugated sum (the first profile is the
+        uniform one), and each unit inside the block weighs 1."""
+        p = len(self.profiles)
+        block = self.blocks[k]
+        cells = np.zeros(self.coords.shape[1], self.profiles.dtype)
+        cells[k * p:(k + 1) * p] = self.profiles.sum(axis=1).conj()
+        cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
+        return cells
+
+    def decompose_cells(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
+        """Coefficients c on the basis of a vector given in cell
+        coordinates, and the norm of its part outside the basis."""
+        c = _inner(self.coords, cells)
+        return c, _norm(cells - c @ self.coords)
+
 
 @dataclass(frozen=True)
 class ReducedOperator:
@@ -161,19 +178,58 @@ def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> Redu
                         coords=np.eye(m, dtype=dtype), full_dim=basis.dim)
 
 
+def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
+    """M = C*UC on the cells C of a basis, read from the routing and certified.
+
+    The hub writes t*sum(in) - in over the out block, whose all-ones is
+    `block_ones(0)`; a bulk cell sums to its profile's sum, a unit to 1.
+    Every other block is the old block of its role, cell by cell, each
+    unit moving to the unit at its offset, and each patch moves one unit
+    to another with its amplitude.  A move onto a row that no cell of
+    its kind holds is refused: invariance is checked, not assumed.
+    """
+    if cells.full_dim != op.dimension:
+        raise DimensionMismatchError(f"cells in dimension {cells.full_dim}, not {op.dimension}")
+    routing = op.routing
+    p = len(cells.profiles)
+    # each cell as (block, key): a unit's key is its offset, and profile
+    # j's cells share the key -1 - j in every bulk block
+    where = [(routing.bounds.index(block.start), -1 - j) for block in cells.blocks
+             for j in range(p)] + list(routing.locate(cells.units))
+    column = {at: col for col, at in enumerate(where)}
+    home = {role: k for k, role in enumerate(routing.roles)}
+    sums = [*np.tile(cells.profiles.sum(axis=1), len(cells.blocks)), *[1.0] * len(cells.units)]
+    matrix = np.zeros((len(where),) * 2, walk_dtype(op, cells.profiles))
+    for col, (block, key) in enumerate(where):
+        hub = block == routing.roles[0]
+        to = (0 if hub else home[block], key)
+        if to not in column:
+            raise NumericalFailureError(f"the step moves cell {col} onto {to}, which no cell holds")
+        if hub:
+            matrix[:, col] = op.hub_t * sums[col] * cells.block_ones(0)
+        matrix[column[to], col] += -1.0 if hub else 1.0
+    amps = op.perm_amp if np.iscomplexobj(matrix) else op.perm_amp.real
+    for src, dst, amp in zip(routing.src, routing.dst, amps):
+        if src not in column or dst not in column:
+            raise NumericalFailureError(f"patch {src} -> {dst} moves a row that is not a unit")
+        matrix[column[dst]] = 0.0
+        matrix[column[dst], column[src]] = amp
+    certify(matrix, 0.0)
+    return matrix
+
+
 def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
     """Close the span of the seeds under the operator and its adjoint, and
     express the operator inside the closure.
 
-    The closure runs in the coordinates of the cells C, whose reduction
-    M = C*UC (the only pass over the full dimension) and the seeds' leakage
-    certify that they hold it.  Vectors are accepted in a deterministic
-    order: seeds first, then for each accepted vector its image under M
-    followed by its image under M adjoint; residuals of at most
-    DEFAULT_POLICY.closure_residual count as contained.  The accepted rows
-    Q are the coordinates of the basis on the cells, in float64 when the
-    operator and every seed are real and in complex128 otherwise, and the
-    operator on it is conj(Q) M Q^T.
+    The closure runs in the coordinates of the cells C, on M = C*UC read
+    from the routing; the seeds' leakage certifies that the cells hold
+    them.  Vectors are accepted in a deterministic order: seeds first,
+    then for each accepted vector its image under M followed by its image
+    under M adjoint; residuals of at most DEFAULT_POLICY.closure_residual
+    count as contained.  The accepted rows Q are the basis's coordinates
+    on the cells (float64 when the operator and every seed are real,
+    complex128 otherwise), and the operator on it is conj(Q) M Q^T.
     """
 
     if not seeds:
@@ -188,7 +244,7 @@ def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
     tol = DEFAULT_POLICY.closure_residual
     amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
     cells = _cells(op.basis, amps, dtype, tol)
-    reduced = reduce_operator(op, cells).matrix
+    reduced = cells_operator(op, cells)
     starts = [cells.decompose(x) for x in amps]
     q = np.empty((0, cells.dim), dtype)
     for c, _ in starts:
@@ -219,27 +275,3 @@ def certify(matrix: np.ndarray, leakage: float) -> None:
         raise NumericalFailureError(
             f"reduced matrix deviates from unitarity by {gram_dev:.3e}")
     matrix.setflags(write=False)
-
-
-def reduce_operator(op: StepOperator, basis: ReducedBasis) -> ReducedOperator:
-    """Express the step operator in the reduced basis as V* U V.
-
-    One basis vector at a time is built, stepped into one reused work
-    vector and decomposed on the basis.  The basis must actually be
-    invariant: the part of each image outside the span is the invariance
-    residual, certified against DEFAULT_POLICY.invariance_tol.
-    """
-
-    if basis.full_dim != op.dimension:
-        raise DimensionMismatchError(
-            f"basis lives in dimension {basis.full_dim}, "
-            f"operator in {op.dimension}")
-    dtype = walk_dtype(op, basis.coords)
-    work = np.empty(basis.full_dim, dtype=dtype)
-    reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
-    leakage = 0.0
-    for k, e in enumerate(np.eye(basis.dim)):
-        reduced[:, k], leak = basis.decompose(apply_into(op, basis.vector(e), work))
-        leakage = max(leakage, leak)
-    certify(reduced, leakage)
-    return ReducedOperator(matrix=reduced, basis=basis)

@@ -180,10 +180,6 @@ def symmetric_out_state(basis: EdgeBasis, vertices) -> WalkState:
     return _uniform_state(basis, basis.out_rows(vertices))
 
 
-def symmetric_in_state(basis: EdgeBasis, vertices) -> WalkState:
-    return _uniform_state(basis, basis.in_rows(vertices))
-
-
 def edge_probabilities(state: WalkState, basis: EdgeBasis) -> dict:
     """Probability per undirected edge or loop.
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collapse import ReducedOperator, certify, reduce_seeds
-from .edgespace import (
-    hub_in_state,
-    hub_out_state,
-    make_basis,
-    symmetric_in_state,
-    symmetric_out_state,
-)
+from .edgespace import make_basis, symmetric_out_state
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -57,15 +51,16 @@ def _limit(finite: ReducedOperator, graph: StarGraph) -> ReducedOperator:
     The finite hub is pure reflection plus 2|o><i| over the uniform spoke
     states; in the limit the uniforms concentrate on the bulk (non-anomaly)
     spokes, bo and bi, so the limit adds 2(|bo><bi| - |o><i|) to the finite
-    operator.  The basis must hold all four uniforms, which with its closure
+    operator.  In cell coordinates, o and i are the all-ones out and in
+    blocks over sqrt(N), and bo and bi the cells of the first (uniform)
+    profile there.  The basis must hold all four, which with its closure
     under the walk closes it under the reflection walk; both are certified.
     """
-    basis = make_basis(graph)
-    anomalous = np.asarray(graph.anomaly_vertices, dtype=np.intp) - 1
-    bulk = np.delete(np.arange(1, graph.n_spokes + 1), anomalous)
-    uniforms = (hub_out_state(basis), hub_in_state(basis),
-                symmetric_out_state(basis, bulk), symmetric_in_state(basis, bulk))
-    parts = [finite.basis.decompose(s.amplitudes) for s in uniforms]
+    basis = finite.basis
+    bulk_out, bulk_in = np.eye(basis.coords.shape[1])[[0, len(basis.profiles)]]
+    scale = graph.n_spokes ** -0.5
+    uniforms = (scale * basis.block_ones(0), scale * basis.block_ones(1), bulk_out, bulk_in)
+    parts = [basis.decompose_cells(cells) for cells in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
     certify(matrix, max(leak for _, leak in parts))

@@ -9,12 +9,12 @@ one or two length-N blocks move whole from one role to another (out to
 in, or out to loops to in for missing_loop), then a few patches overwrite
 the rows the anomaly reroutes.
 
-`StepOperator.routing` states that layout once, as a role table over the
-blocks and (block, offset) pairs for the patches.  `BlockWalk` steps a
-state held as one buffer per block by that table: it writes the hub rule
-in place over the in buffer, relabels the buffers and scatters the
-patches, so no block is copied.  The flat `apply_into` reads the same
-table to step one full-length vector into another.
+`StepOperator.routing` states that layout once, in O(1) data: a role
+table over the blocks and (block, offset) pairs for the patches.
+`BlockWalk`, the one stepping implementation, steps a state held as one
+buffer per block by that table (hub rule in place over the in buffer,
+relabelled buffers, scattered patches), and `collapse` reads the
+operator on the star's cells from it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class StepOperator:
         length N), then the anomaly tail (possibly empty).  The hub rule
         turns the in block into the new out block, each copy (dst, src)
         makes block src the new block dst, and the tail keeps its buffer,
-        which the patches rewrite whole.
+        which the patches rewrite whole.  A table that does not read each
+        row once and write each row outside the out block once is refused.
         """
         n = self.n_spokes
         blocks = 3 if self.basis.anomaly.schema.loops else 2
@@ -76,13 +77,30 @@ class StepOperator:
         roles = list(range(len(bounds) - 1))
         roles[0] = 1
         for to, frm in self.copies:
-            if to % n or frm % n:
-                raise NumericalFailureError(f"copy ({to}, {frm}) is not block-aligned")
+            if to % n or frm % n or not 0 < to // n < blocks or not 0 <= frm // n < blocks:
+                raise NumericalFailureError(f"copy ({to}, {frm}) is not a whole spoke block")
             roles[to // n] = frm // n
-        if sorted(roles) != list(range(len(roles))):
+        if sorted(roles) != list(range(len(roles))) or any(roles[k] == k for k in range(1, blocks)):
             raise NumericalFailureError(f"copies do not relabel the blocks: roles {roles}")
+        rows = np.concatenate((self.perm_src, self.perm_dst))
+        if self.perm_src.size != self.perm_dst.size or np.any((rows < 0) | (rows >= bounds[-1])):
+            raise NumericalFailureError("patch rows do not pair up inside the basis")
         table = Routing(bounds, tuple(roles), (), ())
-        return table._replace(src=table.locate(self.perm_src), dst=table.locate(self.perm_dst))
+        src, dst = table.locate(self.perm_src), table.locate(self.perm_dst)
+        home = {role: k for k, role in enumerate(roles)}  # where each old block goes
+        for untiled, what in (
+                (len(set(dst)) < len(dst), "patches write a row twice"),
+                (len(set(src)) < len(src), "patches read a row twice"),
+                (any(b == 0 for b, _ in dst), "a patch writes the out block, as the hub does"),
+                (any(b == roles[0] for b, _ in src), "a patch reads the in block, as the hub does"),
+                (sum(b == len(roles) - 1 for b, _ in dst) < bounds[-1] - bounds[-2],
+                 "patches leave a row of the anomaly tail unwritten"),
+                # a patch over a copied row must read the row the copy read
+                ({(home[b], o) for b, o in src} != set(dst),
+                 "patches and copies do not read each row once")):
+            if untiled:
+                raise NumericalFailureError(what)
+        return table._replace(src=src, dst=dst)
 
 
 class Routing(NamedTuple):
@@ -169,27 +187,10 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
         patch(edge(0, a.at), edge(a.at, 0), phase)
         patch(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
 
-    perm_src = np.asarray(src, dtype=np.intp)
-    perm_dst = np.asarray(dst, dtype=np.intp)
-    perm_amp = np.asarray(amp, dtype=complex)
-    # the apply paths skip zero-filling: after the copies and patches every
-    # position outside the hub-outgoing block must be written from exactly
-    # one source, and every position outside the hub-incoming block must be
-    # read exactly once
-    d = basis.dim
-    source = np.full(d, -1, dtype=np.intp)
-    for to, frm in copies:
-        source[to:to + n] = np.arange(frm, frm + n)
-    source[perm_dst] = perm_src
-    if np.any(source[0:n] != -1) or np.any(source[n:] == -1):
-        raise NumericalFailureError("singleton outputs do not tile the non-hub block")
-    reads = np.bincount(source[n:], minlength=d)
-    reads[n:2 * n] += 1  # the hub reads these
-    if np.any(reads != 1):
-        raise NumericalFailureError("singleton inputs do not tile the non-hub columns")
-    return StepOperator(basis=basis, hub_r=float(hub_r), hub_t=float(hub_t),
-                        copies=copies, perm_src=perm_src, perm_dst=perm_dst,
-                        perm_amp=perm_amp)
+    op = StepOperator(basis, float(hub_r), float(hub_t), copies, np.asarray(src, dtype=np.intp),
+                      np.asarray(dst, dtype=np.intp), np.asarray(amp, dtype=complex))
+    op.routing  # derived now, so that an untiled step is refused at build time
+    return op
 
 
 def build_step_operator(graph: StarGraph) -> StepOperator:
@@ -217,26 +218,6 @@ def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
     return op.perm_amp.real
 
 
-def apply_into(op: StepOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One step from one full-length vector into another, by the routing.
-
-    No zero fill is needed: the hub rule writes the whole outgoing block,
-    the other blocks are written from their roles and the patches then
-    overwrite their rows (the tiling is checked at build time).  The hub
-    rule t*sum(in) - in equals -r*in + t*(sum(in) - in) as r + t = 1
-    (checked at build time).  Buffers are complex128, or float64 when the
-    operator is real.
-    """
-    routing = op.routing
-    old, new = routing.split(x), routing.split(out)
-    hub = old[routing.roles[0]]
-    np.subtract(op.hub_t * hub.sum(), hub, out=new[0])
-    for k, role in enumerate(routing.roles[1:], 1):
-        new[k][...] = old[role]
-    out[op.perm_dst] = _patch_amplitudes(op, out) * x[op.perm_src]
-    return out
-
-
 class BlockWalk:
     """A walk whose state is held as one buffer per block of the routing.
 
@@ -261,7 +242,7 @@ class BlockWalk:
 
     def step(self) -> None:
         routing = self._routing
-        # one array product, as in apply_into, so both round alike
+        # one array product, as in the flat oracle step, so both round alike
         values = self._amp * self.gather(routing.src)
         hub = self.blocks[routing.roles[0]]
         np.subtract(self._t * hub.sum(), hub, out=hub)

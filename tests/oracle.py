@@ -1,26 +1,77 @@
 """References that the fast paths are checked against.
 
-None of them reduces through `ReducedBasis`: operators are reduced on
-dense columns, one column at a time with `apply_into`, and closures are
-grown in the full dimension.  A basis held on cells is compared with
-them after its full lift through `rows`.  The full walk's block buffers
-are checked against the walk stepped as one flat vector, and the step
-against its adjoint, which only the tests need.
+The step is applied here as `src/` never applies it: to one flat vector
+at a time, by `apply_into`, and backwards by `apply_adjoint_into`.  On
+that step, `reduce_operator` finds V*UV numerically for any basis held
+on cells, one basis vector at a time; the operator that `collapse` reads
+from the routing must equal it.  Operators are also reduced on dense
+columns, and closures are grown in the full dimension; a basis held on
+cells is compared with them after its full lift through `rows`.  The
+full walk's block buffers are checked against the walk stepped as one
+flat vector.
 """
 
 import numpy as np
 
-from anomalywalk.edgespace import BasisLabel
-from anomalywalk.errors import ConfigurationError
+from anomalywalk.collapse import ReducedOperator, certify
+from anomalywalk.edgespace import BasisLabel, _uniform_state
+from anomalywalk.errors import ConfigurationError, DimensionMismatchError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import StepRecord
 from anomalywalk.stepop import (
     _patch_amplitudes,
-    apply_into,
     build_scattering_operator,
     dense_matrix,
     walk_dtype,
 )
+
+
+def apply_into(op, x, out):
+    """One step from one full-length vector into another, by the routing.
+
+    No zero fill is needed: the hub rule writes the whole outgoing block,
+    the other blocks are written from their roles and the patches then
+    overwrite their rows (the tiling is checked at build time).  The hub
+    rule t*sum(in) - in equals -r*in + t*(sum(in) - in) as r + t = 1
+    (checked at build time).  Buffers are complex128, or float64 when the
+    operator is real.
+    """
+    routing = op.routing
+    old, new = routing.split(x), routing.split(out)
+    hub = old[routing.roles[0]]
+    np.subtract(op.hub_t * hub.sum(), hub, out=new[0])
+    for k, role in enumerate(routing.roles[1:], 1):
+        new[k][...] = old[role]
+    out[op.perm_dst] = _patch_amplitudes(op, out) * x[op.perm_src]
+    return out
+
+
+def reduce_operator(op, basis):
+    """Express the step operator in the reduced basis as V* U V.
+
+    One basis vector at a time is built, stepped into one reused work
+    vector and decomposed on the basis.  The basis must actually be
+    invariant: the part of each image outside the span is the invariance
+    residual, certified against DEFAULT_POLICY.invariance_tol.
+    """
+    if basis.full_dim != op.dimension:
+        raise DimensionMismatchError(
+            f"basis lives in dimension {basis.full_dim}, "
+            f"operator in {op.dimension}")
+    dtype = walk_dtype(op, basis.coords)
+    work = np.empty(basis.full_dim, dtype=dtype)
+    reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
+    leakage = 0.0
+    for k, e in enumerate(np.eye(basis.dim)):
+        reduced[:, k], leak = basis.decompose(apply_into(op, basis.vector(e), work))
+        leakage = max(leakage, leak)
+    certify(reduced, leakage)
+    return ReducedOperator(matrix=reduced, basis=basis)
+
+
+def symmetric_in_state(basis, vertices):
+    """Uniform superposition of (j,0) over the given outer vertices."""
+    return _uniform_state(basis, basis.in_rows(vertices))
 
 
 def label_at(basis, pos):

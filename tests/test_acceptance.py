@@ -10,13 +10,12 @@ import math
 import time
 
 import numpy as np
-from oracle import lifted, reduce_columns
+from oracle import apply_into, lifted, reduce_columns, symmetric_in_state
 
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.edgespace import (
     BasisLabel,
     make_basis,
-    symmetric_in_state,
     symmetric_out_state,
 )
 from anomalywalk.perturb import _limit, perturbation_sweep, sweep_seeds
@@ -38,7 +37,6 @@ from anomalywalk.stargraph import (
 )
 from anomalywalk.stepop import (
     BlockWalk,
-    apply_into,
     build_step_operator,
     check_unitarity,
     dense_matrix,

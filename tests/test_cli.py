@@ -353,24 +353,42 @@ def count_calls(monkeypatch, fn):
 
 
 class TestSinglePass:
-    """The reduced paths apply U once per cell and never to the lifted basis."""
+    """The reduced paths read the cells' operator in a single pass over the
+    routing: they construct no block walk and split no full-length vector
+    into blocks."""
 
-    @pytest.mark.parametrize("spec,cells", [(LOOP100, 5), (EXTRA100, 8)],
-                             ids=["loop", "extra_edge"])
-    def test_spectrum_applies_once_per_cell(self, capsys, tmp_path, monkeypatch,
-                                            spec, cells):
-        applies = count_calls(monkeypatch, anomalywalk.stepop.apply_into)
+    @staticmethod
+    def count_steps(monkeypatch):
+        walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
+        splits = []
+        split = anomalywalk.stepop.Routing.split
+        monkeypatch.setattr(anomalywalk.stepop.Routing, "split",
+                            lambda self, x: splits.append(x.size) or split(self, x))
+        return walks, splits
+
+    @pytest.mark.parametrize("spec", [LOOP100, EXTRA100], ids=["loop", "extra_edge"])
+    def test_spectrum_steps_no_state(self, capsys, tmp_path, monkeypatch, spec):
+        walks, splits = self.count_steps(monkeypatch)
         code, _, _ = run(capsys, "spectrum", "--spec", spec,
                          "--out", str(tmp_path / "spec.csv"))
         assert code == 0
-        assert len(applies) == cells
+        assert (walks, splits) == ([], [])
 
     def test_sweep_builds_one_operator_per_size(self, monkeypatch):
         builds = count_calls(monkeypatch, anomalywalk.stepop.build_scattering_operator)
-        applies = count_calls(monkeypatch, anomalywalk.stepop.apply_into)
+        walks, splits = self.count_steps(monkeypatch)
         anomalywalk.perturbation_sweep(anomalywalk.Anomaly.extra_edge(1, 2),
                                        sizes=(64, 128, 256, 512))
-        assert (len(builds), len(applies)) == (4, 32)
+        assert (len(builds), walks, splits) == (4, [], [])
+
+    def test_the_spies_see_a_full_walk(self, capsys, tmp_path, monkeypatch):
+        # the same spies on a full evolution: one walk, whose start state of
+        # dimension 2N + 1 is split into blocks once
+        walks, splits = self.count_steps(monkeypatch)
+        code, _, _ = run(capsys, "evolve", "--spec", LOOP100, "--steps", "3",
+                         "--out", str(tmp_path / "steps.csv"))
+        assert code == 0
+        assert (len(walks), splits) == (1, [201])
 
 
 class TestSpectrum:

@@ -6,16 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracle import (
+    apply_into,
     build_unperturbed,
     dense_closure,
     lifted,
     projector_gap,
     reduce_columns,
+    reduce_operator,
     reference_closure,
+    symmetric_in_state,
 )
 
 import anomalywalk.collapse
-from anomalywalk.collapse import ReducedBasis, reduce_operator, reduce_seeds
+from anomalywalk.collapse import ReducedBasis, cells_operator, reduce_seeds
 from anomalywalk.edgespace import (
     BasisLabel,
     all_loops_state,
@@ -23,19 +26,19 @@ from anomalywalk.edgespace import (
     hub_out_state,
     make_basis,
     make_state,
-    symmetric_in_state,
     symmetric_out_state,
 )
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
+    NumericalFailureError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import _limit, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import apply_into, build_step_operator, dense_matrix
+from anomalywalk.stepop import build_step_operator, dense_matrix
 
 
 def basis_vector(basis, label):
@@ -162,10 +165,71 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
             assert np.abs(_limit(finite, graph).matrix - ref).max() <= 1e-12
 
 
+WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3),
+               PhaseAngle.from_radians(0.7)]
+
+
+def cells_of(op, seeds):
+    """The cells that reduce_seeds builds for the seeds, as a basis of
+    identity coordinates."""
+    basis = reduce_seeds(op, seeds).basis
+    m = basis.coords.shape[1]
+    return dataclasses.replace(basis, coords=np.eye(m, dtype=basis.coords.dtype))
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 64, 4096])
+@pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
+def test_cells_operator_matches_the_stepped_oracles(n, phase):
+    # M read from the routing against C*UC of the dense U on the lifted
+    # cells, and at larger N against the oracle that steps each cell;
+    # every variant at both ends of the star, the cells of every named
+    # kind, of the sweep seeds and of a random real and complex custom state
+    rng = np.random.default_rng(n)
+    anomalies = [Anomaly.none()] + [
+        Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, ends)))
+        for variant in VARIANTS[1:] for ends in ((1, n), (3, 2))]
+    for anomaly in anomalies:
+        graph = build_star(n, anomaly)
+        op = build_step_operator(graph)
+        real = InitialStateKind.custom(rng.normal(size=op.dimension))
+        for seeds in seedings(graph, op) + [family_seeds(graph, real)]:
+            cells = cells_of(op, seeds)
+            if n <= 12:
+                c = lifted(cells)
+                want = c.conj().T @ dense_matrix(op) @ c
+            else:
+                want = reduce_operator(op, cells).matrix
+            assert np.abs(cells_operator(op, cells) - want).max() <= 1e-12, anomaly
+
+
+def test_cells_operator_refuses_moves_off_the_cells():
+    graph = build_star(8, Anomaly.loop(3))
+    op = build_step_operator(graph)
+    cells = cells_of(op, family_seeds(graph, InitialStateKind.minus()))
+    pos = op.basis.position
+    edge, loop = BasisLabel.edge, BasisLabel.loop
+    # the loop exits onto spoke 5's incoming row and (0,5) enters (3,0): the
+    # rows still tile, but the loop's unit lands on a bulk row
+    rerouted = dataclasses.replace(
+        op, perm_src=np.array([pos(edge(0, 3)), pos(loop(3)), pos(edge(0, 5))]),
+        perm_dst=np.array([pos(loop(3)), pos(edge(5, 0)), pos(edge(3, 0))]),
+        perm_amp=np.ones(3, dtype=complex))
+    assert rerouted.routing.roles == op.routing.roles
+    with pytest.raises(NumericalFailureError, match="not a unit"):
+        cells_operator(rerouted, cells)
+    # cells without the unit of (3,0): the copy of (0,3) lands on no cell
+    units = cells.units[cells.units != pos(edge(3, 0))]
+    m = cells.coords.shape[1] - 1
+    short = dataclasses.replace(cells, units=units, coords=np.eye(m))
+    with pytest.raises(NumericalFailureError, match="no cell"):
+        cells_operator(op, short)
+
+
 def test_truncated_closure_fails_its_certificate(monkeypatch):
     # a coarse closure residual drops a direction the walk reaches; the
-    # cells still pass their own pass, and the leakage of the images in
-    # cell coordinates is what refuses the result
+    # cells' operator is read from the routing whatever the residual, and
+    # the leakage of the images in cell coordinates is what refuses the
+    # result
     graph = build_star(64, Anomaly.missing_loop(3))
     op = build_step_operator(graph)
     coarse = dataclasses.replace(DEFAULT_POLICY, closure_residual=0.5)
@@ -175,15 +239,17 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("anomaly,kind,vectors", [
-    (Anomaly.loop(3), InitialStateKind.minus(), 8),
-    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 8),
+    (Anomaly.loop(3), InitialStateKind.minus(), 3),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 3),
     (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
-     InitialStateKind.loop_third(), 16),
+     InitialStateKind.loop_third(), 4),
 ])
 def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
-    # the closure is held on the cells: no block of full-length rows is
-    # allocated, only a few work vectors (counted as float64 vectors of the
-    # full dimension; the pi/3 walk is complex)
+    # the closure is held on the cells and their operator read from the
+    # routing: no block of full-length rows is allocated and no state is
+    # stepped, only a few work vectors (counted as float64 vectors of the
+    # full dimension; the pi/3 walk is complex).  The peaks measured were
+    # 2.0, 2.0 and 2.7 vectors; the bounds allow one more.
     graph = build_star(200_000, anomaly)
     op = build_step_operator(graph)
     seeds = family_seeds(graph, kind)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracle import label_at
+from oracle import label_at, symmetric_in_state
 
 from anomalywalk.edgespace import (
     BasisLabel,
@@ -12,7 +12,6 @@ from anomalywalk.edgespace import (
     hub_out_state,
     make_basis,
     make_state,
-    symmetric_in_state,
     symmetric_out_state,
 )
 from anomalywalk.errors import (

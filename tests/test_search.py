@@ -315,6 +315,23 @@ class TestRunSearch:
             assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
             assert abs(a.p_rest - b.p_rest) <= 1e-12
 
+    @pytest.mark.parametrize("anomaly,kind,steps", [
+        (Anomaly.extended_edge(3, PhaseAngle.from_radians(0.7)), InitialStateKind.minus(),
+         int(4 * math.sqrt(10 ** 5)) + 10),
+        (Anomaly.missing_loop(3), InitialStateKind.loop_pi(), 1200),
+    ], ids=["extended_edge_0.7rad", "missing_loop_loop_pi"])
+    def test_reduced_keeps_to_the_full_walk_at_large_n(self, anomaly, kind, steps):
+        # over the default search horizon of N=1e5 (and 1200 steps of the
+        # missing loop) every record of the reduced walk stays within 1e-11
+        # of the full walk's
+        graph = build_star(10 ** 5, anomaly)
+        full = run_search(graph, kind, steps, method="full")
+        fast = run_search(graph, kind, steps, method="reduced")
+        for a, b in zip(full.per_step, fast.per_step, strict=True):
+            assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-11
+            assert abs(a.p_anomaly - b.p_anomaly) <= 1e-11
+            assert abs(a.p_rest - b.p_rest) <= 1e-11
+
     def test_reduced_supports_loop_start_states(self):
         graph = build_star(90, Anomaly.missing_loop(4))
         full = run_search(graph, InitialStateKind.loop_pi(), 20, method="full")

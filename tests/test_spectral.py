@@ -4,13 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracle import reduce_columns
+from oracle import reduce_columns, symmetric_in_state
 
 import anomalywalk.spectral
 from anomalywalk.edgespace import (
     BasisLabel,
     make_basis,
-    symmetric_in_state,
     symmetric_out_state,
 )
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError

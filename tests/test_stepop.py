@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from oracle import apply_adjoint_into
+from oracle import apply_adjoint_into, apply_into
 
 import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
@@ -20,7 +21,6 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     BlockWalk,
-    apply_into,
     build_step_operator,
     check_unitarity,
     build_scattering_operator,
@@ -308,6 +308,43 @@ def test_routing_relabels_blocks(anomaly, roles):
     for copies in (((12, 0),), ((7, 1),)):
         with pytest.raises(NumericalFailureError):
             dataclasses.replace(op, copies=copies).routing
+
+
+# extra_edge(2, 5) on eight spokes patches (0,2) -> (2,5) -> (5,0) and
+# (0,5) -> (5,2) -> (2,0): rows 1 -> 16 -> 12 and 4 -> 17 -> 9
+UNTILED = {
+    "tail_row_unwritten": ([4, 16, 17], [17, 12, 9], "tail unwritten"),
+    "row_written_twice": ([1, 4, 16, 17], [16, 17, 12, 12], "write a row twice"),
+    "row_read_twice": ([1, 1, 16, 17], [16, 17, 12, 9], "read a row twice"),
+    "out_block_written": ([1, 4, 16, 17], [16, 17, 4, 9], "writes the out block"),
+    "in_block_read": ([1, 4, 12, 17], [16, 17, 12, 9], "reads the in block"),
+    "copied_row_read_again": ([2, 4, 16, 17], [16, 17, 12, 9], "read each row once"),
+}
+
+
+@pytest.mark.parametrize("src,dst,message", UNTILED.values(), ids=UNTILED)
+def test_routing_refuses_untiled_patches(src, dst, message):
+    op = build_step_operator(build_star(8, Anomaly.extra_edge(2, 5)))
+    assert (op.perm_src.tolist(), op.perm_dst.tolist()) == ([1, 4, 16, 17], [16, 17, 12, 9])
+    untiled = dataclasses.replace(op, perm_src=np.array(src), perm_dst=np.array(dst),
+                                  perm_amp=np.ones(len(src), dtype=complex))
+    with pytest.raises(NumericalFailureError, match=message):
+        untiled.routing
+
+
+@pytest.mark.parametrize("anomaly", ALL_VARIANTS)
+def test_build_allocates_nothing_of_the_full_length(anomaly):
+    # the build derives the routing, whose tiling check reads the patches
+    # only, so a million-spoke build holds no array of length N
+    graph = build_star(10 ** 6, anomaly)
+    tracemalloc.start()
+    try:
+        op = build_step_operator(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "routing" in vars(op)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("variant", ["none", "extra_edge", "loop",
