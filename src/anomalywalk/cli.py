@@ -210,7 +210,7 @@ def _cmd_search(args) -> int:
 def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    reduced = reduce_seeds(build_step_operator(graph), family_seeds(graph, kind))
+    reduced = reduce_seeds(build_step_operator(graph), *family_seeds(graph, kind))
     spectrum = eigendecompose(reduced)
     dump_spectrum_csv(spectrum, _require_out(args.out))
     print(f"dim={reduced.dim} branches={len(spectrum.eigenphases)}")

@@ -6,9 +6,10 @@ equitable-partition quotient of the star.  This module builds those cells,
 reads the step on them from its routing, closes the seeds under it in
 their coordinates, and expresses the step inside the closure.
 
-A basis is held on the cells, never as full-length vectors: a few bulk
-profiles of length N, the unit rows, and the coordinates of each basis
-vector on the cells.
+Seeds are rows on the cells; `place` is the one path from full-length
+vectors to them.  A basis is held on the cells, never as full-length
+vectors: a few bulk profiles of length N, the unit rows, and the
+coordinates of each basis vector on the cells.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edgespace import EdgeBasis, WalkState
+from .edgespace import EdgeBasis
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -107,6 +108,10 @@ class ReducedBasis:
         cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
         return cells
 
+    def uniform(self, k: int) -> np.ndarray:
+        """The uniform state on bulk block k in cell coordinates."""
+        return self.block_ones(k) / np.sqrt(self.profiles.shape[1])
+
     def decompose_cells(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
         """Coefficients c on the basis of a vector given in cell
         coordinates, and the norm of its part outside the basis."""
@@ -142,35 +147,38 @@ def _orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
     return _norm(vec)
 
 
-def _accept(vec: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+def _accept(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Orthogonalize vec against the rows and append it, normalised, unless
-    its residual is at most tol or the rows already span the space; returns
-    the rows."""
+    its residual is at most DEFAULT_POLICY.closure_residual or the rows
+    already span the space; returns the rows."""
+    tol = DEFAULT_POLICY.closure_residual
     res = _orthogonalize(vec, rows, tol)
     if res <= tol or len(rows) == vec.size:
         return rows
     return np.vstack((rows, vec / res))
 
 
-def _cells(basis: EdgeBasis, seeds: list[np.ndarray], dtype, tol: float) -> ReducedBasis:
-    """The cells as a basis: its span is invariant under the walk and holds the seeds.
+def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
+    """The star's cells as a basis: its span is invariant under the walk
+    and holds the vectors.
 
     Each bulk block (out, in, and missing_loop's loops) carries the bulk
-    profiles: the uniform vector and each seed's part in each bulk block,
+    profiles: the uniform vector and each vector's part in each bulk block,
     orthonormalised, zero on the anomaly vertices.  Every other row is a
-    unit cell of its own.
+    unit cell of its own.  The cells are complex when a vector is.
     """
     n = basis.n_spokes
+    dtype = np.result_type(np.float64, *vectors)
     vertices = StarGraph(n, basis.anomaly).anomaly_vertices
     anomalous = basis.out_rows(vertices)
     blocks = (basis.out_block, basis.in_block)
     if basis.anomaly.schema.loops:
         blocks += (basis.anomaly_block,)
     profiles = np.empty((0, n), dtype)
-    for vec in [np.ones(n)] + [seed[block] for seed in seeds for block in blocks]:
+    for vec in [np.ones(n)] + [x[block] for x in vectors for block in blocks]:
         vec = vec.astype(dtype)
         vec[anomalous] = 0.0
-        profiles = _accept(vec, profiles, tol)
+        profiles = _accept(vec, profiles)
     units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
     m = len(blocks) * len(profiles) + len(units)
     profiles.setflags(write=False)
@@ -218,60 +226,75 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     return matrix
 
 
-def reduce_seeds(op: StepOperator, seeds: list[WalkState]) -> ReducedOperator:
-    """Close the span of the seeds under the operator and its adjoint, and
-    express the operator inside the closure.
+def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
+    """Cells that hold full-length vectors, and the vectors' rows on them.
+
+    A part that the cells drop (a block part within the closure residual)
+    is leakage, refused as for a closure.  Vectors with no imaginary part
+    are placed in float64.
+    """
+    vectors = [np.asarray(x) for x in vectors]
+    if any(x.shape != (basis.dim,) for x in vectors):
+        raise DimensionMismatchError(f"vectors must be of the basis dimension {basis.dim}")
+    if not any(np.any(x.imag) for x in vectors):
+        vectors = [x.real for x in vectors]
+    cells = star_cells(basis, vectors)
+    parts = [cells.decompose(x) for x in vectors]
+    _require_held(max((leak for _, leak in parts), default=0.0))
+    return cells, np.array([c for c, _ in parts])
+
+
+def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperator:
+    """Close the span of the seeds, rows on the cells, under the operator
+    and its adjoint, and express the operator inside the closure.
 
     The closure runs in the coordinates of the cells C, on M = C*UC read
-    from the routing; the seeds' leakage certifies that the cells hold
-    them.  Vectors are accepted in a deterministic order: seeds first,
-    then for each accepted vector its image under M followed by its image
-    under M adjoint; residuals of at most DEFAULT_POLICY.closure_residual
-    count as contained.  The accepted rows Q are the basis's coordinates
-    on the cells (float64 when the operator and every seed are real,
-    complex128 otherwise), and the operator on it is conj(Q) M Q^T.
+    from the routing.  Vectors are accepted in a deterministic order:
+    seeds first, then for each accepted vector its image under M followed
+    by its image under M adjoint; residuals of at most
+    DEFAULT_POLICY.closure_residual count as contained.  The accepted rows
+    Q are the basis's coordinates on the cells (float64 when M and every
+    seed are real, complex128 otherwise), and the operator on it is
+    conj(Q) M Q^T.
     """
 
-    if not seeds:
-        raise ConfigurationError("at least one seed state is required")
-    d = op.dimension
-    for seed in seeds:
-        if seed.basis_dim != d:
-            raise DimensionMismatchError(
-                f"seed dimension {seed.basis_dim} != operator dimension {d}")
-    real = op.is_real and not any(np.any(seed.amplitudes.imag) for seed in seeds)
-    dtype = np.float64 if real else np.complex128
-    tol = DEFAULT_POLICY.closure_residual
-    amps = [seed.amplitudes.real if real else seed.amplitudes for seed in seeds]
-    cells = _cells(op.basis, amps, dtype, tol)
+    seeds = np.asarray(seeds)
+    if not len(seeds):
+        raise ConfigurationError("at least one seed is required")
+    m = cells.coords.shape[1]
+    if seeds.shape[1:] != (m,):
+        raise DimensionMismatchError(f"seeds of shape {seeds.shape} on {m} cells")
     reduced = cells_operator(op, cells)
-    starts = [cells.decompose(x) for x in amps]
-    q = np.empty((0, cells.dim), dtype)
-    for c, _ in starts:
-        q = _accept(c, q, tol)
+    q = np.empty((0, m), np.result_type(reduced, seeds))
+    for c in seeds:
+        q = _accept(c.astype(q.dtype), q)
     head = 0
     while head < len(q):
-        q = _accept(reduced @ q[head], q, tol)
-        q = _accept(reduced.conj().T @ q[head], q, tol)
+        q = _accept(reduced @ q[head], q)
+        q = _accept(reduced.conj().T @ q[head], q)
         head += 1
     images = reduced @ q.T
     matrix = q.conj() @ images
     leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
-    certify(matrix, max([leakage] + [leak for _, leak in starts]))
+    certify(matrix, leakage)
     q.setflags(write=False)
     return ReducedOperator(matrix=matrix, basis=replace(cells, coords=q))
+
+
+def _require_held(leakage: float) -> None:
+    """Refuse a basis whose leakage exceeds DEFAULT_POLICY.invariance_tol."""
+    tol = DEFAULT_POLICY.invariance_tol
+    if leakage > tol:
+        raise InvarianceError(f"basis is not invariant: leakage {leakage:.3e} exceeds {tol:.1e}")
 
 
 def certify(matrix: np.ndarray, leakage: float) -> None:
     """Freeze a reduced operator once its basis leakage (the largest part of
     an image, or of a state the basis must hold, outside it) and its
     deviation from unitarity are within policy; refuse it otherwise."""
-    policy = DEFAULT_POLICY
-    if leakage > policy.invariance_tol:
-        raise InvarianceError(f"basis is not invariant: leakage {leakage:.3e} "
-                              f"exceeds {policy.invariance_tol:.1e}")
+    _require_held(leakage)
     gram_dev = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0)
-    if gram_dev > policy.reduced_unitarity_tol:
+    if gram_dev > DEFAULT_POLICY.reduced_unitarity_tol:
         raise NumericalFailureError(
             f"reduced matrix deviates from unitarity by {gram_dev:.3e}")
     matrix.setflags(write=False)

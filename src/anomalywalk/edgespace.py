@@ -137,47 +137,16 @@ def make_basis(graph: StarGraph) -> EdgeBasis:
     return EdgeBasis(n_spokes=graph.n_spokes, anomaly=graph.anomaly)
 
 
-def make_state(amplitudes: np.ndarray, *, require_unit: bool = True) -> WalkState:
-    """A frozen copy of the amplitudes: float64 when they are real, else complex128."""
+def make_state(amplitudes: np.ndarray) -> WalkState:
+    """A frozen unit-norm copy of the amplitudes: float64 when they are real, else complex128."""
     amps = np.asarray(amplitudes)
     amps = np.array(amps, dtype=float if amps.dtype.kind in "biuf" else complex)
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
-    if require_unit and abs(np.linalg.norm(amps) - 1.0) > DEFAULT_POLICY.unit_norm_tol:
+    if abs(np.linalg.norm(amps) - 1.0) > DEFAULT_POLICY.unit_norm_tol:
         raise ConfigurationError("state is not unit-norm")
     amps.setflags(write=False)
     return WalkState(amplitudes=amps, basis_dim=amps.size)
-
-
-def _uniform_state(basis: EdgeBasis, rows) -> WalkState:
-    """Equal amplitudes on the rows (a slice or an index array), zero elsewhere."""
-    amps = np.zeros(basis.dim)
-    count = amps[rows].size
-    if not count:
-        raise ConfigurationError("vertex set must be non-empty")
-    amps[rows] = 1.0 / np.sqrt(count)
-    return make_state(amps)
-
-
-def hub_out_state(basis: EdgeBasis) -> WalkState:
-    """Uniform superposition over all hub-outgoing spoke states."""
-    return _uniform_state(basis, basis.out_block)
-
-
-def hub_in_state(basis: EdgeBasis) -> WalkState:
-    return _uniform_state(basis, basis.in_block)
-
-
-def all_loops_state(basis: EdgeBasis) -> WalkState:
-    """Uniform superposition over all loop states (needs one loop per vertex)."""
-    if not basis.anomaly.schema.loops:
-        raise ConfigurationError("graph does not carry a loop on every vertex")
-    return _uniform_state(basis, basis.anomaly_block)
-
-
-def symmetric_out_state(basis: EdgeBasis, vertices) -> WalkState:
-    """Uniform superposition of (0,j) over the given outer vertices."""
-    return _uniform_state(basis, basis.out_rows(vertices))
 
 
 def edge_probabilities(state: WalkState, basis: EdgeBasis) -> dict:

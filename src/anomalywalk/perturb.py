@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import ReducedOperator, certify, reduce_seeds
-from .edgespace import make_basis, symmetric_out_state
+from .collapse import ReducedBasis, ReducedOperator, certify, reduce_seeds
+from .edgespace import make_basis
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -31,35 +31,36 @@ from .stepop import build_step_operator
 DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
-def sweep_seeds(graph: StarGraph) -> list:
-    """Closure seeds for perturbation runs.
+def sweep_seeds(graph: StarGraph) -> tuple[ReducedBasis, np.ndarray]:
+    """Closure seeds for perturbation runs: the star's cells and rows on them.
 
     The uniform family generators alone can miss limit eigenvectors that
     live on the anomaly spokes, so the symmetric anomaly-local outgoing
-    state is always added; it is absorbed for free when already covered.
+    state (its unit cells) is always added; it is absorbed for free when
+    already covered.
     """
     kind = InitialStateKind.loop_pi() if graph.anomaly.schema.loops else InitialStateKind.minus()
-    seeds = family_seeds(graph, kind)
+    cells, rows = family_seeds(graph, kind)
     if graph.anomaly_vertices:
-        seeds.append(symmetric_out_state(make_basis(graph), graph.anomaly_vertices))
-    return seeds
+        spoke = cells.rows(make_basis(graph).out_rows(graph.anomaly_vertices))
+        rows = np.vstack((rows, spoke.sum(axis=0) / np.sqrt(len(spoke))))
+    return cells, rows
 
 
-def _limit(finite: ReducedOperator, graph: StarGraph) -> ReducedOperator:
+def _limit(finite: ReducedOperator) -> ReducedOperator:
     """The limit operator on the basis of a finite one.
 
     The finite hub is pure reflection plus 2|o><i| over the uniform spoke
     states; in the limit the uniforms concentrate on the bulk (non-anomaly)
     spokes, bo and bi, so the limit adds 2(|bo><bi| - |o><i|) to the finite
-    operator.  In cell coordinates, o and i are the all-ones out and in
-    blocks over sqrt(N), and bo and bi the cells of the first (uniform)
-    profile there.  The basis must hold all four, which with its closure
-    under the walk closes it under the reflection walk; both are certified.
+    operator.  In cell coordinates, o and i are the blocks' `uniform`
+    states, and bo and bi the cells of the first (uniform) profile there.
+    The basis must hold all four, which with its closure under the walk
+    closes it under the reflection walk; both are certified.
     """
     basis = finite.basis
     bulk_out, bulk_in = np.eye(basis.coords.shape[1])[[0, len(basis.profiles)]]
-    scale = graph.n_spokes ** -0.5
-    uniforms = (scale * basis.block_ones(0), scale * basis.block_ones(1), bulk_out, bulk_in)
+    uniforms = (basis.uniform(0), basis.uniform(1), bulk_out, bulk_in)
     parts = [basis.decompose_cells(cells) for cells in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
@@ -218,8 +219,8 @@ class SweepResult:
 
 def _sweep_point(anomaly: Anomaly, n: int):
     graph = build_star(n, anomaly)
-    reduced = reduce_seeds(build_step_operator(graph), sweep_seeds(graph))
-    limit = _limit(reduced, graph)
+    reduced = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
+    limit = _limit(reduced)
     # keep the cluster threshold well under the smallest expected
     # splitting, which shrinks like 1/N on simple branches
     tol = min(DEFAULT_POLICY.cluster_tol, 0.01 / n)

@@ -1,9 +1,10 @@
 """Search drivers over anomalous star walks.
 
-Builds the standard start states, evolves them while recording where the
-probability sits, predicts hitting steps where a closed form exists,
-simulates the accessible-edge measurement, and provides the classical
-adjacency-list baseline for comparison.
+Defines each named start state once, as weights on the bulk blocks, for
+both the full walk and the star's cells; evolves start states while
+recording where the probability sits, predicts hitting steps where a closed
+form exists, simulates the accessible-edge measurement, and provides the
+classical adjacency-list baseline for comparison.
 """
 
 from __future__ import annotations
@@ -13,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import reduce_seeds
-from .edgespace import (
-    WalkState,
-    all_loops_state,
-    hub_in_state,
-    hub_out_state,
-    make_basis,
-    make_state,
-)
+from .collapse import ReducedBasis, place, reduce_seeds, star_cells
+from .edgespace import WalkState, make_basis, make_state
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -90,50 +84,62 @@ def _real_if_exact(coeffs: tuple) -> tuple:
     return coeffs if any(c.imag for c in coeffs) else tuple(c.real for c in coeffs)
 
 
-def _family(graph: StarGraph, kind: InitialStateKind) -> tuple[list[WalkState], tuple]:
-    """Generators of the kind's state family, and the kind's coefficients on them."""
-    basis = make_basis(graph)
-    hubs = [hub_out_state(basis), hub_in_state(basis)]
+def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
+    """A named kind's coefficients on the uniform states of the bulk blocks:
+    out, in and, for the loop kinds, the loops."""
     if kind.variant == "minus":
-        return hubs, (1.0, -1.0)
+        return (1.0, -1.0)
     if kind.variant == "plus":
-        return hubs, (1.0, 1.0)
+        return (1.0, 1.0)
     if kind.variant == "inout":
-        return hubs, _real_if_exact((kind.amp_out, kind.amp_in))
+        return _real_if_exact((kind.amp_out, kind.amp_in))
     if kind.variant in ("loop_pi", "loop_third"):
-        seeds = hubs + [all_loops_state(basis)]  # refused unless every vertex has a loop
+        if not graph.anomaly.schema.loops:
+            raise ConfigurationError("graph does not carry a loop on every vertex")
         if kind.variant == "loop_pi":
-            return seeds, (1.0, 1.0, 1.0)
+            return (1.0, 1.0, 1.0)
         w = np.exp(2j * np.pi / 3)
         # for a negative marking phase the walk is the complex conjugate
         # of the positive-phase walk, so the start state conjugates too
         if graph.anomaly.mark_phase.value < 0:
             w = w.conjugate()
-        return seeds, (w.conjugate(), 1.0, w)
-    if kind.variant == "custom":
-        amps = np.asarray(_real_if_exact(kind.amplitudes))
-        if amps.size != basis.dim:
-            raise DimensionMismatchError(
-                f"custom state has {amps.size} amplitudes, basis needs {basis.dim}")
-        return [make_state(amps / np.linalg.norm(amps))], (1.0,)
+        return (w.conjugate(), 1.0, w)
     raise ConfigurationError(f"unknown initial-state kind {kind.variant!r}")
 
 
 def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
     """Unit-norm start state of the requested kind on this graph: float64
-    when its coefficients are real, complex128 otherwise."""
-    seeds, coefficients = _family(graph, kind)
-    amps = sum(c * s.amplitudes for c, s in zip(coefficients, seeds))
-    return make_state(amps / np.linalg.norm(amps))
+    when its coefficients are real, complex128 otherwise.  A named kind
+    fills each block it weighs with its weight times 1/sqrt(N)."""
+    if kind.variant == "custom":
+        amps = np.asarray(_real_if_exact(kind.amplitudes))
+        if amps.size != graph.hilbert_dim:
+            raise DimensionMismatchError(
+                f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
+    else:
+        weights = _block_weights(graph, kind)
+        basis = make_basis(graph)
+        amps = np.zeros(basis.dim, np.result_type(*weights))
+        for c, block in zip(weights, (basis.out_block, basis.in_block, basis.anomaly_block)):
+            amps[block] = c * (1.0 / np.sqrt(graph.n_spokes))
+    amps /= np.linalg.norm(amps)
+    return make_state(amps)
 
 
-def family_seeds(graph: StarGraph, kind: InitialStateKind) -> list[WalkState]:
-    """Generators of the smallest state family containing the kind.
+def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
+    """The star's cells, and as rows on them the generators of the smallest
+    state family containing the kind: the uniform state of each block it
+    weighs, or a custom state itself.
 
     Closing these under the walk gives one invariant subspace that serves
     every start state of the family, not just a single seed's orbit.
     """
-    return _family(graph, kind)[0]
+    basis = make_basis(graph)
+    if kind.variant == "custom":
+        return place(basis, [initial_state(graph, kind).amplitudes])
+    weights = _block_weights(graph, kind)
+    cells = star_cells(basis)
+    return cells, np.array([cells.uniform(k) for k in range(len(weights))])
 
 
 def predicted_hitting_step(graph: StarGraph) -> int:
@@ -220,7 +226,7 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
 
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
-    reduced = reduce_seeds(op, family_seeds(graph, kind))
+    reduced = reduce_seeds(op, *family_seeds(graph, kind))
     basis = reduced.basis
     c, leakage = basis.decompose(x0)
     if leakage > DEFAULT_POLICY.invariance_tol:

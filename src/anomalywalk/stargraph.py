@@ -47,9 +47,9 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a walk holds at least four vectors of the full dimension at once (start
-# state, current state, step buffer and a per-step temporary); the guard
-# bounds the complex128 case, which a real walk in float64 stays under
+# a full walk peaks near 2.2 complex128 vectors of the full dimension (the
+# start state, the block buffers it steps in place, a complex norm's
+# temporary); the guard keeps room for four, and a real walk stays under
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly

@@ -8,13 +8,15 @@ from the routing must equal it.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 full walk's block buffers are checked against the walk stepped as one
-flat vector.
+flat vector.  The named start-state families are built here as they
+were first written, as sums of full-length uniform states; `src/` fills
+their blocks and seeds the closure on the cells.
 """
 
 import numpy as np
 
-from anomalywalk.collapse import ReducedOperator, certify
-from anomalywalk.edgespace import BasisLabel, _uniform_state
+from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
+from anomalywalk.edgespace import BasisLabel, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import StepRecord
@@ -69,9 +71,59 @@ def reduce_operator(op, basis):
     return ReducedOperator(matrix=reduced, basis=basis)
 
 
+def uniform_state(basis, rows):
+    """Equal amplitudes on the rows (a slice or an index array), zero elsewhere."""
+    amps = np.zeros(basis.dim)
+    count = amps[rows].size
+    if not count:
+        raise ConfigurationError("vertex set must be non-empty")
+    amps[rows] = 1.0 / np.sqrt(count)
+    return make_state(amps)
+
+
+def hub_out_state(basis):
+    """Uniform superposition over all hub-outgoing spoke states."""
+    return uniform_state(basis, basis.out_block)
+
+
+def hub_in_state(basis):
+    return uniform_state(basis, basis.in_block)
+
+
+def all_loops_state(basis):
+    """Uniform superposition over all loop states (needs one loop per vertex)."""
+    if not basis.anomaly.schema.loops:
+        raise ConfigurationError("graph does not carry a loop on every vertex")
+    return uniform_state(basis, basis.anomaly_block)
+
+
+def symmetric_out_state(basis, vertices):
+    """Uniform superposition of (0,j) over the given outer vertices."""
+    return uniform_state(basis, basis.out_rows(vertices))
+
+
 def symmetric_in_state(basis, vertices):
     """Uniform superposition of (j,0) over the given outer vertices."""
-    return _uniform_state(basis, basis.in_rows(vertices))
+    return uniform_state(basis, basis.in_rows(vertices))
+
+
+def family_generators(basis, kind):
+    """The generators of a named kind's family as full-length states: the
+    uniform out and in states, and the loops' for the loop kinds."""
+    generators = [hub_out_state(basis), hub_in_state(basis)]
+    if kind.variant in ("loop_pi", "loop_third"):
+        generators.append(all_loops_state(basis))
+    return generators
+
+
+def reduce_states(op, states):
+    """The closure of arbitrary full-length seed states, placed on cells."""
+    return reduce_seeds(op, *place(op.basis, [state.amplitudes for state in states]))
+
+
+def seed_vectors(cells, rows):
+    """Seeds given as rows on cells, lifted to full-length vectors."""
+    return [cells.vector(row) for row in rows]
 
 
 def label_at(basis, pos):
@@ -141,7 +193,8 @@ def reduce_columns(op, cols):
 
 
 def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
-    """The closure as first written, in the full dimension: complex columns
+    """The closure of full-length seed vectors as first written, in the
+    full dimension: complex columns
     of a (dim x cap) array, projected out one strided column at a time by
     modified Gram-Schmidt with one reorthogonalization pass, then one QR
     whose R diagonal phases are rotated back onto the columns."""
@@ -161,7 +214,7 @@ def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
             count += 1
 
     for seed in seeds:
-        absorb(seed.amplitudes.astype(complex))
+        absorb(seed.astype(complex))
     work = np.empty(d, dtype=complex)
     head = 0
     while head < count:
@@ -174,10 +227,11 @@ def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
 
 
 def dense_closure(op, seeds):
-    """Orthonormal columns spanning the closure of the seeds under the dense
-    U and U adjoint: the column space is grown by SVD rank until it stops."""
+    """Orthonormal columns spanning the closure of full-length seed vectors
+    under the dense U and U adjoint: the column space is grown by SVD rank
+    until it stops."""
     u = dense_matrix(op)
-    cols = np.stack([seed.amplitudes for seed in seeds], axis=1)
+    cols = np.stack(seeds, axis=1)
     while True:
         left, sv, _ = np.linalg.svd(np.hstack((cols, u @ cols, u.conj().T @ cols)),
                                     full_matrices=False)

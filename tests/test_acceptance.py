@@ -10,14 +10,16 @@ import math
 import time
 
 import numpy as np
-from oracle import apply_into, lifted, reduce_columns, symmetric_in_state
-
-from anomalywalk.collapse import reduce_seeds
-from anomalywalk.edgespace import (
-    BasisLabel,
-    make_basis,
+from oracle import (
+    apply_into,
+    lifted,
+    reduce_columns,
+    symmetric_in_state,
     symmetric_out_state,
 )
+
+from anomalywalk.collapse import reduce_seeds
+from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.perturb import _limit, perturbation_sweep, sweep_seeds
 from anomalywalk.search import (
     InitialStateKind,
@@ -86,14 +88,14 @@ def test_criterion_03_reduced_space_fidelity():
     for n in (4, 10, 100, 1000):
         graph = build_star(n, Anomaly.extra_edge(1, 2))
         op = build_step_operator(graph)
-        dims[n] = reduce_seeds(op, family_seeds(graph, InitialStateKind.minus())).dim
+        dims[n] = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus())).dim
     dims_ok = all(d == 5 for d in dims.values())
 
     # (b) reduced evolution lifted back through the basis rows agrees with
     # the full walk
     graph = build_star(100, Anomaly.extra_edge(2, 7))
     op = build_step_operator(graph)
-    reduced = reduce_seeds(op, family_seeds(graph, InitialStateKind.minus()))
+    reduced = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus()))
     v = lifted(reduced.basis)
     full = initial_state(graph, InitialStateKind.minus()).amplitudes.copy()
     coeffs, _ = reduced.basis.decompose(full)
@@ -236,7 +238,7 @@ def test_criterion_08_perturbation_scaling():
                           ("extended_pi", Anomaly.extended_edge(1))):
         graph = build_star(64, anomaly)
         op = build_step_operator(graph)
-        limit_spec = eigendecompose(_limit(reduce_seeds(op, sweep_seeds(graph)), graph))
+        limit_spec = eigendecompose(_limit(reduce_seeds(op, *sweep_seeds(graph))))
         mult = {round(t, 9): m for t, m in zip(limit_spec.eigenphases,
                                                limit_spec.multiplicities)}
         sweep = perturbation_sweep(anomaly)

@@ -6,28 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracle import (
+    all_loops_state,
     apply_into,
     build_unperturbed,
     dense_closure,
+    hub_in_state,
+    hub_out_state,
     lifted,
     projector_gap,
     reduce_columns,
     reduce_operator,
+    reduce_states,
     reference_closure,
+    seed_vectors,
     symmetric_in_state,
+    symmetric_out_state,
 )
 
 import anomalywalk.collapse
-from anomalywalk.collapse import ReducedBasis, cells_operator, reduce_seeds
-from anomalywalk.edgespace import (
-    BasisLabel,
-    all_loops_state,
-    hub_in_state,
-    hub_out_state,
-    make_basis,
-    make_state,
-    symmetric_out_state,
-)
+from anomalywalk.collapse import ReducedBasis, cells_operator, place, reduce_seeds
+from anomalywalk.edgespace import BasisLabel, make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -50,7 +48,7 @@ def basis_vector(basis, label):
 def family_basis(graph, kind=None):
     op = build_step_operator(graph)
     kind = kind or InitialStateKind.minus()
-    return op, reduce_seeds(op, family_seeds(graph, kind)).basis
+    return op, reduce_seeds(op, *family_seeds(graph, kind)).basis
 
 
 ORACLE_CASES = [
@@ -73,8 +71,8 @@ def test_closure_matches_strided_reference(n, case, seeding):
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
     seeds = family_seeds(graph, kind) if seeding == "family" else sweep_seeds(graph)
-    basis = reduce_seeds(op, seeds).basis
-    ref = reference_closure(op, seeds)
+    basis = reduce_seeds(op, *seeds).basis
+    ref = reference_closure(op, seed_vectors(*seeds))
     assert basis.dim == ref.shape[1]
     assert basis.coords.dtype == (np.float64 if op.is_real else np.complex128)
     v = lifted(basis)
@@ -90,8 +88,8 @@ DENSE_ANOMALIES = [Anomaly.none()] + [
 
 
 def seedings(graph, op):
-    """The family seeds of every kind the graph admits, those of a random
-    complex custom state, and the sweep seeds."""
+    """The cells and seed rows of every kind the graph admits, of a random
+    complex custom state, and of the sweep."""
     rng = np.random.default_rng(graph.n_spokes)
     amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
     kinds = [InitialStateKind.minus(), InitialStateKind.plus(),
@@ -108,8 +106,8 @@ def test_cells_close_like_the_dense_walk(n, anomaly):
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
     for seeds in seedings(graph, op):
-        basis = reduce_seeds(op, seeds).basis
-        ref = dense_closure(op, seeds)
+        basis = reduce_seeds(op, *seeds).basis
+        ref = dense_closure(op, seed_vectors(*seeds))
         assert basis.dim == ref.shape[1]
         assert projector_gap(lifted(basis), ref) <= 1e-12
 
@@ -149,7 +147,7 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     op = build_step_operator(graph)
     cases = seedings(graph, op)
     for k, seeds in enumerate(cases):
-        finite = reduce_seeds(op, seeds)
+        finite = reduce_seeds(op, *seeds)
         again, leakage = reduce_columns(op, lifted(finite.basis))
         assert leakage <= DEFAULT_POLICY.invariance_tol
         assert np.abs(finite.matrix - again).max() <= 1e-12
@@ -160,21 +158,13 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
             # only the perturbation runs' own seeds must carry the limit
             assert k < len(cases) - 1
             with pytest.raises(InvarianceError):
-                _limit(finite, graph)
+                _limit(finite)
         else:
-            assert np.abs(_limit(finite, graph).matrix - ref).max() <= 1e-12
+            assert np.abs(_limit(finite).matrix - ref).max() <= 1e-12
 
 
 WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3),
                PhaseAngle.from_radians(0.7)]
-
-
-def cells_of(op, seeds):
-    """The cells that reduce_seeds builds for the seeds, as a basis of
-    identity coordinates."""
-    basis = reduce_seeds(op, seeds).basis
-    m = basis.coords.shape[1]
-    return dataclasses.replace(basis, coords=np.eye(m, dtype=basis.coords.dtype))
 
 
 @pytest.mark.parametrize("n", [*range(3, 13), 64, 4096])
@@ -192,8 +182,7 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
         graph = build_star(n, anomaly)
         op = build_step_operator(graph)
         real = InitialStateKind.custom(rng.normal(size=op.dimension))
-        for seeds in seedings(graph, op) + [family_seeds(graph, real)]:
-            cells = cells_of(op, seeds)
+        for cells, _ in seedings(graph, op) + [family_seeds(graph, real)]:
             if n <= 12:
                 c = lifted(cells)
                 want = c.conj().T @ dense_matrix(op) @ c
@@ -205,7 +194,7 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
 def test_cells_operator_refuses_moves_off_the_cells():
     graph = build_star(8, Anomaly.loop(3))
     op = build_step_operator(graph)
-    cells = cells_of(op, family_seeds(graph, InitialStateKind.minus()))
+    cells, _ = family_seeds(graph, InitialStateKind.minus())
     pos = op.basis.position
     edge, loop = BasisLabel.edge, BasisLabel.loop
     # the loop exits onto spoke 5's incoming row and (0,5) enters (3,0): the
@@ -235,27 +224,27 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
     coarse = dataclasses.replace(DEFAULT_POLICY, closure_residual=0.5)
     monkeypatch.setattr(anomalywalk.collapse, "DEFAULT_POLICY", coarse)
     with pytest.raises(InvarianceError, match="leakage 1.26"):
-        reduce_seeds(op, sweep_seeds(graph))
+        reduce_seeds(op, *sweep_seeds(graph))
 
 
 @pytest.mark.parametrize("anomaly,kind,vectors", [
-    (Anomaly.loop(3), InitialStateKind.minus(), 3),
-    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 3),
+    (Anomaly.loop(3), InitialStateKind.minus(), 2.5),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 2.5),
     (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
-     InitialStateKind.loop_third(), 4),
+     InitialStateKind.loop_third(), 2),
 ])
 def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
-    # the closure is held on the cells and their operator read from the
-    # routing: no block of full-length rows is allocated and no state is
-    # stepped, only a few work vectors (counted as float64 vectors of the
-    # full dimension; the pi/3 walk is complex).  The peaks measured were
-    # 2.0, 2.0 and 2.7 vectors; the bounds allow one more.
+    # the seeds are rows on the cells and the closure is held there, with
+    # the cells' operator read from the routing: no seed is built at full
+    # length and no state is stepped, so only the bulk profile and its
+    # work copies are allocated (counted as float64 vectors of the full
+    # dimension; the pi/3 walk is complex).  The peaks measured were
+    # 2.0, 2.0 and 1.33 vectors; the bounds allow about half a vector more.
     graph = build_star(200_000, anomaly)
     op = build_step_operator(graph)
-    seeds = family_seeds(graph, kind)
     tracemalloc.start()
     try:
-        reduce_seeds(op, seeds)
+        reduce_seeds(op, *family_seeds(graph, kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,18 +253,42 @@ def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
 
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_sweep_seeds_are_the_family_generators_and_anomaly_spoke(anomaly):
-    # the seeds as they were listed by hand
+    # the rows on the cells, lifted, against the full-length generators as
+    # they were first built: the family's uniform states, then the
+    # symmetric out state of the anomaly vertices
     graph = build_star(10, anomaly)
     basis = make_basis(graph)
-    hand = [hub_out_state(basis), hub_in_state(basis)]
+    kind = InitialStateKind.loop_pi() if anomaly.schema.loops else InitialStateKind.minus()
+    family = [hub_out_state(basis), hub_in_state(basis)]
     if anomaly.schema.loops:
-        hand.append(all_loops_state(basis))
+        family.append(all_loops_state(basis))
+    sweep = family[:]
     if graph.anomaly_vertices:
-        hand.append(symmetric_out_state(basis, graph.anomaly_vertices))
-    seeds = sweep_seeds(graph)
-    assert len(seeds) == len(hand)
-    for seed, ref in zip(seeds, hand):
-        np.testing.assert_array_equal(seed.amplitudes, ref.amplitudes)
+        sweep.append(symmetric_out_state(basis, graph.anomaly_vertices))
+    for seeds, hand in ((family_seeds(graph, kind), family), (sweep_seeds(graph), sweep)):
+        lifted_rows = seed_vectors(*seeds)
+        assert len(lifted_rows) == len(hand)
+        for seed, ref in zip(lifted_rows, hand):
+            assert np.abs(seed - ref.amplitudes).max() <= 1e-15
+
+
+@pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
+def test_place_holds_the_vectors_and_refuses_a_dropped_block_part(anomaly):
+    # a random vector's rows on its own cells lift back to it; a block part
+    # within the closure residual of the uniform profile is dropped from
+    # the profiles, and its leakage is refused
+    graph = build_star(10, anomaly)
+    basis = make_basis(graph)
+    rng = np.random.default_rng(7)
+    for x in (rng.normal(size=basis.dim), rng.normal(size=basis.dim) * 1j):
+        cells, rows = place(basis, [x])
+        assert rows.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
+        assert np.abs(cells.vector(rows[0]) - x).max() <= 1e-14
+    near = hub_out_state(basis).amplitudes.copy()
+    bulk = [j for j in range(1, 11) if j not in graph.anomaly_vertices]
+    near[basis.out_rows(bulk[:2])] += (5e-9, -5e-9)
+    with pytest.raises(InvarianceError, match="leakage 7.07"):
+        place(basis, [near])
 
 
 @pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),
@@ -285,10 +298,11 @@ def test_complex_seed_takes_complex_path(anomaly):
     # same complex subspace as the real seeds, so the projectors agree
     graph = build_star(256, anomaly)
     op = build_step_operator(graph)
-    seeds = sweep_seeds(graph)
-    real = reduce_seeds(op, seeds).basis
-    turned = [make_state(1j * seeds[0].amplitudes)] + seeds[1:]
-    cplx = reduce_seeds(op, turned).basis
+    cells, rows = sweep_seeds(graph)
+    real = reduce_seeds(op, cells, rows).basis
+    turned = rows.astype(complex)
+    turned[0] *= 1j
+    cplx = reduce_seeds(op, cells, turned).basis
     assert real.coords.dtype == np.float64
     assert cplx.coords.dtype == np.complex128
     assert cplx.dim == real.dim
@@ -326,9 +340,9 @@ def test_single_seed_orbit_is_smaller_than_family():
     # the family generators is what yields the full five dimensions
     graph = build_star(100, Anomaly.extra_edge(2, 5))
     op = build_step_operator(graph)
-    alone = lifted(reduce_seeds(op, [initial_state(graph, InitialStateKind.minus())]).basis)
+    alone = lifted(reduce_states(op, [initial_state(graph, InitialStateKind.minus())]).basis)
     assert alone.shape[1] == 4
-    family = lifted(reduce_seeds(op, family_seeds(graph, InitialStateKind.minus())).basis)
+    family = lifted(reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus())).basis)
     assert family.shape[1] == 5
     # the missing direction is a fixed vector of the step
     u = dense_matrix(op)
@@ -358,7 +372,7 @@ def test_orbit_matches_dense_rank_brute_force():
         q = np.linalg.svd(m, full_matrices=False)[0][:, :new_rank]
         stack = [q[:, i] for i in range(new_rank)]
         rank = new_rank
-    basis = reduce_seeds(op, [basis_vector(op.basis, BasisLabel.edge(0, 3))]).basis
+    basis = reduce_states(op, [basis_vector(op.basis, BasisLabel.edge(0, 3))]).basis
     assert basis.dim == rank == 4
 
 
@@ -383,7 +397,7 @@ def test_reduced_matrix_golden_extra_edge():
     op = build_step_operator(graph)
     reduced, leakage = reduce_columns(op, cols)
     assert leakage <= 1e-12
-    closure = reduce_seeds(op, family_seeds(graph, InitialStateKind.minus()))
+    closure = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus()))
     change = np.stack([closure.basis.decompose(col)[0] for col in cols.T], axis=1)
     r, t = (n - 2) / n, 2 / n
     a = r - t
@@ -475,16 +489,25 @@ def test_project_drops_component_outside_span():
 
 
 def test_empty_seed_list_rejected():
-    op = build_step_operator(build_star(5, Anomaly.none()))
+    graph = build_star(5, Anomaly.none())
+    op = build_step_operator(graph)
+    cells, _ = family_seeds(graph, InitialStateKind.minus())
     with pytest.raises(ConfigurationError):
-        reduce_seeds(op, [])
+        reduce_seeds(op, cells, [])
+    with pytest.raises(ConfigurationError):
+        reduce_states(op, [])
 
 
 def test_seed_dimension_mismatch():
-    op = build_step_operator(build_star(5, Anomaly.none()))
-    wrong = make_state(np.array([1.0, 0.0]))
+    graph = build_star(5, Anomaly.none())
+    op = build_step_operator(graph)
+    cells, rows = family_seeds(graph, InitialStateKind.minus())
     with pytest.raises(DimensionMismatchError):
-        reduce_seeds(op, [wrong])
+        reduce_seeds(op, cells, [[1.0, 0.0, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        reduce_seeds(op, cells, rows[0])
+    with pytest.raises(DimensionMismatchError):
+        place(op.basis, [np.array([1.0, 0.0])])
 
 
 def test_reduce_rejects_non_invariant_basis():
@@ -501,7 +524,7 @@ def test_reduce_rejects_non_invariant_basis():
 def test_reduce_dimension_mismatch():
     op5 = build_step_operator(build_star(5, Anomaly.none()))
     op6 = build_step_operator(build_star(6, Anomaly.none()))
-    basis = reduce_seeds(op6, [hub_out_state(op6.basis), hub_in_state(op6.basis)]).basis
+    basis = reduce_states(op6, [hub_out_state(op6.basis), hub_in_state(op6.basis)]).basis
     with pytest.raises(DimensionMismatchError):
         reduce_operator(op5, basis)
     with pytest.raises(DimensionMismatchError):

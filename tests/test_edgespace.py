@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
-from oracle import label_at, symmetric_in_state
+from oracle import (
+    all_loops_state,
+    hub_in_state,
+    hub_out_state,
+    label_at,
+    symmetric_in_state,
+    symmetric_out_state,
+)
 
 from anomalywalk.edgespace import (
     BasisLabel,
-    all_loops_state,
+    WalkState,
     edge_probabilities,
-    hub_in_state,
-    hub_out_state,
     make_basis,
     make_state,
-    symmetric_out_state,
 )
 from anomalywalk.errors import (
     ConfigurationError,
@@ -162,11 +166,11 @@ def test_make_state_checks():
 
 
 @pytest.mark.parametrize("amps, dtype", [
-    (np.array([0.6, 0.8]), np.float64), (np.array([0.6, 0.8], dtype=np.float32), np.float64),
+    (np.array([0.6, 0.8]), np.float64), (np.full(4, 0.5, dtype=np.float32), np.float64),
     ([0, 1], np.float64), ([0.6, 0.8j], np.complex128),
     (np.array([0.6, 0.8], dtype=complex), np.complex128)])
 def test_make_state_keeps_real_amplitudes_real(amps, dtype):
-    s = make_state(amps, require_unit=False)
+    s = make_state(amps)
     assert s.amplitudes.dtype == dtype
 
 
@@ -175,11 +179,6 @@ def test_uniform_states_are_float64():
     for state in (hub_out_state(basis), hub_in_state(basis), all_loops_state(basis),
                   symmetric_out_state(basis, (1, 3))):
         assert state.amplitudes.dtype == np.float64
-
-
-def test_make_state_unnormalized_allowed_when_asked():
-    s = make_state(np.array([2.0, 0.0]), require_unit=False)
-    assert np.linalg.norm(s.amplitudes) == pytest.approx(2.0)
 
 
 def test_uniform_states():
@@ -236,7 +235,7 @@ def test_edge_probabilities_loop_key():
 def test_edge_probabilities_rejects_leaky_state():
     graph = build_star(3, Anomaly.none())
     basis = make_basis(graph)
-    half = make_state(np.full(basis.dim, 0.1), require_unit=False)
+    half = WalkState(amplitudes=np.full(basis.dim, 0.1), basis_dim=basis.dim)
     with pytest.raises(NumericalFailureError):
         edge_probabilities(half, basis)
 

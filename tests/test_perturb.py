@@ -175,7 +175,7 @@ class TestLimitOperator:
     def test_limit_branch_structure(self, anomaly, phases, mults):
         graph = build_star(200, anomaly)
         op = build_step_operator(graph)
-        limit = _limit(reduce_seeds(op, sweep_seeds(graph)), graph)
+        limit = _limit(reduce_seeds(op, *sweep_seeds(graph)))
         gram = limit.matrix.conj().T @ limit.matrix
         np.testing.assert_allclose(gram, np.eye(limit.dim), atol=1e-12)
         spec = eigendecompose(limit)
@@ -188,7 +188,7 @@ class TestLimitOperator:
         for n in (64, 256):
             graph = build_star(n, Anomaly.extra_edge(1, 2))
             op = build_step_operator(graph)
-            spec = eigendecompose(_limit(reduce_seeds(op, sweep_seeds(graph)), graph))
+            spec = eigendecompose(_limit(reduce_seeds(op, *sweep_seeds(graph))))
             if a64 is None:
                 a64 = spec.eigenphases
             else:
@@ -232,12 +232,12 @@ class TestSweep:
 
 def test_sweep_seeds_include_anomaly_direction():
     graph = build_star(20, Anomaly.extended_edge(4))
-    seeds = sweep_seeds(graph)
-    assert len(seeds) == 3  # two uniforms plus the anomaly-local spoke
-    local = seeds[-1].amplitudes
+    cells, rows = sweep_seeds(graph)
+    assert len(rows) == 3  # two uniforms plus the anomaly-local spoke
+    local = cells.vector(rows[-1])
     assert abs(local[3]) == pytest.approx(1.0)
 
 
 def test_sweep_seeds_missing_loop_has_four():
     graph = build_star(20, Anomaly.missing_loop(4))
-    assert len(sweep_seeds(graph)) == 4
+    assert len(sweep_seeds(graph)[1]) == 4

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import flat_walk_records
+from oracle import family_generators, flat_walk_records
 
 import anomalywalk.search
 import anomalywalk.stepop
@@ -31,6 +31,9 @@ from anomalywalk.search import (
 )
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import BlockWalk, build_step_operator, walk_dtype
+
+
+THIRD = np.exp(2j * np.pi / 3)
 
 
 class TestInitialStates:
@@ -117,9 +120,32 @@ class TestInitialStates:
 
     def test_family_seeds_counts(self):
         spoke = build_star(9, Anomaly.extra_edge(1, 5))
-        assert len(family_seeds(spoke, InitialStateKind.minus())) == 2
+        assert len(family_seeds(spoke, InitialStateKind.minus())[1]) == 2
         missing = build_star(9, Anomaly.missing_loop(5))
-        assert len(family_seeds(missing, InitialStateKind.loop_pi())) == 3
+        assert len(family_seeds(missing, InitialStateKind.loop_pi())[1]) == 3
+
+    @pytest.mark.parametrize("n", [3, 7, 1000])
+    @pytest.mark.parametrize("kind,weights", [
+        (InitialStateKind.minus(), (1.0, -1.0)),
+        (InitialStateKind.plus(), (1.0, 1.0)),
+        (InitialStateKind.inout(0.3, -0.7), (0.3, -0.7)),
+        (InitialStateKind.inout(1.0, -0.5j), (1.0, -0.5j)),
+        (InitialStateKind.loop_pi(), (1.0, 1.0, 1.0)),
+        (InitialStateKind.loop_third(), (THIRD.conjugate(), 1.0, THIRD)),
+    ], ids=["minus", "plus", "inout_real", "inout_complex", "loop_pi", "loop_third"])
+    @pytest.mark.parametrize("phase", [(1, 3), (-1, 3), (1, 1)], ids=["pi_3", "-pi_3", "pi"])
+    def test_named_states_are_the_generator_sums(self, n, kind, weights, phase):
+        # the block fill against the sum of the full-length generators as
+        # first written, bit for bit and dtype included
+        graph = build_star(n, Anomaly.missing_loop(2, PhaseAngle.from_pi_fraction(*phase)))
+        if kind.variant == "loop_third" and phase[0] < 0:
+            weights = weights[::-1]  # a negative phase conjugates the weights
+        generators = family_generators(make_basis(graph), kind)
+        amps = sum(c * g.amplitudes for c, g in zip(weights, generators))
+        want = amps / np.linalg.norm(amps)
+        got = initial_state(graph, kind).amplitudes
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRealArithmetic:

@@ -4,14 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracle import reduce_columns, symmetric_in_state
+from oracle import reduce_columns, symmetric_in_state, symmetric_out_state
 
 import anomalywalk.spectral
-from anomalywalk.edgespace import (
-    BasisLabel,
-    make_basis,
-    symmetric_out_state,
-)
+from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import InitialStateKind, initial_state
