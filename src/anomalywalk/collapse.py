@@ -3,7 +3,7 @@
 The walk treats every bulk (non-anomaly) spoke alike, so the rows of the
 star split into a few cells whose span is invariant whatever N is: the
 equitable-partition quotient of the star.  This module builds those cells,
-reads the step on them from its routing, closes the seeds under it in
+reads the step on them from its role table, closes the seeds under it in
 their coordinates, and expresses the step inside the closure.
 
 Seeds are rows on the cells; `place` is the one path from full-length
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph
-from .stepop import StepOperator, walk_dtype
+from .stepop import StepOperator, _patch_amplitudes, walk_dtype
 
 
 def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,11 +171,13 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
     dtype = np.result_type(np.float64, *vectors)
     vertices = StarGraph(n, basis.anomaly).anomaly_vertices
     anomalous = basis.out_rows(vertices)
-    blocks = (basis.out_block, basis.in_block)
-    if basis.anomaly.schema.loops:
-        blocks += (basis.anomaly_block,)
-    profiles = np.empty((0, n), dtype)
-    for vec in [np.ones(n)] + [x[block] for x in vectors for block in blocks]:
+    bounds = basis.bounds  # every block but the anomaly tail is a bulk block
+    blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1]))
+    # the uniform profile in closed form: ones over sqrt(N - k), zero on
+    # the k anomaly vertices
+    profiles = np.full((1, n), 1.0 / math.sqrt(n - len(anomalous)), dtype)
+    profiles[0, anomalous] = 0.0
+    for vec in [x[block] for x in vectors for block in blocks]:
         vec = vec.astype(dtype)
         vec[anomalous] = 0.0
         profiles = _accept(vec, profiles)
@@ -187,7 +189,8 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
 
 
 def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
-    """M = C*UC on the cells C of a basis, read from the routing and certified.
+    """M = C*UC on the cells C of a basis, read from the operator's role
+    table and patches, and certified.
 
     The hub writes t*sum(in) - in over the out block, whose all-ones is
     `block_ones(0)`; a bulk cell sums to its profile's sum, a unit to 1.
@@ -198,26 +201,24 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     """
     if cells.full_dim != op.dimension:
         raise DimensionMismatchError(f"cells in dimension {cells.full_dim}, not {op.dimension}")
-    routing = op.routing
     p = len(cells.profiles)
     # each cell as (block, key): a unit's key is its offset, and profile
     # j's cells share the key -1 - j in every bulk block
-    where = [(routing.bounds.index(block.start), -1 - j) for block in cells.blocks
-             for j in range(p)] + list(routing.locate(cells.units))
+    where = [(op.basis.bounds.index(block.start), -1 - j) for block in cells.blocks
+             for j in range(p)] + list(op.basis.locate(cells.units))
     column = {at: col for col, at in enumerate(where)}
-    home = {role: k for k, role in enumerate(routing.roles)}
+    home = {role: k for k, role in enumerate(op.roles)}
     sums = [*np.tile(cells.profiles.sum(axis=1), len(cells.blocks)), *[1.0] * len(cells.units)]
     matrix = np.zeros((len(where),) * 2, walk_dtype(op, cells.profiles))
     for col, (block, key) in enumerate(where):
-        hub = block == routing.roles[0]
+        hub = block == op.roles[0]
         to = (0 if hub else home[block], key)
         if to not in column:
             raise NumericalFailureError(f"the step moves cell {col} onto {to}, which no cell holds")
         if hub:
             matrix[:, col] = op.hub_t * sums[col] * cells.block_ones(0)
         matrix[column[to], col] += -1.0 if hub else 1.0
-    amps = op.perm_amp if np.iscomplexobj(matrix) else op.perm_amp.real
-    for src, dst, amp in zip(routing.src, routing.dst, amps):
+    for src, dst, amp in zip(op.src, op.dst, _patch_amplitudes(op, matrix)):
         if src not in column or dst not in column:
             raise NumericalFailureError(f"patch {src} -> {dst} moves a row that is not a unit")
         matrix[column[dst]] = 0.0
@@ -245,13 +246,14 @@ def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
 
 
 def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperator:
-    """Close the span of the seeds, rows on the cells, under the operator
-    and its adjoint, and express the operator inside the closure.
+    """Close the span of the seeds, rows on the cells, under the operator,
+    and express the operator inside the closure.
 
     The closure runs in the coordinates of the cells C, on M = C*UC read
-    from the routing.  Vectors are accepted in a deterministic order:
-    seeds first, then for each accepted vector its image under M followed
-    by its image under M adjoint; residuals of at most
+    from the operator's role table.  Vectors are accepted in a
+    deterministic order: seeds first, then the image under M of each
+    accepted vector.  M is unitary, so a span it maps into itself is
+    closed under its adjoint too.  Residuals of at most
     DEFAULT_POLICY.closure_residual count as contained.  The accepted rows
     Q are the basis's coordinates on the cells (float64 when M and every
     seed are real, complex128 otherwise), and the operator on it is
@@ -271,7 +273,6 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     head = 0
     while head < len(q):
         q = _accept(reduced @ q[head], q)
-        q = _accept(reduced.conj().T @ q[head], q)
         head += 1
     images = reduced @ q.T
     matrix = q.conj() @ images

@@ -93,6 +93,27 @@ class EdgeBasis:
         return slice(2 * self.n_spokes, self.dim)
 
     @property
+    def bounds(self) -> tuple[int, ...]:
+        """Where each block starts, then the dimension: block k holds rows
+        bounds[k]..bounds[k+1]-1.  The blocks are out, in and, for
+        missing_loop, the loops (each of length N), then the anomaly tail
+        (possibly empty)."""
+        bulk = 3 if self.anomaly.schema.loops else 2
+        return (*range(0, bulk * self.n_spokes + 1, self.n_spokes), self.dim)
+
+    def locate(self, rows) -> tuple[tuple[int, int], ...]:
+        """The (block, offset) of each row, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        bounds = self.bounds
+        blocks = np.searchsorted(bounds, rows, side="right") - 1
+        return tuple(zip(blocks.tolist(), (rows - np.take(bounds, blocks)).tolist()))
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Views of the blocks of a full-length vector."""
+        bounds = self.bounds
+        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    @property
     def anomaly_only_rows(self) -> np.ndarray:
         """Rows of the states only the anomaly provides; of missing_loop's, the dummy loop."""
         if self.anomaly.schema.loops:

@@ -22,10 +22,9 @@ from .errors import (
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
-    SizeError,
 )
 from .numerics import DEFAULT_POLICY
-from .stargraph import StarGraph, physical_memory_bytes, serialize_spec
+from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
 
@@ -104,7 +103,7 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
         if graph.anomaly.mark_phase.value < 0:
             w = w.conjugate()
         return (w.conjugate(), 1.0, w)
-    raise ConfigurationError(f"unknown initial-state kind {kind.variant!r}")
+    raise ConfigurationError(f"initial-state kind {kind.variant!r} is not a named family")
 
 
 def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
@@ -128,17 +127,14 @@ def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
     """The star's cells, and as rows on them the generators of the smallest
-    state family containing the kind: the uniform state of each block it
-    weighs, or a custom state itself.
+    state family containing a named kind: the uniform state of each block
+    it weighs.  A custom state is placed on its own cells by `place`.
 
     Closing these under the walk gives one invariant subspace that serves
     every start state of the family, not just a single seed's orbit.
     """
-    basis = make_basis(graph)
-    if kind.variant == "custom":
-        return place(basis, [initial_state(graph, kind).amplitudes])
     weights = _block_weights(graph, kind)
-    cells = star_cells(basis)
+    cells = star_cells(make_basis(graph))
     return cells, np.array([cells.uniform(k) for k in range(len(weights))])
 
 
@@ -185,14 +181,6 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
 _RECORD_BYTES = 256
 
 
-def _require_memory(count: int, bytes_each: int, what: str) -> None:
-    """Refuse, before anything is allocated, a count that cannot fit in memory."""
-    memory = physical_memory_bytes()
-    if count * bytes_each > memory:
-        raise SizeError(f"{count} {what} need more than the "
-                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
-
-
 def _norm2(x: np.ndarray) -> float:
     """Squared norm; a real vector's is one pass with no temporaries."""
     return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
@@ -212,7 +200,7 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     buffers, its rows read at their (block, offset) and its total summed
     block by block."""
     walk = BlockWalk(op, x0)
-    target, anomaly = op.routing.locate(target_rows), op.routing.locate(anomaly_rows)
+    target, anomaly = op.basis.locate(target_rows), op.basis.locate(anomaly_rows)
 
     def record(n):
         return _record(n, walk.gather(target), walk.gather(anomaly),
@@ -226,9 +214,19 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
 
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
-    reduced = reduce_seeds(op, *family_seeds(graph, kind))
+    """The walk inside the closure of the start state's family, from the
+    start state's row on the star's cells: x0's own for a custom state,
+    else the kind's block weights on the family's uniform rows."""
+    if kind.variant == "custom":
+        cells, seeds = place(op.basis, [x0])
+        start = seeds[0]
+    else:
+        cells, seeds = family_seeds(graph, kind)
+        start = np.asarray(_block_weights(graph, kind)) @ seeds
+        start /= np.linalg.norm(start)
+    reduced = reduce_seeds(op, cells, seeds)
     basis = reduced.basis
-    c, leakage = basis.decompose(x0)
+    c, leakage = basis.decompose_cells(start)
     if leakage > DEFAULT_POLICY.invariance_tol:
         raise NumericalFailureError(
             f"start state leaks {leakage:.3e} outside its reduced family")
@@ -268,7 +266,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
 
     if max_steps < 1:
         raise ConfigurationError("max_steps must be at least 1")
-    _require_memory(max_steps, _RECORD_BYTES, "steps")
+    require_memory(max_steps * _RECORD_BYTES, f"{max_steps} steps")
     if method not in ("full", "reduced"):
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
@@ -403,7 +401,7 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
     rng = _rng(seed)
-    _require_memory(trials, _BASELINE_BYTES_PER_TRIAL, "trials")
+    require_memory(trials * _BASELINE_BYTES_PER_TRIAL, f"{trials} trials")
     k = len(graph.anomaly_vertices)
     return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))
 

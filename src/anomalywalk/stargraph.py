@@ -205,6 +205,14 @@ def physical_memory_bytes() -> float:
         return math.inf
 
 
+def require_memory(nbytes: float, what: str) -> None:
+    """Refuse, before anything is allocated, what needs more bytes than the
+    machine's physical memory."""
+    memory = physical_memory_bytes()
+    if nbytes > memory:
+        raise SizeError(f"{what} need more than the {memory / 2 ** 30:.3g} GiB of physical memory")
+
+
 def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     """Validate and assemble a star graph.
 
@@ -228,10 +236,8 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     for vertex in graph.anomaly_vertices:  # an unknown variant has no schema
         if not 1 <= vertex <= n:
             raise IndexRangeError(f"vertex {vertex} outside 1..{n}")
-    memory = physical_memory_bytes()
-    if graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE > memory:
-        raise SizeError(f"n_spokes {n} needs more than the "
-                        f"{memory / 2 ** 30:.3g} GiB of physical memory")
+    require_memory(graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE,
+                   f"the {graph.hilbert_dim} amplitudes of n_spokes {n}")
     return graph
 
 

@@ -4,24 +4,21 @@ The operator never materializes as a matrix on the hot path.  Hub columns
 all share one structure (reflection -r on the matching outgoing state plus
 transmission t to every other one), so a full application costs O(N): one
 running sum over hub-incoming amplitudes, then the outer-vertex columns,
-each of which has exactly one nonzero.  Those follow the block layout:
-one or two length-N blocks move whole from one role to another (out to
-in, or out to loops to in for missing_loop), then a few patches overwrite
-the rows the anomaly reroutes.
+each of which has exactly one nonzero.  Those follow the block layout of
+`EdgeBasis`: the blocks trade places (out to in, or out to loops to in for
+missing_loop), then a few patches overwrite the rows the anomaly reroutes.
 
-`StepOperator.routing` states that layout once, in O(1) data: a role
-table over the blocks and (block, offset) pairs for the patches.
-`BlockWalk`, the one stepping implementation, steps a state held as one
-buffer per block by that table (hub rule in place over the in buffer,
-relabelled buffers, scattered patches), and `collapse` reads the
-operator on the star's cells from it.
+`StepOperator` holds the step as that O(1) data alone: a role table over
+the blocks and (block, offset) pairs for the patches, checked when the
+operator is constructed.  `BlockWalk`, the one stepping implementation,
+steps a state held as one buffer per block by that table (hub rule in
+place over the in buffer, relabelled buffers, scattered patches), and
+`collapse` reads the operator on the star's cells from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,20 +30,48 @@ from .stargraph import StarGraph
 
 @dataclass(frozen=True)
 class StepOperator:
-    """Hub amplitudes, block copies and patches of one walk step.
+    """Hub amplitudes, role table and patches of one walk step.
 
-    Each copy (dst, src) moves the length-N block starting at src to the
-    one starting at dst with amplitude 1; the patches (perm_src, perm_dst,
-    perm_amp) are applied after the copies and overwrite their rows.
+    After a step, new block k is old block roles[k] of the basis's layout:
+    new block 0 (out) through the hub rule, t*sum(in) - in, every other one
+    unchanged until the patches overwrite their rows.  Patch i reads old
+    row src[i] and writes amp[i] times it to new row dst[i], both given as
+    (block, offset).  A table that does not read each row once and write
+    each row outside the out block once is refused when it is constructed.
     """
 
     basis: EdgeBasis
     hub_r: float
     hub_t: float
-    copies: tuple[tuple[int, int], ...]
-    perm_src: np.ndarray
-    perm_dst: np.ndarray
-    perm_amp: np.ndarray
+    roles: tuple[int, ...]
+    src: tuple[tuple[int, int], ...]
+    dst: tuple[tuple[int, int], ...]
+    amp: np.ndarray
+
+    def __post_init__(self):
+        bounds, roles, src, dst = self.basis.bounds, self.roles, self.src, self.dst
+        tail = len(bounds) - 2  # the anomaly tail is the last block
+        # the hub turns the in block into the out block, every bulk block
+        # moves and the tail keeps its buffer
+        if (sorted(roles) != list(range(tail + 1)) or roles[0] != 1 or roles[tail] != tail
+                or any(roles[k] == k for k in range(tail))):
+            raise NumericalFailureError(f"roles {roles} do not relabel the blocks")
+        if len(src) != len(dst) or len(src) != len(self.amp) or not all(
+                0 <= b <= tail and 0 <= k < bounds[b + 1] - bounds[b] for b, k in src + dst):
+            raise NumericalFailureError("patch rows do not pair up inside the basis")
+        home = {role: k for k, role in enumerate(roles)}  # where each old block goes
+        for untiled, what in (
+                (len(set(dst)) < len(dst), "patches write a row twice"),
+                (len(set(src)) < len(src), "patches read a row twice"),
+                (any(b == 0 for b, _ in dst), "a patch writes the out block, as the hub does"),
+                (any(b == roles[0] for b, _ in src), "a patch reads the in block, as the hub does"),
+                (sum(b == tail for b, _ in dst) < bounds[-1] - bounds[-2],
+                 "patches leave a row of the anomaly tail unwritten"),
+                # a patch over a relabelled row must read the row it came from
+                ({(home[b], k) for b, k in src} != set(dst),
+                 "patches and roles do not read each row once")):
+            if untiled:
+                raise NumericalFailureError(what)
 
     @property
     def dimension(self) -> int:
@@ -58,75 +83,7 @@ class StepOperator:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.perm_amp.imag == 0.0))
-
-    @cached_property
-    def routing(self) -> "Routing":
-        """The copies and patches as moves between blocks, derived once.
-
-        The blocks are out, in and, for missing_loop, the loops (each of
-        length N), then the anomaly tail (possibly empty).  The hub rule
-        turns the in block into the new out block, each copy (dst, src)
-        makes block src the new block dst, and the tail keeps its buffer,
-        which the patches rewrite whole.  A table that does not read each
-        row once and write each row outside the out block once is refused.
-        """
-        n = self.n_spokes
-        blocks = 3 if self.basis.anomaly.schema.loops else 2
-        bounds = (*range(0, blocks * n + 1, n), self.dimension)
-        roles = list(range(len(bounds) - 1))
-        roles[0] = 1
-        for to, frm in self.copies:
-            if to % n or frm % n or not 0 < to // n < blocks or not 0 <= frm // n < blocks:
-                raise NumericalFailureError(f"copy ({to}, {frm}) is not a whole spoke block")
-            roles[to // n] = frm // n
-        if sorted(roles) != list(range(len(roles))) or any(roles[k] == k for k in range(1, blocks)):
-            raise NumericalFailureError(f"copies do not relabel the blocks: roles {roles}")
-        rows = np.concatenate((self.perm_src, self.perm_dst))
-        if self.perm_src.size != self.perm_dst.size or np.any((rows < 0) | (rows >= bounds[-1])):
-            raise NumericalFailureError("patch rows do not pair up inside the basis")
-        table = Routing(bounds, tuple(roles), (), ())
-        src, dst = table.locate(self.perm_src), table.locate(self.perm_dst)
-        home = {role: k for k, role in enumerate(roles)}  # where each old block goes
-        for untiled, what in (
-                (len(set(dst)) < len(dst), "patches write a row twice"),
-                (len(set(src)) < len(src), "patches read a row twice"),
-                (any(b == 0 for b, _ in dst), "a patch writes the out block, as the hub does"),
-                (any(b == roles[0] for b, _ in src), "a patch reads the in block, as the hub does"),
-                (sum(b == len(roles) - 1 for b, _ in dst) < bounds[-1] - bounds[-2],
-                 "patches leave a row of the anomaly tail unwritten"),
-                # a patch over a copied row must read the row the copy read
-                ({(home[b], o) for b, o in src} != set(dst),
-                 "patches and copies do not read each row once")):
-            if untiled:
-                raise NumericalFailureError(what)
-        return table._replace(src=src, dst=dst)
-
-
-class Routing(NamedTuple):
-    """A step as a relabelling of blocks.
-
-    Block k holds rows bounds[k]..bounds[k+1]-1.  After a step, new block
-    k is old block roles[k]: new block 0 (out) through the hub rule, every
-    other one unchanged until the patches overwrite their rows.  Patch i
-    reads old row src[i] and writes new row dst[i], both (block, offset).
-    A named tuple: a frozen dataclass adds about a millisecond to import.
-    """
-
-    bounds: tuple[int, ...]
-    roles: tuple[int, ...]
-    src: tuple[tuple[int, int], ...]
-    dst: tuple[tuple[int, int], ...]
-
-    def locate(self, rows) -> tuple[tuple[int, int], ...]:
-        """The (block, offset) of each row, in the given order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        blocks = np.searchsorted(self.bounds, rows, side="right") - 1
-        return tuple(zip(blocks.tolist(), (rows - np.take(self.bounds, blocks)).tolist()))
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Views of the blocks of a full-length vector."""
-        return [x[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:])]
+        return bool(np.all(self.amp.imag == 0.0))
 
 
 @dataclass(frozen=True)
@@ -164,8 +121,9 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
 
     edge = BasisLabel.edge
     phase = a.mark_phase.phasor if a.variant != "none" else 1.0 + 0j
-    # every plain spoke bounces (0,j) straight back to (j,0)
-    copies: tuple[tuple[int, int], ...] = ((n, 0),)
+    # every plain spoke bounces (0,j) straight back to (j,0): the out block
+    # becomes the in block, and the tail (block 2) keeps its place
+    roles: tuple[int, ...] = (1, 0, 2)
     if a.variant == "extra_edge":
         patch(edge(0, a.u), edge(a.u, a.v))
         patch(edge(0, a.v), edge(a.v, a.u))
@@ -180,17 +138,16 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
         patch(edge(a.at, tip), edge(tip, a.at), phase)
         patch(edge(tip, a.at), edge(a.at, 0))
     elif a.variant == "missing_loop":
-        # unmarked spokes route (0,j) through their loop, loops exit to (j,0)
-        copies = ((2 * n, 0), (n, 2 * n))
+        # unmarked spokes route (0,j) through their loop, loops exit to (j,0):
+        # out becomes the loops, the loops become in, the empty tail stays
+        roles = (1, 2, 0, 3)
         # marked vertex: direct bounce carrying the marking phase, and its
         # dummy loop is a fixed point
         patch(edge(0, a.at), edge(a.at, 0), phase)
         patch(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
 
-    op = StepOperator(basis, float(hub_r), float(hub_t), copies, np.asarray(src, dtype=np.intp),
-                      np.asarray(dst, dtype=np.intp), np.asarray(amp, dtype=complex))
-    op.routing  # derived now, so that an untiled step is refused at build time
-    return op
+    return StepOperator(basis, float(hub_r), float(hub_t), roles, basis.locate(src),
+                        basis.locate(dst), np.asarray(amp, dtype=complex))
 
 
 def build_step_operator(graph: StarGraph) -> StepOperator:
@@ -211,15 +168,15 @@ def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
     operator; any other operator needs complex buffers.
     """
     if np.iscomplexobj(out):
-        return op.perm_amp
+        return op.amp
     if not op.is_real:
         raise ConfigurationError(
             "a walk with complex phases cannot write into a real buffer")
-    return op.perm_amp.real
+    return op.amp.real
 
 
 class BlockWalk:
-    """A walk whose state is held as one buffer per block of the routing.
+    """A walk whose state is held as one buffer per block of the basis.
 
     `blocks` lists the buffers in layout order (out, in, the loops of
     missing_loop, the anomaly tail).  A step gathers the patch sources,
@@ -233,21 +190,19 @@ class BlockWalk:
         if x0.size != op.dimension:
             raise DimensionMismatchError(
                 f"state dimension {x0.size} != operator dimension {op.dimension}")
-        routing = op.routing
         dtype = walk_dtype(op, x0)
-        self.blocks = [np.array(b, dtype=dtype) for b in routing.split(x0)]
-        self._t = op.hub_t
-        self._routing = routing
+        self.blocks = [np.array(b, dtype=dtype) for b in op.basis.split(x0)]
+        self._op = op
         self._amp = _patch_amplitudes(op, self.blocks[0])
 
     def step(self) -> None:
-        routing = self._routing
+        op = self._op
         # one array product, as in the flat oracle step, so both round alike
-        values = self._amp * self.gather(routing.src)
-        hub = self.blocks[routing.roles[0]]
-        np.subtract(self._t * hub.sum(), hub, out=hub)
-        new = self.blocks = [self.blocks[role] for role in routing.roles]
-        for (b, k), value in zip(routing.dst, values):
+        values = self._amp * self.gather(op.src)
+        hub = self.blocks[op.roles[0]]
+        np.subtract(op.hub_t * hub.sum(), hub, out=hub)
+        new = self.blocks = [self.blocks[role] for role in op.roles]
+        for (b, k), value in zip(op.dst, values):
             new[b][k] = value
 
     def gather(self, located) -> np.ndarray:
@@ -257,17 +212,18 @@ class BlockWalk:
 
 def _dense_columns(op: StepOperator, lo: int, hi: int, dtype=complex) -> np.ndarray:
     """Columns lo..hi-1 of the materialized matrix, float64 ones only for a real operator."""
-    n = op.n_spokes
+    bounds = op.basis.bounds
     u = np.zeros((op.dimension, hi - lo), dtype=dtype)
-    hub = np.arange(max(lo, n), min(hi, 2 * n))
-    u[0:n, hub - lo] = op.hub_t
-    u[hub - n, hub - lo] = -op.hub_r
-    for to, frm in op.copies:
-        cols = np.arange(max(lo, frm), min(hi, frm + n))
-        u[to + cols - frm, cols - lo] = 1.0
-    u[op.perm_dst] = 0.0
-    inside = (lo <= op.perm_src) & (op.perm_src < hi)
-    u[op.perm_dst[inside], op.perm_src[inside] - lo] = _patch_amplitudes(op, u)[inside]
+    for k, role in enumerate(op.roles):
+        cols = np.arange(max(lo, bounds[role]), min(hi, bounds[role + 1]))
+        if k == 0:  # the hub: t onto every out row, then -r back along the spoke
+            u[bounds[0]:bounds[1], cols - lo] = op.hub_t
+        u[bounds[k] + cols - bounds[role], cols - lo] = -op.hub_r if k == 0 else 1.0
+    src, dst = (np.array([bounds[b] + k for b, k in rows], dtype=np.intp)
+                for rows in (op.src, op.dst))
+    u[dst] = 0.0
+    inside = (lo <= src) & (src < hi)
+    u[dst[inside], src[inside] - lo] = _patch_amplitudes(op, u)[inside]
     return u
 
 
@@ -284,7 +240,7 @@ def check_unitarity(op: StepOperator) -> UnitarityReport:
 
     Hub-column inner products take exactly two values (diagonal and
     off-diagonal), so the structural check is O(1) plus a scan of the
-    patch amplitudes (block copies carry amplitude 1); for small
+    patch amplitudes (relabelled blocks carry amplitude 1); for small
     dimensions the result is cross-checked against an explicit dense
     product, formed one block of column slabs at a time, in float64 for
     a real operator.
@@ -295,8 +251,8 @@ def check_unitarity(op: StepOperator) -> UnitarityReport:
     diag = r * r + (n - 1) * t * t
     offdiag = (n - 2) * t * t - 2 * r * t
     dev = max(abs(diag - 1.0), abs(offdiag))
-    if op.perm_amp.size:
-        dev = max(dev, float(np.abs(np.abs(op.perm_amp) ** 2 - 1.0).max()))
+    if op.amp.size:
+        dev = max(dev, float(np.abs(np.abs(op.amp) ** 2 - 1.0).max()))
     d = op.dimension
     if d <= DEFAULT_POLICY.dense_cap:
         # column slabs of 2^20 entries (16 MiB complex) keep the memory far below

@@ -4,7 +4,7 @@ The step is applied here as `src/` never applies it: to one flat vector
 at a time, by `apply_into`, and backwards by `apply_adjoint_into`.  On
 that step, `reduce_operator` finds V*UV numerically for any basis held
 on cells, one basis vector at a time; the operator that `collapse` reads
-from the routing must equal it.  Operators are also reduced on dense
+from the role table and patches must equal it.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 full walk's block buffers are checked against the walk stepped as one
@@ -28,23 +28,27 @@ from anomalywalk.stepop import (
 )
 
 
+def flat_rows(op, located):
+    """The rows of the basis at (block, offset) pairs."""
+    return np.array([op.basis.bounds[b] + k for b, k in located], dtype=np.intp)
+
+
 def apply_into(op, x, out):
-    """One step from one full-length vector into another, by the routing.
+    """One step from one full-length vector into another, by the role table.
 
     No zero fill is needed: the hub rule writes the whole outgoing block,
     the other blocks are written from their roles and the patches then
-    overwrite their rows (the tiling is checked at build time).  The hub
-    rule t*sum(in) - in equals -r*in + t*(sum(in) - in) as r + t = 1
-    (checked at build time).  Buffers are complex128, or float64 when the
-    operator is real.
+    overwrite their rows (the tiling is checked when the operator is
+    constructed).  The hub rule t*sum(in) - in equals -r*in + t*(sum(in) - in)
+    as r + t = 1 (checked at build time).  Buffers are complex128, or
+    float64 when the operator is real.
     """
-    routing = op.routing
-    old, new = routing.split(x), routing.split(out)
-    hub = old[routing.roles[0]]
+    old, new = op.basis.split(x), op.basis.split(out)
+    hub = old[op.roles[0]]
     np.subtract(op.hub_t * hub.sum(), hub, out=new[0])
-    for k, role in enumerate(routing.roles[1:], 1):
+    for k, role in enumerate(op.roles[1:], 1):
         new[k][...] = old[role]
-    out[op.perm_dst] = _patch_amplitudes(op, out) * x[op.perm_src]
+    out[flat_rows(op, op.dst)] = _patch_amplitudes(op, out) * x[flat_rows(op, op.src)]
     return out
 
 
@@ -148,13 +152,14 @@ def build_unperturbed(graph):
 
 
 def apply_adjoint_into(op, x, out):
-    """U adjoint on a flat vector: the hub rule transposed, then each copy
-    and patch run backwards with the conjugate amplitude."""
-    n = op.n_spokes
-    np.subtract(op.hub_t * x[0:n].sum(), x[0:n], out=out[n:2 * n])
-    for to, frm in op.copies:
-        out[frm:frm + n] = x[to:to + n]
-    out[op.perm_src] = np.conj(_patch_amplitudes(op, out)) * x[op.perm_dst]
+    """U adjoint on a flat vector: the hub rule transposed, then each
+    relabelled block and each patch run backwards, the patches with the
+    conjugate amplitude."""
+    new, old = op.basis.split(x), op.basis.split(out)
+    np.subtract(op.hub_t * new[0].sum(), new[0], out=old[op.roles[0]])
+    for k, role in enumerate(op.roles[1:], 1):
+        old[role][...] = new[k]
+    out[flat_rows(op, op.src)] = np.conj(_patch_amplitudes(op, out)) * x[flat_rows(op, op.dst)]
     return out
 
 

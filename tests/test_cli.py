@@ -276,8 +276,8 @@ class TestHorizon:
     @pytest.mark.parametrize("verb", sorted(HORIZON_ARGV))
     def test_horizon_beyond_memory_refused_at_once(self, capsys, tmp_path, monkeypatch,
                                                    verb):
-        import anomalywalk.search
-        monkeypatch.setattr(anomalywalk.search, "physical_memory_bytes",
+        import anomalywalk.stargraph
+        monkeypatch.setattr(anomalywalk.stargraph, "physical_memory_bytes",
                             lambda: float(2 ** 30))
         out = tmp_path / "out.csv"
         start = time.perf_counter()
@@ -355,15 +355,15 @@ def count_calls(monkeypatch, fn):
 
 class TestSinglePass:
     """The reduced paths read the cells' operator in a single pass over the
-    routing: they construct no block walk and split no full-length vector
-    into blocks."""
+    role table and patches: they construct no block walk and split no
+    full-length vector into blocks."""
 
     @staticmethod
     def count_steps(monkeypatch):
         walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
         splits = []
-        split = anomalywalk.stepop.Routing.split
-        monkeypatch.setattr(anomalywalk.stepop.Routing, "split",
+        split = anomalywalk.edgespace.EdgeBasis.split
+        monkeypatch.setattr(anomalywalk.edgespace.EdgeBasis, "split",
                             lambda self, x: splits.append(x.size) or split(self, x))
         return walks, splits
 
@@ -405,8 +405,9 @@ class TestSpectrum:
 
     def test_million_spoke_loop_near_first_vertex(self, capsys, tmp_path):
         # the seeds are rows on the cells, so the run holds no full-length
-        # vector: only the bulk profile of length N and its work copies
-        # (30.7 MiB measured; 61.3 MiB when the seeds were full vectors)
+        # vector: only the bulk profile of length N, built once in closed
+        # form (7.9 MiB measured; the bound allows half a vector of the
+        # full dimension more)
         spec = '{"n_spokes": 1000000, "anomaly": {"type": "loop", "at": 1}}'
         tracemalloc.start()
         try:
@@ -417,7 +418,7 @@ class TestSpectrum:
             tracemalloc.stop()
         assert (code, err) == (0, "")
         assert stdout.strip() == "dim=5 branches=5"
-        assert peak < 45 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
     def test_plain_star_two_branches(self, capsys, tmp_path):
         out = tmp_path / "spec.csv"
@@ -592,8 +593,8 @@ class TestBaseline:
         assert json.loads(out.read_text())["trials"] == 100
 
     def test_trials_beyond_memory_are_refused(self, capsys, monkeypatch):
-        import anomalywalk.search
-        monkeypatch.setattr(anomalywalk.search, "physical_memory_bytes",
+        import anomalywalk.stargraph
+        monkeypatch.setattr(anomalywalk.stargraph, "physical_memory_bytes",
                             lambda: float(2 ** 30))
         start = time.perf_counter()
         code, out, err = run(capsys, "baseline", "--spec", LOOP100,

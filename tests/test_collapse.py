@@ -92,11 +92,12 @@ def seedings(graph, op):
     complex custom state, and of the sweep."""
     rng = np.random.default_rng(graph.n_spokes)
     amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
-    kinds = [InitialStateKind.minus(), InitialStateKind.plus(),
-             InitialStateKind.inout(1.0, 0.5j), InitialStateKind.custom(amps)]
+    kinds = [InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.inout(1.0, 0.5j)]
     if graph.anomaly.schema.loops:
         kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
-    return [family_seeds(graph, kind) for kind in kinds] + [sweep_seeds(graph)]
+    custom = initial_state(graph, InitialStateKind.custom(amps)).amplitudes
+    return ([family_seeds(graph, kind) for kind in kinds]
+            + [place(op.basis, [custom]), sweep_seeds(graph)])
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -170,7 +171,7 @@ WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1
 @pytest.mark.parametrize("n", [*range(3, 13), 64, 4096])
 @pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
 def test_cells_operator_matches_the_stepped_oracles(n, phase):
-    # M read from the routing against C*UC of the dense U on the lifted
+    # M read from the role table against C*UC of the dense U on the lifted
     # cells, and at larger N against the oracle that steps each cell;
     # every variant at both ends of the star, the cells of every named
     # kind, of the sweep seeds and of a random real and complex custom state
@@ -182,7 +183,8 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
         graph = build_star(n, anomaly)
         op = build_step_operator(graph)
         real = InitialStateKind.custom(rng.normal(size=op.dimension))
-        for cells, _ in seedings(graph, op) + [family_seeds(graph, real)]:
+        custom = place(op.basis, [initial_state(graph, real).amplitudes])
+        for cells, _ in seedings(graph, op) + [custom]:
             if n <= 12:
                 c = lifted(cells)
                 want = c.conj().T @ dense_matrix(op) @ c
@@ -199,14 +201,14 @@ def test_cells_operator_refuses_moves_off_the_cells():
     edge, loop = BasisLabel.edge, BasisLabel.loop
     # the loop exits onto spoke 5's incoming row and (0,5) enters (3,0): the
     # rows still tile, but the loop's unit lands on a bulk row
+    locate = op.basis.locate
     rerouted = dataclasses.replace(
-        op, perm_src=np.array([pos(edge(0, 3)), pos(loop(3)), pos(edge(0, 5))]),
-        perm_dst=np.array([pos(loop(3)), pos(edge(5, 0)), pos(edge(3, 0))]),
-        perm_amp=np.ones(3, dtype=complex))
-    assert rerouted.routing.roles == op.routing.roles
+        op, src=locate([pos(edge(0, 3)), pos(loop(3)), pos(edge(0, 5))]),
+        dst=locate([pos(loop(3)), pos(edge(5, 0)), pos(edge(3, 0))]),
+        amp=np.ones(3, dtype=complex))
     with pytest.raises(NumericalFailureError, match="not a unit"):
         cells_operator(rerouted, cells)
-    # cells without the unit of (3,0): the copy of (0,3) lands on no cell
+    # cells without the unit of (3,0): the relabelled (0,3) lands on no cell
     units = cells.units[cells.units != pos(edge(3, 0))]
     m = cells.coords.shape[1] - 1
     short = dataclasses.replace(cells, units=units, coords=np.eye(m))
@@ -216,7 +218,7 @@ def test_cells_operator_refuses_moves_off_the_cells():
 
 def test_truncated_closure_fails_its_certificate(monkeypatch):
     # a coarse closure residual drops a direction the walk reaches; the
-    # cells' operator is read from the routing whatever the residual, and
+    # cells' operator is read from the role table whatever the residual, and
     # the leakage of the images in cell coordinates is what refuses the
     # result
     graph = build_star(64, Anomaly.missing_loop(3))
@@ -228,18 +230,19 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("anomaly,kind,vectors", [
-    (Anomaly.loop(3), InitialStateKind.minus(), 2.5),
-    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 2.5),
+    (Anomaly.loop(3), InitialStateKind.minus(), 1.0),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 1.0),
     (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
-     InitialStateKind.loop_third(), 2),
+     InitialStateKind.loop_third(), 0.85),
 ])
 def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
     # the seeds are rows on the cells and the closure is held there, with
-    # the cells' operator read from the routing: no seed is built at full
-    # length and no state is stepped, so only the bulk profile and its
-    # work copies are allocated (counted as float64 vectors of the full
-    # dimension; the pi/3 walk is complex).  The peaks measured were
-    # 2.0, 2.0 and 1.33 vectors; the bounds allow about half a vector more.
+    # the cells' operator read from the role table: no seed is built at
+    # full length and no state is stepped, so only the bulk profile, built
+    # once in closed form, is allocated at length N (counted as float64
+    # vectors of the full dimension; the pi/3 walk is complex).  The peaks
+    # measured were 0.50, 0.50 and 0.34 vectors; the bounds allow half a
+    # vector more.
     graph = build_star(200_000, anomaly)
     op = build_step_operator(graph)
     tracemalloc.start()

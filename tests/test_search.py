@@ -1,6 +1,7 @@
 """Search dynamics tests: start states, peaks, measurement, baseline."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,12 +11,14 @@ from oracle import family_generators, flat_walk_records
 
 import anomalywalk.search
 import anomalywalk.stepop
+from anomalywalk.collapse import ReducedBasis, ReducedOperator
 from anomalywalk.edgespace import make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     NoPredictionError,
     NothingToFindError,
+    NumericalFailureError,
 )
 from anomalywalk.search import (
     InitialStateKind,
@@ -123,6 +126,9 @@ class TestInitialStates:
         assert len(family_seeds(spoke, InitialStateKind.minus())[1]) == 2
         missing = build_star(9, Anomaly.missing_loop(5))
         assert len(family_seeds(missing, InitialStateKind.loop_pi())[1]) == 3
+        # a custom state has no family of uniform states: `place` takes it
+        with pytest.raises(ConfigurationError, match="not a named family"):
+            family_seeds(spoke, InitialStateKind.custom(np.ones(spoke.hilbert_dim)))
 
     @pytest.mark.parametrize("n", [3, 7, 1000])
     @pytest.mark.parametrize("kind,weights", [
@@ -364,6 +370,45 @@ class TestRunSearch:
         fast = run_search(graph, InitialStateKind.loop_pi(), 20, method="reduced")
         for a, b in zip(full.per_step, fast.per_step):
             assert a.p_target_spokes == pytest.approx(b.p_target_spokes, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [
+        InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
+        InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))], ids=["minus", "inout", "custom"])
+    def test_reduced_builds_the_start_state_once(self, monkeypatch, kind):
+        # the reduced walk starts from the start state's row on the cells:
+        # the full-length state is built once (the spot check steps it),
+        # and only a custom state is decomposed at full length, by `place`
+        graph = build_star(64, Anomaly.loop(3))
+        builds, decomposed = [], []
+        build, decompose = anomalywalk.search.initial_state, ReducedBasis.decompose
+        monkeypatch.setattr(anomalywalk.search, "initial_state",
+                            lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(ReducedBasis, "decompose",
+                            lambda self, x: decomposed.append(x.size) or decompose(self, x))
+        fast = run_search(graph, kind, 30, method="reduced")
+        assert len(builds) == 1
+        assert decomposed == ([graph.hilbert_dim] if kind.variant == "custom" else [])
+        full = run_search(graph, kind, 30, method="full")
+        for a, b in zip(full.per_step, fast.per_step, strict=True):
+            assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
+            assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [
+        InitialStateKind.minus(), InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))],
+        ids=["minus", "custom"])
+    def test_reduced_refuses_a_start_state_outside_the_closure(self, monkeypatch, kind):
+        # a closure cut to its last direction, which is orthogonal to the
+        # seeds, no longer holds the start row
+        close = anomalywalk.search.reduce_seeds
+
+        def last_direction(op, cells, seeds):
+            reduced = close(op, cells, seeds)
+            basis = dataclasses.replace(reduced.basis, coords=reduced.basis.coords[-1:])
+            return ReducedOperator(matrix=reduced.matrix[-1:, -1:], basis=basis)
+
+        monkeypatch.setattr(anomalywalk.search, "reduce_seeds", last_direction)
+        with pytest.raises(NumericalFailureError, match="leaks"):
+            run_search(build_star(64, Anomaly.loop(3)), kind, 10, method="reduced")
 
     def test_plus_state_stays_delocalized(self):
         graph = build_star(64, Anomaly.extra_edge(2, 7))

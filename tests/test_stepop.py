@@ -1,5 +1,6 @@
 """Step-operator tests: hub rule, anomaly rewiring, unitarity, apply paths."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracle import apply_adjoint_into, apply_into
+from oracle import apply_adjoint_into, apply_into, flat_rows
 
 import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
@@ -183,7 +184,7 @@ def rule_triplets(graph, hub_r, hub_t):
     """Sparse (row, col, amplitude) entries of the walk, rule by rule.
 
     One rule per vertex and label, with no block arithmetic: an
-    independent reference for the operator's copies and patches.
+    independent reference for the operator's role table and patches.
     """
     basis = make_basis(graph)
     n = graph.n_spokes
@@ -300,41 +301,57 @@ def test_block_walk_matches_dense(n, phase):
     (Anomaly.missing_loop(3), (1, 2, 0, 3))])
 def test_routing_relabels_blocks(anomaly, roles):
     # out <- in through the hub, in <- out (or in <- loops <- out), and the
-    # tail keeps its buffer; a copy that is not a relabelling is refused
+    # tail keeps its buffer; a table that does not permute the blocks, or
+    # that leaves a bulk block in place, is refused when it is constructed
     op = build_step_operator(build_star(6, anomaly))
-    assert op.routing.roles == roles
-    assert op.routing.bounds[-1] == op.dimension
-    assert op.routing.locate(op.perm_dst) == op.routing.dst
-    for copies in (((12, 0),), ((7, 1),)):
-        with pytest.raises(NumericalFailureError):
-            dataclasses.replace(op, copies=copies).routing
+    assert op.roles == roles
+    assert op.basis.bounds[-1] == op.dimension
+    assert op.basis.locate(flat_rows(op, op.dst)) == op.dst
+    for bad in NOT_RELABELLINGS[len(roles)]:
+        with pytest.raises(NumericalFailureError, match="do not relabel the blocks"):
+            dataclasses.replace(op, roles=bad)
 
+
+# role tables of the three-block (out, in, tail) and four-block (out, in,
+# loops, tail) layouts: too short, not a permutation, a bulk block left in
+# place, the hub reading another block than in, the tail moved
+NOT_RELABELLINGS = {
+    3: [(1, 0), (1, 1, 2), (0, 1, 2), (2, 0, 1), (1, 2, 0)],
+    4: [(1, 2, 0), (1, 2, 0, 0), (1, 0, 2, 3), (2, 0, 1, 3), (1, 2, 3, 0)],
+}
 
 # extra_edge(2, 5) on eight spokes patches (0,2) -> (2,5) -> (5,0) and
-# (0,5) -> (5,2) -> (2,0): rows 1 -> 16 -> 12 and 4 -> 17 -> 9
+# (0,5) -> (5,2) -> (2,0): rows 1 -> 16 -> 12 and 4 -> 17 -> 9, which are
+# (0, 1) -> (2, 0) -> (1, 4) and (0, 4) -> (2, 1) -> (1, 1) as (block, offset)
+SRC = ((0, 1), (0, 4), (2, 0), (2, 1))
+DST = ((2, 0), (2, 1), (1, 4), (1, 1))
 UNTILED = {
-    "tail_row_unwritten": ([4, 16, 17], [17, 12, 9], "tail unwritten"),
-    "row_written_twice": ([1, 4, 16, 17], [16, 17, 12, 12], "write a row twice"),
-    "row_read_twice": ([1, 1, 16, 17], [16, 17, 12, 9], "read a row twice"),
-    "out_block_written": ([1, 4, 16, 17], [16, 17, 4, 9], "writes the out block"),
-    "in_block_read": ([1, 4, 12, 17], [16, 17, 12, 9], "reads the in block"),
-    "copied_row_read_again": ([2, 4, 16, 17], [16, 17, 12, 9], "read each row once"),
+    "tail_row_unwritten": (SRC[1:], DST[1:], "tail unwritten"),
+    "row_written_twice": (SRC, DST[:3] + ((1, 4),), "write a row twice"),
+    "row_read_twice": (((0, 1), (0, 1)) + SRC[2:], DST, "read a row twice"),
+    "out_block_written": (SRC, DST[:2] + ((0, 4), (1, 1)), "writes the out block"),
+    "in_block_read": (SRC[:2] + ((1, 4), (2, 1)), DST, "reads the in block"),
+    "copied_row_read_again": (((0, 2),) + SRC[1:], DST, "read each row once"),
+    "offset_outside_block": (SRC, DST[:3] + ((1, 8),), "pair up inside the basis"),
+    "block_outside_layout": (SRC[:3] + ((3, 0),), DST, "pair up inside the basis"),
+    "negative_offset": (SRC, DST[:3] + ((1, -1),), "pair up inside the basis"),
+    "unpaired_source": (SRC, DST[:3], "pair up inside the basis"),
 }
 
 
 @pytest.mark.parametrize("src,dst,message", UNTILED.values(), ids=UNTILED)
 def test_routing_refuses_untiled_patches(src, dst, message):
     op = build_step_operator(build_star(8, Anomaly.extra_edge(2, 5)))
-    assert (op.perm_src.tolist(), op.perm_dst.tolist()) == ([1, 4, 16, 17], [16, 17, 12, 9])
-    untiled = dataclasses.replace(op, perm_src=np.array(src), perm_dst=np.array(dst),
-                                  perm_amp=np.ones(len(src), dtype=complex))
+    assert (op.src, op.dst) == (SRC, DST)
+    assert (flat_rows(op, op.src).tolist(), flat_rows(op, op.dst).tolist()) == (
+        [1, 4, 16, 17], [16, 17, 12, 9])
     with pytest.raises(NumericalFailureError, match=message):
-        untiled.routing
+        dataclasses.replace(op, src=src, dst=dst, amp=np.ones(len(src), dtype=complex))
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_build_allocates_nothing_of_the_full_length(anomaly):
-    # the build derives the routing, whose tiling check reads the patches
+    # the constructor checks the tiling on the role table and the patches
     # only, so a million-spoke build holds no array of length N
     graph = build_star(10 ** 6, anomaly)
     tracemalloc.start()
@@ -343,7 +360,7 @@ def test_build_allocates_nothing_of_the_full_length(anomaly):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "routing" in vars(op)
+    assert op.roles[0] == 1
     assert peak < 1 << 20
 
 
@@ -354,8 +371,8 @@ def test_patches_are_few(variant):
                "loop": Anomaly.loop(5), "extended_edge": Anomaly.extended_edge(5),
                "missing_loop": Anomaly.missing_loop(5)}[variant]
     op = build_step_operator(build_star(10 ** 5, anomaly))
-    assert op.perm_src.size == op.perm_dst.size == op.perm_amp.size <= 4
-    assert len(op.copies) == (2 if variant == "missing_loop" else 1)
+    assert len(op.src) == len(op.dst) == op.amp.size <= 4
+    assert len(op.roles) == (4 if variant == "missing_loop" else 3)
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -368,11 +385,17 @@ def test_unitary(anomaly):
 def test_dense_cross_check_spans_slabs():
     # two patches feeding one row: every amplitude has modulus one, so only
     # the explicit product sees it, and the two columns sit in different
-    # column slabs of the cross-check
+    # column slabs of the cross-check.  The constructor refuses such patches,
+    # so the broken operator is made without it, as a shallow copy with its
+    # destinations swapped in place
     graph = build_star(1100, Anomaly.extra_edge(1, 1100))
     op = build_step_operator(graph)
     assert check_unitarity(op).passed
-    broken = dataclasses.replace(op, perm_dst=np.full_like(op.perm_dst, op.perm_dst[0]))
+    dst = (op.dst[0],) * len(op.dst)
+    with pytest.raises(NumericalFailureError, match="write a row twice"):
+        dataclasses.replace(op, dst=dst)
+    broken = copy.copy(op)
+    object.__setattr__(broken, "dst", dst)
     assert check_unitarity(broken).max_deviation >= 1.0
 
 
@@ -404,8 +427,8 @@ def test_phases_zero_and_pi_are_exact(make, num, amplitude):
     assert angle.phasor == amplitude and angle.phasor.imag == 0.0
     op = build_step_operator(build_star(8, make(3, angle)))
     assert op.is_real
-    assert not np.any(op.perm_amp.imag)
-    assert set(op.perm_amp.real.tolist()) == {1.0, amplitude}
+    assert not np.any(op.amp.imag)
+    assert set(op.amp.real.tolist()) == {1.0, amplitude}
 
 
 @pytest.mark.parametrize("num, den, amplitude", [(1, 2, 1j), (-1, 2, -1j), (3, 2, -1j),
@@ -414,7 +437,7 @@ def test_quarter_turns_are_exact(num, den, amplitude):
     angle = PhaseAngle.from_pi_fraction(num, den)
     assert angle.phasor == amplitude and angle.phasor.real == 0.0
     op = build_step_operator(build_star(8, Anomaly.missing_loop(3, angle)))
-    assert amplitude in op.perm_amp.tolist()
+    assert amplitude in op.amp.tolist()
     assert not op.is_real
 
 
