@@ -29,6 +29,7 @@ from .errors import (
     AnomalyWalkError,
     ConfigurationError,
     NoPredictionError,
+    NumericalFailureError,
     SpecSemanticError,
     SpecSyntaxError,
 )
@@ -178,7 +179,10 @@ def _cmd_check(args) -> int:
     status = "pass" if report.passed else "fail"
     print(f"dim={graph.hilbert_dim} unitary={status} "
           f"max_dev={report.max_deviation:.3e}")
-    return 0 if report.passed else 2
+    if not report.passed:
+        raise NumericalFailureError(f"unitarity deviation {report.max_deviation:.3e} "
+                                    f"exceeds tolerance {report.tolerance:.1e}")
+    return 0
 
 
 def _cmd_evolve(args) -> int:

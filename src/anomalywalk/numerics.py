@@ -18,12 +18,13 @@ class NumericPolicy:
     probability_tol: float = 1e-10
     # operator construction and certification
     unitarity_tol: float = 1e-12
-    dense_cap: int = 5000
     # invariant-subspace closure
     closure_residual: float = 1e-8
     invariance_tol: float = 1e-9
     reduced_unitarity_tol: float = 1e-10
-    # eigendecomposition
+    # eigendecomposition; dense_cap bounds only its dense matrix, since the
+    # unitarity certificate reads the step's tables at any size
+    dense_cap: int = 5000
     eig_residual_tol: float = 1e-8
     unit_circle_tol: float = 1e-9
     cluster_tol: float = 1e-6

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgespace import BasisLabel, EdgeBasis, make_basis
-from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError, SizeError
+from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
 from .numerics import DEFAULT_POLICY
 from .stargraph import StarGraph
 
@@ -36,8 +36,10 @@ class StepOperator:
     new block 0 (out) through the hub rule, t*sum(in) - in, every other one
     unchanged until the patches overwrite their rows.  Patch i reads old
     row src[i] and writes amp[i] times it to new row dst[i], both given as
-    (block, offset).  A table that does not read each row once and write
-    each row outside the out block once is refused when it is constructed.
+    (block, offset).  Hub amplitudes with r + t != 1 (the rule steps the
+    reflection as t - 1) and a table that does not read each row once and
+    write each row outside the out block once are refused when the
+    operator is constructed.
     """
 
     basis: EdgeBasis
@@ -49,18 +51,28 @@ class StepOperator:
     amp: np.ndarray
 
     def __post_init__(self):
+        if self.hub_r + self.hub_t != 1.0:
+            raise ConfigurationError(
+                f"hub amplitudes need r + t = 1, got {self.hub_r} + {self.hub_t}")
+        fault = self._tiling_fault()
+        if fault:
+            raise NumericalFailureError(fault)
+
+    def _tiling_fault(self) -> str | None:
+        """Why the table does not read each row once and write each row
+        outside the out block once, or None when it does."""
         bounds, roles, src, dst = self.basis.bounds, self.roles, self.src, self.dst
         tail = len(bounds) - 2  # the anomaly tail is the last block
         # the hub turns the in block into the out block, every bulk block
         # moves and the tail keeps its buffer
         if (sorted(roles) != list(range(tail + 1)) or roles[0] != 1 or roles[tail] != tail
                 or any(roles[k] == k for k in range(tail))):
-            raise NumericalFailureError(f"roles {roles} do not relabel the blocks")
+            return f"roles {roles} do not relabel the blocks"
         if len(src) != len(dst) or len(src) != len(self.amp) or not all(
                 0 <= b <= tail and 0 <= k < bounds[b + 1] - bounds[b] for b, k in src + dst):
-            raise NumericalFailureError("patch rows do not pair up inside the basis")
+            return "patch rows do not pair up inside the basis"
         home = {role: k for k, role in enumerate(roles)}  # where each old block goes
-        for untiled, what in (
+        return next((what for untiled, what in (
                 (len(set(dst)) < len(dst), "patches write a row twice"),
                 (len(set(src)) < len(src), "patches read a row twice"),
                 (any(b == 0 for b, _ in dst), "a patch writes the out block, as the hub does"),
@@ -69,9 +81,7 @@ class StepOperator:
                  "patches leave a row of the anomaly tail unwritten"),
                 # a patch over a relabelled row must read the row it came from
                 ({(home[b], k) for b, k in src} != set(dst),
-                 "patches and roles do not read each row once")):
-            if untiled:
-                raise NumericalFailureError(what)
+                 "patches and roles do not read each row once")) if untiled), None)
 
     @property
     def dimension(self) -> int:
@@ -105,8 +115,6 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
     designated hop.
     """
 
-    if hub_r + hub_t != 1.0:
-        raise ConfigurationError(f"hub amplitudes need r + t = 1, got {hub_r} + {hub_t}")
     basis = make_basis(graph)
     n = graph.n_spokes
     a = graph.anomaly
@@ -210,40 +218,18 @@ class BlockWalk:
         return np.array([self.blocks[b][k] for b, k in located], dtype=self.blocks[0].dtype)
 
 
-def _dense_columns(op: StepOperator, lo: int, hi: int, dtype=complex) -> np.ndarray:
-    """Columns lo..hi-1 of the materialized matrix, float64 ones only for a real operator."""
-    bounds = op.basis.bounds
-    u = np.zeros((op.dimension, hi - lo), dtype=dtype)
-    for k, role in enumerate(op.roles):
-        cols = np.arange(max(lo, bounds[role]), min(hi, bounds[role + 1]))
-        if k == 0:  # the hub: t onto every out row, then -r back along the spoke
-            u[bounds[0]:bounds[1], cols - lo] = op.hub_t
-        u[bounds[k] + cols - bounds[role], cols - lo] = -op.hub_r if k == 0 else 1.0
-    src, dst = (np.array([bounds[b] + k for b, k in rows], dtype=np.intp)
-                for rows in (op.src, op.dst))
-    u[dst] = 0.0
-    inside = (lo <= src) & (src < hi)
-    u[dst[inside], src[inside] - lo] = _patch_amplitudes(op, u)[inside]
-    return u
-
-
-def dense_matrix(op: StepOperator) -> np.ndarray:
-    """Materialized matrix, for tests and diagnostics only."""
-    cap = DEFAULT_POLICY.dense_cap
-    if op.dimension > cap:
-        raise SizeError(f"dimension {op.dimension} over dense cap {cap}")
-    return _dense_columns(op, 0, op.dimension)
-
-
 def check_unitarity(op: StepOperator) -> UnitarityReport:
-    """Max elementwise deviation of U†U from identity.
+    """Max elementwise deviation of U†U from identity, read from the step's tables.
 
-    Hub-column inner products take exactly two values (diagonal and
-    off-diagonal), so the structural check is O(1) plus a scan of the
-    patch amplitudes (relabelled blocks carry amplitude 1); for small
-    dimensions the result is cross-checked against an explicit dense
-    product, formed one block of column slabs at a time, in float64 for
-    a real operator.
+    Once the table tiles the rows (the constructor's test, run again here),
+    U is the hub block, which maps the in block onto the out block with -r
+    on the diagonal and t off it, plus a generalised permutation from every
+    other column to every other row whose entries are 1 or a patch
+    amplitude.  The two parts share no row or column, so U†U - I is the
+    hub block's Gram minus I, with r² + (N-1)t² - 1 on the diagonal and
+    (N-2)t² - 2rt off it, and |amp|² - 1 on the patch columns.  A table
+    that does not tile reports a deviation of at least 1, as the dense
+    product of such a table of unit-modulus entries does.
     """
 
     n = op.n_spokes
@@ -253,18 +239,6 @@ def check_unitarity(op: StepOperator) -> UnitarityReport:
     dev = max(abs(diag - 1.0), abs(offdiag))
     if op.amp.size:
         dev = max(dev, float(np.abs(np.abs(op.amp) ** 2 - 1.0).max()))
-    d = op.dimension
-    if d <= DEFAULT_POLICY.dense_cap:
-        # column slabs of 2^20 entries (16 MiB complex) keep the memory far below
-        # that of U itself; U†U is Hermitian, so the blocks on and above
-        # the diagonal cover every entry
-        width = max(1, (1 << 20) // d)
-        dtype = float if op.is_real else complex
-        for lo in range(0, d, width):
-            left = _dense_columns(op, lo, min(d, lo + width), dtype).conj().T
-            for lo2 in range(lo, d, width):
-                gram = left @ _dense_columns(op, lo2, min(d, lo2 + width), dtype)
-                if lo2 == lo:
-                    gram -= np.eye(len(gram))
-                dev = max(dev, float(np.abs(gram).max()))
+    if op._tiling_fault():
+        dev = max(dev, 1.0)
     return UnitarityReport(max_deviation=dev, tolerance=DEFAULT_POLICY.unitarity_tol)

@@ -7,6 +7,8 @@ on cells, one basis vector at a time; the operator that `collapse` reads
 from the role table and patches must equal it.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
+step is materialized as a dense matrix, and its max|U†U - I| is the
+reference for the certificate `check_unitarity` reads from the tables.  The
 full walk's block buffers are checked against the walk stepped as one
 flat vector.  The named start-state families are built here as they
 were first written, as sums of full-length uniform states; `src/` fills
@@ -17,15 +19,59 @@ import numpy as np
 
 from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_state
-from anomalywalk.errors import ConfigurationError, DimensionMismatchError
+from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import StepRecord
 from anomalywalk.stepop import (
     _patch_amplitudes,
     build_scattering_operator,
-    dense_matrix,
     walk_dtype,
 )
+
+
+def _dense_columns(op, lo, hi, dtype=complex):
+    """Columns lo..hi-1 of the materialized matrix, float64 ones only for a real operator."""
+    bounds = op.basis.bounds
+    u = np.zeros((op.dimension, hi - lo), dtype=dtype)
+    for k, role in enumerate(op.roles):
+        cols = np.arange(max(lo, bounds[role]), min(hi, bounds[role + 1]))
+        if k == 0:  # the hub: t onto every out row, then -r back along the spoke
+            u[bounds[0]:bounds[1], cols - lo] = op.hub_t
+        u[bounds[k] + cols - bounds[role], cols - lo] = -op.hub_r if k == 0 else 1.0
+    src, dst = flat_rows(op, op.src), flat_rows(op, op.dst)
+    u[dst] = 0.0
+    inside = (lo <= src) & (src < hi)
+    u[dst[inside], src[inside] - lo] = _patch_amplitudes(op, u)[inside]
+    return u
+
+
+def dense_matrix(op):
+    """The step as a complex128 matrix, refused past DEFAULT_POLICY.dense_cap."""
+    cap = DEFAULT_POLICY.dense_cap
+    if op.dimension > cap:
+        raise SizeError(f"dimension {op.dimension} over dense cap {cap}")
+    return _dense_columns(op, 0, op.dimension)
+
+
+def dense_deviation(op):
+    """max|U†U - I| of the materialized matrix, at any dimension.
+
+    The product is formed one pair of column slabs of 2^20 entries (16 MiB
+    complex) at a time, in float64 for a real operator; U†U is Hermitian,
+    so the blocks on and above the diagonal cover every entry.
+    """
+    d = op.dimension
+    width = max(1, (1 << 20) // d)
+    dtype = float if op.is_real else complex
+    dev = 0.0
+    for lo in range(0, d, width):
+        left = _dense_columns(op, lo, min(d, lo + width), dtype).conj().T
+        for lo2 in range(lo, d, width):
+            gram = left @ _dense_columns(op, lo2, min(d, lo2 + width), dtype)
+            if lo2 == lo:
+                gram -= np.eye(len(gram))
+            dev = max(dev, float(np.abs(gram).max()))
+    return dev
 
 
 def flat_rows(op, located):

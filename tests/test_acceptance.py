@@ -12,6 +12,7 @@ import time
 import numpy as np
 from oracle import (
     apply_into,
+    dense_matrix,
     lifted,
     reduce_columns,
     symmetric_in_state,
@@ -41,7 +42,6 @@ from anomalywalk.stepop import (
     BlockWalk,
     build_step_operator,
     check_unitarity,
-    dense_matrix,
 )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import anomalywalk
+import anomalywalk.stepop
 from anomalywalk.cli import main
+from anomalywalk.numerics import DEFAULT_POLICY
 
 EXTRA100 = '{"n_spokes": 100, "anomaly": {"type": "extra_edge", "u": 2, "v": 7}}'
 LOOP100 = '{"n_spokes": 100, "anomaly": {"type": "loop", "at": 4}}'
@@ -39,6 +42,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--spec", str(path))
         assert code == 0
         assert "dim=201" in out
+
+    def test_failed_certificate_reports_one_error_line(self, capsys, monkeypatch):
+        # a tolerance below the closed-form deviation at N=100 fails the
+        # certificate: the status line stays, then one numerical error line
+        monkeypatch.setattr(anomalywalk.stepop, "DEFAULT_POLICY",
+                            dataclasses.replace(DEFAULT_POLICY, unitarity_tol=1e-20))
+        code, out, err = run(capsys, "check", "--spec", EXTRA100)
+        assert code == 2
+        assert out == "dim=202 unitary=fail max_dev=1.110e-16\n"
+        assert err == ("error:numerical:unitarity deviation 1.110e-16 "
+                       "exceeds tolerance 1.0e-20\n")
 
     def test_syntax_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from oracle import (
     apply_into,
     build_unperturbed,
     dense_closure,
+    dense_matrix,
     hub_in_state,
     hub_out_state,
     lifted,
@@ -36,7 +37,7 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import _limit, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import build_step_operator, dense_matrix
+from anomalywalk.stepop import build_step_operator
 
 
 def basis_vector(basis, label):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import build_unperturbed
+from oracle import build_unperturbed, dense_matrix
 
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.errors import (
@@ -27,7 +27,7 @@ from anomalywalk.perturb import (
 )
 from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import build_step_operator, dense_matrix
+from anomalywalk.stepop import build_step_operator
 
 
 def shift_of(theta0, deltas, mult=None):

@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
-from oracle import apply_adjoint_into, apply_into, flat_rows
+import oracle
+from oracle import apply_adjoint_into, apply_into, dense_deviation, dense_matrix, flat_rows
 
+import anomalywalk.spectral
 import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis, make_state
 from anomalywalk.errors import (
@@ -19,13 +21,13 @@ from anomalywalk.errors import (
     SizeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     BlockWalk,
     build_step_operator,
     check_unitarity,
     build_scattering_operator,
-    dense_matrix,
     walk_dtype,
 )
 
@@ -69,6 +71,14 @@ def test_hub_scattering_column():
 def test_hub_amplitudes_must_sum_to_one(r, t):
     with pytest.raises(ConfigurationError):
         build_scattering_operator(build_star(4, Anomaly.loop(1)), r, t)
+
+
+def test_constructor_refuses_hub_amplitudes_off_one():
+    # the walk steps the hub's own entry as t - 1, the certificate and the
+    # dense oracle as -r: the two agree only when r + t = 1
+    op = build_step_operator(build_star(6, Anomaly.loop(2)))
+    with pytest.raises(ConfigurationError, match=r"need r \+ t = 1, got 0.5 \+ "):
+        dataclasses.replace(op, hub_r=0.5)
 
 
 @pytest.mark.parametrize("n", [3, 7, 1000, 12345])
@@ -270,17 +280,21 @@ WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1
                PhaseAngle.from_radians(0.7)]
 
 
+def phased_variants(n, phase):
+    """Every variant on n spokes marked by the phase, the anomaly at either end."""
+    return [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
+            Anomaly.loop(1, phase), Anomaly.loop(n, phase), Anomaly.extended_edge(1, phase),
+            Anomaly.extended_edge(n, phase), Anomaly.missing_loop(1, phase),
+            Anomaly.missing_loop(n, phase)]
+
+
 @pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
 @pytest.mark.parametrize("n", range(3, 13))
 def test_block_walk_matches_dense(n, phase):
     # every step of the relabelled walk against powers of the dense U, from
     # a real and a complex start, over 3*dim steps
-    anomalies = [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
-                 Anomaly.loop(1, phase), Anomaly.loop(n, phase), Anomaly.extended_edge(1, phase),
-                 Anomaly.extended_edge(n, phase), Anomaly.missing_loop(1, phase),
-                 Anomaly.missing_loop(n, phase)]
     rng = np.random.default_rng(n)
-    for anomaly in anomalies:
+    for anomaly in phased_variants(n, phase):
         op = build_step_operator(build_star(n, anomaly))
         u = dense_matrix(op)
         real = rng.standard_normal(op.dimension)
@@ -351,17 +365,21 @@ def test_routing_refuses_untiled_patches(src, dst, message):
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_build_allocates_nothing_of_the_full_length(anomaly):
-    # the constructor checks the tiling on the role table and the patches
-    # only, so a million-spoke build holds no array of length N
-    graph = build_star(10 ** 6, anomaly)
+    # the constructor and the certificate read the role table and the
+    # patches only, so a million-spoke star, build and certificate hold no
+    # array of length N, and the report is the one a ten-spoke star gets
     tracemalloc.start()
     try:
-        op = build_step_operator(graph)
+        op = build_step_operator(build_star(10 ** 6, anomaly))
+        report = check_unitarity(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert op.roles[0] == 1
     assert peak < 1 << 20
+    small = check_unitarity(build_step_operator(build_star(10, anomaly)))
+    assert type(report) is type(small) and report.tolerance == small.tolerance
+    assert report.passed and small.passed
 
 
 @pytest.mark.parametrize("variant", ["none", "extra_edge", "loop",
@@ -382,21 +400,73 @@ def test_unitary(anomaly):
     assert report.max_deviation < 1e-12
 
 
+@pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
+def test_certificate_matches_dense_oracle(phase):
+    # the table certificate against max|U†U - I| of the materialized matrix
+    for n in range(3, 61):
+        for anomaly in phased_variants(n, phase):
+            op = build_step_operator(build_star(n, anomaly))
+            report = check_unitarity(op)
+            assert report.passed
+            assert abs(report.max_deviation - dense_deviation(op)) <= 1e-14, (n, anomaly)
+
+
+def corrupted(op, **fields):
+    """A shallow copy of the operator with fields swapped past the constructor."""
+    broken = copy.copy(op)
+    for name, value in fields.items():
+        object.__setattr__(broken, name, value)
+    return broken
+
+
+CORRUPTIONS = {
+    "duplicate_dst": lambda op: {"dst": op.dst[:1] * len(op.dst)},
+    "duplicate_src": lambda op: {"src": op.src[:1] * len(op.src)},
+    "dst_in_out_block": lambda op: {"dst": ((0, 0),) + op.dst[1:]},
+    "src_in_hub_block": lambda op: {"src": ((op.roles[0], 0),) + op.src[1:]},
+    "roles_not_a_permutation": lambda op: {"roles": (1, 1) + op.roles[2:]},
+    "amp_scaled": lambda op: {"amp": op.amp * 1.5},
+    "hub_t_scaled": lambda op: {"hub_t": op.hub_t * 1.01},
+    # the diagonal of the hub Gram keeps r², so only its off-diagonal sees this
+    "hub_r_negated": lambda op: {"hub_r": -op.hub_r},
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_certificate_on_corrupted_tables(corrupt):
+    # a table that no longer tiles fails the certificate by at least 1, as
+    # the dense product does; any other fault is read off exactly.  Every
+    # variant but the plain star has patches to corrupt
+    for n in (3, 8, 21):
+        for anomaly in _oracle_variants(n)[1:]:
+            op = build_step_operator(build_star(n, anomaly))
+            broken = corrupted(op, **corrupt(op))
+            report, dense = check_unitarity(broken), dense_deviation(broken)
+            assert not report.passed
+            if broken._tiling_fault():
+                assert report.max_deviation >= 1.0 and dense >= 1.0
+            else:
+                assert abs(report.max_deviation - dense) <= 1e-14, (n, anomaly)
+
+
 def test_dense_cross_check_spans_slabs():
     # two patches feeding one row: every amplitude has modulus one, so only
-    # the explicit product sees it, and the two columns sit in different
-    # column slabs of the cross-check.  The constructor refuses such patches,
-    # so the broken operator is made without it, as a shallow copy with its
-    # destinations swapped in place
+    # the tiling test and the dense product see it, and the two columns sit
+    # in different column slabs of the oracle's product.  The constructor
+    # refuses such patches, so the broken operator is made without it, as a
+    # shallow copy with its destinations swapped in place
     graph = build_star(1100, Anomaly.extra_edge(1, 1100))
     op = build_step_operator(graph)
     assert check_unitarity(op).passed
     dst = (op.dst[0],) * len(op.dst)
     with pytest.raises(NumericalFailureError, match="write a row twice"):
         dataclasses.replace(op, dst=dst)
-    broken = copy.copy(op)
-    object.__setattr__(broken, "dst", dst)
+    broken = corrupted(op, dst=dst)
+    src = flat_rows(op, op.src)
+    width = (1 << 20) // op.dimension
+    assert src[0] // width != src[-1] // width
     assert check_unitarity(broken).max_deviation >= 1.0
+    assert dense_deviation(broken) >= 1.0
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -479,16 +549,18 @@ def test_apply_step_keeps_real_states_real(anomaly):
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_dense_cross_check_is_real_for_a_real_operator(anomaly, monkeypatch):
+    # the oracle's product runs in float64 for a real operator, and the
+    # certificate matches it
     op = build_step_operator(build_star(20, anomaly))
     seen = set()
-    columns = anomalywalk.stepop._dense_columns
+    columns = oracle._dense_columns
 
     def spy(*args):
         u = columns(*args)
         seen.add(u.dtype)
         return u
-    monkeypatch.setattr(anomalywalk.stepop, "_dense_columns", spy)
-    assert check_unitarity(op).passed
+    monkeypatch.setattr(oracle, "_dense_columns", spy)
+    assert abs(check_unitarity(op).max_deviation - oracle.dense_deviation(op)) <= 1e-14
     assert seen == {np.dtype(np.float64) if op.is_real else np.dtype(np.complex128)}
     assert dense_matrix(op).dtype == np.complex128
 
@@ -553,28 +625,31 @@ def test_apply_step_dimension_check():
 
 
 def test_dense_cap_enforced():
+    # the oracle refuses a dense matrix past the cap; the certificate reads
+    # the same operator off its tables
     op = build_step_operator(build_star(5000, Anomaly.none()))
+    assert op.dimension > DEFAULT_POLICY.dense_cap
     with pytest.raises(SizeError):
         dense_matrix(op)
+    assert check_unitarity(op).passed
 
 
 def test_swapped_dense_cap_is_obeyed(monkeypatch):
-    # the cap is read when a call runs: at the dimension both dense paths
-    # run, one below it dense_matrix refuses and check_unitarity skips its
-    # dense cross-check
+    # the cap is read when a call runs: at the dimension the dense matrix
+    # and its eigendecomposition run, one below it both refuse, and the
+    # certificate, which forms no dense matrix, reports the same either way
     op = build_step_operator(build_star(10, Anomaly.loop(3)))
-    slabs = []
-    columns = anomalywalk.stepop._dense_columns
-    monkeypatch.setattr(anomalywalk.stepop, "_dense_columns",
-                        lambda *args: slabs.append(args) or columns(*args))
+    want = check_unitarity(op)
     for cap, dense in ((op.dimension, True), (op.dimension - 1, False)):
-        monkeypatch.setattr(anomalywalk.stepop, "DEFAULT_POLICY",
-                            dataclasses.replace(DEFAULT_POLICY, dense_cap=cap))
-        slabs.clear()
-        assert check_unitarity(op).passed
-        assert bool(slabs) == dense
+        policy = dataclasses.replace(DEFAULT_POLICY, dense_cap=cap)
+        for module in (anomalywalk.stepop, anomalywalk.spectral, oracle):
+            monkeypatch.setattr(module, "DEFAULT_POLICY", policy)
+        assert check_unitarity(op) == want
         if dense:
             assert dense_matrix(op).shape == (op.dimension, op.dimension)
+            assert eigendecompose(dense_matrix(op)).eigenphases
         else:
             with pytest.raises(SizeError, match=f"over dense cap {cap}"):
                 dense_matrix(op)
+            with pytest.raises(SizeError, match=f"exceeds dense cap {cap}"):
+                eigendecompose(np.eye(op.dimension))
