@@ -22,6 +22,10 @@ class NumericPolicy:
     closure_residual: float = 1e-8
     invariance_tol: float = 1e-9
     reduced_unitarity_tol: float = 1e-10
+    # the reduced search's full-walk check: how far its split may drift from
+    # the full walk's, over how many leading steps
+    spot_check_tol: float = 1e-9
+    spot_check_steps: int = 25
     # eigendecomposition; dense_cap bounds only its dense matrix, since the
     # unitarity certificate reads the step's tables at any size
     dense_cap: int = 5000
@@ -32,6 +36,8 @@ class NumericPolicy:
     # perturbation matching and fits
     match_tol: float = 0.1
     shift_floor: float = 1e-13
+    # steps an empirical peak may lie from the predicted one without a warning
+    peak_slack: int = 2
 
 
 DEFAULT_POLICY = NumericPolicy()

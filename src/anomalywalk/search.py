@@ -181,36 +181,64 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
 _RECORD_BYTES = 256
 
 
+def _weight(x: np.ndarray) -> float:
+    """Probability on some rows, from their amplitudes."""
+    return float((np.abs(x) ** 2).sum())
+
+
 def _norm2(x: np.ndarray) -> float:
     """Squared norm; a real vector's is one pass with no temporaries."""
-    return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
+    return _weight(x) if np.iscomplexobj(x) else float(x @ x)
 
 
-def _record(n: int, target: np.ndarray, anomaly: np.ndarray, total: float) -> StepRecord:
-    """Probability split of one step, from the amplitudes on the target and
-    anomaly parts and the total squared norm."""
-    pt = float((np.abs(target) ** 2).sum())
-    pa = float((np.abs(anomaly) ** 2).sum())
+def _record(n: int, pt: float, pa: float, total: float) -> StepRecord:
+    """Probability split of one step, from the probabilities on the target
+    and anomaly parts and the total squared norm."""
     return StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
                       p_rest=max(total - pt - pa, 0.0))
 
 
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
-    """The full walk, one record per step: the state is stepped as block
-    buffers, its rows read at their (block, offset) and its total summed
-    block by block."""
+    """The full walk, one record per step.
+
+    The state is stepped as block buffers, and its target and anomaly rows
+    are gathered at their (block, offset) into one row of a preallocated
+    array per step; the records are formed from that array after the walk.
+    The walk conserves the squared norm, so its total is taken once at the
+    start and carried into every record; it is taken again at the end,
+    and a drift past `unit_norm_tol` is refused.  The step is then the only
+    pass over the state per step.
+    """
+    rows, total = _gathered_rows(op, x0, max_steps,
+                                 np.concatenate((target_rows, anomaly_rows)))
+    weights = np.abs(rows) ** 2
+    k = len(target_rows)
+    # row by row, as _weight sums one step's amplitudes
+    pts, pas = weights[:, :k].sum(axis=1), weights[:, k:].sum(axis=1)
+    del rows, weights  # so that the records alone take _RECORD_BYTES a step
+    return [_record(n, pt, pa, total)
+            for n, (pt, pa) in enumerate(zip(map(float, pts), map(float, pas)))]
+
+
+def _gathered_rows(op, x0, max_steps, flat_rows):
+    """The amplitudes at the flat rows after each of 0..max_steps steps, one
+    array row per step, and the start's squared norm, certified against
+    the end's.  The walk's buffers are freed when this returns."""
     walk = BlockWalk(op, x0)
-    target, anomaly = op.basis.locate(target_rows), op.basis.locate(anomaly_rows)
-
-    def record(n):
-        return _record(n, walk.gather(target), walk.gather(anomaly),
-                       sum(map(_norm2, walk.blocks)))
-
-    records = [record(0)]
+    located = op.basis.locate(flat_rows)
+    rows = np.empty((max_steps + 1, len(located)), walk.blocks[0].dtype)
+    rows[0] = walk.gather(located)
+    total = sum(map(_norm2, walk.blocks))
     for n in range(1, max_steps + 1):
         walk.step()
-        records.append(record(n))
-    return records
+        rows[n] = walk.gather(located)
+    drift = abs(sum(map(_norm2, walk.blocks)) - total)
+    tol = DEFAULT_POLICY.unit_norm_tol
+    if not drift <= tol:  # a nan drift fails too
+        raise NumericalFailureError(
+            f"the full walk's squared norm drifts {drift:.3e} over {max_steps} steps, "
+            f"past the tolerance {tol:.1e}")
+    return rows, total
 
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
@@ -233,22 +261,23 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
     m = reduced.matrix
     tmat = basis.rows(target_rows)
     amat = basis.rows(anomaly_rows)
-    records = [_record(0, tmat @ c, amat @ c, _norm2(c))]
+    records = [_record(0, _weight(tmat @ c), _weight(amat @ c), _norm2(c))]
     for n in range(1, max_steps + 1):
         c = m @ c
-        records.append(_record(n, tmat @ c, amat @ c, _norm2(c)))
+        records.append(_record(n, _weight(tmat @ c), _weight(amat @ c), _norm2(c)))
     _spot_check(op, x0, records, target_rows, anomaly_rows)
     return records
 
 
 def _spot_check(op, x0, records, target_rows, anomaly_rows):
     """Cross-check a prefix of the reduced run against the full walk."""
-    k = min(len(records) - 1, 25)
+    policy = DEFAULT_POLICY
+    k = min(len(records) - 1, policy.spot_check_steps)
     ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)[k]
     got = records[k]
     dev = max(abs(ref.p_target_spokes - got.p_target_spokes),
               abs(ref.p_anomaly - got.p_anomaly))
-    if dev > 1e-9:
+    if dev > policy.spot_check_tol:
         raise NumericalFailureError(
             f"reduced evolution drifts {dev:.3e} from the full walk at step {k}")
 
@@ -284,8 +313,9 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     except NoPredictionError:
         predicted = None
     warnings: tuple[str, ...] = ()
-    if predicted is not None and abs(predicted - peak) > 2:
-        warnings = (f"empirical peak step {peak} is more than 2 steps "
+    slack = DEFAULT_POLICY.peak_slack
+    if predicted is not None and abs(predicted - peak) > slack:
+        warnings = (f"empirical peak step {peak} is more than {slack} steps "
                     f"from predicted step {predicted}",)
     return SearchResult(per_step=tuple(records), peak_step=peak,
                         peak_detectable=records[peak].p_target_spokes,

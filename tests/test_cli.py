@@ -200,6 +200,24 @@ class TestEvolve:
         assert code == 1
         assert err.startswith("error:config:")
 
+    def test_norm_drift_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # patches of modulus 2 break the conserved norm; the run's end-of-walk
+        # certificate refuses it before anything is written
+        init = anomalywalk.stepop.BlockWalk.__init__
+
+        def doubled(walk, *args):
+            init(walk, *args)
+            walk._amp = walk._amp * 2
+        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "__init__", doubled)
+        out = tmp_path / "steps.csv"
+        code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:numerical:the full walk's squared norm drifts ")
+        assert err.endswith(" past the tolerance 1.0e-10\n")
+        assert not out.exists()
+
     def test_plain_star_has_no_target(self, capsys, tmp_path):
         code, _, err = run(capsys, "evolve", "--spec", PLAIN,
                            "--out", str(tmp_path / "steps.csv"))

@@ -20,6 +20,7 @@ from anomalywalk.errors import (
     NothingToFindError,
     NumericalFailureError,
 )
+from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import (
     InitialStateKind,
     baseline_statistics,
@@ -228,10 +229,10 @@ class TestRealArithmetic:
 class TestBlockWalk:
     """The full walk on block buffers against the walk stepped as one flat vector."""
 
-    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("n", [256, 4096, 100_000])
     def test_records_match_flat_apply(self, n):
         # a real walk reads the same amplitudes, so its target and anomaly
-        # probabilities are bit-equal; only the total is summed block by block
+        # probabilities are bit-equal; only the total is carried from the start
         third, rad = PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7)
         minus = InitialStateKind.minus()
         rng = np.random.default_rng(n)
@@ -243,13 +244,17 @@ class TestBlockWalk:
                  (Anomaly.missing_loop(2, rad), minus),
                  (Anomaly.missing_loop(n),
                   InitialStateKind.custom(rng.standard_normal(3 * n)))]
+        steps = 200
+        if n == 100_000:
+            # the benchmark's size: a real and a complex walk, past their first peak
+            cases, steps = [cases[2], cases[7]], 600
         for anomaly, kind in cases:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             rows = anomalywalk.search._partition_rows(graph)
             x0 = initial_state(graph, kind).amplitudes
-            got = anomalywalk.search._evolve_full(op, x0, 200, *rows)
-            want = flat_walk_records(op, x0, 200, *rows)
+            got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+            want = flat_walk_records(op, x0, steps, *rows)
             exact = walk_dtype(op, x0) == np.float64
             for a, b in zip(got, want, strict=True):
                 assert a.n == b.n
@@ -280,6 +285,50 @@ class TestBlockWalk:
         slack = 1 << 16
         assert net[1000] <= net[10] + slack
         assert net[10] <= x0.nbytes + slack
+
+    @staticmethod
+    def _loop_walk(n):
+        graph = build_star(n, Anomaly.loop(7))
+        x0 = initial_state(graph, InitialStateKind.minus()).amplitudes
+        return build_step_operator(graph), x0, anomalywalk.search._partition_rows(graph)
+
+    @pytest.mark.parametrize("steps", [10, 1000])
+    def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
+        # the total is taken at the start and certified at the end: the
+        # step is the only pass over the state per step
+        op, x0, rows = self._loop_walk(4096)
+        sizes = []
+        norm2 = anomalywalk.search._norm2
+        monkeypatch.setattr(anomalywalk.search, "_norm2",
+                            lambda x: sizes.append(x.size) or norm2(x))
+        records = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+        assert len(records) == steps + 1
+        assert sum(sizes) == 2 * op.dimension
+        assert len(sizes) == 2 * len(op.basis.bounds) - 2  # one call per block, twice
+
+    def test_norm_drift_is_refused(self, monkeypatch):
+        # patches of modulus 2 add weight on every pass through the loop
+        op, x0, rows = self._loop_walk(256)
+        init = BlockWalk.__init__
+
+        def doubled(walk, *args):
+            init(walk, *args)
+            walk._amp = walk._amp * 2
+        monkeypatch.setattr(BlockWalk, "__init__", doubled)
+        with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
+            anomalywalk.search._evolve_full(op, x0, 40, *rows)
+
+    def test_honest_walk_stays_under_the_drift_bound(self, monkeypatch):
+        # 10,000 steps at N=1e6, read from the two norms the run takes
+        op, x0, rows = self._loop_walk(10 ** 6)
+        norms = []
+        norm2 = anomalywalk.search._norm2
+        monkeypatch.setattr(anomalywalk.search, "_norm2",
+                            lambda x: norms.append(norm2(x)) or norms[-1])
+        anomalywalk.search._evolve_full(op, x0, 10_000, *rows)
+        half = len(norms) // 2
+        drift = abs(sum(norms[half:]) - sum(norms[:half]))
+        assert drift <= DEFAULT_POLICY.unit_norm_tol
 
 
 class TestPrediction:
@@ -426,6 +475,35 @@ class TestRunSearch:
         result = run_search(graph, InitialStateKind.minus(), 5)
         assert result.warnings
         assert "predicted" in result.warnings[0]
+
+    def test_peak_slack_is_read_from_the_policy(self, monkeypatch):
+        # the peak of a 5-step run lies 9 or more steps before the predicted 14
+        graph = build_star(100, Anomaly.extra_edge(2, 7))
+        minus = InitialStateKind.minus()
+        assert "more than 2 steps" in run_search(graph, minus, 5).warnings[0]
+        for slack, warned in ((3, True), (20, False)):
+            monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY",
+                                dataclasses.replace(DEFAULT_POLICY, peak_slack=slack))
+            warnings = run_search(graph, minus, 5).warnings
+            assert bool(warnings) == warned
+            assert not warned or f"more than {slack} steps" in warnings[0]
+
+    def test_spot_check_is_read_from_the_policy(self, monkeypatch):
+        graph = build_star(64, Anomaly.loop(3))
+        minus = InitialStateKind.minus()
+        prefixes = []
+        evolve = anomalywalk.search._evolve_full
+        monkeypatch.setattr(anomalywalk.search, "_evolve_full",
+                            lambda op, x0, k, *rows: prefixes.append(k) or evolve(op, x0, k, *rows))
+        run_search(graph, minus, 30, method="reduced")
+        policy = dataclasses.replace(DEFAULT_POLICY, spot_check_steps=7)
+        monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY", policy)
+        run_search(graph, minus, 30, method="reduced")
+        assert prefixes == [25, 7]
+        monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY",
+                            dataclasses.replace(policy, spot_check_tol=-1.0))
+        with pytest.raises(NumericalFailureError, match="from the full walk at step 7"):
+            run_search(graph, minus, 30, method="reduced")
 
     def test_argument_validation(self):
         graph = build_star(10, Anomaly.loop(1))
