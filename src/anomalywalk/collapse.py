@@ -15,7 +15,7 @@ coordinates of each basis vector on the cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
+class ReducedBasis(NamedTuple):
     """Orthonormal vectors spanning a subspace closed under the walk step,
     held on the star's cells.
 
@@ -119,8 +118,7 @@ class ReducedBasis:
         return c, _norm(cells - c @ self.coords)
 
 
-@dataclass(frozen=True)
-class ReducedOperator:
+class ReducedOperator(NamedTuple):
     matrix: np.ndarray  # dim x dim, unitary
     basis: ReducedBasis
 
@@ -279,7 +277,7 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
     certify(matrix, leakage)
     q.setflags(write=False)
-    return ReducedOperator(matrix=matrix, basis=replace(cells, coords=q))
+    return ReducedOperator(matrix=matrix, basis=cells._replace(coords=q))
 
 
 def _require_held(leakage: float) -> None:

@@ -8,8 +8,8 @@ loop states ascending vertex, extension pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .numerics import DEFAULT_POLICY
 from .stargraph import Anomaly, StarGraph
 
 
-@dataclass(frozen=True, order=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """Either a directed edge (u -> v, u != v) or a loop sitting at one vertex."""
 
     kind: str  # "edge" or "loop"
@@ -48,8 +47,7 @@ class BasisLabel:
         return f"{self.u}->{self.v}"
 
 
-@dataclass(frozen=True)
-class EdgeBasis:
+class EdgeBasis(NamedTuple):
     """The frozen enumeration as arithmetic over three or four blocks.
 
     Position j-1 holds (0,j), position N+j-1 holds (j,0), and the anomaly
@@ -148,8 +146,7 @@ class EdgeBasis:
         raise ConfigurationError(f"label {label} not in basis")
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(NamedTuple):
     amplitudes: np.ndarray
     basis_dim: int
 

@@ -8,11 +8,10 @@ the record in the module that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
+class NumericPolicy(NamedTuple):
     # state norms and probability sums
     unit_norm_tol: float = 1e-10
     probability_tol: float = 1e-10
@@ -32,8 +31,13 @@ class NumericPolicy:
     eig_residual_tol: float = 1e-8
     unit_circle_tol: float = 1e-9
     cluster_tol: float = 1e-6
+    # a cluster's eigenvectors span its multiplicity when no diagonal entry
+    # of their QR factor R falls below this
+    rank_tol: float = 1e-8
     projector_tol: float = 1e-9
-    # perturbation matching and fits
+    # perturbation matching and fits; a sweep at N caps its cluster
+    # tolerance at sweep_cluster_scale / N
+    sweep_cluster_scale: float = 0.01
     match_tol: float = 0.1
     shift_floor: float = 1e-13
     # steps an empirical peak may lie from the predicted one without a warning

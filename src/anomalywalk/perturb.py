@@ -10,7 +10,7 @@ one over N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def _limit(finite: ReducedOperator) -> ReducedOperator:
     return ReducedOperator(matrix=matrix, basis=finite.basis)
 
 
-@dataclass(frozen=True)
-class EigenShift:
+class EigenShift(NamedTuple):
     """Finite-size phase shifts of one limit-operator branch."""
 
     theta0: float
@@ -79,8 +78,7 @@ class EigenShift:
     unmatched: bool
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     branch_theta0: float
     slope: float
     intercept: float
@@ -211,8 +209,7 @@ def fit_scaling(samples) -> list[ScalingFit]:
     return fits
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     samples: tuple  # (n_spokes, EigenShift) pairs, each under its fit's branch label
     fits: tuple[ScalingFit, ...]
 
@@ -223,7 +220,7 @@ def _sweep_point(anomaly: Anomaly, n: int):
     limit = _limit(reduced)
     # keep the cluster threshold well under the smallest expected
     # splitting, which shrinks like 1/N on simple branches
-    tol = min(DEFAULT_POLICY.cluster_tol, 0.01 / n)
+    tol = min(DEFAULT_POLICY.cluster_tol, DEFAULT_POLICY.sweep_cluster_scale / n)
     spec_fin = eigendecompose(reduced, tol)
     spec_lim = eigendecompose(limit, tol)
     shifts = eigenphase_shifts(spec_fin, spec_lim)
@@ -237,7 +234,7 @@ def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES) -> SweepResu
         raise ConfigurationError("size list must be non-empty")
     samples = [pair for n in sizes for pair in _sweep_point(anomaly, n)]
     # one label per branch at every size, so shift and fit rows join on it
-    samples = tuple((n, replace(shift, theta0=label))
+    samples = tuple((n, shift._replace(theta0=label))
                     for label, (n, shift) in zip(_branch_labels(samples), samples))
     return SweepResult(samples=samples, fits=tuple(fit_scaling(samples)))
 

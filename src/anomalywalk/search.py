@@ -10,7 +10,7 @@ classical adjacency-list baseline for comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
 
-@dataclass(frozen=True)
-class InitialStateKind:
+class InitialStateKind(NamedTuple):
     """Named family of start states; use the factory methods."""
 
     variant: str
@@ -149,16 +148,14 @@ def predicted_hitting_step(graph: StarGraph) -> int:
     raise NoPredictionError(f"no hitting-step formula for variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     n: int
     p_target_spokes: float
     p_anomaly: float
     p_rest: float
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     per_step: tuple[StepRecord, ...]
     peak_step: int
     peak_detectable: float
@@ -347,8 +344,7 @@ def search_summary(graph: StarGraph, kind: InitialStateKind,
     return summary
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
+class MeasurementResult(NamedTuple):
     distribution: dict
     p_undetected: float
     detected_edge: int | None
@@ -394,13 +390,11 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
                              detected_edge=detected, sampled=sampled)
 
 
-@dataclass(frozen=True)
-class BaselineResult:
+class BaselineResult(NamedTuple):
     queries: int
 
 
-@dataclass(frozen=True)
-class BaselineStatistics:
+class BaselineStatistics(NamedTuple):
     trials: int
     mean: float
     std: float

@@ -8,7 +8,7 @@ what separates exact degeneracies from perturbative splittings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .errors import DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Clustered eigensystem of a unitary matrix.
 
     eigenphases are cluster representatives in (-pi + tol, pi + tol] for
@@ -111,7 +110,7 @@ def eigendecompose(op, cluster_tol: float | None = None) -> Spectrum:
         # a normal matrix gives |R_ii| ~ 1 here; deficiency means the
         # cluster's eigenvectors do not span their multiplicity
         rdiag = np.abs(np.diag(r))
-        if rdiag.min() < 1e-8:
+        if rdiag.min() < policy.rank_tol:
             raise NumericalFailureError(
                 "eigenvector cluster is rank deficient; matrix is not normal")
         phases.append(_representative(thetas[group], cluster_tol))

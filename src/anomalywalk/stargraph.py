@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class VariantSchema:
+class VariantSchema(NamedTuple):
     """What one anomaly variant names and what it adds to the plain star."""
 
     fields: tuple[str, ...]  # vertex fields, in the spec and on Anomaly
@@ -57,8 +56,7 @@ _QUARTER_TURNS = {(0, 1): 1.0 + 0j, (1, 1): -1.0 + 0j,
                   (1, 2): complex(0.0, 1.0), (-1, 2): complex(0.0, -1.0)}
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
+class PhaseAngle(NamedTuple):
     """An angle in radians, canonicalized to (-pi, pi].
 
     Rational multiples of pi are stored exactly as a reduced fraction
@@ -131,8 +129,7 @@ class PhaseAngle:
         return exact if exact is not None else complex(np.exp(1j * self.value))
 
 
-@dataclass(frozen=True)
-class Anomaly:
+class Anomaly(NamedTuple):
     """Anomaly descriptor: which variant, where, and its marking phase.
 
     ``mark_phase`` multiplies one designated matrix element of the walk
@@ -181,8 +178,7 @@ class Anomaly:
         return VARIANT_SCHEMA[self.variant]
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class StarGraph(NamedTuple):
     n_spokes: int
     anomaly: Anomaly
 
@@ -231,7 +227,7 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
         if u == v:
             raise SelfEdgeError(f"extra edge endpoints must differ, got ({u},{v})")
         if u > v:
-            anomaly = replace(anomaly, u=v, v=u)
+            anomaly = anomaly._replace(u=v, v=u)
     graph = StarGraph(n_spokes=n, anomaly=anomaly)
     for vertex in graph.anomaly_vertices:  # an unknown variant has no schema
         if not 1 <= vertex <= n:

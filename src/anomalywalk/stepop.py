@@ -19,6 +19,7 @@ place over the in buffer, relabelled buffers, scattered patches), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +97,7 @@ class StepOperator:
         return bool(np.all(self.amp.imag == 0.0))
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
+class UnitarityReport(NamedTuple):
     max_deviation: float
     tolerance: float
 

@@ -1,6 +1,5 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
-import dataclasses
 import json
 import math
 import os
@@ -47,7 +46,7 @@ class TestCheck:
         # a tolerance below the closed-form deviation at N=100 fails the
         # certificate: the status line stays, then one numerical error line
         monkeypatch.setattr(anomalywalk.stepop, "DEFAULT_POLICY",
-                            dataclasses.replace(DEFAULT_POLICY, unitarity_tol=1e-20))
+                            DEFAULT_POLICY._replace(unitarity_tol=1e-20))
         code, out, err = run(capsys, "check", "--spec", EXTRA100)
         assert code == 2
         assert out == "dim=202 unitary=fail max_dev=1.110e-16\n"
@@ -152,6 +151,22 @@ def test_import_does_not_load_scipy():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_every_package_module():
+    # the CLI's import cost is the package's whole cost: no module is left
+    # for a verb to import later
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
+    probe = ("import json, pkgutil, sys, anomalywalk.cli; "
+             "names = [m.name for m in pkgutil.iter_modules(anomalywalk.__path__, 'anomalywalk.')]; "
+             "print(json.dumps([len(names), [n for n in names if n not in sys.modules]]))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    count, missing = json.loads(result.stdout)
+    assert count >= 10
+    assert missing == []
 
 
 class TestUsage:

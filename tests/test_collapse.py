@@ -212,7 +212,7 @@ def test_cells_operator_refuses_moves_off_the_cells():
     # cells without the unit of (3,0): the relabelled (0,3) lands on no cell
     units = cells.units[cells.units != pos(edge(3, 0))]
     m = cells.coords.shape[1] - 1
-    short = dataclasses.replace(cells, units=units, coords=np.eye(m))
+    short = cells._replace(units=units, coords=np.eye(m))
     with pytest.raises(NumericalFailureError, match="no cell"):
         cells_operator(op, short)
 
@@ -224,7 +224,7 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
     # result
     graph = build_star(64, Anomaly.missing_loop(3))
     op = build_step_operator(graph)
-    coarse = dataclasses.replace(DEFAULT_POLICY, closure_residual=0.5)
+    coarse = DEFAULT_POLICY._replace(closure_residual=0.5)
     monkeypatch.setattr(anomalywalk.collapse, "DEFAULT_POLICY", coarse)
     with pytest.raises(InvarianceError, match="leakage 1.26"):
         reduce_seeds(op, *sweep_seeds(graph))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracle import build_unperturbed, dense_matrix
 
+import anomalywalk.perturb
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.errors import (
     ConfigurationError,
@@ -205,6 +206,18 @@ class TestSweep:
         assert by_branch[round(-1 / 3, 3)].slope == pytest.approx(-1.0, abs=0.1)
         assert by_branch[round(1 / 3, 3)].slope == pytest.approx(-1.0, abs=0.1)
         assert by_branch[0.0].below_floor
+
+    def test_cluster_cap_is_read_from_the_policy(self, monkeypatch):
+        # at N=64 the cap 0.01/N lies above cluster_tol; a scale of 1e-5 binds
+        tols = []
+        decompose = anomalywalk.perturb.eigendecompose
+        monkeypatch.setattr(anomalywalk.perturb, "eigendecompose",
+                            lambda op, tol: tols.append(tol) or decompose(op, tol))
+        anomalywalk.perturb._sweep_point(Anomaly.extra_edge(1, 2), 64)
+        monkeypatch.setattr(anomalywalk.perturb, "DEFAULT_POLICY",
+                            DEFAULT_POLICY._replace(sweep_cluster_scale=1e-5))
+        anomalywalk.perturb._sweep_point(Anomaly.extra_edge(1, 2), 64)
+        assert tols == [DEFAULT_POLICY.cluster_tol] * 2 + [1e-5 / 64] * 2
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,142 @@
+"""The package's record types: immutable named tuples with the field order
+and repr they have always had; StepOperator, which refuses tables that do
+not tile when it is constructed, is the one dataclass."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import anomalywalk
+from anomalywalk.collapse import ReducedBasis, ReducedOperator
+from anomalywalk.edgespace import BasisLabel, EdgeBasis, WalkState
+from anomalywalk.numerics import NumericPolicy
+from anomalywalk.perturb import EigenShift, ScalingFit, SweepResult
+from anomalywalk.search import (
+    BaselineResult,
+    BaselineStatistics,
+    InitialStateKind,
+    MeasurementResult,
+    SearchResult,
+    StepRecord,
+)
+from anomalywalk.spectral import Spectrum
+from anomalywalk.stargraph import VARIANT_SCHEMA, Anomaly, PhaseAngle, StarGraph, VariantSchema
+from anomalywalk.stepop import UnitarityReport
+
+FIELDS = {
+    BasisLabel: ("kind", "u", "v"),
+    EdgeBasis: ("n_spokes", "anomaly"),
+    WalkState: ("amplitudes", "basis_dim"),
+    EigenShift: ("theta0", "multiplicity0", "shifts", "overlap", "unmatched"),
+    ScalingFit: ("branch_theta0", "slope", "intercept", "r_squared", "points_used", "excluded"),
+    SweepResult: ("samples", "fits"),
+    ReducedBasis: ("profiles", "blocks", "units", "coords", "full_dim"),
+    ReducedOperator: ("matrix", "basis"),
+    Spectrum: ("eigenphases", "blocks", "multiplicities"),
+    InitialStateKind: ("variant", "amp_out", "amp_in", "amplitudes"),
+    StepRecord: ("n", "p_target_spokes", "p_anomaly", "p_rest"),
+    SearchResult: ("per_step", "peak_step", "peak_detectable", "peak_undetected",
+                   "predicted_step", "warnings"),
+    MeasurementResult: ("distribution", "p_undetected", "detected_edge", "sampled"),
+    BaselineResult: ("queries",),
+    BaselineStatistics: ("trials", "mean", "std", "expected_mean"),
+    UnitarityReport: ("max_deviation", "tolerance"),
+    NumericPolicy: ("unit_norm_tol", "probability_tol", "unitarity_tol", "closure_residual",
+                    "invariance_tol", "reduced_unitarity_tol", "spot_check_tol",
+                    "spot_check_steps", "dense_cap", "eig_residual_tol", "unit_circle_tol",
+                    "cluster_tol", "rank_tol", "projector_tol", "sweep_cluster_scale",
+                    "match_tol", "shift_floor", "peak_slack"),
+    PhaseAngle: ("num", "den", "rad"),
+    Anomaly: ("variant", "u", "v", "at", "mark_phase"),
+    StarGraph: ("n_spokes", "anomaly"),
+    VariantSchema: ("fields", "fixed", "loops", "marked"),
+}
+
+_UNMARKED = "mark_phase=PhaseAngle(num=0, den=1, rad=None)"
+_BASIS = ReducedBasis(profiles=np.ones((1, 2)), blocks=(slice(0, 2),), units=np.array([2]),
+                      coords=np.ones((1, 3)), full_dim=3)
+_BASIS_REPR = ("ReducedBasis(profiles=array([[1., 1.]]), blocks=(slice(0, 2, None),), "
+               "units=array([2]), coords=array([[1., 1., 1.]]), full_dim=3)")
+
+# one value of each type and its repr, which is the dataclass format
+SAMPLES = [
+    (BasisLabel.edge(0, 1), "BasisLabel(kind='edge', u=0, v=1)"),
+    (EdgeBasis(3, Anomaly.none()),
+     f"EdgeBasis(n_spokes=3, anomaly=Anomaly(variant='none', u=None, v=None, at=None, "
+     f"{_UNMARKED}))"),
+    (WalkState(amplitudes=np.array([1.0]), basis_dim=1),
+     "WalkState(amplitudes=array([1.]), basis_dim=1)"),
+    (EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, unmatched=False),
+     "EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, "
+     "unmatched=False)"),
+    (ScalingFit(branch_theta0=3.0, slope=-0.5, intercept=0.25, r_squared=1.0, points_used=4,
+                excluded=0),
+     "ScalingFit(branch_theta0=3.0, slope=-0.5, intercept=0.25, r_squared=1.0, "
+     "points_used=4, excluded=0)"),
+    (SweepResult(samples=(), fits=()), "SweepResult(samples=(), fits=())"),
+    (_BASIS, _BASIS_REPR),
+    (ReducedOperator(matrix=np.eye(1), basis=_BASIS),
+     f"ReducedOperator(matrix=array([[1.]]), basis={_BASIS_REPR})"),
+    (Spectrum(eigenphases=(0.0,), blocks=(np.eye(1),), multiplicities=(1,)),
+     "Spectrum(eigenphases=(0.0,), blocks=(array([[1.]]),), multiplicities=(1,))"),
+    (InitialStateKind.inout(1, -1j),
+     "InitialStateKind(variant='inout', amp_out=(1+0j), amp_in=(-0-1j), amplitudes=())"),
+    (StepRecord(n=3, p_target_spokes=0.25, p_anomaly=0.5, p_rest=0.25),
+     "StepRecord(n=3, p_target_spokes=0.25, p_anomaly=0.5, p_rest=0.25)"),
+    (SearchResult(per_step=(), peak_step=0, peak_detectable=0.5, peak_undetected=0.25,
+                  predicted_step=None),
+     "SearchResult(per_step=(), peak_step=0, peak_detectable=0.5, peak_undetected=0.25, "
+     "predicted_step=None, warnings=())"),
+    (MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, sampled=True),
+     "MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, "
+     "sampled=True)"),
+    (BaselineResult(queries=3), "BaselineResult(queries=3)"),
+    (BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5),
+     "BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5)"),
+    (UnitarityReport(max_deviation=1e-16, tolerance=1e-12),
+     "UnitarityReport(max_deviation=1e-16, tolerance=1e-12)"),
+    (NumericPolicy(),
+     "NumericPolicy(unit_norm_tol=1e-10, probability_tol=1e-10, unitarity_tol=1e-12, "
+     "closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
+     "spot_check_tol=1e-09, spot_check_steps=25, dense_cap=5000, eig_residual_tol=1e-08, "
+     "unit_circle_tol=1e-09, cluster_tol=1e-06, rank_tol=1e-08, projector_tol=1e-09, "
+     "sweep_cluster_scale=0.01, match_tol=0.1, shift_floor=1e-13, peak_slack=2)"),
+    (PhaseAngle.from_radians(0.5), "PhaseAngle(num=None, den=None, rad=0.5)"),
+    (Anomaly.extra_edge(1, 2),
+     f"Anomaly(variant='extra_edge', u=1, v=2, at=None, {_UNMARKED})"),
+    (StarGraph(3, Anomaly.missing_loop(1)),
+     "StarGraph(n_spokes=3, anomaly=Anomaly(variant='missing_loop', u=None, v=None, at=1, "
+     "mark_phase=PhaseAngle(num=1, den=1, rad=None)))"),
+    (VARIANT_SCHEMA["loop"], "VariantSchema(fields=('at',), fixed=1, loops=False, marked=False)"),
+]
+_IDS = [type(value).__name__ for value, _ in SAMPLES]
+
+
+def test_the_step_operator_is_the_one_dataclass():
+    found = {name for info in pkgutil.iter_modules(anomalywalk.__path__, "anomalywalk.")
+             for name, obj in vars(importlib.import_module(info.name)).items()
+             if inspect.isclass(obj) and obj.__module__ == info.name
+             and dataclasses.is_dataclass(obj)}
+    assert found == {"StepOperator"}
+
+
+def test_every_record_type_has_a_sample():
+    assert sorted(_IDS) == sorted(t.__name__ for t in FIELDS)
+
+
+@pytest.mark.parametrize("value,text", SAMPLES, ids=_IDS)
+def test_field_order_and_repr(value, text):
+    assert type(value)._fields == FIELDS[type(value)]
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", [value for value, _ in SAMPLES], ids=_IDS)
+def test_assignment_is_refused(value):
+    with pytest.raises(AttributeError):
+        setattr(value, FIELDS[type(value)][0], None)
+    with pytest.raises(AttributeError):
+        value.extra = None

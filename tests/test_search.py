@@ -1,7 +1,6 @@
 """Search dynamics tests: start states, peaks, measurement, baseline."""
 
 import csv
-import dataclasses
 import math
 import tracemalloc
 
@@ -452,7 +451,7 @@ class TestRunSearch:
 
         def last_direction(op, cells, seeds):
             reduced = close(op, cells, seeds)
-            basis = dataclasses.replace(reduced.basis, coords=reduced.basis.coords[-1:])
+            basis = reduced.basis._replace(coords=reduced.basis.coords[-1:])
             return ReducedOperator(matrix=reduced.matrix[-1:, -1:], basis=basis)
 
         monkeypatch.setattr(anomalywalk.search, "reduce_seeds", last_direction)
@@ -483,7 +482,7 @@ class TestRunSearch:
         assert "more than 2 steps" in run_search(graph, minus, 5).warnings[0]
         for slack, warned in ((3, True), (20, False)):
             monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY",
-                                dataclasses.replace(DEFAULT_POLICY, peak_slack=slack))
+                                DEFAULT_POLICY._replace(peak_slack=slack))
             warnings = run_search(graph, minus, 5).warnings
             assert bool(warnings) == warned
             assert not warned or f"more than {slack} steps" in warnings[0]
@@ -496,12 +495,12 @@ class TestRunSearch:
         monkeypatch.setattr(anomalywalk.search, "_evolve_full",
                             lambda op, x0, k, *rows: prefixes.append(k) or evolve(op, x0, k, *rows))
         run_search(graph, minus, 30, method="reduced")
-        policy = dataclasses.replace(DEFAULT_POLICY, spot_check_steps=7)
+        policy = DEFAULT_POLICY._replace(spot_check_steps=7)
         monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY", policy)
         run_search(graph, minus, 30, method="reduced")
         assert prefixes == [25, 7]
         monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY",
-                            dataclasses.replace(policy, spot_check_tol=-1.0))
+                            policy._replace(spot_check_tol=-1.0))
         with pytest.raises(NumericalFailureError, match="from the full walk at step 7"):
             run_search(graph, minus, 30, method="reduced")
 
@@ -511,6 +510,20 @@ class TestRunSearch:
             run_search(graph, InitialStateKind.minus(), 0)
         with pytest.raises(ConfigurationError):
             run_search(graph, InitialStateKind.minus(), 5, method="magic")
+
+    @pytest.mark.parametrize("method", ["full", "reduced"])
+    def test_records_fit_the_memory_refusal(self, method):
+        # run_search refuses a horizon by _RECORD_BYTES a step; at a small N
+        # the records are the whole peak
+        graph = build_star(50, Anomaly.loop(3))
+        steps = 10_000
+        tracemalloc.start()
+        try:
+            run_search(graph, InitialStateKind.minus(), steps, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / steps <= anomalywalk.search._RECORD_BYTES
 
     def test_plain_star_has_nothing_to_find(self):
         graph = build_star(10, Anomaly.none())

@@ -1,6 +1,5 @@
 """Eigenphase decomposition tests, including the reduced-walk spectrum."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -207,9 +206,24 @@ def test_rejects_non_square():
 
 def test_dense_cap(monkeypatch):
     monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
-                        dataclasses.replace(DEFAULT_POLICY, dense_cap=3))
+                        DEFAULT_POLICY._replace(dense_cap=3))
     with pytest.raises(SizeError):
         eigendecompose(np.eye(4))
+
+
+def test_rank_tol_is_read_from_the_policy(monkeypatch):
+    # eigenvalues 1e-10 apart share a cluster whose eigenvectors are 1e-10
+    # from parallel: R's second diagonal entry is 1e-10
+    nearly_defective = np.array([[1.0, 1.0], [0.0, np.exp(1e-10j)]])
+    with pytest.raises(NumericalFailureError, match="rank deficient"):
+        eigendecompose(nearly_defective)
+    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
+                        DEFAULT_POLICY._replace(rank_tol=1e-12))
+    assert eigendecompose(nearly_defective).multiplicities == (2,)
+    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
+                        DEFAULT_POLICY._replace(rank_tol=2.0))
+    with pytest.raises(NumericalFailureError, match="rank deficient"):
+        eigendecompose(np.eye(2))
 
 
 def test_dump_spectrum_csv(tmp_path):

@@ -641,7 +641,7 @@ def test_swapped_dense_cap_is_obeyed(monkeypatch):
     op = build_step_operator(build_star(10, Anomaly.loop(3)))
     want = check_unitarity(op)
     for cap, dense in ((op.dimension, True), (op.dimension - 1, False)):
-        policy = dataclasses.replace(DEFAULT_POLICY, dense_cap=cap)
+        policy = DEFAULT_POLICY._replace(dense_cap=cap)
         for module in (anomalywalk.stepop, anomalywalk.spectral, oracle):
             monkeypatch.setattr(module, "DEFAULT_POLICY", policy)
         assert check_unitarity(op) == want
