@@ -57,7 +57,7 @@ from .search import (
     predicted_hitting_step,
     run_search,
 )
-from .spectral import Spectrum, eigendecompose, power_apply
+from .spectral import Spectrum, eigendecompose
 from .stargraph import (
     Anomaly,
     PhaseAngle,

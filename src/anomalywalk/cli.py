@@ -15,8 +15,6 @@ with ``error:<category>:`` on stderr; exit status is 1 for validation
 problems and 2 for numerical certification failures.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

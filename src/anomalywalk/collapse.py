@@ -12,8 +12,6 @@ vectors: a few bulk profiles of length N, the unit rows, and the
 coordinates of each basis vector on the cells.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

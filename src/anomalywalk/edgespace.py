@@ -6,8 +6,6 @@ all hub-outgoing states (0,j) for j = 1..N, then all hub-incoming states
 loop states ascending vertex, extension pair).
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 from typing import NamedTuple
 

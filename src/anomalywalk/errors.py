@@ -5,8 +5,6 @@ the ``error:<category>:`` prefix) and the process exit code it maps to:
 1 for validation and usage problems, 2 for numerical certification failures.
 """
 
-from __future__ import annotations
-
 
 class AnomalyWalkError(Exception):
     """Base class for all library errors."""

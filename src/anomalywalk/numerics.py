@@ -6,8 +6,6 @@ call runs, never at import, so a test that needs another threshold swaps
 the record in the module that reads it.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -8,8 +8,6 @@ and fitting them against the graph size separates the degenerate branches
 one over N).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -7,14 +7,12 @@ form exists, simulates the accessible-edge measurement, and provides the
 classical adjacency-list baseline for comparison.
 """
 
-from __future__ import annotations
-
 import json
 from typing import NamedTuple
 
 import numpy as np
 
-from .collapse import ReducedBasis, place, reduce_seeds, star_cells
+from .collapse import ReducedBasis, cells_operator, place, star_cells
 from .edgespace import WalkState, make_basis, make_state
 from .errors import (
     ConfigurationError,
@@ -178,21 +176,30 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
 _RECORD_BYTES = 256
 
 
-def _weight(x: np.ndarray) -> float:
-    """Probability on some rows, from their amplitudes."""
-    return float((np.abs(x) ** 2).sum())
-
-
 def _norm2(x: np.ndarray) -> float:
     """Squared norm; a real vector's is one pass with no temporaries."""
-    return _weight(x) if np.iscomplexobj(x) else float(x @ x)
+    return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
 
 
-def _record(n: int, pt: float, pa: float, total: float) -> StepRecord:
-    """Probability split of one step, from the probabilities on the target
-    and anomaly parts and the total squared norm."""
-    return StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
-                      p_rest=max(total - pt - pa, 0.0))
+def _records(walk, k: int) -> list[StepRecord]:
+    """One record per step of a walk.
+
+    `walk()` returns the amplitudes at the target rows (the first k
+    columns) and the anomaly rows, one array row per step, and the
+    squared norm: one total for every step, or one per step.  The array
+    is freed before the records are built, so that they alone take
+    _RECORD_BYTES a step.
+    """
+    amps, total = walk()
+    weights = np.abs(amps) ** 2
+    del amps
+    # row by row, as one step's amplitudes sum on their own
+    pts, pas = weights[:, :k].sum(axis=1), weights[:, k:].sum(axis=1)
+    del weights
+    rests = np.maximum(total - pts - pas, 0.0)
+    del total
+    return [StepRecord(n, pt, pa, rest) for n, (pt, pa, rest)
+            in enumerate(zip(map(float, pts), map(float, pas), map(float, rests)))]
 
 
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
@@ -200,48 +207,39 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
 
     The state is stepped as block buffers, and its target and anomaly rows
     are gathered at their (block, offset) into one row of a preallocated
-    array per step; the records are formed from that array after the walk.
-    The walk conserves the squared norm, so its total is taken once at the
-    start and carried into every record; it is taken again at the end,
-    and a drift past `unit_norm_tol` is refused.  The step is then the only
-    pass over the state per step.
+    array per step.  The walk conserves the squared norm, so its total is
+    taken once at the start and carried into every record; it is taken
+    again at the end, and a drift past `unit_norm_tol` is refused.  The
+    step is then the only pass over the state per step, and the walk's
+    buffers are freed before the records are built.
     """
-    rows, total = _gathered_rows(op, x0, max_steps,
-                                 np.concatenate((target_rows, anomaly_rows)))
-    weights = np.abs(rows) ** 2
-    k = len(target_rows)
-    # row by row, as _weight sums one step's amplitudes
-    pts, pas = weights[:, :k].sum(axis=1), weights[:, k:].sum(axis=1)
-    del rows, weights  # so that the records alone take _RECORD_BYTES a step
-    return [_record(n, pt, pa, total)
-            for n, (pt, pa) in enumerate(zip(map(float, pts), map(float, pas)))]
+    located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
 
+    def walk():
+        state = BlockWalk(op, x0)
+        amps = np.empty((max_steps + 1, len(located)), state.blocks[0].dtype)
+        amps[0] = state.gather(located)
+        total = sum(map(_norm2, state.blocks))
+        for n in range(1, max_steps + 1):
+            state.step()
+            amps[n] = state.gather(located)
+        drift = abs(sum(map(_norm2, state.blocks)) - total)
+        tol = DEFAULT_POLICY.unit_norm_tol
+        if not drift <= tol:  # a nan drift fails too
+            raise NumericalFailureError(
+                f"the full walk's squared norm drifts {drift:.3e} over {max_steps} steps, "
+                f"past the tolerance {tol:.1e}")
+        return amps, total
 
-def _gathered_rows(op, x0, max_steps, flat_rows):
-    """The amplitudes at the flat rows after each of 0..max_steps steps, one
-    array row per step, and the start's squared norm, certified against
-    the end's.  The walk's buffers are freed when this returns."""
-    walk = BlockWalk(op, x0)
-    located = op.basis.locate(flat_rows)
-    rows = np.empty((max_steps + 1, len(located)), walk.blocks[0].dtype)
-    rows[0] = walk.gather(located)
-    total = sum(map(_norm2, walk.blocks))
-    for n in range(1, max_steps + 1):
-        walk.step()
-        rows[n] = walk.gather(located)
-    drift = abs(sum(map(_norm2, walk.blocks)) - total)
-    tol = DEFAULT_POLICY.unit_norm_tol
-    if not drift <= tol:  # a nan drift fails too
-        raise NumericalFailureError(
-            f"the full walk's squared norm drifts {drift:.3e} over {max_steps} steps, "
-            f"past the tolerance {tol:.1e}")
-    return rows, total
+    return _records(walk, len(target_rows))
 
 
 def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
-    """The walk inside the closure of the start state's family, from the
-    start state's row on the star's cells: x0's own for a custom state,
-    else the kind's block weights on the family's uniform rows."""
+    """The walk on the star's cells C, stepped by M = C*UC, from the start
+    state's row on them: x0's own for a custom state (`place` refuses a
+    state the cells do not hold), else the kind's block weights on the
+    family's uniform rows.  `cells_operator` certifies that M keeps to the
+    cells and is unitary; the squared norm is taken at every step."""
     if kind.variant == "custom":
         cells, seeds = place(op.basis, [x0])
         start = seeds[0]
@@ -249,19 +247,19 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
         cells, seeds = family_seeds(graph, kind)
         start = np.asarray(_block_weights(graph, kind)) @ seeds
         start /= np.linalg.norm(start)
-    reduced = reduce_seeds(op, cells, seeds)
-    basis = reduced.basis
-    c, leakage = basis.decompose_cells(start)
-    if leakage > DEFAULT_POLICY.invariance_tol:
-        raise NumericalFailureError(
-            f"start state leaks {leakage:.3e} outside its reduced family")
-    m = reduced.matrix
-    tmat = basis.rows(target_rows)
-    amat = basis.rows(anomaly_rows)
-    records = [_record(0, _weight(tmat @ c), _weight(amat @ c), _norm2(c))]
-    for n in range(1, max_steps + 1):
-        c = m @ c
-        records.append(_record(n, _weight(tmat @ c), _weight(amat @ c), _norm2(c)))
+    m = cells_operator(op, cells)
+    rows = cells.rows(np.concatenate((target_rows, anomaly_rows)))
+
+    def walk(c=start):
+        amps = np.empty((max_steps + 1, len(rows)), np.result_type(m, rows, c))
+        totals = np.empty(max_steps + 1)
+        amps[0], totals[0] = rows @ c, _norm2(c)
+        for n in range(1, max_steps + 1):
+            c = m @ c
+            amps[n], totals[n] = rows @ c, _norm2(c)
+        return amps, totals
+
+    records = _records(walk, len(target_rows))
     _spot_check(op, x0, records, target_rows, anomaly_rows)
     return records
 
@@ -286,8 +284,8 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     p_target_spokes covers the spoke edges adjacent to the anomaly,
     p_anomaly the states only the anomaly provides, p_rest everything
     else.  The peak is the argmax of their sum; ties break to the
-    earliest step.  method="reduced" evolves inside the invariant family
-    subspace and spot-checks a prefix against the full walk.
+    earliest step.  method="reduced" steps the start state's row on the
+    star's cells and spot-checks a prefix against the full walk.
     """
 
     if max_steps < 1:
@@ -405,7 +403,7 @@ class BaselineStatistics(NamedTuple):
 _BASELINE_BYTES_PER_TRIAL = 24
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int) -> "np.random.Generator":  # quoted: numpy loads np.random on first use
     """The generator of a non-negative integer seed."""
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")

@@ -6,8 +6,6 @@ of e^{i theta} P.  Clusters group phases closer than a threshold, which is
 what separates exact degeneracies from perturbative splittings.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -132,18 +130,6 @@ def eigendecompose(op, cluster_tol: float | None = None) -> Spectrum:
         b.setflags(write=False)
     return Spectrum(eigenphases=tuple(phases), blocks=tuple(blocks),
                     multiplicities=tuple(mults))
-
-
-def power_apply(spec: Spectrum, n: int, state: np.ndarray) -> np.ndarray:
-    """Apply the n-th power of the decomposed operator through its spectrum."""
-    x = np.asarray(state, dtype=complex)
-    if x.shape != (spec.dim,):
-        raise DimensionMismatchError(
-            f"state shape {x.shape} does not match dimension {spec.dim}")
-    out = np.zeros_like(x)
-    for theta, block in zip(spec.eigenphases, spec.blocks):
-        out += np.exp(1j * theta * n) * (block @ (block.conj().T @ x))
-    return out
 
 
 def dump_spectrum_csv(spec: Spectrum, path) -> None:

@@ -8,8 +8,6 @@ instead of a real one.  The spec format is a small JSON object; parsing and
 serialization round-trip exactly.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

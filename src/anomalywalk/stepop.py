@@ -16,8 +16,6 @@ place over the in buffer, relabelled buffers, scattered patches), and
 `collapse` reads the operator on the star's cells from it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from typing import NamedTuple
 

@@ -143,14 +143,25 @@ def test_phase_beyond_float_range_is_a_semantic_error(capsys, tmp_path, argv):
     assert not (tmp_path / "shifts.csv").exists()
 
 
-def test_import_does_not_load_scipy():
+def _loaded_by_import(module):
+    """Whether importing the CLI in a fresh interpreter loads the module."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
-    probe = "import sys, anomalywalk.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, anomalywalk.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy():
+    assert not _loaded_by_import("scipy")
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy loads np.random on first use, for some 6 MiB and 50 ms; an
+    # annotation evaluated at import must not be that use
+    assert not _loaded_by_import("numpy.random")
 
 
 def test_import_loads_every_package_module():

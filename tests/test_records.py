@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import typing
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_the_step_operator_is_the_one_dataclass():
              if inspect.isclass(obj) and obj.__module__ == info.name
              and dataclasses.is_dataclass(obj)}
     assert found == {"StepOperator"}
+
+
+def test_no_record_type_holds_a_string_annotation():
+    # a string annotation costs a compiled ForwardRef per field at import
+    found = {f"{name}.{field}"
+             for info in pkgutil.iter_modules(anomalywalk.__path__, "anomalywalk.")
+             for name, obj in vars(importlib.import_module(info.name)).items()
+             if inspect.isclass(obj) and obj.__module__ == info.name
+             and issubclass(obj, tuple) and hasattr(obj, "_fields")
+             for field, hint in obj.__annotations__.items()
+             if isinstance(hint, (str, typing.ForwardRef))}
+    assert found == set()
 
 
 def test_every_record_type_has_a_sample():

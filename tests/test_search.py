@@ -1,20 +1,26 @@
 """Search dynamics tests: start states, peaks, measurement, baseline."""
 
 import csv
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracle import family_generators, flat_walk_records
 
+import anomalywalk
+import anomalywalk.collapse
 import anomalywalk.search
 import anomalywalk.stepop
-from anomalywalk.collapse import ReducedBasis, ReducedOperator
+from anomalywalk.cli import main
+from anomalywalk.collapse import ReducedBasis
 from anomalywalk.edgespace import make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
+    InvarianceError,
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
@@ -399,11 +405,14 @@ class TestRunSearch:
         (Anomaly.extended_edge(3, PhaseAngle.from_radians(0.7)), InitialStateKind.minus(),
          int(4 * math.sqrt(10 ** 5)) + 10),
         (Anomaly.missing_loop(3), InitialStateKind.loop_pi(), 1200),
-    ], ids=["extended_edge_0.7rad", "missing_loop_loop_pi"])
+        (Anomaly.loop(4242), InitialStateKind.minus(), 2400),
+        (Anomaly.extra_edge(17, 90210), InitialStateKind.minus(),
+         int(4 * math.sqrt(10 ** 5)) + 10),
+    ], ids=["extended_edge_0.7rad", "missing_loop_loop_pi", "loop", "extra_edge"])
     def test_reduced_keeps_to_the_full_walk_at_large_n(self, anomaly, kind, steps):
-        # over the default search horizon of N=1e5 (and 1200 steps of the
-        # missing loop) every record of the reduced walk stays within 1e-11
-        # of the full walk's
+        # over the default search horizon of N=1e5 (and the benchmark's 1200
+        # and 2400 steps of the missing loop and the loop) every record of
+        # the reduced walk stays within 1e-11 of the full walk's
         graph = build_star(10 ** 5, anomaly)
         full = run_search(graph, kind, steps, method="full")
         fast = run_search(graph, kind, steps, method="reduced")
@@ -441,22 +450,40 @@ class TestRunSearch:
             assert abs(a.p_target_spokes - b.p_target_spokes) <= 1e-12
             assert abs(a.p_anomaly - b.p_anomaly) <= 1e-12
 
-    @pytest.mark.parametrize("kind", [
-        InitialStateKind.minus(), InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))],
-        ids=["minus", "custom"])
-    def test_reduced_refuses_a_start_state_outside_the_closure(self, monkeypatch, kind):
-        # a closure cut to its last direction, which is orthogonal to the
-        # seeds, no longer holds the start row
-        close = anomalywalk.search.reduce_seeds
+    def test_reduced_runs_no_closure(self, monkeypatch, capsys, tmp_path):
+        # the reduced walk steps M = C*UC on the cells that hold the start
+        # state: it neither closes the seeds nor decomposes onto a closure,
+        # while the spectrum verb still reduces once
+        calls = []
+        close, decompose = anomalywalk.collapse.reduce_seeds, ReducedBasis.decompose_cells
+        for info in pkgutil.iter_modules(anomalywalk.__path__, "anomalywalk."):
+            module = importlib.import_module(info.name)
+            if getattr(module, "reduce_seeds", None) is close:
+                monkeypatch.setattr(module, "reduce_seeds",
+                                    lambda *args: calls.append("reduce_seeds") or close(*args))
+        monkeypatch.setattr(ReducedBasis, "decompose_cells",
+                            lambda self, c: calls.append("decompose_cells") or decompose(self, c))
+        graph = build_star(64, Anomaly.loop(3))
+        for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
+                     InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))):
+            run_search(graph, kind, 30, method="reduced")
+        assert calls == []
+        spec = '{"n_spokes": 64, "anomaly": {"type": "loop", "at": 3}}'
+        assert main(["spectrum", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 0
+        capsys.readouterr()
+        assert calls == ["reduce_seeds"]
 
-        def last_direction(op, cells, seeds):
-            reduced = close(op, cells, seeds)
-            basis = reduced.basis._replace(coords=reduced.basis.coords[-1:])
-            return ReducedOperator(matrix=reduced.matrix[-1:, -1:], basis=basis)
-
-        monkeypatch.setattr(anomalywalk.search, "reduce_seeds", last_direction)
-        with pytest.raises(NumericalFailureError, match="leaks"):
-            run_search(build_star(64, Anomaly.loop(3)), kind, 10, method="reduced")
+    def test_reduced_refuses_a_custom_state_the_cells_drop(self):
+        # a block part within the closure residual of the uniform profile is
+        # dropped from the cells, and `place` refuses its leakage
+        graph = build_star(64, Anomaly.loop(3))
+        basis = make_basis(graph)
+        amps = np.zeros(graph.hilbert_dim)
+        amps[basis.out_block], amps[basis.in_block] = 1.0, -1.0
+        # 4e-8 (1, -1) over the norm sqrt(128) is a part of norm 5.0e-9
+        amps[basis.out_rows([10, 20])] += (4e-8, -4e-8)
+        with pytest.raises(InvarianceError, match="leakage 5.000e-09"):
+            run_search(graph, InitialStateKind.custom(amps), 10, method="reduced")
 
     def test_plus_state_stays_delocalized(self):
         graph = build_star(64, Anomaly.extra_edge(2, 7))
@@ -511,15 +538,26 @@ class TestRunSearch:
         with pytest.raises(ConfigurationError):
             run_search(graph, InitialStateKind.minus(), 5, method="magic")
 
-    @pytest.mark.parametrize("method", ["full", "reduced"])
-    def test_records_fit_the_memory_refusal(self, method):
+    @pytest.mark.parametrize("method,case", [
+        *[pytest.param(method, "loop", id=method) for method in ("full", "reduced")],
+        *[pytest.param(method, case, id=f"{case}-{method}")
+          for case in ("extra_edge_inout", "missing_loop_custom") for method in ("full", "reduced")]])
+    def test_records_fit_the_memory_refusal(self, method, case):
         # run_search refuses a horizon by _RECORD_BYTES a step; at a small N
-        # the records are the whole peak
-        graph = build_star(50, Anomaly.loop(3))
+        # the records are the whole peak, on the widest complex rows too
+        if case == "loop":
+            graph, kind = build_star(50, Anomaly.loop(3)), InitialStateKind.minus()
+        elif case == "extra_edge_inout":
+            graph, kind = build_star(50, Anomaly.extra_edge(2, 7)), InitialStateKind.inout(0.6, 0.8j)
+        else:
+            graph = build_star(50, Anomaly.missing_loop(4, PhaseAngle.from_pi_fraction(1, 3)))
+            rng = np.random.default_rng(3)
+            kind = InitialStateKind.custom(rng.standard_normal(graph.hilbert_dim)
+                                           + 1j * rng.standard_normal(graph.hilbert_dim))
         steps = 10_000
         tracemalloc.start()
         try:
-            run_search(graph, InitialStateKind.minus(), steps, method=method)
+            run_search(graph, kind, steps, method=method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

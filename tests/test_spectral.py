@@ -10,11 +10,7 @@ from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import InitialStateKind, initial_state
-from anomalywalk.spectral import (
-    dump_spectrum_csv,
-    eigendecompose,
-    power_apply,
-)
+from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
 from anomalywalk.stepop import build_step_operator
 
@@ -120,19 +116,6 @@ def test_reconstruct_roundtrip():
     _, reduced, _ = hand_reduced(50)
     spec = eigendecompose(reduced)
     np.testing.assert_allclose(reconstruct(spec), reduced, atol=1e-10)
-
-
-def test_power_apply_semigroup_and_identity():
-    _, reduced, x0 = hand_reduced(64)
-    spec = eigendecompose(reduced)
-    np.testing.assert_allclose(power_apply(spec, 0, x0), x0, atol=1e-12)
-    once = power_apply(spec, 1, x0)
-    np.testing.assert_allclose(once, reduced @ x0, atol=1e-10)
-    np.testing.assert_allclose(
-        power_apply(spec, 5, x0),
-        power_apply(spec, 2, power_apply(spec, 3, x0)), atol=1e-10)
-    direct = np.linalg.matrix_power(reduced, 9) @ x0
-    np.testing.assert_allclose(power_apply(spec, 9, x0), direct, atol=1e-9)
 
 
 def test_start_state_coefficients_in_hand_basis():
