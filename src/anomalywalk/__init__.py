@@ -43,14 +43,11 @@ from .perturb import (
     perturbation_sweep,
 )
 from .search import (
-    BaselineResult,
     BaselineStatistics,
     InitialStateKind,
     MeasurementResult,
     SearchResult,
-    StepRecord,
     baseline_statistics,
-    classical_baseline,
     family_seeds,
     initial_state,
     measure_accessible,

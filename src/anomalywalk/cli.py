@@ -213,7 +213,7 @@ def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     reduced = reduce_seeds(build_step_operator(graph), *family_seeds(graph, kind))
-    spectrum = eigendecompose(reduced)
+    spectrum = eigendecompose(reduced.matrix)
     dump_spectrum_csv(spectrum, _require_out(args.out))
     print(f"dim={reduced.dim} branches={len(spectrum.eigenphases)}")
     return 0

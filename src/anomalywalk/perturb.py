@@ -219,8 +219,8 @@ def _sweep_point(anomaly: Anomaly, n: int):
     # keep the cluster threshold well under the smallest expected
     # splitting, which shrinks like 1/N on simple branches
     tol = min(DEFAULT_POLICY.cluster_tol, DEFAULT_POLICY.sweep_cluster_scale / n)
-    spec_fin = eigendecompose(reduced, tol)
-    spec_lim = eigendecompose(limit, tol)
+    spec_fin = eigendecompose(reduced.matrix, tol)
+    spec_lim = eigendecompose(limit.matrix, tol)
     shifts = eigenphase_shifts(spec_fin, spec_lim)
     return [(n, shift) for shift in shifts]
 

@@ -3,7 +3,7 @@
 Defines each named start state once, as weights on the bulk blocks, for
 both the full walk and the star's cells; evolves start states while
 recording where the probability sits, predicts hitting steps where a closed
-form exists, simulates the accessible-edge measurement, and provides the
+form exists, simulates the accessible-edge measurement, and samples the
 classical adjacency-list baseline for comparison.
 """
 
@@ -146,15 +146,14 @@ def predicted_hitting_step(graph: StarGraph) -> int:
     raise NoPredictionError(f"no hitting-step formula for variant {variant!r}")
 
 
-class StepRecord(NamedTuple):
-    n: int
-    p_target_spokes: float
-    p_anomaly: float
-    p_rest: float
-
-
 class SearchResult(NamedTuple):
-    per_step: tuple[StepRecord, ...]
+    """The probability split of every step as three read-only float64
+    columns, named as in the per-step CSV and indexed by the step n, and
+    the peak read from them."""
+
+    p_target_spokes: np.ndarray
+    p_anomaly: np.ndarray
+    p_rest: np.ndarray
     peak_step: int
     peak_detectable: float
     peak_undetected: float
@@ -172,8 +171,9 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(rows), basis.anomaly_only_rows
 
 
-# peak bytes per step of a run's records, its list and its tuple (tracemalloc)
-_RECORD_BYTES = 256
+# peak bytes per step of a run (tracemalloc): the widest rows, complex
+# amplitudes and their weights, held while the columns are summed
+_RECORD_BYTES = 160
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -181,14 +181,13 @@ def _norm2(x: np.ndarray) -> float:
     return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
 
 
-def _records(walk, k: int) -> list[StepRecord]:
-    """One record per step of a walk.
+def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns p_target_spokes, p_anomaly and p_rest of a walk.
 
     `walk()` returns the amplitudes at the target rows (the first k
     columns) and the anomaly rows, one array row per step, and the
-    squared norm: one total for every step, or one per step.  The array
-    is freed before the records are built, so that they alone take
-    _RECORD_BYTES a step.
+    squared norm: one total for every step, or one per step.  The arrays
+    are freed as soon as the columns are taken from them.
     """
     amps, total = walk()
     weights = np.abs(amps) ** 2
@@ -197,21 +196,21 @@ def _records(walk, k: int) -> list[StepRecord]:
     pts, pas = weights[:, :k].sum(axis=1), weights[:, k:].sum(axis=1)
     del weights
     rests = np.maximum(total - pts - pas, 0.0)
-    del total
-    return [StepRecord(n, pt, pa, rest) for n, (pt, pa, rest)
-            in enumerate(zip(map(float, pts), map(float, pas), map(float, rests)))]
+    for column in (pts, pas, rests):
+        column.flags.writeable = False
+    return pts, pas, rests
 
 
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
-    """The full walk, one record per step.
+    """The full walk's columns, one entry per step.
 
     The state is stepped as block buffers, and its target and anomaly rows
     are gathered at their (block, offset) into one row of a preallocated
     array per step.  The walk conserves the squared norm, so its total is
-    taken once at the start and carried into every record; it is taken
+    taken once at the start and carried into every step's p_rest; it is taken
     again at the end, and a drift past `unit_norm_tol` is refused.  The
     step is then the only pass over the state per step, and the walk's
-    buffers are freed before the records are built.
+    buffers are freed before the columns are taken.
     """
     located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
 
@@ -259,19 +258,17 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
             amps[n], totals[n] = rows @ c, _norm2(c)
         return amps, totals
 
-    records = _records(walk, len(target_rows))
-    _spot_check(op, x0, records, target_rows, anomaly_rows)
-    return records
+    columns = _records(walk, len(target_rows))
+    _spot_check(op, x0, columns, target_rows, anomaly_rows)
+    return columns
 
 
-def _spot_check(op, x0, records, target_rows, anomaly_rows):
+def _spot_check(op, x0, columns, target_rows, anomaly_rows):
     """Cross-check a prefix of the reduced run against the full walk."""
     policy = DEFAULT_POLICY
-    k = min(len(records) - 1, policy.spot_check_steps)
-    ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)[k]
-    got = records[k]
-    dev = max(abs(ref.p_target_spokes - got.p_target_spokes),
-              abs(ref.p_anomaly - got.p_anomaly))
+    k = min(len(columns[0]) - 1, policy.spot_check_steps)
+    ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)
+    dev = max(abs(ref[0][k] - columns[0][k]), abs(ref[1][k] - columns[1][k]))
     if dev > policy.spot_check_tol:
         raise NumericalFailureError(
             f"reduced evolution drifts {dev:.3e} from the full walk at step {k}")
@@ -297,12 +294,11 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     op = build_step_operator(graph)
     x0 = initial_state(graph, kind).amplitudes
     if method == "full":
-        records = _evolve_full(op, x0, max_steps, target_rows, anomaly_rows)
+        pts, pas, rests = _evolve_full(op, x0, max_steps, target_rows, anomaly_rows)
     else:
-        records = _evolve_reduced(graph, op, kind, x0, max_steps, target_rows,
-                                  anomaly_rows)
-    scores = [r.p_target_spokes + r.p_anomaly for r in records]
-    peak = int(np.argmax(scores))
+        pts, pas, rests = _evolve_reduced(graph, op, kind, x0, max_steps, target_rows,
+                                          anomaly_rows)
+    peak = int(np.argmax(pts + pas))
     try:
         predicted = predicted_hitting_step(graph)
     except NoPredictionError:
@@ -312,18 +308,18 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     if predicted is not None and abs(predicted - peak) > slack:
         warnings = (f"empirical peak step {peak} is more than {slack} steps "
                     f"from predicted step {predicted}",)
-    return SearchResult(per_step=tuple(records), peak_step=peak,
-                        peak_detectable=records[peak].p_target_spokes,
-                        peak_undetected=records[peak].p_anomaly,
+    return SearchResult(p_target_spokes=pts, p_anomaly=pas, p_rest=rests,
+                        peak_step=peak, peak_detectable=float(pts[peak]),
+                        peak_undetected=float(pas[peak]),
                         predicted_step=predicted, warnings=warnings)
 
 
 def write_per_step_csv(result: SearchResult, path) -> None:
+    columns = (result.p_target_spokes, result.p_anomaly, result.p_rest)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,p_target_spokes,p_anomaly,p_rest\n")
-        for r in result.per_step:
-            fh.write(f"{r.n},{r.p_target_spokes:.12g},"
-                     f"{r.p_anomaly:.12g},{r.p_rest:.12g}\n")
+        for n, (pt, pa, rest) in enumerate(zip(*(c.tolist() for c in columns))):
+            fh.write(f"{n},{pt:.12g},{pa:.12g},{rest:.12g}\n")
 
 
 def search_summary(graph: StarGraph, kind: InitialStateKind,
@@ -388,10 +384,6 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
                              detected_edge=detected, sampled=sampled)
 
 
-class BaselineResult(NamedTuple):
-    queries: int
-
-
 class BaselineStatistics(NamedTuple):
     trials: int
     mean: float
@@ -426,15 +418,6 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     require_memory(trials * _BASELINE_BYTES_PER_TRIAL, f"{trials} trials")
     k = len(graph.anomaly_vertices)
     return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))
-
-
-def classical_baseline(graph: StarGraph, seed: int) -> BaselineResult:
-    """Scan a shuffled list of outer vertices until the anomaly shows.
-
-    One query inspects one vertex's neighbor list, which exposes an
-    anomalous degree or loop immediately.
-    """
-    return BaselineResult(queries=int(_sample_queries(graph, 1, seed)[0]))
 
 
 def baseline_statistics(graph: StarGraph, trials: int,

@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collapse import ReducedOperator
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY
 
@@ -67,16 +66,16 @@ def _representative(thetas: np.ndarray, tol: float) -> float:
     return theta
 
 
-def eigendecompose(op, cluster_tol: float | None = None) -> Spectrum:
-    """Full certified eigensystem of a unitary matrix.
+def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
+    """Full certified eigensystem of a square unitary matrix.
 
-    Accepts a ReducedOperator or a plain square matrix.  Every eigenpair is
-    certified by its residual and every eigenvalue must sit on the unit
-    circle before its phase is taken; failures raise rather than degrade.
+    Every eigenpair is certified by its residual and every eigenvalue must
+    sit on the unit circle before its phase is taken; failures raise
+    rather than degrade.
     """
 
     policy = DEFAULT_POLICY
-    mat = np.asarray(op.matrix if isinstance(op, ReducedOperator) else op, dtype=complex)
+    mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     d = mat.shape[0]

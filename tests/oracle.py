@@ -21,7 +21,6 @@ from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.search import StepRecord
 from anomalywalk.stepop import (
     _patch_amplitudes,
     build_scattering_operator,
@@ -210,12 +209,13 @@ def apply_adjoint_into(op, x, out):
 
 
 def flat_walk_records(op, x0, steps, target_rows, anomaly_rows):
-    """The full walk's records as first written: one flat vector stepped by
-    `apply_into` into a second buffer, its rows read by index and its
-    total taken over the whole vector."""
+    """The full walk's columns p_target_spokes, p_anomaly and p_rest as
+    first written: one flat vector stepped by `apply_into` into a second
+    buffer, its rows read by index and its total taken over the whole
+    vector, step by step."""
     x = x0.astype(walk_dtype(op, x0))
     buf = np.empty_like(x)
-    records = []
+    rows = []
     for n in range(steps + 1):
         if n:
             apply_into(op, x, buf)
@@ -223,9 +223,8 @@ def flat_walk_records(op, x0, steps, target_rows, anomaly_rows):
         pt = float((np.abs(x[target_rows]) ** 2).sum())
         pa = float((np.abs(x[anomaly_rows]) ** 2).sum())
         total = float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
-        records.append(StepRecord(n=n, p_target_spokes=pt, p_anomaly=pa,
-                                  p_rest=max(total - pt - pa, 0.0)))
-    return records
+        rows.append((pt, pa, max(total - pt - pa, 0.0)))
+    return tuple(np.array(rows).T)
 
 
 def lifted(basis):

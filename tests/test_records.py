@@ -17,12 +17,10 @@ from anomalywalk.edgespace import BasisLabel, EdgeBasis, WalkState
 from anomalywalk.numerics import NumericPolicy
 from anomalywalk.perturb import EigenShift, ScalingFit, SweepResult
 from anomalywalk.search import (
-    BaselineResult,
     BaselineStatistics,
     InitialStateKind,
     MeasurementResult,
     SearchResult,
-    StepRecord,
 )
 from anomalywalk.spectral import Spectrum
 from anomalywalk.stargraph import VARIANT_SCHEMA, Anomaly, PhaseAngle, StarGraph, VariantSchema
@@ -39,11 +37,9 @@ FIELDS = {
     ReducedOperator: ("matrix", "basis"),
     Spectrum: ("eigenphases", "blocks", "multiplicities"),
     InitialStateKind: ("variant", "amp_out", "amp_in", "amplitudes"),
-    StepRecord: ("n", "p_target_spokes", "p_anomaly", "p_rest"),
-    SearchResult: ("per_step", "peak_step", "peak_detectable", "peak_undetected",
-                   "predicted_step", "warnings"),
+    SearchResult: ("p_target_spokes", "p_anomaly", "p_rest", "peak_step", "peak_detectable",
+                   "peak_undetected", "predicted_step", "warnings"),
     MeasurementResult: ("distribution", "p_undetected", "detected_edge", "sampled"),
-    BaselineResult: ("queries",),
     BaselineStatistics: ("trials", "mean", "std", "expected_mean"),
     UnitarityReport: ("max_deviation", "tolerance"),
     NumericPolicy: ("unit_norm_tol", "probability_tol", "unitarity_tol", "closure_residual",
@@ -86,16 +82,15 @@ SAMPLES = [
      "Spectrum(eigenphases=(0.0,), blocks=(array([[1.]]),), multiplicities=(1,))"),
     (InitialStateKind.inout(1, -1j),
      "InitialStateKind(variant='inout', amp_out=(1+0j), amp_in=(-0-1j), amplitudes=())"),
-    (StepRecord(n=3, p_target_spokes=0.25, p_anomaly=0.5, p_rest=0.25),
-     "StepRecord(n=3, p_target_spokes=0.25, p_anomaly=0.5, p_rest=0.25)"),
-    (SearchResult(per_step=(), peak_step=0, peak_detectable=0.5, peak_undetected=0.25,
-                  predicted_step=None),
-     "SearchResult(per_step=(), peak_step=0, peak_detectable=0.5, peak_undetected=0.25, "
+    (SearchResult(p_target_spokes=np.array([0.5]), p_anomaly=np.array([0.25]),
+                  p_rest=np.array([0.25]), peak_step=0, peak_detectable=0.5,
+                  peak_undetected=0.25, predicted_step=None),
+     "SearchResult(p_target_spokes=array([0.5]), p_anomaly=array([0.25]), "
+     "p_rest=array([0.25]), peak_step=0, peak_detectable=0.5, peak_undetected=0.25, "
      "predicted_step=None, warnings=())"),
     (MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, sampled=True),
      "MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, "
      "sampled=True)"),
-    (BaselineResult(queries=3), "BaselineResult(queries=3)"),
     (BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5),
      "BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5)"),
     (UnitarityReport(max_deviation=1e-16, tolerance=1e-12),
