@@ -177,8 +177,8 @@ _RECORD_BYTES = 160
 
 
 def _norm2(x: np.ndarray) -> float:
-    """Squared norm; a real vector's is one pass with no temporaries."""
-    return float((np.abs(x) ** 2).sum()) if np.iscomplexobj(x) else float(x @ x)
+    """Squared norm in one pass with no temporaries."""
+    return float(np.vdot(x, x).real) if np.iscomplexobj(x) else float(x @ x)
 
 
 def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,33 +201,51 @@ def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pts, pas, rests
 
 
+def _walk_norm2(walk: BlockWalk, sums) -> float:
+    """The squared norm of a block walk's state, read from its buffers with
+    no full-length temporary: block b, s*buf + c with sum(buf) = sums[b],
+    has |buf|^2 + 2s*Re(conj(c)*sum(buf)) + len(buf)*|c|^2."""
+    return sum(_norm2(buf) + 2 * s * (c.conjugate() * total).real + buf.size * abs(c) ** 2
+               for buf, s, c, total in zip(walk.buffers, walk.signs, walk.shifts, sums))
+
+
 def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     """The full walk's columns, one entry per step.
 
-    The state is stepped as block buffers, and its target and anomaly rows
+    The state is stepped as a `BlockWalk`, and its target and anomaly rows
     are gathered at their (block, offset) into one row of a preallocated
     array per step.  The walk conserves the squared norm, so its total is
-    taken once at the start and carried into every step's p_rest; it is taken
-    again at the end, and a drift past `unit_norm_tol` is refused.  The
-    step is then the only pass over the state per step, and the walk's
+    taken once at the start and carried into every step's p_rest.  At the
+    end the buffers are summed once: the squared norm is taken again from
+    those sums, and a drift past `unit_norm_tol` is refused, and so is a
+    carried sum further than `carried_sum_tol` times sqrt(N) from its
+    buffer's.  In between, no step reads the state in full, and the walk's
     buffers are freed before the columns are taken.
     """
     located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
 
     def walk():
         state = BlockWalk(op, x0)
-        amps = np.empty((max_steps + 1, len(located)), state.blocks[0].dtype)
+        amps = np.empty((max_steps + 1, len(located)), state.dtype)
         amps[0] = state.gather(located)
-        total = sum(map(_norm2, state.blocks))
+        total = _walk_norm2(state, state.sums)
         for n in range(1, max_steps + 1):
             state.step()
             amps[n] = state.gather(located)
-        drift = abs(sum(map(_norm2, state.blocks)) - total)
-        tol = DEFAULT_POLICY.unit_norm_tol
+        policy = DEFAULT_POLICY
+        sums = [buf.sum() for buf in state.buffers]
+        drift = abs(_walk_norm2(state, sums) - total)
+        tol = policy.unit_norm_tol
         if not drift <= tol:  # a nan drift fails too
             raise NumericalFailureError(
                 f"the full walk's squared norm drifts {drift:.3e} over {max_steps} steps, "
                 f"past the tolerance {tol:.1e}")
+        drift = max(abs(carried - true) for carried, true in zip(state.sums, sums))
+        tol = policy.carried_sum_tol * np.sqrt(op.n_spokes)
+        if not drift <= tol:
+            raise NumericalFailureError(
+                f"the full walk's carried block sums drift {drift:.3e} from their buffers' "
+                f"over {max_steps} steps, past the tolerance {tol:.1e}")
         return amps, total
 
     return _records(walk, len(target_rows))

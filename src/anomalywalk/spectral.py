@@ -75,7 +75,11 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
     """
 
     policy = DEFAULT_POLICY
-    mat = np.asarray(mat, dtype=complex)
+    try:
+        mat = np.asarray(mat, dtype=complex)
+    except ValueError:  # ragged input, such as a ReducedOperator
+        raise DimensionMismatchError(
+            f"expected a square matrix, got a ragged {type(mat).__name__}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     d = mat.shape[0]

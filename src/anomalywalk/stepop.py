@@ -2,18 +2,18 @@
 
 The operator never materializes as a matrix on the hot path.  Hub columns
 all share one structure (reflection -r on the matching outgoing state plus
-transmission t to every other one), so a full application costs O(N): one
-running sum over hub-incoming amplitudes, then the outer-vertex columns,
-each of which has exactly one nonzero.  Those follow the block layout of
-`EdgeBasis`: the blocks trade places (out to in, or out to loops to in for
+transmission t to every other one), so the hub maps the in block x to
+t*sum(x) - x, the same rule on every row, and every outer-vertex column
+has exactly one nonzero.  Those follow the block layout of `EdgeBasis`:
+the blocks trade places (out to in, or out to loops to in for
 missing_loop), then a few patches overwrite the rows the anomaly reroutes.
 
 `StepOperator` holds the step as that O(1) data alone: a role table over
 the blocks and (block, offset) pairs for the patches, checked when the
 operator is constructed.  `BlockWalk`, the one stepping implementation,
-steps a state held as one buffer per block by that table (hub rule in
-place over the in buffer, relabelled buffers, scattered patches), and
-`collapse` reads the operator on the star's cells from it.
+holds each block as a sign times a buffer plus a common shift, so a step
+costs O(patches) whatever N is, and `collapse` reads the operator on the
+star's cells from the same table.
 """
 
 from dataclasses import dataclass
@@ -182,13 +182,18 @@ def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
 
 
 class BlockWalk:
-    """A walk whose state is held as one buffer per block of the basis.
+    """A walk whose state is held as sign * buffer + shift, block by block.
 
-    `blocks` lists the buffers in layout order (out, in, the loops of
-    missing_loop, the anomaly tail).  A step gathers the patch sources,
-    writes the hub rule over the in buffer in place, relabels the
-    buffers by the role table and scatters the patches: after the start,
-    no buffer is allocated or copied.  The arithmetic is fixed at the
+    `buffers` lists one buffer per block of the basis in layout order
+    (out, in, the loops of missing_loop, the anomaly tail); row k of
+    block b reads signs[b] * buffers[b][k] + shifts[b], with a sign of
+    +1 or -1, and sums[b] carries the sum of buffers[b].  The hub rule
+    t*S - x then only flips the sign of the in block and sets its shift
+    to t*S - shift, S its sum read from the carried one, and a step
+    relabels the four lists by the role table and writes the patch rows
+    into their buffers, updating each carried sum by the new row minus
+    the old: O(patches) work, no buffer allocated, copied or read in
+    full after the start.  The arithmetic, `dtype`, is fixed at the
     start: float64 for a real start on a real operator, else complex128.
     """
 
@@ -196,24 +201,37 @@ class BlockWalk:
         if x0.size != op.dimension:
             raise DimensionMismatchError(
                 f"state dimension {x0.size} != operator dimension {op.dimension}")
-        dtype = walk_dtype(op, x0)
-        self.blocks = [np.array(b, dtype=dtype) for b in op.basis.split(x0)]
+        self.dtype = walk_dtype(op, x0)
+        self.buffers = [np.array(b, dtype=self.dtype) for b in op.basis.split(x0)]
+        self.signs = [1] * len(self.buffers)
+        self.shifts = [self.dtype(0)] * len(self.buffers)
+        self.sums = [b.sum() for b in self.buffers]
         self._op = op
-        self._amp = _patch_amplitudes(op, self.blocks[0])
+        self._amp = _patch_amplitudes(op, self.buffers[0])
 
     def step(self) -> None:
-        op = self._op
-        # one array product, as in the flat oracle step, so both round alike
-        values = self._amp * self.gather(op.src)
-        hub = self.blocks[op.roles[0]]
-        np.subtract(op.hub_t * hub.sum(), hub, out=hub)
-        new = self.blocks = [self.blocks[role] for role in op.roles]
+        op, roles = self._op, self._op.roles
+        buffers, signs, shifts, sums = self.buffers, self.signs, self.shifts, self.sums
+        values = [a * (signs[b] * buffers[b][k] + shifts[b])
+                  for a, (b, k) in zip(self._amp, op.src)]
+        hub = roles[0]
+        sign, shift = signs[hub], shifts[hub]
+        signs[hub] = -sign
+        shifts[hub] = op.hub_t * (sign * sums[hub] + shift * buffers[hub].size) - shift
+        buffers = self.buffers = [buffers[role] for role in roles]
+        signs = self.signs = [signs[role] for role in roles]
+        shifts = self.shifts = [shifts[role] for role in roles]
+        sums = self.sums = [sums[role] for role in roles]
         for (b, k), value in zip(op.dst, values):
-            new[b][k] = value
+            row = (value - shifts[b]) * signs[b]
+            sums[b] += row - buffers[b][k]
+            buffers[b][k] = row
 
     def gather(self, located) -> np.ndarray:
         """The amplitudes at (block, offset) pairs, in their order."""
-        return np.array([self.blocks[b][k] for b, k in located], dtype=self.blocks[0].dtype)
+        buffers, signs, shifts = self.buffers, self.signs, self.shifts
+        return np.array([signs[b] * buffers[b][k] + shifts[b] for b, k in located],
+                        dtype=self.dtype)
 
 
 def check_unitarity(op: StepOperator) -> UnitarityReport:

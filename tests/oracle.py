@@ -9,10 +9,12 @@ columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 step is materialized as a dense matrix, and its max|U†U - I| is the
 reference for the certificate `check_unitarity` reads from the tables.  The
-full walk's block buffers are checked against the walk stepped as one
-flat vector.  The named start-state families are built here as they
-were first written, as sums of full-length uniform states; `src/` fills
-their blocks and seeds the closure on the cells.
+full walk's records are checked against the walk stepped as one flat
+vector, and against `ResummingWalk`, the block walk that sums its in
+block and writes the hub rule over it at every step.  The named
+start-state families are built here as they were first written, as sums
+of full-length uniform states; `src/` fills their blocks and seeds the
+closure on the cells.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.search import _norm2, _records
 from anomalywalk.stepop import (
     _patch_amplitudes,
     build_scattering_operator,
@@ -295,3 +298,54 @@ def projector_gap(a, b):
     """||P_a - P_b|| in the 2-norm for orthonormal columns of equal count,
     computed as ||(1 - P_b) a|| so that no d x d matrix is formed."""
     return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
+
+
+class ResummingWalk:
+    """The full walk held as one buffer per block, stepped in O(N): a step
+    gathers the patch sources, sums the in buffer and writes the hub rule
+    t*sum(in) - in over it in place, relabels the buffers by the role table
+    and scatters the patches.  A real walk reads the same amplitudes as
+    `apply_into`'s, bit for bit."""
+
+    def __init__(self, op, x0):
+        dtype = walk_dtype(op, x0)
+        self.blocks = [np.array(b, dtype=dtype) for b in op.basis.split(x0)]
+        self._op = op
+        self._amp = _patch_amplitudes(op, self.blocks[0])
+
+    def step(self):
+        op = self._op
+        # one array product, as in the flat step, so both round alike
+        values = self._amp * self.gather(op.src)
+        hub = self.blocks[op.roles[0]]
+        np.subtract(op.hub_t * hub.sum(), hub, out=hub)
+        new = self.blocks = [self.blocks[role] for role in op.roles]
+        for (b, k), value in zip(op.dst, values):
+            new[b][k] = value
+
+    def gather(self, located):
+        return np.array([self.blocks[b][k] for b, k in located], dtype=self.blocks[0].dtype)
+
+
+def resumming_walk_records(op, x0, steps, target_rows, anomaly_rows):
+    """The full walk's columns from a `ResummingWalk`, its target and anomaly
+    rows gathered per step and its squared norm taken at the start."""
+    located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
+
+    def walk():
+        state = ResummingWalk(op, x0)
+        amps = np.empty((steps + 1, len(located)), state.blocks[0].dtype)
+        amps[0], total = state.gather(located), sum(map(_norm2, state.blocks))
+        for n in range(1, steps + 1):
+            state.step()
+            amps[n] = state.gather(located)
+        return amps, total
+
+    return _records(walk, len(target_rows))
+
+
+def walk_state(walk):
+    """The state of a `BlockWalk` as one flat vector, its blocks read as
+    sign * buffer + shift."""
+    return np.concatenate([s * buf + c for buf, s, c in
+                           zip(walk.buffers, walk.signs, walk.shifts)])

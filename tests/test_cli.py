@@ -244,6 +244,25 @@ class TestEvolve:
         assert err.endswith(" past the tolerance 1.0e-10\n")
         assert not out.exists()
 
+    def test_stale_carried_sum_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # the loop row written behind the walk's back leaves the tail's
+        # carried sum stale; the run's end-of-walk certificate refuses it
+        # before anything is written
+        init = anomalywalk.stepop.BlockWalk.__init__
+
+        def stale(walk, *args):
+            init(walk, *args)
+            walk.buffers[2][0] += 1e-6
+        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "__init__", stale)
+        out = tmp_path / "steps.csv"
+        code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:numerical:the full walk's carried block sums drift 1.000e-06 ")
+        assert err.endswith(" past the tolerance 1.0e-09\n")
+        assert not out.exists()
+
     def test_plain_star_has_no_target(self, capsys, tmp_path):
         code, _, err = run(capsys, "evolve", "--spec", PLAIN,
                            "--out", str(tmp_path / "steps.csv"))

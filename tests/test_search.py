@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import family_generators, flat_walk_records
+from oracle import family_generators, flat_walk_records, resumming_walk_records, walk_state
 
 import anomalywalk
 import anomalywalk.collapse
@@ -215,7 +215,7 @@ class TestRealArithmetic:
         step = anomalywalk.stepop.BlockWalk.step
 
         def spy(walk):
-            dtypes.extend(b.dtype for b in walk.blocks)
+            dtypes.extend(b.dtype for b in walk.buffers)
             return step(walk)
         monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step", spy)
         for graph, kind in self.walks(n, phase):
@@ -240,32 +240,50 @@ class TestRealArithmetic:
 class TestBlockWalk:
     """The full walk on block buffers against the walk stepped as one flat vector."""
 
-    @pytest.mark.parametrize("n", [256, 4096, 100_000])
-    def test_records_match_flat_apply(self, n):
-        # a real walk reads the same amplitudes, so its target and anomaly
-        # probabilities are bit-equal; only the total is carried from the start
+    @staticmethod
+    def cases(n):
         third, rad = PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7)
         minus = InitialStateKind.minus()
         rng = np.random.default_rng(n)
-        cases = [(Anomaly.extra_edge(1, n), minus), (Anomaly.extra_edge(2, 3), minus),
-                 (Anomaly.loop(n), minus), (Anomaly.loop(1), InitialStateKind.plus()),
-                 (Anomaly.extended_edge(1), minus), (Anomaly.extended_edge(n, rad), minus),
-                 (Anomaly.missing_loop(1), InitialStateKind.loop_pi()),
-                 (Anomaly.missing_loop(n, third), InitialStateKind.loop_third()),
-                 (Anomaly.missing_loop(2, rad), minus),
-                 (Anomaly.missing_loop(n),
-                  InitialStateKind.custom(rng.standard_normal(3 * n)))]
-        steps = 200
+        return [(Anomaly.extra_edge(1, n), minus), (Anomaly.extra_edge(2, 3), minus),
+                (Anomaly.loop(n), minus), (Anomaly.loop(1), InitialStateKind.plus()),
+                (Anomaly.extended_edge(1), minus), (Anomaly.extended_edge(n, rad), minus),
+                (Anomaly.missing_loop(1), InitialStateKind.loop_pi()),
+                (Anomaly.missing_loop(n, third), InitialStateKind.loop_third()),
+                (Anomaly.missing_loop(2, rad), minus),
+                (Anomaly.missing_loop(n), InitialStateKind.custom(rng.standard_normal(3 * n)))]
+
+    @pytest.mark.parametrize("n", [256, 4096, 100_000])
+    def test_records_match_flat_apply(self, n):
+        # the walk reads sign * buffer + shift, so its records round apart
+        # from the flat walk's, within 1e-12 of them
+        cases = [(*case, 200) for case in self.cases(n)]
         if n == 100_000:
-            # the benchmark's size: a real and a complex walk, past their first peak
-            cases, steps = [cases[2], cases[7]], 600
-        for anomaly, kind in cases:
+            # the benchmark's size: the real loop walk over the 2400 steps of
+            # its `evolve` job, and a complex walk past its first peak
+            cases = [(*cases[2][:2], 2400), (*cases[7][:2], 600)]
+        for anomaly, kind, steps in cases:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             rows = anomalywalk.search._partition_rows(graph)
             x0 = initial_state(graph, kind).amplitudes
             got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
             want = flat_walk_records(op, x0, steps, *rows)
+            for a, b in zip(got, want, strict=True):
+                within(a, b, 1e-12)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_resumming_walk_is_bit_equal_to_flat_apply(self, n):
+        # the oracle's block walk reads the same amplitudes as the flat walk
+        # when it is real, so its target and anomaly probabilities are
+        # bit-equal; only the total is carried from the start
+        for anomaly, kind in self.cases(n):
+            graph = build_star(n, anomaly)
+            op = build_step_operator(graph)
+            rows = anomalywalk.search._partition_rows(graph)
+            x0 = initial_state(graph, kind).amplitudes
+            got = resumming_walk_records(op, x0, 200, *rows)
+            want = flat_walk_records(op, x0, 200, *rows)
             exact = walk_dtype(op, x0) == np.float64
             for a, b in zip(got[:2], want[:2]):
                 if exact:
@@ -273,6 +291,49 @@ class TestBlockWalk:
                 else:
                     within(a, b, 1e-12)
             within(got[2], want[2], 1e-12)
+
+    @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi(),
+                                       PhaseAngle.from_pi_fraction(1, 3),
+                                       PhaseAngle.from_radians(0.7)],
+                             ids=["0", "pi", "pi_3", "0.7rad"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
+    def test_records_match_flat_apply_on_every_variant(self, n, phase):
+        # every variant marked by the phase, the anomaly at either end, from
+        # the real minus state and a complex custom one, over at least twice
+        # the dimension at small N and past the first peak at large N
+        rng = np.random.default_rng(n)
+        steps = 100 if n <= 12 else 130
+        for anomaly in (Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
+                        Anomaly.loop(1, phase), Anomaly.loop(n, phase),
+                        Anomaly.extended_edge(1, phase), Anomaly.extended_edge(n, phase),
+                        Anomaly.missing_loop(1, phase), Anomaly.missing_loop(n, phase)):
+            graph = build_star(n, anomaly)
+            op = build_step_operator(graph)
+            rows = anomalywalk.search._partition_rows(graph)
+            custom = [1, 1j] @ rng.standard_normal((2, graph.hilbert_dim))
+            for kind in (InitialStateKind.minus(), InitialStateKind.custom(custom)):
+                x0 = initial_state(graph, kind).amplitudes
+                got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+                for a, b in zip(got, flat_walk_records(op, x0, steps, *rows), strict=True):
+                    within(a, b, 1e-12)
+
+    @pytest.mark.parametrize("anomaly", [Anomaly.loop(7), Anomaly.extra_edge(2, 9),
+                                         Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3))],
+                             ids=["loop", "extra_edge", "missing_loop_pi_3"])
+    def test_step_touches_only_patch_rows(self, anomaly):
+        # a step is O(patches): after 200 steps at N=1e6 the walk holds the
+        # buffers it started with, and every row outside the patch rows
+        # still holds its starting value, bit for bit
+        graph = build_star(1_000_000, anomaly)
+        op = build_step_operator(graph)
+        walk = BlockWalk(op, initial_state(graph, InitialStateKind.minus()).amplitudes)
+        start = {id(buf): (buf, buf.copy()) for buf in walk.buffers}
+        for _ in range(200):
+            walk.step()
+        assert sorted(map(id, walk.buffers)) == sorted(start)
+        patched = {k for _, k in op.dst}
+        for buf, before in start.values():
+            assert set(np.flatnonzero(buf != before).tolist()) <= patched
 
     def test_buffers_are_allocated_once(self):
         # net of the columns it returns, the walk holds one state's worth of
@@ -295,6 +356,22 @@ class TestBlockWalk:
         assert net[1000] <= net[10] + slack
         assert net[10] <= x0.nbytes + slack
 
+    def test_complex_walk_takes_its_norm_without_temporaries(self):
+        # the squared norms of a complex walk's buffers, at its start and its
+        # end, allocate nothing of a buffer's length either
+        graph = build_star(200_000, Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3)))
+        op = build_step_operator(graph)
+        rows = anomalywalk.search._partition_rows(graph)
+        x0 = initial_state(graph, InitialStateKind.loop_third()).amplitudes
+        assert x0.dtype == np.complex128
+        tracemalloc.start()
+        try:
+            anomalywalk.search._evolve_full(op, x0, 10, *rows)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= x0.nbytes + (1 << 16)
+
     @staticmethod
     def _loop_walk(n):
         graph = build_star(n, Anomaly.loop(7))
@@ -303,8 +380,8 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("steps", [10, 1000])
     def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
-        # the total is taken at the start and certified at the end: the
-        # step is the only pass over the state per step
+        # the total is taken at the start and certified at the end, one
+        # squared norm per buffer each time: no step reads the state in full
         op, x0, rows = self._loop_walk(4096)
         sizes = []
         norm2 = anomalywalk.search._norm2
@@ -325,6 +402,27 @@ class TestBlockWalk:
             walk._amp = walk._amp * 2
         monkeypatch.setattr(BlockWalk, "__init__", doubled)
         with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
+            anomalywalk.search._evolve_full(op, x0, 40, *rows)
+
+    @pytest.mark.parametrize("n, block, row, refusal", [
+        (256, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.6e-09"),
+        (1_000_000, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.0e-07"),
+        (256, 1, 3, "squared norm drifts .* past the tolerance 1\\.0e-10")],
+        ids=["tail", "tail_1e6", "hub"])
+    def test_stale_carried_sum_is_refused(self, monkeypatch, n, block, row, refusal):
+        # a row written behind the walk's back leaves its block's carried
+        # sum stale.  Written into the loop, 1e-6 raises the squared norm by
+        # only 1e-12 and the walk stays unitary from there, so the sums'
+        # certificate refuses the run; written into the block the hub reads,
+        # it steps the wrong walk, whose norm drifts
+        op, x0, rows = self._loop_walk(n)
+        init = BlockWalk.__init__
+
+        def stale(walk, *args):
+            init(walk, *args)
+            walk.buffers[block][row] += 1e-6
+        monkeypatch.setattr(BlockWalk, "__init__", stale)
+        with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
             anomalywalk.search._evolve_full(op, x0, 40, *rows)
 
 
@@ -601,7 +699,7 @@ class TestMeasurement:
                          initial_state(graph, InitialStateKind.minus()).amplitudes)
         for _ in range(14):
             walk.step()
-        m = measure_accessible(make_state(np.concatenate(walk.blocks)), graph)
+        m = measure_accessible(make_state(walk_state(walk)), graph)
         assert m.p_undetected == pytest.approx(result.peak_undetected, abs=1e-12)
         assert m.distribution[2] + m.distribution[7] == pytest.approx(
             result.peak_detectable, abs=1e-12)

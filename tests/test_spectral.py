@@ -6,10 +6,11 @@ import pytest
 from oracle import reduce_columns, symmetric_in_state, symmetric_out_state
 
 import anomalywalk.spectral
+from anomalywalk.collapse import reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.search import InitialStateKind, initial_state
+from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
 from anomalywalk.stepop import build_step_operator
@@ -185,6 +186,17 @@ def test_rejects_defective_matrix():
 def test_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         eigendecompose(np.ones((2, 3)))
+
+
+def test_rejects_ragged_input():
+    # a reduced operator passed whole, not its .matrix, and a ragged list
+    graph = build_star(10, Anomaly.loop(2))
+    reduced = reduce_seeds(build_step_operator(graph),
+                           *family_seeds(graph, InitialStateKind.minus()))
+    for mat, name in ((reduced, "ReducedOperator"), ([[1.0, 0.0], [0.0]], "list")):
+        with pytest.raises(DimensionMismatchError, match=f"got a ragged {name}$"):
+            eigendecompose(mat)
+    assert eigendecompose(reduced.matrix).dim == reduced.matrix.shape[0]
 
 
 def test_dense_cap(monkeypatch):

@@ -9,7 +9,14 @@ import warnings
 import numpy as np
 import pytest
 import oracle
-from oracle import apply_adjoint_into, apply_into, dense_deviation, dense_matrix, flat_rows
+from oracle import (
+    apply_adjoint_into,
+    apply_into,
+    dense_deviation,
+    dense_matrix,
+    flat_rows,
+    walk_state,
+)
 
 import anomalywalk.spectral
 import anomalywalk.stepop
@@ -305,7 +312,7 @@ def test_block_walk_matches_dense(n, phase):
             for _ in range(3 * op.dimension):
                 walk.step()
                 want = u @ want
-                worst = max(worst, float(np.abs(np.concatenate(walk.blocks) - want).max()))
+                worst = max(worst, float(np.abs(walk_state(walk) - want).max()))
             assert worst <= 1e-12, (anomaly, x0.dtype, worst)
 
 
@@ -526,7 +533,7 @@ def test_other_phases_follow_exp(angle):
 def walk_once(op, x):
     walk = BlockWalk(op, x)
     walk.step()
-    return walk.blocks
+    return walk
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -536,10 +543,11 @@ def test_apply_step_keeps_real_states_real(anomaly):
     rng = np.random.default_rng(5)
     real = rng.standard_normal(op.dimension)
     cplx = real.astype(complex)
-    real_blocks, cplx_blocks = walk_once(op, real), walk_once(op, cplx)
-    assert {b.dtype for b in real_blocks} == {np.dtype(np.float64 if op.is_real else complex)}
-    assert {b.dtype for b in cplx_blocks} == {np.dtype(complex)}
-    np.testing.assert_allclose(np.concatenate(real_blocks), np.concatenate(cplx_blocks),
+    real_walk, cplx_walk = walk_once(op, real), walk_once(op, cplx)
+    assert {b.dtype for b in real_walk.buffers} == {np.dtype(np.float64 if op.is_real else complex)}
+    assert {b.dtype for b in cplx_walk.buffers} == {np.dtype(complex)}
+    assert walk_state(real_walk).dtype == real_walk.dtype == walk_dtype(op, real)
+    np.testing.assert_allclose(walk_state(real_walk), walk_state(cplx_walk),
                                rtol=0, atol=1e-14)
     back = apply_adjoint_into(op, real, np.empty(op.dimension, walk_dtype(op, real)))
     assert back.dtype == (np.float64 if op.is_real else np.complex128)
