@@ -8,8 +8,9 @@ their coordinates, and expresses the step inside the closure.
 
 Seeds are rows on the cells; `place` is the one path from full-length
 vectors to them.  A basis is held on the cells, never as full-length
-vectors: a few bulk profiles of length N, the unit rows, and the
-coordinates of each basis vector on the cells.
+vectors: the uniform bulk profile in closed form, the profiles of placed
+vectors as rows of length N, the unit rows, and the coordinates of each
+basis vector on the cells.
 """
 
 import math
@@ -43,71 +44,52 @@ class ReducedBasis(NamedTuple):
     held on the star's cells.
 
     The cells are each bulk profile placed in each bulk block, block by
-    block, then one unit cell per entry of units.  The profiles are
-    orthonormal rows of length N, zero on the anomaly vertices, so the
-    cells are orthonormal; basis vector k is sum_j coords[k, j] cell_j.
+    block, then one unit cell per entry of units.  The first profile is
+    uniform, 1/sqrt(N - k) off the k anomaly offsets, and held in closed
+    form; the rest are the orthonormal rows of `profiles`, zero on those
+    offsets and orthogonal to it, so each sums to 0.  The cells are
+    orthonormal; basis vector k is sum_j coords[k, j] cell_j.
     """
 
-    profiles: np.ndarray  # p x N, orthonormal rows
+    profiles: np.ndarray  # p x N, the profiles besides the uniform one
+    anomalous: np.ndarray  # the anomaly offsets, where every profile is zero
     blocks: tuple[slice, ...]  # the bulk blocks, each of length N
     units: np.ndarray  # the position of each unit cell
-    coords: np.ndarray  # dim x (len(blocks) p + len(units)), orthonormal rows
+    coords: np.ndarray  # dim x (len(blocks) (p + 1) + len(units)), orthonormal rows
     full_dim: int
 
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    def vector(self, c: np.ndarray) -> np.ndarray:
-        """The full-dimension vector with coefficients c on the basis."""
-        if np.shape(c) != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected {self.dim} coefficients, got shape {np.shape(c)}")
-        cells = c @ self.coords
-        p = len(self.profiles)
-        x = np.zeros(self.full_dim, np.result_type(self.profiles, cells))
-        for k, block in enumerate(self.blocks):
-            np.matmul(cells[k * p:(k + 1) * p], self.profiles, out=x[block])
-        x[self.units] = cells[len(self.blocks) * p:]
-        return x
-
-    def decompose(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coefficients c = V*x on the basis V, and the norm of x - Vc."""
-        if x.shape != (self.full_dim,):
-            raise DimensionMismatchError(
-                f"vector of shape {x.shape} against a basis in dimension {self.full_dim}")
-        cells = np.concatenate([_inner(self.profiles, x[block]) for block in self.blocks]
-                               + [x[self.units]])
-        c = _inner(self.coords, cells)
-        rest = self.vector(c)
-        rest -= x
-        return c, _norm(rest)
+    @property
+    def uniform_sum(self) -> float:
+        """The uniform profile's sum, sqrt(N - k); it is one over its value."""
+        return math.sqrt(self.profiles.shape[1] - len(self.anomalous))
 
     def rows(self, index) -> np.ndarray:
         """The rows of the full-dimension basis V at the given positions."""
         index = np.asarray(index, dtype=np.intp)
-        p = len(self.profiles)
+        p = 1 + len(self.profiles)
         cells = np.zeros((index.size, self.coords.shape[1]), self.profiles.dtype)
         for k, block in enumerate(self.blocks):
             inside = (index >= block.start) & (index < block.stop)
-            cells[inside, k * p:(k + 1) * p] = self.profiles[:, index[inside] - block.start].T
+            offsets = index[inside] - block.start
+            cells[inside, k * p] = ~np.isin(offsets, self.anomalous) / self.uniform_sum
+            cells[inside, k * p + 1:(k + 1) * p] = self.profiles[:, offsets].T
         cells[:, len(self.blocks) * p:] = index[:, None] == self.units
         return cells @ self.coords.T
 
-    def block_ones(self, k: int) -> np.ndarray:
-        """The all-ones vector on bulk block k in cell coordinates: each
-        profile's cell weighs its conjugated sum (the first profile is the
-        uniform one), and each unit inside the block weighs 1."""
-        p = len(self.profiles)
+    def uniform(self, k: int) -> np.ndarray:
+        """The uniform state on bulk block k in cell coordinates: its all-ones
+        over sqrt(N), where the uniform cell weighs the uniform's sum, each
+        other profile's cell its sum, 0, and each unit in the block 1."""
+        p = 1 + len(self.profiles)
         block = self.blocks[k]
         cells = np.zeros(self.coords.shape[1], self.profiles.dtype)
-        cells[k * p:(k + 1) * p] = self.profiles.sum(axis=1).conj()
+        cells[k * p] = self.uniform_sum
         cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
-        return cells
-
-    def uniform(self, k: int) -> np.ndarray:
-        """The uniform state on bulk block k in cell coordinates."""
-        return self.block_ones(k) / np.sqrt(self.profiles.shape[1])
+        return cells / math.sqrt(self.profiles.shape[1])
 
     def decompose_cells(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
         """Coefficients c on the basis of a vector given in cell
@@ -159,9 +141,10 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
     and holds the vectors.
 
     Each bulk block (out, in, and missing_loop's loops) carries the bulk
-    profiles: the uniform vector and each vector's part in each bulk block,
-    orthonormalised, zero on the anomaly vertices.  Every other row is a
-    unit cell of its own.  The cells are complex when a vector is.
+    profiles: the uniform one, in closed form, and each vector's part in
+    each bulk block, orthonormalised against it, zero on the anomaly
+    vertices.  Every other row is a unit cell of its own.  The cells are
+    complex when a vector is.
     """
     n = basis.n_spokes
     dtype = np.result_type(np.float64, *vectors)
@@ -169,18 +152,17 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
     anomalous = basis.out_rows(vertices)
     bounds = basis.bounds  # every block but the anomaly tail is a bulk block
     blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1]))
-    # the uniform profile in closed form: ones over sqrt(N - k), zero on
-    # the k anomaly vertices
-    profiles = np.full((1, n), 1.0 / math.sqrt(n - len(anomalous)), dtype)
-    profiles[0, anomalous] = 0.0
-    for vec in [x[block] for x in vectors for block in blocks]:
-        vec = vec.astype(dtype)
+    profiles = np.empty((0, n), dtype)
+    for vec in (x[block].astype(dtype) for x in vectors for block in blocks):
+        for _ in range(2):  # the uniform part, removed twice as in CGS2
+            vec[anomalous] = 0.0
+            vec -= vec.sum() / (n - len(anomalous))
         vec[anomalous] = 0.0
         profiles = _accept(vec, profiles)
     units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
-    m = len(blocks) * len(profiles) + len(units)
+    m = len(blocks) * (1 + len(profiles)) + len(units)
     profiles.setflags(write=False)
-    return ReducedBasis(profiles=profiles, blocks=blocks, units=units,
+    return ReducedBasis(profiles=profiles, anomalous=anomalous, blocks=blocks, units=units,
                         coords=np.eye(m, dtype=dtype), full_dim=basis.dim)
 
 
@@ -189,7 +171,8 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     table and patches, and certified.
 
     The hub writes t*sum(in) - in over the out block, whose all-ones is
-    `block_ones(0)`; a bulk cell sums to its profile's sum, a unit to 1.
+    sqrt(N) `uniform(0)`; a uniform cell sums to sqrt(N - k), another bulk
+    cell to 0, a unit to 1.
     Every other block is the old block of its role, cell by cell, each
     unit moving to the unit at its offset, and each patch moves one unit
     to another with its amplitude.  A move onto a row that no cell of
@@ -197,14 +180,14 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     """
     if cells.full_dim != op.dimension:
         raise DimensionMismatchError(f"cells in dimension {cells.full_dim}, not {op.dimension}")
-    p = len(cells.profiles)
+    p = 1 + len(cells.profiles)
     # each cell as (block, key): a unit's key is its offset, and profile
     # j's cells share the key -1 - j in every bulk block
     where = [(op.basis.bounds.index(block.start), -1 - j) for block in cells.blocks
              for j in range(p)] + list(op.basis.locate(cells.units))
     column = {at: col for col, at in enumerate(where)}
     home = {role: k for k, role in enumerate(op.roles)}
-    sums = [*np.tile(cells.profiles.sum(axis=1), len(cells.blocks)), *[1.0] * len(cells.units)]
+    sums = [cells.uniform_sum, *[0.0] * (p - 1)] * len(cells.blocks) + [1.0] * len(cells.units)
     matrix = np.zeros((len(where),) * 2, walk_dtype(op, cells.profiles))
     for col, (block, key) in enumerate(where):
         hub = block == op.roles[0]
@@ -212,7 +195,7 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
         if to not in column:
             raise NumericalFailureError(f"the step moves cell {col} onto {to}, which no cell holds")
         if hub:
-            matrix[:, col] = op.hub_t * sums[col] * cells.block_ones(0)
+            matrix[:, col] = op.hub_t * sums[col] * math.sqrt(op.n_spokes) * cells.uniform(0)
         matrix[column[to], col] += -1.0 if hub else 1.0
     for src, dst, amp in zip(op.src, op.dst, _patch_amplitudes(op, matrix)):
         if src not in column or dst not in column:
@@ -236,9 +219,26 @@ def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
     if not any(np.any(x.imag) for x in vectors):
         vectors = [x.real for x in vectors]
     cells = star_cells(basis, vectors)
-    parts = [cells.decompose(x) for x in vectors]
+    parts = [_cell_row(cells, x) for x in vectors]
     _require_held(max((leak for _, leak in parts), default=0.0))
     return cells, np.array([c for c, _ in parts])
+
+
+def _cell_row(cells: ReducedBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """A full-length vector's row on cells with identity coordinates, and
+    the norm of its part that they drop, read one bulk block at a time."""
+    bulk, s = len(cells.blocks) * (1 + len(cells.profiles)), cells.uniform_sum
+    row = np.empty(cells.coords.shape[1], cells.profiles.dtype)
+    row[bulk:] = x[cells.units]  # held exactly
+    rest = 0.0
+    for h, block in zip(row[:bulk].reshape(len(cells.blocks), -1), cells.blocks):
+        part = x[block].astype(row.dtype)
+        part[cells.anomalous] = 0.0
+        h[0], h[1:] = part.sum() / s, _inner(cells.profiles, part)
+        part -= h[0] / s + h[1:] @ cells.profiles
+        part[cells.anomalous] = 0.0
+        rest += np.vdot(part, part).real
+    return row, math.sqrt(rest)
 
 
 def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperator:

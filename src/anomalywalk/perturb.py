@@ -57,7 +57,7 @@ def _limit(finite: ReducedOperator) -> ReducedOperator:
     closes it under the reflection walk; both are certified.
     """
     basis = finite.basis
-    bulk_out, bulk_in = np.eye(basis.coords.shape[1])[[0, len(basis.profiles)]]
+    bulk_out, bulk_in = np.eye(basis.coords.shape[1])[[0, 1 + len(basis.profiles)]]
     uniforms = (basis.uniform(0), basis.uniform(1), bulk_out, bulk_in)
     parts = [basis.decompose_cells(cells) for cells in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts

@@ -3,8 +3,11 @@
 The step is applied here as `src/` never applies it: to one flat vector
 at a time, by `apply_into`, and backwards by `apply_adjoint_into`.  On
 that step, `reduce_operator` finds V*UV numerically for any basis held
-on cells, one basis vector at a time; the operator that `collapse` reads
-from the role table and patches must equal it.  Operators are also reduced on dense
+on cells, one basis vector at a time, lifting and decomposing it by
+`lift` and `decompose` through its bulk profiles as explicit rows of
+length N, the uniform one built as a row; the operator that `collapse`
+reads from the role table and patches, with the uniform profile in
+closed form, must equal it.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 step is materialized as a dense matrix, and its max|U†U - I| is the
@@ -117,10 +120,70 @@ def reduce_operator(op, basis):
     reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
     leakage = 0.0
     for k, e in enumerate(np.eye(basis.dim)):
-        reduced[:, k], leak = basis.decompose(apply_into(op, basis.vector(e), work))
+        reduced[:, k], leak = decompose(basis, apply_into(op, lift(basis, e), work))
         leakage = max(leakage, leak)
     certify(reduced, leakage)
     return ReducedOperator(matrix=reduced, basis=basis)
+
+
+def explicit_profiles(basis):
+    """The bulk profiles of a basis held on cells as rows of length N, the
+    uniform one first, built as it was first written: ones over
+    sqrt(N - k), zero on the k anomaly offsets."""
+    n = basis.profiles.shape[1]
+    uniform = np.full((1, n), 1.0 / np.sqrt(n - len(basis.anomalous)), basis.profiles.dtype)
+    uniform[0, basis.anomalous] = 0.0
+    return np.vstack((uniform, basis.profiles))
+
+
+def lift(basis, c):
+    """The full-dimension vector with coefficients c on a basis held on
+    cells, each bulk block filled from the explicit profiles."""
+    if np.shape(c) != (basis.dim,):
+        raise DimensionMismatchError(
+            f"expected {basis.dim} coefficients, got shape {np.shape(c)}")
+    profiles = explicit_profiles(basis)
+    cells = c @ basis.coords
+    p = len(profiles)
+    x = np.zeros(basis.full_dim, np.result_type(profiles, cells))
+    for k, block in enumerate(basis.blocks):
+        np.matmul(cells[k * p:(k + 1) * p], profiles, out=x[block])
+    x[basis.units] = cells[len(basis.blocks) * p:]
+    return x
+
+
+def decompose(basis, x):
+    """Coefficients c = V*x on a basis held on cells, read through the
+    explicit profiles, and the norm of x - Vc."""
+    if x.shape != (basis.full_dim,):
+        raise DimensionMismatchError(
+            f"vector of shape {x.shape} against a basis in dimension {basis.full_dim}")
+    profiles = explicit_profiles(basis)
+    cells = np.concatenate([profiles.conj() @ x[block] for block in basis.blocks]
+                           + [x[basis.units]])
+    c = basis.coords.conj() @ cells
+    return c, np.linalg.norm(lift(basis, c) - x)
+
+
+def explicit_reduced_records(op, cells, x0, steps, target_rows, anomaly_rows):
+    """The reduced walk's columns on cells whose profiles are explicit rows:
+    V*UV from `reduce_operator` stepped from V*x0, and the target and
+    anomaly rows of V lifted column by column."""
+    m = reduce_operator(op, cells).matrix
+    c, _ = decompose(cells, x0)
+    v = np.stack([lift(cells, e) for e in np.eye(cells.dim)], axis=1)
+    rows = v[np.concatenate((target_rows, anomaly_rows))]
+
+    def walk(c=c):
+        amps = np.empty((steps + 1, len(rows)), np.result_type(m, rows, c))
+        totals = np.empty(steps + 1)
+        for n in range(steps + 1):
+            if n:
+                c = m @ c
+            amps[n], totals[n] = rows @ c, _norm2(c)
+        return amps, totals
+
+    return _records(walk, len(target_rows))
 
 
 def uniform_state(basis, rows):
@@ -175,7 +238,7 @@ def reduce_states(op, states):
 
 def seed_vectors(cells, rows):
     """Seeds given as rows on cells, lifted to full-length vectors."""
-    return [cells.vector(row) for row in rows]
+    return [lift(cells, row) for row in rows]
 
 
 def label_at(basis, pos):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 from oracle import (
     apply_into,
+    decompose,
     dense_matrix,
     lifted,
     reduce_columns,
@@ -97,7 +98,7 @@ def test_criterion_03_reduced_space_fidelity():
     reduced = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus()))
     v = lifted(reduced.basis)
     full = initial_state(graph, InitialStateKind.minus()).amplitudes.copy()
-    coeffs, _ = reduced.basis.decompose(full)
+    coeffs, _ = decompose(reduced.basis, full)
     work = np.empty_like(full)
     lift_err = 0.0
     for _ in range(200):

@@ -480,22 +480,74 @@ class TestSpectrum:
         assert lines[0] == "theta,multiplicity"
         assert len(lines) == 6
 
-    def test_million_spoke_loop_near_first_vertex(self, capsys, tmp_path):
-        # the seeds are rows on the cells, so the run holds no full-length
-        # vector: only the bulk profile of length N, built once in closed
-        # form (7.9 MiB measured; the bound allows half a vector of the
-        # full dimension more)
-        spec = '{"n_spokes": 1000000, "anomaly": {"type": "loop", "at": 1}}'
+    @staticmethod
+    def traced_spectrum(capsys, tmp_path, spec, *kind):
+        """A spectrum run's exit code, stdout, stderr and tracemalloc peak,
+        after one untraced run at N=1e3 has loaded what the verb loads on
+        first use."""
+        small = json.dumps({**json.loads(spec), "n_spokes": 1000})
+        out = str(tmp_path / "spec.csv")
+        assert run(capsys, "spectrum", "--spec", small, *kind, "--out", out)[0] == 0
         tracemalloc.start()
         try:
-            code, stdout, err = run(capsys, "spectrum", "--spec", spec,
-                                    "--out", str(tmp_path / "spec.csv"))
+            code, stdout, err = run(capsys, "spectrum", "--spec", spec, *kind, "--out", out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return code, stdout, err, peak
+
+    def test_million_spoke_loop_near_first_vertex(self, capsys, tmp_path):
+        # the seeds are rows on the cells and the uniform bulk profile is
+        # held in closed form, so the run allocates nothing of length N
+        # (76 KB measured at N=1e6 and 1e7; one float64 full vector would
+        # be 16 MB)
+        spec = '{"n_spokes": 1000000, "anomaly": {"type": "loop", "at": 1}}'
+        code, stdout, err, peak = self.traced_spectrum(capsys, tmp_path, spec)
         assert (code, err) == (0, "")
         assert stdout.strip() == "dim=5 branches=5"
-        assert peak < 16 * 2 ** 20
+        assert peak < 256 * 2 ** 10
+
+    @pytest.mark.parametrize("anomaly,kind,dims", [
+        ('{"type": "extra_edge", "u": 2, "v": 7}', ["--kind", "minus"], "dim=5 branches=5"),
+        ('{"type": "loop", "at": 4}', ["--kind", "plus"], "dim=5 branches=5"),
+        ('{"type": "extended_edge", "at": 3}',
+         ["--kind", "inout", "--amp-out", "0.6", "--amp-in", "0.8j"], "dim=4 branches=4"),
+        ('{"type": "missing_loop", "at": 3}', ["--kind", "loop_pi"], "dim=6 branches=6"),
+        ('{"type": "missing_loop", "at": 3, "phase_num": 1, "phase_den": 3}',
+         ["--kind", "loop_third"], "dim=6 branches=5"),  # two phases merge in one cluster
+    ], ids=["minus", "plus", "inout", "loop_pi", "loop_third"])
+    def test_ten_million_spokes_hold_nothing_of_length_n(self, capsys, tmp_path, anomaly,
+                                                         kind, dims):
+        # every named kind at N=1e7, where one float64 full vector is 160 MB
+        spec = f'{{"n_spokes": 10000000, "anomaly": {anomaly}}}'
+        code, stdout, err, peak = self.traced_spectrum(capsys, tmp_path, spec, *kind)
+        assert (code, err) == (0, "")
+        assert stdout.strip() == dims
+        assert peak < 256 * 2 ** 10
+
+    @staticmethod
+    def peak_rss_mib(tmp_path, n):
+        """The peak resident set of a `spectrum` launch at N, read from the
+        child's rusage by os.wait4."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
+        spec = f'{{"n_spokes": {n}, "anomaly": {{"type": "loop", "at": 1}}}}'
+        code = "import sys; from anomalywalk.cli import main; sys.exit(main(sys.argv[1:]))"
+        child = subprocess.Popen([sys.executable, "-c", code, "spectrum", "--spec", spec,
+                                  "--out", str(tmp_path / f"spec{n}.csv")],
+                                 env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_ten_million_spokes_peak_near_a_small_run(self, tmp_path):
+        # the launch's own peak resident set, as the benchmark reads it: a
+        # run at N=1e7 stays within 8 MiB of one at N=1e3, where a bulk
+        # profile of length N would add 76 MiB
+        small, large = (self.peak_rss_mib(tmp_path, n) for n in (1000, 10 ** 7))
+        assert large - small <= 8.0, (small, large)
 
     def test_plain_star_two_branches(self, capsys, tmp_path):
         out = tmp_path / "spec.csv"

@@ -9,10 +9,13 @@ from oracle import (
     all_loops_state,
     apply_into,
     build_unperturbed,
+    decompose,
     dense_closure,
     dense_matrix,
+    explicit_reduced_records,
     hub_in_state,
     hub_out_state,
+    lift,
     lifted,
     projector_gap,
     reduce_columns,
@@ -35,7 +38,14 @@ from anomalywalk.errors import (
 )
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import _limit, sweep_seeds
-from anomalywalk.search import InitialStateKind, family_seeds, initial_state
+from anomalywalk.search import (
+    InitialStateKind,
+    _partition_rows,
+    family_seeds,
+    initial_state,
+    run_search,
+)
+from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import build_step_operator
 
@@ -88,16 +98,26 @@ DENSE_ANOMALIES = [Anomaly.none()] + [
     for phase in (None, PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7))]
 
 
-def seedings(graph, op):
-    """The cells and seed rows of every kind the graph admits, of a random
-    complex custom state, and of the sweep."""
-    rng = np.random.default_rng(graph.n_spokes)
-    amps = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
+def named_kinds(graph):
+    """Every named start-state kind the graph admits."""
     kinds = [InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.inout(1.0, 0.5j)]
     if graph.anomaly.schema.loops:
         kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
-    custom = initial_state(graph, InitialStateKind.custom(amps)).amplitudes
-    return ([family_seeds(graph, kind) for kind in kinds]
+    return kinds
+
+
+def complex_custom(graph):
+    """A random complex custom start state of the graph."""
+    rng = np.random.default_rng(graph.n_spokes)
+    amps = rng.normal(size=graph.hilbert_dim) + 1j * rng.normal(size=graph.hilbert_dim)
+    return InitialStateKind.custom(amps)
+
+
+def seedings(graph, op):
+    """The cells and seed rows of every kind the graph admits, of a random
+    complex custom state, and of the sweep."""
+    custom = initial_state(graph, complex_custom(graph)).amplitudes
+    return ([family_seeds(graph, kind) for kind in named_kinds(graph)]
             + [place(op.basis, [custom]), sweep_seeds(graph)])
 
 
@@ -194,6 +214,54 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
             assert np.abs(cells_operator(op, cells) - want).max() <= 1e-12, anomaly
 
 
+def wrapped(angles):
+    """Angles folded into (-pi, pi], so that -pi and pi are one phase."""
+    return np.angle(np.exp(1j * np.asarray(angles)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
+@pytest.mark.parametrize("phase", WALK_PHASES, ids=["0", "pi", "pi_3", "0.7rad"])
+def test_implicit_uniform_profile_matches_the_explicit_row(n, phase):
+    # the uniform bulk profile held in closed form against the explicit row
+    # of length N that the oracle builds, for every variant and every
+    # seeding: the cells' M against C*UC, the closure's matrix and its
+    # eigenphases against V*UV, the rows of V against its columns lifted
+    # block by block, and the reduced search's columns against the walk
+    # stepped on V*UV from V*x0; a complex custom state's rows on its own
+    # cells lift back to it
+    anomalies = [Anomaly.none()] + [
+        Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, (2, 3))))
+        for variant in VARIANTS[1:]]
+    for anomaly in anomalies:
+        graph = build_star(n, anomaly)
+        op = build_step_operator(graph)
+        for cells, rows in seedings(graph, op):
+            want = reduce_operator(op, cells).matrix
+            assert np.abs(cells_operator(op, cells) - want).max() <= 1e-12, anomaly
+            finite = reduce_seeds(op, cells, rows)
+            want = reduce_operator(op, finite.basis).matrix
+            assert np.abs(finite.matrix - want).max() <= 1e-12, anomaly
+            got, ref = eigendecompose(finite.matrix), eigendecompose(want)
+            assert got.multiplicities == ref.multiplicities
+            assert np.abs(wrapped(np.subtract(got.eigenphases, ref.eigenphases))).max() <= 1e-12
+            columns = np.stack([lift(finite.basis, e) for e in np.eye(finite.dim)], axis=1)
+            assert np.abs(lifted(finite.basis) - columns).max() <= 1e-15
+        if not graph.anomaly_vertices:
+            continue  # a plain star has nothing to search for
+        target_rows, anomaly_rows = _partition_rows(graph)
+        for kind in named_kinds(graph) + [complex_custom(graph)]:
+            x0 = initial_state(graph, kind).amplitudes
+            if kind.variant == "custom":
+                cells, rows = place(op.basis, [x0])
+                assert np.abs(lift(cells, rows[0]) - x0).max() <= 1e-14
+            else:
+                cells, _ = family_seeds(graph, kind)
+            want = explicit_reduced_records(op, cells, x0, 40, target_rows, anomaly_rows)
+            got = run_search(graph, kind, 40, method="reduced")
+            for column, ref in zip((got.p_target_spokes, got.p_anomaly, got.p_rest), want):
+                assert np.abs(column - ref).max() <= 1e-12, (anomaly, kind.variant)
+
+
 def test_cells_operator_refuses_moves_off_the_cells():
     graph = build_star(8, Anomaly.loop(3))
     op = build_step_operator(graph)
@@ -230,20 +298,17 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
         reduce_seeds(op, *sweep_seeds(graph))
 
 
-@pytest.mark.parametrize("anomaly,kind,vectors", [
-    (Anomaly.loop(3), InitialStateKind.minus(), 1.0),
-    (Anomaly.extra_edge(2, 5), InitialStateKind.minus(), 1.0),
-    (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)),
-     InitialStateKind.loop_third(), 0.85),
+@pytest.mark.parametrize("anomaly,kind", [
+    (Anomaly.loop(3), InitialStateKind.minus()),
+    (Anomaly.extra_edge(2, 5), InitialStateKind.minus()),
+    (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)), InitialStateKind.loop_third()),
 ])
-def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
+def test_reduction_allocates_nothing_of_length_n(anomaly, kind):
     # the seeds are rows on the cells and the closure is held there, with
-    # the cells' operator read from the role table: no seed is built at
-    # full length and no state is stepped, so only the bulk profile, built
-    # once in closed form, is allocated at length N (counted as float64
-    # vectors of the full dimension; the pi/3 walk is complex).  The peaks
-    # measured were 0.50, 0.50 and 0.34 vectors; the bounds allow half a
-    # vector more.
+    # the cells' operator read from the role table and the uniform bulk
+    # profile held in closed form: nothing of length N is allocated, where
+    # one float64 vector of the full dimension would be 3.2 MB.  The peaks
+    # measured were 10 to 13 KB at N = 1e3, 2e5 and 1e7.
     graph = build_star(200_000, anomaly)
     op = build_step_operator(graph)
     tracemalloc.start()
@@ -252,7 +317,7 @@ def test_reduction_peaks_at_a_few_full_vectors(anomaly, kind, vectors):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= vectors * 8 * op.dimension
+    assert peak <= 64 * 2 ** 10
 
 
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
@@ -279,20 +344,21 @@ def test_sweep_seeds_are_the_family_generators_and_anomaly_spoke(anomaly):
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_place_holds_the_vectors_and_refuses_a_dropped_block_part(anomaly):
     # a random vector's rows on its own cells lift back to it; a block part
-    # within the closure residual of the uniform profile is dropped from
-    # the profiles, and its leakage is refused
+    # within the closure residual of the uniform profile, real or complex,
+    # is dropped from the profiles, and its leakage is refused
     graph = build_star(10, anomaly)
     basis = make_basis(graph)
     rng = np.random.default_rng(7)
     for x in (rng.normal(size=basis.dim), rng.normal(size=basis.dim) * 1j):
         cells, rows = place(basis, [x])
         assert rows.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
-        assert np.abs(cells.vector(rows[0]) - x).max() <= 1e-14
+        assert np.abs(lift(cells, rows[0]) - x).max() <= 1e-14
     near = hub_out_state(basis).amplitudes.copy()
     bulk = [j for j in range(1, 11) if j not in graph.anomaly_vertices]
     near[basis.out_rows(bulk[:2])] += (5e-9, -5e-9)
-    with pytest.raises(InvarianceError, match="leakage 7.07"):
-        place(basis, [near])
+    for x in (near, near * np.exp(0.3j)):
+        with pytest.raises(InvarianceError, match="leakage 7.07"):
+            place(basis, [x])
 
 
 @pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),
@@ -402,7 +468,7 @@ def test_reduced_matrix_golden_extra_edge():
     reduced, leakage = reduce_columns(op, cols)
     assert leakage <= 1e-12
     closure = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus()))
-    change = np.stack([closure.basis.decompose(col)[0] for col in cols.T], axis=1)
+    change = np.stack([decompose(closure.basis, col)[0] for col in cols.T], axis=1)
     r, t = (n - 2) / n, 2 / n
     a = r - t
     b = 2 * (r * t) ** 0.5
@@ -467,7 +533,7 @@ def test_million_spoke_closure_is_orthonormal():
     # the eigenframe check downstream rejects a basis orthonormal only to
     # ~1e-11; column k of V*V is the decomposition of basis vector k
     _, basis = family_basis(build_star(10 ** 6, Anomaly.loop(1)))
-    gram = np.stack([basis.decompose(basis.vector(e))[0] for e in np.eye(basis.dim)],
+    gram = np.stack([decompose(basis, lift(basis, e))[0] for e in np.eye(basis.dim)],
                     axis=1)
     assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-12
 
@@ -476,10 +542,10 @@ def test_project_lift_roundtrip():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
     x = initial_state(graph, InitialStateKind.minus())
-    coeffs, leakage = basis.decompose(x.amplitudes)
+    coeffs, leakage = decompose(basis, x.amplitudes)
     assert coeffs.shape == (basis.dim,)
     assert leakage <= 1e-12
-    np.testing.assert_allclose(basis.vector(coeffs), x.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(lift(basis, coeffs), x.amplitudes, atol=1e-12)
     np.testing.assert_allclose(lifted(basis) @ coeffs, x.amplitudes, atol=1e-12)
 
 
@@ -487,7 +553,7 @@ def test_project_drops_component_outside_span():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
     outside = basis_vector(op.basis, BasisLabel.edge(0, 1))
-    coeffs, leakage = basis.decompose(outside.amplitudes)
+    coeffs, leakage = decompose(basis, outside.amplitudes)
     assert np.linalg.norm(coeffs) < 1.0  # strictly shrinks
     assert leakage == pytest.approx(np.sqrt(1.0 - np.linalg.norm(coeffs) ** 2), abs=1e-12)
 
@@ -518,7 +584,7 @@ def test_reduce_rejects_non_invariant_basis():
     # one unit cell: the state (0,1), which the step moves away
     graph = build_star(6, Anomaly.none())
     op = build_step_operator(graph)
-    lonely = ReducedBasis(profiles=np.empty((0, 6)), blocks=(),
+    lonely = ReducedBasis(profiles=np.empty((0, 6)), anomalous=np.empty(0, np.intp), blocks=(),
                           units=np.array([op.basis.position(BasisLabel.edge(0, 1))]),
                           coords=np.eye(1), full_dim=op.dimension)
     with pytest.raises(InvarianceError):
@@ -532,11 +598,11 @@ def test_reduce_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         reduce_operator(op5, basis)
     with pytest.raises(DimensionMismatchError):
-        basis.decompose(np.zeros(op5.dimension))
+        decompose(basis, np.zeros(op5.dimension))
 
 
 def test_lift_length_check():
     _, basis = family_basis(build_star(8, Anomaly.loop(2)))
     with pytest.raises(DimensionMismatchError):
-        basis.vector(np.zeros(basis.dim + 1))
+        lift(basis, np.zeros(basis.dim + 1))
 

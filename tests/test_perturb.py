@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import build_unperturbed, dense_matrix
+from oracle import build_unperturbed, dense_matrix, lift
 
 import anomalywalk.perturb
 from anomalywalk.collapse import reduce_seeds
@@ -247,7 +247,7 @@ def test_sweep_seeds_include_anomaly_direction():
     graph = build_star(20, Anomaly.extended_edge(4))
     cells, rows = sweep_seeds(graph)
     assert len(rows) == 3  # two uniforms plus the anomaly-local spoke
-    local = cells.vector(rows[-1])
+    local = lift(cells, rows[-1])
     assert abs(local[3]) == pytest.approx(1.0)
 
 

@@ -33,7 +33,7 @@ FIELDS = {
     EigenShift: ("theta0", "multiplicity0", "shifts", "overlap", "unmatched"),
     ScalingFit: ("branch_theta0", "slope", "intercept", "r_squared", "points_used", "excluded"),
     SweepResult: ("samples", "fits"),
-    ReducedBasis: ("profiles", "blocks", "units", "coords", "full_dim"),
+    ReducedBasis: ("profiles", "anomalous", "blocks", "units", "coords", "full_dim"),
     ReducedOperator: ("matrix", "basis"),
     Spectrum: ("eigenphases", "blocks", "multiplicities"),
     InitialStateKind: ("variant", "amp_out", "amp_in", "amplitudes"),
@@ -55,10 +55,12 @@ FIELDS = {
 }
 
 _UNMARKED = "mark_phase=PhaseAngle(num=0, den=1, rad=None)"
-_BASIS = ReducedBasis(profiles=np.ones((1, 2)), blocks=(slice(0, 2),), units=np.array([2]),
-                      coords=np.ones((1, 3)), full_dim=3)
-_BASIS_REPR = ("ReducedBasis(profiles=array([[1., 1.]]), blocks=(slice(0, 2, None),), "
-               "units=array([2]), coords=array([[1., 1., 1.]]), full_dim=3)")
+_BASIS = ReducedBasis(profiles=np.empty((0, 2)), anomalous=np.array([1]),
+                      blocks=(slice(0, 2),), units=np.array([1]), coords=np.ones((1, 2)),
+                      full_dim=2)
+_BASIS_REPR = ("ReducedBasis(profiles=array([], shape=(0, 2), dtype=float64), "
+               "anomalous=array([1]), blocks=(slice(0, 2, None),), units=array([1]), "
+               "coords=array([[1., 1.]]), full_dim=2)")
 
 # one value of each type and its repr, which is the dataclass format
 SAMPLES = [

@@ -538,11 +538,11 @@ class TestRunSearch:
         # and only a custom state is decomposed at full length, by `place`
         graph = build_star(64, Anomaly.loop(3))
         builds, decomposed = [], []
-        build, decompose = anomalywalk.search.initial_state, ReducedBasis.decompose
+        build, decompose = anomalywalk.search.initial_state, anomalywalk.collapse._cell_row
         monkeypatch.setattr(anomalywalk.search, "initial_state",
                             lambda *args: builds.append(args) or build(*args))
-        monkeypatch.setattr(ReducedBasis, "decompose",
-                            lambda self, x: decomposed.append(x.size) or decompose(self, x))
+        monkeypatch.setattr(anomalywalk.collapse, "_cell_row",
+                            lambda cells, x: decomposed.append(x.size) or decompose(cells, x))
         fast = run_search(graph, kind, 30, method="reduced")
         assert len(builds) == 1
         assert decomposed == ([graph.hilbert_dim] if kind.variant == "custom" else [])
