@@ -27,12 +27,13 @@ from .errors import (
     AnomalyWalkError,
     ConfigurationError,
     NoPredictionError,
-    NumericalFailureError,
     SpecSemanticError,
     SpecSyntaxError,
 )
+from .numerics import require_within
 from .perturb import (
     DEFAULT_SWEEP_SIZES,
+    cluster_tol_at,
     perturbation_sweep,
     write_fits_csv,
     write_shifts_csv,
@@ -177,9 +178,8 @@ def _cmd_check(args) -> int:
     status = "pass" if report.passed else "fail"
     print(f"dim={graph.hilbert_dim} unitary={status} "
           f"max_dev={report.max_deviation:.3e}")
-    if not report.passed:
-        raise NumericalFailureError(f"unitarity deviation {report.max_deviation:.3e} "
-                                    f"exceeds tolerance {report.tolerance:.1e}")
+    require_within("unitarity deviation {value:.3e} exceeds tolerance {tol:.1e}",
+                   report.max_deviation, report.tolerance)
     return 0
 
 
@@ -213,7 +213,7 @@ def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     reduced = reduce_seeds(build_step_operator(graph), *family_seeds(graph, kind))
-    spectrum = eigendecompose(reduced.matrix)
+    spectrum = eigendecompose(reduced.matrix, cluster_tol_at(graph.n_spokes))
     dump_spectrum_csv(spectrum, _require_out(args.out))
     print(f"dim={reduced.dim} branches={len(spectrum.eigenphases)}")
     return 0

@@ -25,7 +25,7 @@ from .errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from .numerics import DEFAULT_POLICY
+from .numerics import DEFAULT_POLICY, require_within
 from .stargraph import StarGraph
 from .stepop import StepOperator, _patch_amplitudes, walk_dtype
 
@@ -37,6 +37,9 @@ def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
+
+
+_LEAKAGE = "basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}"
 
 
 class ReducedBasis(NamedTuple):
@@ -220,7 +223,8 @@ def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
         vectors = [x.real for x in vectors]
     cells = star_cells(basis, vectors)
     parts = [_cell_row(cells, x) for x in vectors]
-    _require_held(max((leak for _, leak in parts), default=0.0))
+    require_within(_LEAKAGE, np.max([leak for _, leak in parts], initial=0.0),
+                   DEFAULT_POLICY.invariance_tol, InvarianceError)
     return cells, np.array([c for c, _ in parts])
 
 
@@ -278,20 +282,12 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     return ReducedOperator(matrix=matrix, basis=cells._replace(coords=q))
 
 
-def _require_held(leakage: float) -> None:
-    """Refuse a basis whose leakage exceeds DEFAULT_POLICY.invariance_tol."""
-    tol = DEFAULT_POLICY.invariance_tol
-    if leakage > tol:
-        raise InvarianceError(f"basis is not invariant: leakage {leakage:.3e} exceeds {tol:.1e}")
-
-
 def certify(matrix: np.ndarray, leakage: float) -> None:
     """Freeze a reduced operator once its basis leakage (the largest part of
     an image, or of a state the basis must hold, outside it) and its
     deviation from unitarity are within policy; refuse it otherwise."""
-    _require_held(leakage)
-    gram_dev = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0)
-    if gram_dev > DEFAULT_POLICY.reduced_unitarity_tol:
-        raise NumericalFailureError(
-            f"reduced matrix deviates from unitarity by {gram_dev:.3e}")
+    require_within(_LEAKAGE, leakage, DEFAULT_POLICY.invariance_tol, InvarianceError)
+    require_within("reduced matrix deviates from unitarity by {value:.3e}",
+                   np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0),
+                   DEFAULT_POLICY.reduced_unitarity_tol)
     matrix.setflags(write=False)

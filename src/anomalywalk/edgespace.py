@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
-from .numerics import DEFAULT_POLICY
+from .errors import ConfigurationError, DimensionMismatchError
+from .numerics import DEFAULT_POLICY, require_within
 from .stargraph import Anomaly, StarGraph
 
 
@@ -159,8 +159,9 @@ def make_state(amplitudes: np.ndarray) -> WalkState:
     amps = np.array(amps, dtype=float if amps.dtype.kind in "biuf" else complex)
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
-    if abs(np.linalg.norm(amps) - 1.0) > DEFAULT_POLICY.unit_norm_tol:
-        raise ConfigurationError("state is not unit-norm")
+    require_within("state is not unit-norm: its norm is {value:.3e} from 1",
+                   abs(np.linalg.norm(amps) - 1.0), DEFAULT_POLICY.unit_norm_tol,
+                   ConfigurationError)
     amps.setflags(write=False)
     return WalkState(amplitudes=amps, basis_dim=amps.size)
 
@@ -189,6 +190,6 @@ def edge_probabilities(state: WalkState, basis: EdgeBasis) -> dict:
         key = ("loop", u) if block[0].kind == "loop" else ("edge", min(u, v), max(u, v))
         probs[key] = float(weights[basis.anomaly_block].sum())
     total = sum(probs.values())
-    if abs(total - 1.0) > DEFAULT_POLICY.probability_tol:
-        raise NumericalFailureError(f"probabilities sum to {total}, expected 1")
+    require_within(f"probabilities sum to {total}, expected 1 within {{tol:.1e}}",
+                   abs(total - 1.0), DEFAULT_POLICY.probability_tol)
     return probs

@@ -3,10 +3,13 @@
 All tolerance constants live in one frozen record instead of scattered
 magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
 call runs, never at import, so a test that needs another threshold swaps
-the record in the module that reads it.
+the record in the module that reads it.  `require_within` checks each
+certificate: a value against one of these tolerances.
 """
 
 from typing import NamedTuple
+
+from .errors import NumericalFailureError
 
 
 class NumericPolicy(NamedTuple):
@@ -36,7 +39,7 @@ class NumericPolicy(NamedTuple):
     # of their QR factor R falls below this
     rank_tol: float = 1e-8
     projector_tol: float = 1e-9
-    # perturbation matching and fits; a sweep at N caps its cluster
+    # perturbation matching and fits; a spectrum at N caps its cluster
     # tolerance at sweep_cluster_scale / N
     sweep_cluster_scale: float = 0.01
     match_tol: float = 0.1
@@ -46,3 +49,10 @@ class NumericPolicy(NamedTuple):
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def require_within(what: str, value, tol: float, error=NumericalFailureError) -> None:
+    """Pass a certificate only when value <= tol, so a nan fails; otherwise
+    raise `error` with the message `what`, its {value} and {tol} slots filled."""
+    if not value <= tol:
+        raise error(what.format(value=value, tol=tol))

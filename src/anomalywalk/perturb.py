@@ -1,6 +1,8 @@
 """Perturbation analysis of the walk around its infinite-size limit.
 
-Setting the hub to pure reflection (r=1, t=0) gives the limit operator.
+The limit operator is the pure-reflection walk (hub r=1, t=0) plus 2|bo><bi|
+over the uniform outgoing and incoming bulk (non-anomaly) spoke states, the
+limit of the finite hub's 2|o><i| over the uniforms on all spokes.
 Its eigenphases are size-independent inside the reduced family space, so
 matching finite-size eigenphases branch by branch isolates the shifts,
 and fitting them against the graph size separates the degenerate branches
@@ -62,7 +64,7 @@ def _limit(finite: ReducedOperator) -> ReducedOperator:
     parts = [basis.decompose_cells(cells) for cells in uniforms]
     (co, _), (ci, _), (cbo, _), (cbi, _) = parts
     matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
-    certify(matrix, max(leak for _, leak in parts))
+    certify(matrix, np.max([leak for _, leak in parts]))
     return ReducedOperator(matrix=matrix, basis=finite.basis)
 
 
@@ -212,13 +214,17 @@ class SweepResult(NamedTuple):
     fits: tuple[ScalingFit, ...]
 
 
+def cluster_tol_at(n_spokes: int) -> float:
+    """cluster_tol, capped at sweep_cluster_scale / N to stay well under the
+    smallest expected splitting, which shrinks like 1/N on simple branches."""
+    return min(DEFAULT_POLICY.cluster_tol, DEFAULT_POLICY.sweep_cluster_scale / n_spokes)
+
+
 def _sweep_point(anomaly: Anomaly, n: int):
     graph = build_star(n, anomaly)
     reduced = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
     limit = _limit(reduced)
-    # keep the cluster threshold well under the smallest expected
-    # splitting, which shrinks like 1/N on simple branches
-    tol = min(DEFAULT_POLICY.cluster_tol, DEFAULT_POLICY.sweep_cluster_scale / n)
+    tol = cluster_tol_at(n)
     spec_fin = eigendecompose(reduced.matrix, tol)
     spec_lim = eigendecompose(limit.matrix, tol)
     shifts = eigenphase_shifts(spec_fin, spec_lim)

@@ -19,9 +19,8 @@ from .errors import (
     DimensionMismatchError,
     NoPredictionError,
     NothingToFindError,
-    NumericalFailureError,
 )
-from .numerics import DEFAULT_POLICY
+from .numerics import DEFAULT_POLICY, require_within
 from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
@@ -234,18 +233,12 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
             amps[n] = state.gather(located)
         policy = DEFAULT_POLICY
         sums = [buf.sum() for buf in state.buffers]
-        drift = abs(_walk_norm2(state, sums) - total)
-        tol = policy.unit_norm_tol
-        if not drift <= tol:  # a nan drift fails too
-            raise NumericalFailureError(
-                f"the full walk's squared norm drifts {drift:.3e} over {max_steps} steps, "
-                f"past the tolerance {tol:.1e}")
-        drift = max(abs(carried - true) for carried, true in zip(state.sums, sums))
-        tol = policy.carried_sum_tol * np.sqrt(op.n_spokes)
-        if not drift <= tol:
-            raise NumericalFailureError(
-                f"the full walk's carried block sums drift {drift:.3e} from their buffers' "
-                f"over {max_steps} steps, past the tolerance {tol:.1e}")
+        past = f"over {max_steps} steps, past the tolerance {{tol:.1e}}"
+        require_within("the full walk's squared norm drifts {value:.3e} " + past,
+                       abs(_walk_norm2(state, sums) - total), policy.unit_norm_tol)
+        require_within("the full walk's carried block sums drift {value:.3e} from their "
+                       "buffers' " + past, np.abs(np.subtract(state.sums, sums)).max(),
+                       policy.carried_sum_tol * np.sqrt(op.n_spokes))
         return amps, total
 
     return _records(walk, len(target_rows))
@@ -286,10 +279,9 @@ def _spot_check(op, x0, columns, target_rows, anomaly_rows):
     policy = DEFAULT_POLICY
     k = min(len(columns[0]) - 1, policy.spot_check_steps)
     ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)
-    dev = max(abs(ref[0][k] - columns[0][k]), abs(ref[1][k] - columns[1][k]))
-    if dev > policy.spot_check_tol:
-        raise NumericalFailureError(
-            f"reduced evolution drifts {dev:.3e} from the full walk at step {k}")
+    require_within(f"reduced evolution drifts {{value:.3e}} from the full walk at step {k}",
+                   np.abs([ref[j][k] - columns[j][k] for j in (0, 1)]).max(),
+                   policy.spot_check_tol)
 
 
 def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,

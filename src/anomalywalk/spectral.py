@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
-from .numerics import DEFAULT_POLICY
+from .numerics import DEFAULT_POLICY, require_within
 
 
 class Spectrum(NamedTuple):
@@ -90,17 +90,15 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
     if cluster_tol is None:
         cluster_tol = policy.cluster_tol
 
+    if not np.isfinite(mat).all():
+        raise NumericalFailureError("the matrix holds an inf or a nan")
     values, vectors = np.linalg.eig(mat)
     residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
-    worst = float(residuals.max())
-    if worst > policy.eig_residual_tol:
-        raise NumericalFailureError(
-            f"eigenpair residual {worst:.3e} exceeds {policy.eig_residual_tol:.1e}")
+    require_within("eigenpair residual {value:.3e} exceeds {tol:.1e}", residuals.max(),
+                   policy.eig_residual_tol)
     moduli = np.abs(values)
-    off = float(np.abs(moduli - 1.0).max())
-    if off > policy.unit_circle_tol:
-        raise NumericalFailureError(
-            f"eigenvalue modulus deviates from 1 by {off:.3e}")
+    require_within("eigenvalue modulus deviates from 1 by {value:.3e}",
+                   np.abs(moduli - 1.0).max(), policy.unit_circle_tol)
     thetas = np.angle(values / moduli)
 
     phases = []
@@ -111,24 +109,18 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
         # a normal matrix gives |R_ii| ~ 1 here; deficiency means the
         # cluster's eigenvectors do not span their multiplicity
         rdiag = np.abs(np.diag(r))
-        if rdiag.min() < policy.rank_tol:
+        if not rdiag.min() >= policy.rank_tol:  # a nan fails too
             raise NumericalFailureError(
                 "eigenvector cluster is rank deficient; matrix is not normal")
         phases.append(_representative(thetas[group], cluster_tol))
         blocks.append(q)
         mults.append(len(group))
     order = np.argsort(phases)
-    phases = [phases[k] for k in order]
-    blocks = [blocks[k] for k in order]
-    mults = [mults[k] for k in order]
+    phases, blocks, mults = ([seq[k] for k in order] for seq in (phases, blocks, mults))
 
     stacked = np.concatenate(blocks, axis=1)
-    completeness = float(np.abs(
-        stacked.conj().T @ stacked - np.eye(d)).max())
-    if completeness > policy.projector_tol:
-        raise NumericalFailureError(
-            f"eigenvector clusters are not an orthonormal frame "
-            f"(deviation {completeness:.3e})")
+    require_within("eigenvector clusters are not an orthonormal frame (deviation {value:.3e})",
+                   np.abs(stacked.conj().T @ stacked - np.eye(d)).max(), policy.projector_tol)
     for b in blocks:
         b.setflags(write=False)
     return Spectrum(eigenphases=tuple(phases), blocks=tuple(blocks),

@@ -44,9 +44,9 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a full walk peaks near 2.2 complex128 vectors of the full dimension (the
-# start state, the block buffers it steps in place, a complex norm's
-# temporary); the guard keeps room for four, and a real walk stays under
+# a full walk peaks at 2.00 full-dimension vectors of its dtype (tracemalloc,
+# N=2e5): the start state and the block buffers it steps in place; the guard
+# keeps room for four complex128 ones
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly

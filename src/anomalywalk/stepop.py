@@ -101,7 +101,7 @@ class UnitarityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
+        return self.max_deviation <= self.tolerance  # as in require_within: a nan fails
 
 
 def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> StepOperator:

@@ -256,9 +256,10 @@ def label_at(basis, pos):
 
 
 def build_unperturbed(graph):
-    """The walk with the hub replaced by pure reflection (r=1, t=0): the
-    size-infinity limit of the step operator, which `perturb` reaches
-    without building it."""
+    """The walk with the hub replaced by pure reflection (r=1, t=0).  The
+    size-infinity limit of the step operator is this walk plus 2|bo><bi|
+    over the bulk uniforms (`perturb._limit`, and `reference_limit` in
+    test_collapse.py), which `perturb` reaches without building it."""
     return build_scattering_operator(graph, 1.0, 0.0)
 
 

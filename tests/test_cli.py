@@ -514,7 +514,7 @@ class TestSpectrum:
          ["--kind", "inout", "--amp-out", "0.6", "--amp-in", "0.8j"], "dim=4 branches=4"),
         ('{"type": "missing_loop", "at": 3}', ["--kind", "loop_pi"], "dim=6 branches=6"),
         ('{"type": "missing_loop", "at": 3, "phase_num": 1, "phase_den": 3}',
-         ["--kind", "loop_third"], "dim=6 branches=5"),  # two phases merge in one cluster
+         ["--kind", "loop_third"], "dim=6 branches=6"),
     ], ids=["minus", "plus", "inout", "loop_pi", "loop_third"])
     def test_ten_million_spokes_hold_nothing_of_length_n(self, capsys, tmp_path, anomaly,
                                                          kind, dims):

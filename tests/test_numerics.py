@@ -1,0 +1,227 @@
+"""The one certificate check: `require_within`, the certificates that call
+it, and a guard that keeps every other module from comparing a value with
+a certificate tolerance by hand."""
+
+import argparse
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import anomalywalk
+import anomalywalk.cli
+import anomalywalk.search
+from anomalywalk.cli import main
+from anomalywalk.collapse import certify, place
+from anomalywalk.edgespace import WalkState, edge_probabilities, make_basis, make_state
+from anomalywalk.errors import (
+    ConfigurationError,
+    InvarianceError,
+    NumericalFailureError,
+)
+from anomalywalk.numerics import require_within
+from anomalywalk.search import InitialStateKind, run_search
+from anomalywalk.spectral import eigendecompose
+from anomalywalk.stargraph import Anomaly, build_star
+from anomalywalk.stepop import UnitarityReport
+
+NAN = float("nan")
+LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
+
+# the upper-bound certificates' tolerances; closure_residual, cluster_tol,
+# match_tol, shift_floor, peak_slack and rank_tol are thresholds of another
+# kind and may be compared directly
+CERTIFICATE_TOLERANCES = frozenset({
+    "unit_norm_tol", "probability_tol", "unitarity_tol", "carried_sum_tol", "invariance_tol",
+    "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "unit_circle_tol",
+    "projector_tol",
+})
+
+
+class TestRequireWithin:
+    def test_passes_at_and_below_the_tolerance(self):
+        require_within("unused", 1e-10, 1e-10)
+        require_within("unused", 0.0, 1e-10)
+        require_within("unused", -1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [2e-10, NAN, float("inf")])
+    def test_refuses_past_the_tolerance_and_nan(self, value):
+        with pytest.raises(NumericalFailureError):
+            require_within("unused", value, 1e-10)
+
+    def test_message_fills_the_slots(self):
+        with pytest.raises(NumericalFailureError) as exc:
+            require_within("drift {value:.3e} past {tol:.1e}", 3e-9, 1e-9)
+        assert str(exc.value) == "drift 3.000e-09 past 1.0e-09"
+        with pytest.raises(NumericalFailureError) as exc:
+            require_within("drift {value:.3e} past {tol:.1e}", NAN, 1e-9)
+        assert str(exc.value) == "drift nan past 1.0e-09"
+
+    def test_raises_the_given_error(self):
+        with pytest.raises(InvarianceError, match="^leaks$"):
+            require_within("leaks", 1.0, 0.5, InvarianceError)
+
+    def test_unitarity_report_passes_at_equality(self):
+        assert UnitarityReport(max_deviation=1e-12, tolerance=1e-12).passed
+        assert not UnitarityReport(max_deviation=2e-12, tolerance=1e-12).passed
+        assert not UnitarityReport(max_deviation=NAN, tolerance=1e-12).passed
+
+
+def _loop_state(at_row):
+    """A loop star's basis and a vector with a nan at the given row and 1 on the next."""
+    basis = make_basis(build_star(8, Anomaly.loop(1)))
+    x = np.zeros(basis.dim)
+    x[at_row], x[at_row + 1] = NAN, 1.0
+    return basis, x
+
+
+def _edge_probabilities(monkeypatch):
+    basis, x = _loop_state(3)
+    return lambda: edge_probabilities(WalkState(x, basis.dim), basis)
+
+
+def _place(monkeypatch):
+    basis, x = _loop_state(3)  # a bulk row: its part outside the cells is nan
+    return lambda: place(basis, [x])
+
+
+def _eigen_residual(monkeypatch):
+    # an eigensolver that returns a nan eigenvalue; the residual reads nan
+    eig = np.linalg.eig
+
+    def poisoned(mat):
+        values, vectors = eig(mat)
+        values[0] = NAN
+        return values, vectors
+    monkeypatch.setattr(np.linalg, "eig", poisoned)
+    return lambda: eigendecompose(np.eye(2))
+
+
+def _spot_check(monkeypatch):
+    # the full walk's p_anomaly column reads nan at the checked step
+    evolve = anomalywalk.search._evolve_full
+
+    def poisoned(op, x0, k, *rows):
+        pts, pas, rests = evolve(op, x0, k, *rows)
+        pas = pas.copy()
+        pas[k] = NAN
+        return pts, pas, rests
+    monkeypatch.setattr(anomalywalk.search, "_evolve_full", poisoned)
+    graph = build_star(64, Anomaly.loop(3))
+    return lambda: run_search(graph, InitialStateKind.minus(), 30, method="reduced")
+
+
+def _unitarity_report(monkeypatch):
+    monkeypatch.setattr(anomalywalk.cli, "check_unitarity",
+                        lambda op: UnitarityReport(max_deviation=NAN, tolerance=1e-12))
+    return lambda: anomalywalk.cli._cmd_check(argparse.Namespace(spec=LOOP8))
+
+
+NAN_CASES = {
+    "make_state": (lambda mp: lambda: make_state(np.array([NAN, 1.0])), ConfigurationError),
+    "edge_probabilities": (_edge_probabilities, NumericalFailureError),
+    "place": (_place, InvarianceError),
+    "certify_leakage": (lambda mp: lambda: certify(np.eye(2), NAN), InvarianceError),
+    "certify_matrix": (lambda mp: lambda: certify(np.array([[NAN, 0.0], [0.0, 1.0]]), 0.0),
+                       NumericalFailureError),
+    "eigendecompose_matrix": (lambda mp: lambda: eigendecompose([[NAN]]),
+                              NumericalFailureError),
+    "eigendecompose_residual": (_eigen_residual, NumericalFailureError),
+    "spot_check": (_spot_check, NumericalFailureError),
+    "unitarity_report": (_unitarity_report, NumericalFailureError),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES.values(), ids=NAN_CASES)
+def test_every_certificate_refuses_nan(case, monkeypatch):
+    make_call, error = case
+    with pytest.raises(error, match="(?i)nan"):
+        make_call(monkeypatch)()
+
+
+@pytest.mark.parametrize("entry", [float("inf"), -float("inf"), NAN])
+def test_eigendecompose_refuses_a_non_finite_matrix(entry):
+    mat = np.eye(3, dtype=complex)
+    mat[1, 2] = entry
+    with pytest.raises(NumericalFailureError, match="holds an inf or a nan"):
+        eigendecompose(mat)
+
+
+def test_check_verb_reports_a_nan_deviation(capsys, monkeypatch):
+    monkeypatch.setattr(anomalywalk.cli, "check_unitarity",
+                        lambda op: UnitarityReport(max_deviation=NAN, tolerance=1e-12))
+    code = main(["check", "--spec", LOOP8])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "dim=17 unitary=fail max_dev=nan\n"
+    assert captured.err == "error:numerical:unitarity deviation nan exceeds tolerance 1.0e-12\n"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _names(node) -> set[str]:
+    return {n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))}
+
+
+def _own_nodes(scope) -> list:
+    """The nodes of a scope, not descending into the functions it defines."""
+    nodes, stack = [], list(ast.iter_child_nodes(scope))
+    while stack:
+        nodes.append(node := stack.pop())
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _scan(scope, held: frozenset) -> list[int]:
+    """Lines of the scope's comparisons that read a held name, where a
+    name assigned in the scope from a held one is held too, and in the
+    functions the scope defines."""
+    nodes = _own_nodes(scope)
+    assigns = [n for n in nodes
+               if isinstance(n, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and n.value]
+    while True:  # until no assignment carries a tolerance to a new name
+        carried = {t.id for n in assigns if _names(n.value) & held
+                   for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                   for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if carried <= held:
+            break
+        held |= carried
+    lines = [n.lineno for n in nodes if isinstance(n, ast.Compare) and _names(n) & held]
+    for fn in (n for n in nodes if isinstance(n, FUNCTIONS)):
+        lines += _scan(fn, held)
+    return sorted(lines)
+
+
+def hand_compared_tolerances(source: str) -> list[int]:
+    """Lines of the comparisons in source that read a certificate tolerance,
+    directly or through a name assigned from one in the same or an
+    enclosing function."""
+    return _scan(ast.parse(source), CERTIFICATE_TOLERANCES)
+
+
+def test_guard_sees_a_hand_written_certificate():
+    assert hand_compared_tolerances(
+        "if dev > policy.spot_check_tol:\n    raise E()\n") == [1]
+    assert hand_compared_tolerances(
+        "tol = DEFAULT_POLICY.unit_norm_tol * 2\nlimit = tol\nok = not drift <= limit\n") == [3]
+    assert hand_compared_tolerances(
+        "def f():\n    tol = p.invariance_tol\n    return lambda x: x > tol\n") == [3]
+    # a threshold of another kind, a tolerance passed on, and a name that
+    # holds a tolerance only in another function are not certificates
+    assert hand_compared_tolerances(
+        "if rdiag.min() < policy.rank_tol:\n    pass\n"
+        "require_within('x', dev, policy.spot_check_tol)\n"
+        "def f():\n    tol = p.invariance_tol\n"
+        "def g(tol):\n    return 1 <= tol\n") == []
+
+
+def test_only_numerics_compares_a_value_with_a_certificate_tolerance():
+    package = Path(anomalywalk.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if path.name != "numerics.py"
+             and (lines := hand_compared_tolerances(path.read_text(encoding="utf-8")))}
+    assert found == {}
