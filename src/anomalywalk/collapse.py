@@ -230,11 +230,13 @@ def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
 
 def _cell_row(cells: ReducedBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
     """A full-length vector's row on cells with identity coordinates, and
-    the norm of its part that they drop, read one bulk block at a time."""
+    the norm of its part that they drop, read one bulk block at a time.
+    The unit cells hold their rows exactly, so they drop nothing unless a
+    row is not finite, which makes the norm nan."""
     bulk, s = len(cells.blocks) * (1 + len(cells.profiles)), cells.uniform_sum
     row = np.empty(cells.coords.shape[1], cells.profiles.dtype)
-    row[bulk:] = x[cells.units]  # held exactly
-    rest = 0.0
+    row[bulk:] = x[cells.units]
+    rest = 0.0 if np.isfinite(row[bulk:]).all() else math.nan
     for h, block in zip(row[:bulk].reshape(len(cells.blocks), -1), cells.blocks):
         part = x[block].astype(row.dtype)
         part[cells.anomalous] = 0.0

@@ -1,10 +1,11 @@
 """Search drivers over anomalous star walks.
 
-Defines each named start state once, as weights on the bulk blocks, for
-both the full walk and the star's cells; evolves start states while
-recording where the probability sits, predicts hitting steps where a closed
-form exists, simulates the accessible-edge measurement, and samples the
-classical adjacency-list baseline for comparison.
+Defines each named start state once, as one value per block of the
+basis, for the full walk, the star's cells and `initial_state`; evolves
+start states while recording where the probability sits, predicts hitting
+steps where a closed form exists, simulates the accessible-edge
+measurement, and samples the classical adjacency-list baseline for
+comparison.
 """
 
 import json
@@ -102,23 +103,40 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
     raise ConfigurationError(f"initial-state kind {kind.variant!r} is not a named family")
 
 
+def _uniform_norm2(lengths, values) -> float:
+    """The squared norm of a state that is constant on each block: the sum
+    of len_b |value_b|^2."""
+    return sum(n * abs(v) ** 2 for n, v in zip(lengths, values))
+
+
+def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
+    """A named kind's start as one value per block of the basis, the one
+    definition of a named start: its block weights over the closed-form
+    norm of their uniform states, sqrt(sum |w_b|^2 len_b), and 0 on every
+    block it does not weigh.  Their squared norm, taken in closed form,
+    is certified to be 1 within `unit_norm_tol`."""
+    weights = _block_weights(graph, kind)
+    lengths = np.diff(make_basis(graph).bounds).tolist()
+    norm = np.sqrt(_uniform_norm2(lengths, weights))
+    values = tuple(w / norm for w in weights) + (0.0,) * (len(lengths) - len(weights))
+    require_within("state is not unit-norm: its squared norm is {value:.3e} from 1",
+                   abs(_uniform_norm2(lengths, values) - 1.0), DEFAULT_POLICY.unit_norm_tol,
+                   ConfigurationError)
+    return values
+
+
 def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
     """Unit-norm start state of the requested kind on this graph: float64
     when its coefficients are real, complex128 otherwise.  A named kind
-    fills each block it weighs with its weight times 1/sqrt(N)."""
-    if kind.variant == "custom":
-        amps = np.asarray(_real_if_exact(kind.amplitudes))
-        if amps.size != graph.hilbert_dim:
-            raise DimensionMismatchError(
-                f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
-    else:
-        weights = _block_weights(graph, kind)
-        basis = make_basis(graph)
-        amps = np.zeros(basis.dim, np.result_type(*weights))
-        for c, block in zip(weights, (basis.out_block, basis.in_block, basis.anomaly_block)):
-            amps[block] = c * (1.0 / np.sqrt(graph.n_spokes))
-    amps /= np.linalg.norm(amps)
-    return make_state(amps)
+    fills each block with its value from `_start_values`."""
+    if kind.variant != "custom":
+        return make_state(np.repeat(_start_values(graph, kind),
+                                    np.diff(make_basis(graph).bounds)))
+    amps = np.asarray(_real_if_exact(kind.amplitudes))
+    if amps.size != graph.hilbert_dim:
+        raise DimensionMismatchError(
+            f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
+    return make_state(amps / np.linalg.norm(amps))
 
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
@@ -208,13 +226,15 @@ def _walk_norm2(walk: BlockWalk, sums) -> float:
                for buf, s, c, total in zip(walk.buffers, walk.signs, walk.shifts, sums))
 
 
-def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
+def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
     """The full walk's columns, one entry per step.
 
-    The state is stepped as a `BlockWalk`, and its target and anomaly rows
-    are gathered at their (block, offset) into one row of a preallocated
+    The state is stepped as a `BlockWalk` from the start, a full-length
+    vector or one value per block, and its target and anomaly rows are
+    gathered at their (block, offset) into one row of a preallocated
     array per step.  The walk conserves the squared norm, so its total is
-    taken once at the start and carried into every step's p_rest.  At the
+    taken once at the start, from the buffers or, for values per block,
+    in closed form, and carried into every step's p_rest.  At the
     end the buffers are summed once: the squared norm is taken again from
     those sums, and a drift past `unit_norm_tol` is refused, and so is a
     carried sum further than `carried_sum_tol` times sqrt(N) from its
@@ -224,10 +244,11 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
 
     def walk():
-        state = BlockWalk(op, x0)
+        state = BlockWalk(op, start)
         amps = np.empty((max_steps + 1, len(located)), state.dtype)
         amps[0] = state.gather(located)
-        total = _walk_norm2(state, state.sums)
+        total = (_uniform_norm2([buf.size for buf in state.buffers], start)
+                 if isinstance(start, tuple) else _walk_norm2(state, state.sums))
         for n in range(1, max_steps + 1):
             state.step()
             amps[n] = state.gather(located)
@@ -244,23 +265,22 @@ def _evolve_full(op, x0, max_steps, target_rows, anomaly_rows):
     return _records(walk, len(target_rows))
 
 
-def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
+def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows):
     """The walk on the star's cells C, stepped by M = C*UC, from the start
-    state's row on them: x0's own for a custom state (`place` refuses a
-    state the cells do not hold), else the kind's block weights on the
-    family's uniform rows.  `cells_operator` certifies that M keeps to the
-    cells and is unitary; the squared norm is taken at every step."""
+    state's row on them: a custom state's own (`place` refuses a state the
+    cells do not hold), else a named kind's block values, times sqrt(N),
+    on the family's uniform rows.  `cells_operator` certifies that M keeps
+    to the cells and is unitary; the squared norm is taken at every step."""
     if kind.variant == "custom":
-        cells, seeds = place(op.basis, [x0])
-        start = seeds[0]
+        cells, seeds = place(op.basis, [start])
+        row = seeds[0]
     else:
         cells, seeds = family_seeds(graph, kind)
-        start = np.asarray(_block_weights(graph, kind)) @ seeds
-        start /= np.linalg.norm(start)
+        row = np.sqrt(graph.n_spokes) * np.asarray(start[:len(seeds)]) @ seeds
     m = cells_operator(op, cells)
     rows = cells.rows(np.concatenate((target_rows, anomaly_rows)))
 
-    def walk(c=start):
+    def walk(c=row):
         amps = np.empty((max_steps + 1, len(rows)), np.result_type(m, rows, c))
         totals = np.empty(max_steps + 1)
         amps[0], totals[0] = rows @ c, _norm2(c)
@@ -270,15 +290,15 @@ def _evolve_reduced(graph, op, kind, x0, max_steps, target_rows, anomaly_rows):
         return amps, totals
 
     columns = _records(walk, len(target_rows))
-    _spot_check(op, x0, columns, target_rows, anomaly_rows)
+    _spot_check(op, start, columns, target_rows, anomaly_rows)
     return columns
 
 
-def _spot_check(op, x0, columns, target_rows, anomaly_rows):
+def _spot_check(op, start, columns, target_rows, anomaly_rows):
     """Cross-check a prefix of the reduced run against the full walk."""
     policy = DEFAULT_POLICY
     k = min(len(columns[0]) - 1, policy.spot_check_steps)
-    ref = _evolve_full(op, x0, k, target_rows, anomaly_rows)
+    ref = _evolve_full(op, start, k, target_rows, anomaly_rows)
     require_within(f"reduced evolution drifts {{value:.3e}} from the full walk at step {k}",
                    np.abs([ref[j][k] - columns[j][k] for j in (0, 1)]).max(),
                    policy.spot_check_tol)
@@ -292,7 +312,9 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     p_anomaly the states only the anomaly provides, p_rest everything
     else.  The peak is the argmax of their sum; ties break to the
     earliest step.  method="reduced" steps the start state's row on the
-    star's cells and spot-checks a prefix against the full walk.
+    star's cells and spot-checks a prefix against the full walk.  A named
+    kind starts both walks from its values per block and builds no
+    full-length vector; only a custom state is built by `initial_state`.
     """
 
     if max_steps < 1:
@@ -302,11 +324,12 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
     op = build_step_operator(graph)
-    x0 = initial_state(graph, kind).amplitudes
+    start = (initial_state(graph, kind).amplitudes if kind.variant == "custom"
+             else _start_values(graph, kind))
     if method == "full":
-        pts, pas, rests = _evolve_full(op, x0, max_steps, target_rows, anomaly_rows)
+        pts, pas, rests = _evolve_full(op, start, max_steps, target_rows, anomaly_rows)
     else:
-        pts, pas, rests = _evolve_reduced(graph, op, kind, x0, max_steps, target_rows,
+        pts, pas, rests = _evolve_reduced(graph, op, kind, start, max_steps, target_rows,
                                           anomaly_rows)
     peak = int(np.argmax(pts + pas))
     try:

@@ -44,9 +44,12 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a full walk peaks at 2.00 full-dimension vectors of its dtype (tracemalloc,
-# N=2e5): the start state and the block buffers it steps in place; the guard
-# keeps room for four complex128 ones
+# a full walk from a named kind allocates 1.00 full-dimension vector of its
+# dtype (tracemalloc, N=2e5), zero buffers of which it writes only the patch
+# rows, so at N=1e7 its launch peaks within 1 MiB of one at N=1e3 (resident
+# set); a custom start peaks at 3.00 complex128 vectors, 48 bytes per
+# amplitude, while it is normalised and copied.  The guard keeps room for
+# four complex128 ones
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly

@@ -161,9 +161,9 @@ def build_step_operator(graph: StarGraph) -> StepOperator:
     return build_scattering_operator(graph, (n - 2) / n, 2 / n)
 
 
-def walk_dtype(op: StepOperator, x: np.ndarray):
-    """The arithmetic of a walk from x: float64 for a real x on a real operator,
-    complex128 otherwise."""
+def walk_dtype(op: StepOperator, x):
+    """The arithmetic of a walk from x, an array or a tuple of values: float64
+    for a real x on a real operator, complex128 otherwise."""
     return np.float64 if op.is_real and not np.iscomplexobj(x) else np.complex128
 
 
@@ -193,19 +193,34 @@ class BlockWalk:
     relabels the four lists by the role table and writes the patch rows
     into their buffers, updating each carried sum by the new row minus
     the old: O(patches) work, no buffer allocated, copied or read in
-    full after the start.  The arithmetic, `dtype`, is fixed at the
-    start: float64 for a real start on a real operator, else complex128.
+    full after the start.
+
+    The start is a full-length vector, copied into the buffers, or a
+    tuple of one value per block, held as the shifts over zero buffers
+    whose sums are 0: no row is written before a step writes its patch
+    rows, so the pages of the bulk are never made resident.  The
+    arithmetic, `dtype`, is fixed at the start: float64 for a real start
+    on a real operator, else complex128.
     """
 
-    def __init__(self, op: StepOperator, x0: np.ndarray):
-        if x0.size != op.dimension:
-            raise DimensionMismatchError(
-                f"state dimension {x0.size} != operator dimension {op.dimension}")
-        self.dtype = walk_dtype(op, x0)
-        self.buffers = [np.array(b, dtype=self.dtype) for b in op.basis.split(x0)]
+    def __init__(self, op: StepOperator, start):
+        bounds = op.basis.bounds
+        self.dtype = walk_dtype(op, start)
+        if isinstance(start, tuple):
+            if len(start) != len(bounds) - 1:
+                raise DimensionMismatchError(
+                    f"{len(start)} block values for the {len(bounds) - 1} blocks of the basis")
+            self.buffers = [np.zeros(hi - lo, self.dtype) for lo, hi in zip(bounds, bounds[1:])]
+            self.shifts = [self.dtype(v) for v in start]
+            self.sums = [self.dtype(0)] * len(start)
+        else:
+            if start.size != op.dimension:
+                raise DimensionMismatchError(
+                    f"state dimension {start.size} != operator dimension {op.dimension}")
+            self.buffers = [np.array(b, dtype=self.dtype) for b in op.basis.split(start)]
+            self.shifts = [self.dtype(0)] * len(self.buffers)
+            self.sums = [b.sum() for b in self.buffers]
         self.signs = [1] * len(self.buffers)
-        self.shifts = [self.dtype(0)] * len(self.buffers)
-        self.sums = [b.sum() for b in self.buffers]
         self._op = op
         self._amp = _patch_amplitudes(op, self.buffers[0])
 

@@ -154,6 +154,29 @@ def _loaded_by_import(module):
     return result.stdout.strip() == "True"
 
 
+def peak_rss_mib(*argv):
+    """The peak resident set, in MiB, of one CLI launch with the given argv,
+    read from the child's rusage by os.wait4, as the benchmark reads it.
+    The launch must exit 0."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
+    code = "import sys; from anomalywalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.Popen([sys.executable, "-c", code, *argv],
+                             env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+
+
+def sized(n, anomaly):
+    """A spec of n spokes with the anomaly given as JSON."""
+    return f'{{"n_spokes": {n}, "anomaly": {anomaly}}}'
+
+
 def test_import_does_not_load_scipy():
     assert not _loaded_by_import("scipy")
 
@@ -269,8 +292,30 @@ class TestEvolve:
         assert code == 1
         assert err.startswith("error:nothing-to-find:")
 
+    @needs_wait4
+    def test_ten_million_spokes_peak_near_a_small_run(self, tmp_path):
+        # the named start is held as shifts over zero buffers, and no step
+        # writes any row but the patch rows: a full walk at N=1e7 stays
+        # within 8 MiB of one at N=1e3, where one float64 full vector adds
+        # 153 MiB
+        extra = '{"type": "extra_edge", "u": 1, "v": 2}'
+        small, large = (peak_rss_mib("evolve", "--spec", sized(n, extra), "--steps", "200",
+                                     "--out", str(tmp_path / f"steps{n}.csv"))
+                        for n in (1000, 10 ** 7))
+        assert large - small <= 8.0, (small, large)
+
 
 class TestSearch:
+    @needs_wait4
+    def test_ten_million_spokes_reduced_peak_near_a_small_run(self):
+        # the reduced walk's spot check starts the full walk from the named
+        # kind's values per block: at N=1e7 the launch stays within 8 MiB
+        # of one at N=1e3
+        loop = '{"type": "loop", "at": 1}'
+        small, large = (peak_rss_mib("search", "--spec", sized(n, loop), "--method", "reduced")
+                        for n in (1000, 10 ** 7))
+        assert large - small <= 8.0, (small, large)
+
     def test_summary_to_stdout(self, capsys):
         code, out, err = run(capsys, "search", "--spec", EXTRA100)
         assert code == 0
@@ -460,13 +505,13 @@ class TestSinglePass:
         assert (len(builds), walks, splits) == (4, [], [])
 
     def test_the_spies_see_a_full_walk(self, capsys, tmp_path, monkeypatch):
-        # the same spies on a full evolution: one walk, whose start state of
-        # dimension 2N + 1 is split into blocks once
+        # the same spies on a full evolution: one walk, which a named kind
+        # starts from its values per block, splitting no full-length vector
         walks, splits = self.count_steps(monkeypatch)
         code, _, _ = run(capsys, "evolve", "--spec", LOOP100, "--steps", "3",
                          "--out", str(tmp_path / "steps.csv"))
         assert code == 0
-        assert (len(walks), splits) == (1, [201])
+        assert (len(walks), splits) == (1, [])
 
 
 class TestSpectrum:
@@ -525,28 +570,15 @@ class TestSpectrum:
         assert stdout.strip() == dims
         assert peak < 256 * 2 ** 10
 
-    @staticmethod
-    def peak_rss_mib(tmp_path, n):
-        """The peak resident set of a `spectrum` launch at N, read from the
-        child's rusage by os.wait4."""
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
-        spec = f'{{"n_spokes": {n}, "anomaly": {{"type": "loop", "at": 1}}}}'
-        code = "import sys; from anomalywalk.cli import main; sys.exit(main(sys.argv[1:]))"
-        child = subprocess.Popen([sys.executable, "-c", code, "spectrum", "--spec", spec,
-                                  "--out", str(tmp_path / f"spec{n}.csv")],
-                                 env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0
-        return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
-
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    @needs_wait4
     def test_ten_million_spokes_peak_near_a_small_run(self, tmp_path):
         # the launch's own peak resident set, as the benchmark reads it: a
         # run at N=1e7 stays within 8 MiB of one at N=1e3, where a bulk
         # profile of length N would add 76 MiB
-        small, large = (self.peak_rss_mib(tmp_path, n) for n in (1000, 10 ** 7))
+        loop = '{"type": "loop", "at": 1}'
+        small, large = (peak_rss_mib("spectrum", "--spec", sized(n, loop),
+                                     "--out", str(tmp_path / f"spec{n}.csv"))
+                        for n in (1000, 10 ** 7))
         assert large - small <= 8.0, (small, large)
 
     def test_plain_star_two_branches(self, capsys, tmp_path):

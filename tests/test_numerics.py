@@ -86,6 +86,19 @@ def _place(monkeypatch):
     return lambda: place(basis, [x])
 
 
+def _place_unit(monkeypatch):
+    basis, x = _loop_state(8)  # the anomaly vertex's in row, a unit cell
+    return lambda: place(basis, [x])
+
+
+def _start_values(monkeypatch):
+    # a named kind whose weights hold a nan: its closed-form squared norm
+    # reads nan, and the run is refused before a walk starts
+    monkeypatch.setattr(anomalywalk.search, "_block_weights", lambda graph, kind: (NAN, -1.0))
+    graph = build_star(64, Anomaly.loop(3))
+    return lambda: run_search(graph, InitialStateKind.minus(), 30)
+
+
 def _eigen_residual(monkeypatch):
     # an eigensolver that returns a nan eigenvalue; the residual reads nan
     eig = np.linalg.eig
@@ -120,8 +133,10 @@ def _unitarity_report(monkeypatch):
 
 NAN_CASES = {
     "make_state": (lambda mp: lambda: make_state(np.array([NAN, 1.0])), ConfigurationError),
+    "start_values": (_start_values, ConfigurationError),
     "edge_probabilities": (_edge_probabilities, NumericalFailureError),
     "place": (_place, InvarianceError),
+    "place_unit_row": (_place_unit, InvarianceError),
     "certify_leakage": (lambda mp: lambda: certify(np.eye(2), NAN), InvarianceError),
     "certify_matrix": (lambda mp: lambda: certify(np.array([[NAN, 0.0], [0.0, 1.0]]), 0.0),
                        NumericalFailureError),
@@ -138,6 +153,17 @@ def test_every_certificate_refuses_nan(case, monkeypatch):
     make_call, error = case
     with pytest.raises(error, match="(?i)nan"):
         make_call(monkeypatch)()
+
+
+def test_place_refuses_a_nan_on_every_row():
+    # bulk rows leak a nan part; the anomaly vertex's out and in rows
+    # (0 and 8) and its loop (16) are unit cells, held exactly
+    basis = make_basis(build_star(8, Anomaly.loop(1)))
+    for row in range(basis.dim):
+        x = np.ones(basis.dim)
+        x[row] = NAN
+        with pytest.raises(InvarianceError, match="leakage nan"):
+            place(basis, [x])
 
 
 @pytest.mark.parametrize("entry", [float("inf"), -float("inf"), NAN])

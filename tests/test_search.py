@@ -28,6 +28,7 @@ from anomalywalk.errors import (
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import (
     InitialStateKind,
+    _start_values,
     baseline_statistics,
     family_seeds,
     initial_state,
@@ -157,16 +158,19 @@ class TestInitialStates:
     @pytest.mark.parametrize("phase", [(1, 3), (-1, 3), (1, 1)], ids=["pi_3", "-pi_3", "pi"])
     def test_named_states_are_the_generator_sums(self, n, kind, weights, phase):
         # the block fill against the sum of the full-length generators as
-        # first written, bit for bit and dtype included
+        # first written, dtype included, normalised by its norm summed
+        # exactly: the closed-form norm leaves each entry within 2 ulps
+        # of it (0.85 measured up to N=1e6), where np.linalg.norm's sum
+        # over the vector rounds 32 ulps away at N=1000
         graph = build_star(n, Anomaly.missing_loop(2, PhaseAngle.from_pi_fraction(*phase)))
         if kind.variant == "loop_third" and phase[0] < 0:
             weights = weights[::-1]  # a negative phase conjugates the weights
         generators = family_generators(make_basis(graph), kind)
         amps = sum(c * g.amplitudes for c, g in zip(weights, generators))
-        want = amps / np.linalg.norm(amps)
+        want = amps / math.sqrt(math.fsum((np.abs(amps) ** 2).tolist()))
         got = initial_state(graph, kind).amplitudes
         assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)
 
 
 class TestRealArithmetic:
@@ -299,8 +303,9 @@ class TestBlockWalk:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
     def test_records_match_flat_apply_on_every_variant(self, n, phase):
         # every variant marked by the phase, the anomaly at either end, from
-        # the real minus state and a complex custom one, over at least twice
-        # the dimension at small N and past the first peak at large N
+        # the real minus state, started as its values per block as
+        # `run_search` starts it, and a complex custom one, over at least
+        # twice the dimension at small N and past the first peak at large N
         rng = np.random.default_rng(n)
         steps = 100 if n <= 12 else 130
         for anomaly in (Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
@@ -313,9 +318,42 @@ class TestBlockWalk:
             custom = [1, 1j] @ rng.standard_normal((2, graph.hilbert_dim))
             for kind in (InitialStateKind.minus(), InitialStateKind.custom(custom)):
                 x0 = initial_state(graph, kind).amplitudes
-                got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+                start = x0 if kind.variant == "custom" else _start_values(graph, kind)
+                got = anomalywalk.search._evolve_full(op, start, steps, *rows)
                 for a, b in zip(got, flat_walk_records(op, x0, steps, *rows), strict=True):
                     within(a, b, 1e-12)
+
+    @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi(),
+                                       PhaseAngle.from_pi_fraction(1, 3),
+                                       PhaseAngle.from_radians(0.7)],
+                             ids=["0", "pi", "pi_3", "0.7rad"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
+    def test_named_start_is_the_initial_state(self, n, phase):
+        # a walk started from a named kind's values per block holds, before
+        # its first step, the vector `initial_state` fills: its shifts over
+        # zero buffers whose sums are 0
+        loops = (InitialStateKind.loop_pi(), InitialStateKind.loop_third())
+        for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
+                        Anomaly.extended_edge(1, phase), Anomaly.missing_loop(2, phase)):
+            graph = build_star(n, anomaly)
+            op = build_step_operator(graph)
+            for kind in (InitialStateKind.minus(), InitialStateKind.plus(),
+                         InitialStateKind.inout(0.6, -0.8), InitialStateKind.inout(1.0, 0.5j),
+                         *(loops if anomaly.schema.loops else ())):
+                walk = BlockWalk(op, _start_values(graph, kind))
+                want = initial_state(graph, kind).amplitudes
+                assert walk.dtype == walk_dtype(op, want)
+                assert walk.sums == [0] * len(walk.buffers)
+                within(walk_state(walk), want, 1e-15)
+
+    def test_ten_million_spokes_start_in_closed_form(self):
+        # the named start's norm is taken in closed form, not summed over
+        # 2e7 entries, so step 0 of extra_edge reads 4/(2N) on its target
+        # rows and the rest of the unit norm
+        graph = build_star(10 ** 7, Anomaly.extra_edge(1, 2))
+        result = run_search(graph, InitialStateKind.minus(), 1)
+        assert abs(result.p_target_spokes[0] / 2e-7 - 1.0) <= 1e-15
+        assert abs(result.p_rest[0] - 0.9999998) <= 1e-15
 
     @pytest.mark.parametrize("anomaly", [Anomaly.loop(7), Anomaly.extra_edge(2, 9),
                                          Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3))],
@@ -374,35 +412,46 @@ class TestBlockWalk:
 
     @staticmethod
     def _loop_walk(n):
+        """The operator of a loop star, the minus state as its two starts
+        (a full-length vector and its values per block) with the number of
+        passes each makes over the buffers for its squared norm, and the
+        search rows."""
         graph = build_star(n, Anomaly.loop(7))
-        x0 = initial_state(graph, InitialStateKind.minus()).amplitudes
-        return build_step_operator(graph), x0, anomalywalk.search._partition_rows(graph)
+        kind = InitialStateKind.minus()
+        starts = ((initial_state(graph, kind).amplitudes, 2), (_start_values(graph, kind), 1))
+        return build_step_operator(graph), starts, anomalywalk.search._partition_rows(graph)
 
     @pytest.mark.parametrize("steps", [10, 1000])
     def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
-        # the total is taken at the start and certified at the end, one
-        # squared norm per buffer each time: no step reads the state in full
-        op, x0, rows = self._loop_walk(4096)
+        # the total is certified at the end, one squared norm per buffer: no
+        # step reads the state in full.  A vector's total is taken from its
+        # buffers at the start too, values per block take it in closed form
+        op, starts, rows = self._loop_walk(4096)
         sizes = []
         norm2 = anomalywalk.search._norm2
         monkeypatch.setattr(anomalywalk.search, "_norm2",
                             lambda x: sizes.append(x.size) or norm2(x))
-        got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
-        assert [len(c) for c in got] == [steps + 1] * 3
-        assert sum(sizes) == 2 * op.dimension
-        assert len(sizes) == 2 * len(op.basis.bounds) - 2  # one call per block, twice
+        for start, passes in starts:
+            sizes.clear()
+            got = anomalywalk.search._evolve_full(op, start, steps, *rows)
+            assert [len(c) for c in got] == [steps + 1] * 3
+            assert sum(sizes) == passes * op.dimension
+            assert len(sizes) == passes * (len(op.basis.bounds) - 1)  # one call per block
 
     def test_norm_drift_is_refused(self, monkeypatch):
-        # patches of modulus 2 add weight on every pass through the loop
-        op, x0, rows = self._loop_walk(256)
+        # patches of modulus 2 add weight on every pass through the loop,
+        # from either start
+        op, starts, rows = self._loop_walk(256)
         init = BlockWalk.__init__
 
         def doubled(walk, *args):
             init(walk, *args)
             walk._amp = walk._amp * 2
         monkeypatch.setattr(BlockWalk, "__init__", doubled)
-        with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
-            anomalywalk.search._evolve_full(op, x0, 40, *rows)
+        for start, _ in starts:
+            with pytest.raises(NumericalFailureError,
+                               match=r"drifts .* past the tolerance 1\.0e-10"):
+                anomalywalk.search._evolve_full(op, start, 40, *rows)
 
     @pytest.mark.parametrize("n, block, row, refusal", [
         (256, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.6e-09"),
@@ -411,19 +460,20 @@ class TestBlockWalk:
         ids=["tail", "tail_1e6", "hub"])
     def test_stale_carried_sum_is_refused(self, monkeypatch, n, block, row, refusal):
         # a row written behind the walk's back leaves its block's carried
-        # sum stale.  Written into the loop, 1e-6 raises the squared norm by
-        # only 1e-12 and the walk stays unitary from there, so the sums'
-        # certificate refuses the run; written into the block the hub reads,
-        # it steps the wrong walk, whose norm drifts
-        op, x0, rows = self._loop_walk(n)
+        # sum stale, from either start.  Written into the loop, 1e-6 raises
+        # the squared norm by only 1e-12 and the walk stays unitary from
+        # there, so the sums' certificate refuses the run; written into the
+        # block the hub reads, it steps the wrong walk, whose norm drifts
+        op, starts, rows = self._loop_walk(n)
         init = BlockWalk.__init__
 
         def stale(walk, *args):
             init(walk, *args)
             walk.buffers[block][row] += 1e-6
         monkeypatch.setattr(BlockWalk, "__init__", stale)
-        with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
-            anomalywalk.search._evolve_full(op, x0, 40, *rows)
+        for start, _ in starts:
+            with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
+                anomalywalk.search._evolve_full(op, start, 40, *rows)
 
 
 class TestPrediction:
@@ -533,9 +583,10 @@ class TestRunSearch:
         InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
         InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))], ids=["minus", "inout", "custom"])
     def test_reduced_builds_the_start_state_once(self, monkeypatch, kind):
-        # the reduced walk starts from the start state's row on the cells:
-        # the full-length state is built once (the spot check steps it),
-        # and only a custom state is decomposed at full length, by `place`
+        # the reduced walk starts from the start state's row on the cells,
+        # and the spot check from its values per block: a named kind is
+        # never built at full length, a custom state is built once and
+        # decomposed at full length once, by `place`
         graph = build_star(64, Anomaly.loop(3))
         builds, decomposed = [], []
         build, decompose = anomalywalk.search.initial_state, anomalywalk.collapse._cell_row
@@ -544,7 +595,7 @@ class TestRunSearch:
         monkeypatch.setattr(anomalywalk.collapse, "_cell_row",
                             lambda cells, x: decomposed.append(x.size) or decompose(cells, x))
         fast = run_search(graph, kind, 30, method="reduced")
-        assert len(builds) == 1
+        assert len(builds) == (1 if kind.variant == "custom" else 0)
         assert decomposed == ([graph.hilbert_dim] if kind.variant == "custom" else [])
         full = run_search(graph, kind, 30, method="full")
         within(full.p_target_spokes, fast.p_target_spokes, 1e-12)

@@ -630,6 +630,9 @@ def test_apply_step_dimension_check():
     op = build_step_operator(build_star(5, Anomaly.none()))
     with pytest.raises(DimensionMismatchError):
         BlockWalk(op, np.array([1.0]))
+    # values per block: the plain star has out, in and an empty tail
+    with pytest.raises(DimensionMismatchError, match="2 block values for the 3 blocks"):
+        BlockWalk(op, (0.5, -0.5))
 
 
 def test_dense_cap_enforced():
