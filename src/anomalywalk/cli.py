@@ -26,7 +26,6 @@ from .collapse import reduce_seeds
 from .errors import (
     AnomalyWalkError,
     ConfigurationError,
-    NoPredictionError,
     SpecSemanticError,
     SpecSyntaxError,
 )
@@ -42,7 +41,7 @@ from .search import (
     InitialStateKind,
     baseline_statistics,
     family_seeds,
-    predicted_hitting_step,
+    predicted_step,
     run_search,
     search_summary,
     write_per_step_csv,
@@ -157,10 +156,8 @@ def _horizon(steps: int | None, graph: StarGraph) -> int:
     """
     if steps is not None:
         return steps
-    try:
-        return 2 * predicted_hitting_step(graph) + 6
-    except NoPredictionError:
-        return int(4 * math.sqrt(graph.n_spokes)) + 10
+    predicted = predicted_step(graph)
+    return int(4 * math.sqrt(graph.n_spokes)) + 10 if predicted is None else 2 * predicted + 6
 
 
 def _emit_json(payload: dict, out: Path | None) -> None:
@@ -284,10 +281,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_baseline(args) -> int:
     graph = _load_graph(args.spec)
     stats = baseline_statistics(graph, args.trials, args.seed)
-    try:
-        predicted = predicted_hitting_step(graph)
-    except NoPredictionError:
-        predicted = None
+    predicted = predicted_step(graph)
     ratio = predicted / stats.mean if predicted is not None and stats.mean else None
     payload = {
         "n_spokes": graph.n_spokes,

@@ -25,9 +25,9 @@ from .errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from .numerics import DEFAULT_POLICY, require_within
+from .numerics import DEFAULT_POLICY, norm2, require_within
 from .stargraph import StarGraph
-from .stepop import StepOperator, _patch_amplitudes, walk_dtype
+from .stepop import StepOperator
 
 
 def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
+    return math.sqrt(norm2(x))
 
 
 _LEAKAGE = "basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}"
@@ -74,7 +74,7 @@ class ReducedBasis(NamedTuple):
         """The rows of the full-dimension basis V at the given positions."""
         index = np.asarray(index, dtype=np.intp)
         p = 1 + len(self.profiles)
-        cells = np.zeros((index.size, self.coords.shape[1]), self.profiles.dtype)
+        cells = np.zeros((index.size, self.coords.shape[1]), complex)
         for k, block in enumerate(self.blocks):
             inside = (index >= block.start) & (index < block.stop)
             offsets = index[inside] - block.start
@@ -89,7 +89,7 @@ class ReducedBasis(NamedTuple):
         other profile's cell its sum, 0, and each unit in the block 1."""
         p = 1 + len(self.profiles)
         block = self.blocks[k]
-        cells = np.zeros(self.coords.shape[1], self.profiles.dtype)
+        cells = np.zeros(self.coords.shape[1], complex)
         cells[k * p] = self.uniform_sum
         cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
         return cells / math.sqrt(self.profiles.shape[1])
@@ -136,7 +136,8 @@ def _accept(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     res = _orthogonalize(vec, rows, tol)
     if res <= tol or len(rows) == vec.size:
         return rows
-    return np.vstack((rows, vec / res))
+    vec *= 1.0 / res  # not vec / res: a complex division by a nan residual warns
+    return np.vstack((rows, vec))
 
 
 def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
@@ -146,17 +147,15 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
     Each bulk block (out, in, and missing_loop's loops) carries the bulk
     profiles: the uniform one, in closed form, and each vector's part in
     each bulk block, orthonormalised against it, zero on the anomaly
-    vertices.  Every other row is a unit cell of its own.  The cells are
-    complex when a vector is.
+    vertices.  Every other row is a unit cell of its own.
     """
     n = basis.n_spokes
-    dtype = np.result_type(np.float64, *vectors)
     vertices = StarGraph(n, basis.anomaly).anomaly_vertices
     anomalous = basis.out_rows(vertices)
     bounds = basis.bounds  # every block but the anomaly tail is a bulk block
     blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1]))
-    profiles = np.empty((0, n), dtype)
-    for vec in (x[block].astype(dtype) for x in vectors for block in blocks):
+    profiles = np.empty((0, n), complex)
+    for vec in (x[block].astype(complex) for x in vectors for block in blocks):
         for _ in range(2):  # the uniform part, removed twice as in CGS2
             vec[anomalous] = 0.0
             vec -= vec.sum() / (n - len(anomalous))
@@ -166,7 +165,7 @@ def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
     m = len(blocks) * (1 + len(profiles)) + len(units)
     profiles.setflags(write=False)
     return ReducedBasis(profiles=profiles, anomalous=anomalous, blocks=blocks, units=units,
-                        coords=np.eye(m, dtype=dtype), full_dim=basis.dim)
+                        coords=np.eye(m, dtype=complex), full_dim=basis.dim)
 
 
 def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
@@ -191,7 +190,7 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     column = {at: col for col, at in enumerate(where)}
     home = {role: k for k, role in enumerate(op.roles)}
     sums = [cells.uniform_sum, *[0.0] * (p - 1)] * len(cells.blocks) + [1.0] * len(cells.units)
-    matrix = np.zeros((len(where),) * 2, walk_dtype(op, cells.profiles))
+    matrix = np.zeros((len(where),) * 2, complex)
     for col, (block, key) in enumerate(where):
         hub = block == op.roles[0]
         to = (0 if hub else home[block], key)
@@ -200,7 +199,7 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
         if hub:
             matrix[:, col] = op.hub_t * sums[col] * math.sqrt(op.n_spokes) * cells.uniform(0)
         matrix[column[to], col] += -1.0 if hub else 1.0
-    for src, dst, amp in zip(op.src, op.dst, _patch_amplitudes(op, matrix)):
+    for src, dst, amp in zip(op.src, op.dst, op.amp):
         if src not in column or dst not in column:
             raise NumericalFailureError(f"patch {src} -> {dst} moves a row that is not a unit")
         matrix[column[dst]] = 0.0
@@ -213,14 +212,11 @@ def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
     """Cells that hold full-length vectors, and the vectors' rows on them.
 
     A part that the cells drop (a block part within the closure residual)
-    is leakage, refused as for a closure.  Vectors with no imaginary part
-    are placed in float64.
+    is leakage, refused as for a closure.
     """
     vectors = [np.asarray(x) for x in vectors]
     if any(x.shape != (basis.dim,) for x in vectors):
         raise DimensionMismatchError(f"vectors must be of the basis dimension {basis.dim}")
-    if not any(np.any(x.imag) for x in vectors):
-        vectors = [x.real for x in vectors]
     cells = star_cells(basis, vectors)
     parts = [_cell_row(cells, x) for x in vectors]
     require_within(_LEAKAGE, np.max([leak for _, leak in parts], initial=0.0),
@@ -234,16 +230,17 @@ def _cell_row(cells: ReducedBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
     The unit cells hold their rows exactly, so they drop nothing unless a
     row is not finite, which makes the norm nan."""
     bulk, s = len(cells.blocks) * (1 + len(cells.profiles)), cells.uniform_sum
-    row = np.empty(cells.coords.shape[1], cells.profiles.dtype)
+    row = np.empty(cells.coords.shape[1], complex)
     row[bulk:] = x[cells.units]
     rest = 0.0 if np.isfinite(row[bulk:]).all() else math.nan
     for h, block in zip(row[:bulk].reshape(len(cells.blocks), -1), cells.blocks):
-        part = x[block].astype(row.dtype)
+        part = x[block].astype(complex)
         part[cells.anomalous] = 0.0
         h[0], h[1:] = part.sum() / s, _inner(cells.profiles, part)
-        part -= h[0] / s + h[1:] @ cells.profiles
+        part -= h[1:] @ cells.profiles
+        part -= h[0] / s
         part[cells.anomalous] = 0.0
-        rest += np.vdot(part, part).real
+        rest += norm2(part)
     return row, math.sqrt(rest)
 
 
@@ -257,8 +254,7 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     accepted vector.  M is unitary, so a span it maps into itself is
     closed under its adjoint too.  Residuals of at most
     DEFAULT_POLICY.closure_residual count as contained.  The accepted rows
-    Q are the basis's coordinates on the cells (float64 when M and every
-    seed are real, complex128 otherwise), and the operator on it is
+    Q are the basis's coordinates on the cells, and the operator on it is
     conj(Q) M Q^T.
     """
 
@@ -269,9 +265,9 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     if seeds.shape[1:] != (m,):
         raise DimensionMismatchError(f"seeds of shape {seeds.shape} on {m} cells")
     reduced = cells_operator(op, cells)
-    q = np.empty((0, m), np.result_type(reduced, seeds))
+    q = np.empty((0, m), complex)
     for c in seeds:
-        q = _accept(c.astype(q.dtype), q)
+        q = _accept(c.astype(complex), q)
     head = 0
     while head < len(q):
         q = _accept(reduced @ q[head], q)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .numerics import DEFAULT_POLICY, require_within
+from .numerics import DEFAULT_POLICY, norm2, require_within
 from .stargraph import Anomaly, StarGraph
 
 
@@ -154,13 +154,12 @@ def make_basis(graph: StarGraph) -> EdgeBasis:
 
 
 def make_state(amplitudes: np.ndarray) -> WalkState:
-    """A frozen unit-norm copy of the amplitudes: float64 when they are real, else complex128."""
-    amps = np.asarray(amplitudes)
-    amps = np.array(amps, dtype=float if amps.dtype.kind in "biuf" else complex)
+    """A frozen unit-norm complex128 copy of the amplitudes."""
+    amps = np.array(amplitudes, dtype=complex)
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
     require_within("state is not unit-norm: its norm is {value:.3e} from 1",
-                   abs(np.linalg.norm(amps) - 1.0), DEFAULT_POLICY.unit_norm_tol,
+                   abs(np.sqrt(norm2(amps)) - 1.0), DEFAULT_POLICY.unit_norm_tol,
                    ConfigurationError)
     amps.setflags(write=False)
     return WalkState(amplitudes=amps, basis_dim=amps.size)

@@ -4,10 +4,13 @@ All tolerance constants live in one frozen record instead of scattered
 magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
 call runs, never at import, so a test that needs another threshold swaps
 the record in the module that reads it.  `require_within` checks each
-certificate: a value against one of these tolerances.
+certificate: a value against one of these tolerances, and `norm2` takes
+every squared norm of a vector of length N.
 """
 
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NumericalFailureError
 
@@ -56,3 +59,9 @@ def require_within(what: str, value, tol: float, error=NumericalFailureError) ->
     raise `error` with the message `what`, its {value} and {tol} slots filled."""
     if not value <= tol:
         raise error(what.format(value=value, tol=tol))
+
+
+def norm2(x: np.ndarray) -> float:
+    """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
+    v = x.view(np.float64)
+    return float(v @ v)

@@ -21,7 +21,7 @@ from .errors import (
     NoPredictionError,
     NothingToFindError,
 )
-from .numerics import DEFAULT_POLICY, require_within
+from .numerics import DEFAULT_POLICY, norm2, require_within
 from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
@@ -32,7 +32,7 @@ class InitialStateKind(NamedTuple):
     variant: str
     amp_out: complex = 0j
     amp_in: complex = 0j
-    amplitudes: tuple = ()
+    amplitudes: np.ndarray | tuple = ()  # a custom state's, read-only complex128
 
     @staticmethod
     def minus() -> "InitialStateKind":
@@ -47,7 +47,7 @@ class InitialStateKind(NamedTuple):
     @staticmethod
     def inout(amp_out, amp_in) -> "InitialStateKind":
         """Arbitrary combination of the outgoing and incoming uniforms."""
-        amp_out, amp_in = _coefficients((amp_out, amp_in), "inout state")
+        amp_out, amp_in = _coefficients((amp_out, amp_in), "inout state").tolist()
         return InitialStateKind("inout", amp_out=amp_out, amp_in=amp_in)
 
     @staticmethod
@@ -63,21 +63,20 @@ class InitialStateKind(NamedTuple):
         return InitialStateKind("custom", amplitudes=_coefficients(amplitudes, "custom state"))
 
 
-def _coefficients(values, what: str) -> tuple[complex, ...]:
-    """The values as complex numbers, refused unless their squared norm is a
-    finite normal float, so that their state normalises without overflow."""
-    coeffs = tuple(complex(v) for v in values)
-    square = sum(c.real * c.real + c.imag * c.imag for c in coeffs)  # nan or inf if any is
+def _coefficients(values, what: str) -> np.ndarray:
+    """The values as a read-only complex128 array, refused unless their
+    squared norm is a finite normal float, so their state normalises without overflow."""
+    coeffs = np.array(values, dtype=complex)
+    if coeffs.ndim != 1:
+        raise DimensionMismatchError(f"{what} needs a one-dimensional sequence of coefficients")
+    # scaled by the largest part: a square past the float range is inf, with no overflow
+    scale = float(np.abs(coeffs.view(np.float64)).max(initial=0.0))
+    square = scale * scale * norm2(coeffs / scale) if 0.0 < scale < np.inf else scale
     if not np.finfo(float).tiny <= square < np.inf:
         raise ConfigurationError(f"{what} needs finite coefficients whose squared norm "
                                  f"is a normal float, got {square:.3g}")
+    coeffs.setflags(write=False)
     return coeffs
-
-
-def _real_if_exact(coeffs: tuple) -> tuple:
-    """The coefficients as floats when none has an imaginary part, so that
-    a real family's state stays real."""
-    return coeffs if any(c.imag for c in coeffs) else tuple(c.real for c in coeffs)
 
 
 def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
@@ -88,7 +87,7 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
     if kind.variant == "plus":
         return (1.0, 1.0)
     if kind.variant == "inout":
-        return _real_if_exact((kind.amp_out, kind.amp_in))
+        return (kind.amp_out, kind.amp_in)
     if kind.variant in ("loop_pi", "loop_third"):
         if not graph.anomaly.schema.loops:
             raise ConfigurationError("graph does not carry a loop on every vertex")
@@ -126,17 +125,17 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
 
 
 def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
-    """Unit-norm start state of the requested kind on this graph: float64
-    when its coefficients are real, complex128 otherwise.  A named kind
-    fills each block with its value from `_start_values`."""
+    """Unit-norm complex128 start state of the requested kind on this
+    graph.  A named kind fills each block with its value from
+    `_start_values`; a custom one is its amplitudes over their norm."""
     if kind.variant != "custom":
         return make_state(np.repeat(_start_values(graph, kind),
                                     np.diff(make_basis(graph).bounds)))
-    amps = np.asarray(_real_if_exact(kind.amplitudes))
+    amps = kind.amplitudes
     if amps.size != graph.hilbert_dim:
         raise DimensionMismatchError(
             f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
-    return make_state(amps / np.linalg.norm(amps))
+    return make_state(amps / np.sqrt(norm2(amps)))
 
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
@@ -161,6 +160,14 @@ def predicted_hitting_step(graph: StarGraph) -> int:
     if variant == "loop":
         return int(round((np.pi / 2.0) * np.sqrt(1.5 * n)))
     raise NoPredictionError(f"no hitting-step formula for variant {variant!r}")
+
+
+def predicted_step(graph: StarGraph) -> int | None:
+    """The closed-form peak step, or None for a variant with no formula."""
+    try:
+        return predicted_hitting_step(graph)
+    except NoPredictionError:
+        return None
 
 
 class SearchResult(NamedTuple):
@@ -193,18 +200,13 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
 _RECORD_BYTES = 160
 
 
-def _norm2(x: np.ndarray) -> float:
-    """Squared norm in one pass with no temporaries."""
-    return float(np.vdot(x, x).real) if np.iscomplexobj(x) else float(x @ x)
-
-
 def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns p_target_spokes, p_anomaly and p_rest of a walk.
 
     `walk()` returns the amplitudes at the target rows (the first k
     columns) and the anomaly rows, one array row per step, and the
-    squared norm: one total for every step, or one per step.  The arrays
-    are freed as soon as the columns are taken from them.
+    squared norm.  The arrays are freed as soon as the columns are taken
+    from them.
     """
     amps, total = walk()
     weights = np.abs(amps) ** 2
@@ -222,7 +224,7 @@ def _walk_norm2(walk: BlockWalk, sums) -> float:
     """The squared norm of a block walk's state, read from its buffers with
     no full-length temporary: block b, s*buf + c with sum(buf) = sums[b],
     has |buf|^2 + 2s*Re(conj(c)*sum(buf)) + len(buf)*|c|^2."""
-    return sum(_norm2(buf) + 2 * s * (c.conjugate() * total).real + buf.size * abs(c) ** 2
+    return sum(norm2(buf) + 2 * s * (c.conjugate() * total).real + buf.size * abs(c) ** 2
                for buf, s, c, total in zip(walk.buffers, walk.signs, walk.shifts, sums))
 
 
@@ -245,7 +247,7 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
 
     def walk():
         state = BlockWalk(op, start)
-        amps = np.empty((max_steps + 1, len(located)), state.dtype)
+        amps = np.empty((max_steps + 1, len(located)), complex)
         amps[0] = state.gather(located)
         total = (_uniform_norm2([buf.size for buf in state.buffers], start)
                  if isinstance(start, tuple) else _walk_norm2(state, state.sums))
@@ -270,7 +272,7 @@ def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows
     state's row on them: a custom state's own (`place` refuses a state the
     cells do not hold), else a named kind's block values, times sqrt(N),
     on the family's uniform rows.  `cells_operator` certifies that M keeps
-    to the cells and is unitary; the squared norm is taken at every step."""
+    to the cells and is unitary; the squared norm is carried as in the full walk."""
     if kind.variant == "custom":
         cells, seeds = place(op.basis, [start])
         row = seeds[0]
@@ -281,13 +283,15 @@ def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows
     rows = cells.rows(np.concatenate((target_rows, anomaly_rows)))
 
     def walk(c=row):
-        amps = np.empty((max_steps + 1, len(rows)), np.result_type(m, rows, c))
-        totals = np.empty(max_steps + 1)
-        amps[0], totals[0] = rows @ c, _norm2(c)
+        amps = np.empty((max_steps + 1, len(rows)), complex)
+        amps[0], total = rows @ c, norm2(c)
         for n in range(1, max_steps + 1):
             c = m @ c
-            amps[n], totals[n] = rows @ c, _norm2(c)
-        return amps, totals
+            amps[n] = rows @ c
+        require_within(f"the reduced walk's squared norm drifts {{value:.3e}} over {max_steps} "
+                       "steps, past the tolerance {tol:.1e}", abs(norm2(c) - total),
+                       DEFAULT_POLICY.unit_norm_tol)
+        return amps, total
 
     columns = _records(walk, len(target_rows))
     _spot_check(op, start, columns, target_rows, anomaly_rows)
@@ -332,10 +336,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
         pts, pas, rests = _evolve_reduced(graph, op, kind, start, max_steps, target_rows,
                                           anomaly_rows)
     peak = int(np.argmax(pts + pas))
-    try:
-        predicted = predicted_hitting_step(graph)
-    except NoPredictionError:
-        predicted = None
+    predicted = predicted_step(graph)
     warnings: tuple[str, ...] = ()
     slack = DEFAULT_POLICY.peak_slack
     if predicted is not None and abs(predicted - peak) > slack:

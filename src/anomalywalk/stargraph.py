@@ -44,12 +44,10 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a full walk from a named kind allocates 1.00 full-dimension vector of its
-# dtype (tracemalloc, N=2e5), zero buffers of which it writes only the patch
-# rows, so at N=1e7 its launch peaks within 1 MiB of one at N=1e3 (resident
-# set); a custom start peaks at 3.00 complex128 vectors, 48 bytes per
-# amplitude, while it is normalised and copied.  The guard keeps room for
-# four complex128 ones
+# a named full walk holds one virtual complex128 vector of zero pages and
+# writes only its patch rows, so at N=1e7 its launch peaks within 1 MiB of
+# one at N=1e3 (resident set); a full walk from a custom start peaks at
+# 3.00 complex128 vectors (tracemalloc, N=2e5).  The guard keeps room for four
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly
@@ -125,7 +123,7 @@ class PhaseAngle(NamedTuple):
     @property
     def phasor(self) -> complex:
         """e^{i theta}: exactly 1, -1 or +-1j on a multiple of pi/2 given as
-        a fraction of pi, so that a walk marked by pi stays real."""
+        a fraction of pi, with no round-off part, so a walk marked by pi keeps real values."""
         exact = _QUARTER_TURNS.get((self.num, self.den))
         return exact if exact is not None else complex(np.exp(1j * self.value))
 

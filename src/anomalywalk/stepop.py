@@ -90,10 +90,6 @@ class StepOperator:
     def n_spokes(self) -> int:
         return self.basis.n_spokes
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.amp.imag == 0.0))
-
 
 class UnitarityReport(NamedTuple):
     max_deviation: float
@@ -161,26 +157,6 @@ def build_step_operator(graph: StarGraph) -> StepOperator:
     return build_scattering_operator(graph, (n - 2) / n, 2 / n)
 
 
-def walk_dtype(op: StepOperator, x):
-    """The arithmetic of a walk from x, an array or a tuple of values: float64
-    for a real x on a real operator, complex128 otherwise."""
-    return np.float64 if op.is_real and not np.iscomplexobj(x) else np.complex128
-
-
-def _patch_amplitudes(op: StepOperator, out: np.ndarray) -> np.ndarray:
-    """The patch amplitudes in the arithmetic of the output buffer.
-
-    A float64 buffer takes the real parts, which is exact only for a real
-    operator; any other operator needs complex buffers.
-    """
-    if np.iscomplexobj(out):
-        return op.amp
-    if not op.is_real:
-        raise ConfigurationError(
-            "a walk with complex phases cannot write into a real buffer")
-    return op.amp.real
-
-
 class BlockWalk:
     """A walk whose state is held as sign * buffer + shift, block by block.
 
@@ -195,39 +171,37 @@ class BlockWalk:
     the old: O(patches) work, no buffer allocated, copied or read in
     full after the start.
 
-    The start is a full-length vector, copied into the buffers, or a
-    tuple of one value per block, held as the shifts over zero buffers
-    whose sums are 0: no row is written before a step writes its patch
-    rows, so the pages of the bulk are never made resident.  The
-    arithmetic, `dtype`, is fixed at the start: float64 for a real start
-    on a real operator, else complex128.
+    Every walk is complex128; shifts, sums and patch values are Python
+    complex numbers.  The start is a full-length vector, copied into the
+    buffers, or a tuple of one value per block, held as the shifts over
+    zero buffers whose sums are 0: a named start holds one virtual
+    complex128 vector of zero pages, and steps touch only its patch rows.
     """
 
     def __init__(self, op: StepOperator, start):
         bounds = op.basis.bounds
-        self.dtype = walk_dtype(op, start)
         if isinstance(start, tuple):
             if len(start) != len(bounds) - 1:
                 raise DimensionMismatchError(
                     f"{len(start)} block values for the {len(bounds) - 1} blocks of the basis")
-            self.buffers = [np.zeros(hi - lo, self.dtype) for lo, hi in zip(bounds, bounds[1:])]
-            self.shifts = [self.dtype(v) for v in start]
-            self.sums = [self.dtype(0)] * len(start)
+            self.buffers = [np.zeros(hi - lo, complex) for lo, hi in zip(bounds, bounds[1:])]
+            self.shifts = [complex(v) for v in start]
+            self.sums = [0j] * len(start)
         else:
             if start.size != op.dimension:
                 raise DimensionMismatchError(
                     f"state dimension {start.size} != operator dimension {op.dimension}")
-            self.buffers = [np.array(b, dtype=self.dtype) for b in op.basis.split(start)]
-            self.shifts = [self.dtype(0)] * len(self.buffers)
-            self.sums = [b.sum() for b in self.buffers]
+            self.buffers = [np.array(b, dtype=complex) for b in op.basis.split(start)]
+            self.shifts = [0j] * len(self.buffers)
+            self.sums = [complex(b.sum()) for b in self.buffers]
         self.signs = [1] * len(self.buffers)
         self._op = op
-        self._amp = _patch_amplitudes(op, self.buffers[0])
+        self._amp = op.amp.tolist()
 
     def step(self) -> None:
         op, roles = self._op, self._op.roles
         buffers, signs, shifts, sums = self.buffers, self.signs, self.shifts, self.sums
-        values = [a * (signs[b] * buffers[b][k] + shifts[b])
+        values = [a * (signs[b] * buffers[b].item(k) + shifts[b])
                   for a, (b, k) in zip(self._amp, op.src)]
         hub = roles[0]
         sign, shift = signs[hub], shifts[hub]
@@ -239,14 +213,13 @@ class BlockWalk:
         sums = self.sums = [sums[role] for role in roles]
         for (b, k), value in zip(op.dst, values):
             row = (value - shifts[b]) * signs[b]
-            sums[b] += row - buffers[b][k]
+            sums[b] += row - buffers[b].item(k)
             buffers[b][k] = row
 
     def gather(self, located) -> np.ndarray:
         """The amplitudes at (block, offset) pairs, in their order."""
         buffers, signs, shifts = self.buffers, self.signs, self.shifts
-        return np.array([signs[b] * buffers[b][k] + shifts[b] for b, k in located],
-                        dtype=self.dtype)
+        return np.array([signs[b] * buffers[b].item(k) + shifts[b] for b, k in located], complex)
 
 
 def check_unitarity(op: StepOperator) -> UnitarityReport:

@@ -18,6 +18,13 @@ block and writes the hub rule over it at every step.  The named
 start-state families are built here as they were first written, as sums
 of full-length uniform states; `src/` fills their blocks and seeds the
 closure on the cells.
+
+`src/` holds every state in complex128.  The references keep their own
+arithmetic apart from it: a walk or a basis with no imaginary part, on
+an operator with none, runs here in float64, so its sums over N are
+contiguous float64 dots.  A complex128 product over the 1e6 entries of
+a bulk profile rounds about 65 times further: the N=1e6 orthonormality
+check reads 1.7e-12 with it and 2.6e-14 with these dots.
 """
 
 import numpy as np
@@ -26,12 +33,45 @@ from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_state
 from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.search import _norm2, _records
-from anomalywalk.stepop import (
-    _patch_amplitudes,
-    build_scattering_operator,
-    walk_dtype,
-)
+from anomalywalk.search import _records
+from anomalywalk.stepop import build_scattering_operator
+
+
+def is_real(op):
+    """Whether every patch amplitude of the operator is real."""
+    return not np.any(op.amp.imag)
+
+
+def walk_dtype(op, x):
+    """The references' arithmetic for a walk from x: float64 when x and the
+    operator have no imaginary part, complex128 otherwise."""
+    return np.float64 if is_real(op) and not np.any(np.imag(x)) else np.complex128
+
+
+def real_valued(x):
+    """x as a contiguous float64 array when it has no imaginary part, else x."""
+    return x if np.any(np.imag(x)) else np.ascontiguousarray(np.real(x), dtype=np.float64)
+
+
+def _cast(x, dtype):
+    """A copy of x in the arithmetic `walk_dtype` chose for it."""
+    return np.array(np.real(x) if dtype == np.float64 else x, dtype=dtype)
+
+
+def _amplitudes(op, out):
+    """The patch amplitudes in the arithmetic of the output buffer: their
+    real parts for a float64 one, which only a real operator may write."""
+    if np.iscomplexobj(out):
+        return op.amp
+    if not is_real(op):
+        raise ConfigurationError("a walk with complex phases cannot write into a real buffer")
+    return op.amp.real
+
+
+def _norm2(x):
+    """The squared norm as contiguous float64 dots."""
+    parts = np.ascontiguousarray(x).view(np.float64)
+    return float(parts @ parts)
 
 
 def _dense_columns(op, lo, hi, dtype=complex):
@@ -46,7 +86,7 @@ def _dense_columns(op, lo, hi, dtype=complex):
     src, dst = flat_rows(op, op.src), flat_rows(op, op.dst)
     u[dst] = 0.0
     inside = (lo <= src) & (src < hi)
-    u[dst[inside], src[inside] - lo] = _patch_amplitudes(op, u)[inside]
+    u[dst[inside], src[inside] - lo] = _amplitudes(op, u)[inside]
     return u
 
 
@@ -67,7 +107,7 @@ def dense_deviation(op):
     """
     d = op.dimension
     width = max(1, (1 << 20) // d)
-    dtype = float if op.is_real else complex
+    dtype = float if is_real(op) else complex
     dev = 0.0
     for lo in range(0, d, width):
         left = _dense_columns(op, lo, min(d, lo + width), dtype).conj().T
@@ -99,7 +139,7 @@ def apply_into(op, x, out):
     np.subtract(op.hub_t * hub.sum(), hub, out=new[0])
     for k, role in enumerate(op.roles[1:], 1):
         new[k][...] = old[role]
-    out[flat_rows(op, op.dst)] = _patch_amplitudes(op, out) * x[flat_rows(op, op.src)]
+    out[flat_rows(op, op.dst)] = _amplitudes(op, out) * x[flat_rows(op, op.src)]
     return out
 
 
@@ -115,9 +155,9 @@ def reduce_operator(op, basis):
         raise DimensionMismatchError(
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
-    dtype = walk_dtype(op, basis.coords)
+    dtype = np.result_type(walk_dtype(op, basis.coords), walk_dtype(op, basis.profiles))
     work = np.empty(basis.full_dim, dtype=dtype)
-    reduced = np.empty((basis.dim, basis.dim), dtype=dtype)
+    reduced = np.empty((basis.dim, basis.dim), dtype=complex)
     leakage = 0.0
     for k, e in enumerate(np.eye(basis.dim)):
         reduced[:, k], leak = decompose(basis, apply_into(op, lift(basis, e), work))
@@ -129,11 +169,13 @@ def reduce_operator(op, basis):
 def explicit_profiles(basis):
     """The bulk profiles of a basis held on cells as rows of length N, the
     uniform one first, built as it was first written: ones over
-    sqrt(N - k), zero on the k anomaly offsets."""
+    sqrt(N - k), zero on the k anomaly offsets.  Float64 when the
+    profiles have no imaginary part."""
     n = basis.profiles.shape[1]
-    uniform = np.full((1, n), 1.0 / np.sqrt(n - len(basis.anomalous)), basis.profiles.dtype)
+    profiles = real_valued(basis.profiles)
+    uniform = np.full((1, n), 1.0 / np.sqrt(n - len(basis.anomalous)), profiles.dtype)
     uniform[0, basis.anomalous] = 0.0
-    return np.vstack((uniform, basis.profiles))
+    return np.vstack((uniform, profiles))
 
 
 def lift(basis, c):
@@ -143,7 +185,7 @@ def lift(basis, c):
         raise DimensionMismatchError(
             f"expected {basis.dim} coefficients, got shape {np.shape(c)}")
     profiles = explicit_profiles(basis)
-    cells = c @ basis.coords
+    cells = real_valued(c @ basis.coords)
     p = len(profiles)
     x = np.zeros(basis.full_dim, np.result_type(profiles, cells))
     for k, block in enumerate(basis.blocks):
@@ -158,6 +200,7 @@ def decompose(basis, x):
     if x.shape != (basis.full_dim,):
         raise DimensionMismatchError(
             f"vector of shape {x.shape} against a basis in dimension {basis.full_dim}")
+    x = real_valued(x)
     profiles = explicit_profiles(basis)
     cells = np.concatenate([profiles.conj() @ x[block] for block in basis.blocks]
                            + [x[basis.units]])
@@ -271,7 +314,7 @@ def apply_adjoint_into(op, x, out):
     np.subtract(op.hub_t * new[0].sum(), new[0], out=old[op.roles[0]])
     for k, role in enumerate(op.roles[1:], 1):
         old[role][...] = new[k]
-    out[flat_rows(op, op.src)] = np.conj(_patch_amplitudes(op, out)) * x[flat_rows(op, op.dst)]
+    out[flat_rows(op, op.src)] = np.conj(_amplitudes(op, out)) * x[flat_rows(op, op.dst)]
     return out
 
 
@@ -280,7 +323,7 @@ def flat_walk_records(op, x0, steps, target_rows, anomaly_rows):
     first written: one flat vector stepped by `apply_into` into a second
     buffer, its rows read by index and its total taken over the whole
     vector, step by step."""
-    x = x0.astype(walk_dtype(op, x0))
+    x = _cast(x0, walk_dtype(op, x0))
     buf = np.empty_like(x)
     rows = []
     for n in range(steps + 1):
@@ -368,14 +411,14 @@ class ResummingWalk:
     """The full walk held as one buffer per block, stepped in O(N): a step
     gathers the patch sources, sums the in buffer and writes the hub rule
     t*sum(in) - in over it in place, relabels the buffers by the role table
-    and scatters the patches.  A real walk reads the same amplitudes as
-    `apply_into`'s, bit for bit."""
+    and scatters the patches, in the arithmetic `walk_dtype` picks.  A
+    real walk reads the same amplitudes as `apply_into`'s, bit for bit."""
 
     def __init__(self, op, x0):
         dtype = walk_dtype(op, x0)
-        self.blocks = [np.array(b, dtype=dtype) for b in op.basis.split(x0)]
+        self.blocks = [_cast(b, dtype) for b in op.basis.split(x0)]
         self._op = op
-        self._amp = _patch_amplitudes(op, self.blocks[0])
+        self._amp = _amplitudes(op, self.blocks[0])
 
     def step(self):
         op = self._op

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import anomalywalk
+import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
 from anomalywalk.numerics import DEFAULT_POLICY
@@ -252,18 +254,31 @@ class TestEvolve:
     def test_norm_drift_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
         # patches of modulus 2 break the conserved norm; the run's end-of-walk
         # certificate refuses it before anything is written
-        init = anomalywalk.stepop.BlockWalk.__init__
-
-        def doubled(walk, *args):
-            init(walk, *args)
-            walk._amp = walk._amp * 2
-        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "__init__", doubled)
+        build = anomalywalk.search.build_step_operator
+        monkeypatch.setattr(anomalywalk.search, "build_step_operator",
+                            lambda graph: dataclasses.replace(build(graph), amp=build(graph).amp * 2))
         out = tmp_path / "steps.csv"
         code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
         assert code == 2
         assert stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:numerical:the full walk's squared norm drifts ")
+        assert err.endswith(" past the tolerance 1.0e-10\n")
+        assert not out.exists()
+
+    def test_reduced_norm_drift_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # M scaled by 1 + 1e-8 breaks the conserved norm of the reduced walk;
+        # its end-of-walk certificate refuses the run before anything is written
+        cells_operator = anomalywalk.search.cells_operator
+        monkeypatch.setattr(anomalywalk.search, "cells_operator",
+                            lambda op, cells: cells_operator(op, cells) * (1 + 1e-8))
+        out = tmp_path / "steps.csv"
+        code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--method", "reduced",
+                                "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:numerical:the reduced walk's squared norm drifts ")
         assert err.endswith(" past the tolerance 1.0e-10\n")
         assert not out.exists()
 
@@ -296,8 +311,8 @@ class TestEvolve:
     def test_ten_million_spokes_peak_near_a_small_run(self, tmp_path):
         # the named start is held as shifts over zero buffers, and no step
         # writes any row but the patch rows: a full walk at N=1e7 stays
-        # within 8 MiB of one at N=1e3, where one float64 full vector adds
-        # 153 MiB
+        # within 8 MiB of one at N=1e3, where one complex128 full vector
+        # adds 305 MiB
         extra = '{"type": "extra_edge", "u": 1, "v": 2}'
         small, large = (peak_rss_mib("evolve", "--spec", sized(n, extra), "--steps", "200",
                                      "--out", str(tmp_path / f"steps{n}.csv"))
@@ -544,8 +559,8 @@ class TestSpectrum:
     def test_million_spoke_loop_near_first_vertex(self, capsys, tmp_path):
         # the seeds are rows on the cells and the uniform bulk profile is
         # held in closed form, so the run allocates nothing of length N
-        # (76 KB measured at N=1e6 and 1e7; one float64 full vector would
-        # be 16 MB)
+        # (76 KB measured at N=1e6 and 1e7; one complex128 full vector would
+        # be 32 MB)
         spec = '{"n_spokes": 1000000, "anomaly": {"type": "loop", "at": 1}}'
         code, stdout, err, peak = self.traced_spectrum(capsys, tmp_path, spec)
         assert (code, err) == (0, "")
@@ -563,7 +578,7 @@ class TestSpectrum:
     ], ids=["minus", "plus", "inout", "loop_pi", "loop_third"])
     def test_ten_million_spokes_hold_nothing_of_length_n(self, capsys, tmp_path, anomaly,
                                                          kind, dims):
-        # every named kind at N=1e7, where one float64 full vector is 160 MB
+        # every named kind at N=1e7, where one complex128 full vector is 320 MB
         spec = f'{{"n_spokes": 10000000, "anomaly": {anomaly}}}'
         code, stdout, err, peak = self.traced_spectrum(capsys, tmp_path, spec, *kind)
         assert (code, err) == (0, "")

@@ -85,7 +85,7 @@ def test_closure_matches_strided_reference(n, case, seeding):
     basis = reduce_seeds(op, *seeds).basis
     ref = reference_closure(op, seed_vectors(*seeds))
     assert basis.dim == ref.shape[1]
-    assert basis.coords.dtype == (np.float64 if op.is_real else np.complex128)
+    assert basis.coords.dtype == np.complex128
     v = lifted(basis)
     assert projector_gap(v, ref) <= 1e-12
     gram = v.conj().T @ v
@@ -307,7 +307,7 @@ def test_reduction_allocates_nothing_of_length_n(anomaly, kind):
     # the seeds are rows on the cells and the closure is held there, with
     # the cells' operator read from the role table and the uniform bulk
     # profile held in closed form: nothing of length N is allocated, where
-    # one float64 vector of the full dimension would be 3.2 MB.  The peaks
+    # one complex128 vector of the full dimension would be 6.4 MB.  The peaks
     # measured were 10 to 13 KB at N = 1e3, 2e5 and 1e7.
     graph = build_star(200_000, anomaly)
     op = build_step_operator(graph)
@@ -351,7 +351,7 @@ def test_place_holds_the_vectors_and_refuses_a_dropped_block_part(anomaly):
     rng = np.random.default_rng(7)
     for x in (rng.normal(size=basis.dim), rng.normal(size=basis.dim) * 1j):
         cells, rows = place(basis, [x])
-        assert rows.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
+        assert rows.dtype == np.complex128
         assert np.abs(lift(cells, rows[0]) - x).max() <= 1e-14
     near = hub_out_state(basis).amplitudes.copy()
     bulk = [j for j in range(1, 11) if j not in graph.anomaly_vertices]
@@ -364,8 +364,9 @@ def test_place_holds_the_vectors_and_refuses_a_dropped_block_part(anomaly):
 @pytest.mark.parametrize("anomaly", [Anomaly.none(), Anomaly.extra_edge(2, 5),
                                      Anomaly.loop(3)])
 def test_complex_seed_takes_complex_path(anomaly):
-    # a seed with an imaginary part forces complex arithmetic; it spans the
-    # same complex subspace as the real seeds, so the projectors agree
+    # a seed with an imaginary part takes the complex path every seed
+    # takes; it spans the same complex subspace as the real seeds, so the
+    # projectors agree
     graph = build_star(256, anomaly)
     op = build_step_operator(graph)
     cells, rows = sweep_seeds(graph)
@@ -373,8 +374,7 @@ def test_complex_seed_takes_complex_path(anomaly):
     turned = rows.astype(complex)
     turned[0] *= 1j
     cplx = reduce_seeds(op, cells, turned).basis
-    assert real.coords.dtype == np.float64
-    assert cplx.coords.dtype == np.complex128
+    assert real.coords.dtype == cplx.coords.dtype == np.complex128
     assert cplx.dim == real.dim
     assert projector_gap(lifted(cplx), lifted(real)) <= 1e-12
     spec_real = np.sort(np.angle(np.linalg.eigvals(reduce_operator(op, real).matrix)))

@@ -185,8 +185,10 @@ WALK_OPTIONS = {
 @st.composite
 def walk_argvs(draw, verb):
     argv = [verb]
-    # perturb takes at most 3 sizes, like sweep, so that a valid list stays small
-    if verb in ("sweep", "perturb"):
+    # a drawn list holds at most 3 sizes, so that a valid one stays small;
+    # perturb may also omit it and run its default sizes, 64 to 4096, each a
+    # closure of at most 15 cells
+    if verb == "sweep" or (verb == "perturb" and draw(st.integers(0, 2))):
         argv += ["--n-list", draw(N_LISTS)]
     # perturb takes its anomaly from exactly one of --spec and --anomaly
     source = "spec"

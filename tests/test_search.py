@@ -1,6 +1,7 @@
 """Search dynamics tests: start states, peaks, measurement, baseline."""
 
 import csv
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -8,14 +9,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import family_generators, flat_walk_records, resumming_walk_records, walk_state
+from oracle import (
+    family_generators,
+    flat_walk_records,
+    resumming_walk_records,
+    walk_dtype,
+    walk_state,
+)
 
 import anomalywalk
 import anomalywalk.collapse
 import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
-from anomalywalk.collapse import ReducedBasis
+from anomalywalk.collapse import ReducedBasis, cells_operator, place, reduce_seeds
 from anomalywalk.edgespace import make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
@@ -38,8 +45,13 @@ from anomalywalk.search import (
     search_summary,
     write_per_step_csv,
 )
-from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import BlockWalk, build_step_operator, walk_dtype
+from anomalywalk.stargraph import (
+    _WORKING_SET_BYTES_PER_AMPLITUDE,
+    Anomaly,
+    PhaseAngle,
+    build_star,
+)
+from anomalywalk.stepop import BlockWalk, build_step_operator
 
 
 THIRD = np.exp(2j * np.pi / 3)
@@ -173,15 +185,30 @@ class TestInitialStates:
         np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)
 
 
-class TestRealArithmetic:
-    """Real walks step in float64; complex128 copies of their start states are the oracle."""
+@pytest.mark.parametrize("phase", [(1, 1), (1, 3)], ids=["pi", "pi_3"])
+@pytest.mark.parametrize("kind", [
+    InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.loop_pi(),
+    InitialStateKind.loop_third(), InitialStateKind.inout(1, -1), InitialStateKind.inout(1, 1j),
+    InitialStateKind.custom([1.0] + [0.0] * 35), InitialStateKind.custom([1j] + [0.0] * 35)],
+    ids=["minus", "plus", "loop_pi", "loop_third", "inout_real", "inout_complex",
+         "custom_real", "custom_complex"])
+def test_every_start_cells_operator_and_closure_is_complex128(kind, phase):
+    # one arithmetic for every walk, real-valued or not, on a real operator
+    # (marked by pi) and on a complex one
+    graph = build_star(12, Anomaly.missing_loop(5, PhaseAngle.from_pi_fraction(*phase)))
+    op = build_step_operator(graph)
+    x0 = initial_state(graph, kind).amplitudes
+    cells, seeds = (place(op.basis, [x0]) if kind.variant == "custom"
+                    else family_seeds(graph, kind))
+    closure = reduce_seeds(op, cells, seeds)
+    for array in (x0, cells.profiles, cells.coords, seeds, cells_operator(op, cells),
+                  closure.matrix, closure.basis.coords):
+        assert array.dtype == np.complex128
 
-    @pytest.mark.parametrize("kind", [
-        InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.loop_pi(),
-        InitialStateKind.inout(1, -1), InitialStateKind.custom([1.0] + [0.0] * 35)])
-    def test_real_kinds_are_float64(self, kind):
-        graph = build_star(12, Anomaly.missing_loop(5))
-        assert initial_state(graph, kind).amplitudes.dtype == np.float64
+
+class TestRealArithmetic:
+    """Real start states walk in complex128 as every start does; one given
+    as a float64 vector walks as its complex128 copy."""
 
     @pytest.mark.parametrize("kind", [
         InitialStateKind.loop_third(), InitialStateKind.inout(1, 1j),
@@ -189,12 +216,6 @@ class TestRealArithmetic:
     def test_complex_kinds_are_complex128(self, kind):
         graph = build_star(12, Anomaly.missing_loop(5))
         assert initial_state(graph, kind).amplitudes.dtype == np.complex128
-
-    def test_criterion_10b_start_state_is_float64(self):
-        # the acceptance suite's norm-drift walk: 10,000 float64 steps at N=1e6
-        graph = build_star(1_000_000, Anomaly.loop(1))
-        assert build_step_operator(graph).is_real
-        assert initial_state(graph, InitialStateKind.minus()).amplitudes.dtype == np.float64
 
     @staticmethod
     def walks(n, phase):
@@ -224,21 +245,18 @@ class TestRealArithmetic:
         monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step", spy)
         for graph, kind in self.walks(n, phase):
             op = build_step_operator(graph)
-            assert op.is_real
             if graph.anomaly.variant == "none":
                 rows = (np.array([0, n]), np.array([], dtype=np.intp))
             else:
                 rows = anomalywalk.search._partition_rows(graph)
             x0 = initial_state(graph, kind).amplitudes
-            assert x0.dtype == np.float64
+            assert x0.dtype == np.complex128 and not np.any(x0.imag)
             dtypes.clear()
-            real = anomalywalk.search._evolve_full(op, x0, 40, *rows)
-            assert set(dtypes) == {np.dtype(np.float64)}
-            dtypes.clear()
-            cplx = anomalywalk.search._evolve_full(op, x0.astype(complex), 40, *rows)
+            real = anomalywalk.search._evolve_full(op, x0.real.copy(), 40, *rows)
+            cplx = anomalywalk.search._evolve_full(op, x0, 40, *rows)
             assert set(dtypes) == {np.dtype(np.complex128)}
             for a, b in zip(real, cplx, strict=True):
-                within(a, b, 1e-12)
+                np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestBlockWalk:
@@ -342,7 +360,7 @@ class TestBlockWalk:
                          *(loops if anomaly.schema.loops else ())):
                 walk = BlockWalk(op, _start_values(graph, kind))
                 want = initial_state(graph, kind).amplitudes
-                assert walk.dtype == walk_dtype(op, want)
+                assert {b.dtype for b in walk.buffers} == {np.dtype(complex)}
                 assert walk.sums == [0] * len(walk.buffers)
                 within(walk_state(walk), want, 1e-15)
 
@@ -394,6 +412,19 @@ class TestBlockWalk:
         assert net[1000] <= net[10] + slack
         assert net[10] <= x0.nbytes + slack
 
+    def test_custom_start_fits_the_memory_guard(self):
+        # a custom start built from a caller's array and searched in full
+        # peaks within the bytes per amplitude that `build_star` budgets
+        graph = build_star(200_000, Anomaly.loop(7))
+        x = np.random.default_rng(3).standard_normal(graph.hilbert_dim)
+        tracemalloc.start()
+        try:
+            run_search(graph, InitialStateKind.custom(x), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE
+
     def test_complex_walk_takes_its_norm_without_temporaries(self):
         # the squared norms of a complex walk's buffers, at its start and its
         # end, allocate nothing of a buffer's length either
@@ -428,8 +459,8 @@ class TestBlockWalk:
         # buffers at the start too, values per block take it in closed form
         op, starts, rows = self._loop_walk(4096)
         sizes = []
-        norm2 = anomalywalk.search._norm2
-        monkeypatch.setattr(anomalywalk.search, "_norm2",
+        norm2 = anomalywalk.search.norm2
+        monkeypatch.setattr(anomalywalk.search, "norm2",
                             lambda x: sizes.append(x.size) or norm2(x))
         for start, passes in starts:
             sizes.clear()
@@ -438,20 +469,15 @@ class TestBlockWalk:
             assert sum(sizes) == passes * op.dimension
             assert len(sizes) == passes * (len(op.basis.bounds) - 1)  # one call per block
 
-    def test_norm_drift_is_refused(self, monkeypatch):
+    def test_norm_drift_is_refused(self):
         # patches of modulus 2 add weight on every pass through the loop,
         # from either start
         op, starts, rows = self._loop_walk(256)
-        init = BlockWalk.__init__
-
-        def doubled(walk, *args):
-            init(walk, *args)
-            walk._amp = walk._amp * 2
-        monkeypatch.setattr(BlockWalk, "__init__", doubled)
+        doubled = dataclasses.replace(op, amp=op.amp * 2)
         for start, _ in starts:
             with pytest.raises(NumericalFailureError,
                                match=r"drifts .* past the tolerance 1\.0e-10"):
-                anomalywalk.search._evolve_full(op, start, 40, *rows)
+                anomalywalk.search._evolve_full(doubled, start, 40, *rows)
 
     @pytest.mark.parametrize("n, block, row, refusal", [
         (256, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.6e-09"),
