@@ -9,6 +9,8 @@ comparison.
 """
 
 import json
+import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -407,10 +409,11 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
     detected = None
     sampled = False
     if seed is not None:
-        rng = _rng(seed)
-        probs = np.clip(np.append(spoke, undetected), 0.0, None)
-        probs /= probs.sum()
-        outcome = int(rng.choice(n + 1, p=probs))
+        weights = np.append(spoke, undetected)
+        cumulative = np.cumsum(weights)
+        drawn = np.searchsorted(cumulative, _uniforms(seed, 1)[0] * cumulative[-1], side="right")
+        # u * total may round up to the total, past the last outcome of weight
+        outcome = min(int(drawn), int(np.flatnonzero(weights)[-1]))
         detected = outcome + 1 if outcome < n else None
         sampled = True
     return MeasurementResult(distribution=distribution,
@@ -425,33 +428,59 @@ class BaselineStatistics(NamedTuple):
     expected_mean: float
 
 
-# bytes per trial while sampling: the Beta keys, the counts and one temporary
-_BASELINE_BYTES_PER_TRIAL = 24
+# peak bytes per trial while sampling (tracemalloc): three float64 arrays,
+# the thresholds, the ranks and their powers
+_BASELINE_BYTES_PER_TRIAL = 25
 
 
-def _rng(seed: int) -> "np.random.Generator":  # quoted: numpy loads np.random on first use
-    """The generator of a non-negative integer seed."""
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """`count` uniforms on [0, 1), on the 53-bit grid, from the standard
+    library's generator seeded by a non-negative integer."""
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8") >> 11
+    return bits * 2.0 ** -53
 
 
 def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     """Query counts of independent scans of shuffled adjacency lists.
 
-    A shuffle orders the vertices by iid uniform keys.  The smallest key
-    of the k anomaly-adjacent vertices is Beta(1, k), and each of the other
-    N - k vertices comes before it with that probability, so the count is
-    exactly 1 + Binomial(N - k, Beta(1, k)): O(trials) work, not O(trials N).
+    The count Q is the rank of the first of the k anomaly-adjacent vertices
+    in a uniform shuffle of the N outer ones, so P(Q > q) = C(N - q, k) /
+    C(N, k) = f(N - q) / f(N) for the falling factorial f(m) = m (m - 1) ...
+    (m - k + 1).  Each Q is drawn by inversion of one uniform u: Q = N - m
+    for the largest m in [k - 1, N - 1] with f(m) <= u f(N).  For k <= 2,
+    f(m) = (m - c)^k - c^2 with c = (k - 1) / 2, so that m is the floor of
+    c + s^(1/k), s = u f(N) + c^2; one step each way against (m - c)^k <= s
+    mends a floor that the rounding of the root moved across an integer.
+    The law is exact but for float64 rounding, which moves a draw to the
+    next rank only for a u within a few ulps of that rank's threshold.  That
+    is O(trials) work, not O(trials N), with no Python loop per trial.
     """
     if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to find")
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
-    rng = _rng(seed)
     require_memory(trials * _BASELINE_BYTES_PER_TRIAL, f"{trials} trials")
-    k = len(graph.anomaly_vertices)
-    return 1 + rng.binomial(graph.n_spokes - k, rng.beta(1.0, k, size=trials))
+    n, k = graph.n_spokes, len(graph.anomaly_vertices)
+    c = (k - 1) / 2
+    s = _uniforms(seed, trials)
+    s *= float(math.perm(n, k))
+    s += c * c
+    m = s ** (1 / k)
+    m += c
+    np.floor(m, out=m)
+    power = np.empty_like(m)
+    for step in (0, 1):  # the guess steps down, then its successor, where (m - c)^k > s
+        m += step
+        np.subtract(m, c, out=power)
+        power **= k
+        np.greater(power, s, out=power)
+        m -= power
+    del s, power
+    np.clip(m, k - 1, n - 1, out=m)
+    np.subtract(n, m, out=m)
+    return m.astype(np.int64)
 
 
 def baseline_statistics(graph: StarGraph, trials: int,

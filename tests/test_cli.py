@@ -145,15 +145,19 @@ def test_phase_beyond_float_range_is_a_semantic_error(capsys, tmp_path, argv):
     assert not (tmp_path / "shifts.csv").exists()
 
 
-def _loaded_by_import(module):
-    """Whether importing the CLI in a fresh interpreter loads the module."""
+def _loaded_by_import(module, argv=None):
+    """Whether importing the CLI in a fresh interpreter, and running it on
+    argv if given, loads the module.  The run must exit 0."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
-    probe = f"import sys, anomalywalk.cli; print({module!r} in sys.modules)"
+    probe = "import sys, anomalywalk.cli; "
+    if argv is not None:
+        probe += f"assert anomalywalk.cli.main({list(argv)!r}) == 0; "
+    probe += f"print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return result.stdout.splitlines()[-1] == "True"
 
 
 def peak_rss_mib(*argv):
@@ -187,6 +191,12 @@ def test_import_does_not_load_numpy_random():
     # numpy loads np.random on first use, for some 6 MiB and 50 ms; an
     # annotation evaluated at import must not be that use
     assert not _loaded_by_import("numpy.random")
+
+
+def test_baseline_does_not_load_numpy_random():
+    # the baseline draws from the standard library's generator; np.random
+    # would bring OpenSSL into the launch through secrets and hmac
+    assert not _loaded_by_import("numpy.random", ["baseline", "--spec", LOOP100])
 
 
 def test_import_loads_every_package_module():

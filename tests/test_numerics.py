@@ -4,6 +4,7 @@ a certificate tolerance by hand."""
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -250,4 +251,46 @@ def test_only_numerics_compares_a_value_with_a_certificate_tolerance():
     found = {path.name: lines for path in sorted(package.glob("*.py"))
              if path.name != "numerics.py"
              and (lines := hand_compared_tolerances(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
+
+
+def numpy_random_references(source: str) -> list[int]:
+    """Lines of source that reference numpy.random: an attribute, an import
+    or a quoted annotation."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            hit = any(NUMPY_RANDOM.match(prefix + alias.name) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = NUMPY_RANDOM.search(node.value)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_a_numpy_random_reference():
+    assert numpy_random_references("x = np.random.default_rng(1)\n") == [1]
+    assert numpy_random_references("import numpy.random\n") == [1]
+    assert numpy_random_references("import numpy.random as npr\n") == [1]
+    assert numpy_random_references("from numpy.random import default_rng\n") == [1]
+    assert numpy_random_references("from numpy import linalg, random\n") == [1]
+    assert numpy_random_references("def f() -> 'np.random.Generator':\n    pass\n") == [1]
+    # the standard library's generator and other numpy modules are not
+    assert numpy_random_references("import random\nrandom.Random(1)\n"
+                                   "from numpy import linalg\nnp.linalg.eigh(a)\n") == []
+
+
+def test_no_module_references_numpy_random():
+    package = Path(anomalywalk.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := numpy_random_references(path.read_text(encoding="utf-8")))}
     assert found == {}

@@ -5,8 +5,9 @@ exit status, whatever text, spec object or argv it is given.  Sizes that
 would run are kept small (N at most 1e4, at most 20,000 trials; N at most
 200, horizons at most 200 and at most 3 sizes of at most 256 for the walk
 verbs); hostile sizes are ones that must be refused before anything is
-allocated.  Free text never holds digits, since int() reads digits of any
-script and a stray valid size could run a large walk.
+allocated.  Free text may hold ASCII, digits and other scripts; a text
+that int() reads as a count past these bounds is left out, since int()
+reads digits of any script and a stray valid size could run a large walk.
 """
 
 import contextlib
@@ -79,7 +80,24 @@ def test_parse_spec_on_spec_objects(spec):
 SMALL_SIZES = st.one_of(st.integers(-2, 200), st.just(10_000), st.sampled_from(HUGE))
 SPEC_ARGS = st.one_of(spec_objects(SMALL_SIZES).map(json.dumps), st.text(max_size=12))
 COUNTS = st.one_of(st.integers(-3, 20_000), st.sampled_from(HUGE + (-(2 ** 63),)))
-OPTION_VALUES = st.one_of(COUNTS.map(str), st.integers().map(str), st.text(max_size=6))
+
+
+def free_text(bound):
+    """Text of ASCII, digits and other scripts, leaving out a text with a
+    comma-separated part that int() reads as more than bound."""
+    def within(text):
+        for part in text.split(","):
+            try:
+                if int(part) > bound:
+                    return False
+            except ValueError:
+                pass
+        return True
+    return st.one_of(st.text(alphabet="abxyz_+-.,= \t0123456789", max_size=6),
+                     st.text(max_size=6)).filter(within)
+
+
+OPTION_VALUES = st.one_of(COUNTS.map(str), st.integers().map(str), free_text(20_000))
 
 
 @st.composite
@@ -130,7 +148,7 @@ def mostly(valid, hostile):
     return st.integers(0, 4).flatmap(lambda k: hostile if k == 4 else valid)
 
 
-WORDS = st.text(alphabet="abxyz_+-.,= \t", max_size=6)
+WORDS = free_text(200)
 STEPS = mostly(st.integers(1, 200),
                st.sampled_from(HUGE + (0, -1, -3, -(10 ** 400))) | st.integers(-3, 0)).map(str)
 VALUES = mostly(STEPS, WORDS)

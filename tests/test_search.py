@@ -807,6 +807,45 @@ class TestMeasurement:
         with pytest.raises(ConfigurationError, match="seed must be non-negative"):
             measure_accessible(state, graph, seed=-1)
 
+    # spokes 1..6, then the undetected outcome; spokes 1 and 5 weigh nothing
+    WEIGHTS = (0.0, 0.1, 0.2, 0.15, 0.0, 0.25, 0.3)
+
+    def weighted_state(self, weights):
+        """A state on a star of 6 spokes with a loop at 3 whose outcome
+        weights are the given ones: spoke j's on its out state, the
+        undetected one's on the loop."""
+        graph = build_star(6, Anomaly.loop(3))
+        basis = make_basis(graph)
+        amps = np.zeros(basis.dim, dtype=complex)
+        amps[basis.out_block] = np.sqrt(weights[:6])
+        amps[basis.anomaly_only_rows] = 1j * np.sqrt(weights[6])
+        return graph, make_state(amps)
+
+    def test_draws_follow_the_outcome_law(self):
+        graph, state = self.weighted_state(self.WEIGHTS)
+        m = measure_accessible(state, graph)
+        law = np.array([m.distribution[j] for j in range(1, 7)] + [m.p_undetected])
+        assert law == pytest.approx(self.WEIGHTS, abs=1e-12)
+        seeds = 4000
+        counts = np.zeros(7, int)
+        for seed in range(seeds):
+            drawn = measure_accessible(state, graph, seed=seed).detected_edge
+            counts[6 if drawn is None else drawn - 1] += 1
+        assert counts[law == 0].sum() == 0  # an outcome of no weight is never drawn
+        expected = seeds * law[law > 0]
+        chi2 = float(((counts[law > 0] - expected) ** 2 / expected).sum())
+        assert chi2 < 18.467  # the 0.999 quantile of chi-square with 4 degrees of freedom
+
+    @pytest.mark.parametrize("u,edge", [(0.0, 2), (1.0 - 2.0 ** -53, 6), (1.0, 6)])
+    def test_the_ends_of_the_unit_interval_draw_outcomes_of_weight(self, monkeypatch, u, edge):
+        # u = 1 stands for a product u * total that rounds up to the total:
+        # the draw stays on the last outcome of weight
+        weights = self.WEIGHTS[:6] + (0.0,)
+        weights = tuple(w / sum(weights) for w in weights)
+        graph, state = self.weighted_state(weights)
+        monkeypatch.setattr(anomalywalk.search, "_uniforms", lambda seed, count: np.full(count, u))
+        assert measure_accessible(state, graph, seed=0).detected_edge == edge
+
     def test_dimension_check(self):
         graph = build_star(5, Anomaly.none())
         from anomalywalk.edgespace import make_state
@@ -874,6 +913,20 @@ class TestClassicalBaseline:
         assert stats.expected_mean == (n + 1) / (k + 1)
         # five standard errors of the mean
         assert abs(stats.mean - stats.expected_mean) < 5 * stats.std / math.sqrt(200_000)
+
+    @pytest.mark.parametrize("anomaly", [Anomaly.loop(7), Anomaly.extra_edge(3, 700)])
+    def test_trials_fit_the_memory_refusal(self, anomaly):
+        # baseline_statistics refuses a trial count by _BASELINE_BYTES_PER_TRIAL
+        # a trial; the per-trial arrays are the whole peak, for k = 1 and k = 2
+        graph = build_star(1000, anomaly)
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            baseline_statistics(graph, trials=trials, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / trials <= anomalywalk.search._BASELINE_BYTES_PER_TRIAL
 
     def test_argument_validation(self):
         plain = build_star(10, Anomaly.none())
