@@ -428,18 +428,31 @@ class BaselineStatistics(NamedTuple):
     expected_mean: float
 
 
-# peak bytes per trial while sampling (tracemalloc): three float64 arrays,
-# the thresholds, the ranks and their powers
-_BASELINE_BYTES_PER_TRIAL = 25
+# peak bytes per trial while sampling (tracemalloc): two 8-byte arrays,
+# the uniforms, turned into ranks in place, and their int64 copy
+_BASELINE_BYTES_PER_TRIAL = 17
+
+# uniforms drawn per call to randbytes: randbytes(n) is getrandbits(8 n),
+# whose bit count is a C int, and a chunk bounds the temporaries
+_UNIFORM_CHUNK = 2 ** 12
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
     """`count` uniforms on [0, 1), on the 53-bit grid, from the standard
-    library's generator seeded by a non-negative integer."""
+    library's generator seeded by a non-negative integer.
+
+    Every chunk is a whole number of 32-bit words of the generator's
+    stream, so the draws do not depend on the chunk size.
+    """
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    bits = np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8") >> 11
-    return bits * 2.0 ** -53
+    rng = random.Random(seed)
+    out = np.empty(count)
+    for start in range(0, count, _UNIFORM_CHUNK):
+        chunk = out[start:start + _UNIFORM_CHUNK]
+        bits = np.frombuffer(rng.randbytes(8 * len(chunk)), "<u8") >> 11
+        np.multiply(bits, 2.0 ** -53, out=chunk)
+    return out
 
 
 def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
@@ -451,11 +464,10 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     (m - k + 1).  Each Q is drawn by inversion of one uniform u: Q = N - m
     for the largest m in [k - 1, N - 1] with f(m) <= u f(N).  For k <= 2,
     f(m) = (m - c)^k - c^2 with c = (k - 1) / 2, so that m is the floor of
-    c + s^(1/k), s = u f(N) + c^2; one step each way against (m - c)^k <= s
-    mends a floor that the rounding of the root moved across an integer.
-    The law is exact but for float64 rounding, which moves a draw to the
-    next rank only for a u within a few ulps of that rank's threshold.  That
-    is O(trials) work, not O(trials N), with no Python loop per trial.
+    c + (u f(N) + c^2)^(1/k).  The law is exact but for float64 rounding,
+    which gives a u the rank of a u' within a few ulps of it, so it moves a
+    draw to the next rank only for a u that close to that rank's threshold.
+    That is O(trials) work, not O(trials N), with no Python loop per trial.
     """
     if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to find")
@@ -464,20 +476,13 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     require_memory(trials * _BASELINE_BYTES_PER_TRIAL, f"{trials} trials")
     n, k = graph.n_spokes, len(graph.anomaly_vertices)
     c = (k - 1) / 2
-    s = _uniforms(seed, trials)
-    s *= float(math.perm(n, k))
-    s += c * c
-    m = s ** (1 / k)
+    m = _uniforms(seed, trials)
+    m *= float(math.perm(n, k))
+    m += c * c
+    if k == 2:  # the root; k is 1 or 2, the anomaly's one or two vertices
+        np.sqrt(m, out=m)
     m += c
     np.floor(m, out=m)
-    power = np.empty_like(m)
-    for step in (0, 1):  # the guess steps down, then its successor, where (m - c)^k > s
-        m += step
-        np.subtract(m, c, out=power)
-        power **= k
-        np.greater(power, s, out=power)
-        m -= power
-    del s, power
     np.clip(m, k - 1, n - 1, out=m)
     np.subtract(n, m, out=m)
     return m.astype(np.int64)

@@ -5,7 +5,9 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from anomalywalk.stargraph import (
     _WORKING_SET_BYTES_PER_AMPLITUDE,
     Anomaly,
     PhaseAngle,
+    StarGraph,
     build_star,
 )
 from anomalywalk.stepop import BlockWalk, build_step_operator
@@ -913,6 +916,50 @@ class TestClassicalBaseline:
         assert stats.expected_mean == (n + 1) / (k + 1)
         # five standard errors of the mean
         assert abs(stats.mean - stats.expected_mean) < 5 * stats.std / math.sqrt(200_000)
+
+    @staticmethod
+    def exact_rank(u, n, k):
+        # Q = N - m for the largest m in [k - 1, N - 1] with f(m) <= u f(N),
+        # f the falling factorial, in rational arithmetic
+        bound = Fraction(u) * math.perm(n, k)
+        lo, hi = k - 1, n - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.perm(mid, k) <= bound else (lo, mid - 1)
+        return n - lo
+
+    @pytest.mark.parametrize("n", [3, 1000, 12_345, 10 ** 9])
+    @pytest.mark.parametrize("anomaly", [Anomaly.loop(1), Anomaly.extra_edge(1, 2)])
+    def test_sampler_inverts_at_the_rank_thresholds(self, monkeypatch, n, anomaly):
+        # the uniforms at which the rank changes, f(m) / f(N), one ulp and
+        # 2^-40 of it either side, and the ends of [0, 1): each draw is the
+        # exact rank of a u' within 4 ulps of its u, as the sampler's
+        # docstring allows, so it is exact 2^-40 off a threshold
+        graph = StarGraph(n, anomaly)  # no amplitudes: N may pass the memory guard
+        k = len(graph.anomaly_vertices)
+        us = [0.0, 1.0 - 2.0 ** -53]
+        for m in sorted({k - 1, k, k + 1, n // 3, n // 2, n - 2, n - 1}):
+            threshold = math.perm(m, k) / math.perm(n, k)
+            us += [threshold * (1 - 2.0 ** -40), np.nextafter(threshold, 0.0), threshold,
+                   np.nextafter(threshold, 1.0), threshold * (1 + 2.0 ** -40)]
+        us = np.array([u for u in us if 0.0 <= u < 1.0])
+        monkeypatch.setattr(anomalywalk.search, "_uniforms", lambda seed, count: us.copy())
+        draws = anomalywalk.search._sample_queries(graph, len(us), seed=0)
+        tolerance = 4 * 2.0 ** -52
+        for u, q in zip(us.tolist(), draws.tolist()):
+            low = self.exact_rank(min(u * (1 + tolerance), 1.0 - 2.0 ** -53), n, k)
+            high = self.exact_rank(u * (1 - tolerance), n, k)
+            assert low <= q <= high, (u, q)
+        assert draws[0] == n - k + 1 and draws[1] == 1  # u = 0 and the largest u
+
+    def test_uniforms_do_not_depend_on_the_chunk(self, monkeypatch):
+        # randbytes takes its bit count as a C int, so the uniforms come in
+        # chunks; each is whole 32-bit words of one stream
+        count, seed = 1000, 3
+        whole = (np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8") >> 11) * 2.0 ** -53
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(anomalywalk.search, "_UNIFORM_CHUNK", chunk)
+            assert np.array_equal(anomalywalk.search._uniforms(seed, count), whole)
 
     @pytest.mark.parametrize("anomaly", [Anomaly.loop(7), Anomaly.extra_edge(3, 700)])
     def test_trials_fit_the_memory_refusal(self, anomaly):
