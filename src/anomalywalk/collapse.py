@@ -25,18 +25,9 @@ from .errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from .numerics import DEFAULT_POLICY, norm2, require_within
+from .numerics import DEFAULT_POLICY, inner, norm2, orthogonalize, require_within
 from .stargraph import StarGraph
 from .stepop import StepOperator
-
-
-def _inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<q_k, x> for every row q_k, reading the rows in place."""
-    return (x.conj() @ rows.T).conj()
-
-
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(norm2(x))
 
 
 _LEAKAGE = "basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}"
@@ -78,7 +69,9 @@ class ReducedBasis(NamedTuple):
         for k, block in enumerate(self.blocks):
             inside = (index >= block.start) & (index < block.stop)
             offsets = index[inside] - block.start
-            cells[inside, k * p] = ~np.isin(offsets, self.anomalous) / self.uniform_sum
+            # off the at most two anomaly offsets; np.isin may import numpy.ma
+            bulk = (offsets[:, None] != self.anomalous).all(axis=1)
+            cells[inside, k * p] = bulk / self.uniform_sum
             cells[inside, k * p + 1:(k + 1) * p] = self.profiles[:, offsets].T
         cells[:, len(self.blocks) * p:] = index[:, None] == self.units
         return cells @ self.coords.T
@@ -97,8 +90,8 @@ class ReducedBasis(NamedTuple):
     def decompose_cells(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
         """Coefficients c on the basis of a vector given in cell
         coordinates, and the norm of its part outside the basis."""
-        c = _inner(self.coords, cells)
-        return c, _norm(cells - c @ self.coords)
+        c = inner(self.coords, cells)
+        return c, math.sqrt(norm2(cells - c @ self.coords))
 
 
 class ReducedOperator(NamedTuple):
@@ -110,30 +103,12 @@ class ReducedOperator(NamedTuple):
         return self.matrix.shape[0]
 
 
-def _orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
-    """Remove the span of the orthonormal rows from vec, in place.
-
-    Classical Gram-Schmidt run twice (CGS2), each sweep one projection
-    h = <Q, vec> and one update vec -= h Q; the second sweep is skipped
-    when the first already leaves a residual of at most tol, since a
-    further projection could only shrink it.  Returns the residual norm.
-    """
-    if len(rows):
-        for _ in range(2):
-            vec -= _inner(rows, vec) @ rows
-            res = _norm(vec)
-            if res <= tol:
-                break
-        return res
-    return _norm(vec)
-
-
 def _accept(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Orthogonalize vec against the rows and append it, normalised, unless
     its residual is at most DEFAULT_POLICY.closure_residual or the rows
     already span the space; returns the rows."""
     tol = DEFAULT_POLICY.closure_residual
-    res = _orthogonalize(vec, rows, tol)
+    res = orthogonalize(vec, rows, tol)
     if res <= tol or len(rows) == vec.size:
         return rows
     vec *= 1.0 / res  # not vec / res: a complex division by a nan residual warns
@@ -236,7 +211,7 @@ def _cell_row(cells: ReducedBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
     for h, block in zip(row[:bulk].reshape(len(cells.blocks), -1), cells.blocks):
         part = x[block].astype(complex)
         part[cells.anomalous] = 0.0
-        h[0], h[1:] = part.sum() / s, _inner(cells.profiles, part)
+        h[0], h[1:] = part.sum() / s, inner(cells.profiles, part)
         part -= h[1:] @ cells.profiles
         part -= h[0] / s
         part[cells.anomalous] = 0.0

@@ -4,10 +4,11 @@ All tolerance constants live in one frozen record instead of scattered
 magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
 call runs, never at import, so a test that needs another threshold swaps
 the record in the module that reads it.  `require_within` checks each
-certificate: a value against one of these tolerances, and `norm2` takes
-every squared norm of a vector of length N.
+certificate: a value against one of these tolerances, `norm2` takes every
+squared norm of a vector of length N, and `orthogonalize` is the one CGS2.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +39,8 @@ class NumericPolicy(NamedTuple):
     eig_residual_tol: float = 1e-8
     unit_circle_tol: float = 1e-9
     cluster_tol: float = 1e-6
-    # a cluster's eigenvectors span its multiplicity when no diagonal entry
-    # of their QR factor R falls below this
+    # a cluster's eigenvectors span its multiplicity when none of them
+    # leaves a residual below this once orthogonalized against the others
     rank_tol: float = 1e-8
     projector_tol: float = 1e-9
     # perturbation matching and fits; a spectrum at N caps its cluster
@@ -65,3 +66,26 @@ def norm2(x: np.ndarray) -> float:
     """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
     v = x.view(np.float64)
     return float(v @ v)
+
+
+def inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<q_k, x> for every row q_k, reading the rows in place."""
+    return (x.conj() @ rows.T).conj()
+
+
+def orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
+    """Remove the span of the orthonormal rows from the contiguous vec, in place.
+
+    Classical Gram-Schmidt run twice (CGS2), each sweep one projection
+    h = <Q, vec> and one update vec -= h Q; the second sweep is skipped
+    when the first already leaves a residual of at most tol, since a
+    further projection could only shrink it.  Returns the residual norm.
+    """
+    if len(rows):
+        for _ in range(2):
+            vec -= inner(rows, vec) @ rows
+            res = math.sqrt(norm2(vec))
+            if res <= tol:
+                break
+        return res
+    return math.sqrt(norm2(vec))

@@ -167,7 +167,7 @@ def _branch_labels(samples) -> list[float]:
 
 
 def fit_scaling(samples) -> list[ScalingFit]:
-    """Power-law fits of shift magnitude against size, one per branch.
+    """Least-squares power-law fits of shift magnitude against size, one per branch.
 
     samples: iterable of (n_spokes, EigenShift) pairs.  Shifts at or
     below the noise floor are excluded and counted; a branch whose every
@@ -198,10 +198,11 @@ def fit_scaling(samples) -> list[ScalingFit]:
                 f"{len({n for n, _ in usable})} sizes, need at least 4")
         logn = np.log([float(n) for n, _ in usable])
         logd = np.log([delta for _, delta in usable])
-        slope, intercept = np.polyfit(logn, logd, 1)
+        x, y = logn - logn.mean(), logd - logd.mean()
+        slope = float(x @ y) / float(x @ x)
+        intercept = logd.mean() - slope * logn.mean()
         residual = logd - (slope * logn + intercept)
-        total = logd - logd.mean()
-        ss_tot = float(total @ total)
+        ss_tot = float(y @ y)
         r2 = 1.0 - float(residual @ residual) / ss_tot if ss_tot > 0 else 1.0
         fits.append(ScalingFit(branch_theta0=theta0, slope=float(slope),
                                intercept=float(intercept), r_squared=r2,

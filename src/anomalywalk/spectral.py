@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
-from .numerics import DEFAULT_POLICY, require_within
+from .numerics import DEFAULT_POLICY, orthogonalize, require_within
 
 
 class Spectrum(NamedTuple):
@@ -105,15 +105,15 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
     blocks = []
     mults = []
     for group in _cluster_phases(thetas, cluster_tol):
-        q, r = np.linalg.qr(vectors[:, group])
-        # a normal matrix gives |R_ii| ~ 1 here; deficiency means the
-        # cluster's eigenvectors do not span their multiplicity
-        rdiag = np.abs(np.diag(r))
-        if not rdiag.min() >= policy.rank_tol:  # a nan fails too
-            raise NumericalFailureError(
-                "eigenvector cluster is rank deficient; matrix is not normal")
+        frame = vectors[:, group].T.copy()
+        for i, vec in enumerate(frame):
+            res = orthogonalize(vec, frame[:i], policy.rank_tol)
+            if not res >= policy.rank_tol:  # a nan fails too, before the division
+                raise NumericalFailureError(
+                    "eigenvector cluster is rank deficient; matrix is not normal")
+            vec *= 1.0 / res
         phases.append(_representative(thetas[group], cluster_tol))
-        blocks.append(q)
+        blocks.append(frame.T)
         mults.append(len(group))
     order = np.argsort(phases)
     phases, blocks, mults = ([seq[k] for k in order] for seq in (phases, blocks, mults))

@@ -160,19 +160,33 @@ def _loaded_by_import(module, argv=None):
     return result.stdout.splitlines()[-1] == "True"
 
 
+# starts one CLI launch and prints its exit code and its peak resident set
+# in KiB, read from its rusage by os.wait4, as the benchmark reads it
+_RSS_LAUNCHER = (
+    "import os, subprocess, sys; "
+    "child = subprocess.Popen([sys.executable, '-c', sys.argv[1], *sys.argv[2:]], "
+    "stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(child.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
 def peak_rss_mib(*argv):
-    """The peak resident set, in MiB, of one CLI launch with the given argv,
-    read from the child's rusage by os.wait4, as the benchmark reads it.
-    The launch must exit 0."""
+    """The peak resident set, in MiB, of one CLI launch with the given argv.
+    The launch must exit 0.
+
+    Linux carries a process's peak across exec, so a child's peak is at
+    least the resident set of the process that forked it.  A fresh
+    interpreter of about 10 MiB starts the launch: started from this test
+    run, whose resident set can pass 40 MiB, every launch would read the
+    same peak."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
     code = "import sys; from anomalywalk.cli import main; sys.exit(main(sys.argv[1:]))"
-    child = subprocess.Popen([sys.executable, "-c", code, *argv],
-                             env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
-    return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    result = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, code, *argv],
+                            env=env, capture_output=True, text=True, check=True)
+    status, peak = map(int, result.stdout.split())
+    assert status == 0
+    return peak / 1024  # ru_maxrss is in KiB on Linux
 
 
 needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
@@ -197,6 +211,37 @@ def test_baseline_does_not_load_numpy_random():
     # the baseline draws from the standard library's generator; np.random
     # would bring OpenSSL into the launch through secrets and hmac
     assert not _loaded_by_import("numpy.random", ["baseline", "--spec", LOOP100])
+
+
+EXTRA_FAR = '{"n_spokes": 100, "anomaly": {"type": "extra_edge", "u": 1, "v": 60}}'
+VERB_RUNS = {
+    "check": ("check", "--spec", EXTRA_FAR),
+    "evolve": ("evolve", "--spec", EXTRA_FAR, "--steps", "20", "--out", "{tmp}/steps.csv"),
+    "search": ("search", "--spec", EXTRA_FAR, "--method", "reduced"),
+    "spectrum": ("spectrum", "--spec", EXTRA_FAR, "--out", "{tmp}/spec.csv"),
+    # endpoints 14 or more apart sent np.isin down its sort path, which
+    # imports numpy.ma
+    "perturb": ("perturb", "--anomaly", "extra_edge", "--u", "1", "--v", "60",
+                "--out", "{tmp}/shifts.csv"),
+    "sweep": ("sweep", "--spec", EXTRA_FAR, "--n-list", "64,100", "--out", "{tmp}/peaks.csv"),
+    "baseline": ("baseline", "--spec", EXTRA_FAR, "--trials", "100"),
+}
+
+
+@pytest.mark.parametrize("argv", VERB_RUNS.values(), ids=VERB_RUNS)
+def test_no_verb_loads_numpy_ma(argv, tmp_path):
+    # numpy.ma costs a launch some 1.3 MiB and 13 ms, and no verb needs it
+    assert not _loaded_by_import("numpy.ma", [a.replace("{tmp}", str(tmp_path)) for a in argv])
+
+
+@needs_wait4
+def test_far_extra_edge_perturb_peaks_as_a_near_one(tmp_path):
+    # the basis rows of far endpoints once took np.isin's sort path and
+    # paged in numpy.ma, some 1 MiB above the launch with adjacent ones
+    near, far = (peak_rss_mib("perturb", "--anomaly", "extra_edge", "--u", "1", "--v", v,
+                              "--out", str(tmp_path / f"shifts{v}.csv"))
+                 for v in ("2", "60"))
+    assert far - near <= 0.5, (near, far)
 
 
 def test_import_loads_every_package_module():

@@ -1,6 +1,6 @@
 """The one certificate check: `require_within`, the certificates that call
 it, and a guard that keeps every other module from comparing a value with
-a certificate tolerance by hand."""
+a certificate tolerance by hand; and a guard on the numpy a run may load."""
 
 import argparse
 import ast
@@ -254,43 +254,89 @@ def test_only_numerics_compares_a_value_with_a_certificate_tolerance():
     assert found == {}
 
 
-NUMPY_RANDOM = re.compile(r"\b(np|numpy)\.random\b")
+# the numpy that no run may load or page in: np.random (through secrets,
+# OpenSSL), numpy.ma (np.isin's sort path imports it), numpy.polynomial,
+# np.polyfit's least squares, and every LAPACK routine but the eigensolver
+# (np.linalg.norm is no LAPACK routine)
+FORBIDDEN_NUMPY = re.compile(
+    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!(?:eig|norm)\b)\w+)\b")
 
 
-def numpy_random_references(source: str) -> list[int]:
-    """Lines of source that reference numpy.random: an attribute, an import
-    or a quoted annotation."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+def _dotted(node, aliases) -> str:
+    """An attribute chain as a dotted name, its root resolved through the
+    names the source imports."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([aliases.get(node.id, node.id), *reversed(parts)])
+
+
+def forbidden_numpy_references(source: str) -> list[int]:
+    """Lines of source that reference forbidden numpy: an attribute, an
+    import or a quoted annotation."""
+    tree = ast.parse(source)
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name) if a.asname else (a.name.split(".")[0],) * 2
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    lines = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
-                   and node.value.id in ("np", "numpy"))
+            names = [_dotted(node, aliases)]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
-            hit = any(NUMPY_RANDOM.match(prefix + alias.name) for alias in node.names)
+            names = [prefix + alias.name for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            hit = NUMPY_RANDOM.search(node.value)
+            names = [node.value]
         else:
             continue
-        if hit:
-            lines.append(node.lineno)
+        if any(FORBIDDEN_NUMPY.search(name) for name in names):
+            lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_guard_sees_a_numpy_random_reference():
-    assert numpy_random_references("x = np.random.default_rng(1)\n") == [1]
-    assert numpy_random_references("import numpy.random\n") == [1]
-    assert numpy_random_references("import numpy.random as npr\n") == [1]
-    assert numpy_random_references("from numpy.random import default_rng\n") == [1]
-    assert numpy_random_references("from numpy import linalg, random\n") == [1]
-    assert numpy_random_references("def f() -> 'np.random.Generator':\n    pass\n") == [1]
-    # the standard library's generator and other numpy modules are not
-    assert numpy_random_references("import random\nrandom.Random(1)\n"
-                                   "from numpy import linalg\nnp.linalg.eigh(a)\n") == []
+    assert forbidden_numpy_references("x = np.random.default_rng(1)\n") == [1]
+    assert forbidden_numpy_references("import numpy.random\n") == [1]
+    assert forbidden_numpy_references("import numpy.random as npr\n") == [1]
+    assert forbidden_numpy_references("from numpy.random import default_rng\n") == [1]
+    assert forbidden_numpy_references("from numpy import linalg, random\n") == [1]
+    assert forbidden_numpy_references("def f() -> 'np.random.Generator':\n    pass\n") == [1]
+    # the standard library's generator and numpy's eigensolver are not
+    assert forbidden_numpy_references("import random\nrandom.Random(1)\n"
+                                      "from numpy import linalg\nnp.linalg.eig(a)\n") == []
 
 
-def test_no_module_references_numpy_random():
+def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
+    for call in ("np.isin(a, b)", "np.polyfit(x, y, 1)", "numpy.ma.masked_invalid(a)",
+                 "np.polynomial.Polynomial.fit(x, y, 1)", "np.linalg.qr(a)",
+                 "np.linalg.lstsq(a, b)", "np.linalg.eigh(a)", "np.linalg.eigvals(a)",
+                 "np.linalg.svd(a)", "np.linalg.solve(a, b)", "np.linalg.LinAlgError"):
+        assert forbidden_numpy_references(f"x = 1\ny = {call}\n") == [2], call
+    for line in ("import numpy.ma", "import numpy.polynomial.polynomial as P",
+                 "from numpy import isin", "from numpy import ma",
+                 "from numpy.linalg import qr", "from numpy.linalg import eig, lstsq",
+                 "def f(a) -> 'numpy.ma.MaskedArray':\n    pass"):
+        assert forbidden_numpy_references(line + "\n") == [1], line
+    # a routine reached through an imported name or alias
+    assert forbidden_numpy_references("from numpy import linalg\nlinalg.qr(a)\n") == [2]
+    assert forbidden_numpy_references("import numpy.linalg as la\nla.pinv(a)\n") == [2]
+    assert forbidden_numpy_references("import numpy as xp\nxp.isin(a, b)\n") == [2]
+    # the eigensolver, the norm and names that only share a prefix are not
+    assert forbidden_numpy_references(
+        "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import eig, norm\n"
+        "np.linalg.eig(a)\nnp.linalg.norm(a, axis=0)\nnp.isinf(a)\nnp.isfinite(a)\n"
+        "np.matmul(a, b)\nnp.polyval(p, x)\nnp.random_walk\nrandom.random()\n") == []
+
+
+def test_no_module_references_forbidden_numpy():
     package = Path(anomalywalk.__file__).parent
     found = {path.name: lines for path in sorted(package.glob("*.py"))
-             if (lines := numpy_random_references(path.read_text(encoding="utf-8")))}
+             if (lines := forbidden_numpy_references(path.read_text(encoding="utf-8")))}
     assert found == {}

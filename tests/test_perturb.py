@@ -103,6 +103,29 @@ class TestFitScaling:
         assert fit.points_used == 8
         assert fit.slope == pytest.approx(-0.5, abs=1e-9)
 
+    def test_agrees_with_numpy_least_squares_on_the_default_sweeps(self):
+        # np.polyfit is the oracle of the closed-form fit, on every branch
+        # of each default anomaly's default sweep
+        floor = DEFAULT_POLICY.shift_floor
+        fitted = 0
+        for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, 2), Anomaly.loop(1),
+                        Anomaly.extended_edge(1), Anomaly.missing_loop(1)):
+            result = perturbation_sweep(anomaly)
+            for fit in result.fits:
+                points = [(n, abs(delta)) for n, shift in result.samples
+                          if shift.theta0 == fit.branch_theta0 for delta in shift.shifts]
+                usable = [(n, delta) for n, delta in points if delta > floor]
+                assert (fit.points_used, fit.excluded) == (len(usable), len(points) - len(usable))
+                if fit.below_floor:
+                    continue
+                logn = np.log([float(n) for n, _ in usable])
+                logd = np.log([delta for _, delta in usable])
+                slope, intercept = np.polyfit(logn, logd, 1)
+                assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+                assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0.0)
+                fitted += 1
+        assert fitted == 11
+
 
 class TestMatching:
     def test_identical_spectra_give_zero_shifts(self):

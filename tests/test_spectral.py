@@ -1,5 +1,6 @@
 """Eigenphase decomposition tests, including the reduced-walk spectrum."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from anomalywalk.collapse import reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.perturb import _limit, cluster_tol_at, sweep_seeds
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
@@ -219,6 +221,86 @@ def test_rank_tol_is_read_from_the_policy(monkeypatch):
                         DEFAULT_POLICY._replace(rank_tol=2.0))
     with pytest.raises(NumericalFailureError, match="rank deficient"):
         eigendecompose(np.eye(2))
+
+
+def qr_projectors(mat, tol):
+    """The oracle: each cluster's projector, in eigendecompose's order, from
+    a QR of the eigenvectors numpy's eig gives for the cluster."""
+    values, vectors = np.linalg.eig(mat)
+    thetas = np.angle(values / np.abs(values))
+    groups = anomalywalk.spectral._cluster_phases(thetas, tol)
+    phases = [anomalywalk.spectral._representative(thetas[g], tol) for g in groups]
+    projectors = []
+    for k in np.argsort(phases):
+        q, _ = np.linalg.qr(vectors[:, groups[k]])
+        projectors.append(q @ q.conj().T)
+    return projectors
+
+
+def unitary_with_phases(phases, seed):
+    """V diag(e^{i phases}) V* for a random unitary V."""
+    rng = np.random.default_rng(seed)
+    d = len(phases)
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return v @ np.diag(np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+
+def test_cluster_projectors_match_a_qr_oracle():
+    # every cluster of multiplicity 2 or more: the limit and finite reduced
+    # operators of each default anomaly, and unitaries with planted repeats
+    cases = []
+    for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, 2), Anomaly.loop(1),
+                    Anomaly.extended_edge(1), Anomaly.missing_loop(1)):
+        for n in (64, 4096):
+            graph = build_star(n, anomaly)
+            reduced = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
+            tol = cluster_tol_at(n)
+            cases += [(reduced.matrix, tol), (_limit(reduced).matrix, tol)]
+    for seed, phases in enumerate(([0.3, 0.3, -1.0, -1.0, 2.0, np.pi, np.pi, 0.0],
+                                   [1.0] * 3 + [-2.5] * 5, [np.pi] * 4 + [-np.pi] * 4)):
+        cases.append((unitary_with_phases(phases, seed), DEFAULT_POLICY.cluster_tol))
+    compared = 0
+    for mat, tol in cases:
+        spec = eigendecompose(mat, tol)
+        oracle = qr_projectors(mat, tol)
+        assert len(oracle) == len(spec.multiplicities)
+        for k, mult in enumerate(spec.multiplicities):
+            if mult >= 2:
+                assert np.abs(spec.projector(k) - oracle[k]).max() <= DEFAULT_POLICY.projector_tol
+                compared += 1
+    assert compared == 16
+
+
+def test_rejects_a_diagonalizable_non_normal_matrix():
+    # eigenvalues 1, 1 and -1 with a full set of eigenvectors, but the one
+    # of -1 is not orthogonal to those of 1: each cluster spans its
+    # multiplicity, and the clusters are no orthonormal frame
+    s = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    mat = s @ np.diag([1.0, 1.0, -1.0]) @ np.linalg.inv(s)
+    with pytest.raises(NumericalFailureError, match="not an orthonormal frame"):
+        eigendecompose(mat)
+
+
+def test_rank_test_refuses_a_nan_cluster_without_a_warning(monkeypatch):
+    # an eigenvector with a nan, let past the residual certificate: its
+    # residual in the cluster's frame reads nan, and it is refused before
+    # anything divides by it
+    eig, require_within = np.linalg.eig, anomalywalk.spectral.require_within
+
+    def poisoned(mat):
+        values, vectors = eig(mat)
+        vectors[0, 1] = np.nan
+        return values, vectors
+
+    def past_the_residual(what, *args):
+        if not what.startswith("eigenpair residual"):
+            require_within(what, *args)
+    monkeypatch.setattr(np.linalg, "eig", poisoned)
+    monkeypatch.setattr(anomalywalk.spectral, "require_within", past_the_residual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="rank deficient"):
+            eigendecompose(np.eye(3))
 
 
 def test_dump_spectrum_csv(tmp_path):
