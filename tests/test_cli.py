@@ -219,8 +219,8 @@ VERB_RUNS = {
     "evolve": ("evolve", "--spec", EXTRA_FAR, "--steps", "20", "--out", "{tmp}/steps.csv"),
     "search": ("search", "--spec", EXTRA_FAR, "--method", "reduced"),
     "spectrum": ("spectrum", "--spec", EXTRA_FAR, "--out", "{tmp}/spec.csv"),
-    # endpoints 14 or more apart sent np.isin down its sort path, which
-    # imports numpy.ma
+    # endpoints more than 12 apart sent np.isin down its sort path, whose
+    # np.unique imports numpy.ma
     "perturb": ("perturb", "--anomaly", "extra_edge", "--u", "1", "--v", "60",
                 "--out", "{tmp}/shifts.csv"),
     "sweep": ("sweep", "--spec", EXTRA_FAR, "--n-list", "64,100", "--out", "{tmp}/peaks.csv"),
@@ -230,7 +230,7 @@ VERB_RUNS = {
 
 @pytest.mark.parametrize("argv", VERB_RUNS.values(), ids=VERB_RUNS)
 def test_no_verb_loads_numpy_ma(argv, tmp_path):
-    # numpy.ma costs a launch some 1.3 MiB and 13 ms, and no verb needs it
+    # numpy.ma costs a launch about 1 MiB and 8 ms, and no verb needs it
     assert not _loaded_by_import("numpy.ma", [a.replace("{tmp}", str(tmp_path)) for a in argv])
 
 
