@@ -87,12 +87,6 @@ class ReducedBasis(NamedTuple):
         cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
         return cells / math.sqrt(self.profiles.shape[1])
 
-    def decompose_cells(self, cells: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coefficients c on the basis of a vector given in cell
-        coordinates, and the norm of its part outside the basis."""
-        c = inner(self.coords, cells)
-        return c, math.sqrt(norm2(cells - c @ self.coords))
-
 
 class ReducedOperator(NamedTuple):
     matrix: np.ndarray  # dim x dim, unitary

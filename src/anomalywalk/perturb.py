@@ -3,19 +3,21 @@
 The limit operator is the pure-reflection walk (hub r=1, t=0) plus 2|bo><bi|
 over the uniform outgoing and incoming bulk (non-anomaly) spoke states, the
 limit of the finite hub's 2|o><i| over the uniforms on all spokes.
-Its eigenphases are size-independent inside the reduced family space, so
-matching finite-size eigenphases branch by branch isolates the shifts,
-and fitting them against the graph size separates the degenerate branches
-(shift of order one over square root of N) from the simple ones (order
-one over N).
+Both walks act on the star's cells, which hold all four uniforms in closed
+form, so the limit is the cells' operator plus that rank-two difference;
+on extra_edge both keep to the cells' sector symmetric under swapping u
+and v.  Its eigenphases are size-independent, so matching finite-size
+eigenphases branch by branch isolates the shifts, and fitting them
+against the graph size separates the degenerate branches (shift of order
+one over square root of N) from the simple ones (order one over N).
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .collapse import ReducedBasis, ReducedOperator, certify, reduce_seeds
-from .edgespace import make_basis
+from .collapse import ReducedOperator, cells_operator, certify, star_cells
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -23,7 +25,6 @@ from .errors import (
     MatchingError,
 )
 from .numerics import DEFAULT_POLICY
-from .search import InitialStateKind, family_seeds
 from .spectral import Spectrum, eigendecompose
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
 from .stepop import build_step_operator
@@ -31,41 +32,36 @@ from .stepop import build_step_operator
 DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
-def sweep_seeds(graph: StarGraph) -> tuple[ReducedBasis, np.ndarray]:
-    """Closure seeds for perturbation runs: the star's cells and rows on them.
-
-    The uniform family generators alone can miss limit eigenvectors that
-    live on the anomaly spokes, so the symmetric anomaly-local outgoing
-    state (its unit cells) is always added; it is absorbed for free when
-    already covered.
-    """
-    kind = InitialStateKind.loop_pi() if graph.anomaly.schema.loops else InitialStateKind.minus()
-    cells, rows = family_seeds(graph, kind)
-    if graph.anomaly_vertices:
-        spoke = cells.rows(make_basis(graph).out_rows(graph.anomaly_vertices))
-        rows = np.vstack((rows, spoke.sum(axis=0) / np.sqrt(len(spoke))))
-    return cells, rows
-
-
-def _limit(finite: ReducedOperator) -> ReducedOperator:
-    """The limit operator on the basis of a finite one.
+def _sweep_operators(graph: StarGraph) -> tuple[ReducedOperator, ReducedOperator]:
+    """The step and its limit on the star's cells, each certified.
 
     The finite hub is pure reflection plus 2|o><i| over the uniform spoke
     states; in the limit the uniforms concentrate on the bulk (non-anomaly)
-    spokes, bo and bi, so the limit adds 2(|bo><bi| - |o><i|) to the finite
-    operator.  In cell coordinates, o and i are the blocks' `uniform`
-    states, and bo and bi the cells of the first (uniform) profile there.
-    The basis must hold all four, which with its closure under the walk
-    closes it under the reflection walk; both are certified.
+    spokes, bo and bi, so the limit is M + 2(|bo><bi| - |o><i|) on the
+    cells' operator M.  The cells hold all four in closed form: o and i are
+    the out and in blocks' `uniform` states, bo and bi those blocks'
+    uniform-profile cells.  The swap of u and v, a symmetry of extra_edge,
+    exchanges its unit cells out_u, out_v; in_u, in_v; (u,v), (v,u), held
+    as adjacent pairs; both operators keep to the sector symmetric under
+    it, which holds all four uniforms, and its leakage is certified.
     """
-    basis = finite.basis
-    bulk_out, bulk_in = np.eye(basis.coords.shape[1])[[0, 1 + len(basis.profiles)]]
-    uniforms = (basis.uniform(0), basis.uniform(1), bulk_out, bulk_in)
-    parts = [basis.decompose_cells(cells) for cells in uniforms]
-    (co, _), (ci, _), (cbo, _), (cbi, _) = parts
-    matrix = finite.matrix + 2.0 * (np.outer(cbo, cbi.conj()) - np.outer(co, ci.conj()))
-    certify(matrix, np.max([leak for _, leak in parts]))
-    return ReducedOperator(matrix=matrix, basis=finite.basis)
+    op = build_step_operator(graph)
+    cells = star_cells(op.basis)
+    finite = cells_operator(op, cells)
+    cell = np.eye(len(finite), dtype=complex)  # one bulk cell per block, then the units
+    limit = finite + 2.0 * (np.outer(cell[0], cell[1])
+                            - np.outer(cells.uniform(0), cells.uniform(1).conj()))
+    sector = cell
+    if graph.anomaly.variant == "extra_edge":
+        k = len(cells.blocks)
+        sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / math.sqrt(2)))
+    reduced = []
+    for matrix in (finite, limit):
+        images = matrix @ sector.T
+        matrix = sector @ images
+        certify(matrix, np.linalg.norm(images - sector.T @ matrix, axis=0).max())
+        reduced.append(ReducedOperator(matrix=matrix, basis=cells._replace(coords=sector)))
+    return tuple(reduced)
 
 
 class EigenShift(NamedTuple):
@@ -222,11 +218,9 @@ def cluster_tol_at(n_spokes: int) -> float:
 
 
 def _sweep_point(anomaly: Anomaly, n: int):
-    graph = build_star(n, anomaly)
-    reduced = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
-    limit = _limit(reduced)
+    finite, limit = _sweep_operators(build_star(n, anomaly))
     tol = cluster_tol_at(n)
-    spec_fin = eigendecompose(reduced.matrix, tol)
+    spec_fin = eigendecompose(finite.matrix, tol)
     spec_lim = eigendecompose(limit.matrix, tol)
     shifts = eigenphase_shifts(spec_fin, spec_lim)
     return [(n, shift) for shift in shifts]
@@ -237,6 +231,8 @@ def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES) -> SweepResu
     sizes = tuple(int(n) for n in sizes)
     if not sizes:
         raise ConfigurationError("size list must be non-empty")
+    if len(set(sizes)) < len(sizes):
+        raise ConfigurationError(f"size list repeats a size: {','.join(map(str, sizes))}")
     samples = [pair for n in sizes for pair in _sweep_point(anomaly, n)]
     # one label per branch at every size, so shift and fit rows join on it
     samples = tuple((n, shift._replace(theta0=label))

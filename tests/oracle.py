@@ -17,7 +17,10 @@ vector, and against `ResummingWalk`, the block walk that sums its in
 block and writes the hub rule over it at every step.  The named
 start-state families are built here as they were first written, as sums
 of full-length uniform states; `src/` fills their blocks and seeds the
-closure on the cells.
+closure on the cells.  The perturbation sweep's step and limit are built
+here as they were first built, on the closure of its seeds, with the
+limit's reflection walk applied column by column; `perturb` forms both on
+the star's cells.
 
 `src/` holds every state in complex128.  The references keep their own
 arithmetic apart from it: a walk or a basis with no imaginary part, on
@@ -30,11 +33,16 @@ check reads 1.7e-12 with it and 2.6e-14 with these dots.
 import numpy as np
 
 from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
-from anomalywalk.edgespace import BasisLabel, make_state
-from anomalywalk.errors import ConfigurationError, DimensionMismatchError, SizeError
+from anomalywalk.edgespace import BasisLabel, make_basis, make_state
+from anomalywalk.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    InvarianceError,
+    SizeError,
+)
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.search import _records
-from anomalywalk.stepop import build_scattering_operator
+from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
 def is_real(op):
@@ -301,9 +309,56 @@ def label_at(basis, pos):
 def build_unperturbed(graph):
     """The walk with the hub replaced by pure reflection (r=1, t=0).  The
     size-infinity limit of the step operator is this walk plus 2|bo><bi|
-    over the bulk uniforms (`perturb._limit`, and `reference_limit` in
-    test_collapse.py), which `perturb` reaches without building it."""
+    over the bulk uniforms (`reference_limit`), which `perturb` reaches
+    without building it, as a rank-two change to the step on the star's
+    cells."""
     return build_scattering_operator(graph, 1.0, 0.0)
+
+
+def sweep_seeds(graph):
+    """The perturbation sweep's closure seeds as first written, placed on
+    cells: the uniform out and in states, the loops' on a star with a loop
+    on every vertex, and the symmetric out state of the anomaly vertices."""
+    basis = make_basis(graph)
+    states = [hub_out_state(basis), hub_in_state(basis)]
+    if graph.anomaly.schema.loops:
+        states.append(all_loops_state(basis))
+    if graph.anomaly_vertices:
+        states.append(symmetric_out_state(basis, graph.anomaly_vertices))
+    return place(basis, [state.amplitudes for state in states])
+
+
+def reference_limit(graph, basis):
+    """V*U0V + 2(V*bo)(V*bi)* with U0 the reflection walk applied column by
+    column and bo, bi the bulk uniforms; None when the basis is not closed
+    under U0 or misses a bulk uniform."""
+    u0 = build_unperturbed(graph)
+    v = lifted(basis)
+    work = np.empty(basis.full_dim, dtype=complex)
+    images = np.stack([apply_into(u0, v[:, k].astype(complex), work).copy()
+                       for k in range(basis.dim)], axis=1)
+    core = v.conj().T @ images
+    bulk = [j for j in range(1, graph.n_spokes + 1) if j not in graph.anomaly_vertices]
+    bo = symmetric_out_state(u0.basis, bulk).amplitudes
+    bi = symmetric_in_state(u0.basis, bulk).amplitudes
+    cbo, cbi = v.conj().T @ bo, v.conj().T @ bi
+    leakage = max(np.linalg.norm(images - v @ core, axis=0).max(),
+                  np.linalg.norm(bo - v @ cbo), np.linalg.norm(bi - v @ cbi))
+    if leakage > DEFAULT_POLICY.invariance_tol:
+        return None
+    return core + 2.0 * np.outer(cbo, cbi.conj())
+
+
+def reference_operators(graph):
+    """The perturbation sweep's step and limit as first built: the closure
+    of `sweep_seeds` under the step, and `reference_limit` on it, which
+    must exist and be unitary."""
+    finite = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
+    limit = reference_limit(graph, finite.basis)
+    if limit is None:
+        raise InvarianceError("the sweep's closure misses a bulk uniform or leaks under U0")
+    certify(limit, 0.0)
+    return finite, ReducedOperator(matrix=limit, basis=finite.basis)
 
 
 def apply_adjoint_into(op, x, out):

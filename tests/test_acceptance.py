@@ -16,13 +16,14 @@ from oracle import (
     dense_matrix,
     lifted,
     reduce_columns,
+    reference_operators,
     symmetric_in_state,
     symmetric_out_state,
 )
 
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_basis
-from anomalywalk.perturb import _limit, perturbation_sweep, sweep_seeds
+from anomalywalk.perturb import perturbation_sweep
 from anomalywalk.search import (
     InitialStateKind,
     _evolve_full,
@@ -235,9 +236,8 @@ def test_criterion_08_perturbation_scaling():
     for name, anomaly in (("extra_edge", Anomaly.extra_edge(1, 2)),
                           ("loop", Anomaly.loop(1)),
                           ("extended_pi", Anomaly.extended_edge(1))):
-        graph = build_star(64, anomaly)
-        op = build_step_operator(graph)
-        limit_spec = eigendecompose(_limit(reduce_seeds(op, *sweep_seeds(graph))).matrix)
+        _, limit = reference_operators(build_star(64, anomaly))
+        limit_spec = eigendecompose(limit.matrix)
         mult = {round(t, 9): m for t, m in zip(limit_spec.eigenphases,
                                                limit_spec.multiplicities)}
         sweep = perturbation_sweep(anomaly)

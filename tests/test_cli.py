@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import anomalywalk
+import anomalywalk.perturb
 import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
@@ -767,6 +768,20 @@ class TestPerturb:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert err.startswith("error:config:")
+
+    def test_repeated_size_is_refused(self, capsys, tmp_path, monkeypatch):
+        # a size given twice would be computed twice and weigh twice in the
+        # fit; it is refused before any size is computed or file written
+        points = []
+        point = anomalywalk.perturb._sweep_point
+        monkeypatch.setattr(anomalywalk.perturb, "_sweep_point",
+                            lambda *args: points.append(args) or point(*args))
+        code, out, err = run(capsys, "perturb", "--anomaly", "loop", "--at", "1",
+                             "--n-list", "64,64,128,256,512",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out, points) == (1, "", [])
+        assert err == "error:config:size list repeats a size: 64,64,128,256,512\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

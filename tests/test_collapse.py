@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 from oracle import (
     all_loops_state,
-    apply_into,
-    build_unperturbed,
     decompose,
     dense_closure,
     dense_matrix,
@@ -22,7 +20,9 @@ from oracle import (
     reduce_operator,
     reduce_states,
     reference_closure,
+    reference_limit,
     seed_vectors,
+    sweep_seeds,
     symmetric_in_state,
     symmetric_out_state,
 )
@@ -37,7 +37,7 @@ from anomalywalk.errors import (
     NumericalFailureError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _limit, sweep_seeds
+from anomalywalk.perturb import _sweep_operators
 from anomalywalk.search import (
     InitialStateKind,
     _partition_rows,
@@ -115,7 +115,7 @@ def complex_custom(graph):
 
 def seedings(graph, op):
     """The cells and seed rows of every kind the graph admits, of a random
-    complex custom state, and of the sweep."""
+    complex custom state, and of the perturbation sweep as first written."""
     custom = initial_state(graph, complex_custom(graph)).amplitudes
     return ([family_seeds(graph, kind) for kind in named_kinds(graph)]
             + [place(op.basis, [custom]), sweep_seeds(graph)])
@@ -134,27 +134,6 @@ def test_cells_close_like_the_dense_walk(n, anomaly):
         assert projector_gap(lifted(basis), ref) <= 1e-12
 
 
-def reference_limit(graph, basis):
-    """V*U0V + 2(V*bo)(V*bi)* with U0 the reflection walk applied column by
-    column and bo, bi the bulk uniforms; None when the basis is not closed
-    under U0 or misses a bulk uniform."""
-    u0 = build_unperturbed(graph)
-    v = lifted(basis)
-    work = np.empty(basis.full_dim, dtype=complex)
-    images = np.stack([apply_into(u0, v[:, k].astype(complex), work).copy()
-                       for k in range(basis.dim)], axis=1)
-    core = v.conj().T @ images
-    bulk = [j for j in range(1, graph.n_spokes + 1) if j not in graph.anomaly_vertices]
-    bo = symmetric_out_state(u0.basis, bulk).amplitudes
-    bi = symmetric_in_state(u0.basis, bulk).amplitudes
-    cbo, cbi = v.conj().T @ bo, v.conj().T @ bi
-    leakage = max(np.linalg.norm(images - v @ core, axis=0).max(),
-                  np.linalg.norm(bo - v @ cbo), np.linalg.norm(bi - v @ cbi))
-    if leakage > DEFAULT_POLICY.invariance_tol:
-        return None
-    return core + 2.0 * np.outer(cbo, cbi.conj())
-
-
 ORACLE_SIZES = [*range(3, 13), 16, 256, 4096]
 
 
@@ -162,27 +141,22 @@ ORACLE_SIZES = [*range(3, 13), 16, 256, 4096]
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     # the operator from the cells' single pass against U applied again to
-    # the lifted basis column by column and to the basis on its cells, and
-    # the limit built on it against the reflection walk reduced column by
-    # column
+    # the lifted basis column by column and to the basis on its cells; the
+    # perturbation sweep's step and limit on its own basis against the same,
+    # the limit's reflection walk reduced column by column
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
-    cases = seedings(graph, op)
-    for k, seeds in enumerate(cases):
+    for seeds in seedings(graph, op):
         finite = reduce_seeds(op, *seeds)
         again, leakage = reduce_columns(op, lifted(finite.basis))
         assert leakage <= DEFAULT_POLICY.invariance_tol
         assert np.abs(finite.matrix - again).max() <= 1e-12
         again = reduce_operator(op, finite.basis).matrix
         assert np.abs(finite.matrix - again).max() <= 1e-12
-        ref = reference_limit(graph, finite.basis)
-        if ref is None:
-            # only the perturbation runs' own seeds must carry the limit
-            assert k < len(cases) - 1
-            with pytest.raises(InvarianceError):
-                _limit(finite)
-        else:
-            assert np.abs(_limit(finite).matrix - ref).max() <= 1e-12
+    finite, limit = _sweep_operators(graph)
+    for reduced, want in ((finite, reduce_operator(op, finite.basis).matrix),
+                          (limit, reference_limit(graph, limit.basis))):
+        assert np.abs(reduced.matrix - want).max() <= 1e-12
 
 
 WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3),
@@ -324,7 +298,8 @@ def test_reduction_allocates_nothing_of_length_n(anomaly, kind):
 def test_sweep_seeds_are_the_family_generators_and_anomaly_spoke(anomaly):
     # the rows on the cells, lifted, against the full-length generators as
     # they were first built: the family's uniform states, then the
-    # symmetric out state of the anomaly vertices
+    # symmetric out state of the anomaly vertices, which the references'
+    # sweep seeds place on cells
     graph = build_star(10, anomaly)
     basis = make_basis(graph)
     kind = InitialStateKind.loop_pi() if anomaly.schema.loops else InitialStateKind.minus()

@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from oracle import build_unperturbed, dense_matrix, lift
+from oracle import build_unperturbed, dense_matrix, reference_operators
 
 import anomalywalk.perturb
-from anomalywalk.collapse import reduce_seeds
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -18,11 +17,10 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
-    _limit,
+    _sweep_operators,
     eigenphase_shifts,
     fit_scaling,
     perturbation_sweep,
-    sweep_seeds,
     write_fits_csv,
     write_shifts_csv,
 )
@@ -197,26 +195,28 @@ class TestLimitOperator:
          [-2 / 3, -1 / 3, 0.0, 2 / 3], [1, 1, 2, 2]),
     ])
     def test_limit_branch_structure(self, anomaly, phases, mults):
+        # the branches a sweep from N=200 reads off its limit there, and
+        # that limit's unitarity
         graph = build_star(200, anomaly)
-        op = build_step_operator(graph)
-        limit = _limit(reduce_seeds(op, *sweep_seeds(graph)))
+        _, limit = _sweep_operators(graph)
         gram = limit.matrix.conj().T @ limit.matrix
         np.testing.assert_allclose(gram, np.eye(limit.dim), atol=1e-12)
-        spec = eigendecompose(limit.matrix)
+        sweep = perturbation_sweep(anomaly, sizes=(200, 400, 800, 1600))
+        branches = [(s.theta0, s.multiplicity0) for n, s in sweep.samples if n == 200]
         np.testing.assert_allclose(
-            np.array(spec.eigenphases) / np.pi, phases, atol=1e-12)
-        assert spec.multiplicities == tuple(mults)
+            np.array([theta for theta, _ in branches]) / np.pi, phases, atol=1e-12)
+        assert tuple(m for _, m in branches) == tuple(mults)
 
     def test_limit_is_size_free(self):
+        # each sweep labels its branches with the limit phases at its first size
         a64 = None
-        for n in (64, 256):
-            graph = build_star(n, Anomaly.extra_edge(1, 2))
-            op = build_step_operator(graph)
-            spec = eigendecompose(_limit(reduce_seeds(op, *sweep_seeds(graph))).matrix)
+        for sizes in ((64, 128, 256, 512), (256, 512, 1024, 2048)):
+            sweep = perturbation_sweep(Anomaly.extra_edge(1, 2), sizes)
+            phases = [s.theta0 for n, s in sweep.samples if n == sizes[0]]
             if a64 is None:
-                a64 = spec.eigenphases
+                a64 = phases
             else:
-                np.testing.assert_allclose(spec.eigenphases, a64, atol=1e-12)
+                np.testing.assert_allclose(phases, a64, atol=1e-12)
 
 
 class TestSweep:
@@ -266,14 +266,34 @@ class TestSweep:
         assert len(fit_lines) == 1 + len(result.fits)
 
 
-def test_sweep_seeds_include_anomaly_direction():
-    graph = build_star(20, Anomaly.extended_edge(4))
-    cells, rows = sweep_seeds(graph)
-    assert len(rows) == 3  # two uniforms plus the anomaly-local spoke
-    local = lift(cells, rows[-1])
-    assert abs(local[3]) == pytest.approx(1.0)
+SWEEP_CASES = [Anomaly.none()] + [
+    Anomaly.of(variant, phase, **vertices)
+    for phase in (PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7))
+    for variant, vertices in (("extra_edge", {"u": 1, "v": 2}), ("extra_edge", {"u": 1, "v": 60}),
+                              ("loop", {"at": 1}), ("extended_edge", {"at": 1}),
+                              ("missing_loop", {"at": 1}))]
 
 
-def test_sweep_seeds_missing_loop_has_four():
-    graph = build_star(20, Anomaly.missing_loop(4))
-    assert len(sweep_seeds(graph)[1]) == 4
+@pytest.mark.parametrize("anomaly", SWEEP_CASES)
+def test_sweep_matches_the_closure_reference(anomaly, monkeypatch):
+    # the default sweep on the star's cells against the sweep on the closure
+    # of its first seeds, whose limit reduces the reflection walk column by
+    # column: the same labels as written, multiplicities, floor rows and
+    # fits, the shifts above the floor within 1e-12 and the fits within 1e-10
+    got = perturbation_sweep(anomaly)
+    monkeypatch.setattr(anomalywalk.perturb, "_sweep_operators", reference_operators)
+    want = perturbation_sweep(anomaly)
+    floor = DEFAULT_POLICY.shift_floor
+
+    def rows(result):
+        return [(n, f"{s.theta0:.12g}", s.multiplicity0, [abs(d) > floor for d in s.shifts])
+                for n, s in result.samples]
+
+    assert rows(got) == rows(want)
+    for (_, a), (_, b) in zip(got.samples, want.samples):
+        above = [(x, y) for x, y in zip(a.shifts, b.shifts) if abs(y) > floor]
+        assert max((abs(x - y) for x, y in above), default=0.0) <= 1e-12
+    assert ([(f"{f.branch_theta0:.12g}", f.points_used, f.excluded) for f in got.fits]
+            == [(f"{f.branch_theta0:.12g}", f.points_used, f.excluded) for f in want.fits])
+    np.testing.assert_allclose([f[1:4] for f in got.fits], [f[1:4] for f in want.fits],
+                               rtol=0, atol=1e-10)

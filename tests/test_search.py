@@ -24,7 +24,7 @@ import anomalywalk.collapse
 import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
-from anomalywalk.collapse import ReducedBasis, cells_operator, place, reduce_seeds
+from anomalywalk.collapse import cells_operator, place, reduce_seeds
 from anomalywalk.edgespace import make_basis, make_state
 from anomalywalk.errors import (
     ConfigurationError,
@@ -632,21 +632,22 @@ class TestRunSearch:
 
     def test_reduced_runs_no_closure(self, monkeypatch, capsys, tmp_path):
         # the reduced walk steps M = C*UC on the cells that hold the start
-        # state: it neither closes the seeds nor decomposes onto a closure,
-        # while the spectrum verb still reduces once
+        # state, and the perturbation sweep reads its step and limit off the
+        # star's cells: neither closes seeds, while the spectrum verb still
+        # reduces once
         calls = []
-        close, decompose = anomalywalk.collapse.reduce_seeds, ReducedBasis.decompose_cells
+        close = anomalywalk.collapse.reduce_seeds
         for info in pkgutil.iter_modules(anomalywalk.__path__, "anomalywalk."):
             module = importlib.import_module(info.name)
             if getattr(module, "reduce_seeds", None) is close:
                 monkeypatch.setattr(module, "reduce_seeds",
                                     lambda *args: calls.append("reduce_seeds") or close(*args))
-        monkeypatch.setattr(ReducedBasis, "decompose_cells",
-                            lambda self, c: calls.append("decompose_cells") or decompose(self, c))
         graph = build_star(64, Anomaly.loop(3))
         for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
                      InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))):
             run_search(graph, kind, 30, method="reduced")
+        assert main(["perturb", "--anomaly", "loop", "--at", "3",
+                     "--out", str(tmp_path / "p.csv")]) == 0
         assert calls == []
         spec = '{"n_spokes": 64, "anomaly": {"type": "loop", "at": 3}}'
         assert main(["spectrum", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 0

@@ -4,14 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
-from oracle import reduce_columns, symmetric_in_state, symmetric_out_state
+from oracle import (
+    reduce_columns,
+    reference_operators,
+    symmetric_in_state,
+    symmetric_out_state,
+)
 
 import anomalywalk.spectral
 from anomalywalk.collapse import reduce_seeds
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _limit, cluster_tol_at, sweep_seeds
+from anomalywalk.perturb import cluster_tol_at
 from anomalywalk.search import InitialStateKind, family_seeds, initial_state
 from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
@@ -247,15 +252,16 @@ def unitary_with_phases(phases, seed):
 
 def test_cluster_projectors_match_a_qr_oracle():
     # every cluster of multiplicity 2 or more: the limit and finite reduced
-    # operators of each default anomaly, and unitaries with planted repeats
+    # operators of each default anomaly on the closure of the sweep's first
+    # seeds, and unitaries with planted repeats
     cases = []
     for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, 2), Anomaly.loop(1),
                     Anomaly.extended_edge(1), Anomaly.missing_loop(1)):
         for n in (64, 4096):
             graph = build_star(n, anomaly)
-            reduced = reduce_seeds(build_step_operator(graph), *sweep_seeds(graph))
+            finite, limit = reference_operators(graph)
             tol = cluster_tol_at(n)
-            cases += [(reduced.matrix, tol), (_limit(reduced).matrix, tol)]
+            cases += [(finite.matrix, tol), (limit.matrix, tol)]
     for seed, phases in enumerate(([0.3, 0.3, -1.0, -1.0, 2.0, np.pi, np.pi, 0.0],
                                    [1.0] * 3 + [-2.5] * 5, [np.pi] * 4 + [-np.pi] * 4)):
         cases.append((unitary_with_phases(phases, seed), DEFAULT_POLICY.cluster_tol))
