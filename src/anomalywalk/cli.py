@@ -144,6 +144,8 @@ def _parse_sizes(text: str | None) -> tuple[int, ...]:
             f"--n-list expects comma-separated integers, got {text!r}") from None
     if not sizes:
         raise ConfigurationError("--n-list is empty")
+    if len(set(sizes)) < len(sizes):  # as `perturbation_sweep` refuses it
+        raise ConfigurationError(f"size list repeats a size: {','.join(map(str, sizes))}")
     return sizes
 
 

@@ -6,6 +6,7 @@ all hub-outgoing states (0,j) for j = 1..N, then all hub-incoming states
 loop states ascending vertex, extension pair).
 """
 
+from bisect import bisect_right
 from itertools import repeat
 from typing import NamedTuple
 
@@ -98,11 +99,13 @@ class EdgeBasis(NamedTuple):
         return (*range(0, bulk * self.n_spokes + 1, self.n_spokes), self.dim)
 
     def locate(self, rows) -> tuple[tuple[int, int], ...]:
-        """The (block, offset) of each row, in the given order."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """The (block, offset) of each row, in the given order, by bisection of `bounds`."""
         bounds = self.bounds
-        blocks = np.searchsorted(bounds, rows, side="right") - 1
-        return tuple(zip(blocks.tolist(), (rows - np.take(bounds, blocks)).tolist()))
+        located = []
+        for row in map(int, rows):
+            block = bisect_right(bounds, row) - 1
+            located.append((block, row - bounds[block]))
+        return tuple(located)
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """Views of the blocks of a full-length vector."""

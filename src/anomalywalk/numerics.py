@@ -5,7 +5,8 @@ magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
 call runs, never at import, so a test that needs another threshold swaps
 the record in the module that reads it.  `require_within` checks each
 certificate: a value against one of these tolerances, `norm2` takes every
-squared norm of a vector of length N, and `orthogonalize` is the one CGS2.
+squared norm of a vector of length N, `largest` reads the worst of a few
+values, and `orthogonalize` is the one CGS2.
 """
 
 import math
@@ -60,6 +61,13 @@ def require_within(what: str, value, tol: float, error=NumericalFailureError) ->
     raise `error` with the message `what`, its {value} and {tol} slots filled."""
     if not value <= tol:
         raise error(what.format(value=value, tol=tol))
+
+
+def largest(values) -> float:
+    """The largest of a few floats, or nan when any is nan, as numpy's max
+    gives it, taken in Python so that no numpy kernel is paged in for it."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def norm2(x: np.ndarray) -> float:

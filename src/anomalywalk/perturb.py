@@ -114,8 +114,8 @@ def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum) -> list[EigenS
 
     assigned: list[list[int]] = [[] for _ in range(k0)]
     for c in range(kc):
-        col = overlap[:, c]
-        order = np.argsort(col)[::-1]
+        col = overlap[:, c].tolist()
+        order = sorted(range(k0), key=col.__getitem__, reverse=True)
         best = col[order[0]]
         second = col[order[1]] if k0 > 1 else 0.0
         if best - second < match_tol:

@@ -11,6 +11,7 @@ comparison.
 import json
 import math
 import random
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NoPredictionError,
     NothingToFindError,
 )
-from .numerics import DEFAULT_POLICY, norm2, require_within
+from .numerics import DEFAULT_POLICY, largest, norm2, require_within
 from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
@@ -34,7 +35,7 @@ class InitialStateKind(NamedTuple):
     variant: str
     amp_out: complex = 0j
     amp_in: complex = 0j
-    amplitudes: np.ndarray | tuple = ()  # a custom state's, read-only complex128
+    amplitudes: np.ndarray | tuple = ()  # a custom state's, over their norm, read-only
 
     @staticmethod
     def minus() -> "InitialStateKind":
@@ -62,12 +63,16 @@ class InitialStateKind(NamedTuple):
 
     @staticmethod
     def custom(amplitudes) -> "InitialStateKind":
-        return InitialStateKind("custom", amplitudes=_coefficients(amplitudes, "custom state"))
+        """Any state, held as its amplitudes over their norm."""
+        amps = _coefficients(amplitudes, "custom state")
+        amps /= np.sqrt(norm2(amps))
+        amps.setflags(write=False)
+        return InitialStateKind("custom", amplitudes=amps)
 
 
 def _coefficients(values, what: str) -> np.ndarray:
-    """The values as a read-only complex128 array, refused unless their
-    squared norm is a finite normal float, so their state normalises without overflow."""
+    """The values as a new complex128 array, refused unless their squared
+    norm is a finite normal float, so their state normalises without overflow."""
     coeffs = np.array(values, dtype=complex)
     if coeffs.ndim != 1:
         raise DimensionMismatchError(f"{what} needs a one-dimensional sequence of coefficients")
@@ -77,7 +82,6 @@ def _coefficients(values, what: str) -> np.ndarray:
     if not np.finfo(float).tiny <= square < np.inf:
         raise ConfigurationError(f"{what} needs finite coefficients whose squared norm "
                                  f"is a normal float, got {square:.3g}")
-    coeffs.setflags(write=False)
     return coeffs
 
 
@@ -104,6 +108,12 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
     raise ConfigurationError(f"initial-state kind {kind.variant!r} is not a named family")
 
 
+def _block_lengths(graph: StarGraph) -> list[int]:
+    """The length of each block of the graph's basis, read from its bounds."""
+    bounds = make_basis(graph).bounds
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _uniform_norm2(lengths, values) -> float:
     """The squared norm of a state that is constant on each block: the sum
     of len_b |value_b|^2."""
@@ -117,8 +127,8 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     block it does not weigh.  Their squared norm, taken in closed form,
     is certified to be 1 within `unit_norm_tol`."""
     weights = _block_weights(graph, kind)
-    lengths = np.diff(make_basis(graph).bounds).tolist()
-    norm = np.sqrt(_uniform_norm2(lengths, weights))
+    lengths = _block_lengths(graph)
+    norm = math.sqrt(_uniform_norm2(lengths, weights))
     values = tuple(w / norm for w in weights) + (0.0,) * (len(lengths) - len(weights))
     require_within("state is not unit-norm: its squared norm is {value:.3e} from 1",
                    abs(_uniform_norm2(lengths, values) - 1.0), DEFAULT_POLICY.unit_norm_tol,
@@ -126,18 +136,27 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     return values
 
 
-def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
-    """Unit-norm complex128 start state of the requested kind on this
-    graph.  A named kind fills each block with its value from
-    `_start_values`; a custom one is its amplitudes over their norm."""
+def _start(graph: StarGraph, kind: InitialStateKind):
+    """The start of a walk with no full-length copy: a named kind's values
+    per block from `_start_values`, or a custom kind's own unit-norm
+    amplitudes, refused unless they fill the graph's basis."""
     if kind.variant != "custom":
-        return make_state(np.repeat(_start_values(graph, kind),
-                                    np.diff(make_basis(graph).bounds)))
+        return _start_values(graph, kind)
     amps = kind.amplitudes
     if amps.size != graph.hilbert_dim:
         raise DimensionMismatchError(
             f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
-    return make_state(amps / np.sqrt(norm2(amps)))
+    return amps
+
+
+def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
+    """Unit-norm complex128 start state of the requested kind on this
+    graph: a named kind's value from `_start_values` on each block, or a
+    custom kind's amplitudes."""
+    start = _start(graph, kind)
+    if isinstance(start, tuple):
+        start = np.repeat(start, _block_lengths(graph))
+    return make_state(start)
 
 
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
@@ -193,12 +212,13 @@ def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
     if not targets:
         raise NothingToFindError("plain star has no anomaly to search for")
     basis = make_basis(graph)
+    targets = sorted(targets)  # ascending out rows, then ascending in rows
     rows = np.concatenate((basis.out_rows(targets), basis.in_rows(targets)))
-    return np.sort(rows), basis.anomaly_only_rows
+    return rows, basis.anomaly_only_rows
 
 
-# peak bytes per step of a run (tracemalloc): the widest rows, complex
-# amplitudes and their weights, held while the columns are summed
+# peak bytes per step of a run (tracemalloc): the widest rows of complex
+# amplitudes, held while their weights are summed into the columns
 _RECORD_BYTES = 160
 
 
@@ -207,16 +227,21 @@ def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     `walk()` returns the amplitudes at the target rows (the first k
     columns) and the anomaly rows, one array row per step, and the
-    squared norm.  The arrays are freed as soon as the columns are taken
-    from them.
+    squared norm.  The walk's array is read one column at a time, never
+    written, and freed before p_rest is taken.
     """
     amps, total = walk()
-    weights = np.abs(amps) ** 2
-    del amps
-    # row by row, as one step's amplitudes sum on their own
-    pts, pas = weights[:, :k].sum(axis=1), weights[:, k:].sum(axis=1)
-    del weights
-    rests = np.maximum(total - pts - pas, 0.0)
+    pts, pas = np.zeros(len(amps)), np.zeros(len(amps))
+    # each step's weights re^2 + im^2, added in column order as a row sums
+    for j in range(amps.shape[1]):
+        weight = amps[:, j].real ** 2
+        weight += amps[:, j].imag ** 2
+        split = pts if j < k else pas
+        split += weight
+    del amps, weight
+    rests = total - pts
+    rests -= pas
+    np.maximum(rests, 0.0, out=rests)
     for column in (pts, pas, rests):
         column.flags.writeable = False
     return pts, pas, rests
@@ -257,13 +282,13 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
             state.step()
             amps[n] = state.gather(located)
         policy = DEFAULT_POLICY
-        sums = [buf.sum() for buf in state.buffers]
+        sums = [complex(buf.sum()) for buf in state.buffers]
         past = f"over {max_steps} steps, past the tolerance {{tol:.1e}}"
         require_within("the full walk's squared norm drifts {value:.3e} " + past,
                        abs(_walk_norm2(state, sums) - total), policy.unit_norm_tol)
+        drift = largest(abs(carried - summed) for carried, summed in zip(state.sums, sums))
         require_within("the full walk's carried block sums drift {value:.3e} from their "
-                       "buffers' " + past, np.abs(np.subtract(state.sums, sums)).max(),
-                       policy.carried_sum_tol * np.sqrt(op.n_spokes))
+                       "buffers' " + past, drift, policy.carried_sum_tol * math.sqrt(op.n_spokes))
         return amps, total
 
     return _records(walk, len(target_rows))
@@ -306,7 +331,7 @@ def _spot_check(op, start, columns, target_rows, anomaly_rows):
     k = min(len(columns[0]) - 1, policy.spot_check_steps)
     ref = _evolve_full(op, start, k, target_rows, anomaly_rows)
     require_within(f"reduced evolution drifts {{value:.3e}} from the full walk at step {k}",
-                   np.abs([ref[j][k] - columns[j][k] for j in (0, 1)]).max(),
+                   largest(abs(ref[j].item(k) - columns[j].item(k)) for j in (0, 1)),
                    policy.spot_check_tol)
 
 
@@ -320,7 +345,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     earliest step.  method="reduced" steps the start state's row on the
     star's cells and spot-checks a prefix against the full walk.  A named
     kind starts both walks from its values per block and builds no
-    full-length vector; only a custom state is built by `initial_state`.
+    full-length vector; a custom kind starts them from its own array.
     """
 
     if max_steps < 1:
@@ -330,8 +355,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
     op = build_step_operator(graph)
-    start = (initial_state(graph, kind).amplitudes if kind.variant == "custom"
-             else _start_values(graph, kind))
+    start = _start(graph, kind)
     if method == "full":
         pts, pas, rests = _evolve_full(op, start, max_steps, target_rows, anomaly_rows)
     else:
@@ -411,9 +435,9 @@ def measure_accessible(state: WalkState, graph: StarGraph, *,
     if seed is not None:
         weights = np.append(spoke, undetected)
         cumulative = np.cumsum(weights)
-        drawn = np.searchsorted(cumulative, _uniforms(seed, 1)[0] * cumulative[-1], side="right")
+        drawn = bisect_right(cumulative, _uniforms(seed, 1).item() * cumulative.item(-1))
         # u * total may round up to the total, past the last outcome of weight
-        outcome = min(int(drawn), int(np.flatnonzero(weights)[-1]))
+        outcome = min(drawn, int(np.flatnonzero(weights)[-1]))
         detected = outcome + 1 if outcome < n else None
         sampled = True
     return MeasurementResult(distribution=distribution,

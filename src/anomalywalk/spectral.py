@@ -36,13 +36,14 @@ class Spectrum(NamedTuple):
         return b @ b.conj().T
 
 
-def _cluster_phases(thetas: np.ndarray, tol: float) -> list[np.ndarray]:
+def _cluster_phases(thetas: np.ndarray, tol: float) -> list[list[int]]:
     """Group sorted phase indices whose neighbors are within tol.
 
     The two ends of (-pi, pi] are identified, so clusters hugging the
     branch cut from both sides are merged.
     """
-    order = np.argsort(thetas)
+    thetas = thetas.tolist()
+    order = sorted(range(len(thetas)), key=thetas.__getitem__)
     groups: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
         if thetas[idx] - thetas[groups[-1][-1]] <= tol:
@@ -54,7 +55,7 @@ def _cluster_phases(thetas: np.ndarray, tol: float) -> list[np.ndarray]:
         if wrap_gap <= tol:
             groups[-1].extend(groups[0])
             groups.pop(0)
-    return [np.array(g) for g in groups]
+    return groups
 
 
 def _representative(thetas: np.ndarray, tol: float) -> float:
@@ -115,7 +116,7 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
         phases.append(_representative(thetas[group], cluster_tol))
         blocks.append(frame.T)
         mults.append(len(group))
-    order = np.argsort(phases)
+    order = sorted(range(len(phases)), key=phases.__getitem__)
     phases, blocks, mults = ([seq[k] for k in order] for seq in (phases, blocks, mults))
 
     stacked = np.concatenate(blocks, axis=1)

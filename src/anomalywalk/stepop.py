@@ -23,7 +23,7 @@ import numpy as np
 
 from .edgespace import BasisLabel, EdgeBasis, make_basis
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
-from .numerics import DEFAULT_POLICY
+from .numerics import DEFAULT_POLICY, largest
 from .stargraph import StarGraph
 
 
@@ -240,9 +240,8 @@ def check_unitarity(op: StepOperator) -> UnitarityReport:
     r, t = op.hub_r, op.hub_t
     diag = r * r + (n - 1) * t * t
     offdiag = (n - 2) * t * t - 2 * r * t
-    dev = max(abs(diag - 1.0), abs(offdiag))
-    if op.amp.size:
-        dev = max(dev, float(np.abs(np.abs(op.amp) ** 2 - 1.0).max()))
+    dev = largest([abs(diag - 1.0), abs(offdiag),
+                   *(abs(abs(a) ** 2 - 1.0) for a in op.amp.tolist())])
     if op._tiling_fault():
         dev = max(dev, 1.0)
     return UnitarityReport(max_deviation=dev, tolerance=DEFAULT_POLICY.unitarity_tol)

@@ -797,6 +797,15 @@ class TestSweep:
         assert [(r[0], r[1], r[2]) for r in rows] == [
             ("64", "11", "11"), ("256", "22", "22")]
 
+    def test_repeated_size_is_refused(self, capsys, tmp_path):
+        # the size would be searched again and its row written twice
+        spec = '{"n_spokes": 64, "anomaly": {"type": "loop", "at": 3}}'
+        code, out, err = run(capsys, "sweep", "--spec", spec, "--n-list", "64,64,128",
+                             "--out", str(tmp_path / "peaks.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error:config:size list repeats a size: 64,64,128\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_predicted_column_empty_without_formula(self, capsys, tmp_path):
         out = tmp_path / "peaks.csv"
         spec = '{"n_spokes": 64, "anomaly": {"type": "extended_edge", "at": 1}}'

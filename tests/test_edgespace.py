@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle import (
     all_loops_state,
+    flat_rows,
     hub_in_state,
     hub_out_state,
     label_at,
@@ -24,6 +25,7 @@ from anomalywalk.errors import (
     NumericalFailureError,
 )
 from anomalywalk.stargraph import Anomaly, build_star
+from anomalywalk.stepop import build_step_operator
 
 
 def test_label_str_forms():
@@ -151,6 +153,25 @@ def test_layout_accessors_match_position(n):
                 basis.out_rows(outside)
             with pytest.raises(ConfigurationError):
                 basis.in_rows(outside)
+
+
+@pytest.mark.parametrize("anomaly", [
+    Anomaly.none(), Anomaly.extra_edge(2, 5), Anomaly.loop(3), Anomaly.extended_edge(3),
+    Anomaly.missing_loop(3)], ids=lambda a: a.variant)
+def test_locate_at_the_block_edges(anomaly):
+    # the first and last row of every block: none's and missing_loop's tails
+    # are empty, so their last rows end the block before; extended_edge's
+    # tail ends at the tip's edge
+    op = build_step_operator(build_star(6, anomaly))
+    bounds = op.basis.bounds
+    rows = [row for lo, hi in zip(bounds, bounds[1:]) if hi > lo for row in (lo, hi - 1)]
+    located = op.basis.locate(rows)
+    assert flat_rows(op, located).tolist() == rows
+    blocks = np.searchsorted(bounds, rows, side="right") - 1
+    assert located == tuple(zip(blocks.tolist(), (rows - np.take(bounds, blocks)).tolist()))
+    if anomaly.variant == "extended_edge":
+        tip = op.basis.position(BasisLabel.edge(7, 3))
+        assert op.basis.locate([tip]) == ((2, 1),) and rows[-1] == tip
 
 
 def test_make_state_checks():

@@ -4,6 +4,7 @@ a certificate tolerance by hand; and a guard on the numpy a run may load."""
 
 import argparse
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from anomalywalk.errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from anomalywalk.numerics import require_within
+from anomalywalk.numerics import largest, require_within
 from anomalywalk.search import InitialStateKind, run_search
 from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
@@ -67,6 +68,13 @@ class TestRequireWithin:
         assert UnitarityReport(max_deviation=1e-12, tolerance=1e-12).passed
         assert not UnitarityReport(max_deviation=2e-12, tolerance=1e-12).passed
         assert not UnitarityReport(max_deviation=NAN, tolerance=1e-12).passed
+
+
+def test_largest_reads_nan_as_numpy_max_does():
+    assert largest([0.5, 2.0, 1.0]) == 2.0
+    for values in ([NAN, 1.0], [1.0, NAN], [1.0, 2.0, NAN]):
+        assert math.isnan(largest(values)), values
+        assert math.isnan(np.max(values)), values
 
 
 def _loop_state(at_row):
@@ -256,10 +264,12 @@ def test_only_numerics_compares_a_value_with_a_certificate_tolerance():
 
 # the numpy that no run may load or page in: np.random (through secrets,
 # OpenSSL), numpy.ma (np.isin's sort path imports it), numpy.polynomial,
-# np.polyfit's least squares, and every LAPACK routine but the eigensolver
-# (np.linalg.norm is no LAPACK routine)
+# np.polyfit's least squares, every LAPACK routine but the eigensolver
+# (np.linalg.norm is no LAPACK routine), and the sort, search, diff and take
+# kernels: every table the program sorts or searches has a few entries
 FORBIDDEN_NUMPY = re.compile(
-    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!(?:eig|norm)\b)\w+)\b")
+    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!(?:eig|norm)\b)\w+"
+    r"|sort|argsort|lexsort|searchsorted|diff|take)\b")
 
 
 def _dotted(node, aliases) -> str:
@@ -333,6 +343,19 @@ def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
         "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import eig, norm\n"
         "np.linalg.eig(a)\nnp.linalg.norm(a, axis=0)\nnp.isinf(a)\nnp.isfinite(a)\n"
         "np.matmul(a, b)\nnp.polyval(p, x)\nnp.random_walk\nrandom.random()\n") == []
+
+
+def test_guard_sees_numpy_sort_and_search_kernels():
+    for call in ("np.sort(a)", "np.argsort(a)", "np.lexsort((a, b))", "numpy.sort(a)",
+                 "np.searchsorted(a, v, side='right')", "np.diff(a)", "np.take(a, i)"):
+        assert forbidden_numpy_references(f"x = 1\ny = {call}\n") == [2], call
+    assert forbidden_numpy_references("from numpy import searchsorted\n") == [1]
+    assert forbidden_numpy_references("from numpy import diff as d, take\n") == [1]
+    assert forbidden_numpy_references("import numpy as xp\nxp.argsort(a)\n") == [2]
+    # Python's sort and bisection, and numpy names that share a prefix, are not
+    assert forbidden_numpy_references(
+        "from bisect import bisect_right\nsorted(a, key=b.__getitem__)\nbisect_right(a, x)\n"
+        "np.argmax(a)\nnp.cumsum(a)\nnp.diag(a)\n") == []
 
 
 def test_no_module_references_forbidden_numpy():

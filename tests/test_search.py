@@ -415,14 +415,15 @@ class TestBlockWalk:
         assert net[1000] <= net[10] + slack
         assert net[10] <= x0.nbytes + slack
 
-    def test_custom_start_fits_the_memory_guard(self):
-        # a custom start built from a caller's array and searched in full
-        # peaks within the bytes per amplitude that `build_star` budgets
+    @pytest.mark.parametrize("method", ["full", "reduced"])
+    def test_custom_start_fits_the_memory_guard(self, method):
+        # a custom start built from a caller's array and searched in full or
+        # on its cells peaks within the bytes per amplitude that `build_star` budgets
         graph = build_star(200_000, Anomaly.loop(7))
         x = np.random.default_rng(3).standard_normal(graph.hilbert_dim)
         tracemalloc.start()
         try:
-            run_search(graph, InitialStateKind.custom(x), 10)
+            run_search(graph, InitialStateKind.custom(x), 10, method=method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -614,8 +615,8 @@ class TestRunSearch:
     def test_reduced_builds_the_start_state_once(self, monkeypatch, kind):
         # the reduced walk starts from the start state's row on the cells,
         # and the spot check from its values per block: a named kind is
-        # never built at full length, a custom state is built once and
-        # decomposed at full length once, by `place`
+        # never built at full length, a custom state is held once, as its
+        # kind's own unit-norm array, and decomposed at full length once, by `place`
         graph = build_star(64, Anomaly.loop(3))
         builds, decomposed = [], []
         build, decompose = anomalywalk.search.initial_state, anomalywalk.collapse._cell_row
@@ -624,7 +625,7 @@ class TestRunSearch:
         monkeypatch.setattr(anomalywalk.collapse, "_cell_row",
                             lambda cells, x: decomposed.append(x.size) or decompose(cells, x))
         fast = run_search(graph, kind, 30, method="reduced")
-        assert len(builds) == (1 if kind.variant == "custom" else 0)
+        assert builds == []
         assert decomposed == ([graph.hilbert_dim] if kind.variant == "custom" else [])
         full = run_search(graph, kind, 30, method="full")
         within(full.p_target_spokes, fast.p_target_spokes, 1e-12)
