@@ -16,6 +16,7 @@ problems and 2 for numerical certification failures.
 """
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -47,7 +48,15 @@ from .search import (
     write_per_step_csv,
 )
 from .spectral import dump_spectrum_csv, eigendecompose
-from .stargraph import VARIANT_SCHEMA, Anomaly, PhaseAngle, StarGraph, build_star, parse_spec
+from .stargraph import (
+    VARIANT_SCHEMA,
+    Anomaly,
+    PhaseAngle,
+    StarGraph,
+    build_star,
+    check_anomaly_keys,
+    parse_spec,
+)
 from .stepop import build_step_operator, check_unitarity
 
 _KIND_NAMES = ("minus", "plus", "inout", "loop_pi", "loop_third")
@@ -218,7 +227,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _anomaly_from_args(args) -> Anomaly:
+# perturb's anomaly flags, as their spec keys, and the vertex defaults
+_ANOMALY_KEYS = ("at", "u", "v", "phase_num", "phase_den", "phase_rad")
+_VERTEX_DEFAULTS = {"at": 1, "u": 1, "v": 2}
+
+
+def _anomaly_from_args(args, given: list[str]) -> Anomaly:
+    check_anomaly_keys(args.anomaly, given)
     phase = None
     if args.phase_num is not None or args.phase_den is not None:
         if args.phase_num is None or args.phase_den is None:
@@ -231,16 +246,22 @@ def _anomaly_from_args(args) -> Anomaly:
     elif args.phase_rad is not None:
         phase = PhaseAngle.from_radians(args.phase_rad)
     fields = VARIANT_SCHEMA[args.anomaly].fields
-    return Anomaly.of(args.anomaly, phase, **{f: getattr(args, f) for f in fields})
+    vertices = {f: getattr(args, f) if f in given else _VERTEX_DEFAULTS[f] for f in fields}
+    return Anomaly.of(args.anomaly, phase, **vertices)
 
 
 def _cmd_perturb(args) -> int:
     if bool(args.spec) == bool(args.anomaly):
         raise ConfigurationError("provide exactly one of --spec or --anomaly")
+    given = [key for key in _ANOMALY_KEYS if getattr(args, key) is not None]
     if args.spec:
+        if given:
+            raise ConfigurationError(
+                f"--{given[0].replace('_', '-')} cannot be given with --spec, "
+                f"which gives the anomaly")
         anomaly = _load_graph(args.spec).anomaly
     else:
-        anomaly = _anomaly_from_args(args)
+        anomaly = _anomaly_from_args(args, given)
     sizes = _parse_sizes(args.n_list)
     out = _require_out(args.out)
     if args.fits_out:
@@ -364,9 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="take the anomaly from this spec (its size is ignored)")
     p.add_argument("--anomaly", choices=list(VARIANT_SCHEMA), default=None,
                    help="anomaly variant, placed at the default location")
-    p.add_argument("--at", type=int, default=1, help="anomaly vertex (default 1)")
-    p.add_argument("--u", type=int, default=1, help="extra-edge endpoint (default 1)")
-    p.add_argument("--v", type=int, default=2, help="extra-edge endpoint (default 2)")
+    p.add_argument("--at", type=int, default=None,
+                   help="anomaly vertex for --anomaly (default 1)")
+    p.add_argument("--u", type=int, default=None,
+                   help="extra-edge endpoint for --anomaly (default 1)")
+    p.add_argument("--v", type=int, default=None,
+                   help="extra-edge endpoint for --anomaly (default 2)")
     p.add_argument("--phase-num", type=int, default=None,
                    help="marking phase numerator, units of pi")
     p.add_argument("--phase-den", type=int, default=None,
@@ -423,6 +447,13 @@ def main(argv=None) -> int:
         _report("io", exc)
         return 1
 
+
+# Every object the collector tracks once the import is done (numpy's and the
+# package's, some 22,000) moves to its permanent generation, so neither a verb's
+# collections nor the interpreter's shutdown walks them or tears down their
+# cycles.  Only the CLI, whose process ends with its verb, does this: an
+# import of the package alone leaves the collector as it was.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

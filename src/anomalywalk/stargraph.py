@@ -266,6 +266,15 @@ def _parse_phase(obj: dict) -> PhaseAngle | None:
     return None
 
 
+def check_anomaly_keys(variant: str, keys) -> None:
+    """Refuse a key the variant does not read: another variant's vertex, or
+    a phase on the plain star, which has no vertex to carry one."""
+    fields = VARIANT_SCHEMA[variant].fields
+    unknown = set(keys) - {*fields, *(_PHASE_KEYS if fields else ())}
+    if unknown:
+        raise SpecSemanticError(f"unknown key {sorted(unknown)[0]!r} for anomaly {variant!r}")
+
+
 def parse_spec(text: str) -> StarGraph:
     """Parse the JSON graph-spec format into a validated StarGraph.
 
@@ -295,13 +304,9 @@ def parse_spec(text: str) -> StarGraph:
     variant = araw.get("type")
     if variant not in VARIANTS:
         raise SpecSemanticError(f"unknown anomaly name {variant!r}")
-    fields = VARIANT_SCHEMA[variant].fields
-    # a plain star has no vertex to carry a phase
-    unknown = set(araw) - {"type", *fields, *(_PHASE_KEYS if fields else ())}
-    if unknown:
-        raise SpecSemanticError(f"unknown key {sorted(unknown)[0]!r} for anomaly {variant!r}")
+    check_anomaly_keys(variant, set(araw) - {"type"})
     phase = _parse_phase(araw)
-    vertices = {field: _require_int(araw, field) for field in fields}
+    vertices = {field: _require_int(araw, field) for field in VARIANT_SCHEMA[variant].fields}
     return build_star(n, Anomaly.of(variant, phase, **vertices))
 
 

@@ -16,7 +16,6 @@ costs O(patches) whatever N is, and `collapse` reads the operator on the
 star's cells from the same table.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,6 @@ from .numerics import DEFAULT_POLICY, largest
 from .stargraph import StarGraph
 
 
-@dataclass(frozen=True)
 class StepOperator:
     """Hub amplitudes, role table and patches of one walk step.
 
@@ -38,9 +36,11 @@ class StepOperator:
     (block, offset).  Hub amplitudes with r + t != 1 (the rule steps the
     reflection as t - 1) and a table that does not read each row once and
     write each row outside the out block once are refused when the
-    operator is constructed.
+    operator is constructed.  The fields cannot be assigned; `_replace`
+    builds a new operator, so every path goes through that refusal.
     """
 
+    __slots__ = ("basis", "hub_r", "hub_t", "roles", "src", "dst", "amp")
     basis: EdgeBasis
     hub_r: float
     hub_t: float
@@ -49,13 +49,24 @@ class StepOperator:
     dst: tuple[tuple[int, int], ...]
     amp: np.ndarray
 
-    def __post_init__(self):
-        if self.hub_r + self.hub_t != 1.0:
-            raise ConfigurationError(
-                f"hub amplitudes need r + t = 1, got {self.hub_r} + {self.hub_t}")
+    def __init__(self, basis, hub_r, hub_t, roles, src, dst, amp):
+        for name, value in zip(self.__slots__, (basis, hub_r, hub_t, roles, src, dst, amp)):
+            object.__setattr__(self, name, value)
+        if hub_r + hub_t != 1.0:
+            raise ConfigurationError(f"hub amplitudes need r + t = 1, got {hub_r} + {hub_t}")
         fault = self._tiling_fault()
         if fault:
             raise NumericalFailureError(fault)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StepOperator is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"StepOperator is immutable: cannot delete {name!r}")
+
+    def _replace(self, **changes) -> "StepOperator":
+        """A new operator with the given fields changed, checked as any other."""
+        return StepOperator(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
     def _tiling_fault(self) -> str | None:
         """Why the table does not read each row once and write each row

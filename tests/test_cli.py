@@ -1,6 +1,5 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
-import dataclasses
 import json
 import math
 import os
@@ -19,6 +18,7 @@ import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
 from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.stargraph import VARIANT_SCHEMA
 
 EXTRA100 = '{"n_spokes": 100, "anomaly": {"type": "extra_edge", "u": 2, "v": 7}}'
 LOOP100 = '{"n_spokes": 100, "anomaly": {"type": "loop", "at": 4}}'
@@ -235,6 +235,79 @@ def test_no_verb_loads_numpy_ma(argv, tmp_path):
     assert not _loaded_by_import("numpy.ma", [a.replace("{tmp}", str(tmp_path)) for a in argv])
 
 
+@pytest.mark.parametrize("argv", VERB_RUNS.values(), ids=VERB_RUNS)
+def test_no_verb_loads_dataclasses(argv, tmp_path):
+    # dataclasses (and copy, which it imports) cost a launch about 1 ms
+    assert not _loaded_by_import("dataclasses",
+                                 [a.replace("{tmp}", str(tmp_path)) for a in argv])
+
+
+def python(*args):
+    """A fresh interpreter run with args and this package on its path.  Its
+    stdout is block-buffered, so output the exit drops would show."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def _fresh(probe):
+    """The last line a fresh interpreter prints running probe."""
+    result = python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.decode().splitlines()[-1]
+
+
+def test_cli_import_freezes_the_import_graph():
+    # the import's objects sit in the permanent generation, which neither a
+    # verb's collections nor the shutdown walks
+    assert int(_fresh("import gc, anomalywalk.cli; print(gc.get_freeze_count())")) > 0
+
+
+def test_package_import_leaves_the_collector_alone():
+    assert _fresh("import gc, anomalywalk; print(gc.get_freeze_count(), gc.isenabled())") == (
+        "0 True")
+
+
+@pytest.mark.parametrize("verb,flags", [
+    ("search", ("--method", "reduced", "--out")),
+    ("search", ("--method", "full", "--out")),
+    ("search", ("--per-step-out",)),  # the summary goes to stdout
+    ("evolve", ("--out",)),
+])
+def test_launch_writes_what_main_writes(capsys, tmp_path, verb, flags):
+    # a launch ends with its import graph frozen: its output and files must
+    # be those of the same run in process, byte for byte
+    outputs = {}
+    for where in ("launch", "main"):
+        (tmp_path / where).mkdir()
+        argv = (verb, "--spec", EXTRA100, *flags, str(tmp_path / where / "out"))
+        if where == "launch":
+            done = python("-m", "anomalywalk.cli", *argv)
+            code, out, err = done.returncode, done.stdout, done.stderr
+        else:
+            code, out, err = run(capsys, *argv)
+            out, err = out.encode(), err.encode()
+        files = {path.name: path.read_bytes() for path in (tmp_path / where).iterdir()}
+        outputs[where] = (code, out, err, files)
+    assert outputs["launch"] == outputs["main"]
+    code, out, _, files = outputs["main"]
+    assert code == 0
+    assert len(files) == (2 if "--out" in flags and verb == "search" else 1)
+    assert out.startswith(b"{") == ("--per-step-out" in flags)
+
+
+def test_failing_launch_prints_one_error_line(tmp_path):
+    done = python("-m", "anomalywalk.cli", "evolve",
+                  "--spec", '{"n_spokes": 5, "anomaly": {"type": "loop", "at": 9}}',
+                  "--out", str(tmp_path / "steps.csv"))
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.decode().startswith("error:index:")
+    assert len(done.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @needs_wait4
 def test_far_extra_edge_perturb_peaks_as_a_near_one(tmp_path):
     # the basis rows of far endpoints once took np.isin's sort path and
@@ -312,7 +385,7 @@ class TestEvolve:
         # certificate refuses it before anything is written
         build = anomalywalk.search.build_step_operator
         monkeypatch.setattr(anomalywalk.search, "build_step_operator",
-                            lambda graph: dataclasses.replace(build(graph), amp=build(graph).amp * 2))
+                            lambda graph: build(graph)._replace(amp=build(graph).amp * 2))
         out = tmp_path / "steps.csv"
         code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
         assert code == 2
@@ -748,6 +821,37 @@ class TestPerturb:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert err.startswith("error:config:")
+
+    @pytest.mark.parametrize("flags", [
+        ("--phase-num", "1", "--phase-den", "3"), ("--phase-rad", "1"), ("--at", "3"),
+        ("--u", "1"), ("--v", "2")])
+    def test_spec_refuses_anomaly_flags(self, capsys, tmp_path, flags):
+        # the spec gives the vertices and the phase; a flag next to it
+        # would be dropped, so it is refused
+        spec = '{"n_spokes": 64, "anomaly": {"type": "missing_loop", "at": 3}}'
+        code, out, err = run(capsys, "perturb", "--spec", spec, *flags,
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == (f"error:config:{flags[0]} cannot be given with --spec, "
+                       f"which gives the anomaly\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("variant,key,value", [
+        ("none", "phase_rad", "1"), ("none", "phase_den", "3"), ("none", "at", "1"),
+        ("loop", "u", "3"), ("extended_edge", "v", "3"), ("extra_edge", "at", "3"),
+        ("missing_loop", "u", "3")])
+    def test_flags_the_variant_does_not_read(self, capsys, tmp_path, variant, key, value):
+        # refused as the spec refuses the same key, not dropped
+        flags = ["--anomaly", variant, f"--{key.replace('_', '-')}", value]
+        if key == "phase_den":  # the first unknown key in sorted order, as the spec's
+            flags += ["--phase-num", "1"]
+        code, out, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == f"error:semantic:unknown key {key!r} for anomaly {variant!r}\n"
+        assert list(tmp_path.iterdir()) == []
+        spec = json.dumps({"n_spokes": 64, "anomaly": {
+            "type": variant, **{f: 1 for f in VARIANT_SCHEMA[variant].fields}, key: 1}})
+        assert run(capsys, "check", "--spec", spec) == (1, "", err)
 
     def test_neither_spec_nor_anomaly(self, capsys, tmp_path):
         code, _, err = run(capsys, "perturb", "--out", str(tmp_path / "x.csv"))

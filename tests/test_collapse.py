@@ -1,6 +1,5 @@
 """Invariant-subspace closure and reduction tests."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -245,8 +244,8 @@ def test_cells_operator_refuses_moves_off_the_cells():
     # the loop exits onto spoke 5's incoming row and (0,5) enters (3,0): the
     # rows still tile, but the loop's unit lands on a bulk row
     locate = op.basis.locate
-    rerouted = dataclasses.replace(
-        op, src=locate([pos(edge(0, 3)), pos(loop(3)), pos(edge(0, 5))]),
+    rerouted = op._replace(
+        src=locate([pos(edge(0, 3)), pos(loop(3)), pos(edge(0, 5))]),
         dst=locate([pos(loop(3)), pos(edge(5, 0)), pos(edge(3, 0))]),
         amp=np.ones(3, dtype=complex))
     with pytest.raises(NumericalFailureError, match="not a unit"):

@@ -1,7 +1,6 @@
 """Search dynamics tests: start states, peaks, measurement, baseline."""
 
 import csv
-import dataclasses
 import importlib
 import math
 import pkgutil
@@ -477,7 +476,7 @@ class TestBlockWalk:
         # patches of modulus 2 add weight on every pass through the loop,
         # from either start
         op, starts, rows = self._loop_walk(256)
-        doubled = dataclasses.replace(op, amp=op.amp * 2)
+        doubled = op._replace(amp=op.amp * 2)
         for start, _ in starts:
             with pytest.raises(NumericalFailureError,
                                match=r"drifts .* past the tolerance 1\.0e-10"):

@@ -1,7 +1,5 @@
 """Step-operator tests: hub rule, anomaly rewiring, unitarity, apply paths."""
 
-import copy
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -34,6 +32,7 @@ from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     BlockWalk,
+    StepOperator,
     build_step_operator,
     check_unitarity,
     build_scattering_operator,
@@ -86,7 +85,25 @@ def test_constructor_refuses_hub_amplitudes_off_one():
     # dense oracle as -r: the two agree only when r + t = 1
     op = build_step_operator(build_star(6, Anomaly.loop(2)))
     with pytest.raises(ConfigurationError, match=r"need r \+ t = 1, got 0.5 \+ "):
-        dataclasses.replace(op, hub_r=0.5)
+        op._replace(hub_r=0.5)
+
+
+def test_operator_refuses_assignment():
+    # a table changed after construction would skip the tiling test; only
+    # _replace, which constructs anew, changes a field
+    op = build_step_operator(build_star(6, Anomaly.loop(2)))
+    for name in ("roles", "amp", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+        with pytest.raises(AttributeError):
+            delattr(op, name)
+    assert op.roles == (1, 0, 2)
+    with pytest.raises(TypeError):
+        op._replace(extra=None)
+    moved = op._replace(amp=-op.amp)
+    assert (moved.basis, moved.roles, moved.src, moved.dst) == (op.basis, op.roles, op.src,
+                                                                  op.dst)
+    assert np.array_equal(moved.amp, -op.amp)
 
 
 @pytest.mark.parametrize("n", [3, 7, 1000, 12345])
@@ -331,7 +348,7 @@ def test_routing_relabels_blocks(anomaly, roles):
     assert op.basis.locate(flat_rows(op, op.dst)) == op.dst
     for bad in NOT_RELABELLINGS[len(roles)]:
         with pytest.raises(NumericalFailureError, match="do not relabel the blocks"):
-            dataclasses.replace(op, roles=bad)
+            op._replace(roles=bad)
 
 
 # role tables of the three-block (out, in, tail) and four-block (out, in,
@@ -368,7 +385,7 @@ def test_routing_refuses_untiled_patches(src, dst, message):
     assert (flat_rows(op, op.src).tolist(), flat_rows(op, op.dst).tolist()) == (
         [1, 4, 16, 17], [16, 17, 12, 9])
     with pytest.raises(NumericalFailureError, match=message):
-        dataclasses.replace(op, src=src, dst=dst, amp=np.ones(len(src), dtype=complex))
+        op._replace(src=src, dst=dst, amp=np.ones(len(src), dtype=complex))
 
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
@@ -421,9 +438,9 @@ def test_certificate_matches_dense_oracle(phase):
 
 def corrupted(op, **fields):
     """A shallow copy of the operator with fields swapped past the constructor."""
-    broken = copy.copy(op)
-    for name, value in fields.items():
-        object.__setattr__(broken, name, value)
+    broken = object.__new__(StepOperator)
+    for name in StepOperator.__slots__:
+        object.__setattr__(broken, name, fields.get(name, getattr(op, name)))
     return broken
 
 
@@ -468,7 +485,7 @@ def test_dense_cross_check_spans_slabs():
     assert check_unitarity(op).passed
     dst = (op.dst[0],) * len(op.dst)
     with pytest.raises(NumericalFailureError, match="write a row twice"):
-        dataclasses.replace(op, dst=dst)
+        op._replace(dst=dst)
     broken = corrupted(op, dst=dst)
     src = flat_rows(op, op.src)
     width = (1 << 20) // op.dimension
