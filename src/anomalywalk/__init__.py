@@ -9,14 +9,7 @@ and eigenphase shifts, and runs the searches the anomalies enable.
 from types import ModuleType as _ModuleType
 
 from .collapse import ReducedBasis, ReducedOperator, reduce_seeds
-from .edgespace import (
-    BasisLabel,
-    EdgeBasis,
-    WalkState,
-    edge_probabilities,
-    make_basis,
-    make_state,
-)
+from .edgespace import BasisLabel, EdgeBasis, make_basis
 from .errors import (
     AnomalyWalkError,
     ConfigurationError,
@@ -45,12 +38,9 @@ from .perturb import (
 from .search import (
     BaselineStatistics,
     InitialStateKind,
-    MeasurementResult,
     SearchResult,
     baseline_statistics,
     family_seeds,
-    initial_state,
-    measure_accessible,
     predicted_hitting_step,
     run_search,
 )

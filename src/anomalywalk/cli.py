@@ -126,6 +126,13 @@ def _require_out(path_str: str) -> Path:
     return path
 
 
+def _require_distinct(out: str, other: str, flag: str) -> None:
+    """Refuse two output paths that resolve to one file, where one write
+    would overwrite the other."""
+    if Path(out).resolve() == Path(other).resolve():
+        raise ConfigurationError(f"--out and {flag} name the same file {other}")
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     try:
         return complex(text)
@@ -202,6 +209,8 @@ def _cmd_evolve(args) -> int:
 def _cmd_search(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
+    if args.out and args.per_step_out:
+        _require_distinct(args.out, args.per_step_out, "--per-step-out")
     result = run_search(graph, kind, _horizon(args.max_steps, graph), method=args.method)
     for line in result.warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -265,6 +274,7 @@ def _cmd_perturb(args) -> int:
     sizes = _parse_sizes(args.n_list)
     out = _require_out(args.out)
     if args.fits_out:
+        _require_distinct(args.out, args.fits_out, "--fits-out")
         fits_out = _require_out(args.fits_out)
     else:
         fits_out = out.with_name(out.stem + "-fits" + out.suffix)

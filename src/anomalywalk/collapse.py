@@ -6,11 +6,9 @@ equitable-partition quotient of the star.  This module builds those cells,
 reads the step on them from its role table, closes the seeds under it in
 their coordinates, and expresses the step inside the closure.
 
-Seeds are rows on the cells; `place` is the one path from full-length
-vectors to them.  A basis is held on the cells, never as full-length
-vectors: the uniform bulk profile in closed form, the profiles of placed
-vectors as rows of length N, the unit rows, and the coordinates of each
-basis vector on the cells.
+Seeds are rows on the cells.  A basis is held on the cells, never as
+full-length vectors: the uniform bulk profile in closed form, the unit
+rows, and the coordinates of each basis vector on the cells.
 """
 
 import math
@@ -25,31 +23,26 @@ from .errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from .numerics import DEFAULT_POLICY, inner, norm2, orthogonalize, require_within
+from .numerics import DEFAULT_POLICY, orthogonalize, require_within
 from .stargraph import StarGraph
 from .stepop import StepOperator
-
-
-_LEAKAGE = "basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}"
 
 
 class ReducedBasis(NamedTuple):
     """Orthonormal vectors spanning a subspace closed under the walk step,
     held on the star's cells.
 
-    The cells are each bulk profile placed in each bulk block, block by
-    block, then one unit cell per entry of units.  The first profile is
-    uniform, 1/sqrt(N - k) off the k anomaly offsets, and held in closed
-    form; the rest are the orthonormal rows of `profiles`, zero on those
-    offsets and orthogonal to it, so each sums to 0.  The cells are
+    The cells are the uniform bulk profile, 1/sqrt(N - k) off the k
+    anomaly offsets and held in closed form, in each bulk block, block by
+    block, then one unit cell per entry of units.  The cells are
     orthonormal; basis vector k is sum_j coords[k, j] cell_j.
     """
 
-    profiles: np.ndarray  # p x N, the profiles besides the uniform one
-    anomalous: np.ndarray  # the anomaly offsets, where every profile is zero
+    n_spokes: int
+    anomalous: np.ndarray  # the anomaly offsets, where the uniform profile is zero
     blocks: tuple[slice, ...]  # the bulk blocks, each of length N
     units: np.ndarray  # the position of each unit cell
-    coords: np.ndarray  # dim x (len(blocks) (p + 1) + len(units)), orthonormal rows
+    coords: np.ndarray  # dim x (len(blocks) + len(units)), orthonormal rows
     full_dim: int
 
     @property
@@ -59,33 +52,30 @@ class ReducedBasis(NamedTuple):
     @property
     def uniform_sum(self) -> float:
         """The uniform profile's sum, sqrt(N - k); it is one over its value."""
-        return math.sqrt(self.profiles.shape[1] - len(self.anomalous))
+        return math.sqrt(self.n_spokes - len(self.anomalous))
 
     def rows(self, index) -> np.ndarray:
         """The rows of the full-dimension basis V at the given positions."""
         index = np.asarray(index, dtype=np.intp)
-        p = 1 + len(self.profiles)
         cells = np.zeros((index.size, self.coords.shape[1]), complex)
         for k, block in enumerate(self.blocks):
             inside = (index >= block.start) & (index < block.stop)
             offsets = index[inside] - block.start
             # off the at most two anomaly offsets; np.isin may import numpy.ma
             bulk = (offsets[:, None] != self.anomalous).all(axis=1)
-            cells[inside, k * p] = bulk / self.uniform_sum
-            cells[inside, k * p + 1:(k + 1) * p] = self.profiles[:, offsets].T
-        cells[:, len(self.blocks) * p:] = index[:, None] == self.units
+            cells[inside, k] = bulk / self.uniform_sum
+        cells[:, len(self.blocks):] = index[:, None] == self.units
         return cells @ self.coords.T
 
     def uniform(self, k: int) -> np.ndarray:
         """The uniform state on bulk block k in cell coordinates: its all-ones
-        over sqrt(N), where the uniform cell weighs the uniform's sum, each
-        other profile's cell its sum, 0, and each unit in the block 1."""
-        p = 1 + len(self.profiles)
+        over sqrt(N), where the block's cell weighs the uniform's sum and
+        each unit in the block 1."""
         block = self.blocks[k]
         cells = np.zeros(self.coords.shape[1], complex)
-        cells[k * p] = self.uniform_sum
-        cells[len(self.blocks) * p:] = (block.start <= self.units) & (self.units < block.stop)
-        return cells / math.sqrt(self.profiles.shape[1])
+        cells[k] = self.uniform_sum
+        cells[len(self.blocks):] = (block.start <= self.units) & (self.units < block.stop)
+        return cells / math.sqrt(self.n_spokes)
 
 
 class ReducedOperator(NamedTuple):
@@ -109,32 +99,21 @@ def _accept(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.vstack((rows, vec))
 
 
-def star_cells(basis: EdgeBasis, vectors=()) -> ReducedBasis:
-    """The star's cells as a basis: its span is invariant under the walk
-    and holds the vectors.
+def star_cells(basis: EdgeBasis) -> ReducedBasis:
+    """The star's cells as a basis: its span is invariant under the walk.
 
-    Each bulk block (out, in, and missing_loop's loops) carries the bulk
-    profiles: the uniform one, in closed form, and each vector's part in
-    each bulk block, orthonormalised against it, zero on the anomaly
-    vertices.  Every other row is a unit cell of its own.
+    Each bulk block (out, in, and missing_loop's loops) carries the
+    uniform bulk profile, in closed form, zero on the anomaly vertices.
+    Every other row is a unit cell of its own.
     """
-    n = basis.n_spokes
-    vertices = StarGraph(n, basis.anomaly).anomaly_vertices
+    vertices = StarGraph(basis.n_spokes, basis.anomaly).anomaly_vertices
     anomalous = basis.out_rows(vertices)
     bounds = basis.bounds  # every block but the anomaly tail is a bulk block
     blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1]))
-    profiles = np.empty((0, n), complex)
-    for vec in (x[block].astype(complex) for x in vectors for block in blocks):
-        for _ in range(2):  # the uniform part, removed twice as in CGS2
-            vec[anomalous] = 0.0
-            vec -= vec.sum() / (n - len(anomalous))
-        vec[anomalous] = 0.0
-        profiles = _accept(vec, profiles)
     units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
-    m = len(blocks) * (1 + len(profiles)) + len(units)
-    profiles.setflags(write=False)
-    return ReducedBasis(profiles=profiles, anomalous=anomalous, blocks=blocks, units=units,
-                        coords=np.eye(m, dtype=complex), full_dim=basis.dim)
+    return ReducedBasis(n_spokes=basis.n_spokes, anomalous=anomalous, blocks=blocks,
+                        units=units, coords=np.eye(len(blocks) + len(units), dtype=complex),
+                        full_dim=basis.dim)
 
 
 def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
@@ -142,8 +121,7 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     table and patches, and certified.
 
     The hub writes t*sum(in) - in over the out block, whose all-ones is
-    sqrt(N) `uniform(0)`; a uniform cell sums to sqrt(N - k), another bulk
-    cell to 0, a unit to 1.
+    sqrt(N) `uniform(0)`; a bulk cell sums to sqrt(N - k), a unit to 1.
     Every other block is the old block of its role, cell by cell, each
     unit moving to the unit at its offset, and each patch moves one unit
     to another with its amplitude.  A move onto a row that no cell of
@@ -151,14 +129,13 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     """
     if cells.full_dim != op.dimension:
         raise DimensionMismatchError(f"cells in dimension {cells.full_dim}, not {op.dimension}")
-    p = 1 + len(cells.profiles)
-    # each cell as (block, key): a unit's key is its offset, and profile
-    # j's cells share the key -1 - j in every bulk block
-    where = [(op.basis.bounds.index(block.start), -1 - j) for block in cells.blocks
-             for j in range(p)] + list(op.basis.locate(cells.units))
+    # each cell as (block, key): a unit's key is its offset, and the bulk
+    # cells share the key -1 in every bulk block
+    where = ([(op.basis.bounds.index(block.start), -1) for block in cells.blocks]
+             + list(op.basis.locate(cells.units)))
     column = {at: col for col, at in enumerate(where)}
     home = {role: k for k, role in enumerate(op.roles)}
-    sums = [cells.uniform_sum, *[0.0] * (p - 1)] * len(cells.blocks) + [1.0] * len(cells.units)
+    sums = [cells.uniform_sum] * len(cells.blocks) + [1.0] * len(cells.units)
     matrix = np.zeros((len(where),) * 2, complex)
     for col, (block, key) in enumerate(where):
         hub = block == op.roles[0]
@@ -175,42 +152,6 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
         matrix[column[dst], column[src]] = amp
     certify(matrix, 0.0)
     return matrix
-
-
-def place(basis: EdgeBasis, vectors) -> tuple[ReducedBasis, np.ndarray]:
-    """Cells that hold full-length vectors, and the vectors' rows on them.
-
-    A part that the cells drop (a block part within the closure residual)
-    is leakage, refused as for a closure.
-    """
-    vectors = [np.asarray(x) for x in vectors]
-    if any(x.shape != (basis.dim,) for x in vectors):
-        raise DimensionMismatchError(f"vectors must be of the basis dimension {basis.dim}")
-    cells = star_cells(basis, vectors)
-    parts = [_cell_row(cells, x) for x in vectors]
-    require_within(_LEAKAGE, np.max([leak for _, leak in parts], initial=0.0),
-                   DEFAULT_POLICY.invariance_tol, InvarianceError)
-    return cells, np.array([c for c, _ in parts])
-
-
-def _cell_row(cells: ReducedBasis, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """A full-length vector's row on cells with identity coordinates, and
-    the norm of its part that they drop, read one bulk block at a time.
-    The unit cells hold their rows exactly, so they drop nothing unless a
-    row is not finite, which makes the norm nan."""
-    bulk, s = len(cells.blocks) * (1 + len(cells.profiles)), cells.uniform_sum
-    row = np.empty(cells.coords.shape[1], complex)
-    row[bulk:] = x[cells.units]
-    rest = 0.0 if np.isfinite(row[bulk:]).all() else math.nan
-    for h, block in zip(row[:bulk].reshape(len(cells.blocks), -1), cells.blocks):
-        part = x[block].astype(complex)
-        part[cells.anomalous] = 0.0
-        h[0], h[1:] = part.sum() / s, inner(cells.profiles, part)
-        part -= h[1:] @ cells.profiles
-        part -= h[0] / s
-        part[cells.anomalous] = 0.0
-        rest += norm2(part)
-    return row, math.sqrt(rest)
 
 
 def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperator:
@@ -253,7 +194,8 @@ def certify(matrix: np.ndarray, leakage: float) -> None:
     """Freeze a reduced operator once its basis leakage (the largest part of
     an image, or of a state the basis must hold, outside it) and its
     deviation from unitarity are within policy; refuse it otherwise."""
-    require_within(_LEAKAGE, leakage, DEFAULT_POLICY.invariance_tol, InvarianceError)
+    require_within("basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}",
+                   leakage, DEFAULT_POLICY.invariance_tol, InvarianceError)
     require_within("reduced matrix deviates from unitarity by {value:.3e}",
                    np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0),
                    DEFAULT_POLICY.reduced_unitarity_tol)

@@ -7,13 +7,11 @@ loop states ascending vertex, extension pair).
 """
 
 from bisect import bisect_right
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
-from .numerics import DEFAULT_POLICY, norm2, require_within
+from .errors import ConfigurationError
 from .stargraph import Anomaly, StarGraph
 
 
@@ -107,11 +105,6 @@ class EdgeBasis(NamedTuple):
             located.append((block, row - bounds[block]))
         return tuple(located)
 
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Views of the blocks of a full-length vector."""
-        bounds = self.bounds
-        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
     @property
     def anomaly_only_rows(self) -> np.ndarray:
         """Rows of the states only the anomaly provides; of missing_loop's, the dummy loop."""
@@ -147,51 +140,5 @@ class EdgeBasis(NamedTuple):
         raise ConfigurationError(f"label {label} not in basis")
 
 
-class WalkState(NamedTuple):
-    amplitudes: np.ndarray
-    basis_dim: int
-
-
 def make_basis(graph: StarGraph) -> EdgeBasis:
     return EdgeBasis(n_spokes=graph.n_spokes, anomaly=graph.anomaly)
-
-
-def make_state(amplitudes: np.ndarray) -> WalkState:
-    """A frozen unit-norm complex128 copy of the amplitudes."""
-    amps = np.array(amplitudes, dtype=complex)
-    if amps.ndim != 1:
-        raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
-    require_within("state is not unit-norm: its norm is {value:.3e} from 1",
-                   abs(np.sqrt(norm2(amps)) - 1.0), DEFAULT_POLICY.unit_norm_tol,
-                   ConfigurationError)
-    amps.setflags(write=False)
-    return WalkState(amplitudes=amps, basis_dim=amps.size)
-
-
-def edge_probabilities(state: WalkState, basis: EdgeBasis) -> dict:
-    """Probability per undirected edge or loop.
-
-    Keys are ('spoke', j) for hub spokes, ('edge', u, v) with u < v for
-    non-spoke edges, and ('loop', at).  Directed amplitudes of the same
-    undirected edge are summed.
-    """
-
-    if state.basis_dim != basis.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.basis_dim} != basis dimension {basis.dim}")
-    vertices = range(1, basis.n_spokes + 1)
-    weights = np.abs(state.amplitudes) ** 2
-    probs = dict(zip(zip(repeat("spoke"), vertices),
-                     (weights[basis.out_block] + weights[basis.in_block]).tolist()))
-    if basis.anomaly.schema.loops:
-        probs.update(zip(zip(repeat("loop"), vertices),
-                         weights[basis.anomaly_block].tolist()))
-    block = basis._fixed_block()
-    if block:  # one loop, or both directions of one non-spoke edge
-        u, v = block[0].u, block[0].v
-        key = ("loop", u) if block[0].kind == "loop" else ("edge", min(u, v), max(u, v))
-        probs[key] = float(weights[basis.anomaly_block].sum())
-    total = sum(probs.values())
-    require_within(f"probabilities sum to {total}, expected 1 within {{tol:.1e}}",
-                   abs(total - 1.0), DEFAULT_POLICY.probability_tol)
-    return probs

@@ -18,9 +18,8 @@ from .errors import NumericalFailureError
 
 
 class NumericPolicy(NamedTuple):
-    # state norms and probability sums
+    # state norms
     unit_norm_tol: float = 1e-10
-    probability_tol: float = 1e-10
     # operator construction and certification
     unitarity_tol: float = 1e-12
     # how far the full walk's carried block sums may drift from their
@@ -76,11 +75,6 @@ def norm2(x: np.ndarray) -> float:
     return float(v @ v)
 
 
-def inner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<q_k, x> for every row q_k, reading the rows in place."""
-    return (x.conj() @ rows.T).conj()
-
-
 def orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
     """Remove the span of the orthonormal rows from the contiguous vec, in place.
 
@@ -91,7 +85,7 @@ def orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
     """
     if len(rows):
         for _ in range(2):
-            vec -= inner(rows, vec) @ rows
+            vec -= (vec.conj() @ rows.T).conj() @ rows  # the rows are read in place
             res = math.sqrt(norm2(vec))
             if res <= tol:
                 break

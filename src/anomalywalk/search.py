@@ -1,23 +1,21 @@
 """Search drivers over anomalous star walks.
 
 Defines each named start state once, as one value per block of the
-basis, for the full walk, the star's cells and `initial_state`; evolves
-start states while recording where the probability sits, predicts hitting
-steps where a closed form exists, simulates the accessible-edge
-measurement, and samples the classical adjacency-list baseline for
-comparison.
+basis, for the full walk and the star's cells; evolves start states
+while recording where the probability sits, predicts hitting steps where
+a closed form exists, and samples the classical adjacency-list baseline
+for comparison.
 """
 
 import json
 import math
 import random
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
-from .collapse import ReducedBasis, cells_operator, place, star_cells
-from .edgespace import WalkState, make_basis, make_state
+from .collapse import ReducedBasis, cells_operator, star_cells
+from .edgespace import make_basis
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -35,7 +33,6 @@ class InitialStateKind(NamedTuple):
     variant: str
     amp_out: complex = 0j
     amp_in: complex = 0j
-    amplitudes: np.ndarray | tuple = ()  # a custom state's, over their norm, read-only
 
     @staticmethod
     def minus() -> "InitialStateKind":
@@ -60,14 +57,6 @@ class InitialStateKind(NamedTuple):
     @staticmethod
     def loop_third() -> "InitialStateKind":
         return InitialStateKind("loop_third")
-
-    @staticmethod
-    def custom(amplitudes) -> "InitialStateKind":
-        """Any state, held as its amplitudes over their norm."""
-        amps = _coefficients(amplitudes, "custom state")
-        amps /= np.sqrt(norm2(amps))
-        amps.setflags(write=False)
-        return InitialStateKind("custom", amplitudes=amps)
 
 
 def _coefficients(values, what: str) -> np.ndarray:
@@ -108,12 +97,6 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
     raise ConfigurationError(f"initial-state kind {kind.variant!r} is not a named family")
 
 
-def _block_lengths(graph: StarGraph) -> list[int]:
-    """The length of each block of the graph's basis, read from its bounds."""
-    bounds = make_basis(graph).bounds
-    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _uniform_norm2(lengths, values) -> float:
     """The squared norm of a state that is constant on each block: the sum
     of len_b |value_b|^2."""
@@ -127,7 +110,8 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     block it does not weigh.  Their squared norm, taken in closed form,
     is certified to be 1 within `unit_norm_tol`."""
     weights = _block_weights(graph, kind)
-    lengths = _block_lengths(graph)
+    bounds = make_basis(graph).bounds
+    lengths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
     norm = math.sqrt(_uniform_norm2(lengths, weights))
     values = tuple(w / norm for w in weights) + (0.0,) * (len(lengths) - len(weights))
     require_within("state is not unit-norm: its squared norm is {value:.3e} from 1",
@@ -136,33 +120,10 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     return values
 
 
-def _start(graph: StarGraph, kind: InitialStateKind):
-    """The start of a walk with no full-length copy: a named kind's values
-    per block from `_start_values`, or a custom kind's own unit-norm
-    amplitudes, refused unless they fill the graph's basis."""
-    if kind.variant != "custom":
-        return _start_values(graph, kind)
-    amps = kind.amplitudes
-    if amps.size != graph.hilbert_dim:
-        raise DimensionMismatchError(
-            f"custom state has {amps.size} amplitudes, basis needs {graph.hilbert_dim}")
-    return amps
-
-
-def initial_state(graph: StarGraph, kind: InitialStateKind) -> WalkState:
-    """Unit-norm complex128 start state of the requested kind on this
-    graph: a named kind's value from `_start_values` on each block, or a
-    custom kind's amplitudes."""
-    start = _start(graph, kind)
-    if isinstance(start, tuple):
-        start = np.repeat(start, _block_lengths(graph))
-    return make_state(start)
-
-
 def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
     """The star's cells, and as rows on them the generators of the smallest
     state family containing a named kind: the uniform state of each block
-    it weighs.  A custom state is placed on its own cells by `place`.
+    it weighs.
 
     Closing these under the walk gives one invariant subspace that serves
     every start state of the family, not just a single seed's orbit.
@@ -258,13 +219,12 @@ def _walk_norm2(walk: BlockWalk, sums) -> float:
 def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
     """The full walk's columns, one entry per step.
 
-    The state is stepped as a `BlockWalk` from the start, a full-length
-    vector or one value per block, and its target and anomaly rows are
-    gathered at their (block, offset) into one row of a preallocated
-    array per step.  The walk conserves the squared norm, so its total is
-    taken once at the start, from the buffers or, for values per block,
-    in closed form, and carried into every step's p_rest.  At the
-    end the buffers are summed once: the squared norm is taken again from
+    The state is stepped as a `BlockWalk` from the start, one value per
+    block, and its target and anomaly rows are gathered at their (block,
+    offset) into one row of a preallocated array per step.  The walk
+    conserves the squared norm, so its total is taken once at the start,
+    in closed form, and carried into every step's p_rest.  At the end
+    the buffers are summed once: the squared norm is taken again from
     those sums, and a drift past `unit_norm_tol` is refused, and so is a
     carried sum further than `carried_sum_tol` times sqrt(N) from its
     buffer's.  In between, no step reads the state in full, and the walk's
@@ -276,8 +236,7 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
         state = BlockWalk(op, start)
         amps = np.empty((max_steps + 1, len(located)), complex)
         amps[0] = state.gather(located)
-        total = (_uniform_norm2([buf.size for buf in state.buffers], start)
-                 if isinstance(start, tuple) else _walk_norm2(state, state.sums))
+        total = _uniform_norm2([buf.size for buf in state.buffers], start)
         for n in range(1, max_steps + 1):
             state.step()
             amps[n] = state.gather(located)
@@ -296,16 +255,11 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
 
 def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows):
     """The walk on the star's cells C, stepped by M = C*UC, from the start
-    state's row on them: a custom state's own (`place` refuses a state the
-    cells do not hold), else a named kind's block values, times sqrt(N),
-    on the family's uniform rows.  `cells_operator` certifies that M keeps
-    to the cells and is unitary; the squared norm is carried as in the full walk."""
-    if kind.variant == "custom":
-        cells, seeds = place(op.basis, [start])
-        row = seeds[0]
-    else:
-        cells, seeds = family_seeds(graph, kind)
-        row = np.sqrt(graph.n_spokes) * np.asarray(start[:len(seeds)]) @ seeds
+    state's row on them: the named kind's block values, times sqrt(N), on
+    the family's uniform rows.  `cells_operator` certifies that M keeps to
+    the cells and is unitary; the squared norm is carried as in the full walk."""
+    cells, seeds = family_seeds(graph, kind)
+    row = np.sqrt(graph.n_spokes) * np.asarray(start[:len(seeds)]) @ seeds
     m = cells_operator(op, cells)
     rows = cells.rows(np.concatenate((target_rows, anomaly_rows)))
 
@@ -343,9 +297,9 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     p_anomaly the states only the anomaly provides, p_rest everything
     else.  The peak is the argmax of their sum; ties break to the
     earliest step.  method="reduced" steps the start state's row on the
-    star's cells and spot-checks a prefix against the full walk.  A named
-    kind starts both walks from its values per block and builds no
-    full-length vector; a custom kind starts them from its own array.
+    star's cells and spot-checks a prefix against the full walk.  Both
+    walks start from the kind's values per block, and neither builds a
+    full-length vector.
     """
 
     if max_steps < 1:
@@ -355,7 +309,7 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
         raise ConfigurationError(f"unknown evolution method {method!r}")
     target_rows, anomaly_rows = _partition_rows(graph)
     op = build_step_operator(graph)
-    start = _start(graph, kind)
+    start = _start_values(graph, kind)
     if method == "full":
         pts, pas, rests = _evolve_full(op, start, max_steps, target_rows, anomaly_rows)
     else:
@@ -396,53 +350,6 @@ def search_summary(graph: StarGraph, kind: InitialStateKind,
     if result.warnings:
         summary["warnings"] = list(result.warnings)
     return summary
-
-
-class MeasurementResult(NamedTuple):
-    distribution: dict
-    p_undetected: float
-    detected_edge: int | None
-    sampled: bool
-
-
-def measure_accessible(state: WalkState, graph: StarGraph, *,
-                       seed: int | None = None) -> MeasurementResult:
-    """Outcome distribution of measuring the edges present in the graph.
-
-    Amplitude on states the anomaly alone provides (extra edge, loop on
-    the marked vertex, extension edge, dummy loop) is aggregated into a
-    single undetected mass.  For missing_loop the real loops are part of
-    the graph, so their weight counts toward their own vertex's outcome.
-    Passing a seed draws one outcome; detected_edge stays None when the
-    undetected outcome is drawn.
-    """
-
-    basis = make_basis(graph)
-    if state.basis_dim != basis.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.basis_dim} != basis dimension {basis.dim}")
-    n = graph.n_spokes
-    w = np.abs(state.amplitudes) ** 2
-    spoke = w[basis.out_block] + w[basis.in_block]
-    undetected = float(w[basis.anomaly_only_rows].sum())
-    if graph.anomaly.schema.loops:
-        loops = w[basis.anomaly_block].copy()
-        loops[graph.anomaly.at - 1] = 0.0
-        spoke = spoke + loops
-    distribution = {j + 1: float(spoke[j]) for j in range(n)}
-    detected = None
-    sampled = False
-    if seed is not None:
-        weights = np.append(spoke, undetected)
-        cumulative = np.cumsum(weights)
-        drawn = bisect_right(cumulative, _uniforms(seed, 1).item() * cumulative.item(-1))
-        # u * total may round up to the total, past the last outcome of weight
-        outcome = min(drawn, int(np.flatnonzero(weights)[-1]))
-        detected = outcome + 1 if outcome < n else None
-        sampled = True
-    return MeasurementResult(distribution=distribution,
-                             p_undetected=float(undetected),
-                             detected_edge=detected, sampled=sampled)
 
 
 class BaselineStatistics(NamedTuple):

@@ -44,10 +44,11 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# a named full walk holds one virtual complex128 vector of zero pages and
-# writes only its patch rows, so at N=1e7 its launch peaks within 1 MiB of
-# one at N=1e3 (resident set); a full walk from a custom start peaks at
-# 3.00 complex128 vectors (tracemalloc, N=2e5).  The guard keeps room for four
+# the largest allocation of length N is a walk's block buffers: one virtual
+# complex128 vector of zero pages, of which steps write only the patch rows,
+# so at N=1e7 a launch peaks within 1 MiB of one at N=1e3 (resident set).
+# A full or reduced search peaks at 1.00 such vectors (tracemalloc, N=2e5).
+# The guard keeps room for four
 _WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly

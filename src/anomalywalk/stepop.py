@@ -183,29 +183,20 @@ class BlockWalk:
     full after the start.
 
     Every walk is complex128; shifts, sums and patch values are Python
-    complex numbers.  The start is a full-length vector, copied into the
-    buffers, or a tuple of one value per block, held as the shifts over
-    zero buffers whose sums are 0: a named start holds one virtual
+    complex numbers.  The start is one value per block, held as the
+    shifts over zero buffers whose sums are 0: the walk holds one virtual
     complex128 vector of zero pages, and steps touch only its patch rows.
     """
 
-    def __init__(self, op: StepOperator, start):
+    def __init__(self, op: StepOperator, start: tuple):
         bounds = op.basis.bounds
-        if isinstance(start, tuple):
-            if len(start) != len(bounds) - 1:
-                raise DimensionMismatchError(
-                    f"{len(start)} block values for the {len(bounds) - 1} blocks of the basis")
-            self.buffers = [np.zeros(hi - lo, complex) for lo, hi in zip(bounds, bounds[1:])]
-            self.shifts = [complex(v) for v in start]
-            self.sums = [0j] * len(start)
-        else:
-            if start.size != op.dimension:
-                raise DimensionMismatchError(
-                    f"state dimension {start.size} != operator dimension {op.dimension}")
-            self.buffers = [np.array(b, dtype=complex) for b in op.basis.split(start)]
-            self.shifts = [0j] * len(self.buffers)
-            self.sums = [complex(b.sum()) for b in self.buffers]
-        self.signs = [1] * len(self.buffers)
+        if len(start) != len(bounds) - 1:
+            raise DimensionMismatchError(
+                f"{len(start)} block values for the {len(bounds) - 1} blocks of the basis")
+        self.buffers = [np.zeros(hi - lo, complex) for lo, hi in zip(bounds, bounds[1:])]
+        self.shifts = [complex(v) for v in start]
+        self.sums = [0j] * len(start)
+        self.signs = [1] * len(start)
         self._op = op
         self._amp = op.amp.tolist()
 

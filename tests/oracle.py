@@ -4,43 +4,46 @@ The step is applied here as `src/` never applies it: to one flat vector
 at a time, by `apply_into`, and backwards by `apply_adjoint_into`.  On
 that step, `reduce_operator` finds V*UV numerically for any basis held
 on cells, one basis vector at a time, lifting and decomposing it by
-`lift` and `decompose` through its bulk profiles as explicit rows of
-length N, the uniform one built as a row; the operator that `collapse`
-reads from the role table and patches, with the uniform profile in
-closed form, must equal it.  Operators are also reduced on dense
+`lift` and `decompose` through the uniform bulk profile built as an
+explicit row of length N; the operator that `collapse` reads from the
+role table and patches, with the uniform profile in closed form, must
+equal it.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 step is materialized as a dense matrix, and its max|U†U - I| is the
 reference for the certificate `check_unitarity` reads from the tables.  The
 full walk's records are checked against the walk stepped as one flat
 vector, and against `ResummingWalk`, the block walk that sums its in
-block and writes the hub rule over it at every step.  The named
-start-state families are built here as they were first written, as sums
-of full-length uniform states; `src/` fills their blocks and seeds the
-closure on the cells.  The perturbation sweep's step and limit are built
-here as they were first built, on the closure of its seeds, with the
-limit's reflection walk applied column by column; `perturb` forms both on
-the star's cells.
+block and writes the hub rule over it at every step.  The named start
+states are built here as they were first written, by `named_start`, as
+weighted sums of full-length uniform states; `src/` fills their blocks
+and seeds the closure on the cells.  Full-length seeds that are uniform
+on the bulk of every block are placed on the star's cells by `place`.
+The perturbation sweep's step and limit are built here as they were
+first built, on the closure of its seeds, with the limit's reflection
+walk applied column by column; `perturb` forms both on the star's cells.
 
 `src/` holds every state in complex128.  The references keep their own
 arithmetic apart from it: a walk or a basis with no imaginary part, on
 an operator with none, runs here in float64, so its sums over N are
 contiguous float64 dots.  A complex128 product over the 1e6 entries of
-a bulk profile rounds about 65 times further: the N=1e6 orthonormality
+the bulk profile rounds about 65 times further: the N=1e6 orthonormality
 check reads 1.7e-12 with it and 2.6e-14 with these dots.
 """
 
+import math
+
 import numpy as np
 
-from anomalywalk.collapse import ReducedOperator, certify, place, reduce_seeds
-from anomalywalk.edgespace import BasisLabel, make_basis, make_state
+from anomalywalk.collapse import ReducedOperator, certify, reduce_seeds, star_cells
+from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
     SizeError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.numerics import DEFAULT_POLICY, require_within
 from anomalywalk.search import _records
 from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
@@ -80,6 +83,24 @@ def _norm2(x):
     """The squared norm as contiguous float64 dots."""
     parts = np.ascontiguousarray(x).view(np.float64)
     return float(parts @ parts)
+
+
+def make_state(amplitudes):
+    """A frozen unit-norm complex128 copy of the amplitudes."""
+    amps = np.array(amplitudes, dtype=complex)
+    if amps.ndim != 1:
+        raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
+    require_within("state is not unit-norm: its norm is {value:.3e} from 1",
+                   abs(math.sqrt(_norm2(amps)) - 1.0), DEFAULT_POLICY.unit_norm_tol,
+                   ConfigurationError)
+    amps.setflags(write=False)
+    return amps
+
+
+def split(basis, x):
+    """Views of the blocks of a full-length vector."""
+    bounds = basis.bounds
+    return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _dense_columns(op, lo, hi, dtype=complex):
@@ -142,7 +163,7 @@ def apply_into(op, x, out):
     as r + t = 1 (checked at build time).  Buffers are complex128, or
     float64 when the operator is real.
     """
-    old, new = op.basis.split(x), op.basis.split(out)
+    old, new = split(op.basis, x), split(op.basis, out)
     hub = old[op.roles[0]]
     np.subtract(op.hub_t * hub.sum(), hub, out=new[0])
     for k, role in enumerate(op.roles[1:], 1):
@@ -163,8 +184,7 @@ def reduce_operator(op, basis):
         raise DimensionMismatchError(
             f"basis lives in dimension {basis.full_dim}, "
             f"operator in {op.dimension}")
-    dtype = np.result_type(walk_dtype(op, basis.coords), walk_dtype(op, basis.profiles))
-    work = np.empty(basis.full_dim, dtype=dtype)
+    work = np.empty(basis.full_dim, dtype=walk_dtype(op, basis.coords))
     reduced = np.empty((basis.dim, basis.dim), dtype=complex)
     leakage = 0.0
     for k, e in enumerate(np.eye(basis.dim)):
@@ -174,51 +194,47 @@ def reduce_operator(op, basis):
     return ReducedOperator(matrix=reduced, basis=basis)
 
 
-def explicit_profiles(basis):
-    """The bulk profiles of a basis held on cells as rows of length N, the
-    uniform one first, built as it was first written: ones over
-    sqrt(N - k), zero on the k anomaly offsets.  Float64 when the
-    profiles have no imaginary part."""
-    n = basis.profiles.shape[1]
-    profiles = real_valued(basis.profiles)
-    uniform = np.full((1, n), 1.0 / np.sqrt(n - len(basis.anomalous)), profiles.dtype)
-    uniform[0, basis.anomalous] = 0.0
-    return np.vstack((uniform, profiles))
+def uniform_profile(basis):
+    """The uniform bulk profile of a basis held on cells as a float64 row
+    of length N, built as it was first written: ones over sqrt(N - k),
+    zero on the k anomaly offsets."""
+    uniform = np.full(basis.n_spokes, 1.0 / np.sqrt(basis.n_spokes - len(basis.anomalous)))
+    uniform[basis.anomalous] = 0.0
+    return uniform
 
 
 def lift(basis, c):
     """The full-dimension vector with coefficients c on a basis held on
-    cells, each bulk block filled from the explicit profiles."""
+    cells, each bulk block filled from the explicit uniform profile."""
     if np.shape(c) != (basis.dim,):
         raise DimensionMismatchError(
             f"expected {basis.dim} coefficients, got shape {np.shape(c)}")
-    profiles = explicit_profiles(basis)
+    profile = uniform_profile(basis)
     cells = real_valued(c @ basis.coords)
-    p = len(profiles)
-    x = np.zeros(basis.full_dim, np.result_type(profiles, cells))
+    x = np.zeros(basis.full_dim, np.result_type(profile, cells))
     for k, block in enumerate(basis.blocks):
-        np.matmul(cells[k * p:(k + 1) * p], profiles, out=x[block])
-    x[basis.units] = cells[len(basis.blocks) * p:]
+        np.multiply(cells[k], profile, out=x[block])
+    x[basis.units] = cells[len(basis.blocks):]
     return x
 
 
 def decompose(basis, x):
     """Coefficients c = V*x on a basis held on cells, read through the
-    explicit profiles, and the norm of x - Vc."""
+    explicit uniform profile, and the norm of x - Vc."""
     if x.shape != (basis.full_dim,):
         raise DimensionMismatchError(
             f"vector of shape {x.shape} against a basis in dimension {basis.full_dim}")
     x = real_valued(x)
-    profiles = explicit_profiles(basis)
-    cells = np.concatenate([profiles.conj() @ x[block] for block in basis.blocks]
+    profile = uniform_profile(basis)
+    cells = np.concatenate([[profile @ x[block]] for block in basis.blocks]
                            + [x[basis.units]])
     c = basis.coords.conj() @ cells
     return c, np.linalg.norm(lift(basis, c) - x)
 
 
 def explicit_reduced_records(op, cells, x0, steps, target_rows, anomaly_rows):
-    """The reduced walk's columns on cells whose profiles are explicit rows:
-    V*UV from `reduce_operator` stepped from V*x0, and the target and
+    """The reduced walk's columns on cells whose uniform profile is an
+    explicit row: V*UV from `reduce_operator` stepped from V*x0, and the target and
     anomaly rows of V lifted column by column."""
     m = reduce_operator(op, cells).matrix
     c, _ = decompose(cells, x0)
@@ -282,9 +298,37 @@ def family_generators(basis, kind):
     return generators
 
 
+def named_start(graph, kind):
+    """A named kind's start state as first written: its family's generators
+    weighted out, in and, for the loop kinds, loops, and normalised by
+    the norm of their sum summed exactly.  The loop_third weights
+    conjugate for a negative marking phase, as the walk does."""
+    third = np.exp(2j * np.pi / 3)
+    if graph.anomaly.mark_phase.value < 0:
+        third = third.conjugate()
+    weights = {"minus": (1.0, -1.0), "plus": (1.0, 1.0), "inout": (kind.amp_out, kind.amp_in),
+               "loop_pi": (1.0, 1.0, 1.0), "loop_third": (third.conjugate(), 1.0, third)}
+    generators = family_generators(make_basis(graph), kind)
+    amps = sum(w * g for w, g in zip(weights[kind.variant], generators))
+    return make_state(amps / math.sqrt(math.fsum((np.abs(amps) ** 2).tolist())))
+
+
+def place(basis, vectors):
+    """The star's cells and, as rows on them, full-length vectors that are
+    uniform on the bulk of every bulk block; a part of a vector off the
+    cells past DEFAULT_POLICY.invariance_tol is refused."""
+    cells = star_cells(basis)
+    v = lifted(cells)
+    rows = np.array([v.conj().T @ x for x in vectors])
+    leakage = max((np.linalg.norm(x - v @ row) for x, row in zip(vectors, rows)), default=0.0)
+    require_within("leakage {value:.3e} off the cells", leakage, DEFAULT_POLICY.invariance_tol,
+                   InvarianceError)
+    return cells, rows
+
+
 def reduce_states(op, states):
-    """The closure of arbitrary full-length seed states, placed on cells."""
-    return reduce_seeds(op, *place(op.basis, [state.amplitudes for state in states]))
+    """The closure of full-length seed states, placed on cells."""
+    return reduce_seeds(op, *place(op.basis, states))
 
 
 def seed_vectors(cells, rows):
@@ -325,7 +369,7 @@ def sweep_seeds(graph):
         states.append(all_loops_state(basis))
     if graph.anomaly_vertices:
         states.append(symmetric_out_state(basis, graph.anomaly_vertices))
-    return place(basis, [state.amplitudes for state in states])
+    return place(basis, states)
 
 
 def reference_limit(graph, basis):
@@ -339,8 +383,8 @@ def reference_limit(graph, basis):
                        for k in range(basis.dim)], axis=1)
     core = v.conj().T @ images
     bulk = [j for j in range(1, graph.n_spokes + 1) if j not in graph.anomaly_vertices]
-    bo = symmetric_out_state(u0.basis, bulk).amplitudes
-    bi = symmetric_in_state(u0.basis, bulk).amplitudes
+    bo = symmetric_out_state(u0.basis, bulk)
+    bi = symmetric_in_state(u0.basis, bulk)
     cbo, cbi = v.conj().T @ bo, v.conj().T @ bi
     leakage = max(np.linalg.norm(images - v @ core, axis=0).max(),
                   np.linalg.norm(bo - v @ cbo), np.linalg.norm(bi - v @ cbi))
@@ -365,7 +409,7 @@ def apply_adjoint_into(op, x, out):
     """U adjoint on a flat vector: the hub rule transposed, then each
     relabelled block and each patch run backwards, the patches with the
     conjugate amplitude."""
-    new, old = op.basis.split(x), op.basis.split(out)
+    new, old = split(op.basis, x), split(op.basis, out)
     np.subtract(op.hub_t * new[0].sum(), new[0], out=old[op.roles[0]])
     for k, role in enumerate(op.roles[1:], 1):
         old[role][...] = new[k]
@@ -471,7 +515,7 @@ class ResummingWalk:
 
     def __init__(self, op, x0):
         dtype = walk_dtype(op, x0)
-        self.blocks = [_cast(b, dtype) for b in op.basis.split(x0)]
+        self.blocks = [_cast(b, dtype) for b in split(op.basis, x0)]
         self._op = op
         self._amp = _amplitudes(op, self.blocks[0])
 

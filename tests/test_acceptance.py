@@ -15,6 +15,7 @@ from oracle import (
     decompose,
     dense_matrix,
     lifted,
+    named_start,
     reduce_columns,
     reference_operators,
     symmetric_in_state,
@@ -26,12 +27,9 @@ from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.perturb import perturbation_sweep
 from anomalywalk.search import (
     InitialStateKind,
-    _evolve_full,
-    _partition_rows,
     _walk_norm2,
     baseline_statistics,
     family_seeds,
-    initial_state,
     predicted_hitting_step,
     run_search,
 )
@@ -98,7 +96,7 @@ def test_criterion_03_reduced_space_fidelity():
     op = build_step_operator(graph)
     reduced = reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus()))
     v = lifted(reduced.basis)
-    full = initial_state(graph, InitialStateKind.minus()).amplitudes.copy()
+    full = named_start(graph, InitialStateKind.minus()).copy()
     coeffs, _ = decompose(reduced.basis, full)
     work = np.empty_like(full)
     lift_err = 0.0
@@ -118,10 +116,10 @@ def test_criterion_03_reduced_space_fidelity():
     chord[eb.position(BasisLabel.edge(2, 7))] = 2 ** -0.5
     chord[eb.position(BasisLabel.edge(7, 2))] = 2 ** -0.5
     hand = np.stack([
-        symmetric_out_state(eb, (2, 7)).amplitudes,
-        symmetric_in_state(eb, (2, 7)).amplitudes,
-        symmetric_out_state(eb, bulk).amplitudes,
-        symmetric_in_state(eb, bulk).amplitudes,
+        symmetric_out_state(eb, (2, 7)),
+        symmetric_in_state(eb, (2, 7)),
+        symmetric_out_state(eb, bulk),
+        symmetric_in_state(eb, bulk),
         chord,
     ], axis=1)
     r, t = (n - 2) / n, 2 / n
@@ -283,16 +281,14 @@ def test_criterion_10_infrastructure(monkeypatch):
             worst_dev = max(worst_dev, check_unitarity(op).max_deviation, gram)
     unitary_ok = worst_dev < 1e-12
 
-    # (b) norm drift on the million-spoke walk through the block walk,
-    # read from the squared norm the run takes of its state at its end
-    # (the run itself refuses a squared-norm drift past unit_norm_tol)
+    # (b) norm drift on the million-spoke search, read from the squared
+    # norm the run takes of its state at its end (the run itself refuses a
+    # squared-norm drift past unit_norm_tol)
     graph = build_star(1_000_000, Anomaly.loop(1))
-    op = build_step_operator(graph)
-    x0 = initial_state(graph, InitialStateKind.minus()).amplitudes
     norms = []
     monkeypatch.setattr("anomalywalk.search._walk_norm2",
                         lambda *args: norms.append(_walk_norm2(*args)) or norms[-1])
-    _evolve_full(op, x0, 10_000, *_partition_rows(graph))
+    run_search(graph, InitialStateKind.minus(), 10_000)
     drift = abs(math.sqrt(norms[-1]) - 1.0)
     drift_ok = drift < 1e-10
 

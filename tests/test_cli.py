@@ -488,6 +488,15 @@ class TestSearch:
         assert steps.exists()
         json.loads(out)  # summary still lands on stdout
 
+    def test_summary_and_per_step_path_must_differ(self, capsys, tmp_path, monkeypatch):
+        # two spellings of one path are refused before the search runs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", "--spec", EXTRA100,
+                             "--out", "s.json", "--per-step-out", "./s.json")
+        assert (code, out) == (1, "")
+        assert err == "error:config:--out and --per-step-out name the same file ./s.json\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_short_horizon_warns_on_stderr(self, capsys):
         code, out, err = run(capsys, "search", "--spec", EXTRA100,
                              "--max-steps", "5")
@@ -621,41 +630,30 @@ def count_calls(monkeypatch, fn):
 
 class TestSinglePass:
     """The reduced paths read the cells' operator in a single pass over the
-    role table and patches: they construct no block walk and split no
-    full-length vector into blocks."""
-
-    @staticmethod
-    def count_steps(monkeypatch):
-        walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
-        splits = []
-        split = anomalywalk.edgespace.EdgeBasis.split
-        monkeypatch.setattr(anomalywalk.edgespace.EdgeBasis, "split",
-                            lambda self, x: splits.append(x.size) or split(self, x))
-        return walks, splits
+    role table and patches: they construct no block walk."""
 
     @pytest.mark.parametrize("spec", [LOOP100, EXTRA100], ids=["loop", "extra_edge"])
     def test_spectrum_steps_no_state(self, capsys, tmp_path, monkeypatch, spec):
-        walks, splits = self.count_steps(monkeypatch)
+        walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
         code, _, _ = run(capsys, "spectrum", "--spec", spec,
                          "--out", str(tmp_path / "spec.csv"))
         assert code == 0
-        assert (walks, splits) == ([], [])
+        assert walks == []
 
     def test_sweep_builds_one_operator_per_size(self, monkeypatch):
         builds = count_calls(monkeypatch, anomalywalk.stepop.build_scattering_operator)
-        walks, splits = self.count_steps(monkeypatch)
+        walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
         anomalywalk.perturbation_sweep(anomalywalk.Anomaly.extra_edge(1, 2),
                                        sizes=(64, 128, 256, 512))
-        assert (len(builds), walks, splits) == (4, [], [])
+        assert (len(builds), walks) == (4, [])
 
     def test_the_spies_see_a_full_walk(self, capsys, tmp_path, monkeypatch):
-        # the same spies on a full evolution: one walk, which a named kind
-        # starts from its values per block, splitting no full-length vector
-        walks, splits = self.count_steps(monkeypatch)
+        # the same spy on a full evolution: one walk
+        walks = count_calls(monkeypatch, anomalywalk.stepop.BlockWalk)
         code, _, _ = run(capsys, "evolve", "--spec", LOOP100, "--steps", "3",
                          "--out", str(tmp_path / "steps.csv"))
         assert code == 0
-        assert (len(walks), splits) == (1, [])
+        assert len(walks) == 1
 
 
 class TestSpectrum:
@@ -755,6 +753,15 @@ class TestPerturb:
         assert fits.exists()
         assert "slope" in fits.read_text().splitlines()[0]
         assert "below-floor" in stdout  # the stationary branch.
+
+    def test_shift_and_fit_paths_must_differ(self, capsys, tmp_path, monkeypatch):
+        # two spellings of one path are refused before the sweep runs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "perturb", "--anomaly", "loop",
+                             "--n-list", "64,128,256,512", "--out", "x.csv", "--fits-out", "./x.csv")
+        assert (code, out) == (1, "")
+        assert err == "error:config:--out and --fits-out name the same file ./x.csv\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_phase_as_its_own_token(self, capsys, tmp_path):
         code, stdout, err = run(capsys, "perturb", "--anomaly", "extended_edge",

@@ -14,6 +14,9 @@ from oracle import (
     hub_out_state,
     lift,
     lifted,
+    make_state,
+    named_start,
+    place,
     projector_gap,
     reduce_columns,
     reduce_operator,
@@ -27,8 +30,8 @@ from oracle import (
 )
 
 import anomalywalk.collapse
-from anomalywalk.collapse import ReducedBasis, cells_operator, place, reduce_seeds
-from anomalywalk.edgespace import BasisLabel, make_basis, make_state
+from anomalywalk.collapse import ReducedBasis, cells_operator, reduce_seeds, star_cells
+from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -41,7 +44,6 @@ from anomalywalk.search import (
     InitialStateKind,
     _partition_rows,
     family_seeds,
-    initial_state,
     run_search,
 )
 from anomalywalk.spectral import eigendecompose
@@ -105,19 +107,10 @@ def named_kinds(graph):
     return kinds
 
 
-def complex_custom(graph):
-    """A random complex custom start state of the graph."""
-    rng = np.random.default_rng(graph.n_spokes)
-    amps = rng.normal(size=graph.hilbert_dim) + 1j * rng.normal(size=graph.hilbert_dim)
-    return InitialStateKind.custom(amps)
-
-
-def seedings(graph, op):
-    """The cells and seed rows of every kind the graph admits, of a random
-    complex custom state, and of the perturbation sweep as first written."""
-    custom = initial_state(graph, complex_custom(graph)).amplitudes
-    return ([family_seeds(graph, kind) for kind in named_kinds(graph)]
-            + [place(op.basis, [custom]), sweep_seeds(graph)])
+def seedings(graph):
+    """The cells and seed rows of every kind the graph admits, and of the
+    perturbation sweep as first written."""
+    return [family_seeds(graph, kind) for kind in named_kinds(graph)] + [sweep_seeds(graph)]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -126,7 +119,7 @@ def test_cells_close_like_the_dense_walk(n, anomaly):
     # the cell closure against the SVD closure of the dense matrix
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
-    for seeds in seedings(graph, op):
+    for seeds in seedings(graph):
         basis = reduce_seeds(op, *seeds).basis
         ref = dense_closure(op, seed_vectors(*seeds))
         assert basis.dim == ref.shape[1]
@@ -145,7 +138,7 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     # the limit's reflection walk reduced column by column
     graph = build_star(n, anomaly)
     op = build_step_operator(graph)
-    for seeds in seedings(graph, op):
+    for seeds in seedings(graph):
         finite = reduce_seeds(op, *seeds)
         again, leakage = reduce_columns(op, lifted(finite.basis))
         assert leakage <= DEFAULT_POLICY.invariance_tol
@@ -168,17 +161,14 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
     # M read from the role table against C*UC of the dense U on the lifted
     # cells, and at larger N against the oracle that steps each cell;
     # every variant at both ends of the star, the cells of every named
-    # kind, of the sweep seeds and of a random real and complex custom state
-    rng = np.random.default_rng(n)
+    # kind and of the sweep seeds
     anomalies = [Anomaly.none()] + [
         Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, ends)))
         for variant in VARIANTS[1:] for ends in ((1, n), (3, 2))]
     for anomaly in anomalies:
         graph = build_star(n, anomaly)
         op = build_step_operator(graph)
-        real = InitialStateKind.custom(rng.normal(size=op.dimension))
-        custom = place(op.basis, [initial_state(graph, real).amplitudes])
-        for cells, _ in seedings(graph, op) + [custom]:
+        for cells, _ in seedings(graph):
             if n <= 12:
                 c = lifted(cells)
                 want = c.conj().T @ dense_matrix(op) @ c
@@ -200,15 +190,14 @@ def test_implicit_uniform_profile_matches_the_explicit_row(n, phase):
     # seeding: the cells' M against C*UC, the closure's matrix and its
     # eigenphases against V*UV, the rows of V against its columns lifted
     # block by block, and the reduced search's columns against the walk
-    # stepped on V*UV from V*x0; a complex custom state's rows on its own
-    # cells lift back to it
+    # stepped on V*UV from V*x0
     anomalies = [Anomaly.none()] + [
         Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, (2, 3))))
         for variant in VARIANTS[1:]]
     for anomaly in anomalies:
         graph = build_star(n, anomaly)
         op = build_step_operator(graph)
-        for cells, rows in seedings(graph, op):
+        for cells, rows in seedings(graph):
             want = reduce_operator(op, cells).matrix
             assert np.abs(cells_operator(op, cells) - want).max() <= 1e-12, anomaly
             finite = reduce_seeds(op, cells, rows)
@@ -222,14 +211,10 @@ def test_implicit_uniform_profile_matches_the_explicit_row(n, phase):
         if not graph.anomaly_vertices:
             continue  # a plain star has nothing to search for
         target_rows, anomaly_rows = _partition_rows(graph)
-        for kind in named_kinds(graph) + [complex_custom(graph)]:
-            x0 = initial_state(graph, kind).amplitudes
-            if kind.variant == "custom":
-                cells, rows = place(op.basis, [x0])
-                assert np.abs(lift(cells, rows[0]) - x0).max() <= 1e-14
-            else:
-                cells, _ = family_seeds(graph, kind)
-            want = explicit_reduced_records(op, cells, x0, 40, target_rows, anomaly_rows)
+        for kind in named_kinds(graph):
+            cells, _ = family_seeds(graph, kind)
+            want = explicit_reduced_records(op, cells, named_start(graph, kind), 40, target_rows,
+                                            anomaly_rows)
             got = run_search(graph, kind, 40, method="reduced")
             for column, ref in zip((got.p_target_spokes, got.p_anomaly, got.p_rest), want):
                 assert np.abs(column - ref).max() <= 1e-12, (anomaly, kind.variant)
@@ -312,22 +297,24 @@ def test_sweep_seeds_are_the_family_generators_and_anomaly_spoke(anomaly):
         lifted_rows = seed_vectors(*seeds)
         assert len(lifted_rows) == len(hand)
         for seed, ref in zip(lifted_rows, hand):
-            assert np.abs(seed - ref.amplitudes).max() <= 1e-15
+            assert np.abs(seed - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("anomaly", DENSE_ANOMALIES)
 def test_place_holds_the_vectors_and_refuses_a_dropped_block_part(anomaly):
-    # a random vector's rows on its own cells lift back to it; a block part
-    # within the closure residual of the uniform profile, real or complex,
-    # is dropped from the profiles, and its leakage is refused
+    # the references' placement of seeds uniform on the bulk: a random such
+    # vector's rows on the star's cells lift back to it; a block part within
+    # the closure residual of the uniform profile, real or complex, is off
+    # the cells, and its leakage is refused
     graph = build_star(10, anomaly)
     basis = make_basis(graph)
+    v = lifted(star_cells(basis)).real
     rng = np.random.default_rng(7)
-    for x in (rng.normal(size=basis.dim), rng.normal(size=basis.dim) * 1j):
+    for x in (v @ rng.normal(size=v.shape[1]), v @ rng.normal(size=v.shape[1]) * 1j):
         cells, rows = place(basis, [x])
         assert rows.dtype == np.complex128
         assert np.abs(lift(cells, rows[0]) - x).max() <= 1e-14
-    near = hub_out_state(basis).amplitudes.copy()
+    near = hub_out_state(basis).copy()
     bulk = [j for j in range(1, 11) if j not in graph.anomaly_vertices]
     near[basis.out_rows(bulk[:2])] += (5e-9, -5e-9)
     for x in (near, near * np.exp(0.3j)):
@@ -384,9 +371,10 @@ def test_single_seed_orbit_is_smaller_than_family():
     # the family generators is what yields the full five dimensions
     graph = build_star(100, Anomaly.extra_edge(2, 5))
     op = build_step_operator(graph)
-    alone = lifted(reduce_states(op, [initial_state(graph, InitialStateKind.minus())]).basis)
+    cells, rows = family_seeds(graph, InitialStateKind.minus())
+    alone = lifted(reduce_seeds(op, cells, [rows[0] - rows[1]]).basis)
     assert alone.shape[1] == 4
-    family = lifted(reduce_seeds(op, *family_seeds(graph, InitialStateKind.minus())).basis)
+    family = lifted(reduce_seeds(op, cells, rows).basis)
     assert family.shape[1] == 5
     # the missing direction is a fixed vector of the step
     u = dense_matrix(op)
@@ -399,13 +387,13 @@ def test_single_seed_orbit_is_smaller_than_family():
 
 
 def test_orbit_matches_dense_rank_brute_force():
-    # independent oracle: grow the orbit with the dense matrix and SVD rank
-    graph = build_star(3, Anomaly.none())
+    # independent oracle: grow the orbit of one family seed, the uniform
+    # out state, with the dense matrix and SVD rank
+    graph = build_star(3, Anomaly.loop(2))
     op = build_step_operator(graph)
     u = dense_matrix(op)
-    seed = np.zeros(6, dtype=complex)
-    seed[2] = 1.0  # the 0->3 state
-    stack = [seed]
+    cells, rows = family_seeds(graph, InitialStateKind.minus())
+    stack = seed_vectors(cells, rows[:1])
     rank = 1
     while True:
         images = [u @ w for w in stack] + [u.conj().T @ w for w in stack]
@@ -416,8 +404,8 @@ def test_orbit_matches_dense_rank_brute_force():
         q = np.linalg.svd(m, full_matrices=False)[0][:, :new_rank]
         stack = [q[:, i] for i in range(new_rank)]
         rank = new_rank
-    basis = reduce_states(op, [basis_vector(op.basis, BasisLabel.edge(0, 3))]).basis
-    assert basis.dim == rank == 4
+    basis = reduce_seeds(op, cells, rows[:1]).basis
+    assert basis.dim == rank == 5
 
 
 def test_reduced_matrix_golden_extra_edge():
@@ -432,10 +420,10 @@ def test_reduced_matrix_golden_extra_edge():
     chord[basis.position(BasisLabel.edge(2, 5))] = 2 ** -0.5
     chord[basis.position(BasisLabel.edge(5, 2))] = 2 ** -0.5
     cols = np.stack([
-        symmetric_out_state(basis, (2, 5)).amplitudes,
-        symmetric_in_state(basis, (2, 5)).amplitudes,
-        symmetric_out_state(basis, bulk).amplitudes,
-        symmetric_in_state(basis, bulk).amplitudes,
+        symmetric_out_state(basis, (2, 5)),
+        symmetric_in_state(basis, (2, 5)),
+        symmetric_out_state(basis, bulk),
+        symmetric_in_state(basis, bulk),
         chord,
     ], axis=1)
     op = build_step_operator(graph)
@@ -469,10 +457,10 @@ def test_family_closure_spans_hand_basis():
     chord[basis.position(BasisLabel.edge(3, 7))] = 2 ** -0.5
     chord[basis.position(BasisLabel.edge(7, 3))] = 2 ** -0.5
     hand = np.stack([
-        symmetric_out_state(basis, (3, 7)).amplitudes,
-        symmetric_in_state(basis, (3, 7)).amplitudes,
-        symmetric_out_state(basis, bulk).amplitudes,
-        symmetric_in_state(basis, bulk).amplitudes,
+        symmetric_out_state(basis, (3, 7)),
+        symmetric_in_state(basis, (3, 7)),
+        symmetric_out_state(basis, bulk),
+        symmetric_in_state(basis, bulk),
         chord,
     ], axis=1)
     op, auto = family_basis(graph)
@@ -515,19 +503,19 @@ def test_million_spoke_closure_is_orthonormal():
 def test_project_lift_roundtrip():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
-    x = initial_state(graph, InitialStateKind.minus())
-    coeffs, leakage = decompose(basis, x.amplitudes)
+    x = named_start(graph, InitialStateKind.minus())
+    coeffs, leakage = decompose(basis, x)
     assert coeffs.shape == (basis.dim,)
     assert leakage <= 1e-12
-    np.testing.assert_allclose(lift(basis, coeffs), x.amplitudes, atol=1e-12)
-    np.testing.assert_allclose(lifted(basis) @ coeffs, x.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(lift(basis, coeffs), x, atol=1e-12)
+    np.testing.assert_allclose(lifted(basis) @ coeffs, x, atol=1e-12)
 
 
 def test_project_drops_component_outside_span():
     graph = build_star(15, Anomaly.loop(6))
     op, basis = family_basis(graph)
     outside = basis_vector(op.basis, BasisLabel.edge(0, 1))
-    coeffs, leakage = decompose(basis, outside.amplitudes)
+    coeffs, leakage = decompose(basis, outside)
     assert np.linalg.norm(coeffs) < 1.0  # strictly shrinks
     assert leakage == pytest.approx(np.sqrt(1.0 - np.linalg.norm(coeffs) ** 2), abs=1e-12)
 
@@ -550,15 +538,13 @@ def test_seed_dimension_mismatch():
         reduce_seeds(op, cells, [[1.0, 0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
         reduce_seeds(op, cells, rows[0])
-    with pytest.raises(DimensionMismatchError):
-        place(op.basis, [np.array([1.0, 0.0])])
 
 
 def test_reduce_rejects_non_invariant_basis():
     # one unit cell: the state (0,1), which the step moves away
     graph = build_star(6, Anomaly.none())
     op = build_step_operator(graph)
-    lonely = ReducedBasis(profiles=np.empty((0, 6)), anomalous=np.empty(0, np.intp), blocks=(),
+    lonely = ReducedBasis(n_spokes=6, anomalous=np.empty(0, np.intp), blocks=(),
                           units=np.array([op.basis.position(BasisLabel.edge(0, 1))]),
                           coords=np.eye(1), full_dim=op.dimension)
     with pytest.raises(InvarianceError):

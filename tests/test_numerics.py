@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import make_state, place
 
 import anomalywalk
 import anomalywalk.cli
 import anomalywalk.search
 from anomalywalk.cli import main
-from anomalywalk.collapse import certify, place
-from anomalywalk.edgespace import WalkState, edge_probabilities, make_basis, make_state
+from anomalywalk.collapse import certify
+from anomalywalk.edgespace import make_basis
 from anomalywalk.errors import (
     ConfigurationError,
     InvarianceError,
@@ -35,7 +36,7 @@ LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
 # match_tol, shift_floor, peak_slack and rank_tol are thresholds of another
 # kind and may be compared directly
 CERTIFICATE_TOLERANCES = frozenset({
-    "unit_norm_tol", "probability_tol", "unitarity_tol", "carried_sum_tol", "invariance_tol",
+    "unit_norm_tol", "unitarity_tol", "carried_sum_tol", "invariance_tol",
     "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "unit_circle_tol",
     "projector_tol",
 })
@@ -83,11 +84,6 @@ def _loop_state(at_row):
     x = np.zeros(basis.dim)
     x[at_row], x[at_row + 1] = NAN, 1.0
     return basis, x
-
-
-def _edge_probabilities(monkeypatch):
-    basis, x = _loop_state(3)
-    return lambda: edge_probabilities(WalkState(x, basis.dim), basis)
 
 
 def _place(monkeypatch):
@@ -140,10 +136,11 @@ def _unitarity_report(monkeypatch):
     return lambda: anomalywalk.cli._cmd_check(argparse.Namespace(spec=LOOP8))
 
 
+# make_state and place are the references' full-length state and its
+# placement on the star's cells
 NAN_CASES = {
     "make_state": (lambda mp: lambda: make_state(np.array([NAN, 1.0])), ConfigurationError),
     "start_values": (_start_values, ConfigurationError),
-    "edge_probabilities": (_edge_probabilities, NumericalFailureError),
     "place": (_place, InvarianceError),
     "place_unit_row": (_place_unit, InvarianceError),
     "certify_leakage": (lambda mp: lambda: certify(np.eye(2), NAN), InvarianceError),
@@ -165,8 +162,8 @@ def test_every_certificate_refuses_nan(case, monkeypatch):
 
 
 def test_place_refuses_a_nan_on_every_row():
-    # bulk rows leak a nan part; the anomaly vertex's out and in rows
-    # (0 and 8) and its loop (16) are unit cells, held exactly
+    # bulk rows and the unit cells, the anomaly vertex's out and in rows
+    # (0 and 8) and its loop (16), all leak a nan part
     basis = make_basis(build_star(8, Anomaly.loop(1)))
     for row in range(basis.dim):
         x = np.ones(basis.dim)

@@ -13,15 +13,10 @@ import pytest
 
 import anomalywalk
 from anomalywalk.collapse import ReducedBasis, ReducedOperator
-from anomalywalk.edgespace import BasisLabel, EdgeBasis, WalkState
+from anomalywalk.edgespace import BasisLabel, EdgeBasis
 from anomalywalk.numerics import NumericPolicy
 from anomalywalk.perturb import EigenShift, ScalingFit, SweepResult
-from anomalywalk.search import (
-    BaselineStatistics,
-    InitialStateKind,
-    MeasurementResult,
-    SearchResult,
-)
+from anomalywalk.search import BaselineStatistics, InitialStateKind, SearchResult
 from anomalywalk.spectral import Spectrum
 from anomalywalk.stargraph import VARIANT_SCHEMA, Anomaly, PhaseAngle, StarGraph, VariantSchema
 from anomalywalk.stepop import UnitarityReport
@@ -29,20 +24,18 @@ from anomalywalk.stepop import UnitarityReport
 FIELDS = {
     BasisLabel: ("kind", "u", "v"),
     EdgeBasis: ("n_spokes", "anomaly"),
-    WalkState: ("amplitudes", "basis_dim"),
     EigenShift: ("theta0", "multiplicity0", "shifts", "overlap", "unmatched"),
     ScalingFit: ("branch_theta0", "slope", "intercept", "r_squared", "points_used", "excluded"),
     SweepResult: ("samples", "fits"),
-    ReducedBasis: ("profiles", "anomalous", "blocks", "units", "coords", "full_dim"),
+    ReducedBasis: ("n_spokes", "anomalous", "blocks", "units", "coords", "full_dim"),
     ReducedOperator: ("matrix", "basis"),
     Spectrum: ("eigenphases", "blocks", "multiplicities"),
-    InitialStateKind: ("variant", "amp_out", "amp_in", "amplitudes"),
+    InitialStateKind: ("variant", "amp_out", "amp_in"),
     SearchResult: ("p_target_spokes", "p_anomaly", "p_rest", "peak_step", "peak_detectable",
                    "peak_undetected", "predicted_step", "warnings"),
-    MeasurementResult: ("distribution", "p_undetected", "detected_edge", "sampled"),
     BaselineStatistics: ("trials", "mean", "std", "expected_mean"),
     UnitarityReport: ("max_deviation", "tolerance"),
-    NumericPolicy: ("unit_norm_tol", "probability_tol", "unitarity_tol", "carried_sum_tol",
+    NumericPolicy: ("unit_norm_tol", "unitarity_tol", "carried_sum_tol",
                     "closure_residual",
                     "invariance_tol", "reduced_unitarity_tol", "spot_check_tol",
                     "spot_check_steps", "dense_cap", "eig_residual_tol", "unit_circle_tol",
@@ -55,12 +48,10 @@ FIELDS = {
 }
 
 _UNMARKED = "mark_phase=PhaseAngle(num=0, den=1, rad=None)"
-_BASIS = ReducedBasis(profiles=np.empty((0, 2)), anomalous=np.array([1]),
-                      blocks=(slice(0, 2),), units=np.array([1]), coords=np.ones((1, 2)),
-                      full_dim=2)
-_BASIS_REPR = ("ReducedBasis(profiles=array([], shape=(0, 2), dtype=float64), "
-               "anomalous=array([1]), blocks=(slice(0, 2, None),), units=array([1]), "
-               "coords=array([[1., 1.]]), full_dim=2)")
+_BASIS = ReducedBasis(n_spokes=2, anomalous=np.array([1]), blocks=(slice(0, 2),),
+                      units=np.array([1]), coords=np.ones((1, 2)), full_dim=2)
+_BASIS_REPR = ("ReducedBasis(n_spokes=2, anomalous=array([1]), blocks=(slice(0, 2, None),), "
+               "units=array([1]), coords=array([[1., 1.]]), full_dim=2)")
 
 # one value of each type and its repr, which is the dataclass format
 SAMPLES = [
@@ -68,8 +59,6 @@ SAMPLES = [
     (EdgeBasis(3, Anomaly.none()),
      f"EdgeBasis(n_spokes=3, anomaly=Anomaly(variant='none', u=None, v=None, at=None, "
      f"{_UNMARKED}))"),
-    (WalkState(amplitudes=np.array([1.0]), basis_dim=1),
-     "WalkState(amplitudes=array([1.]), basis_dim=1)"),
     (EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, unmatched=False),
      "EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, "
      "unmatched=False)"),
@@ -84,22 +73,19 @@ SAMPLES = [
     (Spectrum(eigenphases=(0.0,), blocks=(np.eye(1),), multiplicities=(1,)),
      "Spectrum(eigenphases=(0.0,), blocks=(array([[1.]]),), multiplicities=(1,))"),
     (InitialStateKind.inout(1, -1j),
-     "InitialStateKind(variant='inout', amp_out=(1+0j), amp_in=(-0-1j), amplitudes=())"),
+     "InitialStateKind(variant='inout', amp_out=(1+0j), amp_in=(-0-1j))"),
     (SearchResult(p_target_spokes=np.array([0.5]), p_anomaly=np.array([0.25]),
                   p_rest=np.array([0.25]), peak_step=0, peak_detectable=0.5,
                   peak_undetected=0.25, predicted_step=None),
      "SearchResult(p_target_spokes=array([0.5]), p_anomaly=array([0.25]), "
      "p_rest=array([0.25]), peak_step=0, peak_detectable=0.5, peak_undetected=0.25, "
      "predicted_step=None, warnings=())"),
-    (MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, sampled=True),
-     "MeasurementResult(distribution={1: 1.0}, p_undetected=0.0, detected_edge=1, "
-     "sampled=True)"),
     (BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5),
      "BaselineStatistics(trials=10, mean=2.0, std=1.0, expected_mean=2.5)"),
     (UnitarityReport(max_deviation=1e-16, tolerance=1e-12),
      "UnitarityReport(max_deviation=1e-16, tolerance=1e-12)"),
     (NumericPolicy(),
-     "NumericPolicy(unit_norm_tol=1e-10, probability_tol=1e-10, unitarity_tol=1e-12, "
+     "NumericPolicy(unit_norm_tol=1e-10, unitarity_tol=1e-12, "
      "carried_sum_tol=1e-10, closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
      "spot_check_tol=1e-09, spot_check_steps=25, dense_cap=5000, eig_residual_tol=1e-08, "
      "unit_circle_tol=1e-09, cluster_tol=1e-06, rank_tol=1e-08, projector_tol=1e-09, "

@@ -1,4 +1,4 @@
-"""Search dynamics tests: start states, peaks, measurement, baseline."""
+"""Search dynamics tests: start states, peaks, the detected split, baseline."""
 
 import csv
 import importlib
@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracle import (
-    family_generators,
+    apply_into,
     flat_walk_records,
+    named_start,
     resumming_walk_records,
     walk_dtype,
     walk_state,
@@ -23,12 +24,10 @@ import anomalywalk.collapse
 import anomalywalk.search
 import anomalywalk.stepop
 from anomalywalk.cli import main
-from anomalywalk.collapse import cells_operator, place, reduce_seeds
-from anomalywalk.edgespace import make_basis, make_state
+from anomalywalk.collapse import cells_operator, reduce_seeds
+from anomalywalk.edgespace import make_basis
 from anomalywalk.errors import (
     ConfigurationError,
-    DimensionMismatchError,
-    InvarianceError,
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
@@ -39,24 +38,13 @@ from anomalywalk.search import (
     _start_values,
     baseline_statistics,
     family_seeds,
-    initial_state,
-    measure_accessible,
     predicted_hitting_step,
     run_search,
     search_summary,
     write_per_step_csv,
 )
-from anomalywalk.stargraph import (
-    _WORKING_SET_BYTES_PER_AMPLITUDE,
-    Anomaly,
-    PhaseAngle,
-    StarGraph,
-    build_star,
-)
+from anomalywalk.stargraph import Anomaly, PhaseAngle, StarGraph, build_star
 from anomalywalk.stepop import BlockWalk, build_step_operator
-
-
-THIRD = np.exp(2j * np.pi / 3)
 
 
 def within(a, b, tol):
@@ -70,23 +58,26 @@ def columns(result):
 
 
 class TestInitialStates:
+    """The named start states as the references build them; the block fill
+    that `run_search` starts from is held to them."""
+
     def test_minus_amplitudes(self):
         graph = build_star(8, Anomaly.extra_edge(1, 2))
-        s = initial_state(graph, InitialStateKind.minus())
-        np.testing.assert_allclose(s.amplitudes[:8], 0.25)
-        np.testing.assert_allclose(s.amplitudes[8:16], -0.25)
-        np.testing.assert_allclose(s.amplitudes[16:], 0)
+        s = named_start(graph, InitialStateKind.minus())
+        np.testing.assert_allclose(s[:8], 0.25)
+        np.testing.assert_allclose(s[8:16], -0.25)
+        np.testing.assert_allclose(s[16:], 0)
 
     def test_plus_amplitudes(self):
         graph = build_star(8, Anomaly.loop(3))
-        s = initial_state(graph, InitialStateKind.plus())
-        np.testing.assert_allclose(s.amplitudes[:16], 0.25)
+        s = named_start(graph, InitialStateKind.plus())
+        np.testing.assert_allclose(s[:16], 0.25)
 
     def test_inout_normalizes(self):
         graph = build_star(4, Anomaly.loop(1))
-        s = initial_state(graph, InitialStateKind.inout(3.0, 4.0j))
-        out_amp = s.amplitudes[0]
-        in_amp = s.amplitudes[4]
+        s = named_start(graph, InitialStateKind.inout(3.0, 4.0j))
+        out_amp = s[0]
+        in_amp = s[4]
         assert abs(out_amp) == pytest.approx(0.3)
         assert abs(in_amp) == pytest.approx(0.4)
         assert in_amp / out_amp == pytest.approx(4j / 3)
@@ -102,24 +93,21 @@ class TestInitialStates:
     def test_unusable_coefficients_rejected_at_construction(self, amp_out, amp_in):
         with pytest.raises(ConfigurationError):
             InitialStateKind.inout(amp_out, amp_in)
-        with pytest.raises(ConfigurationError):
-            InitialStateKind.custom([amp_out, amp_in, 0, 0, 0, 0, 0, 0])
 
     def test_loop_pi_uniform_over_three_families(self):
         graph = build_star(12, Anomaly.missing_loop(5))
-        s = initial_state(graph, InitialStateKind.loop_pi())
+        s = named_start(graph, InitialStateKind.loop_pi())
         expected = 1.0 / math.sqrt(3 * 12)
-        np.testing.assert_allclose(np.abs(s.amplitudes), expected)
+        np.testing.assert_allclose(np.abs(s), expected)
         # all in phase
-        np.testing.assert_allclose(s.amplitudes, s.amplitudes[0])
+        np.testing.assert_allclose(s, s[0])
 
     def test_loop_third_relative_phases(self):
         graph = build_star(12, Anomaly.missing_loop(
             5, PhaseAngle.from_pi_fraction(1, 3)))
-        s = initial_state(graph, InitialStateKind.loop_third())
+        s = named_start(graph, InitialStateKind.loop_third())
         w = np.exp(2j * np.pi / 3)
-        out_amp, in_amp, loop_amp = (s.amplitudes[0], s.amplitudes[12],
-                                     s.amplitudes[24])
+        out_amp, in_amp, loop_amp = s[0], s[12], s[24]
         assert abs(out_amp) == pytest.approx(1 / math.sqrt(36))
         assert out_amp / in_amp == pytest.approx(w.conjugate())
         assert loop_amp / in_amp == pytest.approx(w)
@@ -129,95 +117,75 @@ class TestInitialStates:
             5, PhaseAngle.from_pi_fraction(1, 3)))
         neg = build_star(12, Anomaly.missing_loop(
             5, PhaseAngle.from_pi_fraction(-1, 3)))
-        sp = initial_state(pos, InitialStateKind.loop_third())
-        sn = initial_state(neg, InitialStateKind.loop_third())
-        np.testing.assert_allclose(sn.amplitudes, np.conj(sp.amplitudes))
+        sp = named_start(pos, InitialStateKind.loop_third())
+        sn = named_start(neg, InitialStateKind.loop_third())
+        np.testing.assert_allclose(sn, np.conj(sp))
 
     def test_loop_kinds_need_missing_loop(self):
         graph = build_star(6, Anomaly.loop(2))
         with pytest.raises(ConfigurationError):
-            initial_state(graph, InitialStateKind.loop_pi())
+            run_search(graph, InitialStateKind.loop_pi(), 1)
         with pytest.raises(ConfigurationError):
             family_seeds(graph, InitialStateKind.loop_third())
-
-    def test_custom_checks(self):
-        graph = build_star(4, Anomaly.none())
-        with pytest.raises(ConfigurationError):
-            InitialStateKind.custom([0, 0])
-        with pytest.raises(DimensionMismatchError):
-            initial_state(graph, InitialStateKind.custom([1.0, 0.0]))
-        amps = np.zeros(8)
-        amps[3] = 2.0  # normalized on the way in
-        s = initial_state(graph, InitialStateKind.custom(amps))
-        assert abs(s.amplitudes[3]) == pytest.approx(1.0)
 
     def test_family_seeds_counts(self):
         spoke = build_star(9, Anomaly.extra_edge(1, 5))
         assert len(family_seeds(spoke, InitialStateKind.minus())[1]) == 2
         missing = build_star(9, Anomaly.missing_loop(5))
         assert len(family_seeds(missing, InitialStateKind.loop_pi())[1]) == 3
-        # a custom state has no family of uniform states: `place` takes it
+        # a kind that names no family is refused
         with pytest.raises(ConfigurationError, match="not a named family"):
-            family_seeds(spoke, InitialStateKind.custom(np.ones(spoke.hilbert_dim)))
+            family_seeds(spoke, InitialStateKind("zap"))
 
     @pytest.mark.parametrize("n", [3, 7, 1000])
-    @pytest.mark.parametrize("kind,weights", [
-        (InitialStateKind.minus(), (1.0, -1.0)),
-        (InitialStateKind.plus(), (1.0, 1.0)),
-        (InitialStateKind.inout(0.3, -0.7), (0.3, -0.7)),
-        (InitialStateKind.inout(1.0, -0.5j), (1.0, -0.5j)),
-        (InitialStateKind.loop_pi(), (1.0, 1.0, 1.0)),
-        (InitialStateKind.loop_third(), (THIRD.conjugate(), 1.0, THIRD)),
+    @pytest.mark.parametrize("kind", [
+        InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.inout(0.3, -0.7),
+        InitialStateKind.inout(1.0, -0.5j), InitialStateKind.loop_pi(),
+        InitialStateKind.loop_third(),
     ], ids=["minus", "plus", "inout_real", "inout_complex", "loop_pi", "loop_third"])
     @pytest.mark.parametrize("phase", [(1, 3), (-1, 3), (1, 1)], ids=["pi_3", "-pi_3", "pi"])
-    def test_named_states_are_the_generator_sums(self, n, kind, weights, phase):
-        # the block fill against the sum of the full-length generators as
-        # first written, dtype included, normalised by its norm summed
-        # exactly: the closed-form norm leaves each entry within 2 ulps
-        # of it (0.85 measured up to N=1e6), where np.linalg.norm's sum
-        # over the vector rounds 32 ulps away at N=1000
+    def test_named_states_are_the_generator_sums(self, n, kind, phase):
+        # the values per block, filled into their blocks, against the sum of
+        # the full-length generators as first written, normalised by its
+        # norm summed exactly: the closed-form norm leaves each entry within
+        # 2 ulps of it (0.85 measured up to N=1e6), where np.linalg.norm's
+        # sum over the vector rounds 32 ulps away at N=1000
         graph = build_star(n, Anomaly.missing_loop(2, PhaseAngle.from_pi_fraction(*phase)))
-        if kind.variant == "loop_third" and phase[0] < 0:
-            weights = weights[::-1]  # a negative phase conjugates the weights
-        generators = family_generators(make_basis(graph), kind)
-        amps = sum(c * g.amplitudes for c, g in zip(weights, generators))
-        want = amps / math.sqrt(math.fsum((np.abs(amps) ** 2).tolist()))
-        got = initial_state(graph, kind).amplitudes
-        assert got.dtype == want.dtype
+        want = named_start(graph, kind)
+        got = np.repeat(_start_values(graph, kind), np.diff(make_basis(graph).bounds))
         np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("phase", [(1, 1), (1, 3)], ids=["pi", "pi_3"])
 @pytest.mark.parametrize("kind", [
     InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.loop_pi(),
-    InitialStateKind.loop_third(), InitialStateKind.inout(1, -1), InitialStateKind.inout(1, 1j),
-    InitialStateKind.custom([1.0] + [0.0] * 35), InitialStateKind.custom([1j] + [0.0] * 35)],
-    ids=["minus", "plus", "loop_pi", "loop_third", "inout_real", "inout_complex",
-         "custom_real", "custom_complex"])
+    InitialStateKind.loop_third(), InitialStateKind.inout(1, -1), InitialStateKind.inout(1, 1j)],
+    ids=["minus", "plus", "loop_pi", "loop_third", "inout_real", "inout_complex"])
 def test_every_start_cells_operator_and_closure_is_complex128(kind, phase):
     # one arithmetic for every walk, real-valued or not, on a real operator
     # (marked by pi) and on a complex one
     graph = build_star(12, Anomaly.missing_loop(5, PhaseAngle.from_pi_fraction(*phase)))
     op = build_step_operator(graph)
-    x0 = initial_state(graph, kind).amplitudes
-    cells, seeds = (place(op.basis, [x0]) if kind.variant == "custom"
-                    else family_seeds(graph, kind))
+    cells, seeds = family_seeds(graph, kind)
     closure = reduce_seeds(op, cells, seeds)
-    for array in (x0, cells.profiles, cells.coords, seeds, cells_operator(op, cells),
+    for array in (cells.coords, seeds, cells_operator(op, cells),
                   closure.matrix, closure.basis.coords):
         assert array.dtype == np.complex128
 
 
 class TestRealArithmetic:
-    """Real start states walk in complex128 as every start does; one given
-    as a float64 vector walks as its complex128 copy."""
+    """Real start states walk in complex128 as every start does; real values
+    per block walk as their complex128 copies."""
 
     @pytest.mark.parametrize("kind", [
-        InitialStateKind.loop_third(), InitialStateKind.inout(1, 1j),
-        InitialStateKind.custom([1j] + [0.0] * 35)])
-    def test_complex_kinds_are_complex128(self, kind):
-        graph = build_star(12, Anomaly.missing_loop(5))
-        assert initial_state(graph, kind).amplitudes.dtype == np.complex128
+        InitialStateKind.loop_third(), InitialStateKind.inout(1, 1j)])
+    def test_complex_kinds_are_complex128(self, kind, monkeypatch):
+        walks = []
+        step = anomalywalk.stepop.BlockWalk.step
+        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step",
+                            lambda walk: walks.append(walk) or step(walk))
+        run_search(build_star(12, Anomaly.missing_loop(5)), kind, 1)
+        assert {buf.dtype for buf in walks[0].buffers} == {np.dtype(np.complex128)}
 
     @staticmethod
     def walks(n, phase):
@@ -225,11 +193,9 @@ class TestRealArithmetic:
         loops = Anomaly.missing_loop(2, phase)
         anomalies = [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
                      Anomaly.extended_edge(n, phase), loops]
-        rng = np.random.default_rng(n)
         for anomaly in anomalies:
             graph = build_star(n, anomaly)
-            kinds = [InitialStateKind.minus(), InitialStateKind.plus(),
-                     InitialStateKind.custom(rng.standard_normal(graph.hilbert_dim))]
+            kinds = [InitialStateKind.minus(), InitialStateKind.plus()]
             if anomaly is loops:
                 kinds.append(InitialStateKind.loop_pi())
             for kind in kinds:
@@ -251,11 +217,11 @@ class TestRealArithmetic:
                 rows = (np.array([0, n]), np.array([], dtype=np.intp))
             else:
                 rows = anomalywalk.search._partition_rows(graph)
-            x0 = initial_state(graph, kind).amplitudes
-            assert x0.dtype == np.complex128 and not np.any(x0.imag)
+            values = _start_values(graph, kind)
+            assert {type(v) for v in values} == {float}
             dtypes.clear()
-            real = anomalywalk.search._evolve_full(op, x0.real.copy(), 40, *rows)
-            cplx = anomalywalk.search._evolve_full(op, x0, 40, *rows)
+            real = anomalywalk.search._evolve_full(op, values, 40, *rows)
+            cplx = anomalywalk.search._evolve_full(op, tuple(map(complex, values)), 40, *rows)
             assert set(dtypes) == {np.dtype(np.complex128)}
             for a, b in zip(real, cplx, strict=True):
                 np.testing.assert_array_equal(a, b, strict=True)
@@ -268,14 +234,13 @@ class TestBlockWalk:
     def cases(n):
         third, rad = PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7)
         minus = InitialStateKind.minus()
-        rng = np.random.default_rng(n)
         return [(Anomaly.extra_edge(1, n), minus), (Anomaly.extra_edge(2, 3), minus),
                 (Anomaly.loop(n), minus), (Anomaly.loop(1), InitialStateKind.plus()),
                 (Anomaly.extended_edge(1), minus), (Anomaly.extended_edge(n, rad), minus),
                 (Anomaly.missing_loop(1), InitialStateKind.loop_pi()),
                 (Anomaly.missing_loop(n, third), InitialStateKind.loop_third()),
                 (Anomaly.missing_loop(2, rad), minus),
-                (Anomaly.missing_loop(n), InitialStateKind.custom(rng.standard_normal(3 * n)))]
+                (Anomaly.missing_loop(n), InitialStateKind.inout(0.6, -0.8j))]
 
     @pytest.mark.parametrize("n", [256, 4096, 100_000])
     def test_records_match_flat_apply(self, n):
@@ -290,9 +255,8 @@ class TestBlockWalk:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             rows = anomalywalk.search._partition_rows(graph)
-            x0 = initial_state(graph, kind).amplitudes
-            got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
-            want = flat_walk_records(op, x0, steps, *rows)
+            got = columns(run_search(graph, kind, steps))
+            want = flat_walk_records(op, named_start(graph, kind), steps, *rows)
             for a, b in zip(got, want, strict=True):
                 within(a, b, 1e-12)
 
@@ -305,7 +269,7 @@ class TestBlockWalk:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             rows = anomalywalk.search._partition_rows(graph)
-            x0 = initial_state(graph, kind).amplitudes
+            x0 = named_start(graph, kind)
             got = resumming_walk_records(op, x0, 200, *rows)
             want = flat_walk_records(op, x0, 200, *rows)
             exact = walk_dtype(op, x0) == np.float64
@@ -323,10 +287,9 @@ class TestBlockWalk:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
     def test_records_match_flat_apply_on_every_variant(self, n, phase):
         # every variant marked by the phase, the anomaly at either end, from
-        # the real minus state, started as its values per block as
-        # `run_search` starts it, and a complex custom one, over at least
-        # twice the dimension at small N and past the first peak at large N
-        rng = np.random.default_rng(n)
+        # the real minus state and a complex inout one, started as
+        # `run_search` starts them, over at least twice the dimension at
+        # small N and past the first peak at large N
         steps = 100 if n <= 12 else 130
         for anomaly in (Anomaly.extra_edge(1, n, phase), Anomaly.extra_edge(2, 3, phase),
                         Anomaly.loop(1, phase), Anomaly.loop(n, phase),
@@ -335,12 +298,10 @@ class TestBlockWalk:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             rows = anomalywalk.search._partition_rows(graph)
-            custom = [1, 1j] @ rng.standard_normal((2, graph.hilbert_dim))
-            for kind in (InitialStateKind.minus(), InitialStateKind.custom(custom)):
-                x0 = initial_state(graph, kind).amplitudes
-                start = x0 if kind.variant == "custom" else _start_values(graph, kind)
-                got = anomalywalk.search._evolve_full(op, start, steps, *rows)
-                for a, b in zip(got, flat_walk_records(op, x0, steps, *rows), strict=True):
+            for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.8, 0.6j)):
+                got = columns(run_search(graph, kind, steps))
+                want = flat_walk_records(op, named_start(graph, kind), steps, *rows)
+                for a, b in zip(got, want, strict=True):
                     within(a, b, 1e-12)
 
     @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi(),
@@ -350,8 +311,8 @@ class TestBlockWalk:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
     def test_named_start_is_the_initial_state(self, n, phase):
         # a walk started from a named kind's values per block holds, before
-        # its first step, the vector `initial_state` fills: its shifts over
-        # zero buffers whose sums are 0
+        # its first step, the references' named start: its shifts over zero
+        # buffers whose sums are 0
         loops = (InitialStateKind.loop_pi(), InitialStateKind.loop_third())
         for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
                         Anomaly.extended_edge(1, phase), Anomaly.missing_loop(2, phase)):
@@ -361,7 +322,7 @@ class TestBlockWalk:
                          InitialStateKind.inout(0.6, -0.8), InitialStateKind.inout(1.0, 0.5j),
                          *(loops if anomaly.schema.loops else ())):
                 walk = BlockWalk(op, _start_values(graph, kind))
-                want = initial_state(graph, kind).amplitudes
+                want = named_start(graph, kind)
                 assert {b.dtype for b in walk.buffers} == {np.dtype(complex)}
                 assert walk.sums == [0] * len(walk.buffers)
                 within(walk_state(walk), want, 1e-15)
@@ -384,7 +345,7 @@ class TestBlockWalk:
         # still holds its starting value, bit for bit
         graph = build_star(1_000_000, anomaly)
         op = build_step_operator(graph)
-        walk = BlockWalk(op, initial_state(graph, InitialStateKind.minus()).amplitudes)
+        walk = BlockWalk(op, _start_values(graph, InitialStateKind.minus()))
         start = {id(buf): (buf, buf.copy()) for buf in walk.buffers}
         for _ in range(200):
             walk.step()
@@ -394,17 +355,14 @@ class TestBlockWalk:
             assert set(np.flatnonzero(buf != before).tolist()) <= patched
 
     def test_buffers_are_allocated_once(self):
-        # net of the columns it returns, the walk holds one state's worth of
-        # block buffers, whatever the number of steps
+        # net of the columns it returns, the search holds one state's worth
+        # of block buffers, whatever the number of steps
         graph = build_star(200_000, Anomaly.loop(7))
-        op = build_step_operator(graph)
-        rows = anomalywalk.search._partition_rows(graph)
-        x0 = initial_state(graph, InitialStateKind.minus()).amplitudes
         net = {}
         for steps in (10, 1000):
             tracemalloc.start()
             try:
-                got = anomalywalk.search._evolve_full(op, x0, steps, *rows)
+                got = columns(run_search(graph, InitialStateKind.minus(), steps))
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -412,75 +370,48 @@ class TestBlockWalk:
             net[steps] = peak - current
         slack = 1 << 16
         assert net[1000] <= net[10] + slack
-        assert net[10] <= x0.nbytes + slack
-
-    @pytest.mark.parametrize("method", ["full", "reduced"])
-    def test_custom_start_fits_the_memory_guard(self, method):
-        # a custom start built from a caller's array and searched in full or
-        # on its cells peaks within the bytes per amplitude that `build_star` budgets
-        graph = build_star(200_000, Anomaly.loop(7))
-        x = np.random.default_rng(3).standard_normal(graph.hilbert_dim)
-        tracemalloc.start()
-        try:
-            run_search(graph, InitialStateKind.custom(x), 10, method=method)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE
+        assert net[10] <= 16 * graph.hilbert_dim + slack
 
     def test_complex_walk_takes_its_norm_without_temporaries(self):
-        # the squared norms of a complex walk's buffers, at its start and its
-        # end, allocate nothing of a buffer's length either
+        # the squared norms of a complex walk's buffers at its end allocate
+        # nothing of a buffer's length either
         graph = build_star(200_000, Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3)))
-        op = build_step_operator(graph)
-        rows = anomalywalk.search._partition_rows(graph)
-        x0 = initial_state(graph, InitialStateKind.loop_third()).amplitudes
-        assert x0.dtype == np.complex128
         tracemalloc.start()
         try:
-            anomalywalk.search._evolve_full(op, x0, 10, *rows)
+            run_search(graph, InitialStateKind.loop_third(), 10)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - current <= x0.nbytes + (1 << 16)
+        assert peak - current <= 16 * graph.hilbert_dim + (1 << 16)
 
     @staticmethod
     def _loop_walk(n):
-        """The operator of a loop star, the minus state as its two starts
-        (a full-length vector and its values per block) with the number of
-        passes each makes over the buffers for its squared norm, and the
-        search rows."""
+        """The operator of a loop star, the minus state's values per block
+        and the search rows."""
         graph = build_star(n, Anomaly.loop(7))
-        kind = InitialStateKind.minus()
-        starts = ((initial_state(graph, kind).amplitudes, 2), (_start_values(graph, kind), 1))
-        return build_step_operator(graph), starts, anomalywalk.search._partition_rows(graph)
+        return (build_step_operator(graph), _start_values(graph, InitialStateKind.minus()),
+                anomalywalk.search._partition_rows(graph))
 
     @pytest.mark.parametrize("steps", [10, 1000])
     def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
-        # the total is certified at the end, one squared norm per buffer: no
-        # step reads the state in full.  A vector's total is taken from its
-        # buffers at the start too, values per block take it in closed form
-        op, starts, rows = self._loop_walk(4096)
+        # the total is taken in closed form at the start and certified at
+        # the end, one squared norm per buffer: no step reads the state in full
+        op, start, rows = self._loop_walk(4096)
         sizes = []
         norm2 = anomalywalk.search.norm2
         monkeypatch.setattr(anomalywalk.search, "norm2",
                             lambda x: sizes.append(x.size) or norm2(x))
-        for start, passes in starts:
-            sizes.clear()
-            got = anomalywalk.search._evolve_full(op, start, steps, *rows)
-            assert [len(c) for c in got] == [steps + 1] * 3
-            assert sum(sizes) == passes * op.dimension
-            assert len(sizes) == passes * (len(op.basis.bounds) - 1)  # one call per block
+        got = anomalywalk.search._evolve_full(op, start, steps, *rows)
+        assert [len(c) for c in got] == [steps + 1] * 3
+        assert sum(sizes) == op.dimension
+        assert len(sizes) == len(op.basis.bounds) - 1  # one call per block
 
     def test_norm_drift_is_refused(self):
-        # patches of modulus 2 add weight on every pass through the loop,
-        # from either start
-        op, starts, rows = self._loop_walk(256)
+        # patches of modulus 2 add weight on every pass through the loop
+        op, start, rows = self._loop_walk(256)
         doubled = op._replace(amp=op.amp * 2)
-        for start, _ in starts:
-            with pytest.raises(NumericalFailureError,
-                               match=r"drifts .* past the tolerance 1\.0e-10"):
-                anomalywalk.search._evolve_full(doubled, start, 40, *rows)
+        with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
+            anomalywalk.search._evolve_full(doubled, start, 40, *rows)
 
     @pytest.mark.parametrize("n, block, row, refusal", [
         (256, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.6e-09"),
@@ -489,20 +420,19 @@ class TestBlockWalk:
         ids=["tail", "tail_1e6", "hub"])
     def test_stale_carried_sum_is_refused(self, monkeypatch, n, block, row, refusal):
         # a row written behind the walk's back leaves its block's carried
-        # sum stale, from either start.  Written into the loop, 1e-6 raises
+        # sum stale.  Written into the loop, 1e-6 raises
         # the squared norm by only 1e-12 and the walk stays unitary from
         # there, so the sums' certificate refuses the run; written into the
         # block the hub reads, it steps the wrong walk, whose norm drifts
-        op, starts, rows = self._loop_walk(n)
+        op, start, rows = self._loop_walk(n)
         init = BlockWalk.__init__
 
         def stale(walk, *args):
             init(walk, *args)
             walk.buffers[block][row] += 1e-6
         monkeypatch.setattr(BlockWalk, "__init__", stale)
-        for start, _ in starts:
-            with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
-                anomalywalk.search._evolve_full(op, start, 40, *rows)
+        with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
+            anomalywalk.search._evolve_full(op, start, 40, *rows)
 
 
 class TestPrediction:
@@ -574,11 +504,10 @@ class TestRunSearch:
         Anomaly.extra_edge(3, 9), Anomaly.loop(4), Anomaly.extended_edge(5),
         Anomaly.missing_loop(6, PhaseAngle.from_radians(0.7))])
     def test_reduced_matches_full_from_random_complex_state(self, anomaly):
-        # a generic start state fills every bulk profile of the cells
+        # a random complex start of the inout family
         graph = build_star(2048, anomaly)
         rng = np.random.default_rng(7)
-        dim = graph.hilbert_dim
-        kind = InitialStateKind.custom(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        kind = InitialStateKind.inout(*(rng.normal(size=2) + 1j * rng.normal(size=2)).tolist())
         full = run_search(graph, kind, 60, method="full")
         fast = run_search(graph, kind, 60, method="reduced")
         for a, b in zip(columns(full), columns(fast)):
@@ -609,23 +538,20 @@ class TestRunSearch:
         within(full.p_target_spokes, fast.p_target_spokes, 1e-9)
 
     @pytest.mark.parametrize("kind", [
-        InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
-        InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))], ids=["minus", "inout", "custom"])
-    def test_reduced_builds_the_start_state_once(self, monkeypatch, kind):
+        InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j)], ids=["minus", "inout"])
+    def test_reduced_builds_the_start_state_once(self, kind):
         # the reduced walk starts from the start state's row on the cells,
-        # and the spot check from its values per block: a named kind is
-        # never built at full length, a custom state is held once, as its
-        # kind's own unit-norm array, and decomposed at full length once, by `place`
-        graph = build_star(64, Anomaly.loop(3))
-        builds, decomposed = [], []
-        build, decompose = anomalywalk.search.initial_state, anomalywalk.collapse._cell_row
-        monkeypatch.setattr(anomalywalk.search, "initial_state",
-                            lambda *args: builds.append(args) or build(*args))
-        monkeypatch.setattr(anomalywalk.collapse, "_cell_row",
-                            lambda cells, x: decomposed.append(x.size) or decompose(cells, x))
-        fast = run_search(graph, kind, 30, method="reduced")
-        assert builds == []
-        assert decomposed == ([graph.hilbert_dim] if kind.variant == "custom" else [])
+        # and the spot check from its values per block: the start is never
+        # built at full length, so the run peaks at the spot check's block
+        # buffers, one virtual complex128 vector, and a few KB
+        graph = build_star(200_000, Anomaly.loop(3))
+        tracemalloc.start()
+        try:
+            fast = run_search(graph, kind, 30, method="reduced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * graph.hilbert_dim + (1 << 16)
         full = run_search(graph, kind, 30, method="full")
         within(full.p_target_spokes, fast.p_target_spokes, 1e-12)
         within(full.p_anomaly, fast.p_anomaly, 1e-12)
@@ -643,8 +569,7 @@ class TestRunSearch:
                 monkeypatch.setattr(module, "reduce_seeds",
                                     lambda *args: calls.append("reduce_seeds") or close(*args))
         graph = build_star(64, Anomaly.loop(3))
-        for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j),
-                     InitialStateKind.custom(np.linspace(1.0, 2.0, 2 * 64 + 1))):
+        for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j)):
             run_search(graph, kind, 30, method="reduced")
         assert main(["perturb", "--anomaly", "loop", "--at", "3",
                      "--out", str(tmp_path / "p.csv")]) == 0
@@ -653,18 +578,6 @@ class TestRunSearch:
         assert main(["spectrum", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 0
         capsys.readouterr()
         assert calls == ["reduce_seeds"]
-
-    def test_reduced_refuses_a_custom_state_the_cells_drop(self):
-        # a block part within the closure residual of the uniform profile is
-        # dropped from the cells, and `place` refuses its leakage
-        graph = build_star(64, Anomaly.loop(3))
-        basis = make_basis(graph)
-        amps = np.zeros(graph.hilbert_dim)
-        amps[basis.out_block], amps[basis.in_block] = 1.0, -1.0
-        # 4e-8 (1, -1) over the norm sqrt(128) is a part of norm 5.0e-9
-        amps[basis.out_rows([10, 20])] += (4e-8, -4e-8)
-        with pytest.raises(InvarianceError, match="leakage 5.000e-09"):
-            run_search(graph, InitialStateKind.custom(amps), 10, method="reduced")
 
     def test_plus_state_stays_delocalized(self):
         graph = build_star(64, Anomaly.extra_edge(2, 7))
@@ -722,7 +635,8 @@ class TestRunSearch:
     @pytest.mark.parametrize("method,case", [
         *[pytest.param(method, "loop", id=method) for method in ("full", "reduced")],
         *[pytest.param(method, case, id=f"{case}-{method}")
-          for case in ("extra_edge_inout", "missing_loop_custom") for method in ("full", "reduced")]])
+          for case in ("extra_edge_inout", "missing_loop_loop_third")
+          for method in ("full", "reduced")]])
     def test_records_fit_the_memory_refusal(self, method, case):
         # run_search refuses a horizon by _RECORD_BYTES a step; at a small N
         # the per-step arrays are the whole peak, on the widest complex rows too
@@ -732,9 +646,7 @@ class TestRunSearch:
             graph, kind = build_star(50, Anomaly.extra_edge(2, 7)), InitialStateKind.inout(0.6, 0.8j)
         else:
             graph = build_star(50, Anomaly.missing_loop(4, PhaseAngle.from_pi_fraction(1, 3)))
-            rng = np.random.default_rng(3)
-            kind = InitialStateKind.custom(rng.standard_normal(graph.hilbert_dim)
-                                           + 1j * rng.standard_normal(graph.hilbert_dim))
+            kind = InitialStateKind.loop_third()
         steps = 10_000
         tracemalloc.start()
         try:
@@ -774,87 +686,22 @@ class TestRunSearch:
 
 class TestMeasurement:
     def test_distribution_and_undetected(self):
+        # the peak's split is the accessible-edge measurement's: the weight
+        # on the anomaly's spokes is detected, the weight on the states only
+        # the anomaly provides is not, read off the flat walk's state
         graph = build_star(100, Anomaly.extra_edge(2, 7))
         result = run_search(graph, InitialStateKind.minus(), 14)
-        walk = BlockWalk(build_step_operator(graph),
-                         initial_state(graph, InitialStateKind.minus()).amplitudes)
+        op = build_step_operator(graph)
+        x = named_start(graph, InitialStateKind.minus())
         for _ in range(14):
-            walk.step()
-        m = measure_accessible(make_state(walk_state(walk)), graph)
-        assert m.p_undetected == pytest.approx(result.peak_undetected, abs=1e-12)
-        assert m.distribution[2] + m.distribution[7] == pytest.approx(
-            result.peak_detectable, abs=1e-12)
-        assert sum(m.distribution.values()) + m.p_undetected == pytest.approx(1.0)
-        assert not m.sampled and m.detected_edge is None
-
-    def test_missing_loop_folds_real_loops_into_spokes(self):
-        graph = build_star(6, Anomaly.missing_loop(2))
-        basis = make_basis(graph)
-        amps = np.zeros(basis.dim, dtype=complex)
-        amps[12] = 0.8  # loop on vertex 1 (real structure)
-        amps[13] = 0.6  # dummy loop on the marked vertex
-        from anomalywalk.edgespace import make_state
-        m = measure_accessible(make_state(amps), graph)
-        assert m.distribution[1] == pytest.approx(0.64)
-        assert m.p_undetected == pytest.approx(0.36)
-
-    def test_sampling_is_seeded(self):
-        graph = build_star(30, Anomaly.loop(3))
-        state = initial_state(graph, InitialStateKind.minus())
-        a = measure_accessible(state, graph, seed=7)
-        b = measure_accessible(state, graph, seed=7)
-        assert a.sampled and a.detected_edge == b.detected_edge
-
-    def test_negative_seed_refused(self):
-        graph = build_star(30, Anomaly.loop(3))
-        state = initial_state(graph, InitialStateKind.minus())
-        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
-            measure_accessible(state, graph, seed=-1)
-
-    # spokes 1..6, then the undetected outcome; spokes 1 and 5 weigh nothing
-    WEIGHTS = (0.0, 0.1, 0.2, 0.15, 0.0, 0.25, 0.3)
-
-    def weighted_state(self, weights):
-        """A state on a star of 6 spokes with a loop at 3 whose outcome
-        weights are the given ones: spoke j's on its out state, the
-        undetected one's on the loop."""
-        graph = build_star(6, Anomaly.loop(3))
-        basis = make_basis(graph)
-        amps = np.zeros(basis.dim, dtype=complex)
-        amps[basis.out_block] = np.sqrt(weights[:6])
-        amps[basis.anomaly_only_rows] = 1j * np.sqrt(weights[6])
-        return graph, make_state(amps)
-
-    def test_draws_follow_the_outcome_law(self):
-        graph, state = self.weighted_state(self.WEIGHTS)
-        m = measure_accessible(state, graph)
-        law = np.array([m.distribution[j] for j in range(1, 7)] + [m.p_undetected])
-        assert law == pytest.approx(self.WEIGHTS, abs=1e-12)
-        seeds = 4000
-        counts = np.zeros(7, int)
-        for seed in range(seeds):
-            drawn = measure_accessible(state, graph, seed=seed).detected_edge
-            counts[6 if drawn is None else drawn - 1] += 1
-        assert counts[law == 0].sum() == 0  # an outcome of no weight is never drawn
-        expected = seeds * law[law > 0]
-        chi2 = float(((counts[law > 0] - expected) ** 2 / expected).sum())
-        assert chi2 < 18.467  # the 0.999 quantile of chi-square with 4 degrees of freedom
-
-    @pytest.mark.parametrize("u,edge", [(0.0, 2), (1.0 - 2.0 ** -53, 6), (1.0, 6)])
-    def test_the_ends_of_the_unit_interval_draw_outcomes_of_weight(self, monkeypatch, u, edge):
-        # u = 1 stands for a product u * total that rounds up to the total:
-        # the draw stays on the last outcome of weight
-        weights = self.WEIGHTS[:6] + (0.0,)
-        weights = tuple(w / sum(weights) for w in weights)
-        graph, state = self.weighted_state(weights)
-        monkeypatch.setattr(anomalywalk.search, "_uniforms", lambda seed, count: np.full(count, u))
-        assert measure_accessible(state, graph, seed=0).detected_edge == edge
-
-    def test_dimension_check(self):
-        graph = build_star(5, Anomaly.none())
-        from anomalywalk.edgespace import make_state
-        with pytest.raises(DimensionMismatchError):
-            measure_accessible(make_state(np.array([1.0])), graph)
+            x = apply_into(op, x, np.empty_like(x))
+        weight = np.abs(x) ** 2
+        basis = op.basis
+        spokes = weight[basis.out_block] + weight[basis.in_block]
+        undetected = weight[basis.anomaly_only_rows].sum()
+        assert undetected == pytest.approx(result.peak_undetected, abs=1e-12)
+        assert spokes[1] + spokes[6] == pytest.approx(result.peak_detectable, abs=1e-12)
+        assert spokes.sum() + undetected == pytest.approx(1.0)
 
 
 class TestClassicalBaseline:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from oracle import (
+    named_start,
     reduce_columns,
     reference_operators,
     symmetric_in_state,
@@ -17,7 +18,7 @@ from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import cluster_tol_at
-from anomalywalk.search import InitialStateKind, family_seeds, initial_state
+from anomalywalk.search import InitialStateKind, family_seeds
 from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
 from anomalywalk.stepop import build_step_operator
@@ -33,15 +34,15 @@ def hand_reduced(n, u=2, v=5):
     chord[basis.position(BasisLabel.edge(u, v))] = 2 ** -0.5
     chord[basis.position(BasisLabel.edge(v, u))] = 2 ** -0.5
     cols = np.stack([
-        symmetric_out_state(basis, (u, v)).amplitudes,
-        symmetric_in_state(basis, (u, v)).amplitudes,
-        symmetric_out_state(basis, bulk).amplitudes,
-        symmetric_in_state(basis, bulk).amplitudes,
+        symmetric_out_state(basis, (u, v)),
+        symmetric_in_state(basis, (u, v)),
+        symmetric_out_state(basis, bulk),
+        symmetric_in_state(basis, bulk),
         chord,
     ], axis=1)
     reduced, leakage = reduce_columns(build_step_operator(graph), cols)
     assert leakage <= DEFAULT_POLICY.invariance_tol
-    x0 = cols.conj().T @ initial_state(graph, InitialStateKind.minus()).amplitudes
+    x0 = cols.conj().T @ named_start(graph, InitialStateKind.minus())
     return graph, reduced, x0
 
 

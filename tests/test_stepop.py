@@ -14,13 +14,14 @@ from oracle import (
     dense_matrix,
     flat_rows,
     is_real,
+    make_state,
     walk_dtype,
     walk_state,
 )
 
 import anomalywalk.spectral
 import anomalywalk.stepop
-from anomalywalk.edgespace import BasisLabel, make_basis, make_state
+from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -111,7 +112,7 @@ def test_hub_subtraction_matches_two_term_rule(n):
     # t*sum(in) - in against the rule it replaced, -(r+t)*in + t*sum(in),
     # equal up to the sign of zero since (N-2)/N + 2/N is exactly 1
     op = build_step_operator(build_star(n, Anomaly.loop(1)))
-    x = random_unit_state(op.dimension, seed=n).amplitudes
+    x = random_unit_state(op.dimension, seed=n)
     for kernel, src, dst in ((apply_into, op.basis.in_block, op.basis.out_block),
                              (apply_adjoint_into, op.basis.out_block, op.basis.in_block)):
         expected = x[src] * -(op.hub_r + op.hub_t) + op.hub_t * x[src].sum()
@@ -291,7 +292,7 @@ def test_apply_paths_match_dense(n):
         for op in (build_step_operator(graph),
                    build_scattering_operator(graph, 1.0, 0.0)):
             u = dense_matrix(op)
-            x = random_unit_state(op.dimension, seed=n).amplitudes
+            x = random_unit_state(op.dimension, seed=n)
             # NaN in the buffer shows any position the apply path skips
             out = np.full(op.dimension, np.nan, dtype=complex)
             np.testing.assert_allclose(apply_into(op, x, out), u @ x,
@@ -317,21 +318,22 @@ def phased_variants(n, phase):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_block_walk_matches_dense(n, phase):
     # every step of the relabelled walk against powers of the dense U, from
-    # a real and a complex start, over 3*dim steps
+    # real and complex values per block, over 3*dim steps
     rng = np.random.default_rng(n)
     for anomaly in phased_variants(n, phase):
         op = build_step_operator(build_star(n, anomaly))
         u = dense_matrix(op)
-        real = rng.standard_normal(op.dimension)
-        for x0 in (real / np.linalg.norm(real), random_unit_state(op.dimension, n).amplitudes):
-            walk = BlockWalk(op, x0)
-            want = x0.astype(complex)
+        lengths = np.diff(op.basis.bounds)
+        real = rng.standard_normal(len(lengths))
+        for values in (real, real + 1j * rng.standard_normal(len(lengths))):
+            walk = BlockWalk(op, tuple(values.tolist()))
+            want = np.repeat(values, lengths).astype(complex)
             worst = 0.0
             for _ in range(3 * op.dimension):
                 walk.step()
                 want = u @ want
                 worst = max(worst, float(np.abs(walk_state(walk) - want).max()))
-            assert worst <= 1e-12, (anomaly, x0.dtype, worst)
+            assert worst <= 1e-12, (anomaly, values.dtype, worst)
 
 
 @pytest.mark.parametrize("anomaly, roles", [
@@ -498,7 +500,7 @@ def test_dense_cross_check_spans_slabs():
 def test_apply_matches_dense(anomaly):
     graph = build_star(6, anomaly)
     op = build_step_operator(graph)
-    x = random_unit_state(op.dimension, seed=11).amplitudes
+    x = random_unit_state(op.dimension, seed=11)
     stepped = apply_into(op, x, np.empty(op.dimension, dtype=complex))
     np.testing.assert_allclose(stepped, dense_matrix(op) @ x, atol=1e-14)
     back = apply_adjoint_into(op, stepped, np.empty(op.dimension, dtype=complex))
@@ -557,14 +559,16 @@ def walk_once(op, x):
 
 @pytest.mark.parametrize("anomaly", ALL_VARIANTS)
 def test_apply_step_keeps_real_states_real(anomaly):
-    # the block walk steps a float64 start as its complex128 copy, in
-    # complex128 and bit for bit, and a real operator leaves no imaginary
+    # the block walk steps float values per block as their complex copies,
+    # in complex128 and bit for bit, and a real operator leaves no imaginary
     # part; the oracle's adjoint runs in the arithmetic its `walk_dtype` picks
     op = build_step_operator(build_star(6, anomaly))
     rng = np.random.default_rng(5)
+    values = rng.standard_normal(len(op.basis.bounds) - 1).tolist()
+    real_walk = walk_once(op, tuple(values))
+    cplx_walk = walk_once(op, tuple(map(complex, values)))
     real = rng.standard_normal(op.dimension)
     cplx = real.astype(complex)
-    real_walk, cplx_walk = walk_once(op, real), walk_once(op, cplx)
     assert {b.dtype for b in real_walk.buffers + cplx_walk.buffers} == {np.dtype(complex)}
     np.testing.assert_array_equal(walk_state(real_walk), walk_state(cplx_walk), strict=True)
     if is_real(op):
@@ -637,7 +641,7 @@ def test_real_buffer_rejected_for_complex_operator(anomaly):
 
 def test_raw_buffers_roundtrip_without_allocation():
     op = build_step_operator(build_star(50, Anomaly.loop(7)))
-    x = random_unit_state(op.dimension, seed=3).amplitudes.copy()
+    x = random_unit_state(op.dimension, seed=3).copy()
     buf = np.empty_like(x)
     back = np.empty_like(x)
     apply_into(op, x, buf)
