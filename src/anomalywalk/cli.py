@@ -118,8 +118,15 @@ def _load_graph(spec_arg: str) -> StarGraph:
         raise SpecSemanticError(f"{spec_arg}: {exc}") from None
 
 
+def _output_path(path_str: str) -> Path:
+    """The path, refused when it holds a NUL byte, which no file name can."""
+    if "\0" in path_str:
+        raise ConfigurationError(f"output path {path_str!r} holds a NUL byte")
+    return Path(path_str)
+
+
 def _require_out(path_str: str) -> Path:
-    path = Path(path_str)
+    path = _output_path(path_str)
     if not path.parent.exists():
         raise ConfigurationError(
             f"output directory {path.parent} does not exist")
@@ -129,7 +136,7 @@ def _require_out(path_str: str) -> Path:
 def _require_distinct(out: str, other: str, flag: str) -> None:
     """Refuse two output paths that resolve to one file, where one write
     would overwrite the other."""
-    if Path(out).resolve() == Path(other).resolve():
+    if _output_path(out).resolve() == _output_path(other).resolve():
         raise ConfigurationError(f"--out and {flag} name the same file {other}")
 
 
@@ -212,15 +219,15 @@ def _cmd_search(args) -> int:
     if args.out and args.per_step_out:
         _require_distinct(args.out, args.per_step_out, "--per-step-out")
     result = run_search(graph, kind, _horizon(args.max_steps, graph), method=args.method)
-    for line in result.warnings:
-        print(f"warning: {line}", file=sys.stderr)
     out = _require_out(args.out) if args.out else None
-    _emit_json(search_summary(graph, kind, result), out)
     csv_path = None
-    if args.per_step_out:
+    if args.per_step_out:  # checked before the summary goes to stdout
         csv_path = _require_out(args.per_step_out)
     elif out is not None:
         csv_path = out.with_name(out.stem + ".steps.csv")
+    for line in result.warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    _emit_json(search_summary(graph, kind, result), out)
     if csv_path is not None:
         write_per_step_csv(result, csv_path)
     return 0

@@ -73,16 +73,6 @@ class EdgeBasis(NamedTuple):
         return ()
 
     @property
-    def out_block(self) -> slice:
-        """Rows of the hub-outgoing states (0,j)."""
-        return slice(0, self.n_spokes)
-
-    @property
-    def in_block(self) -> slice:
-        """Rows of the hub-incoming states (j,0)."""
-        return slice(self.n_spokes, 2 * self.n_spokes)
-
-    @property
     def anomaly_block(self) -> slice:
         """Rows of the anomaly's states: N loops for missing_loop, else at most two."""
         return slice(2 * self.n_spokes, self.dim)

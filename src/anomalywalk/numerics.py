@@ -22,9 +22,6 @@ class NumericPolicy(NamedTuple):
     unit_norm_tol: float = 1e-10
     # operator construction and certification
     unitarity_tol: float = 1e-12
-    # how far the full walk's carried block sums may drift from their
-    # buffers' true sums over a run, relative to sqrt(N)
-    carried_sum_tol: float = 1e-10
     # invariant-subspace closure
     closure_residual: float = 1e-8
     invariance_tol: float = 1e-9

@@ -208,12 +208,11 @@ def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pts, pas, rests
 
 
-def _walk_norm2(walk: BlockWalk, sums) -> float:
-    """The squared norm of a block walk's state, read from its buffers with
-    no full-length temporary: block b, s*buf + c with sum(buf) = sums[b],
-    has |buf|^2 + 2s*Re(conj(c)*sum(buf)) + len(buf)*|c|^2."""
-    return sum(norm2(buf) + 2 * s * (c.conjugate() * total).real + buf.size * abs(c) ** 2
-               for buf, s, c, total in zip(walk.buffers, walk.signs, walk.shifts, sums))
+def _walk_norm2(walk: BlockWalk) -> float:
+    """The squared norm of a block walk's state: per block, its bulk
+    value's weight over the rows no step wrote plus the written rows'."""
+    return sum((n - len(rows)) * abs(v) ** 2 + sum(abs(x) ** 2 for x in rows.values())
+               for n, v, rows in zip(walk.lengths, walk.bulk, walk.rows))
 
 
 def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
@@ -223,12 +222,10 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
     block, and its target and anomaly rows are gathered at their (block,
     offset) into one row of a preallocated array per step.  The walk
     conserves the squared norm, so its total is taken once at the start,
-    in closed form, and carried into every step's p_rest.  At the end
-    the buffers are summed once: the squared norm is taken again from
-    those sums, and a drift past `unit_norm_tol` is refused, and so is a
-    carried sum further than `carried_sum_tol` times sqrt(N) from its
-    buffer's.  In between, no step reads the state in full, and the walk's
-    buffers are freed before the columns are taken.
+    in closed form from the start values, and carried into every step's
+    p_rest.  At the end the walk's squared norm is taken again, from its
+    bulk values and written rows, and a drift past `unit_norm_tol` is
+    refused.  In between, no step reads the state in full.
     """
     located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
 
@@ -236,18 +233,13 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
         state = BlockWalk(op, start)
         amps = np.empty((max_steps + 1, len(located)), complex)
         amps[0] = state.gather(located)
-        total = _uniform_norm2([buf.size for buf in state.buffers], start)
+        total = _uniform_norm2(state.lengths, start)
         for n in range(1, max_steps + 1):
             state.step()
             amps[n] = state.gather(located)
-        policy = DEFAULT_POLICY
-        sums = [complex(buf.sum()) for buf in state.buffers]
-        past = f"over {max_steps} steps, past the tolerance {{tol:.1e}}"
-        require_within("the full walk's squared norm drifts {value:.3e} " + past,
-                       abs(_walk_norm2(state, sums) - total), policy.unit_norm_tol)
-        drift = largest(abs(carried - summed) for carried, summed in zip(state.sums, sums))
-        require_within("the full walk's carried block sums drift {value:.3e} from their "
-                       "buffers' " + past, drift, policy.carried_sum_tol * math.sqrt(op.n_spokes))
+        require_within(f"the full walk's squared norm drifts {{value:.3e}} over {max_steps} "
+                       "steps, past the tolerance {tol:.1e}", abs(_walk_norm2(state) - total),
+                       DEFAULT_POLICY.unit_norm_tol)
         return amps, total
 
     return _records(walk, len(target_rows))

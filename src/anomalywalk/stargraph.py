@@ -44,12 +44,10 @@ VARIANTS = tuple(VARIANT_SCHEMA)
 
 _TWO_PI = 2.0 * math.pi
 
-# the largest allocation of length N is a walk's block buffers: one virtual
-# complex128 vector of zero pages, of which steps write only the patch rows,
-# so at N=1e7 a launch peaks within 1 MiB of one at N=1e3 (resident set).
-# A full or reduced search peaks at 1.00 such vectors (tracemalloc, N=2e5).
-# The guard keeps room for four
-_WORKING_SET_BYTES_PER_AMPLITUDE = 4 * 16
+# the largest N.  Nothing is allocated by N, but 1/N, the size of a simple
+# branch's shift and of a target's start weight, stays above `shift_floor`:
+# 2**-40 is 9.1e-13, about nine times it
+_MAX_SPOKES = 2 ** 40
 
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly
 _QUARTER_TURNS = {(0, 1): 1.0 + 0j, (1, 1): -1.0 + 0j,
@@ -213,9 +211,10 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     """Validate and assemble a star graph.
 
     The extra-edge endpoint pair is canonicalized to u < v; u == v is
-    rejected.  N >= 3 keeps the hub reflection amplitude (N-2)/N positive.
-    A size whose state vectors cannot fit in physical memory is rejected
-    here, before anything of that size is allocated.
+    rejected.  N >= 3 keeps the hub reflection amplitude (N-2)/N positive,
+    and N <= 2**40 keeps 1/N well above the noise floor of a shift; no
+    walk, spectrum or sweep allocates anything of length N, so no size is
+    refused for its memory.
     """
 
     if not isinstance(n, int) or isinstance(n, bool):
@@ -232,8 +231,8 @@ def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     for vertex in graph.anomaly_vertices:  # an unknown variant has no schema
         if not 1 <= vertex <= n:
             raise IndexRangeError(f"vertex {vertex} outside 1..{n}")
-    require_memory(graph.hilbert_dim * _WORKING_SET_BYTES_PER_AMPLITUDE,
-                   f"the {graph.hilbert_dim} amplitudes of n_spokes {n}")
+    if n > _MAX_SPOKES:
+        raise SizeError(f"n_spokes must be at most 2**40 = {_MAX_SPOKES}, got {n}")
     return graph
 
 

@@ -11,9 +11,10 @@ missing_loop), then a few patches overwrite the rows the anomaly reroutes.
 `StepOperator` holds the step as that O(1) data alone: a role table over
 the blocks and (block, offset) pairs for the patches, checked when the
 operator is constructed.  `BlockWalk`, the one stepping implementation,
-holds each block as a sign times a buffer plus a common shift, so a step
-costs O(patches) whatever N is, and `collapse` reads the operator on the
-star's cells from the same table.
+holds each block as one bulk value plus the few rows the patches wrote,
+so a step costs O(patches) and a walk holds nothing of length N whatever
+N is, and `collapse` reads the operator on the star's cells from the
+same table.
 """
 
 from typing import NamedTuple
@@ -74,7 +75,7 @@ class StepOperator:
         bounds, roles, src, dst = self.basis.bounds, self.roles, self.src, self.dst
         tail = len(bounds) - 2  # the anomaly tail is the last block
         # the hub turns the in block into the out block, every bulk block
-        # moves and the tail keeps its buffer
+        # moves and the tail keeps its place
         if (sorted(roles) != list(range(tail + 1)) or roles[0] != 1 or roles[tail] != tail
                 or any(roles[k] == k for k in range(tail))):
             return f"roles {roles} do not relabel the blocks"
@@ -169,23 +170,19 @@ def build_step_operator(graph: StarGraph) -> StepOperator:
 
 
 class BlockWalk:
-    """A walk whose state is held as sign * buffer + shift, block by block.
+    """A walk whose state is one bulk value per block plus the rows steps wrote.
 
-    `buffers` lists one buffer per block of the basis in layout order
-    (out, in, the loops of missing_loop, the anomaly tail); row k of
-    block b reads signs[b] * buffers[b][k] + shifts[b], with a sign of
-    +1 or -1, and sums[b] carries the sum of buffers[b].  The hub rule
-    t*S - x then only flips the sign of the in block and sets its shift
-    to t*S - shift, S its sum read from the carried one, and a step
-    relabels the four lists by the role table and writes the patch rows
-    into their buffers, updating each carried sum by the new row minus
-    the old: O(patches) work, no buffer allocated, copied or read in
-    full after the start.
+    Blocks follow the basis's layout (out, in, the loops of missing_loop,
+    the anomaly tail).  Row k of block b reads rows[b][k] where a step has
+    written it and bulk[b] everywhere else, so a step reads each patch's
+    source row, maps the bulk value and the written rows of the block the
+    hub reads to t*S - x, S = bulk*(len - #written) + sum(written), relabels
+    the blocks by the role table and writes the patch rows: O(patches) work
+    whatever N is, and nothing of length N is ever allocated.
 
-    Every walk is complex128; shifts, sums and patch values are Python
-    complex numbers.  The start is one value per block, held as the
-    shifts over zero buffers whose sums are 0: the walk holds one virtual
-    complex128 vector of zero pages, and steps touch only its patch rows.
+    The start is one value per block, held as the bulk values with no row
+    written.  Every value is a Python complex; `lengths` gives each block's
+    length, which relabelling keeps, since it only moves blocks of length N.
     """
 
     def __init__(self, op: StepOperator, start: tuple):
@@ -193,35 +190,31 @@ class BlockWalk:
         if len(start) != len(bounds) - 1:
             raise DimensionMismatchError(
                 f"{len(start)} block values for the {len(bounds) - 1} blocks of the basis")
-        self.buffers = [np.zeros(hi - lo, complex) for lo, hi in zip(bounds, bounds[1:])]
-        self.shifts = [complex(v) for v in start]
-        self.sums = [0j] * len(start)
-        self.signs = [1] * len(start)
+        self.lengths = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        self.bulk = [complex(v) for v in start]
+        self.rows: list[dict[int, complex]] = [{} for _ in start]
         self._op = op
         self._amp = op.amp.tolist()
 
     def step(self) -> None:
         op, roles = self._op, self._op.roles
-        buffers, signs, shifts, sums = self.buffers, self.signs, self.shifts, self.sums
-        values = [a * (signs[b] * buffers[b].item(k) + shifts[b])
-                  for a, (b, k) in zip(self._amp, op.src)]
+        bulk, rows = self.bulk, self.rows
+        values = [a * rows[b].get(k, bulk[b]) for a, (b, k) in zip(self._amp, op.src)]
         hub = roles[0]
-        sign, shift = signs[hub], shifts[hub]
-        signs[hub] = -sign
-        shifts[hub] = op.hub_t * (sign * sums[hub] + shift * buffers[hub].size) - shift
-        buffers = self.buffers = [buffers[role] for role in roles]
-        signs = self.signs = [signs[role] for role in roles]
-        shifts = self.shifts = [shifts[role] for role in roles]
-        sums = self.sums = [sums[role] for role in roles]
+        written = rows[hub]
+        ts = op.hub_t * (bulk[hub] * (self.lengths[hub] - len(written)) + sum(written.values()))
+        bulk[hub] = ts - bulk[hub]
+        for k, x in written.items():
+            written[k] = ts - x
+        bulk = self.bulk = [bulk[role] for role in roles]
+        rows = self.rows = [rows[role] for role in roles]
         for (b, k), value in zip(op.dst, values):
-            row = (value - shifts[b]) * signs[b]
-            sums[b] += row - buffers[b].item(k)
-            buffers[b][k] = row
+            rows[b][k] = value
 
     def gather(self, located) -> np.ndarray:
         """The amplitudes at (block, offset) pairs, in their order."""
-        buffers, signs, shifts = self.buffers, self.signs, self.shifts
-        return np.array([signs[b] * buffers[b].item(k) + shifts[b] for b, k in located], complex)
+        bulk, rows = self.bulk, self.rows
+        return np.array([rows[b].get(k, bulk[b]) for b, k in located], complex)
 
 
 def check_unitarity(op: StepOperator) -> UnitarityReport:

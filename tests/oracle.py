@@ -265,11 +265,11 @@ def uniform_state(basis, rows):
 
 def hub_out_state(basis):
     """Uniform superposition over all hub-outgoing spoke states."""
-    return uniform_state(basis, basis.out_block)
+    return uniform_state(basis, slice(*basis.bounds[0:2]))
 
 
 def hub_in_state(basis):
-    return uniform_state(basis, basis.in_block)
+    return uniform_state(basis, slice(*basis.bounds[1:3]))
 
 
 def all_loops_state(basis):
@@ -551,7 +551,15 @@ def resumming_walk_records(op, x0, steps, target_rows, anomaly_rows):
 
 
 def walk_state(walk):
-    """The state of a `BlockWalk` as one flat vector, its blocks read as
-    sign * buffer + shift."""
-    return np.concatenate([s * buf + c for buf, s, c in
-                           zip(walk.buffers, walk.signs, walk.shifts)])
+    """The state of a `BlockWalk` as one flat vector: each block its bulk
+    value, then the rows its steps wrote."""
+    blocks = [np.full(n, v, complex) for n, v in zip(walk.lengths, walk.bulk)]
+    for block, rows in zip(blocks, walk.rows):
+        for k, x in rows.items():
+            block[k] = x
+    return np.concatenate(blocks)
+
+
+def walk_values(walk):
+    """Every value a `BlockWalk` holds: its bulk values, then its written rows."""
+    return [*walk.bulk, *(x for rows in walk.rows for x in rows.values())]

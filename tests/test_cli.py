@@ -123,6 +123,80 @@ def test_size_beyond_memory_fails_fast(capsys, tmp_path, verb):
     assert len(err.splitlines()) == 1
 
 
+LARGEST = 2 ** 40
+LOOP_AT = '{"type": "loop", "at": 1}'
+LARGEST_ARGV = {
+    "check": ("check",),
+    "spectrum": ("spectrum", "--out", "spectrum.csv"),
+    "perturb": ("perturb", "--n-list", ",".join(str(2 ** e) for e in range(37, 41)),
+                "--out", "shifts.csv"),
+    "search": ("search", "--method", "reduced", "--max-steps", "30", "--out", "s.json"),
+    "evolve": ("evolve", "--method", "full", "--steps", "50", "--out", "steps.csv"),
+    "sweep": ("sweep", "--n-list", str(LARGEST), "--max-steps", "30", "--out", "peaks.csv"),
+    "baseline": ("baseline", "--trials", "1000"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(LARGEST_ARGV))
+def test_every_verb_runs_at_the_largest_size(capsys, tmp_path, monkeypatch, verb):
+    # no verb allocates anything of length N, so each runs at N = 2**40;
+    # the reduced search and sweep still run their spot check against the
+    # full walk
+    monkeypatch.chdir(tmp_path)
+    checks = []
+    spot_check = anomalywalk.search._spot_check
+    monkeypatch.setattr(anomalywalk.search, "_spot_check",
+                        lambda *args: checks.append(args) or spot_check(*args))
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, *LARGEST_ARGV[verb], "--spec", sized(LARGEST, LOOP_AT))
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert len(checks) == (verb in ("search", "sweep"))
+    if verb == "spectrum":
+        assert elapsed < 1.0
+        assert run(capsys, "spectrum", "--spec", sized(10 ** 6, LOOP_AT),
+                   "--out", "million.csv")[1] == stdout == "dim=5 branches=5\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "spectrum"])
+def test_size_past_the_largest_is_refused(capsys, tmp_path, verb):
+    # one more spoke than 2**40 is refused as the spec is read, before any
+    # operator is built or output written
+    argv = [verb, "--spec", sized(LARGEST + 1, LOOP_AT)]
+    if verb != "check":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error:size:n_spokes must be at most 2**40 = {LARGEST}, got {LARGEST + 1}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+NUL_ARGV = {
+    "evolve": ("evolve", "--spec", LOOP100, "--steps", "3", "--out"),
+    "search": ("search", "--spec", LOOP100, "--max-steps", "3", "--out"),
+    "search_per_step": ("search", "--spec", LOOP100, "--max-steps", "3", "--per-step-out"),
+    "search_both": ("search", "--spec", LOOP100, "--max-steps", "3", "--out", "s.json",
+                    "--per-step-out"),
+    "spectrum": ("spectrum", "--spec", LOOP100, "--out"),
+    "perturb": ("perturb", "--anomaly", "loop", "--n-list", "64,128,256,512", "--out"),
+    "perturb_fits": ("perturb", "--anomaly", "loop", "--n-list", "64,128,256,512",
+                     "--out", "shifts.csv", "--fits-out"),
+    "sweep": ("sweep", "--spec", LOOP100, "--n-list", "64,100", "--max-steps", "3", "--out"),
+    "baseline": ("baseline", "--spec", LOOP100, "--trials", "10", "--out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUL_ARGV))
+def test_nul_byte_in_an_output_path_is_refused(capsys, tmp_path, monkeypatch, case):
+    # no file name holds a NUL byte: each output flag refuses it with one
+    # error line, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *NUL_ARGV[case], "a\0b")
+    assert (code, out) == (1, "")
+    assert err == "error:config:output path 'a\\x00b' holds a NUL byte\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 HUGE_DEN = str(10 ** 400)
 
 
@@ -412,22 +486,22 @@ class TestEvolve:
         assert not out.exists()
 
     def test_stale_carried_sum_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
-        # the loop row written behind the walk's back leaves the tail's
-        # carried sum stale; the run's end-of-walk certificate refuses it
-        # before anything is written
+        # a row of the block the hub reads, written behind the walk's back,
+        # moves the state off its start's squared norm; the run's
+        # end-of-walk certificate refuses it before anything is written
         init = anomalywalk.stepop.BlockWalk.__init__
 
         def stale(walk, *args):
             init(walk, *args)
-            walk.buffers[2][0] += 1e-6
+            walk.rows[1][3] = walk.bulk[1] + 1e-6
         monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "__init__", stale)
         out = tmp_path / "steps.csv"
         code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
         assert code == 2
         assert stdout == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error:numerical:the full walk's carried block sums drift 1.000e-06 ")
-        assert err.endswith(" past the tolerance 1.0e-09\n")
+        assert err.startswith("error:numerical:the full walk's squared norm drifts ")
+        assert err.endswith(" past the tolerance 1.0e-10\n")
         assert not out.exists()
 
     def test_plain_star_has_no_target(self, capsys, tmp_path):
@@ -438,7 +512,7 @@ class TestEvolve:
 
     @needs_wait4
     def test_ten_million_spokes_peak_near_a_small_run(self, tmp_path):
-        # the named start is held as shifts over zero buffers, and no step
+        # the named start is held as one bulk value per block, and no step
         # writes any row but the patch rows: a full walk at N=1e7 stays
         # within 8 MiB of one at N=1e3, where one complex128 full vector
         # adds 305 MiB

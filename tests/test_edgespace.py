@@ -128,8 +128,9 @@ def test_layout_accessors_match_position(n):
         basis = make_basis(graph)
         spokes = range(1, n + 1)
         rows = np.arange(basis.dim)
-        assert list(rows[basis.out_block]) == [basis.position(edge(0, j)) for j in spokes]
-        assert list(rows[basis.in_block]) == [basis.position(edge(j, 0)) for j in spokes]
+        out, inc = (rows[basis.bounds[b]:basis.bounds[b + 1]] for b in (0, 1))
+        assert list(out) == [basis.position(edge(0, j)) for j in spokes]
+        assert list(inc) == [basis.position(edge(j, 0)) for j in spokes]
         assert list(rows[basis.anomaly_block]) == list(range(2 * n, basis.dim))
         if anomaly.variant == "missing_loop":
             only = [basis.position(BasisLabel.loop(anomaly.at))]

@@ -23,7 +23,7 @@ from anomalywalk.errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from anomalywalk.numerics import largest, require_within
+from anomalywalk.numerics import NumericPolicy, largest, require_within
 from anomalywalk.search import InitialStateKind, run_search
 from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, build_star
@@ -36,7 +36,7 @@ LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
 # match_tol, shift_floor, peak_slack and rank_tol are thresholds of another
 # kind and may be compared directly
 CERTIFICATE_TOLERANCES = frozenset({
-    "unit_norm_tol", "unitarity_tol", "carried_sum_tol", "invariance_tol",
+    "unit_norm_tol", "unitarity_tol", "invariance_tol",
     "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "unit_circle_tol",
     "projector_tol",
 })
@@ -257,6 +257,27 @@ def test_only_numerics_compares_a_value_with_a_certificate_tolerance():
              if path.name != "numerics.py"
              and (lines := hand_compared_tolerances(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def policy_fields_read(source: str) -> set[str]:
+    """The `NumericPolicy` fields that source reads as an attribute."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute)} & set(NumericPolicy._fields)
+
+
+def test_guard_sees_which_policy_fields_are_read():
+    assert policy_fields_read("tol = DEFAULT_POLICY.unit_norm_tol\nx.match_tol(1)\n") == {
+        "unit_norm_tol", "match_tol"}
+    # a name or a string that spells a field reads nothing
+    assert policy_fields_read("unit_norm_tol = 1\ngetattr(p, 'cluster_tol')\n") == set()
+
+
+def test_every_policy_field_is_read_outside_numerics():
+    # a field that no module but its definition reads is a knob that turns nothing
+    package = Path(anomalywalk.__file__).parent
+    read = set().union(*(policy_fields_read(path.read_text(encoding="utf-8"))
+                         for path in package.glob("*.py") if path.name != "numerics.py"))
+    assert set(NumericPolicy._fields) - read == set()
 
 
 # the numpy that no run may load or page in: np.random (through secrets,

@@ -35,8 +35,7 @@ FIELDS = {
                    "peak_undetected", "predicted_step", "warnings"),
     BaselineStatistics: ("trials", "mean", "std", "expected_mean"),
     UnitarityReport: ("max_deviation", "tolerance"),
-    NumericPolicy: ("unit_norm_tol", "unitarity_tol", "carried_sum_tol",
-                    "closure_residual",
+    NumericPolicy: ("unit_norm_tol", "unitarity_tol", "closure_residual",
                     "invariance_tol", "reduced_unitarity_tol", "spot_check_tol",
                     "spot_check_steps", "dense_cap", "eig_residual_tol", "unit_circle_tol",
                     "cluster_tol", "rank_tol", "projector_tol", "sweep_cluster_scale",
@@ -86,7 +85,7 @@ SAMPLES = [
      "UnitarityReport(max_deviation=1e-16, tolerance=1e-12)"),
     (NumericPolicy(),
      "NumericPolicy(unit_norm_tol=1e-10, unitarity_tol=1e-12, "
-     "carried_sum_tol=1e-10, closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
+     "closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
      "spot_check_tol=1e-09, spot_check_steps=25, dense_cap=5000, eig_residual_tol=1e-08, "
      "unit_circle_tol=1e-09, cluster_tol=1e-06, rank_tol=1e-08, projector_tol=1e-09, "
      "sweep_cluster_scale=0.01, match_tol=0.1, shift_floor=1e-13, peak_slack=2)"),

@@ -17,6 +17,7 @@ from oracle import (
     resumming_walk_records,
     walk_dtype,
     walk_state,
+    walk_values,
 )
 
 import anomalywalk
@@ -43,7 +44,7 @@ from anomalywalk.search import (
     search_summary,
     write_per_step_csv,
 )
-from anomalywalk.stargraph import Anomaly, PhaseAngle, StarGraph, build_star
+from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import BlockWalk, build_step_operator
 
 
@@ -185,7 +186,7 @@ class TestRealArithmetic:
         monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step",
                             lambda walk: walks.append(walk) or step(walk))
         run_search(build_star(12, Anomaly.missing_loop(5)), kind, 1)
-        assert {buf.dtype for buf in walks[0].buffers} == {np.dtype(np.complex128)}
+        assert {type(v) for v in walk_values(walks[0])} == {complex}
 
     @staticmethod
     def walks(n, phase):
@@ -204,11 +205,11 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi()])
     @pytest.mark.parametrize("n", [*range(3, 13), 256, 4096])
     def test_float64_walk_matches_complex128(self, n, phase, monkeypatch):
-        dtypes = []
+        types = []
         step = anomalywalk.stepop.BlockWalk.step
 
         def spy(walk):
-            dtypes.extend(b.dtype for b in walk.buffers)
+            types.extend(map(type, walk_values(walk)))
             return step(walk)
         monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step", spy)
         for graph, kind in self.walks(n, phase):
@@ -219,16 +220,17 @@ class TestRealArithmetic:
                 rows = anomalywalk.search._partition_rows(graph)
             values = _start_values(graph, kind)
             assert {type(v) for v in values} == {float}
-            dtypes.clear()
+            types.clear()
             real = anomalywalk.search._evolve_full(op, values, 40, *rows)
             cplx = anomalywalk.search._evolve_full(op, tuple(map(complex, values)), 40, *rows)
-            assert set(dtypes) == {np.dtype(np.complex128)}
+            assert set(types) == {complex}
             for a, b in zip(real, cplx, strict=True):
                 np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestBlockWalk:
-    """The full walk on block buffers against the walk stepped as one flat vector."""
+    """The full walk on bulk values and written rows against the walk stepped
+    as one flat vector."""
 
     @staticmethod
     def cases(n):
@@ -244,8 +246,9 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("n", [256, 4096, 100_000])
     def test_records_match_flat_apply(self, n):
-        # the walk reads sign * buffer + shift, so its records round apart
-        # from the flat walk's, within 1e-12 of them
+        # the walk sums the block the hub reads from its bulk value and
+        # written rows, so its records round apart from the flat walk's,
+        # within 1e-12 of them
         cases = [(*case, 200) for case in self.cases(n)]
         if n == 100_000:
             # the benchmark's size: the real loop walk over the 2400 steps of
@@ -311,8 +314,8 @@ class TestBlockWalk:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 256, 4096])
     def test_named_start_is_the_initial_state(self, n, phase):
         # a walk started from a named kind's values per block holds, before
-        # its first step, the references' named start: its shifts over zero
-        # buffers whose sums are 0
+        # its first step, the references' named start: its bulk values, each
+        # a Python complex, with no row written
         loops = (InitialStateKind.loop_pi(), InitialStateKind.loop_third())
         for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
                         Anomaly.extended_edge(1, phase), Anomaly.missing_loop(2, phase)):
@@ -323,8 +326,8 @@ class TestBlockWalk:
                          *(loops if anomaly.schema.loops else ())):
                 walk = BlockWalk(op, _start_values(graph, kind))
                 want = named_start(graph, kind)
-                assert {b.dtype for b in walk.buffers} == {np.dtype(complex)}
-                assert walk.sums == [0] * len(walk.buffers)
+                assert {type(v) for v in walk_values(walk)} == {complex}
+                assert walk.rows == [{}] * len(walk.bulk)
                 within(walk_state(walk), want, 1e-15)
 
     def test_ten_million_spokes_start_in_closed_form(self):
@@ -340,49 +343,56 @@ class TestBlockWalk:
                                          Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3))],
                              ids=["loop", "extra_edge", "missing_loop_pi_3"])
     def test_step_touches_only_patch_rows(self, anomaly):
-        # a step is O(patches): after 200 steps at N=1e6 the walk holds the
-        # buffers it started with, and every row outside the patch rows
-        # still holds its starting value, bit for bit
+        # a step is O(patches): after 200 steps at N=1e6 the walk has
+        # written only the patch rows; every other row reads its block's
+        # bulk value, and every value is a Python complex
         graph = build_star(1_000_000, anomaly)
         op = build_step_operator(graph)
         walk = BlockWalk(op, _start_values(graph, InitialStateKind.minus()))
-        start = {id(buf): (buf, buf.copy()) for buf in walk.buffers}
         for _ in range(200):
             walk.step()
-        assert sorted(map(id, walk.buffers)) == sorted(start)
-        patched = {k for _, k in op.dst}
-        for buf, before in start.values():
-            assert set(np.flatnonzero(buf != before).tolist()) <= patched
+        written = {k for rows in walk.rows for k in rows}
+        assert written and written <= {k for _, k in op.dst}
+        assert {type(v) for v in walk_values(walk)} == {complex}
 
-    def test_buffers_are_allocated_once(self):
-        # net of the columns it returns, the search holds one state's worth
-        # of block buffers, whatever the number of steps
-        graph = build_star(200_000, Anomaly.loop(7))
-        net = {}
-        for steps in (10, 1000):
+    @staticmethod
+    def _traced(anomaly, kind, steps):
+        """The tracemalloc (peak, current) and the columns of a named full
+        search at N=1e3 and at N=1e7, after one untraced run has loaded
+        what the search loads on first use."""
+        run_search(build_star(1000, anomaly), kind, steps)
+        traced, runs = [], []
+        for n in (1000, 10 ** 7):
+            graph = build_star(n, anomaly)
             tracemalloc.start()
             try:
-                got = columns(run_search(graph, InitialStateKind.minus(), steps))
+                runs.append(columns(run_search(graph, kind, steps)))
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert [len(c) for c in got] == [steps + 1] * 3
-            net[steps] = peak - current
-        slack = 1 << 16
-        assert net[1000] <= net[10] + slack
-        assert net[10] <= 16 * graph.hilbert_dim + slack
+            traced.append((peak, current))
+        return traced, runs
+
+    def test_buffers_are_allocated_once(self):
+        # the search holds nothing of length N: it peaks at the same memory,
+        # within 4 KiB, at N=1e3 and N=1e7, and net of the columns it
+        # returns, its peak does not grow with the number of steps
+        net = {}
+        for steps in (10, 1000):
+            traced, runs = self._traced(Anomaly.loop(7), InitialStateKind.minus(), steps)
+            assert [len(c) for got in runs for c in got] == [steps + 1] * 6
+            (small, _), (large, current) = traced
+            assert abs(large - small) <= 4096, traced
+            net[steps] = large - current
+        assert net[1000] <= net[10] + (1 << 16)
 
     def test_complex_walk_takes_its_norm_without_temporaries(self):
-        # the squared norms of a complex walk's buffers at its end allocate
-        # nothing of a buffer's length either
-        graph = build_star(200_000, Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3)))
-        tracemalloc.start()
-        try:
-            run_search(graph, InitialStateKind.loop_third(), 10)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - current <= 16 * graph.hilbert_dim + (1 << 16)
+        # a complex walk's squared norm at its end allocates nothing of a
+        # block's length either: the same peak, within 4 KiB, at N=1e3 and 1e7
+        (small, _), (large, _) = self._traced(
+            Anomaly.missing_loop(7, PhaseAngle.from_pi_fraction(1, 3)),
+            InitialStateKind.loop_third(), 10)[0]
+        assert abs(large - small) <= 4096, (small, large)
 
     @staticmethod
     def _loop_walk(n):
@@ -394,17 +404,18 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("steps", [10, 1000])
     def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
-        # the total is taken in closed form at the start and certified at
-        # the end, one squared norm per buffer: no step reads the state in full
+        # the total is taken in closed form from the start values and
+        # certified once at the end, from the walk's bulk values and written
+        # rows: no step reads the state, and no vector norm is taken
         op, start, rows = self._loop_walk(4096)
-        sizes = []
-        norm2 = anomalywalk.search.norm2
-        monkeypatch.setattr(anomalywalk.search, "norm2",
-                            lambda x: sizes.append(x.size) or norm2(x))
+        walks, norms = [], []
+        walk_norm2, norm2 = anomalywalk.search._walk_norm2, anomalywalk.search.norm2
+        monkeypatch.setattr(anomalywalk.search, "_walk_norm2",
+                            lambda walk: walks.append(walk) or walk_norm2(walk))
+        monkeypatch.setattr(anomalywalk.search, "norm2", lambda x: norms.append(x) or norm2(x))
         got = anomalywalk.search._evolve_full(op, start, steps, *rows)
         assert [len(c) for c in got] == [steps + 1] * 3
-        assert sum(sizes) == op.dimension
-        assert len(sizes) == len(op.basis.bounds) - 1  # one call per block
+        assert len(walks) == 1 and norms == []
 
     def test_norm_drift_is_refused(self):
         # patches of modulus 2 add weight on every pass through the loop
@@ -414,22 +425,18 @@ class TestBlockWalk:
             anomalywalk.search._evolve_full(doubled, start, 40, *rows)
 
     @pytest.mark.parametrize("n, block, row, refusal", [
-        (256, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.6e-09"),
-        (1_000_000, 2, 0, "carried block sums drift 1\\.000e-06 .* past the tolerance 1\\.0e-07"),
-        (256, 1, 3, "squared norm drifts .* past the tolerance 1\\.0e-10")],
-        ids=["tail", "tail_1e6", "hub"])
+        (256, 1, 3, "squared norm drifts 8\\.839e-08 .* past the tolerance 1\\.0e-10")],
+        ids=["hub"])
     def test_stale_carried_sum_is_refused(self, monkeypatch, n, block, row, refusal):
-        # a row written behind the walk's back leaves its block's carried
-        # sum stale.  Written into the loop, 1e-6 raises
-        # the squared norm by only 1e-12 and the walk stays unitary from
-        # there, so the sums' certificate refuses the run; written into the
-        # block the hub reads, it steps the wrong walk, whose norm drifts
+        # a row written behind the walk's back, in the block the hub reads,
+        # moves the state away from its start, whose squared norm the run
+        # took in closed form, so the certificate at its end refuses it
         op, start, rows = self._loop_walk(n)
         init = BlockWalk.__init__
 
         def stale(walk, *args):
             init(walk, *args)
-            walk.buffers[block][row] += 1e-6
+            walk.rows[block][row] = walk.bulk[block] + 1e-6
         monkeypatch.setattr(BlockWalk, "__init__", stale)
         with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
             anomalywalk.search._evolve_full(op, start, 40, *rows)
@@ -542,8 +549,8 @@ class TestRunSearch:
     def test_reduced_builds_the_start_state_once(self, kind):
         # the reduced walk starts from the start state's row on the cells,
         # and the spot check from its values per block: the start is never
-        # built at full length, so the run peaks at the spot check's block
-        # buffers, one virtual complex128 vector, and a few KB
+        # built at full length, and the spot check's walk holds nothing of
+        # length N either, so the run peaks at a few KB
         graph = build_star(200_000, Anomaly.loop(3))
         tracemalloc.start()
         try:
@@ -551,7 +558,7 @@ class TestRunSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * graph.hilbert_dim + (1 << 16)
+        assert peak <= 1 << 16
         full = run_search(graph, kind, 30, method="full")
         within(full.p_target_spokes, fast.p_target_spokes, 1e-12)
         within(full.p_anomaly, fast.p_anomaly, 1e-12)
@@ -697,7 +704,8 @@ class TestMeasurement:
             x = apply_into(op, x, np.empty_like(x))
         weight = np.abs(x) ** 2
         basis = op.basis
-        spokes = weight[basis.out_block] + weight[basis.in_block]
+        bounds = basis.bounds
+        spokes = weight[bounds[0]:bounds[1]] + weight[bounds[1]:bounds[2]]
         undetected = weight[basis.anomaly_only_rows].sum()
         assert undetected == pytest.approx(result.peak_undetected, abs=1e-12)
         assert spokes[1] + spokes[6] == pytest.approx(result.peak_detectable, abs=1e-12)
@@ -776,14 +784,14 @@ class TestClassicalBaseline:
             lo, hi = (mid, hi) if math.perm(mid, k) <= bound else (lo, mid - 1)
         return n - lo
 
-    @pytest.mark.parametrize("n", [3, 1000, 12_345, 10 ** 9])
+    @pytest.mark.parametrize("n", [3, 1000, 12_345, 10 ** 9, 2 ** 40])
     @pytest.mark.parametrize("anomaly", [Anomaly.loop(1), Anomaly.extra_edge(1, 2)])
     def test_sampler_inverts_at_the_rank_thresholds(self, monkeypatch, n, anomaly):
         # the uniforms at which the rank changes, f(m) / f(N), one ulp and
         # 2^-40 of it either side, and the ends of [0, 1): each draw is the
         # exact rank of a u' within 4 ulps of its u, as the sampler's
         # docstring allows, so it is exact 2^-40 off a threshold
-        graph = StarGraph(n, anomaly)  # no amplitudes: N may pass the memory guard
+        graph = build_star(n, anomaly)
         k = len(graph.anomaly_vertices)
         us = [0.0, 1.0 - 2.0 ** -53]
         for m in sorted({k - 1, k, k + 1, n // 3, n // 2, n - 2, n - 1}):

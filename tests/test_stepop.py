@@ -17,6 +17,7 @@ from oracle import (
     make_state,
     walk_dtype,
     walk_state,
+    walk_values,
 )
 
 import anomalywalk.spectral
@@ -113,8 +114,8 @@ def test_hub_subtraction_matches_two_term_rule(n):
     # equal up to the sign of zero since (N-2)/N + 2/N is exactly 1
     op = build_step_operator(build_star(n, Anomaly.loop(1)))
     x = random_unit_state(op.dimension, seed=n)
-    for kernel, src, dst in ((apply_into, op.basis.in_block, op.basis.out_block),
-                             (apply_adjoint_into, op.basis.out_block, op.basis.in_block)):
+    out, inc = (slice(*op.basis.bounds[b:b + 2]) for b in (0, 1))
+    for kernel, src, dst in ((apply_into, inc, out), (apply_adjoint_into, out, inc)):
         expected = x[src] * -(op.hub_r + op.hub_t) + op.hub_t * x[src].sum()
         got = kernel(op, x, np.empty(op.dimension, dtype=complex))[dst]
         assert np.array_equal(got, expected)
@@ -342,7 +343,7 @@ def test_block_walk_matches_dense(n, phase):
     (Anomaly.missing_loop(3), (1, 2, 0, 3))])
 def test_routing_relabels_blocks(anomaly, roles):
     # out <- in through the hub, in <- out (or in <- loops <- out), and the
-    # tail keeps its buffer; a table that does not permute the blocks, or
+    # tail keeps its place; a table that does not permute the blocks, or
     # that leaves a bulk block in place, is refused when it is constructed
     op = build_step_operator(build_star(6, anomaly))
     assert op.roles == roles
@@ -569,7 +570,7 @@ def test_apply_step_keeps_real_states_real(anomaly):
     cplx_walk = walk_once(op, tuple(map(complex, values)))
     real = rng.standard_normal(op.dimension)
     cplx = real.astype(complex)
-    assert {b.dtype for b in real_walk.buffers + cplx_walk.buffers} == {np.dtype(complex)}
+    assert {type(v) for v in walk_values(real_walk) + walk_values(cplx_walk)} == {complex}
     np.testing.assert_array_equal(walk_state(real_walk), walk_state(cplx_walk), strict=True)
     if is_real(op):
         assert not np.any(walk_state(real_walk).imag)
