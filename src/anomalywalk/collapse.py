@@ -8,13 +8,13 @@ their coordinates, and expresses the step inside the closure.
 
 Seeds are rows on the cells.  A basis is held on the cells, never as
 full-length vectors: the uniform bulk profile in closed form, the unit
-rows, and the coordinates of each basis vector on the cells.
+rows, and the coordinates of each basis vector on the cells.  The cells
+and their operators are numpy arrays; numpy is imported by the functions
+that build or read them, so a run that needs no cells never loads it.
 """
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .edgespace import EdgeBasis
 from .errors import (
@@ -38,11 +38,13 @@ class ReducedBasis(NamedTuple):
     orthonormal; basis vector k is sum_j coords[k, j] cell_j.
     """
 
+    # the numpy arrays are annotated `object`: an annotation is evaluated
+    # at import, before numpy is loaded
     n_spokes: int
-    anomalous: np.ndarray  # the anomaly offsets, where the uniform profile is zero
+    anomalous: object  # intp array of the anomaly offsets, where the uniform profile is zero
     blocks: tuple[slice, ...]  # the bulk blocks, each of length N
-    units: np.ndarray  # the position of each unit cell
-    coords: np.ndarray  # dim x (len(blocks) + len(units)), orthonormal rows
+    units: object  # intp array of the position of each unit cell
+    coords: object  # dim x (len(blocks) + len(units)) array, orthonormal rows
     full_dim: int
 
     @property
@@ -54,8 +56,10 @@ class ReducedBasis(NamedTuple):
         """The uniform profile's sum, sqrt(N - k); it is one over its value."""
         return math.sqrt(self.n_spokes - len(self.anomalous))
 
-    def rows(self, index) -> np.ndarray:
+    def rows(self, index) -> "np.ndarray":
         """The rows of the full-dimension basis V at the given positions."""
+        import numpy as np
+
         index = np.asarray(index, dtype=np.intp)
         cells = np.zeros((index.size, self.coords.shape[1]), complex)
         for k, block in enumerate(self.blocks):
@@ -67,10 +71,12 @@ class ReducedBasis(NamedTuple):
         cells[:, len(self.blocks):] = index[:, None] == self.units
         return cells @ self.coords.T
 
-    def uniform(self, k: int) -> np.ndarray:
+    def uniform(self, k: int) -> "np.ndarray":
         """The uniform state on bulk block k in cell coordinates: its all-ones
         over sqrt(N), where the block's cell weighs the uniform's sum and
         each unit in the block 1."""
+        import numpy as np
+
         block = self.blocks[k]
         cells = np.zeros(self.coords.shape[1], complex)
         cells[k] = self.uniform_sum
@@ -79,7 +85,7 @@ class ReducedBasis(NamedTuple):
 
 
 class ReducedOperator(NamedTuple):
-    matrix: np.ndarray  # dim x dim, unitary
+    matrix: object  # dim x dim numpy array, unitary
     basis: ReducedBasis
 
     @property
@@ -87,10 +93,12 @@ class ReducedOperator(NamedTuple):
         return self.matrix.shape[0]
 
 
-def _accept(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _accept(vec: "np.ndarray", rows: "np.ndarray") -> "np.ndarray":
     """Orthogonalize vec against the rows and append it, normalised, unless
     its residual is at most DEFAULT_POLICY.closure_residual or the rows
     already span the space; returns the rows."""
+    import numpy as np
+
     tol = DEFAULT_POLICY.closure_residual
     res = orthogonalize(vec, rows, tol)
     if res <= tol or len(rows) == vec.size:
@@ -106,17 +114,20 @@ def star_cells(basis: EdgeBasis) -> ReducedBasis:
     uniform bulk profile, in closed form, zero on the anomaly vertices.
     Every other row is a unit cell of its own.
     """
+    import numpy as np
+
     vertices = StarGraph(basis.n_spokes, basis.anomaly).anomaly_vertices
-    anomalous = basis.out_rows(vertices)
+    anomalous = np.array(basis.out_rows(vertices), dtype=np.intp)
     bounds = basis.bounds  # every block but the anomaly tail is a bulk block
     blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1]))
-    units = np.concatenate((anomalous, basis.in_rows(vertices), basis.anomaly_only_rows))
+    units = np.array(basis.out_rows(vertices) + basis.in_rows(vertices)
+                     + basis.anomaly_only_rows, dtype=np.intp)
     return ReducedBasis(n_spokes=basis.n_spokes, anomalous=anomalous, blocks=blocks,
                         units=units, coords=np.eye(len(blocks) + len(units), dtype=complex),
                         full_dim=basis.dim)
 
 
-def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
+def cells_operator(op: StepOperator, cells: ReducedBasis) -> "np.ndarray":
     """M = C*UC on the cells C of a basis, read from the operator's role
     table and patches, and certified.
 
@@ -127,6 +138,8 @@ def cells_operator(op: StepOperator, cells: ReducedBasis) -> np.ndarray:
     to another with its amplitude.  A move onto a row that no cell of
     its kind holds is refused: invariance is checked, not assumed.
     """
+    import numpy as np
+
     if cells.full_dim != op.dimension:
         raise DimensionMismatchError(f"cells in dimension {cells.full_dim}, not {op.dimension}")
     # each cell as (block, key): a unit's key is its offset, and the bulk
@@ -167,6 +180,7 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     Q are the basis's coordinates on the cells, and the operator on it is
     conj(Q) M Q^T.
     """
+    import numpy as np
 
     seeds = np.asarray(seeds)
     if not len(seeds):
@@ -190,10 +204,12 @@ def reduce_seeds(op: StepOperator, cells: ReducedBasis, seeds) -> ReducedOperato
     return ReducedOperator(matrix=matrix, basis=cells._replace(coords=q))
 
 
-def certify(matrix: np.ndarray, leakage: float) -> None:
+def certify(matrix: "np.ndarray", leakage: float) -> None:
     """Freeze a reduced operator once its basis leakage (the largest part of
     an image, or of a state the basis must hold, outside it) and its
     deviation from unitarity are within policy; refuse it otherwise."""
+    import numpy as np
+
     require_within("basis is not invariant: leakage {value:.3e} exceeds {tol:.1e}",
                    leakage, DEFAULT_POLICY.invariance_tol, InvarianceError)
     require_within("reduced matrix deviates from unitarity by {value:.3e}",

@@ -7,9 +7,8 @@ loop states ascending vertex, extension pair).
 """
 
 from bisect import bisect_right
+from operator import index
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .stargraph import Anomaly, StarGraph
@@ -96,24 +95,25 @@ class EdgeBasis(NamedTuple):
         return tuple(located)
 
     @property
-    def anomaly_only_rows(self) -> np.ndarray:
+    def anomaly_only_rows(self) -> list[int]:
         """Rows of the states only the anomaly provides; of missing_loop's, the dummy loop."""
         if self.anomaly.schema.loops:
-            return np.array([self.position(BasisLabel.loop(self.anomaly.at))])
-        return np.arange(self.anomaly_block.start, self.dim)
+            return [self.position(BasisLabel.loop(self.anomaly.at))]
+        return list(range(self.anomaly_block.start, self.dim))
 
-    def out_rows(self, vertices) -> np.ndarray:
-        """Rows of (0,j) for the outer vertices j, in the given order."""
-        if not isinstance(vertices, np.ndarray):  # any iterable; arrays stay vectorized
-            vertices = list(vertices)
-        rows = np.asarray(vertices, dtype=np.intp) - 1
-        if rows.size and (rows.min() < 0 or rows.max() >= self.n_spokes):
+    def out_rows(self, vertices) -> list[int]:
+        """Rows of (0,j) for the outer vertices j, in the given order.
+
+        Rows come as a list of ints, never a tuple: a list indexes a numpy
+        array row by row, where a tuple of two would read one element."""
+        rows = [index(j) - 1 for j in vertices]
+        if not all(0 <= row < self.n_spokes for row in rows):
             raise ConfigurationError(f"vertex outside 1..{self.n_spokes}")
         return rows
 
-    def in_rows(self, vertices) -> np.ndarray:
+    def in_rows(self, vertices) -> list[int]:
         """Rows of (j,0) for the outer vertices j, in the given order."""
-        return self.out_rows(vertices) + self.n_spokes
+        return [row + self.n_spokes for row in self.out_rows(vertices)]
 
     def position(self, label: BasisLabel) -> int:
         n = self.n_spokes

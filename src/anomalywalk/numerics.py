@@ -4,15 +4,15 @@ All tolerance constants live in one frozen record instead of scattered
 magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
 call runs, never at import, so a test that needs another threshold swaps
 the record in the module that reads it.  `require_within` checks each
-certificate: a value against one of these tolerances, `norm2` takes every
-squared norm of a vector of length N, `largest` reads the worst of a few
-values, and `orthogonalize` is the one CGS2.
+certificate: a value against one of these tolerances, `norm2` takes the
+squared norm of a coordinate vector on the star's cells, `largest` reads
+the worst of a few values, and `orthogonalize` is the one CGS2.  Nothing
+here imports numpy: `norm2` and `orthogonalize` only call the methods of
+the arrays they are given.
 """
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NumericalFailureError
 
@@ -66,13 +66,13 @@ def largest(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def norm2(x: np.ndarray) -> float:
+def norm2(x: "np.ndarray") -> float:
     """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
-    v = x.view(np.float64)
+    v = x.view("float64")
     return float(v @ v)
 
 
-def orthogonalize(vec: np.ndarray, rows: np.ndarray, tol: float) -> float:
+def orthogonalize(vec: "np.ndarray", rows: "np.ndarray", tol: float) -> float:
     """Remove the span of the orthonormal rows from the contiguous vec, in place.
 
     Classical Gram-Schmidt run twice (CGS2), each sweep one projection

@@ -15,8 +15,6 @@ one over square root of N) from the simple ones (order one over N).
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .collapse import ReducedOperator, cells_operator, certify, star_cells
 from .errors import (
     ConfigurationError,
@@ -45,6 +43,8 @@ def _sweep_operators(graph: StarGraph) -> tuple[ReducedOperator, ReducedOperator
     as adjacent pairs; both operators keep to the sector symmetric under
     it, which holds all four uniforms, and its leakage is certified.
     """
+    import numpy as np
+
     op = build_step_operator(graph)
     cells = star_cells(op.basis)
     finite = cells_operator(op, cells)
@@ -99,6 +99,7 @@ def eigenphase_shifts(perturbed: Spectrum, unperturbed: Spectrum) -> list[EigenS
     a branch keeps its identity even when its split crosses a neighbor.
     Every limit branch must receive exactly its multiplicity.
     """
+    import numpy as np
 
     if perturbed.dim != unperturbed.dim:
         raise DimensionMismatchError(
@@ -170,6 +171,7 @@ def fit_scaling(samples) -> list[ScalingFit]:
     shift is excluded is reported with points_used 0 instead of a fit,
     since an exactly preserved eigenphase is a result, not bad data.
     """
+    import numpy as np
 
     samples = list(samples)
     groups: dict[float, list] = {}

@@ -5,14 +5,20 @@ basis, for the full walk and the star's cells; evolves start states
 while recording where the probability sits, predicts hitting steps where
 a closed form exists, and samples the classical adjacency-list baseline
 for comparison.
+
+Both walks record into the same three `array('d')` columns, one entry a
+step.  The full walk and its records run in plain Python, so
+`walk_columns` on it never loads numpy; the star's cells, the reduced
+walk, `run_search`'s numpy views and the baseline import it when they run.
 """
 
+import cmath
 import json
 import math
 import random
+import sys
+from array import array
 from typing import NamedTuple
-
-import numpy as np
 
 from .collapse import ReducedBasis, cells_operator, star_cells
 from .edgespace import make_basis
@@ -47,7 +53,7 @@ class InitialStateKind(NamedTuple):
     @staticmethod
     def inout(amp_out, amp_in) -> "InitialStateKind":
         """Arbitrary combination of the outgoing and incoming uniforms."""
-        amp_out, amp_in = _coefficients((amp_out, amp_in), "inout state").tolist()
+        amp_out, amp_in = _coefficients((amp_out, amp_in), "inout state")
         return InitialStateKind("inout", amp_out=amp_out, amp_in=amp_in)
 
     @staticmethod
@@ -59,16 +65,19 @@ class InitialStateKind(NamedTuple):
         return InitialStateKind("loop_third")
 
 
-def _coefficients(values, what: str) -> np.ndarray:
-    """The values as a new complex128 array, refused unless their squared
-    norm is a finite normal float, so their state normalises without overflow."""
-    coeffs = np.array(values, dtype=complex)
-    if coeffs.ndim != 1:
-        raise DimensionMismatchError(f"{what} needs a one-dimensional sequence of coefficients")
+def _coefficients(values, what: str) -> list[complex]:
+    """The values as Python complexes, refused unless their squared norm is
+    a finite normal float, so their state normalises without overflow."""
+    try:
+        coeffs = [complex(v) for v in values]
+    except TypeError:  # a value that is itself a sequence, or no number at all
+        raise DimensionMismatchError(f"{what} needs one complex number per coefficient") from None
+    parts = [abs(x) for z in coeffs for x in (z.real, z.imag)]
     # scaled by the largest part: a square past the float range is inf, with no overflow
-    scale = float(np.abs(coeffs.view(np.float64)).max(initial=0.0))
-    square = scale * scale * norm2(coeffs / scale) if 0.0 < scale < np.inf else scale
-    if not np.finfo(float).tiny <= square < np.inf:
+    scale = largest(parts)
+    square = (scale * scale * sum((x / scale) ** 2 for x in parts) if 0.0 < scale < math.inf
+              else scale)
+    if not sys.float_info.min <= square < math.inf:
         raise ConfigurationError(f"{what} needs finite coefficients whose squared norm "
                                  f"is a normal float, got {square:.3g}")
     return coeffs
@@ -88,7 +97,7 @@ def _block_weights(graph: StarGraph, kind: InitialStateKind) -> tuple:
             raise ConfigurationError("graph does not carry a loop on every vertex")
         if kind.variant == "loop_pi":
             return (1.0, 1.0, 1.0)
-        w = np.exp(2j * np.pi / 3)
+        w = cmath.exp(2j * math.pi / 3)
         # for a negative marking phase the walk is the complex conjugate
         # of the positive-phase walk, so the start state conjugates too
         if graph.anomaly.mark_phase.value < 0:
@@ -120,7 +129,7 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     return values
 
 
-def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, np.ndarray]:
+def family_seeds(graph: StarGraph, kind: InitialStateKind) -> "tuple[ReducedBasis, np.ndarray]":
     """The star's cells, and as rows on them the generators of the smallest
     state family containing a named kind: the uniform state of each block
     it weighs.
@@ -128,6 +137,8 @@ def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis
     Closing these under the walk gives one invariant subspace that serves
     every start state of the family, not just a single seed's orbit.
     """
+    import numpy as np
+
     weights = _block_weights(graph, kind)
     cells = star_cells(make_basis(graph))
     return cells, np.array([cells.uniform(k) for k in range(len(weights))])
@@ -138,9 +149,9 @@ def predicted_hitting_step(graph: StarGraph) -> int:
     n = graph.n_spokes
     variant = graph.anomaly.variant
     if variant == "extra_edge":
-        return int(round(np.pi * np.sqrt(3.0 * n) / 4.0))
+        return int(round(math.pi * math.sqrt(3.0 * n) / 4.0))
     if variant == "loop":
-        return int(round((np.pi / 2.0) * np.sqrt(1.5 * n)))
+        return int(round((math.pi / 2.0) * math.sqrt(1.5 * n)))
     raise NoPredictionError(f"no hitting-step formula for variant {variant!r}")
 
 
@@ -153,13 +164,16 @@ def predicted_step(graph: StarGraph) -> int | None:
 
 
 class SearchResult(NamedTuple):
-    """The probability split of every step as three read-only float64
-    columns, named as in the per-step CSV and indexed by the step n, and
-    the peak read from them."""
+    """The probability split of every step as three float64 columns, named
+    as in the per-step CSV and indexed by the step n, and the peak read
+    from them.  `run_search` gives the columns as read-only numpy arrays,
+    `walk_columns` as the `array('d')` those arrays view."""
 
-    p_target_spokes: np.ndarray
-    p_anomaly: np.ndarray
-    p_rest: np.ndarray
+    # the columns are annotated `object`: an annotation is evaluated at
+    # import, before numpy is loaded
+    p_target_spokes: object
+    p_anomaly: object
+    p_rest: object
     peak_step: int
     peak_detectable: float
     peak_undetected: float
@@ -167,44 +181,41 @@ class SearchResult(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _partition_rows(graph: StarGraph) -> tuple[np.ndarray, np.ndarray]:
+def _partition_rows(graph: StarGraph) -> tuple[list[int], list[int]]:
     """Row indices of target-spoke states and anomaly-only states."""
     targets = graph.anomaly_vertices
     if not targets:
         raise NothingToFindError("plain star has no anomaly to search for")
     basis = make_basis(graph)
     targets = sorted(targets)  # ascending out rows, then ascending in rows
-    rows = np.concatenate((basis.out_rows(targets), basis.in_rows(targets)))
-    return rows, basis.anomaly_only_rows
+    return basis.out_rows(targets) + basis.in_rows(targets), basis.anomaly_only_rows
 
 
-# peak bytes per step of a run (tracemalloc): the widest rows of complex
-# amplitudes, held while their weights are summed into the columns
-_RECORD_BYTES = 160
+# peak bytes per step of a run (tracemalloc): the three float64 columns,
+# allocated once for the whole horizon, plus the run's fixed cost, which
+# at 10,000 steps brought the worst case measured to 24.98
+_RECORD_BYTES = 26
 
 
-def _records(walk, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns p_target_spokes, p_anomaly and p_rest of a walk.
+def _records(amps, k: int, total: float, steps: int) -> tuple[array, array, array]:
+    """The columns p_target_spokes, p_anomaly and p_rest of a walk of `steps` steps.
 
-    `walk()` returns the amplitudes at the target rows (the first k
-    columns) and the anomaly rows, one array row per step, and the
-    squared norm.  The walk's array is read one column at a time, never
-    written, and freed before p_rest is taken.
+    `amps` yields, step by step, the amplitudes at the target rows (the
+    first k) and at the anomaly rows as Python complexes.  Each weight
+    re^2 + im^2 is added in row order, the float operations numpy's
+    column sums made, and p_rest is the squared norm `total` less both,
+    floored at 0.  The columns are allocated once, for the whole horizon.
     """
-    amps, total = walk()
-    pts, pas = np.zeros(len(amps)), np.zeros(len(amps))
-    # each step's weights re^2 + im^2, added in column order as a row sums
-    for j in range(amps.shape[1]):
-        weight = amps[:, j].real ** 2
-        weight += amps[:, j].imag ** 2
-        split = pts if j < k else pas
-        split += weight
-    del amps, weight
-    rests = total - pts
-    rests -= pas
-    np.maximum(rests, 0.0, out=rests)
-    for column in (pts, pas, rests):
-        column.flags.writeable = False
+    pts, pas, rests = (array("d", [0.0]) * (steps + 1) for _ in range(3))
+    for n, row in enumerate(amps):
+        pt = pa = 0.0
+        for z in row[:k]:
+            pt += z.real * z.real + z.imag * z.imag
+        for z in row[k:]:
+            pa += z.real * z.real + z.imag * z.imag
+        rest = total - pt
+        rest -= pa
+        pts[n], pas[n], rests[n] = pt, pa, max(rest, 0.0)
     return pts, pas, rests
 
 
@@ -219,54 +230,54 @@ def _evolve_full(op, start, max_steps, target_rows, anomaly_rows):
     """The full walk's columns, one entry per step.
 
     The state is stepped as a `BlockWalk` from the start, one value per
-    block, and its target and anomaly rows are gathered at their (block,
-    offset) into one row of a preallocated array per step.  The walk
-    conserves the squared norm, so its total is taken once at the start,
-    in closed form from the start values, and carried into every step's
-    p_rest.  At the end the walk's squared norm is taken again, from its
-    bulk values and written rows, and a drift past `unit_norm_tol` is
-    refused.  In between, no step reads the state in full.
+    block, and each step's target and anomaly rows are gathered at their
+    (block, offset) for `_records`.  The walk conserves the squared norm,
+    so its total is taken once at the start, in closed form from the start
+    values, and carried into every step's p_rest.  At the end the walk's
+    squared norm is taken again, from its bulk values and written rows,
+    and a drift past `unit_norm_tol` is refused.  In between, no step
+    reads the state in full.
     """
-    located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
+    located = op.basis.locate([*target_rows, *anomaly_rows])
+    state = BlockWalk(op, start)
+    total = _uniform_norm2(state.lengths, start)
 
     def walk():
-        state = BlockWalk(op, start)
-        amps = np.empty((max_steps + 1, len(located)), complex)
-        amps[0] = state.gather(located)
-        total = _uniform_norm2(state.lengths, start)
-        for n in range(1, max_steps + 1):
+        yield state.gather(located)
+        for _ in range(max_steps):
             state.step()
-            amps[n] = state.gather(located)
+            yield state.gather(located)
         require_within(f"the full walk's squared norm drifts {{value:.3e}} over {max_steps} "
                        "steps, past the tolerance {tol:.1e}", abs(_walk_norm2(state) - total),
                        DEFAULT_POLICY.unit_norm_tol)
-        return amps, total
 
-    return _records(walk, len(target_rows))
+    return _records(walk(), len(target_rows), total, max_steps)
 
 
 def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows):
     """The walk on the star's cells C, stepped by M = C*UC, from the start
     state's row on them: the named kind's block values, times sqrt(N), on
     the family's uniform rows.  `cells_operator` certifies that M keeps to
-    the cells and is unitary; the squared norm is carried as in the full walk."""
+    the cells and is unitary; each step's rows go to `_records` as Python
+    complexes, and the squared norm is carried as in the full walk."""
+    import numpy as np
+
     cells, seeds = family_seeds(graph, kind)
     row = np.sqrt(graph.n_spokes) * np.asarray(start[:len(seeds)]) @ seeds
     m = cells_operator(op, cells)
-    rows = cells.rows(np.concatenate((target_rows, anomaly_rows)))
+    rows = cells.rows([*target_rows, *anomaly_rows])
+    total = norm2(row)
 
     def walk(c=row):
-        amps = np.empty((max_steps + 1, len(rows)), complex)
-        amps[0], total = rows @ c, norm2(c)
-        for n in range(1, max_steps + 1):
+        yield (rows @ c).tolist()
+        for _ in range(max_steps):
             c = m @ c
-            amps[n] = rows @ c
+            yield (rows @ c).tolist()
         require_within(f"the reduced walk's squared norm drifts {{value:.3e}} over {max_steps} "
                        "steps, past the tolerance {tol:.1e}", abs(norm2(c) - total),
                        DEFAULT_POLICY.unit_norm_tol)
-        return amps, total
 
-    columns = _records(walk, len(target_rows))
+    columns = _records(walk(), len(target_rows), total, max_steps)
     _spot_check(op, start, columns, target_rows, anomaly_rows)
     return columns
 
@@ -277,21 +288,16 @@ def _spot_check(op, start, columns, target_rows, anomaly_rows):
     k = min(len(columns[0]) - 1, policy.spot_check_steps)
     ref = _evolve_full(op, start, k, target_rows, anomaly_rows)
     require_within(f"reduced evolution drifts {{value:.3e}} from the full walk at step {k}",
-                   largest(abs(ref[j].item(k) - columns[j].item(k)) for j in (0, 1)),
+                   largest(abs(ref[j][k] - columns[j][k]) for j in (0, 1)),
                    policy.spot_check_tol)
 
 
-def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
-               method: str = "full") -> SearchResult:
-    """Evolve the start state and record the probability split per step.
+def walk_columns(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
+                 method: str = "full") -> SearchResult:
+    """`run_search`'s result, its columns the `array('d')` the walk filled.
 
-    p_target_spokes covers the spoke edges adjacent to the anomaly,
-    p_anomaly the states only the anomaly provides, p_rest everything
-    else.  The peak is the argmax of their sum; ties break to the
-    earliest step.  method="reduced" steps the start state's row on the
-    star's cells and spot-checks a prefix against the full walk.  Both
-    walks start from the kind's values per block, and neither builds a
-    full-length vector.
+    The full walk and its records run in plain Python, so this loads no
+    numpy for method="full"; the CLI's walks read their results here.
     """
 
     if max_steps < 1:
@@ -307,7 +313,8 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     else:
         pts, pas, rests = _evolve_reduced(graph, op, kind, start, max_steps, target_rows,
                                           anomaly_rows)
-    peak = int(np.argmax(pts + pas))
+    # the first step of the largest sum, as numpy's argmax reads it
+    peak = max(range(len(pts)), key=lambda n: pts[n] + pas[n])
     predicted = predicted_step(graph)
     warnings: tuple[str, ...] = ()
     slack = DEFAULT_POLICY.peak_slack
@@ -320,11 +327,36 @@ def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
                         predicted_step=predicted, warnings=warnings)
 
 
+def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
+               method: str = "full") -> SearchResult:
+    """Evolve the start state and record the probability split per step.
+
+    p_target_spokes covers the spoke edges adjacent to the anomaly,
+    p_anomaly the states only the anomaly provides, p_rest everything
+    else.  The peak is the argmax of their sum; ties break to the
+    earliest step.  method="reduced" steps the start state's row on the
+    star's cells and spot-checks a prefix against the full walk.  Both
+    walks start from the kind's values per block, and neither builds a
+    full-length vector.  The columns are read-only float64 numpy views of
+    `walk_columns`' columns, sharing their memory.
+    """
+    import numpy as np
+
+    result = walk_columns(graph, kind, max_steps, method=method)
+    views = {}
+    for name in SearchResult._fields[:3]:
+        views[name] = np.frombuffer(getattr(result, name), dtype=np.float64)
+        views[name].flags.writeable = False
+    return result._replace(**views)
+
+
 def write_per_step_csv(result: SearchResult, path) -> None:
+    """The per-step CSV of a result from `run_search` or `walk_columns`,
+    its columns read one step at a time."""
     columns = (result.p_target_spokes, result.p_anomaly, result.p_rest)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,p_target_spokes,p_anomaly,p_rest\n")
-        for n, (pt, pa, rest) in enumerate(zip(*(c.tolist() for c in columns))):
+        for n, (pt, pa, rest) in enumerate(zip(*columns)):
             fh.write(f"{n},{pt:.12g},{pa:.12g},{rest:.12g}\n")
 
 
@@ -360,13 +392,15 @@ _BASELINE_BYTES_PER_TRIAL = 17
 _UNIFORM_CHUNK = 2 ** 12
 
 
-def _uniforms(seed: int, count: int) -> np.ndarray:
+def _uniforms(seed: int, count: int) -> "np.ndarray":
     """`count` uniforms on [0, 1), on the 53-bit grid, from the standard
     library's generator seeded by a non-negative integer.
 
     Every chunk is a whole number of 32-bit words of the generator's
     stream, so the draws do not depend on the chunk size.
     """
+    import numpy as np
+
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
@@ -378,7 +412,7 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
+def _sample_queries(graph: StarGraph, trials: int, seed: int) -> "np.ndarray":
     """Query counts of independent scans of shuffled adjacency lists.
 
     The count Q is the rank of the first of the k anomaly-adjacent vertices
@@ -392,6 +426,8 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> np.ndarray:
     draw to the next rank only for a u that close to that rank's threshold.
     That is O(trials) work, not O(trials N), with no Python loop per trial.
     """
+    import numpy as np
+
     if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to find")
     if trials < 1:

@@ -6,9 +6,8 @@ of e^{i theta} P.  Clusters group phases closer than a threshold, which is
 what separates exact degeneracies from perturbative splittings.
 """
 
+import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError, SizeError
 from .numerics import DEFAULT_POLICY, orthogonalize, require_within
@@ -24,19 +23,19 @@ class Spectrum(NamedTuple):
     """
 
     eigenphases: tuple[float, ...]
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple  # numpy arrays; an annotation naming numpy would load it at import
     multiplicities: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.blocks[0].shape[0] if self.blocks else 0
 
-    def projector(self, k: int) -> np.ndarray:
+    def projector(self, k: int) -> "np.ndarray":
         b = self.blocks[k]
         return b @ b.conj().T
 
 
-def _cluster_phases(thetas: np.ndarray, tol: float) -> list[list[int]]:
+def _cluster_phases(thetas: "np.ndarray", tol: float) -> list[list[int]]:
     """Group sorted phase indices whose neighbors are within tol.
 
     The two ends of (-pi, pi] are identified, so clusters hugging the
@@ -51,19 +50,21 @@ def _cluster_phases(thetas: np.ndarray, tol: float) -> list[list[int]]:
         else:
             groups.append([idx])
     if len(groups) > 1:
-        wrap_gap = (thetas[groups[0][0]] + 2.0 * np.pi) - thetas[groups[-1][-1]]
+        wrap_gap = (thetas[groups[0][0]] + 2.0 * math.pi) - thetas[groups[-1][-1]]
         if wrap_gap <= tol:
             groups[-1].extend(groups[0])
             groups.pop(0)
     return groups
 
 
-def _representative(thetas: np.ndarray, tol: float) -> float:
+def _representative(thetas: "np.ndarray", tol: float) -> float:
     """Circular mean, stable for clusters straddling the branch cut; a mean
     within tol of -pi is the branch at pi, reported there as theta + 2 pi."""
+    import numpy as np
+
     theta = float(np.angle(np.exp(1j * thetas).sum()))
-    if theta <= -np.pi + tol:
-        theta += 2.0 * np.pi
+    if theta <= -math.pi + tol:
+        theta += 2.0 * math.pi
     return theta
 
 
@@ -74,6 +75,7 @@ def eigendecompose(mat, cluster_tol: float | None = None) -> Spectrum:
     sit on the unit circle before its phase is taken; failures raise
     rather than degrade.
     """
+    import numpy as np
 
     policy = DEFAULT_POLICY
     try:

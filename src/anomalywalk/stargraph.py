@@ -8,12 +8,11 @@ instead of a real one.  The spec format is a small JSON object; parsing and
 serialization round-trip exactly.
 """
 
+import cmath
 import json
 import math
 import os
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     IndexRangeError,
@@ -124,7 +123,7 @@ class PhaseAngle(NamedTuple):
         """e^{i theta}: exactly 1, -1 or +-1j on a multiple of pi/2 given as
         a fraction of pi, with no round-off part, so a walk marked by pi keeps real values."""
         exact = _QUARTER_TURNS.get((self.num, self.den))
-        return exact if exact is not None else complex(np.exp(1j * self.value))
+        return exact if exact is not None else cmath.exp(1j * self.value)
 
 
 class Anomaly(NamedTuple):

@@ -19,8 +19,6 @@ same table.
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .edgespace import BasisLabel, EdgeBasis, make_basis
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
 from .numerics import DEFAULT_POLICY, largest
@@ -34,10 +32,11 @@ class StepOperator:
     new block 0 (out) through the hub rule, t*sum(in) - in, every other one
     unchanged until the patches overwrite their rows.  Patch i reads old
     row src[i] and writes amp[i] times it to new row dst[i], both given as
-    (block, offset).  Hub amplitudes with r + t != 1 (the rule steps the
-    reflection as t - 1) and a table that does not read each row once and
-    write each row outside the out block once are refused when the
-    operator is constructed.  The fields cannot be assigned; `_replace`
+    (block, offset); amp is held as a tuple of Python complexes.  Hub
+    amplitudes with r + t != 1 (the rule steps the reflection as t - 1)
+    and a table that does not read each row once and write each row
+    outside the out block once are refused when the operator is
+    constructed.  The fields cannot be assigned; `_replace`
     builds a new operator, so every path goes through that refusal.
     """
 
@@ -48,9 +47,10 @@ class StepOperator:
     roles: tuple[int, ...]
     src: tuple[tuple[int, int], ...]
     dst: tuple[tuple[int, int], ...]
-    amp: np.ndarray
+    amp: tuple[complex, ...]
 
     def __init__(self, basis, hub_r, hub_t, roles, src, dst, amp):
+        amp = tuple(map(complex, amp))
         for name, value in zip(self.__slots__, (basis, hub_r, hub_t, roles, src, dst, amp)):
             object.__setattr__(self, name, value)
         if hub_r + hub_t != 1.0:
@@ -161,7 +161,7 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
         patch(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
 
     return StepOperator(basis, float(hub_r), float(hub_t), roles, basis.locate(src),
-                        basis.locate(dst), np.asarray(amp, dtype=complex))
+                        basis.locate(dst), amp)
 
 
 def build_step_operator(graph: StarGraph) -> StepOperator:
@@ -194,12 +194,11 @@ class BlockWalk:
         self.bulk = [complex(v) for v in start]
         self.rows: list[dict[int, complex]] = [{} for _ in start]
         self._op = op
-        self._amp = op.amp.tolist()
 
     def step(self) -> None:
         op, roles = self._op, self._op.roles
         bulk, rows = self.bulk, self.rows
-        values = [a * rows[b].get(k, bulk[b]) for a, (b, k) in zip(self._amp, op.src)]
+        values = [a * rows[b].get(k, bulk[b]) for a, (b, k) in zip(op.amp, op.src)]
         hub = roles[0]
         written = rows[hub]
         ts = op.hub_t * (bulk[hub] * (self.lengths[hub] - len(written)) + sum(written.values()))
@@ -211,10 +210,10 @@ class BlockWalk:
         for (b, k), value in zip(op.dst, values):
             rows[b][k] = value
 
-    def gather(self, located) -> np.ndarray:
+    def gather(self, located) -> list[complex]:
         """The amplitudes at (block, offset) pairs, in their order."""
         bulk, rows = self.bulk, self.rows
-        return np.array([rows[b].get(k, bulk[b]) for b, k in located], complex)
+        return [rows[b].get(k, bulk[b]) for b, k in located]
 
 
 def check_unitarity(op: StepOperator) -> UnitarityReport:
@@ -236,7 +235,7 @@ def check_unitarity(op: StepOperator) -> UnitarityReport:
     diag = r * r + (n - 1) * t * t
     offdiag = (n - 2) * t * t - 2 * r * t
     dev = largest([abs(diag - 1.0), abs(offdiag),
-                   *(abs(abs(a) ** 2 - 1.0) for a in op.amp.tolist())])
+                   *(abs(abs(a) ** 2 - 1.0) for a in op.amp)])
     if op._tiling_fault():
         dev = max(dev, 1.0)
     return UnitarityReport(max_deviation=dev, tolerance=DEFAULT_POLICY.unitarity_tol)

@@ -14,7 +14,9 @@ step is materialized as a dense matrix, and its max|U†U - I| is the
 reference for the certificate `check_unitarity` reads from the tables.  The
 full walk's records are checked against the walk stepped as one flat
 vector, and against `ResummingWalk`, the block walk that sums its in
-block and writes the hub rule over it at every step.  The named start
+block and writes the hub rule over it at every step; `records` splits
+their rows into the three columns as numpy first did, a whole column at
+a time, where `src/` sums each step's rows in Python.  The named start
 states are built here as they were first written, by `named_start`, as
 weighted sums of full-length uniform states; `src/` fills their blocks
 and seeds the closure on the cells.  Full-length seeds that are uniform
@@ -44,13 +46,12 @@ from anomalywalk.errors import (
     SizeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY, require_within
-from anomalywalk.search import _records
 from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
 def is_real(op):
     """Whether every patch amplitude of the operator is real."""
-    return not np.any(op.amp.imag)
+    return not any(a.imag for a in op.amp)
 
 
 def walk_dtype(op, x):
@@ -72,11 +73,12 @@ def _cast(x, dtype):
 def _amplitudes(op, out):
     """The patch amplitudes in the arithmetic of the output buffer: their
     real parts for a float64 one, which only a real operator may write."""
+    amp = np.array(op.amp, dtype=complex)
     if np.iscomplexobj(out):
-        return op.amp
+        return amp
     if not is_real(op):
         raise ConfigurationError("a walk with complex phases cannot write into a real buffer")
-    return op.amp.real
+    return amp.real
 
 
 def _norm2(x):
@@ -232,6 +234,25 @@ def decompose(basis, x):
     return c, np.linalg.norm(lift(basis, c) - x)
 
 
+def records(walk, k):
+    """The columns p_target_spokes, p_anomaly and p_rest as numpy first
+    summed them: `walk()` returns the amplitudes at the target rows (the
+    first k columns) and the anomaly rows, one array row per step, and the
+    squared norm, one value or one per step; each column's weights
+    re^2 + im^2 are added into the splits as whole columns."""
+    amps, total = walk()
+    pts, pas = np.zeros(len(amps)), np.zeros(len(amps))
+    for j in range(amps.shape[1]):
+        weight = amps[:, j].real ** 2
+        weight += amps[:, j].imag ** 2
+        split = pts if j < k else pas
+        split += weight
+    rests = total - pts
+    rests -= pas
+    np.maximum(rests, 0.0, out=rests)
+    return pts, pas, rests
+
+
 def explicit_reduced_records(op, cells, x0, steps, target_rows, anomaly_rows):
     """The reduced walk's columns on cells whose uniform profile is an
     explicit row: V*UV from `reduce_operator` stepped from V*x0, and the target and
@@ -250,7 +271,7 @@ def explicit_reduced_records(op, cells, x0, steps, target_rows, anomaly_rows):
             amps[n], totals[n] = rows @ c, _norm2(c)
         return amps, totals
 
-    return _records(walk, len(target_rows))
+    return records(walk, len(target_rows))
 
 
 def uniform_state(basis, rows):
@@ -547,7 +568,7 @@ def resumming_walk_records(op, x0, steps, target_rows, anomaly_rows):
             amps[n] = state.gather(located)
         return amps, total
 
-    return _records(walk, len(target_rows))
+    return records(walk, len(target_rows))
 
 
 def walk_state(walk):

@@ -316,6 +316,40 @@ def test_no_verb_loads_dataclasses(argv, tmp_path):
                                  [a.replace("{tmp}", str(tmp_path)) for a in argv])
 
 
+# the full walk and its records run in plain Python; the cells, the
+# reduced walk, the eigensolver and the baseline's sampler need numpy
+NUMPY_RUNS = {
+    "check": (VERB_RUNS["check"], False),
+    "evolve": (VERB_RUNS["evolve"], False),
+    "search-full": (("search", "--spec", EXTRA_FAR, "--method", "full"), False),
+    "sweep-full": (("sweep", "--spec", EXTRA_FAR, "--method", "full", "--n-list", "64,100",
+                    "--out", "{tmp}/peaks.csv"), False),
+    "spectrum": (VERB_RUNS["spectrum"], True),
+    "perturb": (VERB_RUNS["perturb"], True),
+    "search-reduced": (VERB_RUNS["search"], True),
+    "baseline": (VERB_RUNS["baseline"], True),
+}
+
+
+def test_import_does_not_load_numpy():
+    assert not _loaded_by_import("numpy")
+
+
+@pytest.mark.parametrize("argv,loads", NUMPY_RUNS.values(), ids=NUMPY_RUNS)
+def test_only_the_verbs_that_need_numpy_load_it(argv, loads, tmp_path):
+    # numpy's import costs a launch about 50 ms and 14 MiB
+    assert _loaded_by_import("numpy",
+                             [a.replace("{tmp}", str(tmp_path)) for a in argv]) == loads
+
+
+@needs_wait4
+def test_a_full_walk_launch_peaks_below_one_that_loads_numpy(tmp_path):
+    walk = peak_rss_mib("evolve", "--spec", EXTRA_FAR, "--steps", "200",
+                        "--out", str(tmp_path / "steps.csv"))
+    spectrum = peak_rss_mib("spectrum", "--spec", EXTRA_FAR, "--out", str(tmp_path / "spec.csv"))
+    assert spectrum - walk >= 8.0, (walk, spectrum)
+
+
 def python(*args):
     """A fresh interpreter run with args and this package on its path.  Its
     stdout is block-buffered, so output the exit drops would show."""
@@ -338,6 +372,20 @@ def test_cli_import_freezes_the_import_graph():
     assert int(_fresh("import gc, anomalywalk.cli; print(gc.get_freeze_count())")) > 0
 
 
+def test_the_verb_that_loads_numpy_freezes_it(tmp_path):
+    # numpy loads mid-verb, after the import's freeze; `main` freezes once
+    # more after the verb that loaded it, and a later verb does not
+    spectrum = ["spectrum", "--spec", EXTRA_FAR, "--out", str(tmp_path / "spec.csv")]
+    counts = _fresh("import gc, anomalywalk.cli; counts = [gc.get_freeze_count()]\n"
+                    "for _ in range(2):\n"
+                    f"    assert anomalywalk.cli.main({spectrum!r}) == 0\n"
+                    "    counts.append(gc.get_freeze_count())\n"
+                    "print(*counts)")
+    imported, first, second = map(int, counts.split())
+    assert first > imported
+    assert second <= first
+
+
 def test_package_import_leaves_the_collector_alone():
     assert _fresh("import gc, anomalywalk; print(gc.get_freeze_count(), gc.isenabled())") == (
         "0 True")
@@ -348,14 +396,18 @@ def test_package_import_leaves_the_collector_alone():
     ("search", ("--method", "full", "--out")),
     ("search", ("--per-step-out",)),  # the summary goes to stdout
     ("evolve", ("--out",)),
+    ("check", ()),
+    ("sweep", ("--method", "full", "--n-list", "64,100", "--out")),
 ])
 def test_launch_writes_what_main_writes(capsys, tmp_path, verb, flags):
-    # a launch ends with its import graph frozen: its output and files must
-    # be those of the same run in process, byte for byte
+    # a launch ends with its import graph frozen, and a full walk's launch
+    # loads no numpy: its output and files must be those of the same run
+    # in process, byte for byte
     outputs = {}
     for where in ("launch", "main"):
         (tmp_path / where).mkdir()
-        argv = (verb, "--spec", EXTRA100, *flags, str(tmp_path / where / "out"))
+        out_path = (str(tmp_path / where / "out"),) if flags else ()
+        argv = (verb, "--spec", EXTRA100, *flags, *out_path)
         if where == "launch":
             done = python("-m", "anomalywalk.cli", *argv)
             code, out, err = done.returncode, done.stdout, done.stderr
@@ -367,7 +419,7 @@ def test_launch_writes_what_main_writes(capsys, tmp_path, verb, flags):
     assert outputs["launch"] == outputs["main"]
     code, out, _, files = outputs["main"]
     assert code == 0
-    assert len(files) == (2 if "--out" in flags and verb == "search" else 1)
+    assert len(files) == (2 if "--out" in flags and verb == "search" else min(len(flags), 1))
     assert out.startswith(b"{") == ("--per-step-out" in flags)
 
 
@@ -459,7 +511,8 @@ class TestEvolve:
         # certificate refuses it before anything is written
         build = anomalywalk.search.build_step_operator
         monkeypatch.setattr(anomalywalk.search, "build_step_operator",
-                            lambda graph: build(graph)._replace(amp=build(graph).amp * 2))
+                            lambda graph: build(graph)._replace(
+                                amp=[2 * a for a in build(graph).amp]))
         out = tmp_path / "steps.csv"
         code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--out", str(out))
         assert code == 2

@@ -6,6 +6,7 @@ import argparse
 import ast
 import math
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def _spot_check(monkeypatch):
 
     def poisoned(op, x0, k, *rows):
         pts, pas, rests = evolve(op, x0, k, *rows)
-        pas = pas.copy()
+        pas = array("d", pas)
         pas[k] = NAN
         return pts, pas, rests
     monkeypatch.setattr(anomalywalk.search, "_evolve_full", poisoned)
@@ -374,6 +375,55 @@ def test_guard_sees_numpy_sort_and_search_kernels():
     assert forbidden_numpy_references(
         "from bisect import bisect_right\nsorted(a, key=b.__getitem__)\nbisect_right(a, x)\n"
         "np.argmax(a)\nnp.cumsum(a)\nnp.diag(a)\n") == []
+
+
+def eager_numpy_imports(source: str) -> list[int]:
+    """Lines of source that import numpy when the module is imported: an
+    `import numpy` or a `from numpy ...` anywhere but inside a function,
+    whose body runs only when it is called."""
+    lines, nodes = [], [ast.parse(source)]
+    while nodes:
+        for node in ast.iter_child_nodes(nodes.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                lines.append(node.lineno)
+            nodes.append(node)
+    return sorted(lines)
+
+
+def test_guard_sees_an_eager_numpy_import():
+    for line in ("import numpy", "import numpy as np", "import numpy.linalg",
+                 "import math, numpy as xp", "from numpy import linalg",
+                 "from numpy.linalg import eig"):
+        assert eager_numpy_imports(f"x = 1\n{line}\n") == [2], line
+    # a class body, a conditional and a try run at import too
+    for block in ("class A:\n    import numpy", "if x:\n    import numpy as np",
+                  "try:\n    from numpy import ndarray\nexcept ImportError:\n    pass"):
+        assert eager_numpy_imports(block + "\n") == [2], block
+    # an import inside a function runs when it is called; the package's own
+    # modules and names that only share a prefix are not numpy
+    assert eager_numpy_imports(
+        "def f():\n    import numpy as np\n"
+        "class A:\n    def g(self):\n        from numpy import eye\n"
+        "async def h():\n    import numpy\n"
+        "import numpyro\nfrom .numerics import norm2\nfrom . import numerics\n"
+        "x: 'np.ndarray' = None\n") == []
+
+
+def test_no_module_imports_numpy_at_import():
+    # numpy's import costs every launch about 50 ms and 14 MiB; only the
+    # functions that need it import it
+    package = Path(anomalywalk.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := eager_numpy_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 def test_no_module_references_forbidden_numpy():

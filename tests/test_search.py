@@ -14,6 +14,7 @@ from oracle import (
     apply_into,
     flat_walk_records,
     named_start,
+    records,
     resumming_walk_records,
     walk_dtype,
     walk_state,
@@ -283,6 +284,27 @@ class TestBlockWalk:
                     within(a, b, 1e-12)
             within(got[2], want[2], 1e-12)
 
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_split_is_bit_equal_to_numpy_column_sums(self, n):
+        # the records add each step's re^2 + im^2 in row order in Python,
+        # the float operations of numpy's column sums: the walk's gathered
+        # amplitudes, split by the oracle as numpy first did, give the same bits
+        for anomaly, kind in self.cases(n):
+            graph = build_star(n, anomaly)
+            op = build_step_operator(graph)
+            target_rows, anomaly_rows = anomalywalk.search._partition_rows(graph)
+            located = op.basis.locate(target_rows + anomaly_rows)
+            start = _start_values(graph, kind)
+            walk = BlockWalk(op, start)
+            amps = [walk.gather(located)]
+            for _ in range(200):
+                walk.step()
+                amps.append(walk.gather(located))
+            total = sum(length * abs(v) ** 2 for length, v in zip(walk.lengths, start))
+            want = records(lambda: (np.array(amps), total), len(target_rows))
+            for a, b in zip(columns(run_search(graph, kind, 200)), want, strict=True):
+                np.testing.assert_array_equal(a, b, strict=True)
+
     @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi(),
                                        PhaseAngle.from_pi_fraction(1, 3),
                                        PhaseAngle.from_radians(0.7)],
@@ -420,7 +442,7 @@ class TestBlockWalk:
     def test_norm_drift_is_refused(self):
         # patches of modulus 2 add weight on every pass through the loop
         op, start, rows = self._loop_walk(256)
-        doubled = op._replace(amp=op.amp * 2)
+        doubled = op._replace(amp=[2 * a for a in op.amp])
         with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
             anomalywalk.search._evolve_full(doubled, start, 40, *rows)
 

@@ -102,10 +102,10 @@ def test_operator_refuses_assignment():
     assert op.roles == (1, 0, 2)
     with pytest.raises(TypeError):
         op._replace(extra=None)
-    moved = op._replace(amp=-op.amp)
+    moved = op._replace(amp=[-a for a in op.amp])
     assert (moved.basis, moved.roles, moved.src, moved.dst) == (op.basis, op.roles, op.src,
                                                                   op.dst)
-    assert np.array_equal(moved.amp, -op.amp)
+    assert moved.amp == tuple(-a for a in op.amp)
 
 
 @pytest.mark.parametrize("n", [3, 7, 1000, 12345])
@@ -417,7 +417,7 @@ def test_patches_are_few(variant):
                "loop": Anomaly.loop(5), "extended_edge": Anomaly.extended_edge(5),
                "missing_loop": Anomaly.missing_loop(5)}[variant]
     op = build_step_operator(build_star(10 ** 5, anomaly))
-    assert len(op.src) == len(op.dst) == op.amp.size <= 4
+    assert len(op.src) == len(op.dst) == len(op.amp) <= 4
     assert len(op.roles) == (4 if variant == "missing_loop" else 3)
 
 
@@ -453,7 +453,7 @@ CORRUPTIONS = {
     "dst_in_out_block": lambda op: {"dst": ((0, 0),) + op.dst[1:]},
     "src_in_hub_block": lambda op: {"src": ((op.roles[0], 0),) + op.src[1:]},
     "roles_not_a_permutation": lambda op: {"roles": (1, 1) + op.roles[2:]},
-    "amp_scaled": lambda op: {"amp": op.amp * 1.5},
+    "amp_scaled": lambda op: {"amp": tuple(1.5 * a for a in op.amp)},
     "hub_t_scaled": lambda op: {"hub_t": op.hub_t * 1.01},
     # the diagonal of the hub Gram keeps r², so only its off-diagonal sees this
     "hub_r_negated": lambda op: {"hub_r": -op.hub_r},
@@ -526,8 +526,8 @@ def test_phases_zero_and_pi_are_exact(make, num, amplitude):
     angle = PhaseAngle.from_pi_fraction(num, 1)
     assert angle.phasor == amplitude and angle.phasor.imag == 0.0
     op = build_step_operator(build_star(8, make(3, angle)))
-    assert not np.any(op.amp.imag)
-    assert set(op.amp.real.tolist()) == {1.0, amplitude}
+    assert not any(a.imag for a in op.amp)
+    assert {a.real for a in op.amp} == {1.0, amplitude}
 
 
 @pytest.mark.parametrize("num, den, amplitude", [(1, 2, 1j), (-1, 2, -1j), (3, 2, -1j),
@@ -536,7 +536,7 @@ def test_quarter_turns_are_exact(num, den, amplitude):
     angle = PhaseAngle.from_pi_fraction(num, den)
     assert angle.phasor == amplitude and angle.phasor.real == 0.0
     op = build_step_operator(build_star(8, Anomaly.missing_loop(3, angle)))
-    assert amplitude in op.amp.tolist()
+    assert amplitude in op.amp
     assert not is_real(op)
 
 
