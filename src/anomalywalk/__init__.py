@@ -44,7 +44,7 @@ from .search import (
     predicted_hitting_step,
     run_search,
 )
-from .spectral import Spectrum, eigendecompose
+from .spectral import Spectrum, secular_spectrum
 from .stargraph import (
     Anomaly,
     PhaseAngle,

@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .collapse import reduce_seeds
+from .collapse import cells_operator
 from .errors import (
     AnomalyWalkError,
     ConfigurationError,
@@ -33,7 +33,6 @@ from .errors import (
 from .numerics import require_within
 from .perturb import (
     DEFAULT_SWEEP_SIZES,
-    cluster_tol_at,
     perturbation_sweep,
     write_fits_csv,
     write_shifts_csv,
@@ -47,7 +46,7 @@ from .search import (
     walk_columns,
     write_per_step_csv,
 )
-from .spectral import dump_spectrum_csv, eigendecompose
+from .spectral import dump_spectrum_csv, secular_spectrum
 from .stargraph import (
     VARIANT_SCHEMA,
     Anomaly,
@@ -57,7 +56,7 @@ from .stargraph import (
     check_anomaly_keys,
     parse_spec,
 )
-from .stepop import build_step_operator, check_unitarity
+from .stepop import build_scattering_operator, build_step_operator, check_unitarity
 
 _KIND_NAMES = ("minus", "plus", "inout", "loop_pi", "loop_third")
 
@@ -236,10 +235,11 @@ def _cmd_search(args) -> int:
 def _cmd_spectrum(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    reduced = reduce_seeds(build_step_operator(graph), *family_seeds(graph, kind))
-    spectrum = eigendecompose(reduced.matrix, cluster_tol_at(graph.n_spokes))
+    cells, seeds = family_seeds(graph, kind)
+    reflection = cells_operator(build_scattering_operator(graph, 1.0, 0.0), cells)
+    spectrum = secular_spectrum(reflection, cells.uniform(1), len(cells.blocks), family=seeds)
     dump_spectrum_csv(spectrum, _require_out(args.out))
-    print(f"dim={reduced.dim} branches={len(spectrum.eigenphases)}")
+    print(f"dim={sum(spectrum.multiplicities)} branches={len(spectrum.eigenphases)}")
     return 0
 
 

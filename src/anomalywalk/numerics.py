@@ -1,12 +1,15 @@
 """Central numeric policy.
 
 All tolerance constants live in one frozen record instead of scattered
-magic numbers.  Each module reads its thresholds from DEFAULT_POLICY when a
-call runs, never at import, so a test that needs another threshold swaps
-the record in the module that reads it.  `require_within` checks each
-certificate: a value against one of these tolerances, `norm2` takes the
-squared norm of a coordinate vector on the star's cells, `largest` reads
-the worst of a few values, and `orthogonalize` is the one CGS2.  Nothing
+magic numbers, and none of them scales with N: the spectra are read
+from the step's structure, whose N-free quantities count as 0 at or
+below `structure_tol`.  Each module reads its thresholds from
+DEFAULT_POLICY when a call runs, never at import, so a test that needs
+another threshold swaps the record in the module that reads it.
+`require_within` checks each certificate: a value against one of these
+tolerances, `norm2` takes the squared norm of a coordinate vector on the
+star's cells, `largest` reads the worst of a few values, and
+`orthogonalize` is the one CGS2.  Nothing
 here imports numpy: `norm2` and `orthogonalize` only call the methods of
 the arrays they are given.
 """
@@ -30,19 +33,14 @@ class NumericPolicy(NamedTuple):
     # the full walk's, over how many leading steps
     spot_check_tol: float = 1e-9
     spot_check_steps: int = 25
-    # eigendecomposition; dense_cap bounds only its dense matrix, since the
-    # unitarity certificate reads the step's tables at any size
-    dense_cap: int = 5000
+    # the spectrum read from the step's structure: each eigenpair's residual,
+    # the eigenvectors' deviation from an orthonormal frame, and the N-free
+    # quantities (phases of the reflection walk, overlaps and cancelling
+    # sums of terms of one order) that count as 0 at or below structure_tol
     eig_residual_tol: float = 1e-8
-    unit_circle_tol: float = 1e-9
-    cluster_tol: float = 1e-6
-    # a cluster's eigenvectors span its multiplicity when none of them
-    # leaves a residual below this once orthogonalized against the others
-    rank_tol: float = 1e-8
     projector_tol: float = 1e-9
-    # perturbation matching and fits; a spectrum at N caps its cluster
-    # tolerance at sweep_cluster_scale / N
-    sweep_cluster_scale: float = 0.01
+    structure_tol: float = 1e-10
+    # perturbation matching and fits
     match_tol: float = 0.1
     shift_floor: float = 1e-13
     # steps an empirical peak may lie from the predicted one without a warning

@@ -1,21 +1,20 @@
 """Perturbation analysis of the walk around its infinite-size limit.
 
-The limit operator is the pure-reflection walk (hub r=1, t=0) plus 2|bo><bi|
-over the uniform outgoing and incoming bulk (non-anomaly) spoke states, the
-limit of the finite hub's 2|o><i| over the uniforms on all spokes.
-Both walks act on the star's cells, which hold all four uniforms in closed
-form, so the limit is the cells' operator plus that rank-two difference;
-on extra_edge both keep to the cells' sector symmetric under swapping u
-and v.  Its eigenphases are size-independent, so matching finite-size
-eigenphases branch by branch isolates the shifts, and fitting them
-against the graph size separates the degenerate branches (shift of order
-one over square root of N) from the simple ones (order one over N).
+On the star's cells the step is Q(I - 2|i><i|), for the pure-reflection
+walk Q and the uniform incoming state i.  As N grows i concentrates on
+the bulk incoming cell bi, so the limit Q(I - 2|bi><bi|) has
+size-independent eigenphases; both spectra are read from Q's structure,
+on extra_edge in the sector symmetric under swapping u and v.  Matching
+finite-size eigenphases to the limit's branch by branch isolates the
+shifts, and fitting them against the graph size separates the degenerate
+branches (shift of order one over square root of N) from the simple ones
+(order one over N).
 """
 
 import math
 from typing import NamedTuple
 
-from .collapse import ReducedOperator, cells_operator, certify, star_cells
+from .collapse import cells_operator, certify, star_cells
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -23,45 +22,33 @@ from .errors import (
     MatchingError,
 )
 from .numerics import DEFAULT_POLICY
-from .spectral import Spectrum, eigendecompose
+from .spectral import Spectrum, secular_spectrum
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
-from .stepop import build_step_operator
+from .stepop import build_scattering_operator
 
 DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
-def _sweep_operators(graph: StarGraph) -> tuple[ReducedOperator, ReducedOperator]:
-    """The step and its limit on the star's cells, each certified.
-
-    The finite hub is pure reflection plus 2|o><i| over the uniform spoke
-    states; in the limit the uniforms concentrate on the bulk (non-anomaly)
-    spokes, bo and bi, so the limit is M + 2(|bo><bi| - |o><i|) on the
-    cells' operator M.  The cells hold all four in closed form: o and i are
-    the out and in blocks' `uniform` states, bo and bi those blocks'
-    uniform-profile cells.  The swap of u and v, a symmetry of extra_edge,
-    exchanges its unit cells out_u, out_v; in_u, in_v; (u,v), (v,u), held
-    as adjacent pairs; both operators keep to the sector symmetric under
-    it, which holds all four uniforms, and its leakage is certified.
-    """
+def _sweep_spectra(graph: StarGraph) -> tuple[Spectrum, Spectrum]:
+    """The spectra of the step and of its limit on the star's cells.  The
+    swap of u and v, a symmetry of extra_edge, exchanges its unit cells
+    held as adjacent pairs (out_u, out_v; in_u, in_v; (u,v), (v,u)); both
+    spectra keep to the sector symmetric under it, which holds i and bi,
+    and Q's leakage from it is certified."""
     import numpy as np
 
-    op = build_step_operator(graph)
+    op = build_scattering_operator(graph, 1.0, 0.0)
     cells = star_cells(op.basis)
-    finite = cells_operator(op, cells)
-    cell = np.eye(len(finite), dtype=complex)  # one bulk cell per block, then the units
-    limit = finite + 2.0 * (np.outer(cell[0], cell[1])
-                            - np.outer(cells.uniform(0), cells.uniform(1).conj()))
-    sector = cell
+    reflection = cells_operator(op, cells)
+    sector = cell = np.eye(len(reflection), dtype=complex)  # the bulk cells, then the units
+    k = len(cells.blocks)
     if graph.anomaly.variant == "extra_edge":
-        k = len(cells.blocks)
         sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / math.sqrt(2)))
-    reduced = []
-    for matrix in (finite, limit):
-        images = matrix @ sector.T
-        matrix = sector @ images
-        certify(matrix, np.linalg.norm(images - sector.T @ matrix, axis=0).max())
-        reduced.append(ReducedOperator(matrix=matrix, basis=cells._replace(coords=sector)))
-    return tuple(reduced)
+    images = reflection @ sector.T
+    q = sector @ images
+    certify(q, np.linalg.norm(images - sector.T @ q, axis=0).max())
+    return (secular_spectrum(q, sector @ cells.uniform(1), k),
+            secular_spectrum(q, sector[:, 1], k))
 
 
 class EigenShift(NamedTuple):
@@ -213,19 +200,9 @@ class SweepResult(NamedTuple):
     fits: tuple[ScalingFit, ...]
 
 
-def cluster_tol_at(n_spokes: int) -> float:
-    """cluster_tol, capped at sweep_cluster_scale / N to stay well under the
-    smallest expected splitting, which shrinks like 1/N on simple branches."""
-    return min(DEFAULT_POLICY.cluster_tol, DEFAULT_POLICY.sweep_cluster_scale / n_spokes)
-
-
 def _sweep_point(anomaly: Anomaly, n: int):
-    finite, limit = _sweep_operators(build_star(n, anomaly))
-    tol = cluster_tol_at(n)
-    spec_fin = eigendecompose(finite.matrix, tol)
-    spec_lim = eigendecompose(limit.matrix, tol)
-    shifts = eigenphase_shifts(spec_fin, spec_lim)
-    return [(n, shift) for shift in shifts]
+    finite, limit = _sweep_spectra(build_star(n, anomaly))
+    return [(n, shift) for shift in eigenphase_shifts(finite, limit)]
 
 
 def perturbation_sweep(anomaly: Anomaly, sizes=DEFAULT_SWEEP_SIZES) -> SweepResult:

@@ -43,9 +43,12 @@ from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InvarianceError,
+    NumericalFailureError,
     SizeError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY, require_within
+from anomalywalk.numerics import DEFAULT_POLICY, orthogonalize, require_within
+from anomalywalk.search import InitialStateKind
+from anomalywalk.spectral import Spectrum
 from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
@@ -121,12 +124,126 @@ def _dense_columns(op, lo, hi, dtype=complex):
     return u
 
 
+# the largest dimension the dense references form
+DENSE_CAP = 5000
+
+
 def dense_matrix(op):
-    """The step as a complex128 matrix, refused past DEFAULT_POLICY.dense_cap."""
-    cap = DEFAULT_POLICY.dense_cap
+    """The step as a complex128 matrix, refused past DENSE_CAP."""
+    cap = DENSE_CAP
     if op.dimension > cap:
         raise SizeError(f"dimension {op.dimension} over dense cap {cap}")
     return _dense_columns(op, 0, op.dimension)
+
+
+# the dense eigensolver's thresholds: a cluster groups phases within
+# CLUSTER_TOL, capped at SWEEP_CLUSTER_SCALE / N in a sweep at N; a
+# cluster's eigenvectors span its multiplicity when none leaves a residual
+# below RANK_TOL once orthogonalized against the others; every eigenvalue
+# lies within UNIT_CIRCLE_TOL of the unit circle
+CLUSTER_TOL = 1e-6
+SWEEP_CLUSTER_SCALE = 0.01
+RANK_TOL = 1e-8
+UNIT_CIRCLE_TOL = 1e-9
+
+
+def cluster_tol_at(n_spokes):
+    """CLUSTER_TOL, capped at SWEEP_CLUSTER_SCALE / N to stay well under the
+    smallest expected splitting, which shrinks like 1/N on simple branches."""
+    return min(CLUSTER_TOL, SWEEP_CLUSTER_SCALE / n_spokes)
+
+
+def cluster_phases(thetas, tol):
+    """Group sorted phase indices whose neighbors are within tol.
+
+    The two ends of (-pi, pi] are identified, so clusters hugging the
+    branch cut from both sides are merged.
+    """
+    thetas = thetas.tolist()
+    order = sorted(range(len(thetas)), key=thetas.__getitem__)
+    groups = [[order[0]]]
+    for idx in order[1:]:
+        if thetas[idx] - thetas[groups[-1][-1]] <= tol:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    if len(groups) > 1:
+        wrap_gap = (thetas[groups[0][0]] + 2.0 * math.pi) - thetas[groups[-1][-1]]
+        if wrap_gap <= tol:
+            groups[-1].extend(groups[0])
+            groups.pop(0)
+    return groups
+
+
+def representative(thetas, tol):
+    """Circular mean, stable for clusters straddling the branch cut; a mean
+    within tol of -pi is the branch at pi, reported there as theta + 2 pi."""
+    theta = float(np.angle(np.exp(1j * thetas).sum()))
+    if theta <= -math.pi + tol:
+        theta += 2.0 * math.pi
+    return theta
+
+
+def eigendecompose(mat, cluster_tol=None):
+    """The reference eigensystem of a square unitary matrix: numpy's dense
+    eig, its phases clustered within cluster_tol (CLUSTER_TOL by default).
+
+    Every eigenpair is certified by its residual and every eigenvalue must
+    sit on the unit circle before its phase is taken; each cluster's
+    eigenvectors are orthonormalized by CGS2, and the clusters must form
+    an orthonormal frame.  Failures raise rather than degrade.
+    """
+    policy = DEFAULT_POLICY
+    try:
+        mat = np.asarray(mat, dtype=complex)
+    except ValueError:  # ragged input, such as a ReducedOperator
+        raise DimensionMismatchError(
+            f"expected a square matrix, got a ragged {type(mat).__name__}") from None
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
+    d = mat.shape[0]
+    if d > DENSE_CAP:
+        raise SizeError(f"dimension {d} exceeds dense cap {DENSE_CAP}")
+    if d == 0:
+        return Spectrum(eigenphases=(), blocks=(), multiplicities=())
+    if cluster_tol is None:
+        cluster_tol = CLUSTER_TOL
+
+    if not np.isfinite(mat).all():
+        raise NumericalFailureError("the matrix holds an inf or a nan")
+    values, vectors = np.linalg.eig(mat)
+    residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+    require_within("eigenpair residual {value:.3e} exceeds {tol:.1e}", residuals.max(),
+                   policy.eig_residual_tol)
+    moduli = np.abs(values)
+    require_within("eigenvalue modulus deviates from 1 by {value:.3e}",
+                   np.abs(moduli - 1.0).max(), UNIT_CIRCLE_TOL)
+    thetas = np.angle(values / moduli)
+
+    phases = []
+    blocks = []
+    mults = []
+    for group in cluster_phases(thetas, cluster_tol):
+        frame = vectors[:, group].T.copy()
+        for i, vec in enumerate(frame):
+            res = orthogonalize(vec, frame[:i], RANK_TOL)
+            if not res >= RANK_TOL:  # a nan fails too, before the division
+                raise NumericalFailureError(
+                    "eigenvector cluster is rank deficient; matrix is not normal")
+            vec *= 1.0 / res
+        phases.append(representative(thetas[group], cluster_tol))
+        blocks.append(frame.T)
+        mults.append(len(group))
+    order = sorted(range(len(phases)), key=phases.__getitem__)
+    phases, blocks, mults = ([seq[k] for k in order] for seq in (phases, blocks, mults))
+
+    stacked = np.concatenate(blocks, axis=1)
+    require_within("eigenvector clusters are not an orthonormal frame (deviation {value:.3e})",
+                   np.abs(stacked.conj().T @ stacked - np.eye(d)).max(), policy.projector_tol)
+    for b in blocks:
+        b.setflags(write=False)
+    return Spectrum(eigenphases=tuple(phases), blocks=tuple(blocks),
+                    multiplicities=tuple(mults))
 
 
 def dense_deviation(op):
@@ -424,6 +541,21 @@ def reference_operators(graph):
         raise InvarianceError("the sweep's closure misses a bulk uniform or leaks under U0")
     certify(limit, 0.0)
     return finite, ReducedOperator(matrix=limit, basis=finite.basis)
+
+
+def named_kinds(graph):
+    """Every named start-state kind the graph admits."""
+    kinds = [InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.inout(1.0, 0.5j)]
+    if graph.anomaly.schema.loops:
+        kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
+    return kinds
+
+
+def reference_spectra(graph):
+    """The perturbation sweep's two spectra as first computed: the dense
+    eigensystems of `reference_operators`, clustered as a sweep at N was."""
+    tol = cluster_tol_at(graph.n_spokes)
+    return tuple(eigendecompose(op.matrix, tol) for op in reference_operators(graph))
 
 
 def apply_adjoint_into(op, x, out):

@@ -14,6 +14,7 @@ from oracle import (
     apply_into,
     decompose,
     dense_matrix,
+    eigendecompose,
     lifted,
     named_start,
     reduce_columns,
@@ -33,7 +34,6 @@ from anomalywalk.search import (
     predicted_hitting_step,
     run_search,
 )
-from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import (
     Anomaly,
     PhaseAngle,

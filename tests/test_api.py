@@ -27,7 +27,8 @@ def test_public_names_are_pinned():
         "ReducedOperator", "ScalingFit", "SearchResult", "SelfEdgeError", "SizeError",
         "SpecSemanticError", "SpecSyntaxError", "Spectrum", "StarGraph", "StepOperator",
         "SweepResult", "UnitarityReport", "baseline_statistics", "build_star",
-        "build_step_operator", "check_unitarity", "eigendecompose", "eigenphase_shifts",
+        "build_step_operator", "check_unitarity", "eigenphase_shifts",
         "family_seeds", "fit_scaling", "make_basis", "parse_spec", "perturbation_sweep",
-        "predicted_hitting_step", "reduce_seeds", "run_search", "serialize_spec",
+        "predicted_hitting_step", "reduce_seeds", "run_search", "secular_spectrum",
+        "serialize_spec",
     }

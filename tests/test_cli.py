@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() with argv lists."""
 
+import csv
 import json
 import math
 import os
@@ -889,6 +890,20 @@ class TestPerturb:
         assert (code, out) == (1, "")
         assert err == "error:config:--out and --fits-out name the same file ./x.csv\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("powers", [(36, 37, 38, 39), (37, 38, 39, 40)])
+    def test_extended_edge_sweeps_at_the_largest_sizes(self, capsys, tmp_path, powers):
+        # no frame certificate fails near N = 2**39, and the branch at pi
+        # splits like N^-1/2, in criterion 8's band for a degenerate branch
+        out, fits = tmp_path / "shifts.csv", tmp_path / "fits.csv"
+        code, _, err = run(capsys, "perturb", "--anomaly", "extended_edge",
+                           "--n-list", ",".join(str(2 ** p) for p in powers),
+                           "--out", str(out), "--fits-out", str(fits))
+        assert (code, err) == (0, "")
+        rows = {row["branch_theta0"]: row for row in csv.DictReader(fits.open())}
+        at_pi = rows[f"{math.pi:.12g}"]
+        assert int(at_pi["points_used"]) == 8
+        assert abs(float(at_pi["slope"]) + 0.5) <= 0.1
 
     def test_negative_phase_as_its_own_token(self, capsys, tmp_path):
         code, stdout, err = run(capsys, "perturb", "--anomaly", "extended_edge",

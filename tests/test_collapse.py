@@ -9,12 +9,14 @@ from oracle import (
     decompose,
     dense_closure,
     dense_matrix,
+    eigendecompose,
     explicit_reduced_records,
     hub_in_state,
     hub_out_state,
     lift,
     lifted,
     make_state,
+    named_kinds,
     named_start,
     place,
     projector_gap,
@@ -39,14 +41,13 @@ from anomalywalk.errors import (
     NumericalFailureError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _sweep_operators
+from anomalywalk.perturb import _sweep_spectra
 from anomalywalk.search import (
     InitialStateKind,
     _partition_rows,
     family_seeds,
     run_search,
 )
-from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import build_step_operator
 
@@ -99,14 +100,6 @@ DENSE_ANOMALIES = [Anomaly.none()] + [
     for phase in (None, PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_radians(0.7))]
 
 
-def named_kinds(graph):
-    """Every named start-state kind the graph admits."""
-    kinds = [InitialStateKind.minus(), InitialStateKind.plus(), InitialStateKind.inout(1.0, 0.5j)]
-    if graph.anomaly.schema.loops:
-        kinds += [InitialStateKind.loop_pi(), InitialStateKind.loop_third()]
-    return kinds
-
-
 def seedings(graph):
     """The cells and seed rows of every kind the graph admits, and of the
     perturbation sweep as first written."""
@@ -145,10 +138,19 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
         assert np.abs(finite.matrix - again).max() <= 1e-12
         again = reduce_operator(op, finite.basis).matrix
         assert np.abs(finite.matrix - again).max() <= 1e-12
-    finite, limit = _sweep_operators(graph)
-    for reduced, want in ((finite, reduce_operator(op, finite.basis).matrix),
-                          (limit, reference_limit(graph, limit.basis))):
-        assert np.abs(reduced.matrix - want).max() <= 1e-12
+    # the sweep's sector: the cells, and on extra_edge its unit cells'
+    # adjacent pairs symmetrised
+    cells = star_cells(op.basis)
+    sector = cell = np.eye(cells.coords.shape[1], dtype=complex)
+    k = len(cells.blocks)
+    if anomaly.variant == "extra_edge":
+        sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / np.sqrt(2)))
+    basis = cells._replace(coords=sector)
+    for spec, want in zip(_sweep_spectra(graph), (reduce_operator(op, basis).matrix,
+                                                 reference_limit(graph, basis))):
+        got = sum(np.exp(1j * theta) * spec.projector(j)
+                  for j, theta in enumerate(spec.eigenphases))
+        assert np.abs(got - want).max() <= 1e-12
 
 
 WALK_PHASES = [PhaseAngle.zero(), PhaseAngle.pi(), PhaseAngle.from_pi_fraction(1, 3),

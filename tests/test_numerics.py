@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracle import make_state, place
+from oracle import eigendecompose, make_state, place
 
 import anomalywalk
 import anomalywalk.cli
 import anomalywalk.search
+import anomalywalk.spectral
 from anomalywalk.cli import main
 from anomalywalk.collapse import certify
 from anomalywalk.edgespace import make_basis
@@ -26,20 +27,19 @@ from anomalywalk.errors import (
 )
 from anomalywalk.numerics import NumericPolicy, largest, require_within
 from anomalywalk.search import InitialStateKind, run_search
-from anomalywalk.spectral import eigendecompose
+from anomalywalk.spectral import secular_spectrum
 from anomalywalk.stargraph import Anomaly, build_star
 from anomalywalk.stepop import UnitarityReport
 
 NAN = float("nan")
 LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
 
-# the upper-bound certificates' tolerances; closure_residual, cluster_tol,
-# match_tol, shift_floor, peak_slack and rank_tol are thresholds of another
-# kind and may be compared directly
+# the upper-bound certificates' tolerances; closure_residual, structure_tol,
+# match_tol, shift_floor and peak_slack are thresholds of another kind and
+# may be compared directly
 CERTIFICATE_TOLERANCES = frozenset({
     "unit_norm_tol", "unitarity_tol", "invariance_tol",
-    "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "unit_circle_tol",
-    "projector_tol",
+    "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "projector_tol",
 })
 
 
@@ -106,7 +106,7 @@ def _start_values(monkeypatch):
 
 
 def _eigen_residual(monkeypatch):
-    # an eigensolver that returns a nan eigenvalue; the residual reads nan
+    # the oracle's eigensolver returning a nan eigenvalue; the residual reads nan
     eig = np.linalg.eig
 
     def poisoned(mat):
@@ -115,6 +115,22 @@ def _eigen_residual(monkeypatch):
         return values, vectors
     monkeypatch.setattr(np.linalg, "eig", poisoned)
     return lambda: eigendecompose(np.eye(2))
+
+
+def _secular_residual(monkeypatch):
+    # a reflection walk with a nan amplitude: the eigenpair residual reads nan
+    return lambda: secular_spectrum([[NAN, 0.0], [0.0, 1.0]], [1.0, 0.0], 1)
+
+
+def _secular_frame(monkeypatch):
+    # eigenvectors let past their residual with a nan among them: the
+    # frame's deviation reads nan
+    unit = anomalywalk.spectral._unit
+    monkeypatch.setattr(anomalywalk.spectral, "_unit", lambda v: [NAN] + unit(v)[1:])
+    require = anomalywalk.spectral.require_within
+    monkeypatch.setattr(anomalywalk.spectral, "require_within",
+                        lambda what, *args: what.startswith("eigenpair") or require(what, *args))
+    return lambda: secular_spectrum([[0.0, -1.0], [1.0, 0.0]], [0.0, 1.0], 2)
 
 
 def _spot_check(monkeypatch):
@@ -150,6 +166,8 @@ NAN_CASES = {
     "eigendecompose_matrix": (lambda mp: lambda: eigendecompose([[NAN]]),
                               NumericalFailureError),
     "eigendecompose_residual": (_eigen_residual, NumericalFailureError),
+    "secular_residual": (_secular_residual, NumericalFailureError),
+    "secular_frame": (_secular_frame, NumericalFailureError),
     "spot_check": (_spot_check, NumericalFailureError),
     "unitarity_report": (_unitarity_report, NumericalFailureError),
 }
@@ -283,11 +301,13 @@ def test_every_policy_field_is_read_outside_numerics():
 
 # the numpy that no run may load or page in: np.random (through secrets,
 # OpenSSL), numpy.ma (np.isin's sort path imports it), numpy.polynomial,
-# np.polyfit's least squares, every LAPACK routine but the eigensolver
-# (np.linalg.norm is no LAPACK routine), and the sort, search, diff and take
-# kernels: every table the program sorts or searches has a few entries
+# np.polyfit's least squares, every LAPACK routine, the eigensolver too,
+# since every spectrum is read from the step's structure (np.linalg.norm,
+# no LAPACK routine, is the one np.linalg name allowed), and the sort,
+# search, diff and take kernels: every table the program sorts or searches
+# has a few entries
 FORBIDDEN_NUMPY = re.compile(
-    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!(?:eig|norm)\b)\w+"
+    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!norm\b)\w+"
     r"|sort|argsort|lexsort|searchsorted|diff|take)\b")
 
 
@@ -337,16 +357,19 @@ def test_guard_sees_a_numpy_random_reference():
     assert forbidden_numpy_references("from numpy.random import default_rng\n") == [1]
     assert forbidden_numpy_references("from numpy import linalg, random\n") == [1]
     assert forbidden_numpy_references("def f() -> 'np.random.Generator':\n    pass\n") == [1]
-    # the standard library's generator and numpy's eigensolver are not
+    # the standard library's generator and numpy's linalg module are not,
+    # but its eigensolver is
     assert forbidden_numpy_references("import random\nrandom.Random(1)\n"
-                                      "from numpy import linalg\nnp.linalg.eig(a)\n") == []
+                                      "from numpy import linalg\nnp.linalg.norm(a)\n") == []
+    assert forbidden_numpy_references("x = 1\nnp.linalg.eig(a)\n") == [2]
 
 
 def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
     for call in ("np.isin(a, b)", "np.polyfit(x, y, 1)", "numpy.ma.masked_invalid(a)",
                  "np.polynomial.Polynomial.fit(x, y, 1)", "np.linalg.qr(a)",
                  "np.linalg.lstsq(a, b)", "np.linalg.eigh(a)", "np.linalg.eigvals(a)",
-                 "np.linalg.svd(a)", "np.linalg.solve(a, b)", "np.linalg.LinAlgError"):
+                 "np.linalg.svd(a)", "np.linalg.solve(a, b)", "np.linalg.LinAlgError",
+                 "np.linalg.eig(a)", "numpy.linalg.eig(a)"):
         assert forbidden_numpy_references(f"x = 1\ny = {call}\n") == [2], call
     for line in ("import numpy.ma", "import numpy.polynomial.polynomial as P",
                  "from numpy import isin", "from numpy import ma",
@@ -357,10 +380,11 @@ def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
     assert forbidden_numpy_references("from numpy import linalg\nlinalg.qr(a)\n") == [2]
     assert forbidden_numpy_references("import numpy.linalg as la\nla.pinv(a)\n") == [2]
     assert forbidden_numpy_references("import numpy as xp\nxp.isin(a, b)\n") == [2]
-    # the eigensolver, the norm and names that only share a prefix are not
+    assert forbidden_numpy_references("from numpy.linalg import eig, norm\n") == [1]
+    # the norm and names that only share a prefix are not
     assert forbidden_numpy_references(
-        "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import eig, norm\n"
-        "np.linalg.eig(a)\nnp.linalg.norm(a, axis=0)\nnp.isinf(a)\nnp.isfinite(a)\n"
+        "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import norm\n"
+        "np.linalg.norm(a, axis=0)\nnp.isinf(a)\nnp.isfinite(a)\n"
         "np.matmul(a, b)\nnp.polyval(p, x)\nnp.random_walk\nrandom.random()\n") == []
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import build_unperturbed, dense_matrix, reference_operators
+from oracle import build_unperturbed, dense_matrix, eigendecompose, reference_spectra
 
 import anomalywalk.perturb
 from anomalywalk.errors import (
@@ -17,14 +17,13 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
-    _sweep_operators,
+    _sweep_spectra,
     eigenphase_shifts,
     fit_scaling,
     perturbation_sweep,
     write_fits_csv,
     write_shifts_csv,
 )
-from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import build_step_operator
 
@@ -196,11 +195,11 @@ class TestLimitOperator:
     ])
     def test_limit_branch_structure(self, anomaly, phases, mults):
         # the branches a sweep from N=200 reads off its limit there, and
-        # that limit's unitarity
+        # that limit's eigenvectors, an orthonormal frame of its sector
         graph = build_star(200, anomaly)
-        _, limit = _sweep_operators(graph)
-        gram = limit.matrix.conj().T @ limit.matrix
-        np.testing.assert_allclose(gram, np.eye(limit.dim), atol=1e-12)
+        _, limit = _sweep_spectra(graph)
+        stacked = np.concatenate(limit.blocks, axis=1)
+        np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye(limit.dim), atol=1e-12)
         sweep = perturbation_sweep(anomaly, sizes=(200, 400, 800, 1600))
         branches = [(s.theta0, s.multiplicity0) for n, s in sweep.samples if n == 200]
         np.testing.assert_allclose(
@@ -229,18 +228,6 @@ class TestSweep:
         assert by_branch[round(-1 / 3, 3)].slope == pytest.approx(-1.0, abs=0.1)
         assert by_branch[round(1 / 3, 3)].slope == pytest.approx(-1.0, abs=0.1)
         assert by_branch[0.0].below_floor
-
-    def test_cluster_cap_is_read_from_the_policy(self, monkeypatch):
-        # at N=64 the cap 0.01/N lies above cluster_tol; a scale of 1e-5 binds
-        tols = []
-        decompose = anomalywalk.perturb.eigendecompose
-        monkeypatch.setattr(anomalywalk.perturb, "eigendecompose",
-                            lambda mat, tol: tols.append(tol) or decompose(mat, tol))
-        anomalywalk.perturb._sweep_point(Anomaly.extra_edge(1, 2), 64)
-        monkeypatch.setattr(anomalywalk.perturb, "DEFAULT_POLICY",
-                            DEFAULT_POLICY._replace(sweep_cluster_scale=1e-5))
-        anomalywalk.perturb._sweep_point(Anomaly.extra_edge(1, 2), 64)
-        assert tols == [DEFAULT_POLICY.cluster_tol] * 2 + [1e-5 / 64] * 2
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -276,12 +263,13 @@ SWEEP_CASES = [Anomaly.none()] + [
 
 @pytest.mark.parametrize("anomaly", SWEEP_CASES)
 def test_sweep_matches_the_closure_reference(anomaly, monkeypatch):
-    # the default sweep on the star's cells against the sweep on the closure
-    # of its first seeds, whose limit reduces the reflection walk column by
-    # column: the same labels as written, multiplicities, floor rows and
-    # fits, the shifts above the floor within 1e-12 and the fits within 1e-10
+    # the default sweep, its spectra read from the step's structure, against
+    # the sweep on the closure of its first seeds, whose limit reduces the
+    # reflection walk column by column, decomposed by the dense eigensolver:
+    # the same labels as written, multiplicities, floor rows and fits, the
+    # shifts above the floor within 1e-12 and the fits within 1e-10
     got = perturbation_sweep(anomaly)
-    monkeypatch.setattr(anomalywalk.perturb, "_sweep_operators", reference_operators)
+    monkeypatch.setattr(anomalywalk.perturb, "_sweep_spectra", reference_spectra)
     want = perturbation_sweep(anomaly)
     floor = DEFAULT_POLICY.shift_floor
 

@@ -37,8 +37,7 @@ FIELDS = {
     UnitarityReport: ("max_deviation", "tolerance"),
     NumericPolicy: ("unit_norm_tol", "unitarity_tol", "closure_residual",
                     "invariance_tol", "reduced_unitarity_tol", "spot_check_tol",
-                    "spot_check_steps", "dense_cap", "eig_residual_tol", "unit_circle_tol",
-                    "cluster_tol", "rank_tol", "projector_tol", "sweep_cluster_scale",
+                    "spot_check_steps", "eig_residual_tol", "projector_tol", "structure_tol",
                     "match_tol", "shift_floor", "peak_slack"),
     PhaseAngle: ("num", "den", "rad"),
     Anomaly: ("variant", "u", "v", "at", "mark_phase"),
@@ -86,9 +85,9 @@ SAMPLES = [
     (NumericPolicy(),
      "NumericPolicy(unit_norm_tol=1e-10, unitarity_tol=1e-12, "
      "closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
-     "spot_check_tol=1e-09, spot_check_steps=25, dense_cap=5000, eig_residual_tol=1e-08, "
-     "unit_circle_tol=1e-09, cluster_tol=1e-06, rank_tol=1e-08, projector_tol=1e-09, "
-     "sweep_cluster_scale=0.01, match_tol=0.1, shift_floor=1e-13, peak_slack=2)"),
+     "spot_check_tol=1e-09, spot_check_steps=25, eig_residual_tol=1e-08, "
+     "projector_tol=1e-09, structure_tol=1e-10, match_tol=0.1, shift_floor=1e-13, "
+     "peak_slack=2)"),
     (PhaseAngle.from_radians(0.5), "PhaseAngle(num=None, den=None, rad=0.5)"),
     (Anomaly.extra_edge(1, 2),
      f"Anomaly(variant='extra_edge', u=1, v=2, at=None, {_UNMARKED})"),

@@ -587,9 +587,9 @@ class TestRunSearch:
 
     def test_reduced_runs_no_closure(self, monkeypatch, capsys, tmp_path):
         # the reduced walk steps M = C*UC on the cells that hold the start
-        # state, and the perturbation sweep reads its step and limit off the
-        # star's cells: neither closes seeds, while the spectrum verb still
-        # reduces once
+        # state, the perturbation sweep reads its step and limit off the
+        # star's cells, and the spectrum verb reads the family's rank on each
+        # branch from the step's structure: none of them closes seeds
         calls = []
         close = anomalywalk.collapse.reduce_seeds
         for info in pkgutil.iter_modules(anomalywalk.__path__, "anomalywalk."):
@@ -606,7 +606,7 @@ class TestRunSearch:
         spec = '{"n_spokes": 64, "anomaly": {"type": "loop", "at": 3}}'
         assert main(["spectrum", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 0
         capsys.readouterr()
-        assert calls == ["reduce_seeds"]
+        assert calls == []
 
     def test_plus_state_stays_delocalized(self):
         graph = build_star(64, Anomaly.extra_edge(2, 7))

@@ -1,27 +1,34 @@
-"""Eigenphase decomposition tests, including the reduced-walk spectrum."""
+"""Spectrum tests: the spectrum read from the step's structure, held to
+the dense reference eigensolver in the oracle, and that reference's own
+tests, including the reduced-walk spectrum."""
 
 import warnings
 
 import numpy as np
 import pytest
+import oracle
 from oracle import (
+    cluster_phases,
+    cluster_tol_at,
+    eigendecompose,
+    named_kinds,
     named_start,
     reduce_columns,
     reference_operators,
+    representative,
     symmetric_in_state,
     symmetric_out_state,
 )
 
-import anomalywalk.spectral
-from anomalywalk.collapse import reduce_seeds
+from anomalywalk.collapse import cells_operator, reduce_seeds, star_cells
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import cluster_tol_at
+from anomalywalk.perturb import _sweep_spectra
 from anomalywalk.search import InitialStateKind, family_seeds
-from anomalywalk.spectral import dump_spectrum_csv, eigendecompose
-from anomalywalk.stargraph import Anomaly, build_star
-from anomalywalk.stepop import build_step_operator
+from anomalywalk.spectral import dump_spectrum_csv, secular_spectrum
+from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
+from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
 def hand_reduced(n, u=2, v=5):
@@ -208,23 +215,21 @@ def test_rejects_ragged_input():
 
 
 def test_dense_cap(monkeypatch):
-    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
-                        DEFAULT_POLICY._replace(dense_cap=3))
+    monkeypatch.setattr(oracle, "DENSE_CAP", 3)
     with pytest.raises(SizeError):
         eigendecompose(np.eye(4))
 
 
 def test_rank_tol_is_read_from_the_policy(monkeypatch):
-    # eigenvalues 1e-10 apart share a cluster whose eigenvectors are 1e-10
-    # from parallel: R's second diagonal entry is 1e-10
+    # the oracle's rank threshold, read when a call runs: eigenvalues 1e-10
+    # apart share a cluster whose eigenvectors are 1e-10 from parallel: R's
+    # second diagonal entry is 1e-10
     nearly_defective = np.array([[1.0, 1.0], [0.0, np.exp(1e-10j)]])
     with pytest.raises(NumericalFailureError, match="rank deficient"):
         eigendecompose(nearly_defective)
-    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
-                        DEFAULT_POLICY._replace(rank_tol=1e-12))
+    monkeypatch.setattr(oracle, "RANK_TOL", 1e-12)
     assert eigendecompose(nearly_defective).multiplicities == (2,)
-    monkeypatch.setattr(anomalywalk.spectral, "DEFAULT_POLICY",
-                        DEFAULT_POLICY._replace(rank_tol=2.0))
+    monkeypatch.setattr(oracle, "RANK_TOL", 2.0)
     with pytest.raises(NumericalFailureError, match="rank deficient"):
         eigendecompose(np.eye(2))
 
@@ -234,8 +239,8 @@ def qr_projectors(mat, tol):
     a QR of the eigenvectors numpy's eig gives for the cluster."""
     values, vectors = np.linalg.eig(mat)
     thetas = np.angle(values / np.abs(values))
-    groups = anomalywalk.spectral._cluster_phases(thetas, tol)
-    phases = [anomalywalk.spectral._representative(thetas[g], tol) for g in groups]
+    groups = cluster_phases(thetas, tol)
+    phases = [representative(thetas[g], tol) for g in groups]
     projectors = []
     for k in np.argsort(phases):
         q, _ = np.linalg.qr(vectors[:, groups[k]])
@@ -265,15 +270,16 @@ def test_cluster_projectors_match_a_qr_oracle():
             cases += [(finite.matrix, tol), (limit.matrix, tol)]
     for seed, phases in enumerate(([0.3, 0.3, -1.0, -1.0, 2.0, np.pi, np.pi, 0.0],
                                    [1.0] * 3 + [-2.5] * 5, [np.pi] * 4 + [-np.pi] * 4)):
-        cases.append((unitary_with_phases(phases, seed), DEFAULT_POLICY.cluster_tol))
+        cases.append((unitary_with_phases(phases, seed), oracle.CLUSTER_TOL))
     compared = 0
     for mat, tol in cases:
         spec = eigendecompose(mat, tol)
-        oracle = qr_projectors(mat, tol)
-        assert len(oracle) == len(spec.multiplicities)
+        reference = qr_projectors(mat, tol)
+        assert len(reference) == len(spec.multiplicities)
         for k, mult in enumerate(spec.multiplicities):
             if mult >= 2:
-                assert np.abs(spec.projector(k) - oracle[k]).max() <= DEFAULT_POLICY.projector_tol
+                assert (np.abs(spec.projector(k) - reference[k]).max()
+                        <= DEFAULT_POLICY.projector_tol)
                 compared += 1
     assert compared == 16
 
@@ -292,7 +298,7 @@ def test_rank_test_refuses_a_nan_cluster_without_a_warning(monkeypatch):
     # an eigenvector with a nan, let past the residual certificate: its
     # residual in the cluster's frame reads nan, and it is refused before
     # anything divides by it
-    eig, require_within = np.linalg.eig, anomalywalk.spectral.require_within
+    eig, require_within = np.linalg.eig, oracle.require_within
 
     def poisoned(mat):
         values, vectors = eig(mat)
@@ -303,7 +309,7 @@ def test_rank_test_refuses_a_nan_cluster_without_a_warning(monkeypatch):
         if not what.startswith("eigenpair residual"):
             require_within(what, *args)
     monkeypatch.setattr(np.linalg, "eig", poisoned)
-    monkeypatch.setattr(anomalywalk.spectral, "require_within", past_the_residual)
+    monkeypatch.setattr(oracle, "require_within", past_the_residual)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="rank deficient"):
@@ -321,3 +327,115 @@ def test_dump_spectrum_csv(tmp_path):
     theta, mult = lines[1].split(",")
     assert float(theta) == pytest.approx(spec.eigenphases[0], abs=1e-10)
     assert int(mult) == spec.multiplicities[0]
+
+
+# every variant, the marked ones at each phase, and the sizes the
+# certificates are held at, up to the largest star accepted
+STEP_CASES = [Anomaly.none(), Anomaly.extra_edge(1, 2), Anomaly.loop(1)] + [
+    Anomaly.of(variant, phase, at=1) for variant in ("extended_edge", "missing_loop")
+    for phase in (PhaseAngle.zero(), PhaseAngle.from_pi_fraction(1, 3),
+                  PhaseAngle.from_pi_fraction(1, 2), PhaseAngle.from_radians(0.7),
+                  PhaseAngle.pi())]
+CERTIFIED_SIZES = (4, 64, 4096, 10**6, 10**7, 2**30, 2**39, 2**40)
+ORACLE_SIZES = (4, 64, 4096, 10**6, 10**7)
+
+
+def step_parts(graph):
+    """The cells, the reflection walk Q on them and the uniform incoming state i."""
+    cells = star_cells(make_basis(graph))
+    q = cells_operator(build_scattering_operator(graph, 1.0, 0.0), cells)
+    return cells, q, cells.uniform(1)
+
+
+def certificates(spec, q, i):
+    """The largest eigenpair residual of M = Q(I - 2|i><i|) and the blocks'
+    deviation from an orthonormal frame."""
+    m = q @ (np.eye(len(q)) - 2.0 * np.outer(i, np.conj(i)))
+    stacked = np.concatenate(spec.blocks, axis=1)
+    values = np.concatenate([np.full(b.shape[1], np.exp(1j * theta))
+                             for theta, b in zip(spec.eigenphases, spec.blocks)])
+    residual = np.linalg.norm(m @ stacked - stacked * values, axis=0).max()
+    frame = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])).max()
+    return residual, frame
+
+
+@pytest.mark.parametrize("anomaly", STEP_CASES, ids=repr)
+def test_the_step_is_the_reflection_walk_times_one_reflection(anomaly):
+    for n in (4, 64, 10**6, 2**40):
+        graph = build_star(n, anomaly)
+        cells, q, i = step_parts(graph)
+        step = cells_operator(build_step_operator(graph), cells)
+        assert np.abs(step - q @ (np.eye(len(q)) - 2.0 * np.outer(i, i.conj()))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("anomaly", STEP_CASES, ids=repr)
+def test_certificates_hold_at_every_size(anomaly):
+    # the whole spectrum on the cells, and the sweep's pair in its sector
+    for n in CERTIFIED_SIZES:
+        graph = build_star(n, anomaly)
+        cells, q, i = step_parts(graph)
+        spec = secular_spectrum(q, i, len(cells.blocks))
+        assert sum(spec.multiplicities) == spec.dim == len(q)
+        residual, frame = certificates(spec, q, i)
+        assert residual <= DEFAULT_POLICY.eig_residual_tol
+        assert frame <= DEFAULT_POLICY.projector_tol
+        for part in _sweep_spectra(graph):
+            assert sum(part.multiplicities) == part.dim
+            stacked = np.concatenate(part.blocks, axis=1)
+            assert (np.abs(stacked.conj().T @ stacked - np.eye(part.dim)).max()
+                    <= DEFAULT_POLICY.projector_tol)
+
+
+@pytest.mark.parametrize("anomaly", STEP_CASES, ids=repr)
+def test_phases_match_the_dense_oracle(anomaly):
+    # the whole spectrum against numpy's eig of M, clustered as a sweep at
+    # N clusters, and each named family's against the closure of its seeds
+    for n in ORACLE_SIZES:
+        graph = build_star(n, anomaly)
+        cells, q, i = step_parts(graph)
+        got = secular_spectrum(q, i, len(cells.blocks))
+        want = eigendecompose(cells_operator(build_step_operator(graph), cells), cluster_tol_at(n))
+        assert got.multiplicities == want.multiplicities
+        assert np.abs(np.subtract(got.eigenphases, want.eigenphases)).max() <= 1e-12
+        if not graph.anomaly_vertices:
+            continue
+        for kind in named_kinds(graph):
+            cells, seeds = family_seeds(graph, kind)
+            got = secular_spectrum(q, i, len(cells.blocks), family=seeds)
+            closure = reduce_seeds(build_step_operator(graph), cells, seeds)
+            want = eigendecompose(closure.matrix, cluster_tol_at(n))
+            assert got.multiplicities == want.multiplicities, kind
+            assert np.abs(np.subtract(got.eigenphases, want.eigenphases)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**6])
+def test_a_root_on_an_empty_pole_is_one_branch(n):
+    # missing_loop marked by 0: Q is real, so a root lies exactly at 0, on
+    # the dummy loop's empty pole, which loop_pi's third seed reaches
+    graph = build_star(n, Anomaly.missing_loop(1, PhaseAngle.zero()))
+    cells, seeds = family_seeds(graph, InitialStateKind.loop_pi())
+    _, q, i = step_parts(graph)
+    spec = secular_spectrum(q, i, len(cells.blocks), family=seeds)
+    at_zero = [k for k, theta in enumerate(spec.eigenphases) if abs(theta) <= 2e-16]
+    assert [spec.multiplicities[k] for k in at_zero] == [2]
+
+
+def test_a_simple_branch_at_the_largest_size_is_its_own_branch():
+    # at N = 2^40 the loop's branches at +-pi/3 move by about 1e-12, and
+    # nothing merges them with another phase
+    graph = build_star(2**40, Anomaly.loop(1))
+    cells, seeds = family_seeds(graph, InitialStateKind.minus())
+    _, q, i = step_parts(graph)
+    spec = secular_spectrum(q, i, len(cells.blocks), family=seeds)
+    assert spec.multiplicities == (1,) * 5
+    shifts = sorted(abs(abs(theta) - np.pi / 3) for theta in spec.eigenphases)[:2]
+    assert 0 < shifts[0] <= shifts[1] < 1e-11
+
+
+def test_the_reflection_walk_must_be_a_generalised_permutation():
+    with pytest.raises(NumericalFailureError, match="not a generalised permutation"):
+        secular_spectrum(np.ones((2, 2)), [1.0, 0.0], 1)
+    with pytest.raises(NumericalFailureError, match="not a permutation"):
+        secular_spectrum(np.array([[1.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], 1)
+    with pytest.raises(DimensionMismatchError):
+        secular_spectrum(np.eye(2), [1.0, 0.0, 0.0], 1)

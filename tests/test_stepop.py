@@ -12,6 +12,7 @@ from oracle import (
     apply_into,
     dense_deviation,
     dense_matrix,
+    eigendecompose,
     flat_rows,
     is_real,
     make_state,
@@ -20,8 +21,6 @@ from oracle import (
     walk_values,
 )
 
-import anomalywalk.spectral
-import anomalywalk.stepop
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
@@ -29,8 +28,6 @@ from anomalywalk.errors import (
     NumericalFailureError,
     SizeError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.spectral import eigendecompose
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import (
     BlockWalk,
@@ -664,22 +661,20 @@ def test_dense_cap_enforced():
     # the oracle refuses a dense matrix past the cap; the certificate reads
     # the same operator off its tables
     op = build_step_operator(build_star(5000, Anomaly.none()))
-    assert op.dimension > DEFAULT_POLICY.dense_cap
+    assert op.dimension > oracle.DENSE_CAP
     with pytest.raises(SizeError):
         dense_matrix(op)
     assert check_unitarity(op).passed
 
 
 def test_swapped_dense_cap_is_obeyed(monkeypatch):
-    # the cap is read when a call runs: at the dimension the dense matrix
-    # and its eigendecomposition run, one below it both refuse, and the
-    # certificate, which forms no dense matrix, reports the same either way
+    # the oracle's cap is read when a call runs: at the dimension the dense
+    # matrix and its eigendecomposition run, one below it both refuse, and
+    # the certificate, which forms no dense matrix, reports the same either way
     op = build_step_operator(build_star(10, Anomaly.loop(3)))
     want = check_unitarity(op)
     for cap, dense in ((op.dimension, True), (op.dimension - 1, False)):
-        policy = DEFAULT_POLICY._replace(dense_cap=cap)
-        for module in (anomalywalk.stepop, anomalywalk.spectral, oracle):
-            monkeypatch.setattr(module, "DEFAULT_POLICY", policy)
+        monkeypatch.setattr(oracle, "DENSE_CAP", cap)
         assert check_unitarity(op) == want
         if dense:
             assert dense_matrix(op).shape == (op.dimension, op.dimension)
