@@ -17,7 +17,6 @@ from .errors import (
     IndexRangeError,
     InsufficientDataError,
     InvarianceError,
-    MatchingError,
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
@@ -31,7 +30,6 @@ from .perturb import (
     EigenShift,
     ScalingFit,
     SweepResult,
-    eigenphase_shifts,
     fit_scaling,
     perturbation_sweep,
 )

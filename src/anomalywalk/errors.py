@@ -97,13 +97,6 @@ class NumericalFailureError(AnomalyWalkError):
     exit_code = 2
 
 
-class MatchingError(AnomalyWalkError):
-    """Eigenphase branch matching was ambiguous or inconsistent."""
-
-    category = "matching"
-    exit_code = 2
-
-
 class InsufficientDataError(AnomalyWalkError):
     """Too few usable points for a requested fit."""
 

@@ -40,8 +40,7 @@ class NumericPolicy(NamedTuple):
     eig_residual_tol: float = 1e-8
     projector_tol: float = 1e-9
     structure_tol: float = 1e-10
-    # perturbation matching and fits
-    match_tol: float = 0.1
+    # perturbation fits: a shift at or below it is excluded as round-off
     shift_floor: float = 1e-13
     # steps an empirical peak may lie from the predicted one without a warning
     peak_slack: int = 2

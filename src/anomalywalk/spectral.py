@@ -30,11 +30,16 @@ class Spectrum(NamedTuple):
     """Eigenphases in (-pi, pi], ascending, each with a block of orthonormal
     eigenvector columns, so its projector is block @ block.conj().T.  The
     multiplicities sum to dim, but for a family's spectrum, which holds
-    only the part of the space the family's closure spans."""
+    only the part of the space the family's closure spans.  poles are the
+    phases, ascending, of the poles of Q that i meets, and roots[k] is the
+    phase of the root of g between poles[k] and the next pole; both are
+    empty for a spectrum not read from Q."""
 
     eigenphases: tuple[float, ...]
     blocks: tuple  # numpy arrays; an annotation naming numpy would load it at import
     multiplicities: tuple[int, ...]
+    poles: tuple[float, ...]
+    roots: tuple[float, ...]
 
     @property
     def dim(self) -> int:
@@ -210,6 +215,7 @@ def secular_spectrum(q, i, bulk: int, family=None) -> Spectrum:
             clusters[phase] = stays if family is None else [_unit(
                 [sum(sum(x.conjugate() * y for x, y in zip(z, reach[0])) * z[c] for z in stays)
                  for c in range(len(a))])]
+    roots = []
     for k, (left, _) in enumerate(live):
         length = (live[(k + 1) % len(live)][0] - left) % (2.0 * math.pi) or 2.0 * math.pi
         # a root sits on a pole i misses for every N where the parts of g
@@ -225,7 +231,8 @@ def secular_spectrum(q, i, bulk: int, family=None) -> Spectrum:
         for phase, cols in fed:
             for col in cols:
                 coeffs[col] = a[col] * (1 + 1j / math.tan((t + (anchor - phase)) / 2)) / 2
-        clusters.setdefault(_at(anchor, t), []).insert(0, _unit(coeffs))
+        roots.append(_at(anchor, t))
+        clusters.setdefault(roots[-1], []).insert(0, _unit(coeffs))
 
     order = sorted(clusters)
     vectors = basis @ np.array([c for theta in order for c in clusters[theta]]).T
@@ -241,7 +248,8 @@ def secular_spectrum(q, i, bulk: int, family=None) -> Spectrum:
     ends = [0, *accumulate(len(clusters[theta]) for theta in order)]
     return Spectrum(eigenphases=tuple(order),
                     blocks=tuple(vectors[:, lo:hi] for lo, hi in zip(ends, ends[1:])),
-                    multiplicities=tuple(hi - lo for lo, hi in zip(ends, ends[1:])))
+                    multiplicities=tuple(hi - lo for lo, hi in zip(ends, ends[1:])),
+                    poles=tuple(phase for phase, _ in live), roots=tuple(roots))
 
 
 def dump_spectrum_csv(spec: Spectrum, path) -> None:

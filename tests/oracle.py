@@ -24,6 +24,11 @@ on the bulk of every block are placed on the star's cells by `place`.
 The perturbation sweep's step and limit are built here as they were
 first built, on the closure of its seeds, with the limit's reflection
 walk applied column by column; `perturb` forms both on the star's cells.
+The sweep's branches were first matched by eigenvector overlap and
+labelled by rounding, by `eigenphase_shifts` and `branch_labels`, which
+`reference_sweep` runs on those spectra; `perturb` pairs them by the
+step's structure, and `homotopy_branches` follows every eigenvalue from
+the limit to the graph, where overlaps tie.
 
 `src/` holds every state in complex128.  The references keep their own
 arithmetic apart from it: a walk or a basis with no imaginary part, on
@@ -47,8 +52,10 @@ from anomalywalk.errors import (
     SizeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY, orthogonalize, require_within
+from anomalywalk.perturb import DEFAULT_SWEEP_SIZES, EigenShift, SweepResult, _wrap, fit_scaling
 from anomalywalk.search import InitialStateKind
 from anomalywalk.spectral import Spectrum
+from anomalywalk.stargraph import build_star
 from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
@@ -205,7 +212,7 @@ def eigendecompose(mat, cluster_tol=None):
     if d > DENSE_CAP:
         raise SizeError(f"dimension {d} exceeds dense cap {DENSE_CAP}")
     if d == 0:
-        return Spectrum(eigenphases=(), blocks=(), multiplicities=())
+        return Spectrum(eigenphases=(), blocks=(), multiplicities=(), poles=(), roots=())
     if cluster_tol is None:
         cluster_tol = CLUSTER_TOL
 
@@ -243,7 +250,7 @@ def eigendecompose(mat, cluster_tol=None):
     for b in blocks:
         b.setflags(write=False)
     return Spectrum(eigenphases=tuple(phases), blocks=tuple(blocks),
-                    multiplicities=tuple(mults))
+                    multiplicities=tuple(mults), poles=(), roots=())
 
 
 def dense_deviation(op):
@@ -556,6 +563,116 @@ def reference_spectra(graph):
     eigensystems of `reference_operators`, clustered as a sweep at N was."""
     tol = cluster_tol_at(graph.n_spokes)
     return tuple(eigendecompose(op.matrix, tol) for op in reference_operators(graph))
+
+
+# a finite cluster belongs to the limit branch its eigenvectors overlap
+# most, by a margin of at least MATCH_TOL over the next
+MATCH_TOL = 0.1
+
+
+def eigenphase_shifts(perturbed, unperturbed):
+    """The sweep's branch matching as first written: each perturbed cluster
+    goes to the limit branch whose eigenvectors overlap it most, and every
+    limit branch must receive exactly its multiplicity; a tie within
+    MATCH_TOL or a count that differs raises."""
+    if perturbed.dim != unperturbed.dim:
+        raise DimensionMismatchError(
+            f"spectra have dimensions {perturbed.dim} and {unperturbed.dim}")
+    k0 = len(unperturbed.eigenphases)
+    kc = len(perturbed.eigenphases)
+    overlap = np.empty((k0, kc))
+    for k, w0 in enumerate(unperturbed.blocks):
+        for c, wc in enumerate(perturbed.blocks):
+            overlap[k, c] = (np.linalg.norm(w0.conj().T @ wc) ** 2
+                             / wc.shape[1])
+
+    assigned = [[] for _ in range(k0)]
+    for c in range(kc):
+        col = overlap[:, c].tolist()
+        order = sorted(range(k0), key=col.__getitem__, reverse=True)
+        best = col[order[0]]
+        second = col[order[1]] if k0 > 1 else 0.0
+        if best - second < MATCH_TOL:
+            raise NumericalFailureError(
+                f"cluster at phase {perturbed.eigenphases[c]:.6f} overlaps "
+                f"branches {unperturbed.eigenphases[order[0]]:.6f} and "
+                f"{unperturbed.eigenphases[order[1]]:.6f} almost equally "
+                f"({best:.3f} vs {second:.3f})")
+        assigned[order[0]].append(c)
+
+    shifts_out = []
+    for k in range(k0):
+        theta0 = unperturbed.eigenphases[k]
+        mult0 = unperturbed.multiplicities[k]
+        received = sum(perturbed.multiplicities[c] for c in assigned[k])
+        if received != mult0:
+            raise NumericalFailureError(
+                f"branch {theta0:.6f} received {received} eigenvalues, "
+                f"expected {mult0}")
+        shifts = []
+        quality = 0.0
+        for c in assigned[k]:
+            delta = _wrap(perturbed.eigenphases[c] - theta0)
+            shifts.extend([delta] * perturbed.multiplicities[c])
+            quality += perturbed.multiplicities[c] * overlap[k, c]
+        quality /= mult0
+        shifts_out.append(EigenShift(theta0=theta0, multiplicity0=mult0,
+                                     shifts=tuple(shifts), overlap=quality))
+    return shifts_out
+
+
+def branch_labels(samples):
+    """The label of each (n, EigenShift) sample's branch, as the sweep first
+    gave it: the limit phase of the branch's first sample.  Branches are
+    told apart at 1e-9 in circular distance, so the two ends of (-pi, pi]
+    are one branch, and so are round-off variants of one phase; the branch
+    at 0 is labelled exactly 0."""
+    labels = []
+    for _, shift in samples:
+        near = (label for label in labels if round(_wrap(shift.theta0 - label), 9) == 0)
+        labels.append(next(near, 0.0 if round(shift.theta0, 9) == 0 else shift.theta0))
+    return labels
+
+
+def reference_sweep(anomaly, sizes=DEFAULT_SWEEP_SIZES):
+    """The perturbation sweep as first computed: at every size both spectra
+    by `reference_spectra`, matched by `eigenphase_shifts`, every sample
+    relabelled by `branch_labels`, then fitted by `fit_scaling`."""
+    samples = [(n, shift) for n in sizes
+               for shift in eigenphase_shifts(*reference_spectra(build_star(n, anomaly)))]
+    samples = tuple((n, shift._replace(theta0=label))
+                    for label, (n, shift) in zip(branch_labels(samples), samples))
+    return SweepResult(samples=samples, fits=tuple(fit_scaling(samples)))
+
+
+def homotopy_branches(q, bi, i, steps=4000):
+    """Each eigenphase of Q(I - 2|i><i|) with the eigenphase of the limit
+    Q(I - 2|bi><bi|) it continues from, as (limit, finite) pairs sorted:
+    i_a = cos(a) bi + sin(a) u, u the unit part of i orthogonal to bi,
+    turns from bi to i in equal steps of a, and at each step every phase
+    goes to the dense eigenphase nearest its linear extrapolation, the
+    closest pairs first."""
+    q, bi, i = (np.asarray(x, dtype=complex) for x in (q, bi, i))
+    c = np.vdot(bi, i)
+    rest = i - c * bi
+    r = np.linalg.norm(rest)
+    head, u, end = bi * c / abs(c), rest / r, math.atan2(r, abs(c))
+
+    def phases(a):
+        x = math.cos(a) * head + math.sin(a) * u
+        return np.angle(np.linalg.eigvals(q - 2.0 * np.outer(q @ x, x.conj())))
+
+    start = now = before = phases(0.0)  # tracked unwrapped, off the circle
+    for a in np.linspace(0.0, end, steps + 1)[1:]:
+        guess, found = 2.0 * now - before, phases(a)
+        gap = np.abs(np.angle(np.exp(1j * (guess[:, None] - found[None, :]))))
+        pick = {}  # tracked phase -> the dense one it goes to
+        for j, m in zip(*np.unravel_index(np.argsort(gap, axis=None), gap.shape)):
+            if j not in pick and m not in pick.values():
+                pick[j] = m
+        found = found[[pick[j] for j in range(len(now))]]
+        before, now = now, now + np.angle(np.exp(1j * (found - now)))
+    return sorted(zip(start.tolist(), np.angle(np.exp(1j * now)).tolist()))
 
 
 def apply_adjoint_into(op, x, out):

@@ -22,12 +22,12 @@ def test_public_names_are_pinned():
         "Anomaly", "AnomalyWalkError", "BaselineStatistics", "BasisLabel", "BlockWalk",
         "ConfigurationError", "DEFAULT_POLICY", "DimensionMismatchError", "EdgeBasis",
         "EigenShift", "IndexRangeError", "InitialStateKind", "InsufficientDataError",
-        "InvarianceError", "MatchingError", "NoPredictionError", "NothingToFindError",
+        "InvarianceError", "NoPredictionError", "NothingToFindError",
         "NumericPolicy", "NumericalFailureError", "PhaseAngle", "ReducedBasis",
         "ReducedOperator", "ScalingFit", "SearchResult", "SelfEdgeError", "SizeError",
         "SpecSemanticError", "SpecSyntaxError", "Spectrum", "StarGraph", "StepOperator",
         "SweepResult", "UnitarityReport", "baseline_statistics", "build_star",
-        "build_step_operator", "check_unitarity", "eigenphase_shifts",
+        "build_step_operator", "check_unitarity",
         "family_seeds", "fit_scaling", "make_basis", "parse_spec", "perturbation_sweep",
         "predicted_hitting_step", "reduce_seeds", "run_search", "secular_spectrum",
         "serialize_spec",

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -935,8 +936,8 @@ class TestPerturb:
         ("--anomaly", "extended_edge", "--at", "3", "--phase-num", "1", "--phase-den", "3"),
         ("--anomaly", "loop", "--at", "3")])
     def test_one_label_per_branch(self, capsys, tmp_path, flags):
-        # every size's sample of a branch carries its fit's label, the zero
-        # branch too, whose limit phase is round-off that varies with N
+        # every size's sample of a branch carries its fit's label, the
+        # limit's eigenphase, the zero branch's too
         code, _, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "p.csv"))
         assert (code, err) == (0, "")
 
@@ -952,8 +953,8 @@ class TestPerturb:
         ("--anomaly", "extended_edge", "--at", "3", "--phase-num", "1", "--phase-den", "3"),
         ("--anomaly", "missing_loop", "--at", "3", "--phase-rad", "0.7")])
     def test_zero_branch_is_labelled_zero(self, capsys, tmp_path, flags):
-        # the limit's zero branch comes out of the eigensolver as round-off
-        # of either sign; it is printed and written as exactly 0
+        # the limit's zero branch is printed and written as exactly 0, never
+        # as round-off of either sign
         code, stdout, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "p.csv"))
         assert (code, err) == (0, "")
         assert "branch=0.000000 " in stdout
@@ -1022,17 +1023,37 @@ class TestPerturb:
         assert code == 1
         assert err.startswith("error:config:")
 
+    @pytest.mark.parametrize("flags,branches", [
+        (("--anomaly", "extra_edge", "--u", "1", "--v", "2", "--n-list", "3,4,5,6,7"),
+         {"-1.0471975512": "1", "0": "1", "1.0471975512": "1", "3.14159265359": "2"}),
+        (("--anomaly", "missing_loop", "--at", "1", "--phase-rad", "0.7", "--n-list", "3,4,5,6"),
+         {"-2.09439510239": "1", "-1.22079632679": "1", "0": "2", "1.92079632679": "1",
+          "2.09439510239": "1"})])
+    def test_tiny_sizes_pair_by_structure(self, capsys, tmp_path, flags, branches):
+        # at N = 3 two branches' eigenvectors overlap a cluster almost
+        # equally; the pairing by structure does not read overlaps, and
+        # every size gives each branch its multiplicity
+        code, _, err = run(capsys, "perturb", *flags, "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader((tmp_path / "p.csv").open()))
+        sizes = flags[flags.index("--n-list") + 1].split(",")
+        for n in sizes:
+            got = Counter((r["branch_theta0"], r["multiplicity0"]) for r in rows if r["N"] == n)
+            assert got == {(theta, m): int(m) for theta, m in branches.items()}
+        fits = list(csv.DictReader((tmp_path / "p-fits.csv").open()))
+        assert [f["branch_theta0"] for f in fits] == list(branches)
+
     def test_repeated_size_is_refused(self, capsys, tmp_path, monkeypatch):
         # a size given twice would be computed twice and weigh twice in the
         # fit; it is refused before any size is computed or file written
-        points = []
-        point = anomalywalk.perturb._sweep_point
-        monkeypatch.setattr(anomalywalk.perturb, "_sweep_point",
-                            lambda *args: points.append(args) or point(*args))
+        built = []
+        build = anomalywalk.perturb.build_star
+        monkeypatch.setattr(anomalywalk.perturb, "build_star",
+                            lambda *args: built.append(args) or build(*args))
         code, out, err = run(capsys, "perturb", "--anomaly", "loop", "--at", "1",
                              "--n-list", "64,64,128,256,512",
                              "--out", str(tmp_path / "x.csv"))
-        assert (code, out, points) == (1, "", [])
+        assert (code, out, built) == (1, "", [])
         assert err == "error:config:size list repeats a size: 64,64,128,256,512\n"
         assert list(tmp_path.iterdir()) == []
 

@@ -15,12 +15,14 @@ from oracle import eigendecompose, make_state, place
 
 import anomalywalk
 import anomalywalk.cli
+import anomalywalk.errors
 import anomalywalk.search
 import anomalywalk.spectral
 from anomalywalk.cli import main
 from anomalywalk.collapse import certify
 from anomalywalk.edgespace import make_basis
 from anomalywalk.errors import (
+    AnomalyWalkError,
     ConfigurationError,
     InvarianceError,
     NumericalFailureError,
@@ -35,8 +37,8 @@ NAN = float("nan")
 LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
 
 # the upper-bound certificates' tolerances; closure_residual, structure_tol,
-# match_tol, shift_floor and peak_slack are thresholds of another kind and
-# may be compared directly
+# shift_floor and peak_slack are thresholds of another kind and may be
+# compared directly
 CERTIFICATE_TOLERANCES = frozenset({
     "unit_norm_tol", "unitarity_tol", "invariance_tol",
     "reduced_unitarity_tol", "spot_check_tol", "eig_residual_tol", "projector_tol",
@@ -285,8 +287,8 @@ def policy_fields_read(source: str) -> set[str]:
 
 
 def test_guard_sees_which_policy_fields_are_read():
-    assert policy_fields_read("tol = DEFAULT_POLICY.unit_norm_tol\nx.match_tol(1)\n") == {
-        "unit_norm_tol", "match_tol"}
+    assert policy_fields_read("tol = DEFAULT_POLICY.unit_norm_tol\nx.shift_floor(1)\n") == {
+        "unit_norm_tol", "shift_floor"}
     # a name or a string that spells a field reads nothing
     assert policy_fields_read("unit_norm_tol = 1\ngetattr(p, 'cluster_tol')\n") == set()
 
@@ -297,6 +299,33 @@ def test_every_policy_field_is_read_outside_numerics():
     read = set().union(*(policy_fields_read(path.read_text(encoding="utf-8"))
                          for path in package.glob("*.py") if path.name != "numerics.py"))
     assert set(NumericPolicy._fields) - read == set()
+
+
+# every error class a run may raise, each one an error:<category>: line of the CLI
+ERRORS = frozenset(cls.__name__ for cls in vars(anomalywalk.errors).values()
+                   if isinstance(cls, type) and issubclass(cls, AnomalyWalkError)
+                   and cls is not AnomalyWalkError)
+
+
+def errors_unnamed(sources) -> set[str]:
+    """The error classes that no source names, as a name it reads."""
+    return ERRORS - {n.id for source in sources for n in ast.walk(ast.parse(source))
+                     if isinstance(n, ast.Name)}
+
+
+def test_guard_sees_which_errors_are_named():
+    named = "try:\n    raise SizeError('x')\nexcept (ConfigurationError, KeyError):\n    pass\n"
+    # an attribute or a string that spells a class names nothing
+    spelt = "x.InvarianceError\ny = 'SelfEdgeError'\n"
+    assert errors_unnamed([named, spelt]) == ERRORS - {"SizeError", "ConfigurationError"}
+
+
+def test_every_error_category_is_raised():
+    # a class that no module but its definition names is an error:<category>:
+    # line that the CLI's contract lists and no run can print
+    package = Path(anomalywalk.__file__).parent
+    assert errors_unnamed(path.read_text(encoding="utf-8") for path in package.glob("*.py")
+                          if path.name != "errors.py") == set()
 
 
 # the numpy that no run may load or page in: np.random (through secrets,

@@ -1,24 +1,33 @@
-"""Perturbation-sweep tests: limit operator, matching, scaling fits."""
+"""Perturbation-sweep tests: limit operator, pairing, scaling fits."""
 
 import math
 
 import numpy as np
 import pytest
-from oracle import build_unperturbed, dense_matrix, eigendecompose, reference_spectra
+from oracle import (
+    branch_labels,
+    build_unperturbed,
+    dense_matrix,
+    eigendecompose,
+    eigenphase_shifts,
+    homotopy_branches,
+    reference_sweep,
+)
 
 import anomalywalk.perturb
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InsufficientDataError,
-    MatchingError,
+    NumericalFailureError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
+    _pair,
     _sweep_spectra,
-    eigenphase_shifts,
+    _wrap,
     fit_scaling,
     perturbation_sweep,
     write_fits_csv,
@@ -31,7 +40,13 @@ from anomalywalk.stepop import build_step_operator
 def shift_of(theta0, deltas, mult=None):
     deltas = tuple(deltas)
     return EigenShift(theta0=theta0, multiplicity0=mult or len(deltas),
-                      shifts=deltas, overlap=1.0, unmatched=False)
+                      shifts=deltas, overlap=1.0)
+
+
+def labelled(samples):
+    """The samples under the labels the reference sweep gives them."""
+    return [(n, shift._replace(theta0=label))
+            for label, (n, shift) in zip(branch_labels(samples), samples)]
 
 
 class TestFitScaling:
@@ -72,23 +87,23 @@ class TestFitScaling:
             fit_scaling(samples)
 
     def test_branches_at_plus_minus_pi_are_one_group(self):
-        # the same physical branch can be labeled pi or -pi at different
-        # sizes; grouping must identify them
+        # the reference sweep's dense limit can label one branch pi or -pi
+        # at different sizes; its labels identify them
         samples = []
         for n in (50, 100, 200, 400):
             theta = math.pi if n % 100 else -math.pi
             samples.append((n, shift_of(theta, [n ** -0.5])))
-        fits = fit_scaling(samples)
+        fits = fit_scaling(labelled(samples))
         assert len(fits) == 1
         assert fits[0].slope == pytest.approx(-0.5, abs=1e-9)
 
     def test_one_ulp_inside_minus_pi_is_the_pi_branch(self):
-        # a limit spectrum can give the pi branch as -pi plus one ulp, which
-        # the fold into (-pi, pi] leaves where it is
+        # a dense limit spectrum can give the pi branch as -pi plus one ulp,
+        # which the fold into (-pi, pi] leaves where it is
         near = math.nextafter(-math.pi, 0.0)
         samples = [(n, shift_of(math.pi if n < 400 else near, [n ** -1.0]))
                    for n in (50, 100, 200, 400, 800)]
-        fit, = fit_scaling(samples)
+        fit, = fit_scaling(labelled(samples))
         assert fit.branch_theta0 == math.pi
         assert fit.points_used == 5
         assert fit.slope == pytest.approx(-1.0, abs=1e-9)
@@ -125,6 +140,7 @@ class TestFitScaling:
 
 
 class TestMatching:
+    # the reference sweep's overlap matching, in tests/oracle.py
     def test_identical_spectra_give_zero_shifts(self):
         mat = np.diag(np.exp(1j * np.array([0.3, -0.7, 2.0])))
         spec = eigendecompose(mat)
@@ -133,7 +149,6 @@ class TestMatching:
         for s in shifts:
             assert s.shifts == (0.0,)
             assert s.overlap == pytest.approx(1.0, abs=1e-12)
-            assert not s.unmatched
 
     def test_small_rotation_tracked_by_subspace_not_phase(self):
         # the perturbed phase moves but the eigenvector stays put
@@ -152,7 +167,7 @@ class TestMatching:
     def test_ambiguous_overlap_raises(self):
         base = np.diag([1.0, -1.0]).astype(complex)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(MatchingError):
+        with pytest.raises(NumericalFailureError, match="almost equally"):
             eigenphase_shifts(eigendecompose(swap), eigendecompose(base))
 
     def test_dimension_mismatch(self):
@@ -160,6 +175,18 @@ class TestMatching:
         b = eigendecompose(np.eye(3, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             eigenphase_shifts(a, b)
+
+
+# every variant at each of these phases, and the plain star
+PHASES = [PhaseAngle.zero(), PhaseAngle.from_pi_fraction(1, 3), PhaseAngle.from_pi_fraction(-1, 3),
+          PhaseAngle.from_pi_fraction(1, 2), PhaseAngle.from_pi_fraction(2, 3), PhaseAngle.pi(),
+          PhaseAngle.from_radians(0.7), PhaseAngle.from_radians(2.5)]
+CASES = [Anomaly.none()] + [
+    Anomaly.of(variant, phase, **vertices) for phase in PHASES
+    for variant, vertices in (("extra_edge", {"u": 1, "v": 2}), ("loop", {"at": 1}),
+                              ("extended_edge", {"at": 1}), ("missing_loop", {"at": 1}))]
+LIMIT_SIZES = (3, 4, 64, 4096, 10**6, 2**30, 2**40)
+PAIRING_SIZES = (4, 8, 16, *(2 ** p for p in range(6, 13)), 10**5, 10**7, 2**30, 2**40)
 
 
 class TestLimitOperator:
@@ -207,15 +234,23 @@ class TestLimitOperator:
         assert tuple(m for _, m in branches) == tuple(mults)
 
     def test_limit_is_size_free(self):
-        # each sweep labels its branches with the limit phases at its first size
-        a64 = None
-        for sizes in ((64, 128, 256, 512), (256, 512, 1024, 2048)):
-            sweep = perturbation_sweep(Anomaly.extra_edge(1, 2), sizes)
-            phases = [s.theta0 for n, s in sweep.samples if n == sizes[0]]
-            if a64 is None:
-                a64 = phases
-            else:
-                np.testing.assert_allclose(phases, a64, atol=1e-12)
+        # a sweep reads the limit once, at its first size, and labels every
+        # size's branches with it: it is the same to the bit at every N
+        for anomaly in CASES:
+            first, *rest = (_sweep_spectra(build_star(n, anomaly))[1] for n in LIMIT_SIZES)
+            for limit in rest:
+                assert limit[::2] == first[::2], anomaly  # phases, multiplicities, roots
+                assert limit.poles == first.poles, anomaly
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(limit.blocks, first.blocks, strict=True)), anomaly
+
+    def test_a_sweep_reads_the_limit_once(self, monkeypatch):
+        calls = []
+        real = anomalywalk.perturb.secular_spectrum
+        monkeypatch.setattr(anomalywalk.perturb, "secular_spectrum",
+                            lambda *args: calls.append(args) or real(*args))
+        perturbation_sweep(Anomaly.loop(1), sizes=(64, 128, 256, 512, 1024))
+        assert len(calls) == 5 + 1
 
 
 class TestSweep:
@@ -262,15 +297,14 @@ SWEEP_CASES = [Anomaly.none()] + [
 
 
 @pytest.mark.parametrize("anomaly", SWEEP_CASES)
-def test_sweep_matches_the_closure_reference(anomaly, monkeypatch):
+def test_sweep_matches_the_closure_reference(anomaly):
     # the default sweep, its spectra read from the step's structure, against
     # the sweep on the closure of its first seeds, whose limit reduces the
-    # reflection walk column by column, decomposed by the dense eigensolver:
-    # the same labels as written, multiplicities, floor rows and fits, the
+    # reflection walk column by column, decomposed by the dense eigensolver
+    # and matched by overlap: the same labels as written, multiplicities, floor rows and fits, the
     # shifts above the floor within 1e-12 and the fits within 1e-10
     got = perturbation_sweep(anomaly)
-    monkeypatch.setattr(anomalywalk.perturb, "_sweep_spectra", reference_spectra)
-    want = perturbation_sweep(anomaly)
+    want = reference_sweep(anomaly)
     floor = DEFAULT_POLICY.shift_floor
 
     def rows(result):
@@ -285,3 +319,52 @@ def test_sweep_matches_the_closure_reference(anomaly, monkeypatch):
             == [(f"{f.branch_theta0:.12g}", f.points_used, f.excluded) for f in want.fits])
     np.testing.assert_allclose([f[1:4] for f in got.fits], [f[1:4] for f in want.fits],
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("anomaly", CASES, ids=repr)
+def test_pairing_is_the_overlap_matching(anomaly):
+    # on the same spectra, the pairing by structure gives the overlap
+    # matching's shifts and overlaps to the bit, wherever overlaps decide
+    matched = 0
+    for n in PAIRING_SIZES:
+        finite, limit = _sweep_spectra(build_star(n, anomaly))
+        try:
+            want = eigenphase_shifts(finite, limit)
+        except NumericalFailureError:
+            continue
+        assert _pair(finite, limit) == want, n
+        matched += 1
+    assert matched >= len(PAIRING_SIZES) - 1
+
+
+def test_a_branch_short_of_its_multiplicity_fails():
+    # a finite root with no limit root or weak pole to pair with leaves a
+    # branch one eigenvalue short, which the count certificate refuses
+    finite, limit = _sweep_spectra(build_star(64, Anomaly.extra_edge(1, 2)))
+    with pytest.raises(NumericalFailureError, match="received 0 eigenvalues, expected 1"):
+        _pair(finite, limit._replace(roots=limit.roots[1:]))
+
+
+@pytest.mark.parametrize("anomaly", [Anomaly.extra_edge(1, 2),
+                                     Anomaly.missing_loop(1, PhaseAngle.from_radians(0.7))],
+                         ids=repr)
+@pytest.mark.parametrize("n", [3, 4])
+def test_pairing_follows_every_eigenvalue_from_the_limit(anomaly, n, monkeypatch):
+    # the pairing against the dense homotopy from bi to i, each finite
+    # eigenphase on the branch it continues from, at sizes where the overlap
+    # matching ties (N = 3) or nearly does
+    calls = []
+    real = anomalywalk.perturb.secular_spectrum
+    monkeypatch.setattr(anomalywalk.perturb, "secular_spectrum",
+                        lambda *args: calls.append(args) or real(*args))
+    finite, limit = _sweep_spectra(build_star(n, anomaly))
+    (q, bi, _), (_, i, _) = calls
+    followed = homotopy_branches(q, bi, i)
+    for shift in _pair(finite, limit):
+        for delta in shift.shifts:
+            near = [pair for pair in followed
+                    if max(abs(_wrap(pair[0] - shift.theta0)),
+                           abs(_wrap(pair[1] - shift.theta0 - delta))) <= 1e-9]
+            assert near, (shift.theta0, delta)
+            followed.remove(near[0])
+    assert followed == []

@@ -5,6 +5,7 @@ refuses tables that do not tile when it is constructed, is a plain class."""
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import typing
 
@@ -24,12 +25,12 @@ from anomalywalk.stepop import UnitarityReport
 FIELDS = {
     BasisLabel: ("kind", "u", "v"),
     EdgeBasis: ("n_spokes", "anomaly"),
-    EigenShift: ("theta0", "multiplicity0", "shifts", "overlap", "unmatched"),
+    EigenShift: ("theta0", "multiplicity0", "shifts", "overlap"),
     ScalingFit: ("branch_theta0", "slope", "intercept", "r_squared", "points_used", "excluded"),
     SweepResult: ("samples", "fits"),
     ReducedBasis: ("n_spokes", "anomalous", "blocks", "units", "coords", "full_dim"),
     ReducedOperator: ("matrix", "basis"),
-    Spectrum: ("eigenphases", "blocks", "multiplicities"),
+    Spectrum: ("eigenphases", "blocks", "multiplicities", "poles", "roots"),
     InitialStateKind: ("variant", "amp_out", "amp_in"),
     SearchResult: ("p_target_spokes", "p_anomaly", "p_rest", "peak_step", "peak_detectable",
                    "peak_undetected", "predicted_step", "warnings"),
@@ -38,7 +39,7 @@ FIELDS = {
     NumericPolicy: ("unit_norm_tol", "unitarity_tol", "closure_residual",
                     "invariance_tol", "reduced_unitarity_tol", "spot_check_tol",
                     "spot_check_steps", "eig_residual_tol", "projector_tol", "structure_tol",
-                    "match_tol", "shift_floor", "peak_slack"),
+                    "shift_floor", "peak_slack"),
     PhaseAngle: ("num", "den", "rad"),
     Anomaly: ("variant", "u", "v", "at", "mark_phase"),
     StarGraph: ("n_spokes", "anomaly"),
@@ -57,9 +58,8 @@ SAMPLES = [
     (EdgeBasis(3, Anomaly.none()),
      f"EdgeBasis(n_spokes=3, anomaly=Anomaly(variant='none', u=None, v=None, at=None, "
      f"{_UNMARKED}))"),
-    (EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, unmatched=False),
-     "EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0, "
-     "unmatched=False)"),
+    (EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0),
+     "EigenShift(theta0=0.0, multiplicity0=2, shifts=(0.5, -0.5), overlap=1.0)"),
     (ScalingFit(branch_theta0=3.0, slope=-0.5, intercept=0.25, r_squared=1.0, points_used=4,
                 excluded=0),
      "ScalingFit(branch_theta0=3.0, slope=-0.5, intercept=0.25, r_squared=1.0, "
@@ -68,8 +68,10 @@ SAMPLES = [
     (_BASIS, _BASIS_REPR),
     (ReducedOperator(matrix=np.eye(1), basis=_BASIS),
      f"ReducedOperator(matrix=array([[1.]]), basis={_BASIS_REPR})"),
-    (Spectrum(eigenphases=(0.0,), blocks=(np.eye(1),), multiplicities=(1,)),
-     "Spectrum(eigenphases=(0.0,), blocks=(array([[1.]]),), multiplicities=(1,))"),
+    (Spectrum(eigenphases=(0.0,), blocks=(np.eye(1),), multiplicities=(1,), poles=(0.0,),
+              roots=(math.pi,)),
+     "Spectrum(eigenphases=(0.0,), blocks=(array([[1.]]),), multiplicities=(1,), "
+     "poles=(0.0,), roots=(3.141592653589793,))"),
     (InitialStateKind.inout(1, -1j),
      "InitialStateKind(variant='inout', amp_out=(1+0j), amp_in=(-0-1j))"),
     (SearchResult(p_target_spokes=np.array([0.5]), p_anomaly=np.array([0.25]),
@@ -86,7 +88,7 @@ SAMPLES = [
      "NumericPolicy(unit_norm_tol=1e-10, unitarity_tol=1e-12, "
      "closure_residual=1e-08, invariance_tol=1e-09, reduced_unitarity_tol=1e-10, "
      "spot_check_tol=1e-09, spot_check_steps=25, eig_residual_tol=1e-08, "
-     "projector_tol=1e-09, structure_tol=1e-10, match_tol=0.1, shift_floor=1e-13, "
+     "projector_tol=1e-09, structure_tol=1e-10, shift_floor=1e-13, "
      "peak_slack=2)"),
     (PhaseAngle.from_radians(0.5), "PhaseAngle(num=None, den=None, rad=0.5)"),
     (Anomaly.extra_edge(1, 2),
