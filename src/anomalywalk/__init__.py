@@ -2,13 +2,13 @@
 
 The walk lives on directed edge states, laid out as contiguous blocks, and
 advances by one structured unitary step.  The package builds these operators for a family of structural
-anomalies, reduces them to their invariant subspaces, analyzes spectra
+anomalies, reduces them to the star's invariant cells, analyzes spectra
 and eigenphase shifts, and runs the searches the anomalies enable.
 """
 
 from types import ModuleType as _ModuleType
 
-from .collapse import ReducedBasis, ReducedOperator, reduce_seeds
+from .collapse import ReducedBasis
 from .edgespace import BasisLabel, EdgeBasis, make_basis
 from .errors import (
     AnomalyWalkError,

@@ -42,8 +42,8 @@ from .search import (
     baseline_statistics,
     family_seeds,
     predicted_step,
+    run_search,
     search_summary,
-    walk_columns,
     write_per_step_csv,
 )
 from .spectral import dump_spectrum_csv, secular_spectrum
@@ -207,7 +207,7 @@ def _cmd_check(args) -> int:
 def _cmd_evolve(args) -> int:
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
-    result = walk_columns(graph, kind, _horizon(args.steps, graph), method=args.method)
+    result = run_search(graph, kind, _horizon(args.steps, graph), method=args.method)
     write_per_step_csv(result, _require_out(args.out))
     return 0
 
@@ -217,7 +217,7 @@ def _cmd_search(args) -> int:
     kind = _parse_kind(args)
     if args.out and args.per_step_out:
         _require_distinct(args.out, args.per_step_out, "--per-step-out")
-    result = walk_columns(graph, kind, _horizon(args.max_steps, graph), method=args.method)
+    result = run_search(graph, kind, _horizon(args.max_steps, graph), method=args.method)
     out = _require_out(args.out) if args.out else None
     csv_path = None
     if args.per_step_out:  # checked before the summary goes to stdout
@@ -308,7 +308,7 @@ def _cmd_sweep(args) -> int:
     for n in sizes:
         sized = build_star(n, graph.anomaly)
         steps = _horizon(args.max_steps, sized)
-        rows.append((n, walk_columns(sized, kind, steps, method=args.method)))
+        rows.append((n, run_search(sized, kind, steps, method=args.method)))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("N,predicted_step,peak_step,peak_detectable,peak_undetected\n")
         for n, res in rows:
@@ -455,7 +455,6 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help(sys.stderr)
         return 1
-    numpy_loaded = "numpy" in sys.modules
     try:
         return args.handler(args)
     except AnomalyWalkError as exc:
@@ -464,20 +463,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         _report("io", exc)
         return 1
-    finally:
-        # a verb that needs numpy imports it; its objects, some 9,000, are
-        # frozen as the import's were, so the shutdown does not walk them
-        if not numpy_loaded and "numpy" in sys.modules:
-            gc.freeze()
 
 
 # Every object the collector tracks once the import is done (the package's
 # and argparse's, some 13,000) moves to its permanent generation, so neither a
 # verb's collections nor the interpreter's shutdown walks them or tears down
 # their cycles.  Only the CLI, whose process ends with its verb, does this:
-# an import of the package alone leaves the collector as it was.  No module
-# of the package imports numpy at import; the verbs that need it load it,
-# and `main` freezes again after such a verb.
+# an import of the package alone leaves the collector as it was.  No verb
+# loads a module past the import, so this one freeze covers every launch.
 gc.freeze()
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ below `structure_tol`.  Each module reads its thresholds from
 DEFAULT_POLICY when a call runs, never at import, so a test that needs
 another threshold swaps the record in the module that reads it.
 `require_within` checks each certificate: a value against one of these
-tolerances, `norm2` takes the squared norm of a coordinate vector on the
-star's cells, `largest` reads the worst of a few values, and
-`orthogonalize` is the one CGS2.  Nothing
-here imports numpy: `norm2` and `orthogonalize` only call the methods of
-the arrays they are given.
+tolerances, and `largest` reads the worst of a few values.  The rest is
+the little linear algebra the star's cells need, at most 15 by 15 and
+held as tuples of Python numbers: `norm2` of a vector, `nonzeros` of a
+sparse row, `matmul` of two matrices held as rows, and
+`frame_deviation`, how far a few vectors are from an orthonormal frame.
 """
 
 import math
@@ -25,8 +25,7 @@ class NumericPolicy(NamedTuple):
     unit_norm_tol: float = 1e-10
     # operator construction and certification
     unitarity_tol: float = 1e-12
-    # invariant-subspace closure
-    closure_residual: float = 1e-8
+    # the step on the star's cells: its leakage off them and its unitarity
     invariance_tol: float = 1e-9
     reduced_unitarity_tol: float = 1e-10
     # the reduced search's full-walk check: how far its split may drift from
@@ -57,31 +56,31 @@ def require_within(what: str, value, tol: float, error=NumericalFailureError) ->
 
 
 def largest(values) -> float:
-    """The largest of a few floats, or nan when any is nan, as numpy's max
-    gives it, taken in Python so that no numpy kernel is paged in for it."""
+    """The largest of a few floats, 0 of none, or nan when any is nan."""
     values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
-def norm2(x: "np.ndarray") -> float:
-    """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
-    v = x.view("float64")
-    return float(v @ v)
+def norm2(v) -> float:
+    """The squared norm of a few numbers: the sum of each one's re^2 + im^2."""
+    return sum(z.real * z.real + z.imag * z.imag for z in v)
 
 
-def orthogonalize(vec: "np.ndarray", rows: "np.ndarray", tol: float) -> float:
-    """Remove the span of the orthonormal rows from the contiguous vec, in place.
+def nonzeros(row) -> list:
+    """The (index, entry) pairs of a row's nonzero entries."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
-    Classical Gram-Schmidt run twice (CGS2), each sweep one projection
-    h = <Q, vec> and one update vec -= h Q; the second sweep is skipped
-    when the first already leaves a residual of at most tol, since a
-    further projection could only shrink it.  Returns the residual norm.
-    """
-    if len(rows):
-        for _ in range(2):
-            vec -= (vec.conj() @ rows.T).conj() @ rows  # the rows are read in place
-            res = math.sqrt(norm2(vec))
-            if res <= tol:
-                break
-        return res
-    return math.sqrt(norm2(vec))
+
+def matmul(a, b) -> tuple:
+    """The product of two small matrices held as rows, as a tuple of rows."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def frame_deviation(vectors) -> float:
+    """The largest |<v_j, v_k> - [j = k]| of a few vectors, or nan when any
+    entry is nan: their deviation from an orthonormal frame, as the largest
+    entry of |V*V - I| for the matrix V whose columns they are."""
+    vectors = list(vectors)
+    return largest(abs(sum(x.conjugate() * y for x, y in zip(v, w)) - (j == k))
+                   for j, v in enumerate(vectors) for k, w in enumerate(vectors[j:], j))

@@ -12,11 +12,12 @@ root of N) from the simple ones (order one over N).
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 from .collapse import cells_operator, certify, star_cells
 from .errors import ConfigurationError, InsufficientDataError, NumericalFailureError
-from .numerics import DEFAULT_POLICY
+from .numerics import DEFAULT_POLICY, largest, matmul, norm2
 from .spectral import Spectrum, secular_spectrum
 from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
 from .stepop import build_scattering_operator
@@ -31,21 +32,23 @@ def _sweep_spectra(graph: StarGraph, limit: Spectrum | None = None) -> tuple[Spe
     out_v; in_u, in_v; (u,v), (v,u)); both spectra keep to the sector
     symmetric under it, which holds i and bi, and Q's leakage from it is
     certified."""
-    import numpy as np
-
     op = build_scattering_operator(graph, 1.0, 0.0)
     cells = star_cells(op.basis)
-    reflection = cells_operator(op, cells)
-    sector = cell = np.eye(len(reflection), dtype=complex)  # the bulk cells, then the units
-    k = len(cells.blocks)
+    q, i, k = cells_operator(op, cells), cells.uniform(1), len(cells.blocks)
     if graph.anomaly.variant == "extra_edge":
-        sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / math.sqrt(2)))
-    images = reflection @ sector.T
-    q = sector @ images
-    certify(q, np.linalg.norm(images - sector.T @ q, axis=0).max())
-    if limit is None:
-        limit = secular_spectrum(q, sector[:, 1], k)
-    return secular_spectrum(q, sector @ cells.uniform(1), k), limit
+        # the sector's rows on the cells: the bulk cells, then the pairs
+        half = 1.0 / math.sqrt(2)
+        sector = [[float(c == r) for c in range(len(q))] for r in range(k)] + [
+            [half * (r <= c <= r + 1) for c in range(len(q))] for r in range(k, len(q), 2)]
+        images = matmul(q, zip(*sector))
+        q = matmul(sector, images)
+        back = matmul(zip(*sector), q)
+        certify(q, largest(math.sqrt(norm2([x - y for x, y in zip(col, bcol)]))
+                           for col, bcol in zip(zip(*images), zip(*back))))
+        i = [sum(x * y for x, y in zip(row, i)) for row in sector]
+    if limit is None:  # bi, the bulk incoming cell, is coordinate 1 in either basis
+        limit = secular_spectrum(q, [float(c == 1) for c in range(len(q))], k)
+    return secular_spectrum(q, i, k), limit
 
 
 class EigenShift(NamedTuple):
@@ -82,9 +85,9 @@ def _pair(finite: Spectrum, limit: Spectrum) -> list[EigenShift]:
     none crosses a pole the limit's bi meets as i turns from bi: taken
     around the circle from one such pole, the finite roots pair in order
     with the limit's roots and the weak poles, which only i's unit part
-    meets.  Every limit branch must receive exactly its multiplicity."""
-    import numpy as np
-
+    meets.  Every limit branch must receive exactly its multiplicity.  Each
+    branch's overlap is the share of its finite eigenspaces, |W0* Wc|^2
+    over Wc's columns, that lies in the limit's."""
     start = limit.poles[0]
 
     def around(phases):
@@ -111,7 +114,9 @@ def _pair(finite: Spectrum, limit: Spectrum) -> list[EigenShift]:
         quality = 0.0
         for c in sorted(set(entries)):
             wc = finite.blocks[c]
-            quality += entries.count(c) * (np.linalg.norm(w0.conj().T @ wc) ** 2 / wc.shape[1])
+            quality += entries.count(c) * (norm2(
+                sum(x.conjugate() * y for x, y in zip(a, b))
+                for a in zip(*w0) for b in zip(*wc)) / len(wc[0]))
         shifts_out.append(EigenShift(
             theta0=theta0, multiplicity0=mult0, overlap=quality / mult0,
             shifts=tuple(_wrap(finite.eigenphases[c] - theta0) for c in entries)))
@@ -125,10 +130,8 @@ def fit_scaling(samples) -> list[ScalingFit]:
     by their labels theta0.  Shifts at or below the noise floor are excluded
     and counted; a branch whose every shift is excluded is reported with
     points_used 0 instead of a fit, since an exactly preserved eigenphase is
-    a result, not bad data.
+    a result, not bad data.  The sums are taken by `math.fsum`.
     """
-    import numpy as np
-
     groups: dict[float, list] = {}
     for sample in samples:
         groups.setdefault(sample[1].theta0, []).append(sample)
@@ -149,16 +152,17 @@ def fit_scaling(samples) -> list[ScalingFit]:
             raise InsufficientDataError(
                 f"branch {theta0:.6f} has usable shifts at "
                 f"{len({n for n, _ in usable})} sizes, need at least 4")
-        logn = np.log([float(n) for n, _ in usable])
-        logd = np.log([delta for _, delta in usable])
-        x, y = logn - logn.mean(), logd - logd.mean()
-        slope = float(x @ y) / float(x @ x)
-        intercept = logd.mean() - slope * logn.mean()
-        residual = logd - (slope * logn + intercept)
-        ss_tot = float(y @ y)
-        r2 = 1.0 - float(residual @ residual) / ss_tot if ss_tot > 0 else 1.0
-        fits.append(ScalingFit(branch_theta0=theta0, slope=float(slope),
-                               intercept=float(intercept), r_squared=r2,
+        logn = [math.log(n) for n, _ in usable]
+        logd = [math.log(delta) for _, delta in usable]
+        mean_n, mean_d = math.fsum(logn) / len(logn), math.fsum(logd) / len(logd)
+        x, y = [v - mean_n for v in logn], [v - mean_d for v in logd]
+        slope = math.fsum(map(operator.mul, x, y)) / math.fsum(map(operator.mul, x, x))
+        intercept = mean_d - slope * mean_n
+        residual = [d - (slope * n + intercept) for n, d in zip(logn, logd)]
+        ss_tot = math.fsum(map(operator.mul, y, y))
+        r2 = 1.0 - math.fsum(map(operator.mul, residual, residual)) / ss_tot if ss_tot > 0 else 1.0
+        fits.append(ScalingFit(branch_theta0=theta0, slope=slope,
+                               intercept=intercept, r_squared=r2,
                                points_used=len(usable), excluded=excluded))
     return fits
 

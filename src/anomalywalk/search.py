@@ -7,14 +7,13 @@ a closed form exists, and samples the classical adjacency-list baseline
 for comparison.
 
 Both walks record into the same three `array('d')` columns, one entry a
-step.  The full walk and its records run in plain Python, so
-`walk_columns` on it never loads numpy; the star's cells, the reduced
-walk, `run_search`'s numpy views and the baseline import it when they run.
+step, and run in plain Python, as does the baseline's sampler.
 """
 
 import cmath
 import json
 import math
+import operator
 import random
 import sys
 from array import array
@@ -28,7 +27,7 @@ from .errors import (
     NoPredictionError,
     NothingToFindError,
 )
-from .numerics import DEFAULT_POLICY, largest, norm2, require_within
+from .numerics import DEFAULT_POLICY, largest, nonzeros, norm2, require_within
 from .stargraph import StarGraph, require_memory, serialize_spec
 from .stepop import BlockWalk, build_step_operator
 
@@ -129,19 +128,17 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     return values
 
 
-def family_seeds(graph: StarGraph, kind: InitialStateKind) -> "tuple[ReducedBasis, np.ndarray]":
-    """The star's cells, and as rows on them the generators of the smallest
-    state family containing a named kind: the uniform state of each block
-    it weighs.
+def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, tuple]:
+    """The star's cells, and as rows on them, a tuple of tuples, the
+    generators of the smallest state family containing a named kind: the
+    uniform state of each block it weighs.
 
-    Closing these under the walk gives one invariant subspace that serves
-    every start state of the family, not just a single seed's orbit.
+    Their smallest invariant subspace serves every start state of the
+    family, not just a single seed's orbit.
     """
-    import numpy as np
-
     weights = _block_weights(graph, kind)
     cells = star_cells(make_basis(graph))
-    return cells, np.array([cells.uniform(k) for k in range(len(weights))])
+    return cells, tuple(cells.uniform(k) for k in range(len(weights)))
 
 
 def predicted_hitting_step(graph: StarGraph) -> int:
@@ -164,16 +161,13 @@ def predicted_step(graph: StarGraph) -> int | None:
 
 
 class SearchResult(NamedTuple):
-    """The probability split of every step as three float64 columns, named
-    as in the per-step CSV and indexed by the step n, and the peak read
-    from them.  `run_search` gives the columns as read-only numpy arrays,
-    `walk_columns` as the `array('d')` those arrays view."""
+    """The probability split of every step as three `array('d')` columns,
+    named as in the per-step CSV and indexed by the step n, and the peak
+    read from them."""
 
-    # the columns are annotated `object`: an annotation is evaluated at
-    # import, before numpy is loaded
-    p_target_spokes: object
-    p_anomaly: object
-    p_rest: object
+    p_target_spokes: array
+    p_anomaly: array
+    p_rest: array
     peak_step: int
     peak_detectable: float
     peak_undetected: float
@@ -258,21 +252,23 @@ def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows
     """The walk on the star's cells C, stepped by M = C*UC, from the start
     state's row on them: the named kind's block values, times sqrt(N), on
     the family's uniform rows.  `cells_operator` certifies that M keeps to
-    the cells and is unitary; each step's rows go to `_records` as Python
-    complexes, and the squared norm is carried as in the full walk."""
-    import numpy as np
-
+    the cells and is unitary.  M is a generalised permutation plus the hub's
+    rank-one term, so a step reads only M's nonzero entries, and each target
+    or anomaly row lies in one cell, (cell, weight); each step's rows go to
+    `_records` as Python complexes, and the squared norm is carried as in
+    the full walk."""
     cells, seeds = family_seeds(graph, kind)
-    row = np.sqrt(graph.n_spokes) * np.asarray(start[:len(seeds)]) @ seeds
-    m = cells_operator(op, cells)
-    rows = cells.rows([*target_rows, *anomaly_rows])
+    scaled = [math.sqrt(graph.n_spokes) * v for v in start[:len(seeds)]]
+    row = [sum(v * seed[j] for v, seed in zip(scaled, seeds)) for j in range(cells.dim)]
+    m = [nonzeros(r) for r in cells_operator(op, cells)]
+    reads = [cell for (cell,) in map(nonzeros, cells.rows([*target_rows, *anomaly_rows]))]
     total = norm2(row)
 
     def walk(c=row):
-        yield (rows @ c).tolist()
+        yield [x * c[j] for j, x in reads]
         for _ in range(max_steps):
-            c = m @ c
-            yield (rows @ c).tolist()
+            c = [sum([x * c[j] for j, x in r]) for r in m]
+            yield [x * c[j] for j, x in reads]
         require_within(f"the reduced walk's squared norm drifts {{value:.3e}} over {max_steps} "
                        "steps, past the tolerance {tol:.1e}", abs(norm2(c) - total),
                        DEFAULT_POLICY.unit_norm_tol)
@@ -292,14 +288,18 @@ def _spot_check(op, start, columns, target_rows, anomaly_rows):
                    policy.spot_check_tol)
 
 
-def walk_columns(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
-                 method: str = "full") -> SearchResult:
-    """`run_search`'s result, its columns the `array('d')` the walk filled.
+def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
+               method: str = "full") -> SearchResult:
+    """Evolve the start state and record the probability split per step.
 
-    The full walk and its records run in plain Python, so this loads no
-    numpy for method="full"; the CLI's walks read their results here.
+    p_target_spokes covers the spoke edges adjacent to the anomaly,
+    p_anomaly the states only the anomaly provides, p_rest everything
+    else.  The peak is the argmax of their sum; ties break to the
+    earliest step.  method="reduced" steps the start state's row on the
+    star's cells and spot-checks a prefix against the full walk.  Both
+    walks start from the kind's values per block, and neither builds a
+    full-length vector.
     """
-
     if max_steps < 1:
         raise ConfigurationError("max_steps must be at least 1")
     require_memory(max_steps * _RECORD_BYTES, f"{max_steps} steps")
@@ -313,7 +313,7 @@ def walk_columns(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
     else:
         pts, pas, rests = _evolve_reduced(graph, op, kind, start, max_steps, target_rows,
                                           anomaly_rows)
-    # the first step of the largest sum, as numpy's argmax reads it
+    # the first step of the largest sum
     peak = max(range(len(pts)), key=lambda n: pts[n] + pas[n])
     predicted = predicted_step(graph)
     warnings: tuple[str, ...] = ()
@@ -327,32 +327,9 @@ def walk_columns(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
                         predicted_step=predicted, warnings=warnings)
 
 
-def run_search(graph: StarGraph, kind: InitialStateKind, max_steps: int, *,
-               method: str = "full") -> SearchResult:
-    """Evolve the start state and record the probability split per step.
-
-    p_target_spokes covers the spoke edges adjacent to the anomaly,
-    p_anomaly the states only the anomaly provides, p_rest everything
-    else.  The peak is the argmax of their sum; ties break to the
-    earliest step.  method="reduced" steps the start state's row on the
-    star's cells and spot-checks a prefix against the full walk.  Both
-    walks start from the kind's values per block, and neither builds a
-    full-length vector.  The columns are read-only float64 numpy views of
-    `walk_columns`' columns, sharing their memory.
-    """
-    import numpy as np
-
-    result = walk_columns(graph, kind, max_steps, method=method)
-    views = {}
-    for name in SearchResult._fields[:3]:
-        views[name] = np.frombuffer(getattr(result, name), dtype=np.float64)
-        views[name].flags.writeable = False
-    return result._replace(**views)
-
-
 def write_per_step_csv(result: SearchResult, path) -> None:
-    """The per-step CSV of a result from `run_search` or `walk_columns`,
-    its columns read one step at a time."""
+    """The per-step CSV of a result from `run_search`, its columns read one
+    step at a time."""
     columns = (result.p_target_spokes, result.p_anomaly, result.p_rest)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,p_target_spokes,p_anomaly,p_rest\n")
@@ -383,37 +360,38 @@ class BaselineStatistics(NamedTuple):
     expected_mean: float
 
 
-# peak bytes per trial while sampling (tracemalloc): two 8-byte arrays,
-# the uniforms, turned into ranks in place, and their int64 copy
-_BASELINE_BYTES_PER_TRIAL = 17
+# peak bytes per trial while sampling (tracemalloc): the draws, one
+# 8-byte int each in an array('q') that grows by a sixteenth, plus a chunk
+# of uniforms, which at 200,000 trials brought the worst case measured to 9.18
+_BASELINE_BYTES_PER_TRIAL = 10
 
 # uniforms drawn per call to randbytes: randbytes(n) is getrandbits(8 n),
 # whose bit count is a C int, and a chunk bounds the temporaries
 _UNIFORM_CHUNK = 2 ** 12
 
 
-def _uniforms(seed: int, count: int) -> "np.ndarray":
+def _uniforms(seed: int, count: int):
     """`count` uniforms on [0, 1), on the 53-bit grid, from the standard
-    library's generator seeded by a non-negative integer.
+    library's generator seeded by a non-negative integer, yielded as lists
+    of at most `_UNIFORM_CHUNK`: the top 53 bits of each little-endian
+    64-bit word of its bytes, times 2^-53.
 
     Every chunk is a whole number of 32-bit words of the generator's
     stream, so the draws do not depend on the chunk size.
     """
-    import numpy as np
-
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
-    out = np.empty(count)
     for start in range(0, count, _UNIFORM_CHUNK):
-        chunk = out[start:start + _UNIFORM_CHUNK]
-        bits = np.frombuffer(rng.randbytes(8 * len(chunk)), "<u8") >> 11
-        np.multiply(bits, 2.0 ** -53, out=chunk)
-    return out
+        words = array("Q", rng.randbytes(8 * min(_UNIFORM_CHUNK, count - start)))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield [(w >> 11) * 2.0 ** -53 for w in words]
 
 
-def _sample_queries(graph: StarGraph, trials: int, seed: int) -> "np.ndarray":
-    """Query counts of independent scans of shuffled adjacency lists.
+def _sample_queries(graph: StarGraph, trials: int, seed: int) -> array:
+    """Query counts of independent scans of shuffled adjacency lists, as an
+    `array('q')`.
 
     The count Q is the rank of the first of the k anomaly-adjacent vertices
     in a uniform shuffle of the N outer ones, so P(Q > q) = C(N - q, k) /
@@ -424,10 +402,9 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> "np.ndarray":
     c + (u f(N) + c^2)^(1/k).  The law is exact but for float64 rounding,
     which gives a u the rank of a u' within a few ulps of it, so it moves a
     draw to the next rank only for a u that close to that rank's threshold.
-    That is O(trials) work, not O(trials N), with no Python loop per trial.
+    Every m is at least k - 1, as u >= 0, and rounding can take it to N, so
+    it is clipped to N - 1.  That is O(trials) work, not O(trials N).
     """
-    import numpy as np
-
     if graph.anomaly.variant == "none":
         raise NothingToFindError("plain star has no anomaly to find")
     if trials < 1:
@@ -435,22 +412,25 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> "np.ndarray":
     require_memory(trials * _BASELINE_BYTES_PER_TRIAL, f"{trials} trials")
     n, k = graph.n_spokes, len(graph.anomaly_vertices)
     c = (k - 1) / 2
-    m = _uniforms(seed, trials)
-    m *= float(math.perm(n, k))
-    m += c * c
-    if k == 2:  # the root; k is 1 or 2, the anomaly's one or two vertices
-        np.sqrt(m, out=m)
-    m += c
-    np.floor(m, out=m)
-    np.clip(m, k - 1, n - 1, out=m)
-    np.subtract(n, m, out=m)
-    return m.astype(np.int64)
+    scale, square, top, floor = float(math.perm(n, k)), c * c, n - 1, math.floor
+    # the root; k is 1 or 2, the anomaly's one or two vertices, and float
+    # returns a float as it is
+    root = math.sqrt if k == 2 else float
+    draws = array("q")
+    for chunk in _uniforms(seed, trials):
+        draws.extend([n - min(floor(root(u * scale + square) + c), top) for u in chunk])
+    return draws
 
 
 def baseline_statistics(graph: StarGraph, trials: int,
                         seed: int) -> BaselineStatistics:
-    """Query-count statistics over independent shuffles."""
+    """Query-count statistics over independent shuffles: the counts' mean
+    and standard deviation, from their exact integer sum S and sum of
+    squares Q over the T trials: S / T and the root of (T Q - S^2) / T^2,
+    each quotient rounded once."""
     out = _sample_queries(graph, trials, seed)
+    total, squares = sum(out), sum(map(operator.mul, out, out))
     expected = (graph.n_spokes + 1) / (len(graph.anomaly_vertices) + 1)
-    return BaselineStatistics(trials=trials, mean=float(out.mean()),
-                              std=float(out.std()), expected_mean=expected)
+    return BaselineStatistics(trials=trials, mean=total / trials,
+                              std=math.sqrt((trials * squares - total * total) / trials ** 2),
+                              expected_mean=expected)

@@ -21,14 +21,14 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NumericalFailureError
-from .numerics import DEFAULT_POLICY, require_within
+from .numerics import DEFAULT_POLICY, frame_deviation, largest, nonzeros, norm2, require_within
 
 _EPS = 2.0 ** -52  # the float64 machine epsilon
 
 
 class Spectrum(NamedTuple):
     """Eigenphases in (-pi, pi], ascending, each with a block of orthonormal
-    eigenvector columns, so its projector is block @ block.conj().T.  The
+    eigenvector columns, held as its dim rows of complexes.  The
     multiplicities sum to dim, but for a family's spectrum, which holds
     only the part of the space the family's closure spans.  poles are the
     phases, ascending, of the poles of Q that i meets, and roots[k] is the
@@ -36,18 +36,14 @@ class Spectrum(NamedTuple):
     empty for a spectrum not read from Q."""
 
     eigenphases: tuple[float, ...]
-    blocks: tuple  # numpy arrays; an annotation naming numpy would load it at import
+    blocks: tuple[tuple[tuple[complex, ...], ...], ...]
     multiplicities: tuple[int, ...]
     poles: tuple[float, ...]
     roots: tuple[float, ...]
 
     @property
     def dim(self) -> int:
-        return self.blocks[0].shape[0] if self.blocks else 0
-
-    def projector(self, k: int) -> "np.ndarray":
-        b = self.blocks[k]
-        return b @ b.conj().T
+        return len(self.blocks[0]) if self.blocks else 0
 
 
 def _at(anchor: float, t: float) -> float:
@@ -177,20 +173,20 @@ def secular_spectrum(q, i, bulk: int, family=None) -> Spectrum:
     stays is orthogonal to i and Qi, so one row beyond those reaches it
     or none does, decided from N-free overlaps.
     """
-    import numpy as np
-
     tol = DEFAULT_POLICY.structure_tol
-    q, i = np.asarray(q, dtype=complex), np.asarray(i, dtype=complex)
-    if q.shape != (len(i), len(i)):
-        raise DimensionMismatchError(f"a step of shape {q.shape} and i of shape {i.shape}")
-    phases, firsts, columns = zip(*_eigenbasis(q.tolist()))
-    basis, kinds = np.array(columns).T, [first < bulk for first in firsts]
+    q, i = [[complex(x) for x in row] for row in q], [complex(x) for x in i]
+    if len(q) != len(i) or any(len(row) != len(i) for row in q):
+        raise DimensionMismatchError(f"a step of {len(q)} rows and i of {len(i)} entries")
+    phases, firsts, columns = zip(*_eigenbasis(q))
+    supports, kinds = [nonzeros(col) for col in columns], [first < bulk for first in firsts]
     # each row's overlaps with Q's eigenvectors, 0 where at most tol times
     # the norm of the row's part (bulk or unit) that the eigenvector lies in
-    rows = np.array([i, *(() if family is None else family)], dtype=complex)
-    parts = [(np.linalg.norm(row[bulk:]), np.linalg.norm(row[:bulk])) for row in rows]
-    a, *seeds = [[x if abs(x) > tol * part[kind] else 0j for x, kind in zip(over, kinds)]
-                 for part, over in zip(parts, (rows @ basis.conj()).tolist())]
+    rows = [i, *(() if family is None else ([complex(x) for x in row] for row in family))]
+    parts = [(math.sqrt(norm2(row[bulk:])), math.sqrt(norm2(row[:bulk]))) for row in rows]
+    a, *seeds = [[x if abs(x) > tol * part[kind] else 0j
+                  for x, kind in zip((sum(row[c] * y.conjugate() for c, y in support)
+                                      for support in supports), kinds)]
+                 for part, row in zip(parts, rows)]
     poles: list = []  # (phase, columns), phases within tol taken as one, across the cut too
     for col, phase in enumerate(phases):
         if poles and phase - poles[-1][0] <= tol:
@@ -235,21 +231,32 @@ def secular_spectrum(q, i, bulk: int, family=None) -> Spectrum:
         clusters.setdefault(roots[-1], []).insert(0, _unit(coeffs))
 
     order = sorted(clusters)
-    vectors = basis @ np.array([c for theta in order for c in clusters[theta]]).T
-    values = np.array([cmath.exp(1j * theta) for theta in order for _ in clusters[theta]])
-    step = q - 2.0 * np.outer(q @ i, i.conj())
+    values = [cmath.exp(1j * theta) for theta in order for _ in clusters[theta]]
+    vectors = []  # each eigenvector of M, summed from its coefficients on Q's
+    for coeffs in (c for theta in order for c in clusters[theta]):
+        v = [0j] * len(i)
+        for support, z in zip(supports, coeffs):
+            for c, y in support:
+                v[c] += y * z
+        vectors.append(v)
+    qi = [sum(x * y for x, y in zip(row, i)) for row in q]
     require_within("eigenpair residual {value:.3e} exceeds {tol:.1e}",
-                   np.linalg.norm(step @ vectors - vectors * values, axis=0).max(),
+                   largest(_residual(q, qi, i, v, value) for v, value in zip(vectors, values)),
                    DEFAULT_POLICY.eig_residual_tol)
     require_within("eigenvectors are not an orthonormal frame (deviation {value:.3e})",
-                   np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max(),
-                   DEFAULT_POLICY.projector_tol)
-    vectors.setflags(write=False)
+                   frame_deviation(vectors), DEFAULT_POLICY.projector_tol)
     ends = [0, *accumulate(len(clusters[theta]) for theta in order)]
     return Spectrum(eigenphases=tuple(order),
-                    blocks=tuple(vectors[:, lo:hi] for lo, hi in zip(ends, ends[1:])),
+                    blocks=tuple(tuple(zip(*vectors[lo:hi])) for lo, hi in zip(ends, ends[1:])),
                     multiplicities=tuple(hi - lo for lo, hi in zip(ends, ends[1:])),
                     poles=tuple(phase for phase, _ in live), roots=tuple(roots))
+
+
+def _residual(q: list, qi: list, i: list, v: list, value: complex) -> float:
+    """||Mv - value v|| for M = Q - 2 (Qi) i*, applied as Qv - 2 (Qi) <i, v>."""
+    s = sum(x.conjugate() * y for x, y in zip(i, v))
+    return math.sqrt(norm2([sum(x * y for x, y in zip(row, v)) - 2.0 * w * s - value * y
+                            for row, w, y in zip(q, qi, v)]))
 
 
 def dump_spectrum_csv(spec: Spectrum, path) -> None:

@@ -7,7 +7,11 @@ on cells, one basis vector at a time, lifting and decomposing it by
 `lift` and `decompose` through the uniform bulk profile built as an
 explicit row of length N; the operator that `collapse` reads from the
 role table and patches, with the uniform profile in closed form, must
-equal it.  Operators are also reduced on dense
+equal it.  The Krylov closure, `reduce_seeds`, grows the span of seed
+rows on the cells under that operator by CGS2 and holds it as a
+`CellBasis`, coordinates on the cells, as every basis was first held;
+the family's dimension that `secular_spectrum` reads from the step's
+structure must equal its dimension.  Operators are also reduced on dense
 columns, and closures are grown in the full dimension; a basis held on
 cells is compared with them after its full lift through `rows`.  The
 step is materialized as a dense matrix, and its max|U†U - I| is the
@@ -19,7 +23,7 @@ their rows into the three columns as numpy first did, a whole column at
 a time, where `src/` sums each step's rows in Python.  The named start
 states are built here as they were first written, by `named_start`, as
 weighted sums of full-length uniform states; `src/` fills their blocks
-and seeds the closure on the cells.  Full-length seeds that are uniform
+and holds the family's seeds as rows on the cells.  Full-length seeds that are uniform
 on the bulk of every block are placed on the star's cells by `place`.
 The perturbation sweep's step and limit are built here as they were
 first built, on the closure of its seeds, with the limit's reflection
@@ -30,8 +34,12 @@ labelled by rounding, by `eigenphase_shifts` and `branch_labels`, which
 step's structure, and `homotopy_branches` follows every eigenvalue from
 the limit to the graph, where overlaps tie.
 
-`src/` holds every state in complex128.  The references keep their own
-arithmetic apart from it: a walk or a basis with no imaginary part, on
+The baseline's query counts are drawn here as numpy first drew them, by
+`reference_draws`, in whole-array operations; `src/` draws each one in
+Python from the same uniforms.
+
+`src/` holds every state in Python complexes.  The references keep
+their own arithmetic apart from it: a walk or a basis with no imaginary part, on
 an operator with none, runs here in float64, so its sums over N are
 contiguous float64 dots.  A complex128 product over the 1e6 entries of
 the bulk profile rounds about 65 times further: the N=1e6 orthonormality
@@ -39,10 +47,12 @@ check reads 1.7e-12 with it and 2.6e-14 with these dots.
 """
 
 import math
+import random
+from typing import NamedTuple
 
 import numpy as np
 
-from anomalywalk.collapse import ReducedOperator, certify, reduce_seeds, star_cells
+from anomalywalk.collapse import cells_operator, certify, star_cells
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
@@ -51,9 +61,9 @@ from anomalywalk.errors import (
     NumericalFailureError,
     SizeError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY, orthogonalize, require_within
+from anomalywalk.numerics import DEFAULT_POLICY, require_within
 from anomalywalk.perturb import DEFAULT_SWEEP_SIZES, EigenShift, SweepResult, _wrap, fit_scaling
-from anomalywalk.search import InitialStateKind
+from anomalywalk.search import BaselineStatistics, InitialStateKind
 from anomalywalk.spectral import Spectrum
 from anomalywalk.stargraph import build_star
 from anomalywalk.stepop import build_scattering_operator, build_step_operator
@@ -95,6 +105,143 @@ def _norm2(x):
     """The squared norm as contiguous float64 dots."""
     parts = np.ascontiguousarray(x).view(np.float64)
     return float(parts @ parts)
+
+
+def norm2(x):
+    """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
+    v = x.view("float64")
+    return float(v @ v)
+
+
+def orthogonalize(vec, rows, tol):
+    """Remove the span of the orthonormal rows from the contiguous vec, in place.
+
+    Classical Gram-Schmidt run twice (CGS2), each sweep one projection
+    h = <Q, vec> and one update vec -= h Q; the second sweep is skipped
+    when the first already leaves a residual of at most tol, since a
+    further projection could only shrink it.  Returns the residual norm.
+    """
+    if len(rows):
+        for _ in range(2):
+            vec -= (vec.conj() @ rows.T).conj() @ rows  # the rows are read in place
+            res = math.sqrt(norm2(vec))
+            if res <= tol:
+                break
+        return res
+    return math.sqrt(norm2(vec))
+
+
+class CellBasis(NamedTuple):
+    """Orthonormal vectors held on the star's cells as every basis was first
+    held: basis vector k is sum_j coords[k, j] cell_j, with the cells'
+    offsets and units as intp arrays.  `held` turns the package's cells,
+    on which the coordinates are the identity, into one."""
+
+    n_spokes: int
+    anomalous: np.ndarray
+    blocks: tuple
+    units: np.ndarray
+    coords: np.ndarray  # dim x (len(blocks) + len(units)) array, orthonormal rows
+    full_dim: int
+
+    @property
+    def dim(self):
+        return self.coords.shape[0]
+
+    @property
+    def uniform_sum(self):
+        return math.sqrt(self.n_spokes - len(self.anomalous))
+
+    def rows(self, index):
+        """The rows of the full-dimension basis V at the given positions."""
+        index = np.asarray(index, dtype=np.intp)
+        cells = np.zeros((index.size, self.coords.shape[1]), complex)
+        for k, block in enumerate(self.blocks):
+            inside = (index >= block.start) & (index < block.stop)
+            offsets = index[inside] - block.start
+            bulk = (offsets[:, None] != self.anomalous).all(axis=1)
+            cells[inside, k] = bulk / self.uniform_sum
+        cells[:, len(self.blocks):] = index[:, None] == self.units
+        return cells @ self.coords.T
+
+
+def held(basis, coords=None):
+    """A basis on cells as a `CellBasis`: the package's cells, with the
+    given coordinates or the identity, or a `CellBasis` as it is."""
+    if isinstance(basis, CellBasis):
+        return basis
+    return CellBasis(n_spokes=basis.n_spokes, anomalous=np.array(basis.anomalous, dtype=np.intp),
+                     blocks=basis.blocks, units=np.array(basis.units, dtype=np.intp),
+                     coords=np.eye(basis.dim, dtype=complex) if coords is None else coords,
+                     full_dim=basis.full_dim)
+
+
+class Closure(NamedTuple):
+    """The step on a basis held on cells: its matrix and the basis."""
+
+    matrix: np.ndarray
+    basis: CellBasis
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+
+# a closure vector whose residual against the accepted ones is at most this
+# is taken as contained
+CLOSURE_RESIDUAL = 1e-8
+
+
+def _accept(vec, rows):
+    """Orthogonalize vec against the rows and append it, normalised, unless
+    its residual is at most CLOSURE_RESIDUAL or the rows already span the
+    space; returns the rows."""
+    tol = CLOSURE_RESIDUAL
+    res = orthogonalize(vec, rows, tol)
+    if res <= tol or len(rows) == vec.size:
+        return rows
+    vec *= 1.0 / res  # not vec / res: a complex division by a nan residual warns
+    return np.vstack((rows, vec))
+
+
+def reduce_seeds(op, cells, seeds):
+    """The Krylov closure: the span of the seeds, rows on the cells, closed
+    under the operator, and the operator expressed inside it.
+
+    The closure runs in the coordinates of the cells C, on the package's
+    M = C*UC.  Vectors are accepted in a deterministic order: seeds first,
+    then the image under M of each accepted vector.  M is unitary, so a
+    span it maps into itself is closed under its adjoint too.  The
+    accepted rows Q are the basis's coordinates on the cells, and the
+    operator on it is conj(Q) M Q^T, certified by the package's `certify`.
+    """
+    seeds = np.asarray(seeds)
+    if not len(seeds):
+        raise ConfigurationError("at least one seed is required")
+    m = cells.dim
+    if seeds.shape[1:] != (m,):
+        raise DimensionMismatchError(f"seeds of shape {seeds.shape} on {m} cells")
+    reduced = np.array(cells_operator(op, cells))
+    q = np.empty((0, m), complex)
+    for c in seeds:
+        q = _accept(c.astype(complex), q)
+    head = 0
+    while head < len(q):
+        q = _accept(reduced @ q[head], q)
+        head += 1
+    images = reduced @ q.T
+    matrix = q.conj() @ images
+    leakage = np.linalg.norm(images - q.T @ matrix, axis=0).max(initial=0.0)
+    certify(matrix, leakage)
+    q.setflags(write=False)
+    matrix.setflags(write=False)
+    return Closure(matrix=matrix, basis=held(cells, q))
+
+
+def projector(spec, k):
+    """The projector of a spectrum's block k, B B*."""
+    b = np.asarray(spec.blocks[k])
+    return b @ b.conj().T
 
 
 def make_state(amplitudes):
@@ -203,7 +350,7 @@ def eigendecompose(mat, cluster_tol=None):
     policy = DEFAULT_POLICY
     try:
         mat = np.asarray(mat, dtype=complex)
-    except ValueError:  # ragged input, such as a ReducedOperator
+    except ValueError:  # ragged input, such as a Closure
         raise DimensionMismatchError(
             f"expected a square matrix, got a ragged {type(mat).__name__}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -306,6 +453,7 @@ def reduce_operator(op, basis):
     invariant: the part of each image outside the span is the invariance
     residual, certified against DEFAULT_POLICY.invariance_tol.
     """
+    basis = held(basis)
     if basis.full_dim != op.dimension:
         raise DimensionMismatchError(
             f"basis lives in dimension {basis.full_dim}, "
@@ -317,7 +465,7 @@ def reduce_operator(op, basis):
         reduced[:, k], leak = decompose(basis, apply_into(op, lift(basis, e), work))
         leakage = max(leakage, leak)
     certify(reduced, leakage)
-    return ReducedOperator(matrix=reduced, basis=basis)
+    return Closure(matrix=reduced, basis=basis)
 
 
 def uniform_profile(basis):
@@ -332,6 +480,7 @@ def uniform_profile(basis):
 def lift(basis, c):
     """The full-dimension vector with coefficients c on a basis held on
     cells, each bulk block filled from the explicit uniform profile."""
+    basis = held(basis)
     if np.shape(c) != (basis.dim,):
         raise DimensionMismatchError(
             f"expected {basis.dim} coefficients, got shape {np.shape(c)}")
@@ -347,6 +496,7 @@ def lift(basis, c):
 def decompose(basis, x):
     """Coefficients c = V*x on a basis held on cells, read through the
     explicit uniform profile, and the norm of x - Vc."""
+    basis = held(basis)
     if x.shape != (basis.full_dim,):
         raise DimensionMismatchError(
             f"vector of shape {x.shape} against a basis in dimension {basis.full_dim}")
@@ -478,7 +628,7 @@ def reduce_states(op, states):
 
 def seed_vectors(cells, rows):
     """Seeds given as rows on cells, lifted to full-length vectors."""
-    return [lift(cells, row) for row in rows]
+    return [lift(cells, np.asarray(row)) for row in rows]
 
 
 def label_at(basis, pos):
@@ -547,7 +697,7 @@ def reference_operators(graph):
     if limit is None:
         raise InvarianceError("the sweep's closure misses a bulk uniform or leaks under U0")
     certify(limit, 0.0)
-    return finite, ReducedOperator(matrix=limit, basis=finite.basis)
+    return finite, Closure(matrix=limit, basis=finite.basis)
 
 
 def named_kinds(graph):
@@ -581,8 +731,8 @@ def eigenphase_shifts(perturbed, unperturbed):
     k0 = len(unperturbed.eigenphases)
     kc = len(perturbed.eigenphases)
     overlap = np.empty((k0, kc))
-    for k, w0 in enumerate(unperturbed.blocks):
-        for c, wc in enumerate(perturbed.blocks):
+    for k, w0 in enumerate(map(np.asarray, unperturbed.blocks)):
+        for c, wc in enumerate(map(np.asarray, perturbed.blocks)):
             overlap[k, c] = (np.linalg.norm(w0.conj().T @ wc) ** 2
                              / wc.shape[1])
 
@@ -708,7 +858,7 @@ def flat_walk_records(op, x0, steps, target_rows, anomaly_rows):
 
 def lifted(basis):
     """The full-dimension columns V of a basis held on cells, through `rows`."""
-    return basis.rows(np.arange(basis.full_dim))
+    return held(basis).rows(np.arange(basis.full_dim))
 
 
 def reduce_columns(op, cols):
@@ -721,7 +871,7 @@ def reduce_columns(op, cols):
     return matrix, np.linalg.norm(images - cols @ matrix, axis=0).max()
 
 
-def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
+def reference_closure(op, seeds, cap=200):
     """The closure of full-length seed vectors as first written, in the
     full dimension: complex columns
     of a (dim x cap) array, projected out one strided column at a time by
@@ -738,7 +888,7 @@ def reference_closure(op, seeds, policy=DEFAULT_POLICY, cap=200):
                 q = cols[:, k]
                 vec -= (q.conj() @ vec) * q
         res = np.linalg.norm(vec)
-        if res > policy.closure_residual:
+        if res > CLOSURE_RESIDUAL:
             cols[:, count] = vec / res
             count += 1
 
@@ -833,3 +983,33 @@ def walk_state(walk):
 def walk_values(walk):
     """Every value a `BlockWalk` holds: its bulk values, then its written rows."""
     return [*walk.bulk, *(x for rows in walk.rows for x in rows.values())]
+
+
+def reference_draws(graph, trials, seed):
+    """The baseline's query counts as numpy first drew them: the standard
+    library generator's bytes as little-endian 64-bit words, their top 53
+    bits times 2^-53, each uniform inverted to its rank in whole-array
+    operations."""
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * trials), "<u8") >> 11
+    m = bits * 2.0 ** -53
+    n, k = graph.n_spokes, len(graph.anomaly_vertices)
+    c = (k - 1) / 2
+    m *= float(math.perm(n, k))
+    m += c * c
+    if k == 2:
+        np.sqrt(m, out=m)
+    m += c
+    np.floor(m, out=m)
+    np.clip(m, k - 1, n - 1, out=m)
+    np.subtract(n, m, out=m)
+    return m.astype(np.int64)
+
+
+def reference_statistics(graph, trials, seed):
+    """`baseline_statistics` of the reference draws, from their sum and sum
+    of squares taken in Python integers."""
+    draws = reference_draws(graph, trials, seed).tolist()
+    total, squares = sum(draws), sum(q * q for q in draws)
+    return BaselineStatistics(trials=trials, mean=total / trials,
+                              std=math.sqrt((trials * squares - total * total) / trials ** 2),
+                              expected_mean=(graph.n_spokes + 1) / (len(graph.anomaly_vertices) + 1))

@@ -23,12 +23,11 @@ def test_public_names_are_pinned():
         "ConfigurationError", "DEFAULT_POLICY", "DimensionMismatchError", "EdgeBasis",
         "EigenShift", "IndexRangeError", "InitialStateKind", "InsufficientDataError",
         "InvarianceError", "NoPredictionError", "NothingToFindError",
-        "NumericPolicy", "NumericalFailureError", "PhaseAngle", "ReducedBasis",
-        "ReducedOperator", "ScalingFit", "SearchResult", "SelfEdgeError", "SizeError",
+        "NumericPolicy", "NumericalFailureError", "PhaseAngle", "ReducedBasis", "ScalingFit", "SearchResult", "SelfEdgeError", "SizeError",
         "SpecSemanticError", "SpecSyntaxError", "Spectrum", "StarGraph", "StepOperator",
         "SweepResult", "UnitarityReport", "baseline_statistics", "build_star",
         "build_step_operator", "check_unitarity",
         "family_seeds", "fit_scaling", "make_basis", "parse_spec", "perturbation_sweep",
-        "predicted_hitting_step", "reduce_seeds", "run_search", "secular_spectrum",
+        "predicted_hitting_step", "run_search", "secular_spectrum",
         "serialize_spec",
     }

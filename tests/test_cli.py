@@ -306,30 +306,21 @@ VERB_RUNS = {
 
 
 @pytest.mark.parametrize("argv", VERB_RUNS.values(), ids=VERB_RUNS)
-def test_no_verb_loads_numpy_ma(argv, tmp_path):
-    # numpy.ma costs a launch about 1 MiB and 8 ms, and no verb needs it
-    assert not _loaded_by_import("numpy.ma", [a.replace("{tmp}", str(tmp_path)) for a in argv])
-
-
-@pytest.mark.parametrize("argv", VERB_RUNS.values(), ids=VERB_RUNS)
 def test_no_verb_loads_dataclasses(argv, tmp_path):
     # dataclasses (and copy, which it imports) cost a launch about 1 ms
     assert not _loaded_by_import("dataclasses",
                                  [a.replace("{tmp}", str(tmp_path)) for a in argv])
 
 
-# the full walk and its records run in plain Python; the cells, the
-# reduced walk, the eigensolver and the baseline's sampler need numpy
+# every verb, each walk by both methods: the cells, the spectra, the fits,
+# the reduced walk and the baseline's sampler all run in plain Python
 NUMPY_RUNS = {
-    "check": (VERB_RUNS["check"], False),
-    "evolve": (VERB_RUNS["evolve"], False),
-    "search-full": (("search", "--spec", EXTRA_FAR, "--method", "full"), False),
-    "sweep-full": (("sweep", "--spec", EXTRA_FAR, "--method", "full", "--n-list", "64,100",
-                    "--out", "{tmp}/peaks.csv"), False),
-    "spectrum": (VERB_RUNS["spectrum"], True),
-    "perturb": (VERB_RUNS["perturb"], True),
-    "search-reduced": (VERB_RUNS["search"], True),
-    "baseline": (VERB_RUNS["baseline"], True),
+    **VERB_RUNS,
+    "evolve-reduced": ("evolve", "--spec", EXTRA_FAR, "--steps", "20", "--method", "reduced",
+                       "--out", "{tmp}/steps.csv"),
+    "search-full": ("search", "--spec", EXTRA_FAR, "--method", "full"),
+    "sweep-full": ("sweep", "--spec", EXTRA_FAR, "--method", "full", "--n-list", "64,100",
+                   "--out", "{tmp}/peaks.csv"),
 }
 
 
@@ -337,19 +328,23 @@ def test_import_does_not_load_numpy():
     assert not _loaded_by_import("numpy")
 
 
-@pytest.mark.parametrize("argv,loads", NUMPY_RUNS.values(), ids=NUMPY_RUNS)
-def test_only_the_verbs_that_need_numpy_load_it(argv, loads, tmp_path):
-    # numpy's import costs a launch about 50 ms and 14 MiB
-    assert _loaded_by_import("numpy",
-                             [a.replace("{tmp}", str(tmp_path)) for a in argv]) == loads
+@pytest.mark.parametrize("argv", NUMPY_RUNS.values(), ids=NUMPY_RUNS)
+def test_no_verb_loads_numpy(argv, tmp_path):
+    # numpy's import costs a launch about 60 ms and 13 MiB, and numpy.ma,
+    # which np.isin's sort path imported, 1 MiB and 8 ms more
+    assert not _loaded_by_import("numpy", [a.replace("{tmp}", str(tmp_path)) for a in argv])
 
 
 @needs_wait4
-def test_a_full_walk_launch_peaks_below_one_that_loads_numpy(tmp_path):
+def test_every_launch_peaks_near_a_full_walk_launch(tmp_path):
+    # the spectrum, the sweep's spectra and fits and the baseline's sampler
+    # hold a few tuples of Python numbers: their launches peaked within
+    # 0.31 MiB of an evolve launch's 15.5 MiB, where loading numpy added 13
     walk = peak_rss_mib("evolve", "--spec", EXTRA_FAR, "--steps", "200",
                         "--out", str(tmp_path / "steps.csv"))
-    spectrum = peak_rss_mib("spectrum", "--spec", EXTRA_FAR, "--out", str(tmp_path / "spec.csv"))
-    assert spectrum - walk >= 8.0, (walk, spectrum)
+    peaks = {argv[0]: peak_rss_mib(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+             for argv in (VERB_RUNS["spectrum"], VERB_RUNS["perturb"], VERB_RUNS["baseline"])}
+    assert all(peak - walk <= 1.0 for peak in peaks.values()), (walk, peaks)
 
 
 def python(*args):
@@ -372,20 +367,6 @@ def test_cli_import_freezes_the_import_graph():
     # the import's objects sit in the permanent generation, which neither a
     # verb's collections nor the shutdown walks
     assert int(_fresh("import gc, anomalywalk.cli; print(gc.get_freeze_count())")) > 0
-
-
-def test_the_verb_that_loads_numpy_freezes_it(tmp_path):
-    # numpy loads mid-verb, after the import's freeze; `main` freezes once
-    # more after the verb that loaded it, and a later verb does not
-    spectrum = ["spectrum", "--spec", EXTRA_FAR, "--out", str(tmp_path / "spec.csv")]
-    counts = _fresh("import gc, anomalywalk.cli; counts = [gc.get_freeze_count()]\n"
-                    "for _ in range(2):\n"
-                    f"    assert anomalywalk.cli.main({spectrum!r}) == 0\n"
-                    "    counts.append(gc.get_freeze_count())\n"
-                    "print(*counts)")
-    imported, first, second = map(int, counts.split())
-    assert first > imported
-    assert second <= first
 
 
 def test_package_import_leaves_the_collector_alone():
@@ -529,7 +510,8 @@ class TestEvolve:
         # its end-of-walk certificate refuses the run before anything is written
         cells_operator = anomalywalk.search.cells_operator
         monkeypatch.setattr(anomalywalk.search, "cells_operator",
-                            lambda op, cells: cells_operator(op, cells) * (1 + 1e-8))
+                            lambda op, cells: tuple(tuple(x * (1 + 1e-8) for x in row)
+                                                    for row in cells_operator(op, cells)))
         out = tmp_path / "steps.csv"
         code, stdout, err = run(capsys, "evolve", "--spec", LOOP100, "--method", "reduced",
                                 "--out", str(out))

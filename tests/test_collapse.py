@@ -1,9 +1,11 @@
-"""Invariant-subspace closure and reduction tests."""
+"""The star's cells and the step on them, against the oracle's closure
+and reduction."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import oracle
 from oracle import (
     all_loops_state,
     decompose,
@@ -18,10 +20,13 @@ from oracle import (
     make_state,
     named_kinds,
     named_start,
+    held,
     place,
+    projector,
     projector_gap,
     reduce_columns,
     reduce_operator,
+    reduce_seeds,
     reduce_states,
     reference_closure,
     reference_limit,
@@ -31,8 +36,7 @@ from oracle import (
     symmetric_out_state,
 )
 
-import anomalywalk.collapse
-from anomalywalk.collapse import ReducedBasis, cells_operator, reduce_seeds, star_cells
+from anomalywalk.collapse import ReducedBasis, cells_operator, star_cells
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
@@ -48,8 +52,9 @@ from anomalywalk.search import (
     family_seeds,
     run_search,
 )
+from anomalywalk.spectral import secular_spectrum
 from anomalywalk.stargraph import VARIANT_SCHEMA, VARIANTS, Anomaly, PhaseAngle, build_star
-from anomalywalk.stepop import build_step_operator
+from anomalywalk.stepop import build_scattering_operator, build_step_operator
 
 
 def basis_vector(basis, label):
@@ -141,14 +146,14 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     # the sweep's sector: the cells, and on extra_edge its unit cells'
     # adjacent pairs symmetrised
     cells = star_cells(op.basis)
-    sector = cell = np.eye(cells.coords.shape[1], dtype=complex)
+    sector = cell = np.eye(cells.dim, dtype=complex)
     k = len(cells.blocks)
     if anomaly.variant == "extra_edge":
         sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / np.sqrt(2)))
-    basis = cells._replace(coords=sector)
+    basis = held(cells, sector)
     for spec, want in zip(_sweep_spectra(graph), (reduce_operator(op, basis).matrix,
                                                  reference_limit(graph, basis))):
-        got = sum(np.exp(1j * theta) * spec.projector(j)
+        got = sum(np.exp(1j * theta) * projector(spec, j)
                   for j, theta in enumerate(spec.eigenphases))
         assert np.abs(got - want).max() <= 1e-12
 
@@ -238,9 +243,7 @@ def test_cells_operator_refuses_moves_off_the_cells():
     with pytest.raises(NumericalFailureError, match="not a unit"):
         cells_operator(rerouted, cells)
     # cells without the unit of (3,0): the relabelled (0,3) lands on no cell
-    units = cells.units[cells.units != pos(edge(3, 0))]
-    m = cells.coords.shape[1] - 1
-    short = cells._replace(units=units, coords=np.eye(m))
+    short = cells._replace(units=tuple(u for u in cells.units if u != pos(edge(3, 0))))
     with pytest.raises(NumericalFailureError, match="no cell"):
         cells_operator(op, short)
 
@@ -252,8 +255,7 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
     # result
     graph = build_star(64, Anomaly.missing_loop(3))
     op = build_step_operator(graph)
-    coarse = DEFAULT_POLICY._replace(closure_residual=0.5)
-    monkeypatch.setattr(anomalywalk.collapse, "DEFAULT_POLICY", coarse)
+    monkeypatch.setattr(oracle, "CLOSURE_RESIDUAL", 0.5)
     with pytest.raises(InvarianceError, match="leakage 1.26"):
         reduce_seeds(op, *sweep_seeds(graph))
 
@@ -263,17 +265,18 @@ def test_truncated_closure_fails_its_certificate(monkeypatch):
     (Anomaly.extra_edge(2, 5), InitialStateKind.minus()),
     (Anomaly.missing_loop(3, PhaseAngle.from_pi_fraction(1, 3)), InitialStateKind.loop_third()),
 ])
-def test_reduction_allocates_nothing_of_length_n(anomaly, kind):
-    # the seeds are rows on the cells and the closure is held there, with
-    # the cells' operator read from the role table and the uniform bulk
-    # profile held in closed form: nothing of length N is allocated, where
-    # one complex128 vector of the full dimension would be 6.4 MB.  The peaks
-    # measured were 10 to 13 KB at N = 1e3, 2e5 and 1e7.
+def test_the_family_spectrum_allocates_nothing_of_length_n(anomaly, kind):
+    # the seeds are rows on the cells, the cells' operator is read from the
+    # role table and the uniform bulk profile is held in closed form, so the
+    # family's spectrum, as the spectrum verb reads it, allocates nothing of
+    # length N, where one complex128 vector of the full dimension would be
+    # 6.4 MB
     graph = build_star(200_000, anomaly)
-    op = build_step_operator(graph)
     tracemalloc.start()
     try:
-        reduce_seeds(op, *family_seeds(graph, kind))
+        cells, seeds = family_seeds(graph, kind)
+        q = cells_operator(build_scattering_operator(graph, 1.0, 0.0), cells)
+        secular_spectrum(q, cells.uniform(1), len(cells.blocks), family=seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,7 +377,7 @@ def test_single_seed_orbit_is_smaller_than_family():
     graph = build_star(100, Anomaly.extra_edge(2, 5))
     op = build_step_operator(graph)
     cells, rows = family_seeds(graph, InitialStateKind.minus())
-    alone = lifted(reduce_seeds(op, cells, [rows[0] - rows[1]]).basis)
+    alone = lifted(reduce_seeds(op, cells, [np.subtract(rows[0], rows[1])]).basis)
     assert alone.shape[1] == 4
     family = lifted(reduce_seeds(op, cells, rows).basis)
     assert family.shape[1] == 5
@@ -484,13 +487,15 @@ def test_reduction_agrees_with_dense_conjugation():
 
 
 def test_basis_columns_orthonormal():
-    _, basis = family_basis(build_star(30, Anomaly.extra_edge(1, 30)))
+    graph = build_star(30, Anomaly.extra_edge(1, 30))
+    _, basis = family_basis(graph)
     v = lifted(basis)
     assert v.shape == (basis.full_dim, basis.dim)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(basis.dim), atol=1e-12)
-    # the rows at any positions are those of the lifted basis
-    index = np.array([59, 0, 29, 30, 60, 61])
-    np.testing.assert_array_equal(basis.rows(index), v[index])
+    # the cells' rows at any positions are those of the lifted cells
+    cells = star_cells(make_basis(graph))
+    index = [59, 0, 29, 30, 60, 61]
+    np.testing.assert_array_equal(np.array(cells.rows(index)), lifted(cells)[index])
 
 
 def test_million_spoke_closure_is_orthonormal():
@@ -539,16 +544,16 @@ def test_seed_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         reduce_seeds(op, cells, [[1.0, 0.0, 0.0]])
     with pytest.raises(DimensionMismatchError):
-        reduce_seeds(op, cells, rows[0])
+        reduce_seeds(op, cells, np.asarray(rows[0]))
 
 
 def test_reduce_rejects_non_invariant_basis():
     # one unit cell: the state (0,1), which the step moves away
     graph = build_star(6, Anomaly.none())
     op = build_step_operator(graph)
-    lonely = ReducedBasis(n_spokes=6, anomalous=np.empty(0, np.intp), blocks=(),
-                          units=np.array([op.basis.position(BasisLabel.edge(0, 1))]),
-                          coords=np.eye(1), full_dim=op.dimension)
+    lonely = ReducedBasis(n_spokes=6, anomalous=(), blocks=(),
+                          units=(op.basis.position(BasisLabel.edge(0, 1)),),
+                          full_dim=op.dimension)
     with pytest.raises(InvarianceError):
         reduce_operator(op, lonely)
 
@@ -568,3 +573,32 @@ def test_lift_length_check():
     with pytest.raises(DimensionMismatchError):
         lift(basis, np.zeros(basis.dim + 1))
 
+
+
+# six anomalies, two of them marked by pi/3 and 0.7 rad, with the kinds
+# each admits: minus and plus, and the loop kinds on a missing loop
+AGREEMENT_KINDS = [
+    (anomaly, kind)
+    for anomaly in (Anomaly.extra_edge(1, 2), Anomaly.loop(1), Anomaly.extended_edge(1),
+                    Anomaly.missing_loop(1), Anomaly.loop(1, PhaseAngle.from_radians(0.7)),
+                    Anomaly.missing_loop(1, PhaseAngle.from_pi_fraction(1, 3)))
+    for kind in (InitialStateKind.minus(), InitialStateKind.plus(),
+                 *((InitialStateKind.loop_pi(), InitialStateKind.loop_third())
+                   if anomaly.schema.loops else ()))]
+
+
+def test_structural_family_dimension_is_the_closure_dimension():
+    # the family's dimension that the spectrum verb reads from the step's
+    # structure, its multiplicities summed, against the Krylov closure of
+    # the family's seeds, at every size from 4 to 1e6
+    cases = 0
+    for n in (4, 10, 100, 1000, 10 ** 6):
+        for anomaly, kind in AGREEMENT_KINDS:
+            graph = build_star(n, anomaly)
+            cells, seeds = family_seeds(graph, kind)
+            q = cells_operator(build_scattering_operator(graph, 1.0, 0.0), cells)
+            spec = secular_spectrum(q, cells.uniform(1), len(cells.blocks), family=seeds)
+            closure = reduce_seeds(build_step_operator(graph), cells, seeds)
+            assert sum(spec.multiplicities) == closure.dim, (n, anomaly, kind.variant)
+            cases += 1
+    assert cases == 80

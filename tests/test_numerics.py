@@ -1,11 +1,11 @@
 """The one certificate check: `require_within`, the certificates that call
 it, and a guard that keeps every other module from comparing a value with
-a certificate tolerance by hand; and a guard on the numpy a run may load."""
+a certificate tolerance by hand; and a guard that keeps numpy out of the
+package."""
 
 import argparse
 import ast
 import math
-import re
 from array import array
 from pathlib import Path
 
@@ -27,7 +27,14 @@ from anomalywalk.errors import (
     InvarianceError,
     NumericalFailureError,
 )
-from anomalywalk.numerics import NumericPolicy, largest, require_within
+from anomalywalk.numerics import (
+    NumericPolicy,
+    frame_deviation,
+    largest,
+    matmul,
+    norm2,
+    require_within,
+)
 from anomalywalk.search import InitialStateKind, run_search
 from anomalywalk.spectral import secular_spectrum
 from anomalywalk.stargraph import Anomaly, build_star
@@ -79,6 +86,50 @@ def test_largest_reads_nan_as_numpy_max_does():
     for values in ([NAN, 1.0], [1.0, NAN], [1.0, 2.0, NAN]):
         assert math.isnan(largest(values)), values
         assert math.isnan(np.max(values)), values
+
+
+def _complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def test_norm2_is_numpy_s():
+    rng = np.random.default_rng(3)
+    for v in (_complex(rng, 1, 15)[0], rng.standard_normal(6), np.zeros(4, complex)):
+        assert norm2(v.tolist()) == pytest.approx(np.vdot(v, v).real, rel=1e-14, abs=0.0)
+
+
+def test_matmul_is_numpy_s():
+    # the largest product the cells take: 15 by 15, of Python complexes
+    rng = np.random.default_rng(5)
+    a, b = _complex(rng, 15, 15), _complex(rng, 15, 15)
+    got = matmul(a.tolist(), b.tolist())
+    assert type(got) is tuple and {type(row) for row in got} == {tuple}
+    np.testing.assert_allclose(np.array(got), a @ b, rtol=0.0, atol=1e-13)
+    assert matmul(((1, 2),), ((3,), (4,))) == ((11,),)
+
+
+def _frame(kind):
+    rng = np.random.default_rng(7)
+    v = _complex(rng, 15, 6)
+    if kind == "orthonormal":
+        return np.linalg.qr(v)[0]
+    if kind == "nan":
+        v[4, 2] = NAN
+    return v
+
+
+@pytest.mark.parametrize("kind", ["orthonormal", "skewed", "nan"])
+def test_frame_deviation_is_numpy_s(kind):
+    # the largest entry of |V*V - I|, V's columns the vectors, and nan when
+    # any entry is, as numpy's max reads it
+    v = _frame(kind)
+    got = frame_deviation(v.T.tolist())
+    want = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
+    if kind == "nan":
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert frame_deviation([]) == 0.0
 
 
 def _loop_state(at_row):
@@ -328,159 +379,118 @@ def test_every_error_category_is_raised():
                           if path.name != "errors.py") == set()
 
 
-# the numpy that no run may load or page in: np.random (through secrets,
-# OpenSSL), numpy.ma (np.isin's sort path imports it), numpy.polynomial,
-# np.polyfit's least squares, every LAPACK routine, the eigensolver too,
-# since every spectrum is read from the step's structure (np.linalg.norm,
-# no LAPACK routine, is the one np.linalg name allowed), and the sort,
-# search, diff and take kernels: every table the program sorts or searches
-# has a few entries
-FORBIDDEN_NUMPY = re.compile(
-    r"\b(?:np|numpy)\.(?:random|ma|polynomial|isin|polyfit|linalg\.(?!norm\b)\w+"
-    r"|sort|argsort|lexsort|searchsorted|diff|take)\b")
-
-
-def _dotted(node, aliases) -> str:
-    """An attribute chain as a dotted name, its root resolved through the
-    names the source imports."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    return ".".join([aliases.get(node.id, node.id), *reversed(parts)])
-
-
-def forbidden_numpy_references(source: str) -> list[int]:
-    """Lines of source that reference forbidden numpy: an attribute, an
-    import or a quoted annotation."""
-    tree = ast.parse(source)
-    aliases = {}
+def _numpy_roots(tree) -> set[str]:
+    """The names that stand for numpy in a module: np and numpy, and every
+    name an import of numpy, or from it, binds."""
+    roots = {"np", "numpy"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            aliases.update((a.asname, a.name) if a.asname else (a.name.split(".")[0],) * 2
-                           for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+            roots.update(a.asname for a in node.names if a.asname and _is_numpy(a.name))
+        elif isinstance(node, ast.ImportFrom) and not node.level and _is_numpy(node.module):
+            roots.update(a.asname or a.name for a in node.names)
+    return roots
+
+
+def _is_numpy(module: str | None) -> bool:
+    return (module or "").split(".")[0] == "numpy"
+
+
+def numpy_references(source: str) -> list[int]:
+    """Lines of source that import numpy or name it, anywhere, inside
+    functions too: an import of numpy or of a module under it, a name that
+    stands for it, and a quoted annotation that names one."""
+    tree = ast.parse(source)
+    roots = _numpy_roots(tree)
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names = [_dotted(node, aliases)]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
-            names = [prefix + alias.name for alias in node.names]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]
-        else:
-            continue
-        if any(FORBIDDEN_NUMPY.search(name) for name in names):
+        if isinstance(node, ast.Import) and any(_is_numpy(a.name) for a in node.names):
             lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level and _is_numpy(node.module):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in roots:
+            lines.add(node.lineno)
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            quoted = [n.value for n in ast.walk(hint or ast.Pass())
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if any(isinstance(n, ast.Name) and n.id in roots
+                   for text in quoted for n in ast.walk(ast.parse(text, mode="eval"))):
+                lines.add(hint.lineno)
     return sorted(lines)
 
 
+def test_guard_sees_numpy_anywhere():
+    # an import inside a function runs only when it is called, and is
+    # refused all the same, as is every name it binds
+    assert numpy_references("def f():\n    import numpy as np\n    return np.eye(2)\n") == [2, 3]
+    assert numpy_references("import math, numpy.linalg as la\nla.norm(a)\n") == [1, 2]
+    assert numpy_references("class A:\n    def g(self):\n        from numpy import eye\n"
+                            "        return eye(2)\n") == [3, 4]
+    # a quoted annotation, alone or inside another
+    assert numpy_references("def f(x: 'np.ndarray') -> 'tuple[int, numpy.ndarray]':\n"
+                            "    pass\n") == [1]
+    assert numpy_references("x: list['np.ndarray'] = []\n") == [1]
+    # the package's own modules, names that only share a prefix, an
+    # attribute spelt np and prose are not numpy
+    assert numpy_references(
+        "import numpyro\nfrom .numerics import norm2\nfrom . import numerics\n"
+        "x.np = 1\ny: 'list[float]' = []\n\"\"\"as numpy's argmax reads it\"\"\"\n") == []
+
+
 def test_guard_sees_a_numpy_random_reference():
-    assert forbidden_numpy_references("x = np.random.default_rng(1)\n") == [1]
-    assert forbidden_numpy_references("import numpy.random\n") == [1]
-    assert forbidden_numpy_references("import numpy.random as npr\n") == [1]
-    assert forbidden_numpy_references("from numpy.random import default_rng\n") == [1]
-    assert forbidden_numpy_references("from numpy import linalg, random\n") == [1]
-    assert forbidden_numpy_references("def f() -> 'np.random.Generator':\n    pass\n") == [1]
-    # the standard library's generator and numpy's linalg module are not,
-    # but its eigensolver is
-    assert forbidden_numpy_references("import random\nrandom.Random(1)\n"
-                                      "from numpy import linalg\nnp.linalg.norm(a)\n") == []
-    assert forbidden_numpy_references("x = 1\nnp.linalg.eig(a)\n") == [2]
+    for source in ("x = np.random.default_rng(1)\n", "import numpy.random\n",
+                   "import numpy.random as npr\n", "from numpy.random import default_rng\n",
+                   "from numpy import linalg, random\n",
+                   "def f() -> 'np.random.Generator':\n    pass\n"):
+        assert numpy_references(source) == [1], source
+    # the standard library's generator is not
+    assert numpy_references("import random\nrandom.Random(1)\nrandom.random()\n") == []
 
 
 def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
+    # every routine is refused now, the eigensolver and the norm too
     for call in ("np.isin(a, b)", "np.polyfit(x, y, 1)", "numpy.ma.masked_invalid(a)",
                  "np.polynomial.Polynomial.fit(x, y, 1)", "np.linalg.qr(a)",
-                 "np.linalg.lstsq(a, b)", "np.linalg.eigh(a)", "np.linalg.eigvals(a)",
-                 "np.linalg.svd(a)", "np.linalg.solve(a, b)", "np.linalg.LinAlgError",
-                 "np.linalg.eig(a)", "numpy.linalg.eig(a)"):
-        assert forbidden_numpy_references(f"x = 1\ny = {call}\n") == [2], call
+                 "np.linalg.lstsq(a, b)", "np.linalg.eigh(a)", "np.linalg.svd(a)",
+                 "np.linalg.eig(a)", "numpy.linalg.eig(a)", "np.linalg.norm(a, axis=0)",
+                 "np.matmul(a, b)", "np.isfinite(a)"):
+        assert numpy_references(f"x = 1\ny = {call}\n") == [2], call
     for line in ("import numpy.ma", "import numpy.polynomial.polynomial as P",
-                 "from numpy import isin", "from numpy import ma",
-                 "from numpy.linalg import qr", "from numpy.linalg import eig, lstsq",
+                 "from numpy import isin", "from numpy.linalg import norm",
                  "def f(a) -> 'numpy.ma.MaskedArray':\n    pass"):
-        assert forbidden_numpy_references(line + "\n") == [1], line
+        assert numpy_references(line + "\n") == [1], line
     # a routine reached through an imported name or alias
-    assert forbidden_numpy_references("from numpy import linalg\nlinalg.qr(a)\n") == [2]
-    assert forbidden_numpy_references("import numpy.linalg as la\nla.pinv(a)\n") == [2]
-    assert forbidden_numpy_references("import numpy as xp\nxp.isin(a, b)\n") == [2]
-    assert forbidden_numpy_references("from numpy.linalg import eig, norm\n") == [1]
-    # the norm and names that only share a prefix are not
-    assert forbidden_numpy_references(
-        "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import norm\n"
-        "np.linalg.norm(a, axis=0)\nnp.isinf(a)\nnp.isfinite(a)\n"
-        "np.matmul(a, b)\nnp.polyval(p, x)\nnp.random_walk\nrandom.random()\n") == []
+    assert numpy_references("from numpy import linalg\nlinalg.qr(a)\n") == [1, 2]
+    assert numpy_references("import numpy.linalg as la\nla.pinv(a)\n") == [1, 2]
+    assert numpy_references("import numpy as xp\nxp.isin(a, b)\n") == [1, 2]
 
 
 def test_guard_sees_numpy_sort_and_search_kernels():
     for call in ("np.sort(a)", "np.argsort(a)", "np.lexsort((a, b))", "numpy.sort(a)",
                  "np.searchsorted(a, v, side='right')", "np.diff(a)", "np.take(a, i)"):
-        assert forbidden_numpy_references(f"x = 1\ny = {call}\n") == [2], call
-    assert forbidden_numpy_references("from numpy import searchsorted\n") == [1]
-    assert forbidden_numpy_references("from numpy import diff as d, take\n") == [1]
-    assert forbidden_numpy_references("import numpy as xp\nxp.argsort(a)\n") == [2]
-    # Python's sort and bisection, and numpy names that share a prefix, are not
-    assert forbidden_numpy_references(
+        assert numpy_references(f"x = 1\ny = {call}\n") == [2], call
+    assert numpy_references("from numpy import searchsorted\nsearchsorted(a, v)\n") == [1, 2]
+    assert numpy_references("from numpy import diff as d, take\nd(a)\n") == [1, 2]
+    # Python's sort and bisection are not
+    assert numpy_references(
         "from bisect import bisect_right\nsorted(a, key=b.__getitem__)\nbisect_right(a, x)\n"
-        "np.argmax(a)\nnp.cumsum(a)\nnp.diag(a)\n") == []
-
-
-def eager_numpy_imports(source: str) -> list[int]:
-    """Lines of source that import numpy when the module is imported: an
-    `import numpy` or a `from numpy ...` anywhere but inside a function,
-    whose body runs only when it is called."""
-    lines, nodes = [], [ast.parse(source)]
-    while nodes:
-        for node in ast.iter_child_nodes(nodes.pop()):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-            else:
-                modules = []
-            if any(module.split(".")[0] == "numpy" for module in modules):
-                lines.append(node.lineno)
-            nodes.append(node)
-    return sorted(lines)
+        "a.sort()\nmax(range(3), key=a.__getitem__)\n") == []
 
 
 def test_guard_sees_an_eager_numpy_import():
     for line in ("import numpy", "import numpy as np", "import numpy.linalg",
                  "import math, numpy as xp", "from numpy import linalg",
                  "from numpy.linalg import eig"):
-        assert eager_numpy_imports(f"x = 1\n{line}\n") == [2], line
-    # a class body, a conditional and a try run at import too
+        assert numpy_references(f"x = 1\n{line}\n") == [2], line
+    # a class body, a conditional and a try run at import
     for block in ("class A:\n    import numpy", "if x:\n    import numpy as np",
                   "try:\n    from numpy import ndarray\nexcept ImportError:\n    pass"):
-        assert eager_numpy_imports(block + "\n") == [2], block
-    # an import inside a function runs when it is called; the package's own
-    # modules and names that only share a prefix are not numpy
-    assert eager_numpy_imports(
-        "def f():\n    import numpy as np\n"
-        "class A:\n    def g(self):\n        from numpy import eye\n"
-        "async def h():\n    import numpy\n"
-        "import numpyro\nfrom .numerics import norm2\nfrom . import numerics\n"
-        "x: 'np.ndarray' = None\n") == []
+        assert numpy_references(block + "\n") == [2], block
 
 
-def test_no_module_imports_numpy_at_import():
-    # numpy's import costs every launch about 50 ms and 14 MiB; only the
-    # functions that need it import it
+def test_no_module_references_numpy():
+    # numpy's import costs a launch about 60 ms and 13 MiB, and everything
+    # the package computes fits in a few tuples of Python numbers
     package = Path(anomalywalk.__file__).parent
     found = {path.name: lines for path in sorted(package.glob("*.py"))
-             if (lines := eager_numpy_imports(path.read_text(encoding="utf-8")))}
-    assert found == {}
-
-
-def test_no_module_references_forbidden_numpy():
-    package = Path(anomalywalk.__file__).parent
-    found = {path.name: lines for path in sorted(package.glob("*.py"))
-             if (lines := forbidden_numpy_references(path.read_text(encoding="utf-8")))}
+             if (lines := numpy_references(path.read_text(encoding="utf-8")))}
     assert found == {}

@@ -241,8 +241,7 @@ class TestLimitOperator:
             for limit in rest:
                 assert limit[::2] == first[::2], anomaly  # phases, multiplicities, roots
                 assert limit.poles == first.poles, anomaly
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(limit.blocks, first.blocks, strict=True)), anomaly
+                assert limit.blocks == first.blocks, anomaly
 
     def test_a_sweep_reads_the_limit_once(self, monkeypatch):
         calls = []
@@ -324,7 +323,9 @@ def test_sweep_matches_the_closure_reference(anomaly):
 @pytest.mark.parametrize("anomaly", CASES, ids=repr)
 def test_pairing_is_the_overlap_matching(anomaly):
     # on the same spectra, the pairing by structure gives the overlap
-    # matching's shifts and overlaps to the bit, wherever overlaps decide
+    # matching's branches and shifts to the bit, wherever overlaps decide,
+    # and its overlaps, summed in Python where the matching takes numpy's
+    # norm, within 1e-15
     matched = 0
     for n in PAIRING_SIZES:
         finite, limit = _sweep_spectra(build_star(n, anomaly))
@@ -332,7 +333,9 @@ def test_pairing_is_the_overlap_matching(anomaly):
             want = eigenphase_shifts(finite, limit)
         except NumericalFailureError:
             continue
-        assert _pair(finite, limit) == want, n
+        got = _pair(finite, limit)
+        assert [s[:3] for s in got] == [s[:3] for s in want], n
+        assert max(abs(a.overlap - b.overlap) for a, b in zip(got, want)) <= 1e-15, n
         matched += 1
     assert matched >= len(PAIRING_SIZES) - 1
 

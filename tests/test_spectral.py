@@ -13,14 +13,16 @@ from oracle import (
     eigendecompose,
     named_kinds,
     named_start,
+    projector,
     reduce_columns,
+    reduce_seeds,
     reference_operators,
     representative,
     symmetric_in_state,
     symmetric_out_state,
 )
 
-from anomalywalk.collapse import cells_operator, reduce_seeds, star_cells
+from anomalywalk.collapse import cells_operator, star_cells
 from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
 from anomalywalk.numerics import DEFAULT_POLICY
@@ -57,7 +59,7 @@ def test_identity_single_branch():
     spec = eigendecompose(np.eye(4, dtype=complex))
     assert spec.eigenphases == (0.0,)
     assert spec.multiplicities == (4,)
-    np.testing.assert_allclose(spec.projector(0), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(projector(spec, 0), np.eye(4), atol=1e-12)
 
 
 def test_swap_two_branches():
@@ -183,7 +185,7 @@ def test_sinusoidal_profile_error_shrinks_with_size():
 def test_projectors_resolve_identity():
     _, reduced, _ = hand_reduced(30)
     spec = eigendecompose(reduced)
-    total = sum(spec.projector(k) for k in range(len(spec.eigenphases)))
+    total = sum(projector(spec, k) for k in range(len(spec.eigenphases)))
     np.testing.assert_allclose(total, np.eye(5), atol=1e-10)
 
 
@@ -204,11 +206,11 @@ def test_rejects_non_square():
 
 
 def test_rejects_ragged_input():
-    # a reduced operator passed whole, not its .matrix, and a ragged list
+    # a closure passed whole, not its .matrix, and a ragged list
     graph = build_star(10, Anomaly.loop(2))
     reduced = reduce_seeds(build_step_operator(graph),
                            *family_seeds(graph, InitialStateKind.minus()))
-    for mat, name in ((reduced, "ReducedOperator"), ([[1.0, 0.0], [0.0]], "list")):
+    for mat, name in ((reduced, "Closure"), ([[1.0, 0.0], [0.0]], "list")):
         with pytest.raises(DimensionMismatchError, match=f"got a ragged {name}$"):
             eigendecompose(mat)
     assert eigendecompose(reduced.matrix).dim == reduced.matrix.shape[0]
@@ -278,7 +280,7 @@ def test_cluster_projectors_match_a_qr_oracle():
         assert len(reference) == len(spec.multiplicities)
         for k, mult in enumerate(spec.multiplicities):
             if mult >= 2:
-                assert (np.abs(spec.projector(k) - reference[k]).max()
+                assert (np.abs(projector(spec, k) - reference[k]).max()
                         <= DEFAULT_POLICY.projector_tol)
                 compared += 1
     assert compared == 16
@@ -344,7 +346,7 @@ def step_parts(graph):
     """The cells, the reflection walk Q on them and the uniform incoming state i."""
     cells = star_cells(make_basis(graph))
     q = cells_operator(build_scattering_operator(graph, 1.0, 0.0), cells)
-    return cells, q, cells.uniform(1)
+    return cells, np.array(q), np.array(cells.uniform(1))
 
 
 def certificates(spec, q, i):
@@ -352,8 +354,8 @@ def certificates(spec, q, i):
     deviation from an orthonormal frame."""
     m = q @ (np.eye(len(q)) - 2.0 * np.outer(i, np.conj(i)))
     stacked = np.concatenate(spec.blocks, axis=1)
-    values = np.concatenate([np.full(b.shape[1], np.exp(1j * theta))
-                             for theta, b in zip(spec.eigenphases, spec.blocks)])
+    values = np.concatenate([np.full(m, np.exp(1j * theta))
+                             for theta, m in zip(spec.eigenphases, spec.multiplicities)])
     residual = np.linalg.norm(m @ stacked - stacked * values, axis=0).max()
     frame = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])).max()
     return residual, frame
@@ -364,7 +366,7 @@ def test_the_step_is_the_reflection_walk_times_one_reflection(anomaly):
     for n in (4, 64, 10**6, 2**40):
         graph = build_star(n, anomaly)
         cells, q, i = step_parts(graph)
-        step = cells_operator(build_step_operator(graph), cells)
+        step = np.array(cells_operator(build_step_operator(graph), cells))
         assert np.abs(step - q @ (np.eye(len(q)) - 2.0 * np.outer(i, i.conj()))).max() <= 1e-15
 
 
