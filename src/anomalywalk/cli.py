@@ -67,11 +67,10 @@ def _report(category: str, message) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; remap to the validation status 1
-    # and keep the machine-parsable prefix
+    # argparse prints its usage block and exits 2 on usage errors; print the
+    # one error line instead, with the validation status 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _report("usage", message)
+        _report("usage", f"{message} (see {self.prog} --help)")
         raise SystemExit(1)
 
 
@@ -361,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="anomalywalk",
                      description="Quantum walks on star graphs with "
                                  "structural anomalies.")
-    sub = parser.add_subparsers(dest="verb", metavar="verb")
+    sub = parser.add_subparsers(dest="verb", metavar="verb", required=True)
 
     p = sub.add_parser("check", help="validate a spec and certify unitarity")
     _add_spec(p)
@@ -452,9 +451,6 @@ def main(argv=None) -> int:
             sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "handler"):
-        parser.print_help(sys.stderr)
-        return 1
     try:
         return args.handler(args)
     except AnomalyWalkError as exc:

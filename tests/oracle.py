@@ -17,10 +17,9 @@ cells is compared with them after its full lift through `rows`.  The
 step is materialized as a dense matrix, and its max|U†U - I| is the
 reference for the certificate `check_unitarity` reads from the tables.  The
 full walk's records are checked against the walk stepped as one flat
-vector, and against `ResummingWalk`, the block walk that sums its in
-block and writes the hub rule over it at every step; `records` splits
-their rows into the three columns as numpy first did, a whole column at
-a time, where `src/` sums each step's rows in Python.  The named start
+vector; `records` splits rows into the three columns as numpy first
+did, a whole column at a time, where `src/` sums each step's rows in
+Python.  The named start
 states are built here as they were first written, by `named_start`, as
 weighted sums of full-length uniform states; `src/` fills their blocks
 and holds the family's seeds as rows on the cells.  Full-length seeds that are uniform
@@ -38,6 +37,12 @@ The baseline's query counts are drawn here as numpy first drew them, by
 `reference_draws`, in whole-array operations; `src/` draws each one in
 Python from the same uniforms.
 
+The tests reach the package only at its seams, its public names, the CLI
+and this module.  Where a test needs what the package hands one of its
+public functions, such as the values per block a search starts its walk
+from (`start_values`) or the spectra a sweep reads (`sweep_spectra`),
+`recorded` watches that function's calls and replaces nothing.
+
 `src/` holds every state in Python complexes.  The references keep
 their own arithmetic apart from it: a walk or a basis with no imaginary part, on
 an operator with none, runs here in float64, so its sums over N are
@@ -46,8 +51,10 @@ the bulk profile rounds about 65 times further: the N=1e6 orthonormality
 check reads 1.7e-12 with it and 2.6e-14 with these dots.
 """
 
+import contextlib
 import math
 import random
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -57,16 +64,81 @@ from anomalywalk.edgespace import BasisLabel, make_basis
 from anomalywalk.errors import (
     ConfigurationError,
     DimensionMismatchError,
+    InsufficientDataError,
     InvarianceError,
     NumericalFailureError,
     SizeError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY, require_within
-from anomalywalk.perturb import DEFAULT_SWEEP_SIZES, EigenShift, SweepResult, _wrap, fit_scaling
-from anomalywalk.search import BaselineStatistics, InitialStateKind
-from anomalywalk.spectral import Spectrum
-from anomalywalk.stargraph import build_star
-from anomalywalk.stepop import build_scattering_operator, build_step_operator
+from anomalywalk.perturb import (
+    DEFAULT_SWEEP_SIZES,
+    EigenShift,
+    SweepResult,
+    fit_scaling,
+    perturbation_sweep,
+)
+from anomalywalk.search import BaselineStatistics, InitialStateKind, run_search
+from anomalywalk.spectral import Spectrum, secular_spectrum
+from anomalywalk.stargraph import PhaseAngle, build_star
+from anomalywalk.stepop import BlockWalk, build_scattering_operator, build_step_operator
+
+
+@contextlib.contextmanager
+def recorded(fn):
+    """Every call of a Python function, or of a class's constructor, made
+    inside the block, as (arguments, result) pairs in the order the calls
+    return.  A profile hook watches the function's code, so no name of the
+    package is replaced and every module that calls it is seen; recordings
+    nest."""
+    code = (fn.__init__ if isinstance(fn, type) else fn).__code__
+    calls, pending = [], []
+
+    def hook(frame, event, arg):
+        if frame.f_code is code:
+            if event == "call":
+                pending.append(dict(frame.f_locals))
+            elif event == "return":
+                calls.append((pending.pop(), arg))
+        if previous is not None:  # a recording around this one
+            previous(frame, event, arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def wrap(angle):
+    """The angle folded into (-pi, pi]."""
+    return PhaseAngle.from_radians(angle).value
+
+
+def search_rows(graph):
+    """The rows a search splits its probability by: the target rows, the
+    out then the in rows of the anomaly's vertices in ascending order, and
+    the rows of the states only the anomaly provides."""
+    basis, targets = make_basis(graph), sorted(graph.anomaly_vertices)
+    return basis.out_rows(targets) + basis.in_rows(targets), basis.anomaly_only_rows
+
+
+def sweep_spectra(graph):
+    """The limit's and the step's spectra that a perturbation sweep reads at
+    the graph's size, each as (arguments, spectrum), the arguments those of
+    `secular_spectrum`: recorded from a sweep over that size alone, whose
+    fits may want more sizes."""
+    with recorded(secular_spectrum) as calls, contextlib.suppress(InsufficientDataError):
+        perturbation_sweep(graph.anomaly, (graph.n_spokes,))
+    return calls
+
+
+def start_values(graph, kind):
+    """The start of a named search, one value per block, as `run_search`
+    hands it to its block walk."""
+    with recorded(BlockWalk) as walks:
+        run_search(graph, kind, 1)
+    return walks[0][0]["start"]
 
 
 def is_real(op):
@@ -101,16 +173,10 @@ def _amplitudes(op, out):
     return amp.real
 
 
-def _norm2(x):
-    """The squared norm as contiguous float64 dots."""
+def norm2(x):
+    """The squared norm as one ddot of the float64 view of x, contiguous."""
     parts = np.ascontiguousarray(x).view(np.float64)
     return float(parts @ parts)
-
-
-def norm2(x):
-    """The squared norm of a contiguous vector: one ddot of its float64 view, no temporary."""
-    v = x.view("float64")
-    return float(v @ v)
 
 
 def orthogonalize(vec, rows, tol):
@@ -250,7 +316,7 @@ def make_state(amplitudes):
     if amps.ndim != 1:
         raise DimensionMismatchError("amplitudes must be a one-dimensional vector")
     require_within("state is not unit-norm: its norm is {value:.3e} from 1",
-                   abs(math.sqrt(_norm2(amps)) - 1.0), DEFAULT_POLICY.unit_norm_tol,
+                   abs(math.sqrt(norm2(amps)) - 1.0), DEFAULT_POLICY.unit_norm_tol,
                    ConfigurationError)
     amps.setflags(write=False)
     return amps
@@ -542,7 +608,7 @@ def explicit_reduced_records(op, cells, x0, steps, target_rows, anomaly_rows):
         for n in range(steps + 1):
             if n:
                 c = m @ c
-            amps[n], totals[n] = rows @ c, _norm2(c)
+            amps[n], totals[n] = rows @ c, norm2(c)
         return amps, totals
 
     return records(walk, len(target_rows))
@@ -582,6 +648,17 @@ def symmetric_out_state(basis, vertices):
 def symmetric_in_state(basis, vertices):
     """Uniform superposition of (j,0) over the given outer vertices."""
     return uniform_state(basis, basis.in_rows(vertices))
+
+
+def hand_columns(basis, u, v):
+    """The invariant basis of extra_edge(u, v) built by hand, as columns:
+    the symmetric out and in states of u and v, of the bulk, and the chord."""
+    bulk = [j for j in range(1, basis.n_spokes + 1) if j not in (u, v)]
+    chord = np.zeros(basis.dim, dtype=complex)
+    chord[[basis.position(BasisLabel.edge(u, v)), basis.position(BasisLabel.edge(v, u))]] = 2 ** -0.5
+    return np.stack([symmetric_out_state(basis, (u, v)), symmetric_in_state(basis, (u, v)),
+                     symmetric_out_state(basis, bulk), symmetric_in_state(basis, bulk), chord],
+                    axis=1)
 
 
 def family_generators(basis, kind):
@@ -642,7 +719,15 @@ def label_at(basis, pos):
         return BasisLabel.edge(pos - n + 1, 0)
     if basis.anomaly.schema.loops:
         return BasisLabel.loop(pos - 2 * n + 1)
-    return basis._fixed_block()[pos - 2 * n]
+    # the tail's labels join the anomaly's vertices and the extension's tip,
+    # n + 1; `position` places those the basis holds
+    ends = {basis.anomaly.u, basis.anomaly.v, basis.anomaly.at, n + 1} - {None}
+    tail = {}
+    for label in [*map(BasisLabel.loop, ends),
+                  *(BasisLabel.edge(u, v) for u in ends for v in ends if u != v)]:
+        with contextlib.suppress(ConfigurationError):
+            tail[basis.position(label)] = label
+    return tail[pos]
 
 
 def build_unperturbed(graph):
@@ -762,7 +847,7 @@ def eigenphase_shifts(perturbed, unperturbed):
         shifts = []
         quality = 0.0
         for c in assigned[k]:
-            delta = _wrap(perturbed.eigenphases[c] - theta0)
+            delta = wrap(perturbed.eigenphases[c] - theta0)
             shifts.extend([delta] * perturbed.multiplicities[c])
             quality += perturbed.multiplicities[c] * overlap[k, c]
         quality /= mult0
@@ -779,7 +864,7 @@ def branch_labels(samples):
     at 0 is labelled exactly 0."""
     labels = []
     for _, shift in samples:
-        near = (label for label in labels if round(_wrap(shift.theta0 - label), 9) == 0)
+        near = (label for label in labels if round(wrap(shift.theta0 - label), 9) == 0)
         labels.append(next(near, 0.0 if round(shift.theta0, 9) == 0 else shift.theta0))
     return labels
 
@@ -924,50 +1009,6 @@ def projector_gap(a, b):
     """||P_a - P_b|| in the 2-norm for orthonormal columns of equal count,
     computed as ||(1 - P_b) a|| so that no d x d matrix is formed."""
     return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
-
-
-class ResummingWalk:
-    """The full walk held as one buffer per block, stepped in O(N): a step
-    gathers the patch sources, sums the in buffer and writes the hub rule
-    t*sum(in) - in over it in place, relabels the buffers by the role table
-    and scatters the patches, in the arithmetic `walk_dtype` picks.  A
-    real walk reads the same amplitudes as `apply_into`'s, bit for bit."""
-
-    def __init__(self, op, x0):
-        dtype = walk_dtype(op, x0)
-        self.blocks = [_cast(b, dtype) for b in split(op.basis, x0)]
-        self._op = op
-        self._amp = _amplitudes(op, self.blocks[0])
-
-    def step(self):
-        op = self._op
-        # one array product, as in the flat step, so both round alike
-        values = self._amp * self.gather(op.src)
-        hub = self.blocks[op.roles[0]]
-        np.subtract(op.hub_t * hub.sum(), hub, out=hub)
-        new = self.blocks = [self.blocks[role] for role in op.roles]
-        for (b, k), value in zip(op.dst, values):
-            new[b][k] = value
-
-    def gather(self, located):
-        return np.array([self.blocks[b][k] for b, k in located], dtype=self.blocks[0].dtype)
-
-
-def resumming_walk_records(op, x0, steps, target_rows, anomaly_rows):
-    """The full walk's columns from a `ResummingWalk`, its target and anomaly
-    rows gathered per step and its squared norm taken at the start."""
-    located = op.basis.locate(np.concatenate((target_rows, anomaly_rows)))
-
-    def walk():
-        state = ResummingWalk(op, x0)
-        amps = np.empty((steps + 1, len(located)), state.blocks[0].dtype)
-        amps[0], total = state.gather(located), sum(map(_norm2, state.blocks))
-        for n in range(1, steps + 1):
-            state.step()
-            amps[n] = state.gather(located)
-        return amps, total
-
-    return records(walk, len(target_rows))
 
 
 def walk_state(walk):

@@ -13,6 +13,7 @@ from oracle import (
     dense_matrix,
     eigendecompose,
     explicit_reduced_records,
+    hand_columns,
     hub_in_state,
     hub_out_state,
     lift,
@@ -30,9 +31,10 @@ from oracle import (
     reduce_states,
     reference_closure,
     reference_limit,
+    search_rows,
     seed_vectors,
     sweep_seeds,
-    symmetric_in_state,
+    sweep_spectra,
     symmetric_out_state,
 )
 
@@ -45,10 +47,8 @@ from anomalywalk.errors import (
     NumericalFailureError,
 )
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _sweep_spectra
 from anomalywalk.search import (
     InitialStateKind,
-    _partition_rows,
     family_seeds,
     run_search,
 )
@@ -151,8 +151,8 @@ def test_seeds_operator_matches_two_pass_reduction(n, anomaly):
     if anomaly.variant == "extra_edge":
         sector = np.vstack((cell[:k], (cell[k::2] + cell[k + 1::2]) / np.sqrt(2)))
     basis = held(cells, sector)
-    for spec, want in zip(_sweep_spectra(graph), (reduce_operator(op, basis).matrix,
-                                                 reference_limit(graph, basis))):
+    for (_, spec), want in zip(sweep_spectra(graph), (reference_limit(graph, basis),
+                                                     reduce_operator(op, basis).matrix)):
         got = sum(np.exp(1j * theta) * projector(spec, j)
                   for j, theta in enumerate(spec.eigenphases))
         assert np.abs(got - want).max() <= 1e-12
@@ -168,7 +168,8 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
     # M read from the role table against C*UC of the dense U on the lifted
     # cells, and at larger N against the oracle that steps each cell;
     # every variant at both ends of the star, the cells of every named
-    # kind and of the sweep seeds
+    # kind and of the sweep seeds.  M holds Python complexes, on a real
+    # operator too
     anomalies = [Anomaly.none()] + [
         Anomaly.of(variant, phase, **dict(zip(VARIANT_SCHEMA[variant].fields, ends)))
         for variant in VARIANTS[1:] for ends in ((1, n), (3, 2))]
@@ -181,7 +182,9 @@ def test_cells_operator_matches_the_stepped_oracles(n, phase):
                 want = c.conj().T @ dense_matrix(op) @ c
             else:
                 want = reduce_operator(op, cells).matrix
-            assert np.abs(cells_operator(op, cells) - want).max() <= 1e-12, anomaly
+            m = cells_operator(op, cells)
+            assert {type(x) for row in m for x in row} == {complex}
+            assert np.abs(m - want).max() <= 1e-12, anomaly
 
 
 def wrapped(angles):
@@ -217,7 +220,7 @@ def test_implicit_uniform_profile_matches_the_explicit_row(n, phase):
             assert np.abs(lifted(finite.basis) - columns).max() <= 1e-15
         if not graph.anomaly_vertices:
             continue  # a plain star has nothing to search for
-        target_rows, anomaly_rows = _partition_rows(graph)
+        target_rows, anomaly_rows = search_rows(graph)
         for kind in named_kinds(graph):
             cells, _ = family_seeds(graph, kind)
             want = explicit_reduced_records(op, cells, named_start(graph, kind), 40, target_rows,
@@ -419,18 +422,7 @@ def test_reduced_matrix_golden_extra_edge():
     # conjugated into it
     n = 10
     graph = build_star(n, Anomaly.extra_edge(2, 5))
-    basis = make_basis(graph)
-    bulk = [j for j in range(1, n + 1) if j not in (2, 5)]
-    chord = np.zeros(basis.dim, dtype=complex)
-    chord[basis.position(BasisLabel.edge(2, 5))] = 2 ** -0.5
-    chord[basis.position(BasisLabel.edge(5, 2))] = 2 ** -0.5
-    cols = np.stack([
-        symmetric_out_state(basis, (2, 5)),
-        symmetric_in_state(basis, (2, 5)),
-        symmetric_out_state(basis, bulk),
-        symmetric_in_state(basis, bulk),
-        chord,
-    ], axis=1)
+    cols = hand_columns(make_basis(graph), 2, 5)
     op = build_step_operator(graph)
     reduced, leakage = reduce_columns(op, cols)
     assert leakage <= 1e-12
@@ -454,20 +446,8 @@ def test_reduced_matrix_golden_extra_edge():
 
 def test_family_closure_spans_hand_basis():
     # the automatic closure and the hand construction give the same projector
-    n = 12
-    graph = build_star(n, Anomaly.extra_edge(3, 7))
-    basis = make_basis(graph)
-    bulk = [j for j in range(1, n + 1) if j not in (3, 7)]
-    chord = np.zeros(basis.dim, dtype=complex)
-    chord[basis.position(BasisLabel.edge(3, 7))] = 2 ** -0.5
-    chord[basis.position(BasisLabel.edge(7, 3))] = 2 ** -0.5
-    hand = np.stack([
-        symmetric_out_state(basis, (3, 7)),
-        symmetric_in_state(basis, (3, 7)),
-        symmetric_out_state(basis, bulk),
-        symmetric_in_state(basis, bulk),
-        chord,
-    ], axis=1)
+    graph = build_star(12, Anomaly.extra_edge(3, 7))
+    hand = hand_columns(make_basis(graph), 3, 7)
     op, auto = family_basis(graph)
     p_hand = hand @ hand.conj().T
     v = lifted(auto)

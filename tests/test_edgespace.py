@@ -70,8 +70,10 @@ def test_missing_loop_enumerates_all_loops_ascending():
     lambda: Anomaly.missing_loop(1),
 ])
 def test_dim_matches_graph(n, make):
+    # the blocks the basis lays out end at the graph's Hilbert dimension
     graph = build_star(n, make())
-    assert make_basis(graph).dim == graph.hilbert_dim
+    basis = make_basis(graph)
+    assert basis.dim == basis.bounds[-1] == graph.hilbert_dim
 
 
 def test_position_unknown_label():

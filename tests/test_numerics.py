@@ -3,10 +3,8 @@ it, and a guard that keeps every other module from comparing a value with
 a certificate tolerance by hand; and a guard that keeps numpy out of the
 package."""
 
-import argparse
 import ast
 import math
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,6 @@ from oracle import eigendecompose, make_state, place
 import anomalywalk
 import anomalywalk.cli
 import anomalywalk.errors
-import anomalywalk.search
 import anomalywalk.spectral
 from anomalywalk.cli import main
 from anomalywalk.collapse import certify
@@ -38,7 +35,7 @@ from anomalywalk.numerics import (
 from anomalywalk.search import InitialStateKind, run_search
 from anomalywalk.spectral import secular_spectrum
 from anomalywalk.stargraph import Anomaly, build_star
-from anomalywalk.stepop import UnitarityReport
+from anomalywalk.stepop import BlockWalk, UnitarityReport
 
 NAN = float("nan")
 LOOP8 = '{"n_spokes": 8, "anomaly": {"type": "loop", "at": 1}}'
@@ -150,12 +147,12 @@ def _place_unit(monkeypatch):
     return lambda: place(basis, [x])
 
 
-def _start_values(monkeypatch):
-    # a named kind whose weights hold a nan: its closed-form squared norm
-    # reads nan, and the run is refused before a walk starts
-    monkeypatch.setattr(anomalywalk.search, "_block_weights", lambda graph, kind: (NAN, -1.0))
+def _nan_start(monkeypatch):
+    # an inout kind built past its factory, whose coefficients hold a nan:
+    # its closed-form squared norm reads nan, and the run is refused before
+    # a walk starts
     graph = build_star(64, Anomaly.loop(3))
-    return lambda: run_search(graph, InitialStateKind.minus(), 30)
+    return lambda: run_search(graph, InitialStateKind("inout", NAN, -1.0), 30)
 
 
 def _eigen_residual(monkeypatch):
@@ -187,30 +184,17 @@ def _secular_frame(monkeypatch):
 
 
 def _spot_check(monkeypatch):
-    # the full walk's p_anomaly column reads nan at the checked step
-    evolve = anomalywalk.search._evolve_full
-
-    def poisoned(op, x0, k, *rows):
-        pts, pas, rests = evolve(op, x0, k, *rows)
-        pas = array("d", pas)
-        pas[k] = NAN
-        return pts, pas, rests
-    monkeypatch.setattr(anomalywalk.search, "_evolve_full", poisoned)
+    # the spot check's full walk reads nan at its rows, so its records do
+    monkeypatch.setattr(BlockWalk, "gather", lambda walk, located: [complex(NAN)] * len(located))
     graph = build_star(64, Anomaly.loop(3))
     return lambda: run_search(graph, InitialStateKind.minus(), 30, method="reduced")
-
-
-def _unitarity_report(monkeypatch):
-    monkeypatch.setattr(anomalywalk.cli, "check_unitarity",
-                        lambda op: UnitarityReport(max_deviation=NAN, tolerance=1e-12))
-    return lambda: anomalywalk.cli._cmd_check(argparse.Namespace(spec=LOOP8))
 
 
 # make_state and place are the references' full-length state and its
 # placement on the star's cells
 NAN_CASES = {
     "make_state": (lambda mp: lambda: make_state(np.array([NAN, 1.0])), ConfigurationError),
-    "start_values": (_start_values, ConfigurationError),
+    "start_values": (_nan_start, ConfigurationError),
     "place": (_place, InvarianceError),
     "place_unit_row": (_place_unit, InvarianceError),
     "certify_leakage": (lambda mp: lambda: certify(np.eye(2), NAN), InvarianceError),
@@ -222,7 +206,6 @@ NAN_CASES = {
     "secular_residual": (_secular_residual, NumericalFailureError),
     "secular_frame": (_secular_frame, NumericalFailureError),
     "spot_check": (_spot_check, NumericalFailureError),
-    "unitarity_report": (_unitarity_report, NumericalFailureError),
 }
 
 
@@ -253,6 +236,7 @@ def test_eigendecompose_refuses_a_non_finite_matrix(entry):
 
 
 def test_check_verb_reports_a_nan_deviation(capsys, monkeypatch):
+    # the unitarity report's certificate refuses a nan deviation
     monkeypatch.setattr(anomalywalk.cli, "check_unitarity",
                         lambda op: UnitarityReport(max_deviation=NAN, tolerance=1e-12))
     code = main(["check", "--spec", LOOP8])
@@ -418,73 +402,40 @@ def numpy_references(source: str) -> list[int]:
     return sorted(lines)
 
 
-def test_guard_sees_numpy_anywhere():
-    # an import inside a function runs only when it is called, and is
-    # refused all the same, as is every name it binds
-    assert numpy_references("def f():\n    import numpy as np\n    return np.eye(2)\n") == [2, 3]
-    assert numpy_references("import math, numpy.linalg as la\nla.norm(a)\n") == [1, 2]
-    assert numpy_references("class A:\n    def g(self):\n        from numpy import eye\n"
-                            "        return eye(2)\n") == [3, 4]
-    # a quoted annotation, alone or inside another
-    assert numpy_references("def f(x: 'np.ndarray') -> 'tuple[int, numpy.ndarray]':\n"
-                            "    pass\n") == [1]
-    assert numpy_references("x: list['np.ndarray'] = []\n") == [1]
+# sources and the lines of each that the guard refuses
+NUMPY_CASES = [
+    # an import anywhere: inside a function, which runs only when it is
+    # called, in a class body, under a condition or in a try; and every name
+    # an import binds
+    ("def f():\n    import numpy as np\n    return np.eye(2)\n", [2, 3]),
+    ("import math, numpy.linalg as la\nla.norm(a)\n", [1, 2]),
+    ("class A:\n    def g(self):\n        from numpy import eye\n        return eye(2)\n", [3, 4]),
+    ("from numpy import diff as d, take\nd(a)\n", [1, 2]),
+    ("import numpy as xp\nxp.isin(a, b)\n", [1, 2]),
+    ("x = 1\nimport numpy.random\n", [2]),
+    ("x = 1\nfrom numpy import linalg, random\n", [2]),
+    ("from numpy.linalg import eig\neig(a)\n", [1, 2]),
+    ("class A:\n    import numpy\n", [2]),
+    ("if x:\n    import numpy as np\n", [2]),
+    ("try:\n    from numpy import ndarray\nexcept ImportError:\n    pass\n", [2]),
+    # a name that stands for numpy, and a quoted annotation, alone or inside another
+    ("x = 1\ny = np.random.default_rng(1)\n", [2]),
+    ("def f(x: 'np.ndarray') -> 'tuple[int, numpy.ndarray]':\n    pass\n", [1]),
+    ("x: list['np.ndarray'] = []\n", [1]),
     # the package's own modules, names that only share a prefix, an
-    # attribute spelt np and prose are not numpy
-    assert numpy_references(
-        "import numpyro\nfrom .numerics import norm2\nfrom . import numerics\n"
-        "x.np = 1\ny: 'list[float]' = []\n\"\"\"as numpy's argmax reads it\"\"\"\n") == []
+    # attribute spelt np, prose, the standard library's generator and
+    # Python's sort and bisection are not numpy
+    ("import numpyro\nfrom .numerics import norm2\nfrom . import numerics\nx.np = 1\n"
+     "y: 'list[float]' = []\n\"\"\"as numpy's argmax reads it\"\"\"\n", []),
+    ("import random\nrandom.Random(1)\nrandom.random()\n", []),
+    ("from bisect import bisect_right\nsorted(a, key=b.__getitem__)\nbisect_right(a, x)\n"
+     "a.sort()\n", []),
+]
 
 
-def test_guard_sees_a_numpy_random_reference():
-    for source in ("x = np.random.default_rng(1)\n", "import numpy.random\n",
-                   "import numpy.random as npr\n", "from numpy.random import default_rng\n",
-                   "from numpy import linalg, random\n",
-                   "def f() -> 'np.random.Generator':\n    pass\n"):
-        assert numpy_references(source) == [1], source
-    # the standard library's generator is not
-    assert numpy_references("import random\nrandom.Random(1)\nrandom.random()\n") == []
-
-
-def test_guard_sees_numpy_that_pages_in_more_than_the_eigensolver():
-    # every routine is refused now, the eigensolver and the norm too
-    for call in ("np.isin(a, b)", "np.polyfit(x, y, 1)", "numpy.ma.masked_invalid(a)",
-                 "np.polynomial.Polynomial.fit(x, y, 1)", "np.linalg.qr(a)",
-                 "np.linalg.lstsq(a, b)", "np.linalg.eigh(a)", "np.linalg.svd(a)",
-                 "np.linalg.eig(a)", "numpy.linalg.eig(a)", "np.linalg.norm(a, axis=0)",
-                 "np.matmul(a, b)", "np.isfinite(a)"):
-        assert numpy_references(f"x = 1\ny = {call}\n") == [2], call
-    for line in ("import numpy.ma", "import numpy.polynomial.polynomial as P",
-                 "from numpy import isin", "from numpy.linalg import norm",
-                 "def f(a) -> 'numpy.ma.MaskedArray':\n    pass"):
-        assert numpy_references(line + "\n") == [1], line
-    # a routine reached through an imported name or alias
-    assert numpy_references("from numpy import linalg\nlinalg.qr(a)\n") == [1, 2]
-    assert numpy_references("import numpy.linalg as la\nla.pinv(a)\n") == [1, 2]
-    assert numpy_references("import numpy as xp\nxp.isin(a, b)\n") == [1, 2]
-
-
-def test_guard_sees_numpy_sort_and_search_kernels():
-    for call in ("np.sort(a)", "np.argsort(a)", "np.lexsort((a, b))", "numpy.sort(a)",
-                 "np.searchsorted(a, v, side='right')", "np.diff(a)", "np.take(a, i)"):
-        assert numpy_references(f"x = 1\ny = {call}\n") == [2], call
-    assert numpy_references("from numpy import searchsorted\nsearchsorted(a, v)\n") == [1, 2]
-    assert numpy_references("from numpy import diff as d, take\nd(a)\n") == [1, 2]
-    # Python's sort and bisection are not
-    assert numpy_references(
-        "from bisect import bisect_right\nsorted(a, key=b.__getitem__)\nbisect_right(a, x)\n"
-        "a.sort()\nmax(range(3), key=a.__getitem__)\n") == []
-
-
-def test_guard_sees_an_eager_numpy_import():
-    for line in ("import numpy", "import numpy as np", "import numpy.linalg",
-                 "import math, numpy as xp", "from numpy import linalg",
-                 "from numpy.linalg import eig"):
-        assert numpy_references(f"x = 1\n{line}\n") == [2], line
-    # a class body, a conditional and a try run at import
-    for block in ("class A:\n    import numpy", "if x:\n    import numpy as np",
-                  "try:\n    from numpy import ndarray\nexcept ImportError:\n    pass"):
-        assert numpy_references(block + "\n") == [2], block
+@pytest.mark.parametrize("source, lines", NUMPY_CASES)
+def test_guard_sees_numpy_anywhere(source, lines):
+    assert numpy_references(source) == lines
 
 
 def test_no_module_references_numpy():

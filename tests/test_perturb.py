@@ -11,7 +11,10 @@ from oracle import (
     eigendecompose,
     eigenphase_shifts,
     homotopy_branches,
+    recorded,
     reference_sweep,
+    sweep_spectra,
+    wrap,
 )
 
 import anomalywalk.perturb
@@ -25,14 +28,12 @@ from anomalywalk.numerics import DEFAULT_POLICY
 from anomalywalk.perturb import (
     DEFAULT_SWEEP_SIZES,
     EigenShift,
-    _pair,
-    _sweep_spectra,
-    _wrap,
     fit_scaling,
     perturbation_sweep,
     write_fits_csv,
     write_shifts_csv,
 )
+from anomalywalk.spectral import secular_spectrum
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
 from anomalywalk.stepop import build_step_operator
 
@@ -223,11 +224,11 @@ class TestLimitOperator:
     def test_limit_branch_structure(self, anomaly, phases, mults):
         # the branches a sweep from N=200 reads off its limit there, and
         # that limit's eigenvectors, an orthonormal frame of its sector
-        graph = build_star(200, anomaly)
-        _, limit = _sweep_spectra(graph)
+        with recorded(secular_spectrum) as calls:
+            sweep = perturbation_sweep(anomaly, sizes=(200, 400, 800, 1600))
+        limit = calls[0][1]
         stacked = np.concatenate(limit.blocks, axis=1)
         np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye(limit.dim), atol=1e-12)
-        sweep = perturbation_sweep(anomaly, sizes=(200, 400, 800, 1600))
         branches = [(s.theta0, s.multiplicity0) for n, s in sweep.samples if n == 200]
         np.testing.assert_allclose(
             np.array([theta for theta, _ in branches]) / np.pi, phases, atol=1e-12)
@@ -237,18 +238,15 @@ class TestLimitOperator:
         # a sweep reads the limit once, at its first size, and labels every
         # size's branches with it: it is the same to the bit at every N
         for anomaly in CASES:
-            first, *rest = (_sweep_spectra(build_star(n, anomaly))[1] for n in LIMIT_SIZES)
+            first, *rest = (sweep_spectra(build_star(n, anomaly))[0][1] for n in LIMIT_SIZES)
             for limit in rest:
                 assert limit[::2] == first[::2], anomaly  # phases, multiplicities, roots
                 assert limit.poles == first.poles, anomaly
                 assert limit.blocks == first.blocks, anomaly
 
-    def test_a_sweep_reads_the_limit_once(self, monkeypatch):
-        calls = []
-        real = anomalywalk.perturb.secular_spectrum
-        monkeypatch.setattr(anomalywalk.perturb, "secular_spectrum",
-                            lambda *args: calls.append(args) or real(*args))
-        perturbation_sweep(Anomaly.loop(1), sizes=(64, 128, 256, 512, 1024))
+    def test_a_sweep_reads_the_limit_once(self):
+        with recorded(secular_spectrum) as calls:
+            perturbation_sweep(Anomaly.loop(1), sizes=(64, 128, 256, 512, 1024))
         assert len(calls) == 5 + 1
 
 
@@ -322,52 +320,59 @@ def test_sweep_matches_the_closure_reference(anomaly):
 
 @pytest.mark.parametrize("anomaly", CASES, ids=repr)
 def test_pairing_is_the_overlap_matching(anomaly):
-    # on the same spectra, the pairing by structure gives the overlap
-    # matching's branches and shifts to the bit, wherever overlaps decide,
-    # and its overlaps, summed in Python where the matching takes numpy's
-    # norm, within 1e-15
+    # on the spectra the sweep reads, the pairing by structure gives the
+    # overlap matching's branches and shifts to the bit, wherever overlaps
+    # decide, and its overlaps, summed in Python where the matching takes
+    # numpy's norm, within 1e-15; the sweep reads the limit at its first
+    # size, the same at every size
+    with recorded(secular_spectrum) as calls:
+        sweep = perturbation_sweep(anomaly, PAIRING_SIZES)
+    (_, limit), *finites = calls
     matched = 0
-    for n in PAIRING_SIZES:
-        finite, limit = _sweep_spectra(build_star(n, anomaly))
+    for n, (_, finite) in zip(PAIRING_SIZES, finites, strict=True):
         try:
             want = eigenphase_shifts(finite, limit)
         except NumericalFailureError:
             continue
-        got = _pair(finite, limit)
+        got = [shift for size, shift in sweep.samples if size == n]
         assert [s[:3] for s in got] == [s[:3] for s in want], n
         assert max(abs(a.overlap - b.overlap) for a, b in zip(got, want)) <= 1e-15, n
         matched += 1
     assert matched >= len(PAIRING_SIZES) - 1
 
 
-def test_a_branch_short_of_its_multiplicity_fails():
+def test_a_branch_short_of_its_multiplicity_fails(monkeypatch):
     # a finite root with no limit root or weak pole to pair with leaves a
-    # branch one eigenvalue short, which the count certificate refuses
-    finite, limit = _sweep_spectra(build_star(64, Anomaly.extra_edge(1, 2)))
+    # branch one eigenvalue short, which the count certificate refuses; the
+    # limit, read first, is handed over short of its first root
+    spectra = []
+
+    def short_limit(*args):
+        spec = secular_spectrum(*args)
+        spectra.append(spec)
+        return spec._replace(roots=spec.roots[1:]) if len(spectra) == 1 else spec
+    monkeypatch.setattr(anomalywalk.perturb, "secular_spectrum", short_limit)
     with pytest.raises(NumericalFailureError, match="received 0 eigenvalues, expected 1"):
-        _pair(finite, limit._replace(roots=limit.roots[1:]))
+        perturbation_sweep(Anomaly.extra_edge(1, 2), (64, 128, 256, 512))
 
 
 @pytest.mark.parametrize("anomaly", [Anomaly.extra_edge(1, 2),
                                      Anomaly.missing_loop(1, PhaseAngle.from_radians(0.7))],
                          ids=repr)
 @pytest.mark.parametrize("n", [3, 4])
-def test_pairing_follows_every_eigenvalue_from_the_limit(anomaly, n, monkeypatch):
+def test_pairing_follows_every_eigenvalue_from_the_limit(anomaly, n):
     # the pairing against the dense homotopy from bi to i, each finite
     # eigenphase on the branch it continues from, at sizes where the overlap
     # matching ties (N = 3) or nearly does
-    calls = []
-    real = anomalywalk.perturb.secular_spectrum
-    monkeypatch.setattr(anomalywalk.perturb, "secular_spectrum",
-                        lambda *args: calls.append(args) or real(*args))
-    finite, limit = _sweep_spectra(build_star(n, anomaly))
-    (q, bi, _), (_, i, _) = calls
-    followed = homotopy_branches(q, bi, i)
-    for shift in _pair(finite, limit):
+    with recorded(secular_spectrum) as calls:
+        sweep = perturbation_sweep(anomaly, (n, 5, 6, 7))
+    (limit, _), (finite, _) = calls[:2]
+    followed = homotopy_branches(limit["q"], limit["i"], finite["i"])
+    for shift in (shift for size, shift in sweep.samples if size == n):
         for delta in shift.shifts:
             near = [pair for pair in followed
-                    if max(abs(_wrap(pair[0] - shift.theta0)),
-                           abs(_wrap(pair[1] - shift.theta0 - delta))) <= 1e-9]
+                    if max(abs(wrap(pair[0] - shift.theta0)),
+                           abs(wrap(pair[1] - shift.theta0 - delta))) <= 1e-9]
             assert near, (shift.theta0, delta)
             followed.remove(near[0])
     assert followed == []

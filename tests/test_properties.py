@@ -256,7 +256,7 @@ def test_walk_verbs_keep_the_contract(tmp_path_factory, monkeypatch, verb, data)
     tmp_path = tmp_path_factory.mktemp(verb)
     argv = data.draw(walk_argvs(verb))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning may reach stderr
+        warnings.simplefilter("error")  # no warning may reach stderr
         code, _ = run_main(tmp_path, monkeypatch, argv)
     if code == 0:
         assert_finite_csv(tmp_path)

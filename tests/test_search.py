@@ -2,7 +2,6 @@
 
 import csv
 import math
-import random
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -13,18 +12,19 @@ from oracle import (
     apply_into,
     flat_walk_records,
     named_start,
+    recorded,
     records,
     reduce_seeds,
     reference_draws,
     reference_statistics,
-    resumming_walk_records,
-    walk_dtype,
+    search_rows,
+    start_values,
     walk_state,
     walk_values,
 )
 
 import anomalywalk.search
-import anomalywalk.stepop
+import anomalywalk.stargraph
 from anomalywalk.collapse import cells_operator
 from anomalywalk.edgespace import make_basis
 from anomalywalk.errors import (
@@ -32,11 +32,11 @@ from anomalywalk.errors import (
     NoPredictionError,
     NothingToFindError,
     NumericalFailureError,
+    SizeError,
 )
-from anomalywalk.numerics import DEFAULT_POLICY
+from anomalywalk.numerics import DEFAULT_POLICY, norm2
 from anomalywalk.search import (
     InitialStateKind,
-    _start_values,
     baseline_statistics,
     family_seeds,
     predicted_hitting_step,
@@ -154,7 +154,7 @@ class TestInitialStates:
         # sum over the vector rounds 32 ulps away at N=1000
         graph = build_star(n, Anomaly.missing_loop(2, PhaseAngle.from_pi_fraction(*phase)))
         want = named_start(graph, kind)
-        got = np.repeat(_start_values(graph, kind), np.diff(make_basis(graph).bounds))
+        got = np.repeat(start_values(graph, kind), np.diff(make_basis(graph).bounds))
         np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0)
 
 
@@ -177,24 +177,22 @@ def test_every_cells_operator_is_complex_and_every_closure_complex128(kind, phas
 
 
 class TestRealArithmetic:
-    """Real start states walk in complex128 as every start does; real values
-    per block walk as their complex128 copies."""
+    """Real start values walk as Python complexes, as every start does, and
+    bit for bit as their complex copies."""
 
     @pytest.mark.parametrize("kind", [
         InitialStateKind.loop_third(), InitialStateKind.inout(1, 1j)])
-    def test_complex_kinds_are_complex128(self, kind, monkeypatch):
-        walks = []
-        step = anomalywalk.stepop.BlockWalk.step
-        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step",
-                            lambda walk: walks.append(walk) or step(walk))
-        run_search(build_star(12, Anomaly.missing_loop(5)), kind, 1)
-        assert {type(v) for v in walk_values(walks[0])} == {complex}
+    def test_complex_kinds_are_complex(self, kind):
+        with recorded(BlockWalk) as walks:
+            run_search(build_star(12, Anomaly.missing_loop(5)), kind, 1)
+        assert any(v.imag for v in walks[0][0]["start"])
+        assert {type(v) for v in walk_values(walks[0][0]["self"])} == {complex}
 
     @staticmethod
     def walks(n, phase):
         """Every variant marked by the phase, each with its real start states."""
         loops = Anomaly.missing_loop(2, phase)
-        anomalies = [Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
+        anomalies = [Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
                      Anomaly.extended_edge(n, phase), loops]
         for anomaly in anomalies:
             graph = build_star(n, anomaly)
@@ -206,28 +204,21 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("phase", [PhaseAngle.zero(), PhaseAngle.pi()])
     @pytest.mark.parametrize("n", [*range(3, 13), 256, 4096])
-    def test_float64_walk_matches_complex128(self, n, phase, monkeypatch):
-        types = []
-        step = anomalywalk.stepop.BlockWalk.step
-
-        def spy(walk):
-            types.extend(map(type, walk_values(walk)))
-            return step(walk)
-        monkeypatch.setattr(anomalywalk.stepop.BlockWalk, "step", spy)
+    def test_real_walk_matches_its_complex_copy(self, n, phase):
+        # the search rows of every step, and the whole state after 40
         for graph, kind in self.walks(n, phase):
             op = build_step_operator(graph)
-            if graph.anomaly.variant == "none":
-                rows = (np.array([0, n]), np.array([], dtype=np.intp))
-            else:
-                rows = anomalywalk.search._partition_rows(graph)
-            values = _start_values(graph, kind)
+            target_rows, anomaly_rows = search_rows(graph)
+            located = op.basis.locate(target_rows + anomaly_rows)
+            values = start_values(graph, kind)
             assert {type(v) for v in values} == {float}
-            types.clear()
-            real = anomalywalk.search._evolve_full(op, values, 40, *rows)
-            cplx = anomalywalk.search._evolve_full(op, tuple(map(complex, values)), 40, *rows)
-            assert set(types) == {complex}
-            for a, b in zip(real, cplx, strict=True):
-                np.testing.assert_array_equal(a, b, strict=True)
+            real, cplx = BlockWalk(op, values), BlockWalk(op, tuple(map(complex, values)))
+            for _ in range(40):
+                assert real.gather(located) == cplx.gather(located)
+                real.step()
+                cplx.step()
+            assert {type(v) for v in walk_values(real)} == {complex}
+            np.testing.assert_array_equal(walk_state(real), walk_state(cplx), strict=True)
 
 
 class TestBlockWalk:
@@ -259,31 +250,11 @@ class TestBlockWalk:
         for anomaly, kind, steps in cases:
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
-            rows = anomalywalk.search._partition_rows(graph)
+            rows = search_rows(graph)
             got = columns(run_search(graph, kind, steps))
             want = flat_walk_records(op, named_start(graph, kind), steps, *rows)
             for a, b in zip(got, want, strict=True):
                 within(a, b, 1e-12)
-
-    @pytest.mark.parametrize("n", [256, 4096])
-    def test_resumming_walk_is_bit_equal_to_flat_apply(self, n):
-        # the oracle's block walk reads the same amplitudes as the flat walk
-        # when it is real, so its target and anomaly probabilities are
-        # bit-equal; only the total is carried from the start
-        for anomaly, kind in self.cases(n):
-            graph = build_star(n, anomaly)
-            op = build_step_operator(graph)
-            rows = anomalywalk.search._partition_rows(graph)
-            x0 = named_start(graph, kind)
-            got = resumming_walk_records(op, x0, 200, *rows)
-            want = flat_walk_records(op, x0, 200, *rows)
-            exact = walk_dtype(op, x0) == np.float64
-            for a, b in zip(got[:2], want[:2]):
-                if exact:
-                    np.testing.assert_array_equal(a, b, strict=True)
-                else:
-                    within(a, b, 1e-12)
-            within(got[2], want[2], 1e-12)
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_split_is_bit_equal_to_numpy_column_sums(self, n):
@@ -293,9 +264,9 @@ class TestBlockWalk:
         for anomaly, kind in self.cases(n):
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
-            target_rows, anomaly_rows = anomalywalk.search._partition_rows(graph)
+            target_rows, anomaly_rows = search_rows(graph)
             located = op.basis.locate(target_rows + anomaly_rows)
-            start = _start_values(graph, kind)
+            start = start_values(graph, kind)
             walk = BlockWalk(op, start)
             amps = [walk.gather(located)]
             for _ in range(200):
@@ -323,7 +294,7 @@ class TestBlockWalk:
                         Anomaly.missing_loop(1, phase), Anomaly.missing_loop(n, phase)):
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
-            rows = anomalywalk.search._partition_rows(graph)
+            rows = search_rows(graph)
             for kind in (InitialStateKind.minus(), InitialStateKind.inout(0.8, 0.6j)):
                 got = columns(run_search(graph, kind, steps))
                 want = flat_walk_records(op, named_start(graph, kind), steps, *rows)
@@ -340,14 +311,14 @@ class TestBlockWalk:
         # its first step, the references' named start: its bulk values, each
         # a Python complex, with no row written
         loops = (InitialStateKind.loop_pi(), InitialStateKind.loop_third())
-        for anomaly in (Anomaly.none(), Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
+        for anomaly in (Anomaly.extra_edge(1, n, phase), Anomaly.loop(n, phase),
                         Anomaly.extended_edge(1, phase), Anomaly.missing_loop(2, phase)):
             graph = build_star(n, anomaly)
             op = build_step_operator(graph)
             for kind in (InitialStateKind.minus(), InitialStateKind.plus(),
                          InitialStateKind.inout(0.6, -0.8), InitialStateKind.inout(1.0, 0.5j),
                          *(loops if anomaly.schema.loops else ())):
-                walk = BlockWalk(op, _start_values(graph, kind))
+                walk = BlockWalk(op, start_values(graph, kind))
                 want = named_start(graph, kind)
                 assert {type(v) for v in walk_values(walk)} == {complex}
                 assert walk.rows == [{}] * len(walk.bulk)
@@ -371,7 +342,7 @@ class TestBlockWalk:
         # bulk value, and every value is a Python complex
         graph = build_star(1_000_000, anomaly)
         op = build_step_operator(graph)
-        walk = BlockWalk(op, _start_values(graph, InitialStateKind.minus()))
+        walk = BlockWalk(op, start_values(graph, InitialStateKind.minus()))
         for _ in range(200):
             walk.step()
         written = {k for rows in walk.rows for k in rows}
@@ -417,52 +388,20 @@ class TestBlockWalk:
             InitialStateKind.loop_third(), 10)[0]
         assert abs(large - small) <= 4096, (small, large)
 
-    @staticmethod
-    def _loop_walk(n):
-        """The operator of a loop star, the minus state's values per block
-        and the search rows."""
-        graph = build_star(n, Anomaly.loop(7))
-        return (build_step_operator(graph), _start_values(graph, InitialStateKind.minus()),
-                anomalywalk.search._partition_rows(graph))
-
     @pytest.mark.parametrize("steps", [10, 1000])
-    def test_norm_is_taken_twice_per_run(self, monkeypatch, steps):
+    def test_each_step_reads_only_its_rows(self, steps):
         # the total is taken in closed form from the start values and
-        # certified once at the end, from the walk's bulk values and written
-        # rows: no step reads the state, and no vector norm is taken
-        op, start, rows = self._loop_walk(4096)
-        walks, norms = [], []
-        walk_norm2, norm2 = anomalywalk.search._walk_norm2, anomalywalk.search.norm2
-        monkeypatch.setattr(anomalywalk.search, "_walk_norm2",
-                            lambda walk: walks.append(walk) or walk_norm2(walk))
-        monkeypatch.setattr(anomalywalk.search, "norm2", lambda x: norms.append(x) or norm2(x))
-        got = anomalywalk.search._evolve_full(op, start, steps, *rows)
-        assert [len(c) for c in got] == [steps + 1] * 3
-        assert len(walks) == 1 and norms == []
-
-    def test_norm_drift_is_refused(self):
-        # patches of modulus 2 add weight on every pass through the loop
-        op, start, rows = self._loop_walk(256)
-        doubled = op._replace(amp=[2 * a for a in op.amp])
-        with pytest.raises(NumericalFailureError, match=r"drifts .* past the tolerance 1\.0e-10"):
-            anomalywalk.search._evolve_full(doubled, start, 40, *rows)
-
-    @pytest.mark.parametrize("n, block, row, refusal", [
-        (256, 1, 3, "squared norm drifts 8\\.839e-08 .* past the tolerance 1\\.0e-10")],
-        ids=["hub"])
-    def test_stale_carried_sum_is_refused(self, monkeypatch, n, block, row, refusal):
-        # a row written behind the walk's back, in the block the hub reads,
-        # moves the state away from its start, whose squared norm the run
-        # took in closed form, so the certificate at its end refuses it
-        op, start, rows = self._loop_walk(n)
-        init = BlockWalk.__init__
-
-        def stale(walk, *args):
-            init(walk, *args)
-            walk.rows[block][row] = walk.bulk[block] + 1e-6
-        monkeypatch.setattr(BlockWalk, "__init__", stale)
-        with pytest.raises(NumericalFailureError, match=f"^the full walk's {refusal}$"):
-            anomalywalk.search._evolve_full(op, start, 40, *rows)
+        # certified once at the end from the walk's bulk values and written
+        # rows: each step reads the walk once, at its target and anomaly
+        # rows, and no vector norm is taken
+        graph = build_star(4096, Anomaly.loop(7))
+        with (recorded(BlockWalk.gather) as reads, recorded(norm2) as norms,
+              recorded(anomalywalk.search._walk_norm2) as walk_norms):
+            result = run_search(graph, InitialStateKind.minus(), steps)
+        assert [len(c) for c in columns(result)] == [steps + 1] * 3
+        assert len(reads) == steps + 1 and norms == []
+        assert len(walk_norms) == 1
+        assert {len(args["located"]) for args, _ in reads} == {sum(map(len, search_rows(graph)))}
 
 
 class TestPrediction:
@@ -497,33 +436,30 @@ class TestRunSearch:
         assert result.peak_detectable == pytest.approx(0.6357, abs=1e-3)
         assert result.peak_undetected == pytest.approx(0.3626, abs=1e-3)
 
-    def test_records_cover_every_step(self):
-        graph = build_star(50, Anomaly.loop(4))
-        result = run_search(graph, InitialStateKind.minus(), 20)
-        assert [len(c) for c in columns(result)] == [21] * 3
-        within(sum(columns(result)), np.ones(21), 1e-10)
-
-    def test_columns_are_float_arrays_and_hold_the_peak(self, monkeypatch):
+    def test_columns_are_float_arrays_and_hold_the_peak(self):
         graph = build_star(50, Anomaly.loop(4))
         for method in ("full", "reduced"):
             result = run_search(graph, InitialStateKind.minus(), 20, method=method)
             for column in (result.p_target_spokes, result.p_anomaly, result.p_rest):
                 assert type(column) is array and column.typecode == "d" and len(column) == 21
+            within(sum(columns(result)), np.ones(21), 1e-10)
             assert result.peak_detectable == result.p_target_spokes[result.peak_step]
             assert result.peak_undetected == result.p_anomaly[result.peak_step]
             assert type(result.peak_detectable) is type(result.peak_undetected) is float
-        # steps 1 and 3 share the largest sum, 0.5 + 0.25: the earliest wins
-        pts, pas = np.array([0.1, 0.5, 0.25, 0.5]), np.array([0.0, 0.25, 0.25, 0.25])
-        monkeypatch.setattr(anomalywalk.search, "_evolve_full",
-                            lambda *args: (pts, pas, 1.0 - pts - pas))
-        result = run_search(graph, InitialStateKind.minus(), 3)
-        assert result.peak_step == 1
-        assert (result.peak_detectable, result.peak_undetected) == (0.5, 0.25)
+        # on four spokes the walk's sum reaches its largest value at steps
+        # 2, 3, 7 and 8, to the bit: the earliest wins
+        result = run_search(build_star(4, Anomaly.extra_edge(1, 2)), InitialStateKind.minus(), 8)
+        sums = [pt + pa for pt, pa in zip(result.p_target_spokes, result.p_anomaly)]
+        assert [k for k, x in enumerate(sums) if x == max(sums)] == [2, 3, 7, 8]
+        assert result.peak_step == 2
 
-    def test_reduced_matches_full(self):
-        graph = build_star(120, Anomaly.extra_edge(3, 9))
-        full = run_search(graph, InitialStateKind.minus(), 40, method="full")
-        fast = run_search(graph, InitialStateKind.minus(), 40, method="reduced")
+    @pytest.mark.parametrize("n,anomaly,kind,steps", [
+        (120, Anomaly.extra_edge(3, 9), InitialStateKind.minus(), 40),
+        (90, Anomaly.missing_loop(4), InitialStateKind.loop_pi(), 20)], ids=["minus", "loop_pi"])
+    def test_reduced_matches_full(self, n, anomaly, kind, steps):
+        graph = build_star(n, anomaly)
+        full = run_search(graph, kind, steps, method="full")
+        fast = run_search(graph, kind, steps, method="reduced")
         assert full.peak_step == fast.peak_step
         within(full.p_target_spokes, fast.p_target_spokes, 1e-9)
         within(full.p_anomaly, fast.p_anomaly, 1e-9)
@@ -559,12 +495,6 @@ class TestRunSearch:
         for a, b in zip(columns(full), columns(fast)):
             within(a, b, 1e-11)
 
-    def test_reduced_supports_loop_start_states(self):
-        graph = build_star(90, Anomaly.missing_loop(4))
-        full = run_search(graph, InitialStateKind.loop_pi(), 20, method="full")
-        fast = run_search(graph, InitialStateKind.loop_pi(), 20, method="reduced")
-        within(full.p_target_spokes, fast.p_target_spokes, 1e-9)
-
     @pytest.mark.parametrize("kind", [
         InitialStateKind.minus(), InitialStateKind.inout(0.6, 0.8j)], ids=["minus", "inout"])
     def test_reduced_builds_the_start_state_once(self, kind):
@@ -595,12 +525,6 @@ class TestRunSearch:
         # the dummy loop never gains weight from this start state
         assert max(result.p_anomaly) < 0.05
 
-    def test_warning_when_peak_far_from_prediction(self):
-        graph = build_star(100, Anomaly.extra_edge(2, 7))
-        result = run_search(graph, InitialStateKind.minus(), 5)
-        assert result.warnings
-        assert "predicted" in result.warnings[0]
-
     def test_peak_slack_is_read_from_the_policy(self, monkeypatch):
         # the peak of a 5-step run lies 9 or more steps before the predicted 14
         graph = build_star(100, Anomaly.extra_edge(2, 7))
@@ -614,16 +538,16 @@ class TestRunSearch:
             assert not warned or f"more than {slack} steps" in warnings[0]
 
     def test_spot_check_is_read_from_the_policy(self, monkeypatch):
+        # the spot check's full walk reads its rows at step 0 and at each
+        # step of the checked prefix
         graph = build_star(64, Anomaly.loop(3))
         minus = InitialStateKind.minus()
         prefixes = []
-        evolve = anomalywalk.search._evolve_full
-        monkeypatch.setattr(anomalywalk.search, "_evolve_full",
-                            lambda op, x0, k, *rows: prefixes.append(k) or evolve(op, x0, k, *rows))
-        run_search(graph, minus, 30, method="reduced")
-        policy = DEFAULT_POLICY._replace(spot_check_steps=7)
-        monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY", policy)
-        run_search(graph, minus, 30, method="reduced")
+        for policy in (DEFAULT_POLICY, DEFAULT_POLICY._replace(spot_check_steps=7)):
+            monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY", policy)
+            with recorded(BlockWalk.gather) as reads:
+                run_search(graph, minus, 30, method="reduced")
+            prefixes.append(len(reads) - 1)
         assert prefixes == [25, 7]
         monkeypatch.setattr(anomalywalk.search, "DEFAULT_POLICY",
                             policy._replace(spot_check_tol=-1.0))
@@ -642,9 +566,11 @@ class TestRunSearch:
         *[pytest.param(method, case, id=f"{case}-{method}")
           for case in ("extra_edge_inout", "missing_loop_loop_third")
           for method in ("full", "reduced")]])
-    def test_records_fit_the_memory_refusal(self, method, case):
-        # run_search refuses a horizon by _RECORD_BYTES a step; at a small N
-        # the per-step arrays are the whole peak, on the widest complex rows too
+    def test_records_fit_the_memory_refusal(self, monkeypatch, method, case):
+        # run_search refuses a horizon by the bytes it takes a step; at a
+        # small N the per-step arrays are the whole peak, on the widest
+        # complex rows too, and a machine one byte short of the peak refuses
+        # the run
         if case == "loop":
             graph, kind = build_star(50, Anomaly.loop(3)), InitialStateKind.minus()
         elif case == "extra_edge_inout":
@@ -659,7 +585,9 @@ class TestRunSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / steps <= anomalywalk.search._RECORD_BYTES
+        monkeypatch.setattr(anomalywalk.stargraph, "physical_memory_bytes", lambda: peak - 1)
+        with pytest.raises(SizeError, match=f"^{steps} steps need more than"):
+            run_search(graph, kind, steps, method=method)
 
     def test_plain_star_has_nothing_to_find(self):
         graph = build_star(10, Anomaly.none())
@@ -711,16 +639,6 @@ class TestMeasurement:
 
 
 class TestClassicalBaseline:
-    def test_single_location_uniform_over_positions(self):
-        graph = build_star(3, Anomaly.loop(2))
-        counts = {1: 0, 2: 0, 3: 0}
-        for queries in anomalywalk.search._sample_queries(graph, 3000, seed=0).tolist():
-            counts[queries] += 1
-        mean = sum(k * c for k, c in counts.items()) / 3000
-        assert mean == pytest.approx(2.0, abs=0.06)
-        for c in counts.values():
-            assert c > 800  # roughly uniform over the three ranks
-
     def test_statistics_single_location(self):
         graph = build_star(10, Anomaly.loop(4))
         stats = baseline_statistics(graph, trials=20000, seed=1)
@@ -741,16 +659,20 @@ class TestClassicalBaseline:
         assert a == b
 
     # 0.999 quantiles of the chi-square law, by degrees of freedom
-    CHI2_999 = {8: 26.124, 9: 27.877}
+    CHI2_999 = {2: 13.816, 8: 26.124, 9: 27.877}
 
-    @pytest.mark.parametrize("anomaly", [Anomaly.loop(4), Anomaly.extra_edge(2, 9)])
-    def test_sampler_matches_exact_law(self, anomaly):
+    @pytest.mark.parametrize("n,anomaly", [(3, Anomaly.loop(2)), (10, Anomaly.loop(4)),
+                                           (10, Anomaly.extra_edge(2, 9))])
+    def test_sampler_matches_exact_law(self, n, anomaly):
         # P(Q = q) = C(N - q, k - 1) / C(N, k): the first of k marked
-        # vertices in a uniform shuffle of N sits at rank q
-        n, trials = 10, 100_000
+        # vertices in a uniform shuffle of N sits at rank q.  The law is
+        # read off the reference draws, whose exact sum and sum of squares
+        # the package's draws share
+        trials = 100_000
         graph = build_star(n, anomaly)
         k = len(graph.anomaly_vertices)
-        draws = anomalywalk.search._sample_queries(graph, trials, seed=5)
+        assert baseline_statistics(graph, trials, seed=5) == reference_statistics(graph, trials, 5)
+        draws = reference_draws(graph, trials, seed=5)
         ranks = np.arange(1, n - k + 2)
         exact = np.array([math.comb(n - q, k - 1) for q in ranks]) / math.comb(n, k)
         assert exact.sum() == pytest.approx(1.0)
@@ -788,7 +710,8 @@ class TestClassicalBaseline:
         # the uniforms at which the rank changes, f(m) / f(N), one ulp and
         # 2^-40 of it either side, and the ends of [0, 1): each draw is the
         # exact rank of a u' within 4 ulps of its u, as the sampler's
-        # docstring allows, so it is exact 2^-40 off a threshold
+        # docstring allows, so it is exact 2^-40 off a threshold.  Each u
+        # is the one uniform of a one-trial baseline, whose mean is its draw
         graph = build_star(n, anomaly)
         k = len(graph.anomaly_vertices)
         us = [0.0, 1.0 - 2.0 ** -53]
@@ -796,26 +719,17 @@ class TestClassicalBaseline:
             threshold = math.perm(m, k) / math.perm(n, k)
             us += [threshold * (1 - 2.0 ** -40), np.nextafter(threshold, 0.0), threshold,
                    np.nextafter(threshold, 1.0), threshold * (1 + 2.0 ** -40)]
-        us = np.array([u for u in us if 0.0 <= u < 1.0])
-        monkeypatch.setattr(anomalywalk.search, "_uniforms", lambda seed, count: [us.tolist()])
-        draws = anomalywalk.search._sample_queries(graph, len(us), seed=0)
+        us = [float(u) for u in us if 0.0 <= u < 1.0]
+        draws = []
+        for u in us:
+            monkeypatch.setattr(anomalywalk.search, "_uniforms", lambda seed, count: [[u]])
+            draws.append(int(baseline_statistics(graph, trials=1, seed=0).mean))
         tolerance = 4 * 2.0 ** -52
-        for u, q in zip(us.tolist(), draws.tolist()):
+        for u, q in zip(us, draws):
             low = self.exact_rank(min(u * (1 + tolerance), 1.0 - 2.0 ** -53), n, k)
             high = self.exact_rank(u * (1 - tolerance), n, k)
             assert low <= q <= high, (u, q)
         assert draws[0] == n - k + 1 and draws[1] == 1  # u = 0 and the largest u
-
-    def test_uniforms_do_not_depend_on_the_chunk(self, monkeypatch):
-        # randbytes takes its bit count as a C int, so the uniforms come in
-        # chunks; each is whole 32-bit words of one stream
-        count, seed = 1000, 3
-        whole = (np.frombuffer(random.Random(seed).randbytes(8 * count), "<u8") >> 11) * 2.0 ** -53
-        for chunk in (1, 7, 4096):
-            monkeypatch.setattr(anomalywalk.search, "_UNIFORM_CHUNK", chunk)
-            chunks = list(anomalywalk.search._uniforms(seed, count))
-            assert {len(c) for c in chunks[:-1]} <= {chunk}
-            assert np.array_equal(sum(chunks, []), whole)
 
     @pytest.mark.parametrize("n", [1000, 10 ** 9])
     @pytest.mark.parametrize("anomaly", [Anomaly.loop(1), Anomaly.extra_edge(1, 2)])
@@ -824,7 +738,9 @@ class TestClassicalBaseline:
         # whole-array numpy operations from the same uniforms, for k = 1 and
         # k = 2: bit-equal draws give bit-equal statistics, both read from
         # the draws' exact sum and sum of squares, and numpy's mean and
-        # standard deviation of the reference draws agree
+        # standard deviation of the reference draws agree.  The 10,000
+        # uniforms span three of the sampler's chunks, where the reference
+        # takes them in one call
         graph = build_star(n, anomaly)
         for seed in (0, 11):
             got = baseline_statistics(graph, trials=10_000, seed=seed)
@@ -834,9 +750,10 @@ class TestClassicalBaseline:
             assert got.std == pytest.approx(draws.std(), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("anomaly", [Anomaly.loop(7), Anomaly.extra_edge(3, 700)])
-    def test_trials_fit_the_memory_refusal(self, anomaly):
-        # baseline_statistics refuses a trial count by _BASELINE_BYTES_PER_TRIAL
-        # a trial; the per-trial arrays are the whole peak, for k = 1 and k = 2
+    def test_trials_fit_the_memory_refusal(self, monkeypatch, anomaly):
+        # baseline_statistics refuses a trial count by the bytes it takes a
+        # trial; the per-trial arrays are the whole peak, for k = 1 and
+        # k = 2, and a machine one byte short of the peak refuses the run
         graph = build_star(1000, anomaly)
         trials = 200_000
         tracemalloc.start()
@@ -845,7 +762,9 @@ class TestClassicalBaseline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / trials <= anomalywalk.search._BASELINE_BYTES_PER_TRIAL
+        monkeypatch.setattr(anomalywalk.stargraph, "physical_memory_bytes", lambda: peak - 1)
+        with pytest.raises(SizeError, match=f"^{trials} trials need more than"):
+            baseline_statistics(graph, trials=trials, seed=4)
 
     def test_argument_validation(self):
         plain = build_star(10, Anomaly.none())

@@ -11,6 +11,7 @@ from oracle import (
     cluster_phases,
     cluster_tol_at,
     eigendecompose,
+    hand_columns,
     named_kinds,
     named_start,
     projector,
@@ -18,15 +19,13 @@ from oracle import (
     reduce_seeds,
     reference_operators,
     representative,
-    symmetric_in_state,
-    symmetric_out_state,
+    sweep_spectra,
 )
 
 from anomalywalk.collapse import cells_operator, star_cells
-from anomalywalk.edgespace import BasisLabel, make_basis
-from anomalywalk.errors import DimensionMismatchError, NumericalFailureError, SizeError
+from anomalywalk.edgespace import make_basis
+from anomalywalk.errors import DimensionMismatchError, NumericalFailureError
 from anomalywalk.numerics import DEFAULT_POLICY
-from anomalywalk.perturb import _sweep_spectra
 from anomalywalk.search import InitialStateKind, family_seeds
 from anomalywalk.spectral import dump_spectrum_csv, secular_spectrum
 from anomalywalk.stargraph import Anomaly, PhaseAngle, build_star
@@ -37,18 +36,7 @@ def hand_reduced(n, u=2, v=5):
     """Reduced walk matrix on the hand-built 5-dim invariant basis, and the
     start state's coefficients on it."""
     graph = build_star(n, Anomaly.extra_edge(u, v))
-    basis = make_basis(graph)
-    bulk = [j for j in range(1, n + 1) if j not in (u, v)]
-    chord = np.zeros(basis.dim, dtype=complex)
-    chord[basis.position(BasisLabel.edge(u, v))] = 2 ** -0.5
-    chord[basis.position(BasisLabel.edge(v, u))] = 2 ** -0.5
-    cols = np.stack([
-        symmetric_out_state(basis, (u, v)),
-        symmetric_in_state(basis, (u, v)),
-        symmetric_out_state(basis, bulk),
-        symmetric_in_state(basis, bulk),
-        chord,
-    ], axis=1)
+    cols = hand_columns(make_basis(graph), u, v)
     reduced, leakage = reduce_columns(build_step_operator(graph), cols)
     assert leakage <= DEFAULT_POLICY.invariance_tol
     x0 = cols.conj().T @ named_start(graph, InitialStateKind.minus())
@@ -112,14 +100,8 @@ def test_reduced_spectrum_matches_characteristic_polynomial():
     expected = np.sort(np.angle(roots))
     assert spec.multiplicities == (1, 1, 1, 1, 1)
     np.testing.assert_allclose(spec.eigenphases, expected, atol=1e-9)
-
-
-def test_reduced_spectrum_phase_values():
-    _, reduced, _ = hand_reduced(100)
-    spec = eigendecompose(reduced)
-    over_pi = np.array(spec.eigenphases) / np.pi
-    np.testing.assert_allclose(
-        over_pi, [-0.9631, -0.3358, 0.0, 0.3358, 0.9631], atol=5e-4)
+    np.testing.assert_allclose(np.array(spec.eigenphases) / np.pi,
+                               [-0.9631, -0.3358, 0.0, 0.3358, 0.9631], atol=5e-4)
 
 
 def reconstruct(spec):
@@ -189,20 +171,23 @@ def test_projectors_resolve_identity():
     np.testing.assert_allclose(total, np.eye(5), atol=1e-10)
 
 
-def test_rejects_non_unitary():
-    with pytest.raises(NumericalFailureError):
-        eigendecompose(np.diag([2.0, 1.0]).astype(complex))
+# the last is diagonalizable, with eigenvalues 1, 1 and -1, but the
+# eigenvector of -1 is not orthogonal to those of 1: each cluster spans
+# its multiplicity, and the clusters are no orthonormal frame
+NON_NORMAL = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+UNDECOMPOSABLE = {
+    "non_unitary": (np.diag([2.0, 1.0]).astype(complex), NumericalFailureError, None),
+    "defective": (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), NumericalFailureError, None),
+    "non_square": (np.ones((2, 3)), DimensionMismatchError, None),
+    "non_normal": (NON_NORMAL @ np.diag([1.0, 1.0, -1.0]) @ np.linalg.inv(NON_NORMAL),
+                   NumericalFailureError, "not an orthonormal frame"),
+}
 
 
-def test_rejects_defective_matrix():
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(NumericalFailureError):
-        eigendecompose(jordan)
-
-
-def test_rejects_non_square():
-    with pytest.raises(DimensionMismatchError):
-        eigendecompose(np.ones((2, 3)))
+@pytest.mark.parametrize("mat,error,match", UNDECOMPOSABLE.values(), ids=UNDECOMPOSABLE)
+def test_rejects_what_it_cannot_decompose(mat, error, match):
+    with pytest.raises(error, match=match):
+        eigendecompose(mat)
 
 
 def test_rejects_ragged_input():
@@ -214,12 +199,6 @@ def test_rejects_ragged_input():
         with pytest.raises(DimensionMismatchError, match=f"got a ragged {name}$"):
             eigendecompose(mat)
     assert eigendecompose(reduced.matrix).dim == reduced.matrix.shape[0]
-
-
-def test_dense_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "DENSE_CAP", 3)
-    with pytest.raises(SizeError):
-        eigendecompose(np.eye(4))
 
 
 def test_rank_tol_is_read_from_the_policy(monkeypatch):
@@ -284,16 +263,6 @@ def test_cluster_projectors_match_a_qr_oracle():
                         <= DEFAULT_POLICY.projector_tol)
                 compared += 1
     assert compared == 16
-
-
-def test_rejects_a_diagonalizable_non_normal_matrix():
-    # eigenvalues 1, 1 and -1 with a full set of eigenvectors, but the one
-    # of -1 is not orthogonal to those of 1: each cluster spans its
-    # multiplicity, and the clusters are no orthonormal frame
-    s = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    mat = s @ np.diag([1.0, 1.0, -1.0]) @ np.linalg.inv(s)
-    with pytest.raises(NumericalFailureError, match="not an orthonormal frame"):
-        eigendecompose(mat)
 
 
 def test_rank_test_refuses_a_nan_cluster_without_a_warning(monkeypatch):
@@ -381,7 +350,7 @@ def test_certificates_hold_at_every_size(anomaly):
         residual, frame = certificates(spec, q, i)
         assert residual <= DEFAULT_POLICY.eig_residual_tol
         assert frame <= DEFAULT_POLICY.projector_tol
-        for part in _sweep_spectra(graph):
+        for _, part in sweep_spectra(graph):
             assert sum(part.multiplicities) == part.dim
             stacked = np.concatenate(part.blocks, axis=1)
             assert (np.abs(stacked.conj().T @ stacked - np.eye(part.dim)).max()
