@@ -13,6 +13,9 @@ A spec argument is either a path to a JSON file or an inline JSON object
 (anything starting with '{').  Every failure prints one line starting
 with ``error:<category>:`` on stderr; exit status is 1 for validation
 problems and 2 for numerical certification failures.
+
+Each verb's handler imports the package modules the verb runs, so a
+launch loads, and compiles, no module its verb does not run.
 """
 
 import argparse
@@ -23,31 +26,14 @@ import re
 import sys
 from pathlib import Path
 
-from .collapse import cells_operator
 from .errors import (
     AnomalyWalkError,
     ConfigurationError,
     SpecSemanticError,
     SpecSyntaxError,
 )
-from .numerics import require_within
-from .perturb import (
-    DEFAULT_SWEEP_SIZES,
-    perturbation_sweep,
-    write_fits_csv,
-    write_shifts_csv,
-)
-from .search import (
-    InitialStateKind,
-    baseline_statistics,
-    family_seeds,
-    predicted_step,
-    run_search,
-    search_summary,
-    write_per_step_csv,
-)
-from .spectral import dump_spectrum_csv, secular_spectrum
 from .stargraph import (
+    DEFAULT_SWEEP_SIZES,
     VARIANT_SCHEMA,
     Anomaly,
     PhaseAngle,
@@ -56,7 +42,6 @@ from .stargraph import (
     check_anomaly_keys,
     parse_spec,
 )
-from .stepop import build_scattering_operator, build_step_operator, check_unitarity
 
 _KIND_NAMES = ("minus", "plus", "inout", "loop_pi", "loop_third")
 
@@ -146,7 +131,8 @@ def _parse_complex(text: str, flag: str) -> complex:
             f"{flag} expects a complex literal, got {text!r}") from None
 
 
-def _parse_kind(args) -> InitialStateKind:
+def _parse_kind(args):
+    from .search import InitialStateKind
     if args.kind != "inout":  # argparse has checked the name against _KIND_NAMES
         return getattr(InitialStateKind, args.kind)()
     if args.amp_out is None or args.amp_in is None:
@@ -177,6 +163,7 @@ def _horizon(steps: int | None, graph: StarGraph) -> int:
     first peak lets a later revival win the argmax; with a closed-form
     prediction the window stops well before the next revival.
     """
+    from .search import predicted_step
     if steps is not None:
         return steps
     predicted = predicted_step(graph)
@@ -192,6 +179,8 @@ def _emit_json(payload: dict, out: Path | None) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .numerics import require_within
+    from .stepop import build_step_operator, check_unitarity
     graph = _load_graph(args.spec)
     op = build_step_operator(graph)
     report = check_unitarity(op)
@@ -204,6 +193,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from .search import run_search, write_per_step_csv
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     result = run_search(graph, kind, _horizon(args.steps, graph), method=args.method)
@@ -212,6 +202,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import run_search, search_summary, write_per_step_csv
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     if args.out and args.per_step_out:
@@ -232,6 +223,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .collapse import cells_operator
+    from .search import family_seeds
+    from .spectral import dump_spectrum_csv, secular_spectrum
+    from .stepop import build_scattering_operator
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     cells, seeds = family_seeds(graph, kind)
@@ -266,6 +261,7 @@ def _anomaly_from_args(args, given: list[str]) -> Anomaly:
 
 
 def _cmd_perturb(args) -> int:
+    from .perturb import perturbation_sweep, write_fits_csv, write_shifts_csv
     if bool(args.spec) == bool(args.anomaly):
         raise ConfigurationError("provide exactly one of --spec or --anomaly")
     given = [key for key in _ANOMALY_KEYS if getattr(args, key) is not None]
@@ -298,6 +294,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .search import run_search
     graph = _load_graph(args.spec)
     kind = _parse_kind(args)
     sizes = _parse_sizes(args.n_list)
@@ -318,6 +315,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    from .search import baseline_statistics, predicted_step
     graph = _load_graph(args.spec)
     stats = baseline_statistics(graph, args.trials, args.seed)
     predicted = predicted_step(graph)
@@ -461,12 +459,13 @@ def main(argv=None) -> int:
         return 1
 
 
-# Every object the collector tracks once the import is done (the package's
-# and argparse's, some 13,000) moves to its permanent generation, so neither a
-# verb's collections nor the interpreter's shutdown walks them or tears down
-# their cycles.  Only the CLI, whose process ends with its verb, does this:
-# an import of the package alone leaves the collector as it was.  No verb
-# loads a module past the import, so this one freeze covers every launch.
+# Every object the collector tracks once the import is done (argparse's and
+# the few package modules imported above, some 12,000) moves to its permanent
+# generation, so neither a verb's collections nor the interpreter's shutdown
+# walks them or tears down their cycles.  Only the CLI, whose process ends
+# with its verb, does this: an import of the package alone leaves the
+# collector as it was.  Each verb then imports the modules it runs, which
+# the freeze does not cover: 600 to 900 objects more.
 gc.freeze()
 
 if __name__ == "__main__":

@@ -19,10 +19,8 @@ from .collapse import cells_operator, certify, star_cells
 from .errors import ConfigurationError, InsufficientDataError, NumericalFailureError
 from .numerics import DEFAULT_POLICY, largest, matmul, norm2
 from .spectral import Spectrum, secular_spectrum
-from .stargraph import Anomaly, PhaseAngle, StarGraph, build_star
+from .stargraph import DEFAULT_SWEEP_SIZES, Anomaly, PhaseAngle, StarGraph, build_star
 from .stepop import build_scattering_operator
-
-DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def _sweep_spectra(graph: StarGraph, limit: Spectrum | None = None) -> tuple[Spectrum, Spectrum]:

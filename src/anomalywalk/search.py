@@ -11,7 +11,6 @@ step, and run in plain Python, as does the baseline's sampler.
 """
 
 import cmath
-import json
 import math
 import operator
 import random
@@ -19,7 +18,6 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .collapse import ReducedBasis, cells_operator, star_cells
 from .edgespace import make_basis
 from .errors import (
     ConfigurationError,
@@ -28,7 +26,7 @@ from .errors import (
     NothingToFindError,
 )
 from .numerics import DEFAULT_POLICY, largest, nonzeros, norm2, require_within
-from .stargraph import StarGraph, require_memory, serialize_spec
+from .stargraph import StarGraph, require_memory, spec_dict
 from .stepop import BlockWalk, build_step_operator
 
 
@@ -128,14 +126,15 @@ def _start_values(graph: StarGraph, kind: InitialStateKind) -> tuple:
     return values
 
 
-def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple[ReducedBasis, tuple]:
-    """The star's cells, and as rows on them, a tuple of tuples, the
-    generators of the smallest state family containing a named kind: the
-    uniform state of each block it weighs.
+def family_seeds(graph: StarGraph, kind: InitialStateKind) -> tuple:
+    """The star's cells, a `ReducedBasis`, and as rows on them, a tuple of
+    tuples, the generators of the smallest state family containing a named
+    kind: the uniform state of each block it weighs.
 
     Their smallest invariant subspace serves every start state of the
     family, not just a single seed's orbit.
     """
+    from .collapse import star_cells
     weights = _block_weights(graph, kind)
     cells = star_cells(make_basis(graph))
     return cells, tuple(cells.uniform(k) for k in range(len(weights)))
@@ -257,6 +256,7 @@ def _evolve_reduced(graph, op, kind, start, max_steps, target_rows, anomaly_rows
     or anomaly row lies in one cell, (cell, weight); each step's rows go to
     `_records` as Python complexes, and the squared norm is carried as in
     the full walk."""
+    from .collapse import cells_operator
     cells, seeds = family_seeds(graph, kind)
     scaled = [math.sqrt(graph.n_spokes) * v for v in start[:len(seeds)]]
     row = [sum(v * seed[j] for v, seed in zip(scaled, seeds)) for j in range(cells.dim)]
@@ -341,7 +341,7 @@ def search_summary(graph: StarGraph, kind: InitialStateKind,
                    result: SearchResult) -> dict:
     """JSON-ready summary mirroring the per-step CSV scalars."""
     summary = {
-        "spec": json.loads(serialize_spec(graph)),
+        "spec": spec_dict(graph),
         "kind": kind.variant,
         "predicted_step": result.predicted_step,
         "peak_step": result.peak_step,

@@ -48,6 +48,9 @@ _TWO_PI = 2.0 * math.pi
 # 2**-40 is 9.1e-13, about nine times it
 _MAX_SPOKES = 2 ** 40
 
+# the sizes a `perturb` or `sweep` runs when none are given
+DEFAULT_SWEEP_SIZES = (64, 128, 256, 512, 1024, 2048, 4096)
+
 # e^{i k pi/2} for the quarter turns k = -1, 0, 1, 2, exactly
 _QUARTER_TURNS = {(0, 1): 1.0 + 0j, (1, 1): -1.0 + 0j,
                   (1, 2): complex(0.0, 1.0), (-1, 2): complex(0.0, -1.0)}
@@ -309,8 +312,8 @@ def parse_spec(text: str) -> StarGraph:
     return build_star(n, Anomaly.of(variant, phase, **vertices))
 
 
-def serialize_spec(graph: StarGraph) -> str:
-    """Canonical spec text: sorted keys, compact separators.
+def spec_dict(graph: StarGraph) -> dict:
+    """The spec as the JSON object it is written as.
 
     Phases are emitted as exact pi-fractions when stored that way, else as
     a decimal; extended_edge and missing_loop always carry their phase,
@@ -326,5 +329,9 @@ def serialize_spec(graph: StarGraph) -> str:
             araw["phase_den"] = a.mark_phase.den
         else:
             araw["phase_rad"] = a.mark_phase.rad
-    return json.dumps({"n_spokes": graph.n_spokes, "anomaly": araw},
-                      sort_keys=True, separators=(",", ":"))
+    return {"n_spokes": graph.n_spokes, "anomaly": araw}
+
+
+def serialize_spec(graph: StarGraph) -> str:
+    """Canonical spec text: `spec_dict` with sorted keys, compact separators."""
+    return json.dumps(spec_dict(graph), sort_keys=True, separators=(",", ":"))

@@ -1,8 +1,12 @@
 """Public API tests, and a guard that keeps the tests at the package's seams."""
 
 import ast
+import importlib
 import inspect
+import types
 from pathlib import Path
+
+import pytest
 
 import anomalywalk
 
@@ -33,6 +37,51 @@ def test_public_names_are_pinned():
         "predicted_hitting_step", "run_search", "secular_spectrum",
         "serialize_spec",
     }
+
+
+def defining_modules() -> dict[str, list[str]]:
+    """The modules of the package whose top level defines each name: by a
+    def, a class or an assignment, not an import."""
+    found = {}
+    for path in sorted(Path(anomalywalk.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, []).append(path.stem)
+    return found
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    # the package namespace reads each name from the one module defining it
+    defined = defining_modules()
+    for name in anomalywalk.__all__:
+        (module,) = defined[name]
+        assert getattr(anomalywalk, name) is getattr(
+            importlib.import_module(f"anomalywalk.{module}"), name), name
+
+
+def test_star_import_and_dir_give_every_public_name():
+    namespace = {}
+    exec("from anomalywalk import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == anomalywalk.__all__
+    assert len(anomalywalk.__all__) == 44
+    assert set(anomalywalk.__all__) <= set(dir(anomalywalk))
+    assert anomalywalk.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as plain:
+        getattr(types.ModuleType("anomalywalk"), "no_such_name")
+    with pytest.raises(AttributeError) as package:
+        getattr(anomalywalk, "no_such_name")
+    assert str(package.value) == str(plain.value) == (
+        "module 'anomalywalk' has no attribute 'no_such_name'")
 
 
 # The tests reach the package through its seams: the public names, the CLI

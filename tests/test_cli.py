@@ -16,6 +16,7 @@ import pytest
 from oracle import recorded
 
 import anomalywalk
+import anomalywalk.collapse
 import anomalywalk.search
 import anomalywalk.stargraph
 import anomalywalk.stepop
@@ -238,20 +239,21 @@ def test_nul_byte_in_an_output_path_is_refused(capsys, tmp_path, monkeypatch, ca
 UNWANTED = ("scipy", "numpy", "dataclasses")
 
 
-def loaded_by_import(argv=None):
-    """The modules of UNWANTED that importing the CLI in a fresh
-    interpreter, and running it on argv if given, loads.  The run must
-    exit 0."""
+def loaded_by_import(argv=None, module="anomalywalk.cli"):
+    """The modules of UNWANTED, and of the package by their names within
+    it, that importing `module` in a fresh interpreter, and running the CLI
+    on argv if given, loads.  The run must exit 0."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
-    probe = "import sys, anomalywalk.cli; "
+    probe = f"import sys, {module}; "
     if argv is not None:
-        probe += f"assert anomalywalk.cli.main({list(argv)!r}) == 0; "
-    probe += f"print(*[m for m in {UNWANTED!r} if m in sys.modules])"
+        probe += f"import anomalywalk.cli; assert anomalywalk.cli.main({list(argv)!r}) == 0; "
+    probe += (f"print(*[m.removeprefix('anomalywalk.') for m in sys.modules "
+              f"if m in {UNWANTED!r} or m.startswith('anomalywalk.')])")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1].split()
+    return set(result.stdout.splitlines()[-1].split())
 
 
 # starts one CLI launch and prints its exit code and its peak resident set
@@ -316,13 +318,42 @@ VERB_AND_METHOD_RUNS = {
 }
 
 
+# the package modules the CLI's import loads: what reads a spec and the
+# arguments; a launch compiles every module it loads
+CLI_MODULES = {"cli", "errors", "stargraph"}
+WALK_MODULES = CLI_MODULES | {"edgespace", "numerics", "stepop"}
+
+# what each run of VERB_AND_METHOD_RUNS loads past the CLI's import: the
+# modules its verb runs, and none of UNWANTED.  Only a reduced walk, the
+# spectrum and perturb read the cells (collapse); only the spectrum and
+# perturb read spectra; check runs no search
+LOADED_BY_RUN = {
+    "check": WALK_MODULES,
+    "evolve": WALK_MODULES | {"search"},
+    "search": WALK_MODULES | {"search", "collapse"},
+    "spectrum": WALK_MODULES | {"search", "collapse", "spectral"},
+    "perturb": WALK_MODULES | {"collapse", "spectral", "perturb"},
+    "sweep": WALK_MODULES | {"search", "collapse"},
+    "baseline": WALK_MODULES | {"search"},
+    "evolve-reduced": WALK_MODULES | {"search", "collapse"},
+    "search-full": WALK_MODULES | {"search"},
+    "sweep-full": WALK_MODULES | {"search"},
+}
+
+
+def test_package_import_loads_no_submodule():
+    # a public name loads its module on first use
+    assert loaded_by_import(module="anomalywalk") == set()
+
+
 def test_import_loads_no_unwanted_module():
-    assert loaded_by_import() == []
+    assert loaded_by_import() == CLI_MODULES
 
 
-@pytest.mark.parametrize("argv", VERB_AND_METHOD_RUNS.values(), ids=VERB_AND_METHOD_RUNS)
-def test_no_verb_loads_an_unwanted_module(argv, tmp_path):
-    assert loaded_by_import([a.replace("{tmp}", str(tmp_path)) for a in argv]) == []
+@pytest.mark.parametrize("run", VERB_AND_METHOD_RUNS)
+def test_no_verb_loads_an_unwanted_module(run, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in VERB_AND_METHOD_RUNS[run]]
+    assert loaded_by_import(argv) == LOADED_BY_RUN[run]
 
 
 @needs_wait4
@@ -408,22 +439,6 @@ def test_failing_launch_prints_one_error_line(tmp_path, argv, category):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_import_loads_every_package_module():
-    # the CLI's import cost is the package's whole cost: no module is left
-    # for a verb to import later
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(anomalywalk.__file__).resolve().parents[1]))
-    probe = ("import json, pkgutil, sys, anomalywalk.cli; "
-             "names = [m.name for m in pkgutil.iter_modules(anomalywalk.__path__, 'anomalywalk.')]; "
-             "print(json.dumps([len(names), [n for n in names if n not in sys.modules]]))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    count, missing = json.loads(result.stdout)
-    assert count >= 10
-    assert missing == []
-
-
 USAGE_ERRORS = {
     "no_verb": ((), "the following arguments are required: verb (see anomalywalk --help)"),
     "unknown_verb": (("frobnicate",), "argument verb: invalid choice: 'frobnicate'"),
@@ -493,8 +508,8 @@ class TestEvolve:
     def test_reduced_norm_drift_reports_one_error_line(self, capsys, monkeypatch, tmp_path):
         # M scaled by 1 + 1e-8 breaks the conserved norm of the reduced walk;
         # its end-of-walk certificate refuses the run before anything is written
-        cells_operator = anomalywalk.search.cells_operator
-        monkeypatch.setattr(anomalywalk.search, "cells_operator",
+        cells_operator = anomalywalk.collapse.cells_operator
+        monkeypatch.setattr(anomalywalk.collapse, "cells_operator",
                             lambda op, cells: tuple(tuple(x * (1 + 1e-8) for x in row)
                                                     for row in cells_operator(op, cells)))
         out = tmp_path / "steps.csv"

@@ -12,9 +12,9 @@ import pytest
 from oracle import eigendecompose, make_state, place
 
 import anomalywalk
-import anomalywalk.cli
 import anomalywalk.errors
 import anomalywalk.spectral
+import anomalywalk.stepop
 from anomalywalk.cli import main
 from anomalywalk.collapse import certify
 from anomalywalk.edgespace import make_basis
@@ -237,7 +237,7 @@ def test_eigendecompose_refuses_a_non_finite_matrix(entry):
 
 def test_check_verb_reports_a_nan_deviation(capsys, monkeypatch):
     # the unitarity report's certificate refuses a nan deviation
-    monkeypatch.setattr(anomalywalk.cli, "check_unitarity",
+    monkeypatch.setattr(anomalywalk.stepop, "check_unitarity",
                         lambda op: UnitarityReport(max_deviation=NAN, tolerance=1e-12))
     code = main(["check", "--spec", LOOP8])
     captured = capsys.readouterr()
