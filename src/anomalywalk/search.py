@@ -16,6 +16,7 @@ import operator
 import random
 import sys
 from array import array
+from itertools import islice
 from typing import NamedTuple
 
 from .edgespace import make_basis
@@ -331,10 +332,14 @@ def write_per_step_csv(result: SearchResult, path) -> None:
     """The per-step CSV of a result from `run_search`, its columns read one
     step at a time."""
     columns = (result.p_target_spokes, result.p_anomaly, result.p_rest)
+    rows = zip(range(len(columns[0])), *columns)
+    # %-formatting gives f"{x:.12g}"'s digits in two thirds of its time; one
+    # write per 65,536 rows keeps a long horizon's table out of memory
+    fmt = "%d,%.12g,%.12g,%.12g\n".__mod__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("n,p_target_spokes,p_anomaly,p_rest\n")
-        for n, (pt, pa, rest) in enumerate(zip(*columns)):
-            fh.write(f"{n},{pt:.12g},{pa:.12g},{rest:.12g}\n")
+        while chunk := "".join(map(fmt, islice(rows, 1 << 16))):
+            fh.write(chunk)
 
 
 def search_summary(graph: StarGraph, kind: InitialStateKind,

@@ -116,6 +116,8 @@ RECORDED_READS = {
     "test_cli.py::test_every_verb_runs_at_the_largest_size": (
         "BlockWalk", "each verb builds one block walk per full walk or spot check, "
                      "and no other"),
+    "test_cli.py::test_unusable_output_path_is_refused_before_the_walk": (
+        "BlockWalk", "an unusable output path is refused before any block walk"),
     "test_cli.py::test_spectrum_steps_no_state": (
         "BlockWalk", "the reduced spectrum builds no block walk"),
     "test_cli.py::test_sweep_builds_one_operator_per_size": (

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -224,19 +225,23 @@ NUL_ARGV = {
 
 
 @pytest.mark.parametrize("case", sorted(NUL_ARGV))
-def test_nul_byte_in_an_output_path_is_refused(capsys, tmp_path, monkeypatch, case):
-    # no file name holds a NUL byte: each output flag refuses it with one
-    # error line, and nothing is written
+def test_unusable_output_path_is_refused_before_the_walk(capsys, tmp_path, monkeypatch, case):
+    # no file name holds a NUL byte, and no file lands in a missing
+    # directory: each output flag refuses either with one error line before
+    # any walk runs, and nothing is written
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *NUL_ARGV[case], "a\0b")
-    assert (code, out) == (1, "")
-    assert err == "error:config:output path 'a\\x00b' holds a NUL byte\n"
-    assert list(tmp_path.iterdir()) == []
+    for path, line in (("a\0b", "output path 'a\\x00b' holds a NUL byte"),
+                       ("no/x.csv", "output directory no does not exist")):
+        with recorded(BlockWalk) as walks:
+            code, out, err = run(capsys, *NUL_ARGV[case], path)
+        assert (code, out, err, walks) == (1, "", f"error:config:{line}\n", [])
+        assert list(tmp_path.iterdir()) == []
 
 
 # modules a launch must not load: numpy's import costs one about 60 ms and
-# 13 MiB, and dataclasses (with copy, which it imports) about 1 ms
-UNWANTED = ("scipy", "numpy", "dataclasses")
+# 13 MiB, dataclasses (with copy, which it imports) about 1 ms, and argparse
+# with gettext, and the locale its first message loads, about 4 ms
+UNWANTED = ("scipy", "numpy", "dataclasses", "argparse", "gettext", "locale")
 
 
 def loaded_by_import(argv=None, module="anomalywalk.cli"):
@@ -377,9 +382,9 @@ def python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 
-def _fresh(probe):
-    """The last line a fresh interpreter prints running probe."""
-    result = python("-c", probe)
+def _fresh(probe, *flags):
+    """The last line a fresh interpreter, started with flags, prints running probe."""
+    result = python(*flags, "-c", probe)
     assert result.returncode == 0, result.stderr
     return result.stdout.decode().splitlines()[-1]
 
@@ -388,6 +393,14 @@ def test_cli_import_freezes_the_import_graph():
     # the import's objects sit in the permanent generation, which neither a
     # verb's collections nor the shutdown walks
     assert int(_fresh("import gc, anomalywalk.cli; print(gc.get_freeze_count())")) > 0
+
+
+def test_import_without_site_loads_no_pathlib():
+    # this interpreter's `site` may preload pathlib, which would hide its
+    # import from the other checks; the output paths need only os.path
+    probe = ("import sys, anomalywalk.cli; "
+             f"print(sorted(m for m in ('pathlib', *{UNWANTED!r}) if m in sys.modules))")
+    assert _fresh(probe, "-S") == "[]"
 
 
 def test_package_import_leaves_the_collector_alone():
@@ -449,24 +462,69 @@ USAGE_ERRORS = {
     "bad_int": (("evolve", "--spec", EXTRA100, "--steps", "abc", "--out", "x.csv"),
                 "argument --steps: invalid int value: 'abc' (see anomalywalk evolve --help)"),
     "missing_value": (("perturb", "--out"), "argument --out: expected one argument"),
+    "flag_as_value": (("check", "--spec", "--spec"), "argument --spec: expected one argument"),
+    "bad_float": (("perturb", "--anomaly", "loop", "--phase-rad", "half", "--out", "x.csv"),
+                  "argument --phase-rad: invalid float value: 'half'"),
+    # a flag is named in full: a prefix of one is not taken for it
+    "abbreviation": (("evolve", "--spec", EXTRA100, "--ste", "3", "--out", "x.csv"),
+                     "unrecognized arguments: --ste (see anomalywalk evolve --help)"),
+    "stray_token": (("check", "--spec", EXTRA100, "extra"), "unrecognized arguments: extra"),
+}
+
+# every flag of every verb, in the order its help lists them, with a value
+# the flag takes
+VERB_FLAGS = {
+    "check": {"--spec": LOOP100},
+    "evolve": {"--spec": LOOP100, "--kind": "inout", "--amp-out": "-0.6", "--amp-in": "0.8j",
+               "--steps": "3", "--method": "reduced", "--out": "steps.csv"},
+    "search": {"--spec": LOOP100, "--kind": "plus", "--amp-out": "1", "--amp-in": "-1e-3",
+               "--max-steps": "3", "--method": "full", "--out": "s.json",
+               "--per-step-out": "p.csv"},
+    "spectrum": {"--spec": LOOP100, "--kind": "minus", "--amp-out": "-inf", "--amp-in": "1",
+                 "--out": "spec.csv"},
+    "perturb": {"--spec": LOOP100, "--anomaly": "loop", "--at": "1", "--u": "1", "--v": "2",
+                "--phase-num": "-1", "--phase-den": "3", "--phase-rad": "-1e-3",
+                "--n-list": "64,128", "--out": "x.csv", "--fits-out": "f.csv"},
+    "sweep": {"--spec": LOOP100, "--kind": "loop_pi", "--amp-out": "1", "--amp-in": "1",
+              "--n-list": "64,100", "--max-steps": "3", "--method": "full", "--out": "p.csv"},
+    "baseline": {"--spec": LOOP100, "--trials": "10", "--seed": "-1", "--out": "b.json"},
 }
 
 
 class TestUsage:
     @pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
     def test_usage_error_is_one_line(self, capsys, argv, message):
-        # argparse's usage block is not printed: the one error line names
-        # the fault and points to --help
+        # no usage block is printed: the one error line names the fault and
+        # points to --help
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:usage:") and message in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [("--help",), ("search", "--help")])
-    def test_help_goes_to_stdout(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("verb", [None, *VERB_FLAGS])
+    def test_help_goes_to_stdout(self, capsys, verb, flag):
+        # the help lists every verb, or every flag of the verb, and nothing
+        # else, so it cannot drift from the table the parse reads
+        code, out, err = run(capsys, *filter(None, (verb, flag)))
         assert (code, err) == (0, "")
-        assert out.startswith("usage: anomalywalk")
+        assert out.startswith(f"usage: anomalywalk {verb or ''}")
+        listed = ["-h,", *VERB_FLAGS[verb]] if verb else [*VERB_FLAGS, "-h,"]
+        assert re.findall(r"^  (\S+)", out, re.MULTILINE) == listed
+
+    @pytest.mark.parametrize("verb", VERB_FLAGS)
+    def test_every_flag_parses_in_both_forms(self, capsys, verb):
+        # each flag takes its value as the next token, negative or not, or
+        # joined by '='; the help after it is printed only once it parsed
+        for flag, value in VERB_FLAGS[verb].items():
+            for form in ((flag, value), (f"{flag}={value}",)):
+                assert run(capsys, verb, *form, "--help")[::2] == (0, "")
+
+    def test_repeated_flag_takes_its_last_value(self, capsys):
+        for argv, dim in (((PLAIN, "--spec", EXTRA100), "dim=202"),
+                          ((EXTRA100, f"--spec={PLAIN}"), "dim=24")):
+            code, out, _ = run(capsys, "check", "--spec", *argv)
+            assert (code, out.split()[0]) == (0, dim)
 
 
 class TestEvolve:
@@ -652,14 +710,20 @@ class TestStartCoefficients:
                   for x in line.split(",")]
         assert all(math.isfinite(x) for x in values)
 
-    @pytest.mark.parametrize("amp_in", ["-1e-3", "-0.5j", "-1e150"])
-    def test_negative_coefficient_as_its_own_token(self, capsys, tmp_path, amp_in):
-        out = tmp_path / "steps.csv"
-        code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
-                           "--amp-out", "1", "--amp-in", amp_in,
-                           "--steps", "20", "--out", str(out))
-        assert (code, err) == (0, "")
-        assert out.exists()
+    @pytest.mark.parametrize("flag", ["--amp-out", "--amp-in"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-0.5j", "-1e150"])
+    def test_negative_coefficient_as_its_own_token(self, capsys, tmp_path, flag, value):
+        # the token after the flag is its value: the walk is the one the
+        # joined form starts
+        csvs = []
+        for form in ((flag, value), (f"{flag}={value}",)):
+            out = tmp_path / f"steps{len(csvs)}.csv"
+            code, _, err = run(capsys, "evolve", "--spec", LOOP100, "--kind", "inout",
+                               "--amp-out", "1", "--amp-in", "1", *form,
+                               "--steps", "20", "--out", str(out))
+            assert (code, err) == (0, "")
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
 class TestSinglePass:
     """The reduced paths read the cells' operator in a single pass over the

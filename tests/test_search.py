@@ -1,6 +1,5 @@
 """Search dynamics tests: start states, peaks, the detected split, baseline."""
 
-import csv
 import math
 import tracemalloc
 from array import array
@@ -594,17 +593,20 @@ class TestRunSearch:
         with pytest.raises(NothingToFindError):
             run_search(graph, InitialStateKind.minus(), 5)
 
-    def test_per_step_csv(self, tmp_path):
+    @pytest.mark.parametrize("steps", [12, 70000])  # 70,000 rows take two writes
+    def test_per_step_csv(self, tmp_path, steps):
+        # every step's row, in order, with 12 significant digits
         graph = build_star(40, Anomaly.loop(2))
-        result = run_search(graph, InitialStateKind.minus(), 12)
+        result = run_search(graph, InitialStateKind.minus(), steps)
         path = tmp_path / "steps.csv"
         write_per_step_csv(result, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "p_target_spokes", "p_anomaly", "p_rest"]
-        assert len(rows) == 14
-        assert rows[1][0] == "0"
-        assert float(rows[1][1]) == pytest.approx(result.p_target_spokes[0])
+        with open(path, newline="") as fh:
+            rows = fh.read().split("\n")
+        columns = (result.p_target_spokes, result.p_anomaly, result.p_rest)
+        assert rows == ["n,p_target_spokes,p_anomaly,p_rest",
+                        *(f"{n},{pt:.12g},{pa:.12g},{rest:.12g}"
+                          for n, (pt, pa, rest) in enumerate(zip(*columns))), ""]
+        assert len(rows) == steps + 3
 
     def test_summary_fields(self):
         graph = build_star(100, Anomaly.extra_edge(2, 7))
