@@ -204,9 +204,8 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# perturb's anomaly flags, as their spec keys, and the vertex defaults
+# perturb's anomaly flags, as their spec keys
 _ANOMALY_KEYS = ("at", "u", "v", "phase_num", "phase_den", "phase_rad")
-_VERTEX_DEFAULTS = {"at": 1, "u": 1, "v": 2}
 
 
 def _anomaly_from_args(args, given: list[str]) -> Anomaly:
@@ -222,8 +221,9 @@ def _anomaly_from_args(args, given: list[str]) -> Anomaly:
         phase = PhaseAngle.from_pi_fraction(args.phase_num, args.phase_den)
     elif args.phase_rad is not None:
         phase = PhaseAngle.from_radians(args.phase_rad)
-    fields = VARIANT_SCHEMA[args.anomaly].fields
-    vertices = {f: getattr(args, f) if f in given else _VERTEX_DEFAULTS[f] for f in fields}
+    schema = VARIANT_SCHEMA[args.anomaly]
+    vertices = {f: getattr(args, f) if f in given else default
+                for f, default in zip(schema.fields, schema.defaults)}
     return Anomaly.of(args.anomaly, phase, **vertices)
 
 

@@ -2,8 +2,8 @@
 
 The enumeration order is frozen so CSV dumps and golden tests are stable:
 all hub-outgoing states (0,j) for j = 1..N, then all hub-incoming states
-(j,0), then anomaly states in a fixed documented order (extra-edge pair,
-loop states ascending vertex, extension pair).
+(j,0), then, where every outer vertex has one, the loops in ascending
+vertex, then the anomaly tail in the order of its `VariantSchema.tail`.
 """
 
 from bisect import bisect_right
@@ -33,12 +33,12 @@ class BasisLabel(NamedTuple):
 
     @property
     def at(self) -> int:
-        if self.kind != "loop":
+        if self.kind == "edge":
             raise ConfigurationError("not a loop label")
         return self.u
 
     def __str__(self) -> str:
-        if self.kind == "loop":
+        if self.kind != "edge":
             return f"l{self.u}"
         return f"{self.u}->{self.v}"
 
@@ -58,18 +58,14 @@ class EdgeBasis(NamedTuple):
     def dim(self) -> int:
         return StarGraph(self.n_spokes, self.anomaly).hilbert_dim
 
-    def _fixed_block(self) -> tuple[BasisLabel, ...]:
-        """Anomaly states of the variants whose block size does not grow with N."""
+    def state(self, word: str) -> BasisLabel:
+        """The state a `VariantSchema` word names: "xy" the edge x -> y, "xx"
+        the loop at x, over the hub 0, the anomaly's u, v and a (`at`), and
+        t, the extension's tip, which gets the next free vertex id."""
         a = self.anomaly
-        if a.variant == "extra_edge":
-            return (BasisLabel.edge(a.u, a.v), BasisLabel.edge(a.v, a.u))
-        if a.variant == "loop":
-            return (BasisLabel.loop(a.at),)
-        if a.variant == "extended_edge":
-            # the extension endpoint gets the next free vertex id
-            tip = self.n_spokes + 1
-            return (BasisLabel.edge(a.at, tip), BasisLabel.edge(tip, a.at))
-        return ()
+        x, y = ({"0": 0, "u": a.u, "v": a.v, "a": a.at, "t": self.n_spokes + 1}[c]
+                for c in word)
+        return BasisLabel.loop(x) if x == y else BasisLabel.edge(x, y)
 
     @property
     def anomaly_block(self) -> slice:
@@ -124,7 +120,7 @@ class EdgeBasis(NamedTuple):
                 return n + label.u - 1
         elif self.anomaly.schema.loops and 1 <= label.u <= n:
             return 2 * n + label.u - 1
-        block = self._fixed_block()
+        block = [self.state(word) for word in self.anomaly.schema.tail]
         if label in block:
             return 2 * n + block.index(label)
         raise ConfigurationError(f"label {label} not in basis")

@@ -4,11 +4,12 @@ On the star's cells the step is Q(I - 2|i><i|), for the pure-reflection
 walk Q and the uniform incoming state i.  As N grows i concentrates on
 the bulk incoming cell bi, so the limit Q(I - 2|bi><bi|) has
 size-independent eigenphases; both spectra are read from Q's structure,
-on extra_edge in the sector symmetric under swapping u and v.  Pairing
-each finite-size eigenphase with the limit branch it continues from, by
-that structure, isolates the shifts, and fitting them against the graph
-size separates the degenerate branches (shift of order one over square
-root of N) from the simple ones (order one over N).
+in the sector symmetric under swapping u and v where the schema marks
+that swap.  Pairing each finite-size eigenphase with the limit branch it
+continues from, by that structure, isolates the shifts, and fitting
+them against the graph size separates the degenerate branches (shift of
+order one over square root of N) from the simple ones (order one over
+N).
 """
 
 import math
@@ -25,15 +26,15 @@ from .stepop import build_scattering_operator
 
 def _sweep_spectra(graph: StarGraph, limit: Spectrum | None = None) -> tuple[Spectrum, Spectrum]:
     """The spectra of the step and of its limit on the star's cells, the
-    limit read only when none is given.  The swap of u and v, a symmetry of
-    extra_edge, exchanges its unit cells held as adjacent pairs (out_u,
-    out_v; in_u, in_v; (u,v), (v,u)); both spectra keep to the sector
-    symmetric under it, which holds i and bi, and Q's leakage from it is
-    certified."""
+    limit read only when none is given.  Where the schema marks the swap of
+    u and v as a symmetry, it exchanges the unit cells held as adjacent
+    pairs (out_u, out_v; in_u, in_v; then the tail's (u,v), (v,u)); both
+    spectra keep to the sector symmetric under it, which holds i and bi,
+    and Q's leakage from it is certified."""
     op = build_scattering_operator(graph, 1.0, 0.0)
     cells = star_cells(op.basis)
     q, i, k = cells_operator(op, cells), cells.uniform(1), len(cells.blocks)
-    if graph.anomaly.variant == "extra_edge":
+    if graph.anomaly.schema.swap:
         # the sector's rows on the cells: the bulk cells, then the pairs
         half = 1.0 / math.sqrt(2)
         sector = [[float(c == r) for c in range(len(q))] for r in range(k)] + [

@@ -410,7 +410,7 @@ def _sample_queries(graph: StarGraph, trials: int, seed: int) -> array:
     Every m is at least k - 1, as u >= 0, and rounding can take it to N, so
     it is clipped to N - 1.  That is O(trials) work, not O(trials N).
     """
-    if graph.anomaly.variant == "none":
+    if not graph.anomaly_vertices:
         raise NothingToFindError("plain star has no anomaly to find")
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")

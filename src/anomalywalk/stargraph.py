@@ -24,20 +24,34 @@ from .errors import (
 
 
 class VariantSchema(NamedTuple):
-    """What one anomaly variant names and what it adds to the plain star."""
+    """One anomaly variant: the local rules that set it apart from the plain star.
+
+    A state is a two-letter word over 0 (the hub), u, v, a (`at`) and t
+    (the tip N+1 of an extension): "xy" is the directed edge x -> y and
+    "xx" the loop at x.  Every plain spoke bounces (0,j) back to (j,0), on
+    a star with `loops` through its loop (j,j); each hop sends its source
+    state to its target instead, and the phase multiplies hop `mark`.
+    """
 
     fields: tuple[str, ...]  # vertex fields, in the spec and on Anomaly
-    fixed: int  # anomaly states whose number does not grow with N
+    defaults: tuple[int, ...]  # each field's vertex where `perturb` places the variant
+    tail: tuple[str, ...] = ()  # the states after the bulk blocks, in basis order
+    hops: tuple[tuple[str, str], ...] = ()  # (source, target) of each rerouted hop
+    mark: int | None = None  # the hop the phase multiplies, so it defaults to pi
     loops: bool = False  # a loop on every outer vertex: a third block of N states
-    marked: bool = False  # the phase marks a hop, so it defaults to pi
+    swap: bool = False  # swapping u and v maps the walk to itself
 
 
 VARIANT_SCHEMA = {
-    "none": VariantSchema((), 0),
-    "extra_edge": VariantSchema(("u", "v"), 2),
-    "loop": VariantSchema(("at",), 1),
-    "extended_edge": VariantSchema(("at",), 2, marked=True),
-    "missing_loop": VariantSchema(("at",), 0, loops=True, marked=True),
+    "none": VariantSchema((), ()),
+    "extra_edge": VariantSchema(("u", "v"), (1, 2), ("uv", "vu"), (
+        ("0u", "uv"), ("0v", "vu"), ("uv", "v0"), ("vu", "u0")), swap=True),
+    "loop": VariantSchema(("at",), (1,), ("aa",), (("0a", "aa"), ("aa", "a0"))),
+    "extended_edge": VariantSchema(("at",), (1,), ("at", "ta"), (
+        ("0a", "at"), ("at", "ta"), ("ta", "a0")), mark=1),
+    # the marked vertex bounces straight back, and its loop is a fixed point
+    "missing_loop": VariantSchema(("at",), (1,), (), (("0a", "a0"), ("aa", "aa")), mark=0,
+                                  loops=True),
 }
 VARIANTS = tuple(VARIANT_SCHEMA)
 
@@ -132,10 +146,9 @@ class PhaseAngle(NamedTuple):
 class Anomaly(NamedTuple):
     """Anomaly descriptor: which variant, where, and its marking phase.
 
-    ``mark_phase`` multiplies one designated matrix element of the walk
-    (the extension back-hop for extended_edge, the direct hub bounce for
-    missing_loop); extra_edge and loop carry a phase field for uniformity
-    but the step operator ignores it.
+    ``mark_phase`` multiplies the hop that the variant's `VariantSchema`
+    marks; a variant that marks none carries the field for uniformity, and
+    the step ignores it.
     """
 
     variant: str
@@ -148,7 +161,7 @@ class Anomaly(NamedTuple):
     def of(variant: str, phase: PhaseAngle | None = None, **vertices: int) -> "Anomaly":
         """The variant at its vertex fields; without a phase, pi if it marks a hop, else 0."""
         if phase is None:
-            phase = PhaseAngle.pi() if Anomaly(variant).schema.marked else PhaseAngle.zero()
+            phase = PhaseAngle.pi() if Anomaly(variant).schema.mark is not None else PhaseAngle.zero()
         return Anomaly(variant=variant, mark_phase=phase, **vertices)
 
     @staticmethod
@@ -185,7 +198,7 @@ class StarGraph(NamedTuple):
     @property
     def hilbert_dim(self) -> int:
         schema = self.anomaly.schema
-        return (3 if schema.loops else 2) * self.n_spokes + schema.fixed
+        return (3 if schema.loops else 2) * self.n_spokes + len(schema.tail)
 
     @property
     def anomaly_vertices(self) -> tuple[int, ...]:
@@ -212,25 +225,29 @@ def require_memory(nbytes: float, what: str) -> None:
 def build_star(n: int, anomaly: Anomaly) -> StarGraph:
     """Validate and assemble a star graph.
 
-    The extra-edge endpoint pair is canonicalized to u < v; u == v is
-    rejected.  N >= 3 keeps the hub reflection amplitude (N-2)/N positive,
-    and N <= 2**40 keeps 1/N well above the noise floor of a shift; no
-    walk, spectrum or sweep allocates anything of length N, so no size is
-    refused for its memory.
+    Each vertex field must hold an integer, no two of them may be equal,
+    and where the schema swaps u and v they are ordered u < v.  N >= 3
+    keeps the hub reflection amplitude (N-2)/N positive, and N <= 2**40
+    keeps 1/N well above the noise floor of a shift; no walk, spectrum or
+    sweep allocates anything of length N, so no size is refused for its
+    memory.
     """
 
     if not isinstance(n, int) or isinstance(n, bool):
         raise SpecSemanticError("n_spokes must be an integer")
     if n < 3:
         raise SizeError(f"n_spokes must be >= 3, got {n}")
-    if anomaly.variant == "extra_edge":
-        u, v = anomaly.u, anomaly.v
-        if u == v:
-            raise SelfEdgeError(f"extra edge endpoints must differ, got ({u},{v})")
-        if u > v:
-            anomaly = anomaly._replace(u=v, v=u)
+    schema = anomaly.schema  # an unknown variant has none
+    vertices = StarGraph(n, anomaly).anomaly_vertices
+    for field, vertex in zip(schema.fields, vertices):
+        if not isinstance(vertex, int) or isinstance(vertex, bool):
+            raise SpecSemanticError(f"anomaly vertex {field!r} must be an integer")
+    if len(set(vertices)) < len(vertices):
+        raise SelfEdgeError(f"extra edge endpoints must differ, got ({vertices[0]},{vertices[1]})")
+    if schema.swap:
+        anomaly = anomaly._replace(**dict(zip(schema.fields, sorted(vertices))))
     graph = StarGraph(n_spokes=n, anomaly=anomaly)
-    for vertex in graph.anomaly_vertices:  # an unknown variant has no schema
+    for vertex in vertices:
         if not 1 <= vertex <= n:
             raise IndexRangeError(f"vertex {vertex} outside 1..{n}")
     if n > _MAX_SPOKES:
@@ -316,14 +333,14 @@ def spec_dict(graph: StarGraph) -> dict:
     """The spec as the JSON object it is written as.
 
     Phases are emitted as exact pi-fractions when stored that way, else as
-    a decimal; extended_edge and missing_loop always carry their phase,
-    extra_edge and loop only when it is nonzero (zero means unmarked).
+    a decimal; a variant whose schema marks a hop always carries its
+    phase, any other only when it is nonzero (zero means unmarked).
     """
 
     a = graph.anomaly
     schema = a.schema
     araw: dict = {"type": a.variant, **dict(zip(schema.fields, graph.anomaly_vertices))}
-    if schema.marked or (schema.fields and a.mark_phase.value != 0.0):
+    if schema.mark is not None or (schema.fields and a.mark_phase.value != 0.0):
         if a.mark_phase.is_rational:
             araw["phase_num"] = a.mark_phase.num
             araw["phase_den"] = a.mark_phase.den

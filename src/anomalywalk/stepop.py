@@ -5,8 +5,9 @@ all share one structure (reflection -r on the matching outgoing state plus
 transmission t to every other one), so the hub maps the in block x to
 t*sum(x) - x, the same rule on every row, and every outer-vertex column
 has exactly one nonzero.  Those follow the block layout of `EdgeBasis`:
-the blocks trade places (out to in, or out to loops to in for
-missing_loop), then a few patches overwrite the rows the anomaly reroutes.
+the blocks trade places (out to in, or out to loops to in on a star
+with loops), then one patch per hop of the variant's `VariantSchema`
+overwrites the row that hop reroutes.
 
 `StepOperator` holds the step as that O(1) data alone: a role table over
 the blocks and (block, offset) pairs for the patches, checked when the
@@ -19,7 +20,7 @@ same table.
 
 from typing import NamedTuple
 
-from .edgespace import BasisLabel, EdgeBasis, make_basis
+from .edgespace import EdgeBasis, make_basis
 from .errors import ConfigurationError, DimensionMismatchError, NumericalFailureError
 from .numerics import DEFAULT_POLICY, largest
 from .stargraph import StarGraph
@@ -116,50 +117,22 @@ def build_scattering_operator(graph: StarGraph, hub_r: float, hub_t: float) -> S
     """Assemble the walk operator with explicit hub amplitudes.
 
     Outer-vertex rules depend only on the anomaly: plain spokes bounce the
-    particle straight back toward the hub, anomaly-adjacent vertices route
-    it through the anomaly, and the marking phase multiplies exactly one
-    designated hop.
+    particle straight back toward the hub, and each hop of the variant's
+    `VariantSchema` reroutes one state, the marking phase multiplying the
+    one hop it marks.
     """
 
     basis = make_basis(graph)
-    n = graph.n_spokes
-    a = graph.anomaly
-    src: list[int] = []
-    dst: list[int] = []
-    amp: list[complex] = []
-
-    def patch(src_label: BasisLabel, dst_label: BasisLabel, amplitude: complex = 1.0) -> None:
-        src.append(basis.position(src_label))
-        dst.append(basis.position(dst_label))
-        amp.append(amplitude)
-
-    edge = BasisLabel.edge
-    phase = a.mark_phase.phasor if a.variant != "none" else 1.0 + 0j
+    schema = graph.anomaly.schema
+    phasor = graph.anomaly.mark_phase.phasor
     # every plain spoke bounces (0,j) straight back to (j,0): the out block
-    # becomes the in block, and the tail (block 2) keeps its place
-    roles: tuple[int, ...] = (1, 0, 2)
-    if a.variant == "extra_edge":
-        patch(edge(0, a.u), edge(a.u, a.v))
-        patch(edge(0, a.v), edge(a.v, a.u))
-        patch(edge(a.u, a.v), edge(a.v, 0))
-        patch(edge(a.v, a.u), edge(a.u, 0))
-    elif a.variant == "loop":
-        patch(edge(0, a.at), BasisLabel.loop(a.at))
-        patch(BasisLabel.loop(a.at), edge(a.at, 0))
-    elif a.variant == "extended_edge":
-        tip = n + 1
-        patch(edge(0, a.at), edge(a.at, tip))
-        patch(edge(a.at, tip), edge(tip, a.at), phase)
-        patch(edge(tip, a.at), edge(a.at, 0))
-    elif a.variant == "missing_loop":
-        # unmarked spokes route (0,j) through their loop, loops exit to (j,0):
-        # out becomes the loops, the loops become in, the empty tail stays
-        roles = (1, 2, 0, 3)
-        # marked vertex: direct bounce carrying the marking phase, and its
-        # dummy loop is a fixed point
-        patch(edge(0, a.at), edge(a.at, 0), phase)
-        patch(BasisLabel.loop(a.at), BasisLabel.loop(a.at))
-
+    # becomes the in block, and the tail (block 2) keeps its place; through
+    # the loops, out becomes the loops, the loops become in, and the empty
+    # tail stays
+    roles = (1, 2, 0, 3) if schema.loops else (1, 0, 2)
+    src = [basis.position(basis.state(word)) for word, _ in schema.hops]
+    dst = [basis.position(basis.state(word)) for _, word in schema.hops]
+    amp = [phasor if k == schema.mark else 1.0 for k in range(len(schema.hops))]
     return StepOperator(basis, float(hub_r), float(hub_t), roles, basis.locate(src),
                         basis.locate(dst), amp)
 

@@ -34,7 +34,7 @@ from anomalywalk.numerics import (
 )
 from anomalywalk.search import InitialStateKind, run_search
 from anomalywalk.spectral import secular_spectrum
-from anomalywalk.stargraph import Anomaly, build_star
+from anomalywalk.stargraph import VARIANTS, Anomaly, build_star
 from anomalywalk.stepop import BlockWalk, UnitarityReport
 
 NAN = float("nan")
@@ -361,6 +361,58 @@ def test_every_error_category_is_raised():
     package = Path(anomalywalk.__file__).parent
     assert errors_unnamed(path.read_text(encoding="utf-8") for path in package.glob("*.py")
                           if path.name != "errors.py") == set()
+
+
+def _is_variant_name(node) -> bool:
+    """Whether an operand is a variant's name as a string literal, alone or
+    among the items of a literal tuple, list or set."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in VARIANTS
+               for n in items)
+
+
+def variant_name_comparisons(source: str) -> list[tuple[str | None, int]]:
+    """The enclosing function and line of each comparison in source, and of
+    each match case, that reads an anomaly variant's name as a literal."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        operands = ([node.left, *node.comparators] if isinstance(node, ast.Compare)
+                    else [node.value] if isinstance(node, ast.MatchValue) else [])
+        if any(map(_is_variant_name, operands)):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_sees_a_comparison_with_a_variant_name():
+    assert variant_name_comparisons("def f(a):\n    return a.variant == \"loop\"\n") == [("f", 2)]
+    assert variant_name_comparisons(
+        "if 'none' != v:\n    pass\n"
+        "ok = g.anomaly.variant in ('extra_edge', 'loop')\n"
+        "match v:\n    case 'missing_loop':\n        pass\n") == [
+        (None, 1), (None, 3), (None, 5)]
+    # a start kind's name, a variant name passed on and a label's kind are not variants
+    assert variant_name_comparisons(
+        "ok = kind.variant in ('loop_pi', 'loop_third')\n"
+        "Anomaly.of('loop', at=1)\nBasisLabel('loop', 1, 1)\nok = label.kind == 'edge'\n") == []
+
+
+def test_only_the_variant_table_names_a_variant():
+    # every per-variant rule is a field of stargraph.VARIANT_SCHEMA; the
+    # paper's two closed-form hitting steps are the one exception
+    package = Path(anomalywalk.__file__).parent
+    found = [(path.name, function) for path in sorted(package.glob("*.py"))
+             if path.name != "stargraph.py"
+             for function, _ in variant_name_comparisons(path.read_text(encoding="utf-8"))]
+    allowed = ("search.py", "predicted_hitting_step")
+    assert [at for at in found if at != allowed] == []
+    assert found.count(allowed) <= 2
 
 
 def _numpy_roots(tree) -> set[str]:

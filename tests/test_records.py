@@ -43,7 +43,7 @@ FIELDS = {
     PhaseAngle: ("num", "den", "rad"),
     Anomaly: ("variant", "u", "v", "at", "mark_phase"),
     StarGraph: ("n_spokes", "anomaly"),
-    VariantSchema: ("fields", "fixed", "loops", "marked"),
+    VariantSchema: ("fields", "defaults", "tail", "hops", "mark", "loops", "swap"),
 }
 
 _UNMARKED = "mark_phase=PhaseAngle(num=0, den=1, rad=None)"
@@ -94,7 +94,9 @@ SAMPLES = [
     (StarGraph(3, Anomaly.missing_loop(1)),
      "StarGraph(n_spokes=3, anomaly=Anomaly(variant='missing_loop', u=None, v=None, at=1, "
      "mark_phase=PhaseAngle(num=1, den=1, rad=None)))"),
-    (VARIANT_SCHEMA["loop"], "VariantSchema(fields=('at',), fixed=1, loops=False, marked=False)"),
+    (VARIANT_SCHEMA["loop"],
+     "VariantSchema(fields=('at',), defaults=(1,), tail=('aa',), "
+     "hops=(('0a', 'aa'), ('aa', 'a0')), mark=None, loops=False, swap=False)"),
 ]
 _IDS = [type(value).__name__ for value, _ in SAMPLES]
 

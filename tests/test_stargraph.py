@@ -22,6 +22,7 @@ from anomalywalk.stargraph import (
     parse_spec,
     serialize_spec,
 )
+from anomalywalk.stepop import build_step_operator
 
 
 class TestPhaseAngle:
@@ -78,16 +79,22 @@ class TestBuildStar:
         g = build_star(5, Anomaly.extra_edge(4, 2))
         assert (g.anomaly.u, g.anomaly.v) == (2, 4)
 
-    @pytest.mark.parametrize("anomaly", [
-        Anomaly.extra_edge(1, 6),
-        Anomaly.extra_edge(0, 3),
-        Anomaly.loop(0),
-        Anomaly.loop(6),
-        Anomaly.extended_edge(9),
-        Anomaly.missing_loop(-1),
+    @pytest.mark.parametrize("anomaly,error", [
+        (Anomaly.extra_edge(1, 6), IndexRangeError),
+        (Anomaly.extra_edge(0, 3), IndexRangeError),
+        (Anomaly.loop(0), IndexRangeError),
+        (Anomaly.loop(6), IndexRangeError),
+        (Anomaly.extended_edge(9), IndexRangeError),
+        (Anomaly.missing_loop(-1), IndexRangeError),
+        # a vertex that is not an integer, or is missing, is refused as a
+        # spec's would be, before the endpoints are ordered
+        (Anomaly.loop(True), SpecSemanticError),
+        (Anomaly.loop(2.0), SpecSemanticError),
+        (Anomaly("loop"), SpecSemanticError),
+        (Anomaly("extra_edge", u=1), SpecSemanticError),
     ])
-    def test_vertex_out_of_range(self, anomaly):
-        with pytest.raises(IndexRangeError):
+    def test_vertex_refused(self, anomaly, error):
+        with pytest.raises(error):
             build_star(5, anomaly)
 
     @pytest.mark.parametrize("anomaly,expected", [
@@ -212,10 +219,17 @@ class TestSerializeSpec:
         vertices = dict(zip(schema.fields, (2, 5)))
         graph = build_star(7, Anomaly.of(variant, **vertices))
         raw = json.loads(serialize_spec(graph))["anomaly"]
-        phase = {"phase_num", "phase_den"} if schema.marked else set()
+        phase = {"phase_num", "phase_den"} if schema.mark is not None else set()
         assert set(raw) == {"type", *schema.fields} | phase
         assert parse_spec(serialize_spec(graph)) == graph
         assert graph.anomaly_vertices == tuple(vertices.values())
+        assert graph.hilbert_dim == (3 if schema.loops else 2) * 7 + len(schema.tail)
+        # one patch per hop, and a phase off 1 shows only on the hop the table marks
+        angle = PhaseAngle.from_pi_fraction(1, 3)
+        op = build_step_operator(build_star(7, Anomaly.of(variant, angle, **vertices)))
+        assert len(op.src) == len(op.dst) == len(op.amp) == len(schema.hops)
+        off = {k: amp for k, amp in enumerate(op.amp) if amp != 1}
+        assert off == ({} if schema.mark is None else {schema.mark: angle.phasor})
 
     def test_round_trip_is_fixed_point(self):
         g = build_star(12, Anomaly.missing_loop(4, PhaseAngle.from_pi_fraction(5, 3)))
